@@ -206,37 +206,8 @@ class NegSqrtParabola1D:
         return None
 
 
-@dataclass(frozen=True)
-class Precomputed:
-    """Exact lookup tables for test fixtures."""
-
-    dim: int
-    values: tuple  # ((point, value), ...)
-    subdiffs: tuple  # ((point, SubdiffSet), ...)
-
-    def __init__(self, dim: int, values, subdiffs=()):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "values", tuple((tuple(vec_q(p)), v) for p, v in values)
-        )
-        object.__setattr__(
-            self, "subdiffs", tuple((tuple(vec_q(p)), s) for p, s in subdiffs)
-        )
-
-    @property
-    def domain(self) -> None:
-        return None
-
-    def lookup(self, table, x):
-        x = tuple(vec_q(x))
-        for p, v in table:
-            if p == x:
-                return v
-        raise ModelError(f"point {x} not in precomputed table")
-
-
 ConvexFunc = Union[
-    Affine, MaxAffine, SupportPolygon, ScaledNormInf, Scaled2Norm, NegSqrtParabola1D, Precomputed
+    Affine, MaxAffine, SupportPolygon, ScaledNormInf, Scaled2Norm, NegSqrtParabola1D
 ]
 
 _PIECEWISE = (Affine, MaxAffine, SupportPolygon, ScaledNormInf)
@@ -281,8 +252,6 @@ def evaluate(f: ConvexFunc, x):
         if v < 0 or v > 2 * f.t:
             return POS_INF
         return NegSqrt(v * (2 * f.t - v))
-    if isinstance(f, Precomputed):
-        return f.lookup(f.values, x)
     raise TypeError(f"unknown function kind {type(f).__name__}")
 
 
@@ -315,8 +284,6 @@ def eval_float(f: ConvexFunc, x) -> float:
         if v < 0 or v > 2 * t:
             return math.inf
         return -math.sqrt(max(v * (2 * t - v), 0.0))
-    if isinstance(f, Precomputed):
-        raise UnsupportedOperationError("precomputed tables have no float path")
     raise TypeError(f"unknown function kind {type(f).__name__}")
 
 
@@ -365,8 +332,6 @@ def subdiff_set(f: ConvexFunc, x) -> SubdiffSet:
             )
         grad = [f.weight * d / norm for d in diff]
         return SubdiffSet(Polytope(n, [grad]), FGCone(n, []))
-    if isinstance(f, Precomputed):
-        return f.lookup(f.subdiffs, x)
     raise TypeError(f"unknown function kind {type(f).__name__}")
 
 
@@ -416,15 +381,6 @@ def dir_derivative(f: ConvexFunc, x, d):
             return f.weight * norm_d
         ss = subdiff_set(f, x)
         return qdot(ss.base.vertices[0], d)
-    if isinstance(f, Precomputed):
-        ss = f.lookup(f.subdiffs, x)
-        if ss.is_empty:
-            raise UnsupportedOperationError(
-                "directional derivative of an empty-subdifferential table entry"
-            )
-        if any(qdot(g, d) > 0 for g in ss.recession.generators):
-            return POS_INF
-        return max(qdot(v, d) for v in ss.base.vertices)
     raise TypeError(f"unknown function kind {type(f).__name__}")
 
 

@@ -123,18 +123,6 @@ class GapRefusal:
     farkas: Optional[tuple] = None
 
 
-def _objective_tables(p: MosipProblem, x) -> list:
-    tables = []
-    for i, f in enumerate(p.objectives):
-        poly = subdiff(f, x)
-        if poly.is_empty:
-            raise ModelError(
-                f"objective {i} has an empty subdifferential at the candidate"
-            )
-        tables.append(poly.vertices)
-    return tables
-
-
 def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
     """Joint LP over per-objective coefficients mu_ij and normal-cone weights:
     sum_ij mu_ij (v_ij - tilt) + sum_m eta_m g_m = 0 with sum mu = 1.
@@ -149,7 +137,7 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
             "feasible set"
         )
     n = p.dimension
-    tables = _objective_tables(p, cp.x)
+    tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
     shifted = [
         [tuple(v[k] - (tilt[k] if tilt else ZERO) for k in range(n)) for v in verts]
         for verts in tables
@@ -256,7 +244,9 @@ def gap_zero_search(p: MosipProblem, cp: CandidatePoint, mode: str = WEAK_MODE):
 
 
 def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
-    """Exactness defects of a (possibly deserialized) witness."""
+    """Exactness defects of a (possibly deserialized) witness, against vertex
+    tables recomputed from the problem's objectives (not read from
+    `cp.table`)."""
     issues = []
     n = p.dimension
     if len(w.lam) != p.num_objectives:

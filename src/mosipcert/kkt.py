@@ -126,23 +126,11 @@ class KktSeparator:
 # Shared decomposition engine
 
 
-def _objective_vertex_tables(p: MosipProblem, x) -> list:
-    tables = []
-    for i, f in enumerate(p.objectives):
-        poly = subdiff(f, x)
-        if poly.is_empty:
-            raise ModelError(
-                f"objective {i} has an empty subdifferential at the candidate"
-            )
-        tables.append(poly.vertices)
-    return tables
-
-
-def _active_subdiff_tables(p: MosipProblem, cp: CandidatePoint) -> list:
+def _active_subdiff_tables(cp: CandidatePoint) -> list:
     """(t, vertices, rays) per active constraint, skipping empty subdifferentials."""
     out = []
     for t in cp.T:
-        ss = subdiff_set(p.constraint(t), cp.x)
+        ss = cp.table.constraint(t)
         if ss.is_empty:
             continue
         out.append((t, ss.base.vertices, ss.recession.generators))
@@ -222,8 +210,8 @@ def _group_terms(values, obj_tables, active_tables, n):
 def _decompose_target(p: MosipProblem, cp: CandidatePoint, target):
     """Exact multipliers writing `target` over the objective and active
     constraint subdifferentials; the caller guarantees target in F* + G*."""
-    obj_tables = _objective_vertex_tables(p, cp.x)
-    active_tables = _active_subdiff_tables(p, cp)
+    obj_tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
+    active_tables = _active_subdiff_tables(cp)
     num_vars = sum(len(v) for v in obj_tables) + sum(
         len(v) + len(r) for _, v, r in active_tables
     )
@@ -311,8 +299,8 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
             ri_zero=ri,
             refusal="the weak KKT condition already fails",
         )
-    obj_tables = _objective_vertex_tables(p, cp.x)
-    active_tables = _active_subdiff_tables(p, cp)
+    obj_tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
+    active_tables = _active_subdiff_tables(cp)
     base_vars = sum(len(v) for v in obj_tables) + sum(
         len(v) + len(r) for _, v, r in active_tables
     )
@@ -421,7 +409,7 @@ def isolation_inclusion_report(
     for eps in eps_grid:
         grads = []
         for t in cp.active(eps):
-            ss = subdiff_set(p.constraint(t), cp.x)
+            ss = cp.table.constraint(t)
             if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
                 return None
             grads.append(ss.base.vertices[0])
@@ -447,7 +435,11 @@ def isolation_inclusion_report(
 
 
 def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate) -> list:
-    """Every exactness defect of `cert` against freshly recomputed data."""
+    """Every exactness defect of `cert` against freshly recomputed data.
+
+    The vertex tables are recomputed from the problem's functions at cp.x,
+    not read from `cp.table`, so a certificate built from a corrupted table
+    is caught here as a drifted table."""
     issues = []
     n = p.dimension
     if len(cert.target) != n:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .errors import InternalInconsistencyError
 from .rationals import Q, ZERO, as_q, qdot
 
 LE, GE, EQ = "<=", ">=", "=="
@@ -111,7 +112,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     farkas = tab.phase1()
     if farkas is not None:
         if not verify_farkas(rows, farkas):
-            raise AssertionError("internal error: Farkas certificate failed substitution")
+            raise InternalInconsistencyError("Farkas certificate failed substitution")
         return Infeasible(farkas)
     res = tab.phase2()
     if isinstance(res, Unbounded):
@@ -166,7 +167,7 @@ def _check_ray(objective, rows, res: Unbounded):
             ok &= (rel == LE and d <= 0) or (rel == GE and d >= 0) or (rel == EQ and d == 0)
         ok &= qdot(objective, res.ray) > 0
     if not ok:
-        raise AssertionError("internal error: unboundedness ray failed substitution")
+        raise InternalInconsistencyError("unboundedness ray failed substitution")
 
 
 def _check_optimal(objective, rows, res: Optimal):
@@ -185,7 +186,7 @@ def _check_optimal(objective, rows, res: Optimal):
         dual_rhs += lam * b
     ok &= combo == objective and dual_rhs == res.value
     if not ok:
-        raise AssertionError("internal error: optimality certificates failed substitution")
+        raise InternalInconsistencyError("optimality certificates failed substitution")
 
 
 class _Tableau:
@@ -308,7 +309,7 @@ class _Tableau:
         self._price_out(obj)
         enter = self._iterate(obj, range(self.ncols))
         if enter is not None:  # pragma: no cover - phase 1 is bounded above by 0
-            raise AssertionError("phase 1 cannot be unbounded")
+            raise InternalInconsistencyError("phase 1 cannot be unbounded")
         if obj[self.rhs_idx] != 0:
             # Optimal phase-1 value y'b is negative; the audit multipliers,
             # re-signed for the oriented rows, are the Farkas vector.

@@ -312,37 +312,131 @@ def iota(p: MosipProblem, x) -> ExtValue:
     return ExtValue(min(vals), prov)
 
 
-def check_feasible(p: MosipProblem, x) -> None:
-    """Exact feasibility of x against the truncated family and, when supplied,
-    the closed-form S; raises naming the first violated index or row."""
+def _constraint_values(p: MosipProblem, x) -> tuple:
+    """Every g_k(x) over the truncated family, after the exact feasibility
+    check of x against the family and, when supplied, the closed-form S;
+    raises naming the first violated index or row."""
     x = vec_q(x)
     if len(x) != p.dimension:
         raise ModelError("candidate point dimension mismatch")
+    values = []
     for k in p.indices():
-        if evaluate(p.constraint(k), x) > 0:
+        value = evaluate(p.constraint(k), x)
+        if value > 0:
             raise InfeasiblePointError(
                 f"infeasible point: constraint index {k} is violated"
             )
+        values.append(value)
     if p.feasible_set is not None:
         for j, (a, b) in enumerate(p.feasible_set.rows):
             if qdot(a, x) > b:
                 raise InfeasiblePointError(
                     f"infeasible point: feasible_set row {j} is violated"
                 )
+    return tuple(values)
+
+
+def check_feasible(p: MosipProblem, x) -> None:
+    """Exact feasibility of x against the truncated family and, when supplied,
+    the closed-form S; raises naming the first violated index or row."""
+    _constraint_values(p, x)
+
+
+def _eps_active(values, eps) -> list:
+    """The indices k with g_k(x) >= -eps, given every g_k(x)."""
+    eps = as_q(eps)
+    if eps < 0:
+        raise ModelError("epsilon must be nonnegative")
+    return [k for k, value in enumerate(values) if value >= -eps]
 
 
 def active_set(p: MosipProblem, x, eps=0) -> list:
     """epsilon-active indices {k : g_k(x) >= -eps} over the truncated family."""
-    eps = as_q(eps)
-    if eps < 0:
-        raise ModelError("epsilon must be nonnegative")
-    check_feasible(p, x)
-    x = vec_q(x)
-    return [k for k in p.indices() if evaluate(p.constraint(k), x) >= -eps]
+    return _eps_active(_constraint_values(p, x), eps)
 
 
 # ---------------------------------------------------------------------------
 # derived sets at a candidate point
+
+
+_UNSET = object()
+
+
+class SubdiffTable:
+    """The subdifferentials of the problem's functions at one point x, each
+    computed at most once, on first request:
+
+    * ``objective(i)`` is subdiff(f_i, x), a polytope;
+    * ``constraint(k)`` is subdiff_set(g_k, x), for any index k;
+    * ``psi()`` is psi_subdiff(p, x), built from the argmax members' entries;
+    * ``values`` holds every g_k(x).
+
+    A computation that is refused (UnsupportedOperationError) is not stored,
+    so every request for that entry raises it again.
+    """
+
+    def __init__(self, p: MosipProblem, x: tuple, values: Optional[tuple] = None):
+        self.problem = p
+        self.x = x
+        self._values = values
+        self._objectives: dict = {}
+        self._constraints: dict = {}
+        self._psi = _UNSET
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            p = self.problem
+            self._values = tuple(evaluate(p.constraint(k), self.x) for k in p.indices())
+        return self._values
+
+    def objective(self, i: int) -> Polytope:
+        if i not in self._objectives:
+            self._objectives[i] = subdiff(self.problem.objectives[i], self.x)
+        return self._objectives[i]
+
+    def constraint(self, k: int) -> SubdiffSet:
+        if k not in self._constraints:
+            self._constraints[k] = subdiff_set(self.problem.constraint(k), self.x)
+        return self._constraints[k]
+
+    def union(self, indices) -> tuple:
+        """Union of the listed constraints' subdifferentials, split into base
+        vertices and recession generators without repeats; empty
+        subdifferentials contribute nothing."""
+        base: list = []
+        rec: list = []
+        for k in indices:
+            ss = self.constraint(k)
+            base.extend(v for v in ss.base.vertices if v not in base)
+            rec.extend(g for g in ss.recession.generators if g not in rec)
+        return base, rec
+
+    def psi(self) -> Optional[SubdiffSet]:
+        if self._psi is _UNSET:
+            self._psi = self._envelope_subdiff()
+        return self._psi
+
+    def _envelope_subdiff(self) -> Optional[SubdiffSet]:
+        p = self.problem
+        if p.psi_override is not None:
+            return subdiff_set(p.psi_override, self.x)
+        if p.truncated:
+            return None
+        top = max(self.values)
+        if not is_finite(top):
+            return None
+        base: list = []
+        rec: list = []
+        for k, value in enumerate(self.values):
+            if value != top:
+                continue
+            ss = self.constraint(k)
+            if ss.is_empty:
+                return None  # max rule needs every argmax subdifferential
+            base.extend(ss.base.vertices)
+            rec.extend(ss.recession.generators)
+        return SubdiffSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
 
 
 @dataclass(frozen=True)
@@ -352,14 +446,17 @@ class FSets:
 
 
 def f_sets(p: MosipProblem, x) -> FSets:
-    x = vec_q(x)
+    return _f_sets(p, SubdiffTable(p, tuple(vec_q(x))))
+
+
+def _f_sets(p: MosipProblem, table: SubdiffTable) -> FSets:
     points = []
-    for i, f in enumerate(p.objectives):
-        sd = subdiff(f, x)
+    for i in range(p.num_objectives):
+        sd = table.objective(i)
         if sd.is_empty:
             raise ModelError(
-                f"objective {i} has empty subdifferential at {x}; objectives "
-                "must be finite-valued convex functions"
+                f"objective {i} has empty subdifferential at {list(table.x)}; "
+                "objectives must be finite-valued convex functions"
             )
         points.extend(v for v in sd.vertices if v not in points)
     return FSets(tuple(points), Polytope(p.dimension, points))
@@ -373,13 +470,12 @@ class GSets:
 
 
 def g_sets(p: MosipProblem, x) -> GSets:
-    x = vec_q(x)
-    points: list = []
-    extra: list = []
-    for k in active_set(p, x, 0):
-        ss = subdiff_set(p.constraint(k), x)
-        points.extend(v for v in ss.base.vertices if v not in points)
-        extra.extend(g for g in ss.recession.generators if g not in extra)
+    x = tuple(vec_q(x))
+    return _g_sets(p, SubdiffTable(p, x), active_set(p, x, 0))
+
+
+def _g_sets(p: MosipProblem, table: SubdiffTable, active) -> GSets:
+    points, extra = table.union(active)
     empty = not points and not extra
     return GSets(tuple(points), empty, FGCone(p.dimension, points + extra))
 
@@ -427,26 +523,7 @@ def psi_subdiff(p: MosipProblem, x) -> Optional[SubdiffSet]:
     argmax members' subdifferentials); a truncated family does not pin down
     the envelope near x, so the result is None (undecidable downstream).
     """
-    x = vec_q(x)
-    if p.psi_override is not None:
-        return subdiff_set(p.psi_override, x)
-    if p.truncated:
-        return None
-    vals = [evaluate(p.constraint(k), x) for k in p.indices()]
-    top = max(vals)
-    if not is_finite(top):
-        return None
-    base: list = []
-    rec: list = []
-    for k in p.indices():
-        if vals[k] != top:
-            continue
-        ss = subdiff_set(p.constraint(k), x)
-        if ss.is_empty:
-            return None  # max rule needs every argmax subdifferential
-        base.extend(ss.base.vertices)
-        rec.extend(ss.recession.generators)
-    return SubdiffSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
+    return SubdiffTable(p, tuple(vec_q(x))).psi()
 
 
 def sublevel_Q(p: MosipProblem, x, i: int) -> HPoly:
@@ -510,8 +587,15 @@ def tangent_normal(p: MosipProblem, x) -> TangentNormal:
 
 @dataclass(frozen=True)
 class CandidatePoint:
-    """A feasible point with its derived sets, computed eagerly so reads are
-    pure lookups."""
+    """A feasible point with its derived sets, computed when it is built.
+
+    `table` holds every subdifferential at x that the checkers, `kkt` and
+    `gap` read, and the constraint values g_k(x).  Building the point fills
+    in the objective entries and the active constraints' entries; any other
+    constraint's entry and the envelope's are computed on first request and
+    kept.  The table lives and dies with the point.  The certificate
+    verifiers do not read it: they recompute from the problem data.
+    """
 
     problem: MosipProblem
     x: tuple
@@ -524,14 +608,15 @@ class CandidatePoint:
     C: Optional[HCone]
     N: Optional[FGCone]
     Q: Optional[tuple]  # per-objective H-polyhedra when constructible
+    table: SubdiffTable = field(compare=False, repr=False)
 
     @staticmethod
     def build(p: MosipProblem, x) -> "CandidatePoint":
         x = tuple(vec_q(x))
-        check_feasible(p, x)
-        T = tuple(active_set(p, x, 0))
-        fs = f_sets(p, x)
-        gs = g_sets(p, x)
+        table = SubdiffTable(p, x, _constraint_values(p, x))
+        T = tuple(_eps_active(table.values, 0))
+        fs = _f_sets(p, table)
+        gs = _g_sets(p, table, T)
         C = N = None
         Q = None
         if p.feasible_set is not None:
@@ -557,10 +642,19 @@ class CandidatePoint:
             C=C,
             N=N,
             Q=Q,
+            table=table,
         )
 
     def active(self, eps) -> list:
-        return active_set(self.problem, self.x, eps)
+        """epsilon-active indices, read off the stored constraint values."""
+        return _eps_active(self.table.values, eps)
+
+    def subgradient_union(self, eps) -> tuple:
+        """Union of the eps-active constraint subdifferentials, split into
+        base vertices and recession generators; empty subdifferentials
+        contribute nothing (their members impose no subgradient inequality
+        here)."""
+        return self.table.union(self.active(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +725,9 @@ def problem_from_json(doc: dict) -> MosipProblem:
             else None
         )
         annotations = doc.get("annotations", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        return MosipProblem(dim, objectives, constraints, feasible, override, annotations)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed problem document: {exc}") from exc
-    return MosipProblem(dim, objectives, constraints, feasible, override, annotations)
 
 
 def load_problem(path) -> MosipProblem:

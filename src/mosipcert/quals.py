@@ -42,6 +42,7 @@ from .cones import (
     span_rank,
 )
 from .errors import (
+    InternalInconsistencyError,
     ModelError,
     UnsupportedDimensionError,
     UnsupportedOperationError,
@@ -54,17 +55,14 @@ from .funcs import (
     SupportPolygon,
     dir_derivative,
     evaluate,
-    subdiff_set,
 )
 from .problem import (
     EXACT,
     TRUNCATED,
     CandidatePoint,
     MosipProblem,
-    active_set,
     g_data_provenance,
     psi_data_provenance,
-    psi_subdiff,
     worst_provenance,
 )
 from .rationals import (
@@ -133,19 +131,6 @@ class QualReport:
 # shared machinery
 
 
-def _subgradient_union(p: MosipProblem, x, eps) -> tuple:
-    """Union of the eps-active constraint subdifferentials at x, split into
-    base vertices and recession generators; empty subdifferentials contribute
-    nothing (their members impose no subgradient inequality here)."""
-    base: list = []
-    rec: list = []
-    for k in active_set(p, x, eps):
-        ss = subdiff_set(p.constraint(k), x)
-        base.extend(v for v in ss.base.vertices if v not in base)
-        rec.extend(g for g in ss.recession.generators if g not in rec)
-    return base, rec
-
-
 def _min_max_direction(points, rec_gens, dim: int) -> tuple:
     """min over d in the unit box of max_v v'd subject to r'd <= 0 for the
     recession generators.  Returns (value, d).  The value is <= 0 (d = 0 is
@@ -162,7 +147,10 @@ def _min_max_direction(points, rec_gens, dim: int) -> tuple:
         rows.append(([-c for c in e], lp.LE, ONE))
     obj = [ZERO] * dim + [-ONE]
     res = lp.solve(lp.LinearProgram(dim + 1, obj, rows))
-    assert isinstance(res, lp.Optimal), "min-max LP is always solvable"
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError(
+            "the min-max LP has no optimum although d = 0 is feasible and the box bounds it"
+        )
     return -res.value, tuple(res.primal[:dim])
 
 
@@ -173,7 +161,10 @@ def _zero_decomposition(points, rec_gens, dim: int) -> dict:
     poly = Polytope(dim, points)
     cone = FGCone(dim, rec_gens)
     out = membership(ZERO_POINT(dim), GenConvexSet(poly, cone))
-    assert isinstance(out, Member), "no strict direction implies 0 in the hull"
+    if not isinstance(out, Member):
+        raise InternalInconsistencyError(
+            "no strictly negative direction exists, yet 0 is not in the hull"
+        )
     return {
         "kind": "zero_decomposition",
         "points": poly.vertices,
@@ -259,7 +250,7 @@ def _slater_lp(members, n: int):
             if tau < 0:
                 return ("optimal", tau, tuple(x))
             scale *= 2
-        raise AssertionError("unbounded ray never went negative")
+        raise InternalInconsistencyError("unbounded ray never went negative")
     return ("optimal", -res.value, tuple(res.primal[:n]))
 
 
@@ -308,7 +299,8 @@ def _slater_pair(p: MosipProblem, cp: CandidatePoint, opts: QualOptions) -> tupl
     if isinstance(p.psi_override, NegSqrtParabola1D):
         apex = (as_q(p.psi_override.t),)
         slack = _verify_negative(p, apex)
-        assert slack is not None, "parabola apex is strictly negative"
+        if slack is None:
+            raise InternalInconsistencyError("the parabola apex is not strictly negative")
         witness = {"kind": "slater_point", "point": apex, "slack": slack}
         return reports(HOLDS, EXACT, witness, "envelope minimum at the apex; verified by evaluation")
 
@@ -397,7 +389,7 @@ def _check_mfcq(p, cp, opts):
             {"kind": "empty_active_union"},
             "the active subgradient union is empty; the definition's fallback clause applies",
         )
-    base, rec = _subgradient_union(p, cp.x, ZERO)
+    base, rec = cp.subgradient_union(ZERO)
     value, d = _min_max_direction(base, rec, p.dimension)
     if value < 0:
         witness = {"kind": "direction", "direction": d, "max_inner": value}
@@ -416,23 +408,26 @@ def _check_mfcq(p, cp, opts):
 
 
 def _check_pmfcq(p, cp, opts):
-    x, n = cp.x, p.dimension
-    prov = g_data_provenance(p, x)
+    prov = g_data_provenance(p, cp.x)
     finite = not p.truncated
     grid = (ZERO,) if finite else tuple(opts.eps_grid)
     values = []
+    solved = {}  # eps-active index set -> its min-max (value, direction)
     for eps in grid:
-        base, rec = _subgradient_union(p, x, eps)
-        if not base and not rec:
-            witness = {"kind": "empty_subgradient_union", "eps": eps}
-            return QualReport(
-                "PMFCQ",
-                HOLDS,
-                prov,
-                witness,
-                "the eps-active subgradient union is empty, so its supremum is -infinity",
-            )
-        value, d = _min_max_direction(base, rec, n)
+        active = tuple(cp.active(eps))
+        if active not in solved:
+            base, rec = cp.table.union(active)
+            if not base and not rec:
+                witness = {"kind": "empty_subgradient_union", "eps": eps}
+                return QualReport(
+                    "PMFCQ",
+                    HOLDS,
+                    prov,
+                    witness,
+                    "the eps-active subgradient union is empty, so its supremum is -infinity",
+                )
+            solved[active] = _min_max_direction(base, rec, p.dimension)
+        value, d = solved[active]
         values.append((eps, value))
         if value < 0:
             witness = {"kind": "grid_certificate", "eps": eps, "direction": d, "value": value}
@@ -483,7 +478,7 @@ def _envelope_halfspace_set(p, cp) -> Optional[HCone]:
     """{d : psi'(x; d) <= 0} as an H-cone when the envelope subdifferential is
     available and nonempty: the negative polar of base vertices plus recession
     generators."""
-    ss = psi_subdiff(p, cp.x)
+    ss = cp.table.psi()
     if ss is None or ss.is_empty:
         return None
     return HCone(p.dimension, list(ss.base.vertices) + list(ss.recession.generators))
@@ -497,7 +492,7 @@ def _probe_fan(n: int) -> tuple:
 
 def _check_cocq(p, cp, opts):
     prov = psi_data_provenance(p)
-    ss = psi_subdiff(p, cp.x)
+    ss = cp.table.psi()
     if ss is None:
         return QualReport("COCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
     n = p.dimension
@@ -533,7 +528,7 @@ def _check_ktcq(p, cp, opts):
             return QualReport("KTCQ", HOLDS, prov, witness, "every envelope-descent direction is a feasible direction")
         witness = {"kind": "escaping_direction", "direction": res.witness}
         return QualReport("KTCQ", FAILS, prov, witness, "an envelope-descent direction leaves the contingent cone")
-    ss = psi_subdiff(p, cp.x)
+    ss = cp.table.psi()
     if ss is None or p.psi_override is None or n > 2:
         return QualReport("KTCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable; no closed-form fallback applies")
     if n == 1:
@@ -559,7 +554,7 @@ def _check_ktcq(p, cp, opts):
 
 def _check_plvcq(p, cp, opts):
     prov = worst_provenance(psi_data_provenance(p), g_data_provenance(p, cp.x))
-    ss = psi_subdiff(p, cp.x)
+    ss = cp.table.psi()
     if ss is None:
         return QualReport("PLVCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
     if ss.is_empty:

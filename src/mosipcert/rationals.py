@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence, Union
 
+from .errors import ParseError
+
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover
@@ -30,7 +32,10 @@ def as_q(value: QLike) -> Q:
         num, den = value
         if isinstance(num, float) or isinstance(den, float):
             raise TypeError(f"refusing to coerce float pair {value!r}")
-        return Q(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ParseError(f"zero denominator in {value!r}")
+        return Q(num, den)
     return Q(value)
 
 

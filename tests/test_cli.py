@@ -158,6 +158,35 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: parse: ")
 
+    def _broken_fixture(self, tmp_path, edit):
+        from mosipcert.instances import fixture_path
+
+        doc = json.loads(fixture_path("alternating-affine").read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_zero_denominator_is_a_parse_error(self, capsys, tmp_path):
+        def edit(doc):
+            doc["objectives"][0]["b"] = [1, 0]
+
+        path = self._broken_fixture(tmp_path, edit)
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ")
+        assert err.count("\n") == 1
+
+    def test_objectives_object_is_a_parse_error(self, capsys, tmp_path):
+        def edit(doc):
+            doc["objectives"] = {"x": 1}
+
+        path = self._broken_fixture(tmp_path, edit)
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ")
+        assert err.count("\n") == 1
+
     def test_missing_required_flag(self, capsys):
         code, _, err = _run(capsys, ["certify", "alternating-affine"])
         assert code == 3

@@ -33,6 +33,19 @@ def test_single_bound() -> None:
     assert res.value == 1 and res.primal == [1]
 
 
+def test_failed_certificate_check_is_an_internal_inconsistency(monkeypatch) -> None:
+    # the substitution checks raise an exception that `python -O` keeps
+    from mosipcert import lp
+    from mosipcert.errors import InternalInconsistencyError
+
+    monkeypatch.setattr(lp, "point_satisfies", lambda rows, point: False)
+    with pytest.raises(InternalInconsistencyError):
+        solve(LinearProgram(1, [1], [([1], LE, 1)]))
+    monkeypatch.setattr(lp, "verify_farkas", lambda rows, farkas: False)
+    with pytest.raises(InternalInconsistencyError):
+        solve(LinearProgram(1, [1], [([1], LE, 0), ([1], GE, 1)]))
+
+
 def test_contradictory_bounds_farkas() -> None:
     rows = [([1], LE, 0), ([1], GE, 1)]
     res = solve(LinearProgram(1, [1], rows))

@@ -4,14 +4,16 @@ point, sublevel polyhedra, and problem-file round trips."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosipcert.cones import FGCone, HPoly, Polytope
-from mosipcert.errors import ModelError, ParseError
-from mosipcert.funcs import Affine, MaxAffine, evaluate
+from helpers_instances import random_polyhedral_problem
+from mosipcert.errors import ModelError, ParseError, UnsupportedOperationError
+from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff, subdiff_set
 from mosipcert.instances import (
     FIXTURE_BUILDERS,
     fixture_path,
@@ -36,6 +38,7 @@ from mosipcert.problem import (
     problem_from_json,
     problem_to_json,
     psi,
+    psi_subdiff,
     sublevel_Q,
     tangent_normal,
 )
@@ -313,3 +316,57 @@ def test_eps_monotonicity_property(eps1, eps2):
     p = linear_tail_problem()
     lo, hi = sorted((Q(eps1), Q(eps2)))
     assert set(active_set(p, [0], lo)) <= set(active_set(p, [0], hi))
+
+
+# ---------------------------------------------------------------------------
+# the per-point subdifferential table
+
+
+def _assert_table_matches_fresh(p, x) -> None:
+    cp = CandidatePoint.build(p, x)
+    for i, f in enumerate(p.objectives):
+        assert cp.table.objective(i) == subdiff(f, x)
+    assert cp.table.values == tuple(evaluate(p.constraint(k), x) for k in p.indices())
+    for k in p.indices():
+        try:
+            fresh = subdiff_set(p.constraint(k), x)
+        except UnsupportedOperationError:
+            with pytest.raises(UnsupportedOperationError):
+                cp.table.constraint(k)
+            continue
+        assert cp.table.constraint(k) == fresh
+        assert cp.table.constraint(k) is cp.table.constraint(k)  # computed once
+    assert cp.table.psi() == psi_subdiff(p, x)
+    for eps in (0, Q(1, 4), Q(1, 2), 1, 3):
+        assert cp.active(eps) == active_set(p, x, eps)
+
+
+def test_subdiff_table_matches_fresh_computation_on_fixtures():
+    for build in FIXTURE_BUILDERS.values():
+        p = build()
+        _assert_table_matches_fresh(p, [Q(0)] * p.dimension)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_subdiff_table_matches_fresh_computation_on_random_instances(seed):
+    p, x = random_polyhedral_problem(random.Random(seed))
+    _assert_table_matches_fresh(p, x)
+
+
+def test_verifier_recomputes_instead_of_reading_the_table():
+    from mosipcert.kkt import KktCertificate, certificate_issues, weak_kkt
+
+    p = linear_tail_problem()
+    cert = weak_kkt(p, CandidatePoint.build(p, [0]))
+    assert isinstance(cert, KktCertificate)
+    assert certificate_issues(p, CandidatePoint.build(p, [0]), cert) == []
+
+    cp = CandidatePoint.build(p, [0])
+    (vertex,) = cp.table.objective(0).vertices
+    # objective 0 is -2x: a table claiming -4 still admits a decomposition
+    cp.table._objectives[0] = Polytope(1, [[2 * vertex[0]]])
+    drifted = weak_kkt(p, cp)
+    assert isinstance(drifted, KktCertificate)
+    assert drifted.objective_terms[0].vertices == ((Q(-4),),)
+    assert "objective 0: vertex table drifted" in certificate_issues(p, cp, drifted)

@@ -22,7 +22,6 @@ from mosipcert.quals import (
     UNDECIDABLE,
     QualOptions,
     _min_max_direction,
-    _subgradient_union,
     check,
     check_all,
     diagram_validate,
@@ -110,9 +109,10 @@ def test_missing_feasible_set_degrades_to_undecidable():
 
 def test_pmfcq_grid_values_monotone_on_linear_fixture():
     p = load_fixture("alternating-affine")
+    cp = _candidate(p)
     values = []
     for eps in QualOptions().eps_grid:
-        base, rec = _subgradient_union(p, (Q(0),), eps)
+        base, rec = cp.subgradient_union(eps)
         value, _ = _min_max_direction(base, rec, 1)
         values.append(value)
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -121,9 +121,66 @@ def test_pmfcq_grid_values_monotone_on_linear_fixture():
 
 def test_active_set_eps_pattern_matches_subgradients():
     p = load_fixture("alternating-affine")
-    base, _ = _subgradient_union(p, (Q(0),), Q(1, 2))
+    base, _ = _candidate(p).subgradient_union(Q(1, 2))
     assert set(base) == {(Q(1),), (Q(2),), (Q(3),)}
     assert active_set(p, [0], Q(1, 2))[:2] == [0, 3]
+
+
+def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
+    from mosipcert import quals
+
+    p = load_fixture("octagon-support")
+    cp = _candidate(p)
+    grid = QualOptions().eps_grid
+    calls = []
+    real = quals._min_max_direction
+
+    def counted(points, rec_gens, dim):
+        calls.append(1)
+        return real(points, rec_gens, dim)
+
+    monkeypatch.setattr(quals, "_min_max_direction", counted)
+    report = check("PMFCQ", p, cp)
+    assert report.status == UNDECIDABLE
+    assert len(calls) == len({tuple(cp.active(eps)) for eps in grid})
+    assert [row[0] for row in report.witness["values"]] == list(grid)
+
+
+def test_octagon_quals_lp_count_guard(monkeypatch, capsys):
+    from mosipcert import cli, lp
+
+    calls = []
+    real = lp.solve
+
+    def counted(prog):
+        calls.append(1)
+        return real(prog)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    assert cli.main(["quals", "octagon-support", "--point=0,0", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 160
+
+
+def test_refused_subdifferential_is_refused_on_every_request():
+    from mosipcert.errors import UnsupportedOperationError
+    from mosipcert.funcs import NegSqrtParabola1D
+
+    # at x = 1/2 the arc's slope is -1/sqrt(3): inactive, but the envelope's
+    # argmax member, so the envelope checkers ask for it
+    p = MosipProblem(1, [Affine([1], 0)], FiniteFamily([NegSqrtParabola1D(1)]))
+    cp = CandidatePoint.build(p, [Q(1, 2)])
+    assert cp.T == ()
+    for _ in range(2):
+        with pytest.raises(UnsupportedOperationError):
+            cp.table.constraint(0)
+        with pytest.raises(UnsupportedOperationError):
+            cp.table.psi()
+    first = [check(q, p, cp) for q in ("COCQ", "PLVCQ")]
+    again = [check(q, p, cp) for q in ("COCQ", "PLVCQ")]
+    assert first == again
+    assert all(r.status == UNDECIDABLE for r in first)
+    assert all(r.notes.startswith("prerequisite unavailable") for r in first)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +200,7 @@ def _verify_witness(p, cp, r) -> None:
         for probe in ([Q(0)] * p.dimension, [Q(1)] * p.dimension, [Q(-5)] * p.dimension):
             assert evaluate(f, probe) >= 0
     elif kind == "direction":
-        base, rec = _subgradient_union(p, cp.x, 0)
+        base, rec = cp.subgradient_union(0)
         if r.qual == "MFCQ":
             assert all(qdot(v, w["direction"]) < 0 for v in base)
             assert all(qdot(g, w["direction"]) <= 0 for g in rec)
@@ -156,7 +213,7 @@ def _verify_witness(p, cp, r) -> None:
             total += sum(m * g[i] for m, g in zip(mu, gens))
             assert total == 0
     elif kind == "grid_certificate":
-        base, rec = _subgradient_union(p, cp.x, w["eps"])
+        base, rec = cp.subgradient_union(w["eps"])
         assert max(qdot(v, w["direction"]) for v in base) == w["value"] < 0
         assert all(qdot(g, w["direction"]) <= 0 for g in rec)
     elif kind == "memberships":
