@@ -24,7 +24,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import lp
-from .errors import UnsupportedDimensionError
+from .errors import InternalInconsistencyError, UnsupportedDimensionError
 from .rationals import Q, ZERO, ONE, as_q, qdot, sqrt_exact, sqrt_lower_bound
 
 DEFAULT_DIM_CAP = 6
@@ -367,7 +367,8 @@ def membership(p, s: GenConvexSet):
         rows.append((list(g) + [ZERO], lp.LE, ZERO))
     rows.extend(_pad_rows(_box_rows(dim), 1))
     out = lp.solve(lp.LinearProgram(hv + 1, [ZERO] * hv + [ONE], rows))
-    assert isinstance(out, lp.Optimal) and out.value > 0, "separator LP must certify exclusion"
+    if not (isinstance(out, lp.Optimal) and out.value > 0):
+        raise InternalInconsistencyError("separator LP must certify exclusion")
     h = tuple(out.primal[:dim])
     sup = max(qdot(h, v) for v in verts)
     return NotMember(separator=h, gap=qdot(h, p) - sup)
@@ -397,7 +398,8 @@ def nontrivial_direction(h: HCone) -> Optional[tuple]:
             obj = [ZERO] * n
             obj[j] = sign
             res = lp.solve(lp.LinearProgram(n, obj, list(base_rows)))
-            assert isinstance(res, lp.Optimal)
+            if not isinstance(res, lp.Optimal):
+                raise InternalInconsistencyError("the boxed cone LP has an optimum")
             if res.value > 0:
                 return tuple(res.primal)
     return None
@@ -464,7 +466,8 @@ def _radius_by_facets(s: GenConvexSet) -> ZeroInterior:
         )
     best, best_exact = None, True
     for a, b in facets:
-        assert b > 0, "0 must be strictly inside every facet"
+        if not b > 0:
+            raise InternalInconsistencyError("0 must be strictly inside every facet")
         ratio = b * b / qdot(a, a)  # squared facet distance
         exact = sqrt_exact(ratio)
         dist = exact if exact is not None else sqrt_lower_bound(ratio)
@@ -493,9 +496,9 @@ def _radius_by_axis_points(s: GenConvexSet) -> ZeroInterior:
             rows.extend((_unit(k, idx), lp.GE, ZERO) for idx in range(nv + ng))
             rows.append((_unit(k, k - 1), lp.LE, Q(2**20)))  # cap: recession may allow any step
             res = lp.solve(lp.LinearProgram(k, _unit(k, k - 1), rows))
-            assert isinstance(res, lp.Optimal), "0 interior guarantees axis feasibility"
+            if not (isinstance(res, lp.Optimal) and res.value > 0):
+                raise InternalInconsistencyError("0 interior guarantees a positive axis step")
             t = res.value
-            assert t > 0
             if t_min is None or t < t_min:
                 t_min = t
     ratio = t_min * t_min / s.dim
@@ -533,7 +536,8 @@ def contains(a, b) -> ContainsResult:
         base_rows = [(list(m), lp.LE, ZERO) for m in a.normals] + _box_rows(dim)
         for target in b.normals:
             res = lp.solve(lp.LinearProgram(dim, list(target), list(base_rows)))
-            assert isinstance(res, lp.Optimal)
+            if not isinstance(res, lp.Optimal):
+                raise InternalInconsistencyError("the boxed cone LP has an optimum")
             if res.value > 0:
                 return ContainsResult(False, tuple(res.primal))
         return ContainsResult(True)
@@ -568,7 +572,8 @@ def strictly_negative_polar(points, dim: int) -> StrictlyNegative:
     rows.extend(_pad_rows(_box_rows(dim), 1))
     rows.append((_unit(dim + 1, dim), lp.LE, ONE))
     res = lp.solve(lp.LinearProgram(dim + 1, _unit(dim + 1, dim), rows))
-    assert isinstance(res, lp.Optimal) and res.value >= 0
+    if not (isinstance(res, lp.Optimal) and res.value >= 0):
+        raise InternalInconsistencyError("the capped polar LP has a nonnegative optimum")
     if res.value == 0:
         return StrictlyNegative(None)
     return StrictlyNegative(tuple(res.primal[:dim]))
@@ -622,7 +627,8 @@ def relative_interior_member(p, q: Polytope) -> RelativeInterior:
     res = lp.solve(lp.LinearProgram(k + 1, _unit(k + 1, k), rows))
     if isinstance(res, lp.Infeasible):
         return RelativeInterior(False)
-    assert isinstance(res, lp.Optimal)
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError("the capped relative-interior LP is bounded")
     if res.value <= 0:
         return RelativeInterior(False)
     return RelativeInterior(True, tuple(res.primal[:k]))

@@ -181,7 +181,8 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
                 "inside the polar of the feasible directions",
                 farkas=getattr(res, "farkas", None),
             )
-        assert isinstance(res, lp.Optimal)
+        if not isinstance(res, lp.Optimal):
+            raise InternalInconsistencyError("the tau-capped gap LP is bounded")
         if res.value <= 0:
             return GapRefusal(
                 mode,

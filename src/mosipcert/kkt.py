@@ -275,7 +275,8 @@ def relative_interior_zero(s: GenConvexSet) -> bool:
         cone_rows.append(([-u for u in unit], lp.LE, ONE))
     for a in normals:
         res = lp.solve(lp.LinearProgram(n, [-ai for ai in a], list(cone_rows)))
-        assert isinstance(res, lp.Optimal)
+        if not isinstance(res, lp.Optimal):
+            raise InternalInconsistencyError("the boxed cone LP has an optimum")
         if res.value > 0:
             return False
     return True
@@ -324,7 +325,8 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
     rows.append((tau_cap, lp.LE, ONE))
     objective = [ZERO] * base_vars + [ONE]
     res = lp.solve(lp.LinearProgram(num_vars, objective, rows))
-    assert isinstance(res, lp.Optimal), "stationarity is feasible and tau is capped"
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError("stationarity is feasible and tau is capped")
     tau = res.value
     if tau <= 0:
         return StrongKktResult(
@@ -406,14 +408,18 @@ def isolation_inclusion_report(
         return None
     nu = as_q(nu)
     rows = []
+    solved = {}  # eps-active index set -> its zero_interior result
     for eps in eps_grid:
-        grads = []
-        for t in cp.active(eps):
-            ss = cp.table.constraint(t)
-            if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
-                return None
-            grads.append(ss.base.vertices[0])
-        zi = zero_interior(GenConvexSet(cp.F_star, FGCone(p.dimension, grads)))
+        active = tuple(cp.active(eps))
+        if active not in solved:
+            grads = []
+            for t in active:
+                ss = cp.table.constraint(t)
+                if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
+                    return None
+                grads.append(ss.base.vertices[0])
+            solved[active] = zero_interior(GenConvexSet(cp.F_star, FGCone(p.dimension, grads)))
+        zi = solved[active]
         rows.append(
             {
                 "eps": eps,

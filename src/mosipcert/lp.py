@@ -1,4 +1,4 @@
-"""Exact rational linear programming via two-phase tableau simplex.
+"""Exact linear programming via a two-phase tableau simplex over integers.
 
 Conventions
 -----------
@@ -16,28 +16,38 @@ Conventions
   Infeasible: sum lam_i a~_i = 0 and sum lam_i b~_i < 0 — a nonnegative
   combination of the constraints reading "0 <= negative".
 
-Multipliers are read off an identity audit block carried on the tableau, then
-re-verified by substitution before being returned.
+Arithmetic
+----------
+The simplex loop computes with Python ints only.  Each tableau row, and the
+objective row, is a list of integers over one positive row denominator: the
+rational row is ints / den.  A row is built from the oriented LP row times k,
+the lcm of its denominators, with slack, artificial and audit entries k, so
+that ints / k is exactly the rational row; after every update the row is
+divided by the gcd of its entries and its denominator.  Denominators are
+positive, so sign tests read the ints and the ratio test cross-multiplies.
+Each rational row equals the one a rational tableau would hold, so the pivot
+sequence, and every result read off the final basis, is the same.  Results
+are built as rationals (Q) only at the end.
+
+Multipliers are read off an identity audit block carried on the tableau
+(column i of the block records row i's multiple in every row), then
+re-verified by substitution before being returned.  The substitution checks
+clear the denominators of the LP's rows and of the result and compare
+integers; they are exact.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError
-from .rationals import Q, ZERO, as_q, qdot
+from .rationals import Q, ZERO, as_q
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELS = (LE, GE, EQ)
-
-
-def _oriented(row):
-    """The row as a "<=" (or "==") row: coeffs, rel, rhs with ">=" negated."""
-    coeffs, rel, rhs = row
-    if rel == GE:
-        return [-c for c in coeffs], LE, -rhs
-    return list(coeffs), rel, rhs
 
 
 @dataclass
@@ -134,70 +144,130 @@ def verify_farkas(rows: Sequence, farkas: Sequence) -> bool:
     """Substitution check: nonnegative on inequalities, sum lam*a~ = 0, sum lam*b~ < 0."""
     if len(farkas) != len(rows):
         return False
-    n = len(rows[0][0]) if rows else 0
-    combo = [ZERO] * n
-    rhs = ZERO
-    for lam, row in zip(farkas, rows):
-        coeffs, rel, b = _oriented(row)
-        if rel == LE and lam < 0:
-            return False
-        for j in range(n):
-            combo[j] += lam * coeffs[j]
-        rhs += lam * b
-    return all(c == 0 for c in combo) and rhs < 0
+    combo = _combination(rows, farkas, len(rows[0][0]) if rows else 0)
+    if combo is None:
+        return False
+    *coeffs, rhs = combo[0]
+    return all(c == 0 for c in coeffs) and rhs < 0
 
 
 def point_satisfies(rows: Sequence, point: Sequence) -> bool:
+    xs, d = _int_row(point)
     for coeffs, rel, b in rows:
-        lhs = qdot(coeffs, point)
-        if rel == LE and lhs > b:
+        *ints, kb = _int_row([*coeffs, b])[0]
+        # a.x <= b  iff  (k a).(d x) <= (k b) d for k, d > 0, and d x = xs
+        lhs, rhs = _dot(ints, xs), kb * d
+        if rel == LE and lhs > rhs:
             return False
-        if rel == GE and lhs < b:
+        if rel == GE and lhs < rhs:
             return False
-        if rel == EQ and lhs != b:
+        if rel == EQ and lhs != rhs:
             return False
     return True
+
+
+def _int_row(values):
+    """(ints, k): the rationals times k, the lcm of their denominators, so
+    that ints / k are the values exactly."""
+    k = math.lcm(*[int(v.denominator) for v in values])
+    if k == 1:
+        return [int(v.numerator) for v in values], 1
+    return [int(v.numerator) * (k // int(v.denominator)) for v in values], k
+
+
+def _dot(a, b) -> int:
+    if len(a) != len(b):
+        raise ValueError(f"dot of length {len(a)} vs {len(b)}")
+    return sum(map(operator.mul, a, b))
+
+
+def _combination(rows, lams, n):
+    """(ints, e) with sum_i lam_i * (a~_i, b~_i) = ints / e over the oriented
+    rows, or None when an inequality row has a negative multiplier.  Row i
+    is scaled to integers by some k_i > 0, so its multiplier is lam_i / k_i."""
+    parts = []
+    for lam, (coeffs, rel, b) in zip(lams, rows):
+        if rel != EQ and lam < 0:
+            return None
+        ints, k = _int_row([*coeffs, b])
+        if rel == GE:
+            ints = [-v for v in ints]
+        parts.append((ints, int(lam.numerator), int(lam.denominator) * k))
+    e = math.lcm(*[q for _, _, q in parts])
+    total = [0] * (n + 1)
+    for ints, p, q in parts:
+        if p:
+            f = p * (e // q)
+            total = [t + f * v for t, v in zip(total, ints, strict=True)]
+    return total, e
 
 
 def _check_ray(objective, rows, res: Unbounded):
     ok = point_satisfies(rows, res.feasible_point)
     if ok:
+        ray, _ = _int_row(res.ray)  # a positive multiple of the ray
         for coeffs, rel, _ in rows:
-            d = qdot(coeffs, res.ray)
+            d = _dot(_int_row(coeffs)[0], ray)
             ok &= (rel == LE and d <= 0) or (rel == GE and d >= 0) or (rel == EQ and d == 0)
-        ok &= qdot(objective, res.ray) > 0
+        ok &= _dot(_int_row(objective)[0], ray) > 0
     if not ok:
         raise InternalInconsistencyError("unboundedness ray failed substitution")
 
 
 def _check_optimal(objective, rows, res: Optimal):
     ok = point_satisfies(rows, res.primal)
-    ok &= qdot(objective, res.primal) == res.value
+    c, kc = _int_row(objective)
+    xs, d = _int_row(res.primal)
+    vn, vd = int(res.value.numerator), int(res.value.denominator)
+    ok &= _dot(c, xs) * vd == vn * kc * d
     # Dual feasibility (equality rows because variables are free) and strong duality.
-    n = len(objective)
-    combo = [ZERO] * n
-    dual_rhs = ZERO
-    for lam, row in zip(res.dual, rows):
-        coeffs, rel, b = _oriented(row)
-        if rel == LE and lam < 0:
-            ok = False
-        for j in range(n):
-            combo[j] += lam * coeffs[j]
-        dual_rhs += lam * b
-    ok &= combo == objective and dual_rhs == res.value
+    combo = _combination(rows, res.dual, len(c))
+    if combo is None:
+        ok = False
+    else:
+        (*lhs, rhs), e = combo
+        ok &= all(a * kc == e * cj for a, cj in zip(lhs, c))
+        ok &= rhs * vd == e * vn
     if not ok:
         raise InternalInconsistencyError("optimality certificates failed substitution")
 
 
+def _eliminate(row, den, col, prow, pden):
+    """row - (row[col] / pden) * prow over a positive denominator, for a pivot
+    row whose entry prow[col] equals pden (the rational 1)."""
+    g = math.gcd(row[col], pden)
+    a, b = pden // g, row[col] // g
+    return _reduced([x * a - b * y for x, y in zip(row, prow)], den * a)
+
+
+def _reduced(ints, den):
+    g = math.gcd(den, *ints)
+    if g == 1:
+        return ints, den
+    return [x // g for x in ints], den // g
+
+
 class _Tableau:
-    """Equality-form tableau with an audit block recovering row multipliers."""
+    """Equality-form tableau with an audit block recovering row multipliers.
+
+    Row i is the integer list self.rows[i] over the positive denominator
+    self.dens[i]; the objective row of the current phase is likewise self.obj
+    over self.obj_den.
+    """
 
     def __init__(self, num_vars: int, objective, rows):
         self.objective = objective
         n = self.n = num_vars
         m = self.m = len(rows)
 
-        oriented = [_oriented(r) for r in rows]
+        # Each row oriented as "<=" or "==" and scaled by k, the lcm of its
+        # denominators, to integers (coeffs, rhs).
+        oriented = []
+        for coeffs, rel, rhs in rows:
+            ints, k = _int_row([*coeffs, rhs])
+            if rel == GE:
+                ints, rel = [-v for v in ints], LE
+            oriented.append((ints, rel, k))
 
         # Equality form with slack columns for "<=" rows, then rhs-sign fix.
         # sigma[i] is the factor applied after slacks were added.
@@ -211,19 +281,22 @@ class _Tableau:
         self.art_col = [-1] * m
         body_cols = ncols
 
+        # The slack, artificial and audit entries of a row are its k, so that
+        # ints / k is the rational row.
         eq_rows = []
-        for i, (coeffs, rel, rhs) in enumerate(oriented):
-            row = [ZERO] * body_cols
-            for j, c in enumerate(coeffs):
+        for i, (ints, _, k) in enumerate(oriented):
+            b = ints.pop()
+            row = [0] * body_cols
+            for j, c in enumerate(ints):
                 row[j] = c
                 row[n + j] = -c
             if self.slack_col[i] >= 0:
-                row[self.slack_col[i]] = Q(1)
-            if rhs < 0:
+                row[self.slack_col[i]] = k
+            if b < 0:
                 self.sigma[i] = -1
                 row = [-c for c in row]
-                rhs = -rhs
-            eq_rows.append((row, rhs))
+                b = -b
+            eq_rows.append((row, b, k))
 
         # Basic column per row: the slack if it survived the sign fix, else artificial.
         self.basis = [-1] * m
@@ -240,80 +313,79 @@ class _Tableau:
 
         # Row layout: [columns..., rhs, audit block (m entries)]
         self.rows = []
-        for i, (row, rhs) in enumerate(eq_rows):
-            full = row + [ZERO] * (ncols - body_cols) + [rhs] + [ZERO] * m
+        self.dens = []
+        for i, (row, b, k) in enumerate(eq_rows):
+            full = row + [0] * (ncols - body_cols) + [b] + [0] * m
             if self.art_col[i] >= 0:
-                full[self.art_col[i]] = Q(1)
-            full[ncols + 1 + i] = Q(1)
+                full[self.art_col[i]] = k
+            full[ncols + 1 + i] = k
             self.rows.append(full)
+            self.dens.append(k)
         self.rhs_idx = ncols
 
-    def _price_out(self, obj):
+    def _price_out(self):
         for i, col in enumerate(self.basis):
-            f = obj[col]
-            if f != 0:
-                row = self.rows[i]
-                for j in range(len(obj)):
-                    if row[j] != 0:
-                        obj[j] -= f * row[j]
-        return obj
+            if self.obj[col] != 0:
+                self.obj, self.obj_den = _eliminate(
+                    self.obj, self.obj_den, col, self.rows[i], self.dens[i]
+                )
 
-    def _pivot(self, obj, i, col):
+    def _pivot(self, i, col):
         row = self.rows[i]
-        inv = 1 / row[col]
-        self.rows[i] = row = [c * inv for c in row]
+        if row[col] < 0:
+            row = [-c for c in row]
+        row, den = _reduced(row, row[col])
+        self.rows[i], self.dens[i] = row, den
         for k, other in enumerate(self.rows):
             if k != i and other[col] != 0:
-                f = other[col]
-                self.rows[k] = [a - f * b for a, b in zip(other, row)]
-        f = obj[col]
-        if f != 0:
-            for j in range(len(obj)):
-                if row[j] != 0:
-                    obj[j] -= f * row[j]
+                self.rows[k], self.dens[k] = _eliminate(other, self.dens[k], col, row, den)
+        if self.obj[col] != 0:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, col, row, den)
         self.basis[i] = col
 
-    def _iterate(self, obj, allowed_cols):
+    def _iterate(self, allowed_cols):
         """Bland's-rule loop.  Returns None at optimum, or the entering column
-        of an unbounded improving direction."""
+        of an unbounded improving direction.  Denominators are positive, so
+        signs are read off the ints and the ratio test cross-multiplies."""
+        rhs = self.rhs_idx
         while True:
-            enter = -1
-            for j in allowed_cols:
-                if obj[j] > 0:
-                    enter = j
-                    break
+            enter = next((j for j in allowed_cols if self.obj[j] > 0), -1)
             if enter < 0:
                 return None
-            leave, best, best_basic = -1, None, None
+            leave = -1
             for i, row in enumerate(self.rows):
                 a = row[enter]
-                if a > 0:
-                    ratio = row[self.rhs_idx] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < best_basic):
-                        leave, best, best_basic = i, ratio, self.basis[i]
+                # ratio row[rhs] / a below best_b / best_a, ties to the lower basic index
+                if a > 0 and (
+                    leave < 0
+                    or (row[rhs] * best_a, self.basis[i]) < (best_b * a, self.basis[leave])
+                ):
+                    leave, best_a, best_b = i, a, row[rhs]
             if leave < 0:
                 return enter
-            self._pivot(obj, leave, enter)
+            self._pivot(leave, enter)
 
-    def _audit_multipliers(self, obj):
+    def _audit_multipliers(self):
         """Oriented-row multipliers lam_i = y_i * sigma_i with y from the audit block."""
-        return [-obj[self.rhs_idx + 1 + i] * self.sigma[i] for i in range(self.m)]
+        return [
+            Q(-self.obj[self.rhs_idx + 1 + i] * self.sigma[i], self.obj_den)
+            for i in range(self.m)
+        ]
 
     def phase1(self) -> Optional[list]:
         if all(c < 0 for c in self.art_col):
             return None
-        obj = [ZERO] * (self.ncols + 1 + self.m)
+        self.obj, self.obj_den = [0] * (self.ncols + 1 + self.m), 1
         for c in self.art_col:
             if c >= 0:
-                obj[c] = Q(-1)
-        self._price_out(obj)
-        enter = self._iterate(obj, range(self.ncols))
-        if enter is not None:  # pragma: no cover - phase 1 is bounded above by 0
+                self.obj[c] = -1
+        self._price_out()
+        if self._iterate(range(self.ncols)) is not None:  # pragma: no cover - bounded above by 0
             raise InternalInconsistencyError("phase 1 cannot be unbounded")
-        if obj[self.rhs_idx] != 0:
+        if self.obj[self.rhs_idx] != 0:
             # Optimal phase-1 value y'b is negative; the audit multipliers,
             # re-signed for the oriented rows, are the Farkas vector.
-            return self._audit_multipliers(obj)
+            return self._audit_multipliers()
         # Drive degenerate artificials out of the basis; drop dependent rows.
         drop = []
         for i in range(len(self.rows)):
@@ -321,34 +393,37 @@ class _Tableau:
                 row = self.rows[i]
                 piv = next((j for j in range(self.first_art) if row[j] != 0), -1)
                 if piv >= 0:
-                    self._pivot(obj, i, piv)
+                    self._pivot(i, piv)
                 else:
                     drop.append(i)
         for i in reversed(drop):
             del self.rows[i]
+            del self.dens[i]
             del self.basis[i]
         return None
 
     def phase2(self):
         n = self.n
-        obj = [ZERO] * (self.ncols + 1 + self.m)
-        for j, c in enumerate(self.objective):
-            obj[j] = c
-            obj[n + j] = -c
-        self._price_out(obj)
-        enter = self._iterate(obj, range(self.first_art))  # artificials stay out
+        c, self.obj_den = _int_row(self.objective)
+        self.obj = c + [-x for x in c] + [0] * (self.ncols + 1 + self.m - 2 * n)
+        self._price_out()
+        enter = self._iterate(range(self.first_art))  # artificials stay out
         if enter is not None:
             ray_z = {enter: Q(1)}
             for i, row in enumerate(self.rows):
                 if row[enter] != 0:
-                    ray_z[self.basis[i]] = -row[enter]
+                    ray_z[self.basis[i]] = Q(-row[enter], self.dens[i])
             ray = [ray_z.get(j, ZERO) - ray_z.get(n + j, ZERO) for j in range(n)]
             return Unbounded(ray=ray, feasible_point=self._primal())
         # The priced-out objective row holds c - y'A with rhs entry -y'b, and
         # the optimal value is y'b.
-        return Optimal(value=-obj[self.rhs_idx], primal=self._primal(), dual=self._audit_multipliers(obj))
+        return Optimal(
+            value=Q(-self.obj[self.rhs_idx], self.obj_den),
+            primal=self._primal(),
+            dual=self._audit_multipliers(),
+        )
 
     def _primal(self):
         n = self.n
-        z = {col: self.rows[i][self.rhs_idx] for i, col in enumerate(self.basis)}
+        z = {col: Q(self.rows[i][self.rhs_idx], self.dens[i]) for i, col in enumerate(self.basis)}
         return [z.get(j, ZERO) - z.get(n + j, ZERO) for j in range(n)]

@@ -1,9 +1,10 @@
 """Exact rational scalars, extended reals and symbolic -sqrt values.
 
-Everything on the certification path computes with rationals.  gmpy2.mpq is used
-when available (noticeably faster); fractions.Fraction otherwise.  Floats are
-rejected at the boundary: callers that have float data must rationalize it
-explicitly and own the rounding decision.
+Everything on the certification path computes exactly.  Q is gmpy2.mpq when
+gmpy2 is installed and fractions.Fraction otherwise.  The simplex in `lp` does
+not compute with Q: it works on Python ints and builds Q results at the end.
+Floats are rejected at the boundary: callers that have float data must
+rationalize it explicitly and own the rounding decision.
 """
 
 from __future__ import annotations

@@ -1,15 +1,20 @@
-"""Brute-force LP oracle: enumerate vertices as row-subset intersections.
+"""LP test oracles.
 
-Sound for bounded feasible regions (the random generator always includes a
-box, so every nonempty region is a polytope and the max sits at a vertex).
+* Brute force: enumerate vertices as row-subset intersections.  Sound for
+  bounded feasible regions (the random generator always includes a box, so
+  every nonempty region is a polytope and the max sits at a vertex).
+* Reference tableau: the rational two-phase simplex that `mosipcert.lp`
+  replaced by its integer tableau; `reference_solve` runs it with a pivot count.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Optional
 
-from mosipcert.lp import EQ, GE, LE, LinearProgram
+from mosipcert.errors import InternalInconsistencyError
+from mosipcert.lp import EQ, GE, LE, Infeasible, LinearProgram, Optimal, Unbounded
 from mosipcert.rationals import Q, ZERO, qdot
 
 
@@ -74,3 +79,195 @@ def random_lp(rng: random.Random, max_vars: int = 3, max_rows: int = 5) -> Linea
         rows.append((list(e), GE, Q(-box)))
     objective = [Q(rng.randint(-4, 4)) for _ in range(n)]
     return LinearProgram(n, objective, rows)
+
+
+def reference_solve(lp: LinearProgram):
+    """(outcome, pivots) from the rational reference tableau, without the
+    substitution checks."""
+    tab = _CountingTableau(lp.num_vars, lp.objective, lp.all_rows())
+    farkas = tab.phase1()
+    outcome = Infeasible(farkas) if farkas is not None else tab.phase2()
+    return outcome, tab.pivots
+
+
+# The rational tableau that `mosipcert.lp` used before its integer rewrite,
+# kept verbatim as the reference of the differential tests.
+def _oriented(row):
+    """The row as a "<=" (or "==") row: coeffs, rel, rhs with ">=" negated."""
+    coeffs, rel, rhs = row
+    if rel == GE:
+        return [-c for c in coeffs], LE, -rhs
+    return list(coeffs), rel, rhs
+
+
+class _Tableau:
+    """Equality-form tableau with an audit block recovering row multipliers."""
+
+    def __init__(self, num_vars: int, objective, rows):
+        self.objective = objective
+        n = self.n = num_vars
+        m = self.m = len(rows)
+
+        oriented = [_oriented(r) for r in rows]
+
+        # Equality form with slack columns for "<=" rows, then rhs-sign fix.
+        # sigma[i] is the factor applied after slacks were added.
+        self.slack_col = [-1] * m
+        ncols = 2 * n  # u, v split of the free variables
+        for i, (_, rel, _) in enumerate(oriented):
+            if rel == LE:
+                self.slack_col[i] = ncols
+                ncols += 1
+        self.sigma = [1] * m
+        self.art_col = [-1] * m
+        body_cols = ncols
+
+        eq_rows = []
+        for i, (coeffs, rel, rhs) in enumerate(oriented):
+            row = [ZERO] * body_cols
+            for j, c in enumerate(coeffs):
+                row[j] = c
+                row[n + j] = -c
+            if self.slack_col[i] >= 0:
+                row[self.slack_col[i]] = Q(1)
+            if rhs < 0:
+                self.sigma[i] = -1
+                row = [-c for c in row]
+                rhs = -rhs
+            eq_rows.append((row, rhs))
+
+        # Basic column per row: the slack if it survived the sign fix, else artificial.
+        self.basis = [-1] * m
+        for i in range(m):
+            sc = self.slack_col[i]
+            if sc >= 0 and self.sigma[i] == 1:
+                self.basis[i] = sc
+            else:
+                self.art_col[i] = ncols
+                self.basis[i] = ncols
+                ncols += 1
+        self.first_art = body_cols
+        self.ncols = ncols
+
+        # Row layout: [columns..., rhs, audit block (m entries)]
+        self.rows = []
+        for i, (row, rhs) in enumerate(eq_rows):
+            full = row + [ZERO] * (ncols - body_cols) + [rhs] + [ZERO] * m
+            if self.art_col[i] >= 0:
+                full[self.art_col[i]] = Q(1)
+            full[ncols + 1 + i] = Q(1)
+            self.rows.append(full)
+        self.rhs_idx = ncols
+
+    def _price_out(self, obj):
+        for i, col in enumerate(self.basis):
+            f = obj[col]
+            if f != 0:
+                row = self.rows[i]
+                for j in range(len(obj)):
+                    if row[j] != 0:
+                        obj[j] -= f * row[j]
+        return obj
+
+    def _pivot(self, obj, i, col):
+        row = self.rows[i]
+        inv = 1 / row[col]
+        self.rows[i] = row = [c * inv for c in row]
+        for k, other in enumerate(self.rows):
+            if k != i and other[col] != 0:
+                f = other[col]
+                self.rows[k] = [a - f * b for a, b in zip(other, row)]
+        f = obj[col]
+        if f != 0:
+            for j in range(len(obj)):
+                if row[j] != 0:
+                    obj[j] -= f * row[j]
+        self.basis[i] = col
+
+    def _iterate(self, obj, allowed_cols):
+        """Bland's-rule loop.  Returns None at optimum, or the entering column
+        of an unbounded improving direction."""
+        while True:
+            enter = -1
+            for j in allowed_cols:
+                if obj[j] > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return None
+            leave, best, best_basic = -1, None, None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[self.rhs_idx] / a
+                    if best is None or ratio < best or (ratio == best and self.basis[i] < best_basic):
+                        leave, best, best_basic = i, ratio, self.basis[i]
+            if leave < 0:
+                return enter
+            self._pivot(obj, leave, enter)
+
+    def _audit_multipliers(self, obj):
+        """Oriented-row multipliers lam_i = y_i * sigma_i with y from the audit block."""
+        return [-obj[self.rhs_idx + 1 + i] * self.sigma[i] for i in range(self.m)]
+
+    def phase1(self) -> Optional[list]:
+        if all(c < 0 for c in self.art_col):
+            return None
+        obj = [ZERO] * (self.ncols + 1 + self.m)
+        for c in self.art_col:
+            if c >= 0:
+                obj[c] = Q(-1)
+        self._price_out(obj)
+        enter = self._iterate(obj, range(self.ncols))
+        if enter is not None:  # pragma: no cover - phase 1 is bounded above by 0
+            raise InternalInconsistencyError("phase 1 cannot be unbounded")
+        if obj[self.rhs_idx] != 0:
+            # Optimal phase-1 value y'b is negative; the audit multipliers,
+            # re-signed for the oriented rows, are the Farkas vector.
+            return self._audit_multipliers(obj)
+        # Drive degenerate artificials out of the basis; drop dependent rows.
+        drop = []
+        for i in range(len(self.rows)):
+            if self.basis[i] >= self.first_art:
+                row = self.rows[i]
+                piv = next((j for j in range(self.first_art) if row[j] != 0), -1)
+                if piv >= 0:
+                    self._pivot(obj, i, piv)
+                else:
+                    drop.append(i)
+        for i in reversed(drop):
+            del self.rows[i]
+            del self.basis[i]
+        return None
+
+    def phase2(self):
+        n = self.n
+        obj = [ZERO] * (self.ncols + 1 + self.m)
+        for j, c in enumerate(self.objective):
+            obj[j] = c
+            obj[n + j] = -c
+        self._price_out(obj)
+        enter = self._iterate(obj, range(self.first_art))  # artificials stay out
+        if enter is not None:
+            ray_z = {enter: Q(1)}
+            for i, row in enumerate(self.rows):
+                if row[enter] != 0:
+                    ray_z[self.basis[i]] = -row[enter]
+            ray = [ray_z.get(j, ZERO) - ray_z.get(n + j, ZERO) for j in range(n)]
+            return Unbounded(ray=ray, feasible_point=self._primal())
+        # The priced-out objective row holds c - y'A with rhs entry -y'b, and
+        # the optimal value is y'b.
+        return Optimal(value=-obj[self.rhs_idx], primal=self._primal(), dual=self._audit_multipliers(obj))
+
+    def _primal(self):
+        n = self.n
+        z = {col: self.rows[i][self.rhs_idx] for i, col in enumerate(self.basis)}
+        return [z.get(j, ZERO) - z.get(n + j, ZERO) for j in range(n)]
+
+
+class _CountingTableau(_Tableau):
+    pivots = 0
+
+    def _pivot(self, obj, i, col):
+        self.pivots += 1
+        super()._pivot(obj, i, col)

@@ -345,3 +345,23 @@ def test_contains_witness_verifies(seed: int) -> None:
     else:
         w = res.witness
         assert a.member(w) and not b.member(w)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: strictly_negative_polar([[1, 0]], 2),
+        lambda: nontrivial_direction(HCone(2, [[1, 0]])),
+        lambda: contains(HCone(2, [[1, 0]]), HCone(2, [[1, 1]])),
+    ],
+    ids=["strictly_negative_polar", "nontrivial_direction", "contains"],
+)
+def test_unexpected_lp_outcome_is_an_internal_inconsistency(monkeypatch, call) -> None:
+    # an LP that must have an optimum comes back infeasible: exit 4 from the
+    # CLI, and no `assert` that `python -O` would strip
+    from mosipcert import lp
+    from mosipcert.errors import InternalInconsistencyError
+
+    monkeypatch.setattr(lp, "solve", lambda prog: lp.Infeasible([]))
+    with pytest.raises(InternalInconsistencyError):
+        call()

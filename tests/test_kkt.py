@@ -236,6 +236,21 @@ class TestIsolationInclusionReport:
         assert all(row["included"] for row in report["rows"])
         assert all(row["exact"] for row in report["rows"])
 
+    def test_one_zero_interior_per_distinct_active_set(self, ex1, monkeypatch):
+        p, cp = ex1
+        calls = []
+        real = kkt.zero_interior
+
+        def counted(s):
+            calls.append(1)
+            return real(s)
+
+        monkeypatch.setattr(kkt, "zero_interior", counted)
+        report = kkt.isolation_inclusion_report(p, cp, 2)
+        grid = quals.DEFAULT_EPS_GRID
+        assert len(calls) == len({tuple(cp.active(eps)) for eps in grid}) < len(grid)
+        assert [row["eps"] for row in report["rows"]] == list(grid)
+
     def test_suppressed_without_differentiability_flag(self, ex2):
         p, cp = ex2
         assert kkt.isolation_inclusion_report(p, cp, 1) is None

@@ -1,14 +1,22 @@
-"""Exact simplex: frozen cases, certificate verification, brute-force agreement."""
+"""Exact simplex: frozen cases, certificate verification, brute-force agreement,
+agreement with the rational reference tableau, rejection of corrupted results."""
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_lp import brute_force_max, random_lp, satisfies
+from helpers_lp import brute_force_max, random_lp, reference_solve, satisfies
+from mosipcert import lp
+from mosipcert.errors import InternalInconsistencyError
 from mosipcert.lp import (
     EQ,
     GE,
@@ -21,7 +29,7 @@ from mosipcert.lp import (
     solve,
     verify_farkas,
 )
-from mosipcert.rationals import Q, qdot
+from mosipcert.rationals import Q, ZERO, qdot
 
 N_RANDOM_LPS = 250
 SEED = 20240517
@@ -199,3 +207,173 @@ def test_determinism(seed: int) -> None:
         assert (r1.value, r1.primal, r1.dual) == (r2.value, r2.primal, r2.dual)
     elif isinstance(r1, Infeasible):
         assert r1.farkas == r2.farkas
+
+
+# ---------------------------------------------------------------------------
+# differential: the integer tableau against the rational reference tableau
+
+AWKWARD = [Q(1, 7), Q(10**12, 3), Q(-5, 11), Q(-22, 7), Q(3, 10**9 + 7), Q(2)]
+
+
+def _equality_heavy(rng: random.Random) -> LinearProgram:
+    """Equality rows, some repeated as multiples (dependent rows that phase 1
+    drops), a zero rhs now and then (degenerate), a few sign bounds."""
+    n = rng.randint(2, 4)
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [Q(rng.randint(-2, 2)) for _ in range(n)]
+        rhs = Q(rng.randint(-2, 2)) if rng.random() < 0.5 else ZERO
+        rows.append((coeffs, EQ, rhs))
+        if rng.random() < 0.6:
+            f = Q(rng.choice([-3, -1, 2]), rng.choice([1, 2]))
+            rows.append(([f * c for c in coeffs], EQ, f * rhs))
+    for j in range(n):
+        if rng.random() < 0.6:
+            rows.append(([Q(int(i == j)) for i in range(n)], GE, ZERO))
+    objective = [Q(rng.randint(-2, 2)) for _ in range(n)]
+    return LinearProgram(n, objective, rows)
+
+
+def _unboxed(rng: random.Random) -> LinearProgram:
+    """Mixed rows without a box: often unbounded, sometimes infeasible."""
+    n = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = [Q(rng.randint(-3, 3)) for _ in range(n)]
+        rows.append((coeffs, rng.choice([LE, GE, EQ]), Q(rng.randint(-3, 3))))
+    objective = [Q(rng.randint(-3, 3)) for _ in range(n)]
+    return LinearProgram(n, objective, rows)
+
+
+def _contradictory(rng: random.Random) -> LinearProgram:
+    """A random LP plus a pair of rows that no point satisfies."""
+    base = random_lp(rng)
+    n = base.num_vars
+    a = [Q(rng.randint(-3, 3)) for _ in range(n)]
+    a[rng.randrange(n)] = Q(rng.choice([-2, 1, 3]))
+    b = Q(rng.randint(-3, 3))
+    rows = base.rows + [(a, GE, b + Q(1, rng.randint(1, 5))), (a, LE, b)]
+    return LinearProgram(n, base.objective, rows)
+
+
+def _awkward(rng: random.Random) -> LinearProgram:
+    """Denominators 7, 11, 3 and 10**9 + 7 with numerators up to 10**12."""
+    n = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [rng.choice(AWKWARD) * rng.randint(-2, 2) for _ in range(n)]
+        rows.append((coeffs, rng.choice([LE, LE, GE, EQ]), rng.choice(AWKWARD) * rng.randint(-2, 2)))
+    box = rng.choice(AWKWARD[:2])
+    lower = [-box] * n if rng.random() < 0.8 else None
+    objective = [rng.choice(AWKWARD) * rng.randint(-2, 2) for _ in range(n)]
+    return LinearProgram(n, objective, rows, lower=lower, upper=[box] * n)
+
+
+OPTIMAL_OR_NOT = {"Optimal", "Infeasible"}
+ALL_OUTCOMES = {"Optimal", "Infeasible", "Unbounded"}
+FAMILIES = {  # generator, the outcome kinds its sweep must produce
+    "random": (random_lp, OPTIMAL_OR_NOT),
+    "wide": (lambda rng: random_lp(rng, max_vars=4, max_rows=8), OPTIMAL_OR_NOT),
+    "equality_heavy": (_equality_heavy, ALL_OUTCOMES),
+    "unboxed": (_unboxed, ALL_OUTCOMES),
+    "contradictory": (_contradictory, {"Infeasible"}),
+    "awkward": (_awkward, ALL_OUTCOMES),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_integer_tableau_matches_rational_reference(family, monkeypatch) -> None:
+    pivots, dropped = [], []
+    real_pivot, real_phase1 = lp._Tableau._pivot, lp._Tableau.phase1
+
+    def counted_pivot(self, *args):
+        pivots.append(1)
+        return real_pivot(self, *args)
+
+    def phase1(self):
+        out = real_phase1(self)
+        dropped.append(len(self.rows) < self.m)
+        return out
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", counted_pivot)
+    monkeypatch.setattr(lp._Tableau, "phase1", phase1)
+    generate, expected = FAMILIES[family]
+    rng = random.Random(f"{SEED}:{family}")
+    kinds = set()
+    for _ in range(120):
+        prog = generate(rng)
+        pivots.clear()
+        res = solve(prog)
+        ref, ref_pivots = reference_solve(prog)
+        assert type(res) is type(ref) and res == ref
+        assert len(pivots) == ref_pivots
+        for f in dataclasses.fields(res):
+            value = getattr(res, f.name)
+            assert all(type(v) is Q for v in (value if isinstance(value, list) else [value]))
+        kinds.add(type(res).__name__)
+    assert kinds == expected
+    if family == "equality_heavy":
+        assert any(dropped)  # dependent equality rows went through the row drop
+
+
+# ---------------------------------------------------------------------------
+# the substitution checks reject a corrupted result
+
+
+BOX = LinearProgram(2, [1, 1], [([1, 0], LE, 1), ([0, 1], LE, 1), ([1, 0], GE, 0), ([0, 1], GE, 0)])
+CONTRADICTION = LinearProgram(1, [1], [([1], LE, 0), ([1], GE, 1)])
+RAY = LinearProgram(2, [1, 0], [([0, 1], EQ, 0)])
+
+
+def _bump(vector: list) -> list:
+    return [vector[0] + 1, *vector[1:]]
+
+
+CORRUPTIONS = {
+    "dual": (BOX, "phase2", lambda r: dataclasses.replace(r, dual=_bump(r.dual))),
+    "primal": (BOX, "phase2", lambda r: dataclasses.replace(r, primal=_bump(r.primal))),
+    "value": (BOX, "phase2", lambda r: dataclasses.replace(r, value=r.value + 1)),
+    "farkas": (CONTRADICTION, "phase1", _bump),
+    "ray": (RAY, "phase2", lambda r: dataclasses.replace(r, ray=[r.ray[0], Q(1)])),
+    "feasible_point": (
+        RAY, "phase2", lambda r: dataclasses.replace(r, feasible_point=[ZERO, Q(1)])
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupted", sorted(CORRUPTIONS))
+def test_corrupted_result_is_an_internal_inconsistency(corrupted, monkeypatch) -> None:
+    prog, phase, corrupt = CORRUPTIONS[corrupted]
+    real = getattr(lp._Tableau, phase)
+    monkeypatch.setattr(lp._Tableau, phase, lambda self: corrupt(real(self)))
+    with pytest.raises(InternalInconsistencyError):
+        solve(prog)
+
+
+def test_corrupted_dual_is_caught_under_python_O() -> None:
+    # the checks raise, so they survive `python -O`, which strips asserts
+    code = """
+import dataclasses
+from mosipcert import lp
+from mosipcert.errors import InternalInconsistencyError
+assert False, "asserts are live"  # stripped under -O
+real = lp._Tableau.phase2
+def corrupt(self):
+    r = real(self)
+    return dataclasses.replace(r, dual=[r.dual[0] + 1, *r.dual[1:]])
+lp._Tableau.phase2 = corrupt
+try:
+    lp.solve(lp.LinearProgram(2, [1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)]))
+except InternalInconsistencyError:
+    print("rejected")
+"""
+    src = Path(lp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
