@@ -2,6 +2,13 @@
 cones, polar duality via double description, membership / containment /
 interior tests.
 
+Every question of the form "is the target a convex combination of these
+points plus a conic combination of these generators" is one call to
+`decompose`, the package's only decomposition LP: the canonicalising
+constructors, `dd_convert`'s pruning, `contains`, `cone_member`, the first
+LP of `membership`, the KKT searches in `kkt` and the gap zero search in
+`gap`.  `hull_terms` reads its weights back per block of points.
+
 Everything is exact rational.  All types are immutable values canonicalized on
 construction (primitive integer scaling for rays and normals, redundancy
 pruning via small LPs, lexicographic sorting), so structural equality of two
@@ -61,41 +68,84 @@ def _unit(dim: int, j: int, scale=ONE) -> tuple:
     return tuple(scale if i == j else ZERO for i in range(dim))
 
 
-def _box_rows(dim: int, bound=ONE) -> list:
+def box_rows(dim: int, extra: int = 0) -> list:
+    """-1 <= d_j <= 1 for the first `dim` of `dim + extra` variables."""
     rows = []
     for j in range(dim):
-        e = [ZERO] * dim
-        e[j] = ONE
-        rows.append((list(e), lp.LE, bound))
-        rows.append((list(e), lp.GE, -bound))
+        e = list(_unit(dim + extra, j))
+        rows.append((e, lp.LE, ONE))
+        rows.append((list(e), lp.GE, -ONE))
     return rows
 
 
-def _convex_combination(target, points) -> Optional[list]:
-    """alpha >= 0, sum alpha = 1, sum alpha*p = target; None if impossible."""
-    if not points:
+def decompose(target, hulls, cones=(), margin=False):
+    """Nonnegative weights writing `target` as a combination of the columns
+    of `hulls` and `cones` (each a sequence of blocks of vectors) whose hull
+    weights sum to 1.  This is the one decomposition LP of the package:
+    membership, the KKT searches and the gap zero search all call it.
+
+    Rows, in this order: one equality per coordinate, columns in block order
+    with the hull blocks first; the simplex row over every hull column (only
+    when there is a hull block); x_j >= 0 for every column.  With `margin`, a
+    trailing free variable tau is maximised subject to one row
+    sum(block) - tau >= 0 per hull block and tau <= 1.
+
+    Returns the weights in column order (tau last with `margin`), or the
+    LP's `lp.Infeasible`, whose Farkas vector certifies that no weights
+    exist.  Two cases need no LP: a zero target without hull blocks is the
+    zero combination, and no columns at all give None.
+    """
+    columns = [c for block in (*hulls, *cones) for c in block]
+    k = len(columns)
+    if not hulls and all(c == 0 for c in target):
+        return [ZERO] * k
+    if not columns:
         return None
-    dim = len(target)
-    k = len(points)
-    rows = [([p[i] for p in points], lp.EQ, target[i]) for i in range(dim)]
-    rows.append(([ONE] * k, lp.EQ, ONE))
-    rows.extend((_unit(k, j), lp.GE, ZERO) for j in range(k))
-    res = lp.feasible_point(k, rows)
-    return None if isinstance(res, lp.Infeasible) else res
+    width = k + 1 if margin else k
+    pad = [ZERO] * (width - k)
+    rows = [([c[i] for c in columns] + pad, lp.EQ, target[i]) for i in range(len(target))]
+    num_hull = sum(len(block) for block in hulls)
+    if hulls:
+        rows.append(([ONE] * num_hull + [ZERO] * (width - num_hull), lp.EQ, ONE))
+    rows.extend((_unit(width, j), lp.GE, ZERO) for j in range(k))
+    if not margin:
+        return lp.feasible_point(k, rows)
+    pos = 0
+    for block in hulls:
+        row = [ZERO] * width
+        row[pos : pos + len(block)] = [ONE] * len(block)
+        row[k] = -ONE
+        rows.append((row, lp.GE, ZERO))
+        pos += len(block)
+    rows.append((_unit(width, k), lp.LE, ONE))
+    res = lp.solve(lp.LinearProgram(width, _unit(width, k), rows))
+    if isinstance(res, lp.Infeasible):
+        return res
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError("the margin is capped, so the LP has an optimum")
+    return res.primal
 
 
-def _conic_combination(target, gens) -> Optional[list]:
-    """mu >= 0 with sum mu*g = target; None if impossible ({0} needs no gens)."""
-    if all(c == 0 for c in target):
-        return [ZERO] * len(gens)
-    if not gens:
-        return None
-    dim = len(target)
-    k = len(gens)
-    rows = [([g[i] for g in gens], lp.EQ, target[i]) for i in range(dim)]
-    rows.extend((_unit(k, j), lp.GE, ZERO) for j in range(k))
-    res = lp.feasible_point(k, rows)
-    return None if isinstance(res, lp.Infeasible) else res
+def hull_terms(weights, hulls) -> list:
+    """(weight sum, convex coefficients, combination) per hull block, read
+    off the leading entries of `decompose`'s weights.  A block of weight zero
+    pins its first vertex: the selection is immaterial there."""
+    out = []
+    pos = 0
+    for block in hulls:
+        ws = weights[pos : pos + len(block)]
+        pos += len(block)
+        total = sum(ws, ZERO)
+        if total > 0:
+            coeffs = tuple(w / total for w in ws)
+        else:
+            coeffs = (ONE,) + (ZERO,) * (len(block) - 1)
+        point = tuple(
+            sum((c * v[k] for c, v in zip(coeffs, block)), ZERO)
+            for k in range(len(block[0]))
+        )
+        out.append((total, coeffs, point))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +168,7 @@ class Polytope:
         i = 0
         while i < len(kept):
             others = kept[:i] + kept[i + 1 :]
-            if others and _convex_combination(kept[i], others) is not None:
+            if isinstance(decompose(kept[i], [others]), list):
                 del kept[i]
             else:
                 i += 1
@@ -130,7 +180,7 @@ class Polytope:
         return not self.vertices
 
     def contains_point(self, p) -> bool:
-        return _convex_combination(vec(p), self.vertices) is not None
+        return isinstance(decompose(vec(p), [self.vertices]), list)
 
     def support(self, d):
         """max d'v over the polytope; raises on empty."""
@@ -157,7 +207,7 @@ class FGCone:
         kept = sorted(gens)
         i = 0
         while i < len(kept):
-            if _conic_combination(kept[i], kept[:i] + kept[i + 1 :]) is not None:
+            if isinstance(decompose(kept[i], (), [kept[:i] + kept[i + 1 :]]), list):
                 del kept[i]
             else:
                 i += 1
@@ -169,7 +219,7 @@ class FGCone:
         return not self.generators
 
     def member(self, p) -> bool:
-        return _conic_combination(vec(p), self.generators) is not None
+        return isinstance(decompose(vec(p), (), [self.generators]), list)
 
 
 @dataclass(frozen=True)
@@ -275,11 +325,6 @@ def polar(c: FGCone) -> HCone:
     return HCone(c.dim, c.generators)
 
 
-def polar_of_points(points, dim: int) -> HCone:
-    """Negative polar M^0 of a finite point set (equals (cone M)^0)."""
-    return HCone(dim, [vec(p) for p in points])
-
-
 def dd_convert(h: HCone) -> FGCone:
     """Generators of {d : a'd <= 0 for all normals} (double description).
 
@@ -311,7 +356,7 @@ def dd_convert(h: HCone) -> FGCone:
         merged = sorted(set(keep) | set(new))
         i = 0
         while i < len(merged):
-            if _conic_combination(merged[i], merged[:i] + merged[i + 1 :]) is not None:
+            if isinstance(decompose(merged[i], (), [merged[:i] + merged[i + 1 :]]), list):
                 del merged[i]
             else:
                 i += 1
@@ -345,28 +390,26 @@ def membership(p, s: GenConvexSet):
     p = vec(p)
     if s.is_empty:
         return NotMember(separator=tuple(ZERO for _ in p), gap=ZERO)
-    verts, gens = s.base.vertices, s.recession.generators
-    nv, ng = len(verts), len(gens)
+    res = decompose(p, [s.base.vertices], [s.recession.generators])
+    if not isinstance(res, list):
+        return separate(p, s)
+    nv = len(s.base.vertices)
+    return Member(alpha=tuple(res[:nv]), mu=tuple(res[nv:]))
+
+
+def separate(p, s: GenConvexSet) -> NotMember:
+    """The separating functional of a point p outside the nonempty set s.
+
+    LP: max t with h'p - h'v >= t for all vertices, h'r <= 0 for all
+    generators, |h|_inf <= 1.  The optimum is positive because s is closed
+    and convex and p is outside it."""
+    p = vec(p)
     dim = s.dim
-    rows = [
-        ([v[i] for v in verts] + [g[i] for g in gens], lp.EQ, p[i]) for i in range(dim)
-    ]
-    rows.append(([ONE] * nv + [ZERO] * ng, lp.EQ, ONE))
-    rows.extend((_unit(nv + ng, j), lp.GE, ZERO) for j in range(nv + ng))
-    res = lp.feasible_point(nv + ng, rows)
-    if not isinstance(res, lp.Infeasible):
-        return Member(alpha=tuple(res[:nv]), mu=tuple(res[nv:]))
-    # Separating functional: max s with h'p - h'v >= s for all vertices,
-    # h'r <= 0 for all generators, |h|_inf <= 1.  Positive optimum exists
-    # because s is closed convex and p is outside.
-    hv = dim
-    rows = []
-    for v in verts:
-        rows.append(([p[i] - v[i] for i in range(dim)] + [-ONE], lp.GE, ZERO))
-    for g in gens:
-        rows.append((list(g) + [ZERO], lp.LE, ZERO))
-    rows.extend(_pad_rows(_box_rows(dim), 1))
-    out = lp.solve(lp.LinearProgram(hv + 1, [ZERO] * hv + [ONE], rows))
+    verts = s.base.vertices
+    rows = [([p[i] - v[i] for i in range(dim)] + [-ONE], lp.GE, ZERO) for v in verts]
+    rows.extend((list(g) + [ZERO], lp.LE, ZERO) for g in s.recession.generators)
+    rows.extend(box_rows(dim, 1))
+    out = lp.solve(lp.LinearProgram(dim + 1, _unit(dim + 1, dim), rows))
     if not (isinstance(out, lp.Optimal) and out.value > 0):
         raise InternalInconsistencyError("separator LP must certify exclusion")
     h = tuple(out.primal[:dim])
@@ -374,13 +417,10 @@ def membership(p, s: GenConvexSet):
     return NotMember(separator=h, gap=qdot(h, p) - sup)
 
 
-def _pad_rows(rows, extra: int) -> list:
-    return [(coeffs + [ZERO] * extra, rel, rhs) for coeffs, rel, rhs in rows]
-
-
 def cone_member(p, c: FGCone) -> Optional[list]:
     """Nonnegative coefficients writing p over c's generators, or None."""
-    return _conic_combination(vec(p), c.generators)
+    res = decompose(vec(p), (), [c.generators])
+    return res if isinstance(res, list) else None
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +432,7 @@ def nontrivial_direction(h: HCone) -> Optional[tuple]:
     cone is {0}.  Decided by 2n LPs maximizing +-d_i over the cone
     intersected with the unit box."""
     n = h.dim
-    base_rows = [(list(a), lp.LE, ZERO) for a in h.normals] + _box_rows(n)
+    base_rows = [(list(a), lp.LE, ZERO) for a in h.normals] + box_rows(n)
     for j in range(n):
         for sign in (ONE, -ONE):
             obj = [ZERO] * n
@@ -403,11 +443,6 @@ def nontrivial_direction(h: HCone) -> Optional[tuple]:
             if res.value > 0:
                 return tuple(res.primal)
     return None
-
-
-def cone_is_trivial(h: HCone) -> bool:
-    """Is {d : a'd <= 0 for all normals} just {0}?"""
-    return nontrivial_direction(h) is None
 
 
 @dataclass(frozen=True)
@@ -527,13 +562,13 @@ def contains(a, b) -> ContainsResult:
                     return ContainsResult(False, g)
             return ContainsResult(True)
         for g in a.generators:
-            if _conic_combination(g, b.generators) is None:
+            if not isinstance(decompose(g, (), [b.generators]), list):
                 return ContainsResult(False, g)
         return ContainsResult(True)
     if isinstance(b, HCone):
         # every halfspace of b must be valid over the cone a
         dim = a.dim
-        base_rows = [(list(m), lp.LE, ZERO) for m in a.normals] + _box_rows(dim)
+        base_rows = [(list(m), lp.LE, ZERO) for m in a.normals] + box_rows(dim)
         for target in b.normals:
             res = lp.solve(lp.LinearProgram(dim, list(target), list(base_rows)))
             if not isinstance(res, lp.Optimal):
@@ -550,33 +585,7 @@ def cone_equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Directions and rank
-
-
-@dataclass(frozen=True)
-class StrictlyNegative:
-    direction: Optional[tuple]
-    vacuous: bool = False  # empty input: no points to be negative against
-
-
-def strictly_negative_polar(points, dim: int) -> StrictlyNegative:
-    """A direction d with v'd < 0 for every point, or none.
-
-    LP: max s subject to v'd + s <= 0 (all v), |d|_inf <= 1, s <= 1; the
-    optimum is 0 exactly when no strictly negative direction exists.
-    """
-    pts = [vec(p) for p in points]
-    if not pts:
-        return StrictlyNegative(None, vacuous=True)
-    rows = [(list(v) + [ONE], lp.LE, ZERO) for v in pts]
-    rows.extend(_pad_rows(_box_rows(dim), 1))
-    rows.append((_unit(dim + 1, dim), lp.LE, ONE))
-    res = lp.solve(lp.LinearProgram(dim + 1, _unit(dim + 1, dim), rows))
-    if not (isinstance(res, lp.Optimal) and res.value >= 0):
-        raise InternalInconsistencyError("the capped polar LP has a nonnegative optimum")
-    if res.value == 0:
-        return StrictlyNegative(None)
-    return StrictlyNegative(tuple(res.primal[:dim]))
+# Rank
 
 
 def span_rank(points) -> int:
@@ -599,36 +608,3 @@ def span_rank(points) -> int:
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
-
-
-@dataclass(frozen=True)
-class RelativeInterior:
-    member: bool
-    coefficients: Optional[tuple] = None
-
-
-def relative_interior_member(p, q: Polytope) -> RelativeInterior:
-    """Is p a strictly positive convex combination of q's extreme points?
-    (That set is exactly the relative interior of q.)  LP maximizes the
-    minimum coefficient."""
-    p = vec(p)
-    if q.is_empty:
-        return RelativeInterior(False)
-    verts = q.vertices
-    k = len(verts)
-    # variables: alpha_1..alpha_k, tau; maximize tau
-    rows = [([v[i] for v in verts] + [ZERO], lp.EQ, p[i]) for i in range(q.dim)]
-    rows.append(([ONE] * k + [ZERO], lp.EQ, ONE))
-    for j in range(k):
-        coeffs = [ZERO] * (k + 1)
-        coeffs[j], coeffs[k] = ONE, -ONE
-        rows.append((coeffs, lp.GE, ZERO))  # alpha_j >= tau
-    rows.append((_unit(k + 1, k), lp.LE, ONE))
-    res = lp.solve(lp.LinearProgram(k + 1, _unit(k + 1, k), rows))
-    if isinstance(res, lp.Infeasible):
-        return RelativeInterior(False)
-    if not isinstance(res, lp.Optimal):
-        raise InternalInconsistencyError("the capped relative-interior LP is bounded")
-    if res.value <= 0:
-        return RelativeInterior(False)
-    return RelativeInterior(True, tuple(res.primal[:k]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cones import FGCone, HPoly, Polytope
-from .errors import ModelError, UnsupportedOperationError
+from .errors import ModelError, ParseError, UnsupportedOperationError
 from .rationals import (
     NEG_INF,
     POS_INF,
@@ -35,6 +35,7 @@ from .rationals import (
     ZERO,
     as_q,
     is_finite,
+    q_pair,
     qdot,
     sqrt_exact,
     vec_q,
@@ -213,6 +214,20 @@ ConvexFunc = Union[
 _PIECEWISE = (Affine, MaxAffine, SupportPolygon, ScaledNormInf)
 
 
+def affine_pieces(f: ConvexFunc) -> Optional[list]:
+    """(a, b) per piece of a piecewise-linear f = max_pieces a'x + b (on its
+    domain), or None for the curved kinds."""
+    if isinstance(f, Affine):
+        return [(f.a, f.b)]
+    if isinstance(f, MaxAffine):
+        return list(f.pieces)
+    if isinstance(f, SupportPolygon):
+        return [(v, ZERO) for v in f.vertices]
+    if isinstance(f, ScaledNormInf):
+        return list(f.as_max_affine().pieces)
+    return None
+
+
 def fn_dim(f: ConvexFunc) -> int:
     return f.dim
 
@@ -388,54 +403,48 @@ def dir_derivative(f: ConvexFunc, x, d):
 # serialization ([num, den] rationals throughout)
 
 
-def _q_out(q) -> list:
-    q = as_q(q)
-    return [int(q.numerator), int(q.denominator)]
-
-
 def _vec_out(v) -> list:
-    return [_q_out(c) for c in v]
+    return [q_pair(c) for c in v]
 
 
-def _domain_out(domain: Optional[HPoly]):
-    if domain is None:
-        return None
-    return {"rows": [_vec_out(list(a) + [b]) for a, b in domain.rows]}
+def hpoly_to_json(poly: HPoly) -> dict:
+    return {"rows": [_vec_out(list(a) + [b]) for a, b in poly.rows]}
 
 
-def domain_from_json(obj, dim: int) -> Optional[HPoly]:
+def hpoly_from_json(obj, dim: int) -> Optional[HPoly]:
+    """The H-polyhedron of rows [a_1, ..., a_dim, b], each a'x <= b; None
+    for None (no domain)."""
     if obj is None:
         return None
     rows = []
     for row in obj["rows"]:
         vals = [as_q(c) for c in row]
         if len(vals) != dim + 1:
-            raise ModelError("domain row length mismatch")
+            raise ParseError(f"H-polyhedron row has {len(vals)} entries, expected {dim + 1}")
         rows.append((vals[:dim], vals[dim]))
     return HPoly(dim, rows)
 
 
 def func_to_json(f: ConvexFunc) -> dict:
     if isinstance(f, Affine):
-        out = {"kind": "affine", "a": _vec_out(f.a), "b": _q_out(f.b)}
+        out = {"kind": "affine", "a": _vec_out(f.a), "b": q_pair(f.b)}
     elif isinstance(f, MaxAffine):
         out = {
             "kind": "max_affine",
-            "pieces": [{"a": _vec_out(a), "b": _q_out(b)} for a, b in f.pieces],
+            "pieces": [{"a": _vec_out(a), "b": q_pair(b)} for a, b in f.pieces],
         }
     elif isinstance(f, SupportPolygon):
         out = {"kind": "support_polygon", "vertices": [_vec_out(v) for v in f.vertices]}
     elif isinstance(f, ScaledNormInf):
-        out = {"kind": "scaled_norm_inf", "center": _vec_out(f.center), "weight": _q_out(f.weight)}
+        out = {"kind": "scaled_norm_inf", "center": _vec_out(f.center), "weight": q_pair(f.weight)}
     elif isinstance(f, Scaled2Norm):
-        out = {"kind": "scaled_2norm", "center": _vec_out(f.center), "weight": _q_out(f.weight)}
+        out = {"kind": "scaled_2norm", "center": _vec_out(f.center), "weight": q_pair(f.weight)}
     elif isinstance(f, NegSqrtParabola1D):
-        out = {"kind": "neg_sqrt_parabola_1d", "t": _q_out(f.t)}
+        out = {"kind": "neg_sqrt_parabola_1d", "t": q_pair(f.t)}
     else:
         raise UnsupportedOperationError(f"{type(f).__name__} does not serialize")
-    dom = _domain_out(f.domain)
-    if dom is not None:
-        out["domain"] = dom
+    if f.domain is not None:
+        out["domain"] = hpoly_to_json(f.domain)
     return out
 
 
@@ -443,15 +452,15 @@ def func_from_json(obj: dict, dim: Optional[int] = None) -> ConvexFunc:
     kind = obj.get("kind")
     if kind == "affine":
         a = [as_q(c) for c in obj["a"]]
-        domain = domain_from_json(obj.get("domain"), len(a))
+        domain = hpoly_from_json(obj.get("domain"), len(a))
         return Affine(a, as_q(obj["b"]), domain)
     if kind == "max_affine":
         pieces = [([as_q(c) for c in p["a"]], as_q(p["b"])) for p in obj["pieces"]]
-        domain = domain_from_json(obj.get("domain"), len(pieces[0][0]))
+        domain = hpoly_from_json(obj.get("domain"), len(pieces[0][0]))
         return MaxAffine(pieces, domain)
     if kind == "support_polygon":
         verts = [[as_q(c) for c in v] for v in obj["vertices"]]
-        domain = domain_from_json(obj.get("domain"), len(verts[0]))
+        domain = hpoly_from_json(obj.get("domain"), len(verts[0]))
         return SupportPolygon(verts, domain)
     if kind == "scaled_norm_inf":
         return ScaledNormInf([as_q(c) for c in obj["center"]], as_q(obj["weight"]))

@@ -4,9 +4,13 @@ A zero of the gap at a feasible candidate certifies weak efficiency for
 lambda >= 0 and efficiency for lambda > 0.  The search does not scan lambda:
 it solves one exact LP placing -sum_i lambda_i xi_i inside the normal cone
 N(S, x), which is equivalent to a zero value, and every emitted witness is
-re-validated against the direct sup-LP.  The perturbed check runs the same
-search on tilted objective subdifferentials (each shifted by -w) for w ranging
-over axis points and deterministic near-sphere samples of a nu-ball.
+re-validated against the direct sup-LP.  That LP is `cones.decompose`, the
+engine the KKT searches use: one hull block per objective vertex table (the
+block weights are lambda) and the normal-cone generators as one cone block;
+the strong mode maximizes the smallest lambda_i.  The perturbed check runs
+the same search on tilted objective subdifferentials (each shifted by -w) for
+w ranging over axis points and deterministic near-sphere samples of a
+nu-ball.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import GenConvexSet, NotMember, membership, zero_interior
+from .cones import GenConvexSet, NotMember, decompose, hull_terms, membership, zero_interior
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -34,6 +38,7 @@ from .rationals import (
     ZERO,
     as_q,
     float_to_q,
+    q_from_pair,
     qdot,
     sqrt_lower_bound,
     vec_q,
@@ -142,83 +147,23 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
         [tuple(v[k] - (tilt[k] if tilt else ZERO) for k in range(n)) for v in verts]
         for verts in tables
     ]
-    gens = cp.N.generators
-    num_mu = sum(len(t) for t in tables)
     strong = mode == STRONG_MODE
-    num_vars = num_mu + len(gens) + (1 if strong else 0)
-    columns = [v for verts in shifted for v in verts] + [tuple(g) for g in gens]
-    rows = [
-        (
-            [col[k] for col in columns] + ([ZERO] if strong else []),
-            lp.EQ,
-            ZERO,
+    zero = tuple(ZERO for _ in range(n))
+    res = decompose(zero, shifted, [cp.N.generators], margin=strong)
+    if not isinstance(res, list):
+        return GapRefusal(
+            mode,
+            "no multiplier vector places the weighted subgradient sum "
+            "inside the polar of the feasible directions",
+            farkas=res.farkas,
         )
-        for k in range(n)
-    ]
-    simplex = [ONE] * num_mu + [ZERO] * (num_vars - num_mu)
-    rows.append((simplex, lp.EQ, ONE))
-    for j in range(num_mu + len(gens)):
-        unit = [ZERO] * num_vars
-        unit[j] = ONE
-        rows.append((unit, lp.GE, ZERO))
-    if strong:
-        pos = 0
-        for verts in tables:
-            margin = [ZERO] * num_vars
-            for _ in verts:
-                margin[pos] = ONE
-                pos += 1
-            margin[-1] = -ONE
-            rows.append((margin, lp.GE, ZERO))
-        cap = [ZERO] * num_vars
-        cap[-1] = ONE
-        rows.append((cap, lp.LE, ONE))
-        res = lp.solve(lp.LinearProgram(num_vars, [ZERO] * (num_vars - 1) + [ONE], rows))
-        if isinstance(res, lp.Infeasible):
-            return GapRefusal(
-                mode,
-                "no multiplier vector places the weighted subgradient sum "
-                "inside the polar of the feasible directions",
-                farkas=getattr(res, "farkas", None),
-            )
-        if not isinstance(res, lp.Optimal):
-            raise InternalInconsistencyError("the tau-capped gap LP is bounded")
-        if res.value <= 0:
-            return GapRefusal(
-                mode,
-                "every zero of the gap drives some lambda component to zero",
-            )
-        values = list(res.primal[:num_mu])
-    else:
-        res = lp.feasible_point(num_vars, rows)
-        if isinstance(res, lp.Infeasible):
-            return GapRefusal(
-                mode,
-                "no multiplier vector places the weighted subgradient sum "
-                "inside the polar of the feasible directions",
-                farkas=getattr(res, "farkas", None),
-            )
-        values = list(res[:num_mu])
-    lam = []
-    selections = []
-    coeff_rows = []
-    pos = 0
-    for verts in tables:
-        mus = values[pos : pos + len(verts)]
-        pos += len(verts)
-        li = sum(mus, ZERO)
-        lam.append(li)
-        if li > 0:
-            coeffs = tuple(m / li for m in mus)
-        else:
-            coeffs = (ONE,) + (ZERO,) * (len(verts) - 1)
-        selections.append(
-            tuple(
-                sum((c * v[k] for c, v in zip(coeffs, verts)), ZERO) for k in range(n)
-            )
+    if strong and res[-1] <= 0:
+        return GapRefusal(
+            mode,
+            "every zero of the gap drives some lambda component to zero",
         )
-        coeff_rows.append(coeffs)
-    tilt_vec = tuple(tilt) if tilt else tuple(ZERO for _ in range(n))
+    lam, coeff_rows, selections = zip(*hull_terms(res, tables))
+    tilt_vec = tuple(tilt) if tilt else zero
     c = [
         sum((lam[i] * (selections[i][k] - tilt_vec[k]) for i in range(len(lam))), ZERO)
         for k in range(n)
@@ -231,9 +176,9 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
         )
     return GapWitness(
         mode=mode,
-        lam=tuple(lam),
-        xi=tuple(selections),
-        xi_coeffs=tuple(coeff_rows),
+        lam=lam,
+        xi=selections,
+        xi_coeffs=coeff_rows,
         xi_vertices=tuple(tuple(t) for t in tables),
         value=value,
     )
@@ -413,12 +358,6 @@ def witness_to_json(w: GapWitness) -> dict:
     )
 
 
-def _q_in(obj) -> Q:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise ParseError(f"expected a [num, den] pair, got {obj!r}")
-    return Q(int(obj[0]), int(obj[1]))
-
-
 def witness_from_json(doc: dict) -> GapWitness:
     try:
         mode = doc["mode"]
@@ -426,13 +365,13 @@ def witness_from_json(doc: dict) -> GapWitness:
             raise ParseError(f"unknown gap witness mode {mode!r}")
         return GapWitness(
             mode=mode,
-            lam=tuple(_q_in(l) for l in doc["lambda"]),
-            xi=tuple(tuple(_q_in(c) for c in s) for s in doc["xi"]),
-            xi_coeffs=tuple(tuple(_q_in(c) for c in s) for s in doc["xi_coeffs"]),
+            lam=tuple(q_from_pair(l) for l in doc["lambda"]),
+            xi=tuple(tuple(q_from_pair(c) for c in s) for s in doc["xi"]),
+            xi_coeffs=tuple(tuple(q_from_pair(c) for c in s) for s in doc["xi_coeffs"]),
             xi_vertices=tuple(
-                tuple(tuple(_q_in(c) for c in v) for v in t) for t in doc["xi_vertices"]
+                tuple(tuple(q_from_pair(c) for c in v) for v in t) for t in doc["xi_vertices"]
             ),
-            value=_q_in(doc["value"]),
+            value=q_from_pair(doc["value"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed gap witness document: {exc}") from exc

@@ -1,11 +1,14 @@
 """Weak, strong, and perturbed KKT certificates and the claims they license.
 
-The three certificate searches share one exact decomposition engine: a target
-vector w is written as sum_i alpha_i xi_i + sum_t beta_t zeta_t with
-xi_i in the i-th objective subdifferential and zeta_t in the subdifferential
-of the t-th active constraint.  Weak takes w = 0, strong additionally pushes
-every alpha_i above a maximized margin, perturbed decomposes the scaled axis
-points of a certified ball inside F*(x) + G*(x).
+The three certificate searches share one exact decomposition engine,
+`cones.decompose`: a target vector w is written as
+sum_i alpha_i xi_i + sum_t beta_t zeta_t with xi_i in the i-th objective
+subdifferential and zeta_t in the subdifferential of the t-th active
+constraint.  Weak takes w = 0, strong additionally pushes every alpha_i above
+a maximized margin, perturbed decomposes the scaled axis points of a
+certified ball inside F*(x) + G*(x).  Weak and strong decide 0 in F* + G* by
+that one LP; the separator LP over the canonical F* and G* runs only when it
+is infeasible.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ from .cones import (
     FGCone,
     GenConvexSet,
     NotMember,
+    box_rows,
+    decompose,
+    hull_terms,
     membership,
+    separate,
     zero_interior,
 )
 from .errors import InternalInconsistencyError, ModelError, ParseError
@@ -30,7 +37,7 @@ from .problem import (
     g_data_provenance,
 )
 from .quals import DEFAULT_EPS_GRID, HOLDS, QualReport, jsonify
-from .rationals import ONE, ZERO, Q, as_q
+from .rationals import ONE, ZERO, Q, as_q, q_from_pair
 
 WEAK = "Weak"
 STRONG = "Strong"
@@ -126,60 +133,34 @@ class KktSeparator:
 # Shared decomposition engine
 
 
-def _active_subdiff_tables(cp: CandidatePoint) -> list:
-    """(t, vertices, rays) per active constraint, skipping empty subdifferentials."""
-    out = []
+def _decompose(p: MosipProblem, cp: CandidatePoint, target, margin=False):
+    """`decompose` over the grouped tables: one hull block per objective
+    vertex table, one cone block per nonempty active constraint
+    subdifferential (vertices, then rays).  Returns (objective terms,
+    constraint terms, tau or None), or the `lp.Infeasible` refuting
+    target in F* + G*."""
+    obj_tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
+    active_tables = []
     for t in cp.T:
         ss = cp.table.constraint(t)
-        if ss.is_empty:
-            continue
-        out.append((t, ss.base.vertices, ss.recession.generators))
-    return out
-
-
-def _decomposition_rows(obj_tables, active_tables, target, num_vars):
-    n = len(target)
-    columns = []
-    for verts in obj_tables:
-        columns.extend(verts)
-    for _, verts, rays in active_tables:
-        columns.extend(verts)
-        columns.extend(rays)
-    rows = [
-        ([v[k] for v in columns] + [ZERO] * (num_vars - len(columns)), lp.EQ, target[k])
-        for k in range(n)
-    ]
-    simplex_row = [ZERO] * num_vars
-    pos = 0
-    for verts in obj_tables:
-        for _ in verts:
-            simplex_row[pos] = ONE
-            pos += 1
-    rows.append((simplex_row, lp.EQ, ONE))
-    for j in range(num_vars):
-        unit = [ZERO] * num_vars
-        unit[j] = ONE
-        rows.append((unit, lp.GE, ZERO))
-    return rows
+        if not ss.is_empty:
+            active_tables.append((t, ss.base.vertices, ss.recession.generators))
+    cones = [tuple(verts) + tuple(rays) for _, verts, rays in active_tables]
+    res = decompose(target, obj_tables, cones, margin)
+    if not isinstance(res, list):
+        return res
+    tau = res.pop() if margin else None
+    return (*_group_terms(res, obj_tables, active_tables, p.dimension), tau)
 
 
 def _group_terms(values, obj_tables, active_tables, n):
-    pos = 0
-    oterms = []
-    for i, verts in enumerate(obj_tables):
-        mus = values[pos : pos + len(verts)]
-        pos += len(verts)
-        alpha = sum(mus, ZERO)
-        if alpha > 0:
-            coeffs = tuple(m / alpha for m in mus)
-            xi = tuple(
-                sum((c * v[k] for c, v in zip(coeffs, verts)), ZERO) for k in range(n)
-            )
-        else:
-            # the selection is immaterial at weight zero; pin the first vertex
-            coeffs = (ONE,) + (ZERO,) * (len(verts) - 1)
-            xi = tuple(verts[0])
-        oterms.append(ObjectiveTerm(i, alpha, xi, coeffs, tuple(verts)))
+    oterms = tuple(
+        ObjectiveTerm(i, alpha, xi, coeffs, tuple(verts))
+        for i, ((alpha, coeffs, xi), verts) in enumerate(
+            zip(hull_terms(values, obj_tables), obj_tables)
+        )
+    )
+    pos = sum(len(verts) for verts in obj_tables)
     cterms = []
     for t, verts, rays in active_tables:
         nus = values[pos : pos + len(verts)]
@@ -204,25 +185,14 @@ def _group_terms(values, obj_tables, active_tables, n):
             cterms.append(
                 ConstraintTerm(t, ZERO, None, (), tuple(verts), tuple(sigmas), tuple(rays))
             )
-    return tuple(oterms), tuple(cterms)
+    return oterms, tuple(cterms)
 
 
-def _decompose_target(p: MosipProblem, cp: CandidatePoint, target):
-    """Exact multipliers writing `target` over the objective and active
-    constraint subdifferentials; the caller guarantees target in F* + G*."""
-    obj_tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
-    active_tables = _active_subdiff_tables(cp)
-    num_vars = sum(len(v) for v in obj_tables) + sum(
-        len(v) + len(r) for _, v, r in active_tables
-    )
-    rows = _decomposition_rows(obj_tables, active_tables, target, num_vars)
-    res = lp.feasible_point(num_vars, rows)
-    if isinstance(res, lp.Infeasible):
-        raise InternalInconsistencyError(
-            "membership certified the target but the grouped decomposition "
-            "has no solution"
-        )
-    return _group_terms(list(res), obj_tables, active_tables, p.dimension)
+def _separator(cp: CandidatePoint, zero) -> KktSeparator:
+    """The separator of 0 from F* + G*, over the canonical tables; called
+    once the grouped decomposition of 0 has been found infeasible."""
+    out = separate(zero, GenConvexSet(cp.F_star, cp.G_star))
+    return KktSeparator(direction=out.separator, gap=out.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +204,10 @@ def weak_kkt(p: MosipProblem, cp: CandidatePoint):
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
     zero = tuple(ZERO for _ in range(p.dimension))
-    out = membership(zero, GenConvexSet(cp.F_star, cp.G_star))
-    if isinstance(out, NotMember):
-        return KktSeparator(direction=out.separator, gap=out.gap)
-    oterms, cterms = _decompose_target(p, cp, zero)
+    out = _decompose(p, cp, zero)
+    if not isinstance(out, tuple):
+        return _separator(cp, zero)
+    oterms, cterms, _ = out
     return KktCertificate(WEAK, zero, oterms, cterms)
 
 
@@ -264,15 +234,15 @@ def relative_interior_zero(s: GenConvexSet) -> bool:
     zero = tuple(ZERO for _ in range(s.dim))
     if isinstance(membership(zero, s), NotMember):
         return False
+    return _support_cone_is_subspace(s)
+
+
+def _support_cone_is_subspace(s: GenConvexSet) -> bool:
+    """No support normal a has a'd < 0 somewhere on {d : sigma(d) <= 0}."""
     normals = [tuple(v) for v in s.base.vertices]
     normals.extend(tuple(g) for g in s.recession.generators)
     n = s.dim
-    cone_rows = [(list(a), lp.LE, ZERO) for a in normals]
-    for j in range(n):
-        unit = [ZERO] * n
-        unit[j] = ONE
-        cone_rows.append((list(unit), lp.LE, ONE))
-        cone_rows.append(([-u for u in unit], lp.LE, ONE))
+    cone_rows = [(list(a), lp.LE, ZERO) for a in normals] + box_rows(n)
     for a in normals:
         res = lp.solve(lp.LinearProgram(n, [-ai for ai in a], list(cone_rows)))
         if not isinstance(res, lp.Optimal):
@@ -284,50 +254,23 @@ def relative_interior_zero(s: GenConvexSet) -> bool:
 
 def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
     """Maximize the smallest objective weight subject to exact stationarity;
-    a Strong certificate needs optimum > 0.  The relative-interior sufficient
-    test is evaluated independently and reported alongside."""
+    a Strong certificate needs optimum > 0.  That LP also decides
+    0 in F* + G*; the relative-interior sufficient test reuses the decision
+    and is reported alongside."""
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
     zero = tuple(ZERO for _ in range(p.dimension))
-    gs = GenConvexSet(cp.F_star, cp.G_star)
-    ri = relative_interior_zero(gs)
-    out = membership(zero, gs)
-    if isinstance(out, NotMember):
+    out = _decompose(p, cp, zero, margin=True)
+    if not isinstance(out, tuple):
         return StrongKktResult(
             certificate=None,
             tau=None,
-            separator=KktSeparator(direction=out.separator, gap=out.gap),
-            ri_zero=ri,
+            separator=_separator(cp, zero),
+            ri_zero=False,
             refusal="the weak KKT condition already fails",
         )
-    obj_tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
-    active_tables = _active_subdiff_tables(cp)
-    base_vars = sum(len(v) for v in obj_tables) + sum(
-        len(v) + len(r) for _, v, r in active_tables
-    )
-    num_vars = base_vars + 1  # trailing tau
-    rows = [
-        (coeffs + [ZERO], rel, rhs)
-        for coeffs, rel, rhs in _decomposition_rows(
-            obj_tables, active_tables, zero, base_vars
-        )
-    ]
-    pos = 0
-    for verts in obj_tables:
-        margin = [ZERO] * num_vars
-        for _ in verts:
-            margin[pos] = ONE
-            pos += 1
-        margin[-1] = -ONE
-        rows.append((margin, lp.GE, ZERO))
-    tau_cap = [ZERO] * num_vars
-    tau_cap[-1] = ONE
-    rows.append((tau_cap, lp.LE, ONE))
-    objective = [ZERO] * base_vars + [ONE]
-    res = lp.solve(lp.LinearProgram(num_vars, objective, rows))
-    if not isinstance(res, lp.Optimal):
-        raise InternalInconsistencyError("stationarity is feasible and tau is capped")
-    tau = res.value
+    ri = _support_cone_is_subspace(GenConvexSet(cp.F_star, cp.G_star))
+    oterms, cterms, tau = out
     if tau <= 0:
         return StrongKktResult(
             certificate=None,
@@ -337,9 +280,6 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
             refusal="every exact multiplier vector drives some objective "
             "weight to zero",
         )
-    oterms, cterms = _group_terms(
-        list(res.primal[:base_vars]), obj_tables, active_tables, p.dimension
-    )
     return StrongKktResult(
         certificate=KktCertificate(STRONG, zero, oterms, cterms),
         tau=tau,
@@ -383,7 +323,13 @@ def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
         for sign in (ONE, -ONE):
             target = [ZERO] * p.dimension
             target[j] = sign * nu
-            oterms, cterms = _decompose_target(p, cp, tuple(target))
+            out = _decompose(p, cp, tuple(target))
+            if not isinstance(out, tuple):
+                raise InternalInconsistencyError(
+                    "zero_interior certified the ball but the grouped decomposition "
+                    "of an axis point has no solution"
+                )
+            oterms, cterms, _ = out
             axes.append(KktCertificate(PERTURBED, tuple(target), oterms, cterms))
     return PerturbedKktReport(
         holds=True,
@@ -518,16 +464,6 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
 # Serialization ([num, den] rationals throughout)
 
 
-def _q_in(obj) -> Q:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise ParseError(f"expected a [num, den] pair, got {obj!r}")
-    return Q(int(obj[0]), int(obj[1]))
-
-
-def _vec_in(obj) -> tuple:
-    return tuple(_q_in(c) for c in obj)
-
-
 def certificate_to_json(cert: KktCertificate) -> dict:
     return jsonify(
         {
@@ -567,26 +503,26 @@ def certificate_from_json(doc: dict) -> KktCertificate:
         oterms = tuple(
             ObjectiveTerm(
                 index=int(t["index"]),
-                alpha=_q_in(t["alpha"]),
-                xi=_vec_in(t["xi"]),
-                coeffs=_vec_in(t["coeffs"]),
-                vertices=tuple(_vec_in(v) for v in t["vertices"]),
+                alpha=q_from_pair(t["alpha"]),
+                xi=tuple(map(q_from_pair, t["xi"])),
+                coeffs=tuple(map(q_from_pair, t["coeffs"])),
+                vertices=tuple(tuple(map(q_from_pair, v)) for v in t["vertices"]),
             )
             for t in doc["objectives"]
         )
         cterms = tuple(
             ConstraintTerm(
                 index=int(t["index"]),
-                beta=_q_in(t["beta"]),
-                zeta=None if t["zeta"] is None else _vec_in(t["zeta"]),
-                coeffs=_vec_in(t["coeffs"]),
-                vertices=tuple(_vec_in(v) for v in t["vertices"]),
-                ray_coeffs=_vec_in(t["ray_coeffs"]),
-                rays=tuple(_vec_in(r) for r in t["rays"]),
+                beta=q_from_pair(t["beta"]),
+                zeta=None if t["zeta"] is None else tuple(map(q_from_pair, t["zeta"])),
+                coeffs=tuple(map(q_from_pair, t["coeffs"])),
+                vertices=tuple(tuple(map(q_from_pair, v)) for v in t["vertices"]),
+                ray_coeffs=tuple(map(q_from_pair, t["ray_coeffs"])),
+                rays=tuple(tuple(map(q_from_pair, r)) for r in t["rays"]),
             )
             for t in doc["constraints"]
         )
-        return KktCertificate(kind, _vec_in(doc["target"]), oterms, cterms)
+        return KktCertificate(kind, tuple(map(q_from_pair, doc["target"])), oterms, cterms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate document: {exc}") from exc
 
@@ -612,14 +548,14 @@ def perturbed_from_json(doc: dict) -> PerturbedKktReport:
     try:
         return PerturbedKktReport(
             holds=bool(doc["holds"]),
-            nu_lb=_q_in(doc["nu_lb"]),
+            nu_lb=q_from_pair(doc["nu_lb"]),
             exact=bool(doc["exact"]),
             axis_certificates=tuple(
                 certificate_from_json(c) for c in doc["axis_certificates"]
             ),
             witness_direction=None
             if doc["witness_direction"] is None
-            else _vec_in(doc["witness_direction"]),
+            else tuple(map(q_from_pair, doc["witness_direction"])),
             note=doc.get("note", ""),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,6 @@
 """The MOSIP model: vector objectives, a constraint family over an index set
 (finite, or an infinite builtin family materialized up to an explicit
-truncation), the feasible set S, the envelope functions psi/iota, active index
+truncation), the feasible set S, the envelope function psi, active index
 sets, and the derived sets F, F*, G, G*, Q^i, C(S, x), N(S, x) at a candidate
 point.
 
@@ -31,9 +31,7 @@ from .errors import (
 from .funcs import (
     Affine,
     ConvexFunc,
-    MaxAffine,
     NegSqrtParabola1D,
-    ScaledNormInf,
     SubdiffSet,
     SupportPolygon,
     evaluate,
@@ -41,7 +39,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import ExtReal, Q, as_q, q_pair, qdot, vec_q
+from .rationals import ExtReal, Q, as_q, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -304,14 +302,6 @@ def psi(p: MosipProblem, x) -> ExtValue:
     return ExtValue(max(vals), prov)
 
 
-def iota(p: MosipProblem, x) -> ExtValue:
-    """Lower envelope inf_t g_t(x) over the (possibly truncated) family."""
-    x = vec_q(x)
-    vals = [evaluate(p.constraint(k), x) for k in p.indices()]
-    prov = TRUNCATED if p.truncated else EXACT
-    return ExtValue(min(vals), prov)
-
-
 def _constraint_values(p: MosipProblem, x) -> tuple:
     """Every g_k(x) over the truncated family, after the exact feasibility
     check of x against the family and, when supplied, the closed-form S;
@@ -543,27 +533,18 @@ def sublevel_Q(p: MosipProblem, x, i: int) -> HPoly:
         if l == i:
             continue
         level = evaluate(f, x)
-        for a, b in _affine_pieces(f):
+        if f.domain is not None:
+            raise UnsupportedOperationError(
+                "sublevel rows are only built for domain-free polyhedral objectives"
+            )
+        pieces = funcs.affine_pieces(f)
+        if pieces is None:
+            raise UnsupportedOperationError(
+                f"{type(f).__name__} objectives have no polyhedral sublevel sets"
+            )
+        for a, b in pieces:
             rows.append((tuple(a), level - b))
     return HPoly(p.dimension, rows)
-
-
-def _affine_pieces(f: ConvexFunc) -> list:
-    if getattr(f, "domain", None) is not None:
-        raise UnsupportedOperationError(
-            "sublevel rows are only built for domain-free polyhedral objectives"
-        )
-    if isinstance(f, Affine):
-        return [(f.a, f.b)]
-    if isinstance(f, MaxAffine):
-        return list(f.pieces)
-    if isinstance(f, SupportPolygon):
-        return [(v, as_q(0)) for v in f.vertices]
-    if isinstance(f, ScaledNormInf):
-        return list(f.as_max_affine().pieces)
-    raise UnsupportedOperationError(
-        f"{type(f).__name__} objectives have no polyhedral sublevel sets"
-    )
 
 
 @dataclass(frozen=True)
@@ -661,20 +642,6 @@ class CandidatePoint:
 # problem files (JSON, [num, den] rationals, bit-exact for canonical docs)
 
 
-def _rows_out(poly: HPoly) -> dict:
-    return {"rows": [[q_pair(c) for c in list(a) + [b]] for a, b in poly.rows]}
-
-
-def _rows_in(obj, dim: int) -> HPoly:
-    rows = []
-    for row in obj["rows"]:
-        vals = [as_q(c) for c in row]
-        if len(vals) != dim + 1:
-            raise ParseError("feasible_set row length mismatch")
-        rows.append((vals[:dim], vals[dim]))
-    return HPoly(dim, rows)
-
-
 def problem_to_json(p: MosipProblem) -> dict:
     if isinstance(p.constraints, FiniteFamily):
         constraints = {"finite": [funcs.func_to_json(f) for f in p.constraints.functions]}
@@ -692,7 +659,7 @@ def problem_to_json(p: MosipProblem) -> dict:
         "constraints": constraints,
     }
     if p.feasible_set is not None:
-        out["feasible_set"] = _rows_out(p.feasible_set)
+        out["feasible_set"] = funcs.hpoly_to_json(p.feasible_set)
     if p.psi_override is not None:
         out["psi_override"] = funcs.func_to_json(p.psi_override)
     if p.annotations:
@@ -717,7 +684,7 @@ def problem_from_json(doc: dict) -> MosipProblem:
         else:
             raise ParseError("constraints must be 'finite' or 'indexed'")
         feasible = (
-            _rows_in(doc["feasible_set"], dim) if "feasible_set" in doc else None
+            funcs.hpoly_from_json(doc["feasible_set"], dim) if "feasible_set" in doc else None
         )
         override = (
             funcs.func_from_json(doc["psi_override"])

@@ -35,6 +35,7 @@ from .cones import (
     HCone,
     Polytope,
     Member,
+    box_rows,
     cone_member,
     contains,
     dd_convert,
@@ -48,11 +49,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .funcs import (
-    Affine,
-    MaxAffine,
     NegSqrtParabola1D,
-    ScaledNormInf,
-    SupportPolygon,
+    affine_pieces,
     dir_derivative,
     evaluate,
 )
@@ -140,11 +138,7 @@ def _min_max_direction(points, rec_gens, dim: int) -> tuple:
         raise ValueError("min-max over an empty point set")
     rows = [(list(v) + [-ONE], lp.LE, ZERO) for v in points]
     rows += [(list(r) + [ZERO], lp.LE, ZERO) for r in rec_gens]
-    for j in range(dim):
-        e = [ZERO] * (dim + 1)
-        e[j] = ONE
-        rows.append((list(e), lp.LE, ONE))
-        rows.append(([-c for c in e], lp.LE, ONE))
+    rows += box_rows(dim, 1)
     obj = [ZERO] * dim + [-ONE]
     res = lp.solve(lp.LinearProgram(dim + 1, obj, rows))
     if not isinstance(res, lp.Optimal):
@@ -176,23 +170,6 @@ def _zero_decomposition(points, rec_gens, dim: int) -> dict:
 
 def ZERO_POINT(dim: int) -> tuple:
     return tuple(ZERO for _ in range(dim))
-
-
-def _pl_rows(f) -> Optional[tuple]:
-    """Affine pieces and domain rows of a piecewise-linear function, or None
-    when f is not piecewise linear."""
-    if isinstance(f, Affine):
-        pieces = [(f.a, f.b)]
-    elif isinstance(f, MaxAffine):
-        pieces = list(f.pieces)
-    elif isinstance(f, SupportPolygon):
-        pieces = [(v, ZERO) for v in f.vertices]
-    elif isinstance(f, ScaledNormInf):
-        pieces = list(f.as_max_affine().pieces)
-    else:
-        return None
-    dom = list(f.domain.rows) if getattr(f, "domain", None) is not None else []
-    return pieces, dom
 
 
 def _rational_slack(value) -> Q:
@@ -229,13 +206,12 @@ def _slater_lp(members, n: int):
     found by walking an unbounded ray."""
     rows = []
     for f in members:
-        pd = _pl_rows(f)
-        if pd is None:
+        pieces = affine_pieces(f)
+        if pieces is None:
             return ("none", None, None)
-        pieces, dom = pd
         for a, b in pieces:
             rows.append((list(a) + [-ONE], lp.LE, -as_q(b)))
-        for a, c in dom:
+        for a, c in f.domain.rows if f.domain is not None else ():
             rows.append((list(a) + [ZERO], lp.LE, c))
     obj = [ZERO] * n + [-ONE]
     res = lp.solve(lp.LinearProgram(n + 1, obj, rows))
@@ -273,8 +249,7 @@ def _member_nonnegative_everywhere(p: MosipProblem, cap: int) -> Optional[int]:
     for k in p.indices():
         if k >= cap:
             break
-        pd = _pl_rows(p.constraint(k))
-        if pd is None:
+        if affine_pieces(p.constraint(k)) is None:
             continue  # built-in curved members all dip below zero
         state, tau, _ = _slater_lp([p.constraint(k)], n)
         if state == "optimal" and tau >= 0:

@@ -46,6 +46,13 @@ def q_pair(value) -> list:
     return [int(q.numerator), int(q.denominator)]
 
 
+def q_from_pair(obj) -> Q:
+    """Read a rational serialized as a [numerator, denominator] pair."""
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+        raise ParseError(f"expected a [num, den] pair, got {obj!r}")
+    return as_q(obj)
+
+
 def vec_q(values: Iterable[QLike]) -> list:
     return [as_q(v) for v in values]
 
@@ -178,10 +185,6 @@ ExtReal = Union[Q, _Infinity, NegSqrt]
 
 def is_finite(value) -> bool:
     return not isinstance(value, _Infinity)
-
-
-def ext_float(value) -> float:
-    return float(value)
 
 
 def sqrt_exact(q):

@@ -187,6 +187,16 @@ class TestExitCodes:
         assert err.startswith("error: parse: ")
         assert err.count("\n") == 1
 
+    def test_bad_domain_row_is_a_parse_error(self, capsys, tmp_path):
+        def edit(doc):
+            doc["objectives"][0]["domain"] = {"rows": [[[1, 1]]]}
+
+        path = self._broken_fixture(tmp_path, edit)
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ")
+        assert err.count("\n") == 1
+
     def test_missing_required_flag(self, capsys):
         code, _, err = _run(capsys, ["certify", "alternating-affine"])
         assert code == 3

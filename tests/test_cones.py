@@ -17,18 +17,14 @@ from mosipcert.cones import (
     NotMember,
     Polytope,
     cone_equal,
-    cone_is_trivial,
     cone_member,
     contains,
     dd_convert,
     membership,
     nontrivial_direction,
     polar,
-    polar_of_points,
     primitive,
-    relative_interior_member,
     span_rank,
-    strictly_negative_polar,
     zero_interior,
 )
 from mosipcert.errors import UnsupportedDimensionError
@@ -222,8 +218,7 @@ def test_zero_interior_radius_certifies_axis_points() -> None:
 
 
 def test_cone_triviality() -> None:
-    assert cone_is_trivial(HCone(1, [[1], [-1]]))
-    assert not cone_is_trivial(HCone(1, [[1]]))
+    assert nontrivial_direction(HCone(1, [[1], [-1]])) is None
     d = nontrivial_direction(HCone(1, [[1]]))
     assert d is not None and d[0] < 0
 
@@ -248,30 +243,11 @@ def test_contains_hcone_in_fgcone() -> None:
     assert w[0] <= 0 and cone_member(w, FGCone(2, [[-1, 0]])) is None
 
 
-def test_strictly_negative_polar_frozen() -> None:
-    res = strictly_negative_polar([[2]], 1)
-    assert res.direction is not None and 2 * res.direction[0] < 0
-    assert strictly_negative_polar([[1, 0], [-1, 0]], 2).direction is None
-    empty = strictly_negative_polar([], 2)
-    assert empty.direction is None and empty.vacuous
-
-
 def test_span_rank_frozen() -> None:
     assert span_rank([[-2], [-1]]) == 1
     assert span_rank([[-1, 0]]) == 1
     assert span_rank([[0, 0]]) == 0
     assert span_rank([[1, 0, 0], [1, 1, 0], [2, 1, 0]]) == 2
-
-
-def test_relative_interior_frozen() -> None:
-    q = Polytope(1, [[-2], [-1]])
-    mid = relative_interior_member([Q(-3, 2)], q)
-    assert mid.member and mid.coefficients == (Q(1, 2), Q(1, 2))
-    assert not relative_interior_member([-2], q).member
-    assert not relative_interior_member([0], q).member
-    assert not relative_interior_member([0], Polytope(1, [])).member
-    # a single point is its own relative interior
-    assert relative_interior_member([5], Polytope(1, [[5]])).member
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +326,10 @@ def test_contains_witness_verifies(seed: int) -> None:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: strictly_negative_polar([[1, 0]], 2),
         lambda: nontrivial_direction(HCone(2, [[1, 0]])),
         lambda: contains(HCone(2, [[1, 0]]), HCone(2, [[1, 1]])),
     ],
-    ids=["strictly_negative_polar", "nontrivial_direction", "contains"],
+    ids=["nontrivial_direction", "contains"],
 )
 def test_unexpected_lp_outcome_is_an_internal_inconsistency(monkeypatch, call) -> None:
     # an LP that must have an optimum comes back infeasible: exit 4 from the

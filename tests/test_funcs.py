@@ -24,7 +24,7 @@ from mosipcert.funcs import (
     subdiff,
     subdiff_set,
 )
-from mosipcert.rationals import NEG_INF, POS_INF, NegSqrt, Q, ext_float, qdot
+from mosipcert.rationals import NEG_INF, POS_INF, NegSqrt, Q, qdot
 
 
 def test_affine_basics():
@@ -189,7 +189,7 @@ def test_max_formula_for_directional_derivative(f, x, d):
 @given(f=max_affines(), x=vec2)
 def test_float_path_tracks_exact_path(f, x):
     x = [Q(c) for c in x]
-    assert eval_float(f, x) == pytest.approx(ext_float(evaluate(f, x)), abs=1e-9)
+    assert eval_float(f, x) == pytest.approx(float(evaluate(f, x)), abs=1e-9)
 
 
 def test_neg_sqrt_parabola_float_convexity_spot_check():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosipcert import instances, kkt, quals
-from mosipcert.cones import FGCone, GenConvexSet, Polytope
+from mosipcert.cones import FGCone, GenConvexSet, Member, Polytope, membership
 from mosipcert.errors import InternalInconsistencyError, ParseError
 from mosipcert.funcs import Affine, HPoly, MaxAffine
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
@@ -168,6 +168,75 @@ class TestRelativeInteriorZero:
     def test_origin_outside(self):
         seg = Polytope(2, [(ONE, ZERO), (Q(2), ZERO)])
         assert kkt.relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
+
+
+class TestOneMembershipDecision:
+    """weak_kkt and strong_kkt decide 0 in F* + G* by their own grouped LP;
+    the separator LP runs only when that LP is infeasible."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        from mosipcert import cones, lp
+
+        counts = {"solve": 0, "membership": 0}
+        solve, membership = lp.solve, cones.membership
+
+        def counted_solve(prog):
+            counts["solve"] += 1
+            return solve(prog)
+
+        def counted_membership(*args):
+            counts["membership"] += 1
+            return membership(*args)
+
+        monkeypatch.setattr(lp, "solve", counted_solve)
+        monkeypatch.setattr(cones, "membership", counted_membership)
+        monkeypatch.setattr(kkt, "membership", counted_membership)
+        return counts
+
+    def test_weak_certificate_is_one_lp(self, ex1, monkeypatch):
+        p, cp = ex1
+        counts = self._count_solves(monkeypatch)
+        assert isinstance(kkt.weak_kkt(p, cp), kkt.KktCertificate)
+        assert counts == {"solve": 1, "membership": 0}
+
+    def test_weak_separator_is_decomposition_plus_separator(self, ex2, monkeypatch):
+        p, cp = ex2
+        counts = self._count_solves(monkeypatch)
+        assert isinstance(kkt.weak_kkt(p, cp), kkt.KktSeparator)
+        assert counts == {"solve": 2, "membership": 0}
+
+    def test_strong_refusal_is_tau_lp_plus_separator(self, ex2, monkeypatch):
+        p, cp = ex2
+        counts = self._count_solves(monkeypatch)
+        out = kkt.strong_kkt(p, cp)
+        assert out.separator is not None and out.ri_zero is False
+        assert counts == {"solve": 2, "membership": 0}
+
+    def test_strong_certificate_adds_only_support_cone_lps(self, ex1, monkeypatch):
+        p, cp = ex1
+        normals = len(cp.F_star.vertices) + len(cp.G_star.generators)
+        counts = self._count_solves(monkeypatch)
+        out = kkt.strong_kkt(p, cp)
+        assert out.certificate is not None
+        # the tau-LP, then at most one support-cone LP per normal
+        assert counts["membership"] == 0
+        assert 1 < counts["solve"] <= 1 + normals
+
+    def test_grouped_decomposition_decides_membership(self):
+        rng = random.Random(7919)
+        outcomes = set()
+        for _ in range(40):
+            p, x = random_polyhedral_problem(rng)
+            cp = CandidatePoint.build(p, x)
+            zero = tuple(ZERO for _ in range(p.dimension))
+            gs = GenConvexSet(cp.F_star, cp.G_star)
+            member = isinstance(membership(zero, gs), Member)
+            outcomes.add(member)
+            assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
+            assert isinstance(kkt._decompose(p, cp, zero, margin=True), tuple) == member
+            assert kkt.strong_kkt(p, cp).ri_zero == kkt.relative_interior_zero(gs)
+        assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

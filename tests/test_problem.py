@@ -33,7 +33,6 @@ from mosipcert.problem import (
     dump_problem,
     f_sets,
     g_sets,
-    iota,
     octagon_vertices,
     problem_from_json,
     problem_to_json,
@@ -117,16 +116,9 @@ def test_psi_octagon_is_plus_infinity_off_the_orthant():
     assert out.value == Q(12)  # top vertex of the largest octagon: 2(1+5)
 
 
-def test_iota_linear_fixture():
-    p = linear_tail_problem()
-    out = iota(p, [-1])
-    assert out.value == Q(-4) and out.provenance == TRUNCATED
-
-
 def test_psi_iota_singleton_family():
     p = MosipProblem(1, [Affine([1], 0)], FiniteFamily([Affine([2], -3)]))
     assert psi(p, [5]).value == Q(7)
-    assert iota(p, [5]).value == Q(7)
     assert psi(p, [5]).provenance == EXACT
 
 
