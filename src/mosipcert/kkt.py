@@ -6,9 +6,10 @@ sum_i alpha_i xi_i + sum_t beta_t zeta_t with xi_i in the i-th objective
 subdifferential and zeta_t in the subdifferential of the t-th active
 constraint.  Weak takes w = 0, strong additionally pushes every alpha_i above
 a maximized margin, perturbed decomposes the scaled axis points of a
-certified ball inside F*(x) + G*(x).  Weak and strong decide 0 in F* + G* by
-that one LP; the separator LP over the canonical F* and G* runs only when it
-is infeasible.
+certified ball inside F*(x) + G*(x).  Weak and strong share one decision of
+0 in F* + G*, `CandidatePoint.zero_decision`, a `decompose` over the
+canonical F* vertices and G* generators.  The grouped LP runs only when the
+decision is feasible, and the separator LP only when it is not.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from . import lp
 from .cones import (
     FGCone,
     GenConvexSet,
-    NotMember,
     box_rows,
     decompose,
     hull_terms,
-    membership,
     separate,
     zero_interior,
 )
@@ -190,9 +189,20 @@ def _group_terms(values, obj_tables, active_tables, n):
 
 def _separator(cp: CandidatePoint, zero) -> KktSeparator:
     """The separator of 0 from F* + G*, over the canonical tables; called
-    once the grouped decomposition of 0 has been found infeasible."""
+    once `cp.zero_decision()` has found 0 outside."""
     out = separate(zero, GenConvexSet(cp.F_star, cp.G_star))
     return KktSeparator(direction=out.separator, gap=out.gap)
+
+
+def _decompose_zero(p: MosipProblem, cp: CandidatePoint, zero, margin=False):
+    """The grouped decomposition of 0, run once `cp.zero_decision()` has
+    found 0 in F* + G*: the grouped tables span the same set, so it exists."""
+    out = _decompose(p, cp, zero, margin)
+    if not isinstance(out, tuple):
+        raise InternalInconsistencyError(
+            "0 decomposes over the canonical F* + G* but not over the grouped tables"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +214,9 @@ def weak_kkt(p: MosipProblem, cp: CandidatePoint):
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
     zero = tuple(ZERO for _ in range(p.dimension))
-    out = _decompose(p, cp, zero)
-    if not isinstance(out, tuple):
+    if not isinstance(cp.zero_decision(), list):
         return _separator(cp, zero)
-    oterms, cterms, _ = out
+    oterms, cterms, _ = _decompose_zero(p, cp, zero)
     return KktCertificate(WEAK, zero, oterms, cterms)
 
 
@@ -222,19 +231,6 @@ class StrongKktResult:
     separator: Optional[tuple]
     ri_zero: Optional[bool]  # the separate geometric test 0 in ri(F* + G*)
     refusal: str = ""
-
-
-def relative_interior_zero(s: GenConvexSet) -> bool:
-    """0 in ri(base + recession), exactly.
-
-    0 is relative-interior iff it belongs to the set and the support cone
-    {d : sigma(d) <= 0} is a linear subspace, i.e. no support normal can be
-    strictly decreased over it.
-    """
-    zero = tuple(ZERO for _ in range(s.dim))
-    if isinstance(membership(zero, s), NotMember):
-        return False
-    return _support_cone_is_subspace(s)
 
 
 def _support_cone_is_subspace(s: GenConvexSet) -> bool:
@@ -254,14 +250,13 @@ def _support_cone_is_subspace(s: GenConvexSet) -> bool:
 
 def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
     """Maximize the smallest objective weight subject to exact stationarity;
-    a Strong certificate needs optimum > 0.  That LP also decides
-    0 in F* + G*; the relative-interior sufficient test reuses the decision
-    and is reported alongside."""
+    a Strong certificate needs optimum > 0.  The relative-interior
+    sufficient test 0 in ri(F* + G*) is reported alongside: 0 is in the set
+    by the shared decision, so only the support cone is left to test."""
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
     zero = tuple(ZERO for _ in range(p.dimension))
-    out = _decompose(p, cp, zero, margin=True)
-    if not isinstance(out, tuple):
+    if not isinstance(cp.zero_decision(), list):
         return StrongKktResult(
             certificate=None,
             tau=None,
@@ -269,8 +264,8 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
             ri_zero=False,
             refusal="the weak KKT condition already fails",
         )
+    oterms, cterms, tau = _decompose_zero(p, cp, zero, margin=True)
     ri = _support_cone_is_subspace(GenConvexSet(cp.F_star, cp.G_star))
-    oterms, cterms, tau = out
     if tau <= 0:
         return StrongKktResult(
             certificate=None,

@@ -39,6 +39,10 @@ from .rationals import Q, as_q, vec_q
 FLOAT_SLACK = 1e-9
 _NEAR_ZERO = 1e-12
 
+#: most grid points one scan may hold in memory (float arrays of this many
+#: rows); 101 points per axis in three dimensions is 1,030,301
+MAX_GRID_POINTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -112,7 +116,8 @@ def _exactly_dominates(p: MosipProblem, x, x_hat, strict: bool) -> bool:
 def classify_grid(p: MosipProblem, x_hat, box, resolution: int) -> OracleReport:
     """Exhaustive scan of the grid over ``box`` restricted to the feasible
     region.  ``box`` is one (lo, hi) pair per coordinate and must contain the
-    candidate; ``resolution`` is the point count per axis (at least 2)."""
+    candidate; ``resolution`` is the point count per axis (at least 2, and
+    at most MAX_GRID_POINTS points in all)."""
     x_hat = tuple(vec_q(x_hat))
     check_feasible(p, x_hat)
     box_q = [(as_q(lo), as_q(hi)) for lo, hi in box]
@@ -125,6 +130,14 @@ def classify_grid(p: MosipProblem, x_hat, box, resolution: int) -> OracleReport:
     resolution = int(resolution)
     if resolution < 2:
         raise ModelError("resolution needs at least two points per axis")
+    points = 1
+    for _ in range(p.dimension):
+        points *= resolution
+        if points > MAX_GRID_POINTS:
+            raise ModelError(
+                f"resolution {resolution} in dimension {p.dimension} gives more "
+                f"than {MAX_GRID_POINTS} grid points"
+            )
 
     n = p.dimension
     shape = (resolution,) * n

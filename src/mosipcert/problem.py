@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import funcs
-from .cones import FGCone, HCone, HPoly, Polytope, contains
+from .cones import FGCone, HCone, HPoly, Polytope, contains, dd_convert, decompose
 from .errors import (
     InfeasiblePointError,
     InternalInconsistencyError,
@@ -39,7 +39,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import ExtReal, Q, as_q, qdot, vec_q
+from .rationals import ZERO, ExtReal, Q, as_q, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -358,7 +358,8 @@ class SubdiffTable:
 
     * ``objective(i)`` is subdiff(f_i, x), a polytope;
     * ``constraint(k)`` is subdiff_set(g_k, x), for any index k;
-    * ``psi()`` is psi_subdiff(p, x), built from the argmax members' entries;
+    * ``psi()`` is the envelope's subdifferential, built from the argmax
+      members' entries;
     * ``values`` holds every g_k(x).
 
     A computation that is refused (UnsupportedOperationError) is not stored,
@@ -403,6 +404,14 @@ class SubdiffTable:
         return base, rec
 
     def psi(self) -> Optional[SubdiffSet]:
+        """Subdifferential of the upper envelope at x, when representable.
+
+        The override's subdifferential is exact by the model contract.
+        Without an override, a finite family admits the max rule (convex
+        hull of the argmax members' subdifferentials); a truncated family
+        does not pin down the envelope near x, so the result is None
+        (undecidable downstream).
+        """
         if self._psi is _UNSET:
             self._psi = self._envelope_subdiff()
         return self._psi
@@ -427,47 +436,6 @@ class SubdiffTable:
             base.extend(ss.base.vertices)
             rec.extend(ss.recession.generators)
         return SubdiffSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
-
-
-@dataclass(frozen=True)
-class FSets:
-    F: tuple  # union of objective subdifferential vertex sets
-    F_star: Polytope  # conv(F)
-
-
-def f_sets(p: MosipProblem, x) -> FSets:
-    return _f_sets(p, SubdiffTable(p, tuple(vec_q(x))))
-
-
-def _f_sets(p: MosipProblem, table: SubdiffTable) -> FSets:
-    points = []
-    for i in range(p.num_objectives):
-        sd = table.objective(i)
-        if sd.is_empty:
-            raise ModelError(
-                f"objective {i} has empty subdifferential at {list(table.x)}; "
-                "objectives must be finite-valued convex functions"
-            )
-        points.extend(v for v in sd.vertices if v not in points)
-    return FSets(tuple(points), Polytope(p.dimension, points))
-
-
-@dataclass(frozen=True)
-class GSets:
-    G: tuple  # union of active-constraint subdifferential vertex sets
-    is_empty: bool
-    G_star: FGCone  # cone(G), including recession directions of unbounded parts
-
-
-def g_sets(p: MosipProblem, x) -> GSets:
-    x = tuple(vec_q(x))
-    return _g_sets(p, SubdiffTable(p, x), active_set(p, x, 0))
-
-
-def _g_sets(p: MosipProblem, table: SubdiffTable, active) -> GSets:
-    points, extra = table.union(active)
-    empty = not points and not extra
-    return GSets(tuple(points), empty, FGCone(p.dimension, points + extra))
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +471,6 @@ def psi_data_provenance(p: MosipProblem) -> str:
     if p.annotations.get("subdifferentials_approximated"):
         return APPROXIMATED
     return TRUNCATED if p.truncated else EXACT
-
-
-def psi_subdiff(p: MosipProblem, x) -> Optional[SubdiffSet]:
-    """Subdifferential of the upper envelope at x, when representable.
-
-    The override's subdifferential is exact by the model contract.  Without
-    an override, a finite family admits the max rule (convex hull of the
-    argmax members' subdifferentials); a truncated family does not pin down
-    the envelope near x, so the result is None (undecidable downstream).
-    """
-    return SubdiffTable(p, tuple(vec_q(x))).psi()
 
 
 def sublevel_Q(p: MosipProblem, x, i: int) -> HPoly:
@@ -574,8 +531,23 @@ class CandidatePoint:
     `gap` read, and the constraint values g_k(x).  Building the point fills
     in the objective entries and the active constraints' entries; any other
     constraint's entry and the envelope's are computed on first request and
-    kept.  The table lives and dies with the point.  The certificate
-    verifiers do not read it: they recompute from the problem data.
+    kept.
+
+    The cones derived from these sets are likewise computed on first request
+    and kept in `derived`:
+
+    * ``g_polar()``, the negative polar G^0(x) with its provenance and source
+      (ACQ, WADQ, EADQ);
+    * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
+      description (WADQ, EADQ);
+    * ``sublevel_tangent(i)``, the tangent cone of Q^i(x) at x (EADQ);
+    * ``zero_decision()``, the decomposition LP deciding 0 in F* + G* over
+      the canonical vertices and generators (weak and strong KKT).
+
+    A refused computation (UnsupportedDimensionError above the double
+    description cap, say) is not stored, so every request raises it again.
+    The table and the entries live and die with the point.  The certificate
+    verifiers read neither: they recompute from the problem data.
     """
 
     problem: MosipProblem
@@ -590,14 +562,25 @@ class CandidatePoint:
     N: Optional[FGCone]
     Q: Optional[tuple]  # per-objective H-polyhedra when constructible
     table: SubdiffTable = field(compare=False, repr=False)
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(p: MosipProblem, x) -> "CandidatePoint":
         x = tuple(vec_q(x))
         table = SubdiffTable(p, x, _constraint_values(p, x))
         T = tuple(_eps_active(table.values, 0))
-        fs = _f_sets(p, table)
-        gs = _g_sets(p, table, T)
+        F: list = []
+        for i in range(p.num_objectives):
+            sd = table.objective(i)
+            if sd.is_empty:
+                raise ModelError(
+                    f"objective {i} has empty subdifferential at {list(x)}; "
+                    "objectives must be finite-valued convex functions"
+                )
+            F.extend(v for v in sd.vertices if v not in F)
+        F_star = Polytope(p.dimension, F)
+        G, rec = table.union(T)
+        G_star = FGCone(p.dimension, G + rec)
         C = N = None
         Q = None
         if p.feasible_set is not None:
@@ -607,7 +590,7 @@ class CandidatePoint:
                 Q = tuple(sublevel_Q(p, x, i) for i in range(p.num_objectives))
             except UnsupportedOperationError:
                 Q = None
-            if not contains(gs.G_star, N).holds:
+            if not contains(G_star, N).holds:
                 raise InternalInconsistencyError(
                     "active-gradient cone escapes the normal cone to S"
                 )
@@ -615,15 +598,59 @@ class CandidatePoint:
             problem=p,
             x=x,
             T=T,
-            F=fs.F,
-            F_star=fs.F_star,
-            G=gs.G,
-            G_is_empty=gs.is_empty,
-            G_star=gs.G_star,
+            F=tuple(F),
+            F_star=F_star,
+            G=tuple(G),
+            G_is_empty=not G and not rec,
+            G_star=G_star,
             C=C,
             N=N,
             Q=Q,
             table=table,
+        )
+
+    def _kept(self, key, compute):
+        if key not in self.derived:
+            self.derived[key] = compute()
+        return self.derived[key]
+
+    def g_polar(self) -> tuple:
+        """(HCone, provenance, source): the negative polar of the
+        active-subgradient union, preferring a documented closed form over
+        the polar of the truncated cone."""
+
+        def compute():
+            p = self.problem
+            doc = p.annotations.get("documented_g_polar")
+            if doc:
+                normals = [tuple(Q(c[0], c[1]) for c in row) for row in doc["normals"]]
+                return HCone(p.dimension, normals), EXACT, "documented closed-form polar"
+            prov = g_data_provenance(p, self.x)
+            return HCone(p.dimension, self.G_star.generators), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
+
+        return self._kept("g_polar", compute)
+
+    def fg_polar(self) -> FGCone:
+        """F^0(x) intersect G^0(x) as generators: one double description of
+        the objective subgradients together with the G-polar's normals."""
+
+        def compute():
+            rows = list(self.F) + list(self.g_polar()[0].normals)
+            return dd_convert(HCone(self.problem.dimension, rows))
+
+        return self._kept("fg_polar", compute)
+
+    def sublevel_tangent(self, i: int) -> HCone:
+        """The tangent cone at x of the sublevel polyhedron Q^i(x)."""
+        return self._kept(("sublevel_tangent", i), lambda: self.Q[i].tangent_cone(self.x))
+
+    def zero_decision(self):
+        """`decompose` of 0 over the canonical F* vertices and G* generators:
+        the weights when 0 is in F* + G*, else the LP's `lp.Infeasible`."""
+        zero = tuple(ZERO for _ in self.x)
+        return self._kept(
+            "zero_decision",
+            lambda: decompose(zero, [self.F_star.vertices], [self.G_star.generators]),
         )
 
     def active(self, eps) -> list:

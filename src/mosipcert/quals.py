@@ -38,7 +38,6 @@ from .cones import (
     box_rows,
     cone_member,
     contains,
-    dd_convert,
     membership,
     span_rank,
 )
@@ -433,10 +432,7 @@ def _check_lfmcq(p, cp, opts):
     if cp.N is None:
         return QualReport("LFMCQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs an H-representation of S for the normal cone")
     prov = g_data_provenance(p, cp.x)
-    fwd = contains(cp.G_star, cp.N)
-    if not fwd.holds:
-        witness = {"kind": "escaping_generator", "direction": fwd.witness, "escapes": "normal cone"}
-        return QualReport("LFMCQ", FAILS, prov, witness, "an active-subgradient direction leaves the normal cone")
+    # G* lies in N: CandidatePoint.build checks it whenever N exists
     back = contains(cp.N, cp.G_star)
     if not back.holds:
         witness = {"kind": "escaping_generator", "direction": back.witness, "escapes": "active-gradient cone"}
@@ -575,23 +571,12 @@ def _check_cccq(p, cp, opts):
     )
 
 
-def _g_polar(p, cp) -> tuple:
-    """The negative polar of the active-subgradient union, preferring a
-    documented closed form over the polar of the truncated cone."""
-    doc = p.annotations.get("documented_g_polar")
-    if doc:
-        normals = [tuple(Q(c[0], c[1]) for c in row) for row in doc["normals"]]
-        return HCone(p.dimension, normals), EXACT, "documented closed-form polar"
-    prov = g_data_provenance(p, cp.x)
-    return HCone(p.dimension, cp.G_star.generators), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
-
-
 def _check_acq(p, cp, opts):
     if cp.G_is_empty:
         return QualReport("ACQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.C is None:
         return QualReport("ACQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs an H-representation of S for the contingent cone")
-    g0, prov, source = _g_polar(p, cp)
+    g0, prov, source = cp.g_polar()
     res = contains(g0, cp.C)
     if res.holds:
         witness = {"kind": "containment", "lhs_normals": g0.normals, "rhs_normals": cp.C.normals}
@@ -600,20 +585,13 @@ def _check_acq(p, cp, opts):
     return QualReport("ACQ", FAILS, prov, witness, f"a direction of the {source} leaves the contingent cone")
 
 
-def _fg_polar_cone(p, cp) -> tuple:
-    """F^0 intersect G^0 as generators (double description), with provenance."""
-    g0, gprov, source = _g_polar(p, cp)
-    rows = list(cp.F) + list(g0.normals)
-    cone = dd_convert(HCone(p.dimension, rows))
-    return cone, gprov, source
-
-
 def _check_wadq(p, cp, opts):
     if cp.G_is_empty:
         return QualReport("WADQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.C is None:
         return QualReport("WADQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs an H-representation of S for the contingent cone")
-    cone, prov, source = _fg_polar_cone(p, cp)
+    _, prov, source = cp.g_polar()
+    cone = cp.fg_polar()
     tested = []
     for g in cone.generators:
         if max(qdot(v, g) for v in cp.F) < 0:  # strictly objective-decreasing
@@ -633,11 +611,11 @@ def _check_eadq(p, cp, opts):
         return QualReport("EADQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.Q is None:
         return QualReport("EADQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs sublevel-set H-representations for every objective")
-    cone, prov, source = _fg_polar_cone(p, cp)
+    _, prov, source = cp.g_polar()
+    cone = cp.fg_polar()
     for g in cone.generators:
-        for i, qi in enumerate(cp.Q):
-            ci = qi.tangent_cone(cp.x)
-            if not ci.member(g):
+        for i in range(len(cp.Q)):
+            if not cp.sublevel_tangent(i).member(g):
                 witness = {"kind": "escaping_generator", "generator": g, "objective": i}
                 return QualReport("EADQ", FAILS, prov, witness, "a polar generator leaves a sublevel contingent cone")
     witness = {"kind": "generator_memberships", "generators": cone.generators}

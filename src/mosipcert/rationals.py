@@ -26,7 +26,11 @@ ONE = Q(1)
 
 
 def as_q(value: QLike) -> Q:
-    """Coerce ints, strings, [num, den] pairs and rationals to Q. Floats are refused."""
+    """Coerce ints, strings, [num, den] pairs and rationals to Q. Floats are
+    refused.  A value that already is a Q is returned as it is: Q is
+    immutable, so rebuilding it would only cost time."""
+    if type(value) is Q:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; rationalize explicitly")
     if isinstance(value, (tuple, list)):

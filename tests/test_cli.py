@@ -213,6 +213,26 @@ class TestExitCodes:
         assert code == 3
         assert "error: usage:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "octagon-support", "--point", "0,0", "--box=-2:0,-2:0"],
+            ["report", "alternating-affine", "--point", "0", "--box=-3:0"],
+        ],
+    )
+    def test_oversized_grid_is_refused_before_it_is_built(self, argv, capsys, monkeypatch):
+        from mosipcert import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(oracle.np, "meshgrid", never)
+        monkeypatch.setattr(oracle.np, "linspace", never)
+        code, out, err = _run(capsys, argv + ["--resolution", str(10**12)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: model: ") and err.count("\n") == 1
+        assert str(oracle.MAX_GRID_POINTS) in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = _run(capsys, ["--help"])
         assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosipcert.cones import FGCone, HPoly, Polytope
-from mosipcert.errors import ModelError, UnsupportedOperationError
+from mosipcert.errors import ModelError, ParseError, UnsupportedOperationError
 from mosipcert.funcs import (
     Affine,
     MaxAffine,
@@ -24,7 +24,7 @@ from mosipcert.funcs import (
     subdiff,
     subdiff_set,
 )
-from mosipcert.rationals import NEG_INF, POS_INF, NegSqrt, Q, qdot
+from mosipcert.rationals import NEG_INF, POS_INF, NegSqrt, Q, as_q, qdot
 
 
 def test_affine_basics():
@@ -226,3 +226,18 @@ def test_serialization_round_trip():
 def test_unknown_kind_rejected():
     with pytest.raises(ModelError):
         func_from_json({"kind": "mystery"})
+
+
+def test_as_q_returns_a_q_unchanged_and_still_refuses_floats():
+    q = Q(-7, 3)
+    assert as_q(q) is q
+    assert as_q(3) == Q(3) and type(as_q(3)) is Q
+    assert as_q([6, -4]) == Q(-3, 2)
+    with pytest.raises(TypeError):
+        as_q(0.5)
+    with pytest.raises(TypeError):
+        as_q([1.0, 2])
+    with pytest.raises(TypeError):
+        as_q([1, 2.0])
+    with pytest.raises(ParseError):
+        as_q([1, 0])

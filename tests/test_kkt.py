@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosipcert import instances, kkt, quals
-from mosipcert.cones import FGCone, GenConvexSet, Member, Polytope, membership
+from mosipcert.cones import FGCone, GenConvexSet, Member, NotMember, Polytope, membership
 from mosipcert.errors import InternalInconsistencyError, ParseError
 from mosipcert.funcs import Affine, HPoly, MaxAffine
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
@@ -34,6 +34,15 @@ def ex2():
 def ex3():
     p = instances.semicircle_problem()
     return p, CandidatePoint.build(p, [0])
+
+
+def relative_interior_zero(s: GenConvexSet) -> bool:
+    """0 in ri(base + recession), exactly: 0 is a member and the support cone
+    {d : sigma(d) <= 0} is a linear subspace."""
+    zero = tuple(ZERO for _ in range(s.dim))
+    if isinstance(membership(zero, s), NotMember):
+        return False
+    return kkt._support_cone_is_subspace(s)
 
 
 def _qual_map(p, cp):
@@ -159,30 +168,32 @@ class TestStrong:
 class TestRelativeInteriorZero:
     def test_segment_through_origin(self):
         seg = Polytope(2, [(Q(-1), ZERO), (ONE, ZERO)])
-        assert kkt.relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is True
+        assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is True
 
     def test_segment_with_origin_as_endpoint(self):
         seg = Polytope(2, [(ZERO, ZERO), (ONE, ZERO)])
-        assert kkt.relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
+        assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
 
     def test_origin_outside(self):
         seg = Polytope(2, [(ONE, ZERO), (Q(2), ZERO)])
-        assert kkt.relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
+        assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
 
 
 class TestOneMembershipDecision:
-    """weak_kkt and strong_kkt decide 0 in F* + G* by their own grouped LP;
-    the separator LP runs only when that LP is infeasible."""
+    """weak_kkt and strong_kkt share one decision of 0 in F* + G*, the
+    candidate point's `zero_decision`; the grouped LP runs only when it is
+    feasible, the separator LP only when it is not."""
 
     @staticmethod
     def _count_solves(monkeypatch):
         from mosipcert import cones, lp
 
-        counts = {"solve": 0, "membership": 0}
+        counts = {"solve": 0, "membership": 0, "columns": []}
         solve, membership = lp.solve, cones.membership
 
         def counted_solve(prog):
             counts["solve"] += 1
+            counts["columns"].append(prog.num_vars)
             return solve(prog)
 
         def counted_membership(*args):
@@ -191,37 +202,65 @@ class TestOneMembershipDecision:
 
         monkeypatch.setattr(lp, "solve", counted_solve)
         monkeypatch.setattr(cones, "membership", counted_membership)
-        monkeypatch.setattr(kkt, "membership", counted_membership)
         return counts
 
-    def test_weak_certificate_is_one_lp(self, ex1, monkeypatch):
-        p, cp = ex1
+    @staticmethod
+    def _fresh(fixture):
+        """A newly built point: the module fixtures' points keep the decision
+        of whichever test ran first."""
+        p, cp = fixture
+        return p, CandidatePoint.build(p, cp.x)
+
+    def test_weak_certificate_is_decision_plus_grouped_lp(self, ex1, monkeypatch):
+        p, cp = self._fresh(ex1)
         counts = self._count_solves(monkeypatch)
         assert isinstance(kkt.weak_kkt(p, cp), kkt.KktCertificate)
-        assert counts == {"solve": 1, "membership": 0}
+        assert counts["solve"] == 2 and counts["membership"] == 0
 
     def test_weak_separator_is_decomposition_plus_separator(self, ex2, monkeypatch):
-        p, cp = ex2
+        p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         assert isinstance(kkt.weak_kkt(p, cp), kkt.KktSeparator)
-        assert counts == {"solve": 2, "membership": 0}
+        assert counts["solve"] == 2 and counts["membership"] == 0
 
-    def test_strong_refusal_is_tau_lp_plus_separator(self, ex2, monkeypatch):
-        p, cp = ex2
+    def test_strong_refusal_is_decision_plus_separator(self, ex2, monkeypatch):
+        p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         out = kkt.strong_kkt(p, cp)
         assert out.separator is not None and out.ri_zero is False
-        assert counts == {"solve": 2, "membership": 0}
+        assert counts["solve"] == 2 and counts["membership"] == 0
 
     def test_strong_certificate_adds_only_support_cone_lps(self, ex1, monkeypatch):
-        p, cp = ex1
+        p, cp = self._fresh(ex1)
         normals = len(cp.F_star.vertices) + len(cp.G_star.generators)
         counts = self._count_solves(monkeypatch)
         out = kkt.strong_kkt(p, cp)
         assert out.certificate is not None
-        # the tau-LP, then at most one support-cone LP per normal
+        # the decision and the tau-LP, then at most one support-cone LP per normal
         assert counts["membership"] == 0
-        assert 1 < counts["solve"] <= 1 + normals
+        assert 2 < counts["solve"] <= 2 + normals
+
+    def test_octagon_weak_and_strong_never_build_the_grouped_lp(self, ex2, monkeypatch):
+        # the canonical F* has 1 vertex and G* 2 generators, while the grouped
+        # tables have 50 columns: every LP here has at most 3
+        p, cp = self._fresh(ex2)
+        counts = self._count_solves(monkeypatch)
+        weak = kkt.weak_kkt(p, cp)
+        assert counts["solve"] == 2
+        strong = kkt.strong_kkt(p, cp)
+        assert counts["solve"] == 3  # the decision is not made again
+        assert max(counts["columns"]) == 3
+        assert strong.separator == weak
+        assert cp.derived["zero_decision"] is cp.zero_decision()
+
+    def test_weak_and_strong_share_the_decision(self, ex1, monkeypatch):
+        p, cp = self._fresh(ex1)
+        kkt.weak_kkt(p, cp)
+        counts = self._count_solves(monkeypatch)
+        out = kkt.strong_kkt(p, cp)
+        normals = len(cp.F_star.vertices) + len(cp.G_star.generators)
+        assert out.certificate is not None
+        assert 1 < counts["solve"] <= 1 + normals  # tau-LP and support-cone LPs
 
     def test_grouped_decomposition_decides_membership(self):
         rng = random.Random(7919)
@@ -235,7 +274,8 @@ class TestOneMembershipDecision:
             outcomes.add(member)
             assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
             assert isinstance(kkt._decompose(p, cp, zero, margin=True), tuple) == member
-            assert kkt.strong_kkt(p, cp).ri_zero == kkt.relative_interior_zero(gs)
+            assert isinstance(cp.zero_decision(), list) == member
+            assert kkt.strong_kkt(p, cp).ri_zero == relative_interior_zero(gs)
         assert outcomes == {True, False}
 
 

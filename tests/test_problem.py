@@ -5,14 +5,20 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosipcert.cones import FGCone, HPoly, Polytope
+from mosipcert.cones import FGCone, HCone, HPoly, Polytope, dd_convert, decompose
 from helpers_instances import random_polyhedral_problem
-from mosipcert.errors import ModelError, ParseError, UnsupportedOperationError
+from mosipcert.errors import (
+    ModelError,
+    ParseError,
+    UnsupportedDimensionError,
+    UnsupportedOperationError,
+)
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff, subdiff_set
 from mosipcert.instances import (
     FIXTURE_BUILDERS,
@@ -30,18 +36,33 @@ from mosipcert.problem import (
     IndexedFamily,
     MosipProblem,
     active_set,
+    SubdiffTable,
     dump_problem,
-    f_sets,
-    g_sets,
+    g_data_provenance,
     octagon_vertices,
     problem_from_json,
     problem_to_json,
     psi,
-    psi_subdiff,
     sublevel_Q,
     tangent_normal,
 )
-from mosipcert.rationals import POS_INF, Q, qdot
+from mosipcert.rationals import POS_INF, Q, qdot, vec_q
+
+
+def f_sets(p, x):
+    """F and F* at x, read off a built candidate point."""
+    return CandidatePoint.build(p, x)
+
+
+def g_sets(p, x):
+    """G, its emptiness and G* at x, read off a built candidate point."""
+    cp = CandidatePoint.build(p, x)
+    return SimpleNamespace(G=cp.G, is_empty=cp.G_is_empty, G_star=cp.G_star)
+
+
+def psi_subdiff(p, x):
+    """The envelope's subdifferential at x from a table of its own."""
+    return SubdiffTable(p, tuple(vec_q(x))).psi()
 
 
 def test_active_set_linear_fixture():
@@ -362,3 +383,74 @@ def test_verifier_recomputes_instead_of_reading_the_table():
     assert isinstance(drifted, KktCertificate)
     assert drifted.objective_terms[0].vertices == ((Q(-4),),)
     assert "objective 0: vertex table drifted" in certificate_issues(p, cp, drifted)
+
+
+# ---------------------------------------------------------------------------
+# the cones derived at a candidate point
+
+
+def _fresh_g_polar(p, cp) -> tuple:
+    doc = p.annotations.get("documented_g_polar")
+    if doc:
+        normals = [tuple(Q(c[0], c[1]) for c in row) for row in doc["normals"]]
+        return HCone(p.dimension, normals), EXACT, "documented closed-form polar"
+    prov = g_data_provenance(p, cp.x)
+    source = (
+        "polar of the truncated active-gradient cone"
+        if prov != EXACT
+        else "polar of the active-gradient cone"
+    )
+    return HCone(p.dimension, cp.G_star.generators), prov, source
+
+
+def _assert_derived_match_fresh(p, x) -> None:
+    cp = CandidatePoint.build(p, x)
+    g_polar = _fresh_g_polar(p, cp)
+    assert cp.g_polar() == g_polar
+    assert cp.fg_polar() == dd_convert(
+        HCone(p.dimension, list(cp.F) + list(g_polar[0].normals))
+    )
+    if cp.Q is not None:
+        for i in range(p.num_objectives):
+            fresh = sublevel_Q(p, x, i).tangent_cone(cp.x)
+            assert cp.sublevel_tangent(i) == fresh
+            assert cp.sublevel_tangent(i) is cp.sublevel_tangent(i)  # computed once
+    zero = tuple(Q(0) for _ in cp.x)
+    assert cp.zero_decision() == decompose(zero, [cp.F_star.vertices], [cp.G_star.generators])
+    for entry in (cp.g_polar, cp.fg_polar, cp.zero_decision):
+        assert entry() is entry()  # computed once
+
+
+def test_derived_cones_match_fresh_computation_on_fixtures():
+    for build in FIXTURE_BUILDERS.values():
+        p = build()
+        _assert_derived_match_fresh(p, [Q(0)] * p.dimension)
+
+
+def _draw(seed: int):
+    """Seeds below 20 draw in dimensions 1-3; the others redraw until they
+    get dimension 5, with at most 2 objectives and 3 constraints."""
+    rng = random.Random(seed)
+    if seed < 20:
+        return random_polyhedral_problem(rng)
+    while True:
+        p, x = random_polyhedral_problem(rng, max_dim=5, max_objectives=2, max_constraints=3)
+        if p.dimension == 5:
+            return p, x
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_derived_cones_match_fresh_computation_on_random_instances(seed):
+    _assert_derived_match_fresh(*_draw(seed))
+
+
+def test_refused_derived_cone_is_refused_on_every_request(monkeypatch):
+    p = octagon_problem()
+    cp = CandidatePoint.build(p, [0, 0])
+    monkeypatch.setenv("MOSIP_DD_DIM_CAP", "1")
+    for _ in range(2):
+        with pytest.raises(UnsupportedDimensionError):
+            cp.fg_polar()
+    assert "fg_polar" not in cp.derived
+    monkeypatch.delenv("MOSIP_DD_DIM_CAP")
+    assert cp.fg_polar() is cp.fg_polar()

@@ -21,6 +21,7 @@ from mosipcert.quals import (
     QUAL_IDS,
     UNDECIDABLE,
     QualOptions,
+    QualReport,
     _min_max_direction,
     check,
     check_all,
@@ -181,6 +182,63 @@ def test_refused_subdifferential_is_refused_on_every_request():
     assert first == again
     assert all(r.status == UNDECIDABLE for r in first)
     assert all(r.notes.startswith("prerequisite unavailable") for r in first)
+
+
+def test_one_double_description_per_check_all(monkeypatch):
+    from mosipcert import problem
+
+    calls = []
+    real = problem.dd_convert
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(problem, "dd_convert", counted)
+    for name in ("alternating-affine", "octagon-support"):
+        p = load_fixture(name)
+        cp = _candidate(p)
+        calls.clear()
+        by = {r.qual: r for r in check_all(p, cp)}
+        assert by["WADQ"].status != UNDECIDABLE and by["EADQ"].status != UNDECIDABLE
+        assert len(calls) == 1
+
+
+def test_wadq_and_eadq_above_the_dd_cap_are_undecidable(monkeypatch):
+    # the reports are those of the checkers that each ran their own double
+    # description, and the refused entry is not kept between them
+    monkeypatch.setenv("MOSIP_DD_DIM_CAP", "1")
+    p = load_fixture("octagon-support")
+    cp = _candidate(p)
+    by = {r.qual: r for r in check_all(p, cp)}
+    note = (
+        "prerequisite unavailable: double description in dimension 2 exceeds cap 1 "
+        "(set MOSIP_DD_DIM_CAP to raise it)"
+    )
+    for qual in ("WADQ", "EADQ"):
+        assert by[qual] == QualReport(
+            qual, UNDECIDABLE, "approximated-subdifferentials", None, note
+        )
+    assert by["ACQ"].status == HOLDS
+
+
+def test_lfmcq_makes_no_forward_containment_lps(monkeypatch):
+    # G* in N is checked once, when the candidate point is built
+    from mosipcert import cones
+
+    p = load_fixture("alternating-affine")
+    cp = _candidate(p)
+    calls = []
+    real = cones.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "decompose", counted)
+    report = check("LFMCQ", p, cp)
+    assert report.status == HOLDS
+    assert len(calls) == len(cp.N.generators)  # N in G*, one LP per generator
 
 
 # ---------------------------------------------------------------------------
