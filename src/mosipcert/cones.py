@@ -4,17 +4,20 @@ interior tests.
 
 Every question of the form "is the target a convex combination of these
 points plus a conic combination of these generators" is one call to
-`decompose`, the package's only decomposition LP: the canonicalising
-constructors, `dd_convert`'s pruning, `contains`, `cone_member`, the first
-LP of `membership`, the KKT searches in `kkt` and the gap zero search in
-`gap`.  `hull_terms` reads its weights back per block of points.
+`decompose`, the package's only decomposition LP: `contains`, `cone_member`,
+the first LP of `membership`, the KKT searches in `kkt` and the gap zero
+search in `gap`.  `hull_terms` reads its weights back per block of points.
 
 Everything is exact rational.  All types are immutable values canonicalized on
-construction (primitive integer scaling for rays and normals, redundancy
-pruning via small LPs, lexicographic sorting), so structural equality of two
-objects built through the public constructors is semantic equality of the
-canonical representations.  Halfspace representations of lower-dimensional
-cones are not unique even canonically; use `cone_equal` for set equality.
+construction (primitive integer scaling for rays and normals, lexicographic
+sorting, redundancy pruning), so structural equality of two objects built
+through the public constructors is semantic equality of the canonical
+representations.  Pruning is one greedy loop over one Farkas redundancy test,
+not a `decompose` call: a lies in cone(others) exactly when a'd <= 0 is
+implied by b'd <= 0 for every other b, so a redundant generator and a
+redundant normal are one question, and a polytope prunes its lifted points
+(p, 1).  Halfspace representations of lower-dimensional cones are not unique
+even canonically; use `cone_equal` for set equality.
 
 Conventions:
 * HCone(normals) is {d : a'd <= 0 for every normal a}; no normals = all space.
@@ -31,18 +34,24 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import lp
-from .errors import InternalInconsistencyError, UnsupportedDimensionError
+from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
 from .rationals import Q, ZERO, ONE, as_q, qdot, sqrt_exact, sqrt_lower_bound
 
 DEFAULT_DIM_CAP = 6
 
 
 def dd_dim_cap() -> int:
+    """The largest dimension `dd_convert` accepts: MOSIP_DD_DIM_CAP when set,
+    which must be an integer >= 1, else DEFAULT_DIM_CAP."""
     raw = os.environ.get("MOSIP_DD_DIM_CAP", "")
-    try:
-        return int(raw) if raw else DEFAULT_DIM_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_DIM_CAP
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ModelError(f"MOSIP_DD_DIM_CAP must be an integer >= 1, not {raw!r}")
 
 
 def vec(values) -> tuple:
@@ -76,6 +85,60 @@ def box_rows(dim: int, extra: int = 0) -> list:
         rows.append((e, lp.LE, ONE))
         rows.append((list(e), lp.GE, -ONE))
     return rows
+
+
+def boxed_max(normals, objective) -> lp.Optimal:
+    """max objective'd over {d : a'd <= 0 for every normal a} intersected
+    with the unit box -1 <= d_j <= 1.  d = 0 is feasible and the box bounds
+    the objective, so the LP has an optimum."""
+    rows = [(list(a), lp.LE, ZERO) for a in normals] + box_rows(len(objective))
+    res = lp.solve(lp.LinearProgram(len(objective), list(objective), rows))
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError("the boxed cone LP has an optimum")
+    return res
+
+
+def _in_cone(a, others) -> bool:
+    """Is a in cone(others)?  By Farkas, exactly when a'd <= 0 is implied by
+    b'd <= 0 for every other b, that is when max a'd over those rows, capped
+    by a'd <= 1, is 0.  d = 0 is feasible and the cap bounds the objective,
+    so the LP has an optimum.  With no others a nonzero a is not, and no LP
+    runs."""
+    if not others:
+        return False
+    rows = [(list(b), lp.LE, ZERO) for b in others]
+    rows.append((list(a), lp.LE, ONE))
+    res = lp.solve(lp.LinearProgram(len(a), list(a), rows))
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError("the redundancy LP has an optimum")
+    return res.value <= 0
+
+
+def _irredundant(vectors) -> list:
+    """Greedy pruning of nonzero vectors: in order, drop each one that lies
+    in the cone of the others still kept.  A vector kept was tested against
+    a superset of the final others, so the result is irredundant."""
+    kept = list(vectors)
+    i = 0
+    while i < len(kept):
+        if _in_cone(kept[i], kept[:i] + kept[i + 1 :]):
+            del kept[i]
+        else:
+            i += 1
+    return kept
+
+
+def _canonical_rays(dim: int, vectors, what: str) -> tuple:
+    """The shared canonical form of generators and normals: primitive
+    integer scaling, zeros dropped, duplicates merged, sorted, pruned."""
+    prims = set()
+    for v in vectors:
+        v = vec(v)
+        if len(v) != dim:
+            raise ValueError(f"{what} dimension mismatch")
+        if any(c != 0 for c in v):
+            prims.add(primitive(v))
+    return tuple(_irredundant(sorted(prims)))
 
 
 def decompose(target, hulls, cones=(), margin=False):
@@ -164,16 +227,11 @@ class Polytope:
         for p in points:
             if len(p) != dim:
                 raise ValueError("vertex dimension mismatch")
-        kept = list(points)
-        i = 0
-        while i < len(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if isinstance(decompose(kept[i], [others]), list):
-                del kept[i]
-            else:
-                i += 1
+        # p is in conv(others) exactly when (p, 1) is in cone((q, 1) : q in
+        # others); the common last coordinate keeps the sort order
+        lifted = _irredundant([p + (ONE,) for p in points])
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", tuple(kept))
+        object.__setattr__(self, "vertices", tuple(p[:-1] for p in lifted))
 
     @property
     def is_empty(self) -> bool:
@@ -181,12 +239,6 @@ class Polytope:
 
     def contains_point(self, p) -> bool:
         return isinstance(decompose(vec(p), [self.vertices]), list)
-
-    def support(self, d):
-        """max d'v over the polytope; raises on empty."""
-        if self.is_empty:
-            raise ValueError("support of empty polytope")
-        return max(qdot(d, v) for v in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -197,22 +249,8 @@ class FGCone:
     generators: tuple
 
     def __init__(self, dim: int, generators):
-        gens = set()
-        for g in generators:
-            g = vec(g)
-            if len(g) != dim:
-                raise ValueError("generator dimension mismatch")
-            if any(c != 0 for c in g):
-                gens.add(primitive(g))
-        kept = sorted(gens)
-        i = 0
-        while i < len(kept):
-            if isinstance(decompose(kept[i], (), [kept[:i] + kept[i + 1 :]]), list):
-                del kept[i]
-            else:
-                i += 1
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", tuple(kept))
+        object.__setattr__(self, "generators", _canonical_rays(dim, generators, "generator"))
 
     @property
     def is_zero(self) -> bool:
@@ -230,31 +268,8 @@ class HCone:
     normals: tuple
 
     def __init__(self, dim: int, normals):
-        norms = set()
-        for a in normals:
-            a = vec(a)
-            if len(a) != dim:
-                raise ValueError("normal dimension mismatch")
-            if any(c != 0 for c in a):
-                norms.add(primitive(a))
-        kept = sorted(norms)
-        i = 0
-        while i < len(kept):
-            if self._implied(kept[i], kept[:i] + kept[i + 1 :], dim):
-                del kept[i]
-            else:
-                i += 1
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "normals", tuple(kept))
-
-    @staticmethod
-    def _implied(a, others, dim) -> bool:
-        """Is a'd <= 0 implied by the other normals?  max a'd over the others'
-        cone, capped by a'd <= 1 to stay bounded."""
-        rows = [(list(b), lp.LE, ZERO) for b in others]
-        rows.append((list(a), lp.LE, ONE))
-        res = lp.solve(lp.LinearProgram(dim, list(a), rows))
-        return isinstance(res, lp.Optimal) and res.value <= 0
+        object.__setattr__(self, "normals", _canonical_rays(dim, normals, "normal"))
 
     def member(self, d) -> bool:
         return all(qdot(a, d) <= 0 for a in self.normals)
@@ -329,8 +344,9 @@ def dd_convert(h: HCone) -> FGCone:
     """Generators of {d : a'd <= 0 for all normals} (double description).
 
     Starts from +-axis generators of all space and slices one halfspace at a
-    time; new rays come from all sign-crossing pairs and redundancy is pruned
-    by LP after each slice, which keeps counts small at these dimensions.
+    time; new rays come from all sign-crossing pairs, and each slice is the
+    canonical FGCone of the kept and new rays, which keeps counts small at
+    these dimensions.  The last slice's cone is the result.
     """
     n = h.dim
     cap = dd_dim_cap()
@@ -340,6 +356,8 @@ def dd_convert(h: HCone) -> FGCone:
             f"(set MOSIP_DD_DIM_CAP to raise it)"
         )
     gens = [_unit(n, j) for j in range(n)] + [_unit(n, j, -ONE) for j in range(n)]
+    if not h.normals:
+        return FGCone(n, gens)
     for a in h.normals:
         vals = [qdot(a, g) for g in gens]
         keep = [g for g, v in zip(gens, vals) if v <= 0]
@@ -351,17 +369,10 @@ def dd_convert(h: HCone) -> FGCone:
                 if vn < 0:
                     # positive combination lying exactly on a'd = 0
                     w = tuple(vp * cn - vn * cp for cp, cn in zip(gp, gn))
-                    if any(c != 0 for c in w):
-                        new.append(primitive(w))
-        merged = sorted(set(keep) | set(new))
-        i = 0
-        while i < len(merged):
-            if isinstance(decompose(merged[i], (), [merged[:i] + merged[i + 1 :]]), list):
-                del merged[i]
-            else:
-                i += 1
-        gens = merged
-    return FGCone(n, gens)
+                    new.append(w)
+        cone = FGCone(n, keep + new)
+        gens = cone.generators
+    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +442,9 @@ def nontrivial_direction(h: HCone) -> Optional[tuple]:
     """A nonzero member of {d : a'd <= 0 for all normals}, or None when the
     cone is {0}.  Decided by 2n LPs maximizing +-d_i over the cone
     intersected with the unit box."""
-    n = h.dim
-    base_rows = [(list(a), lp.LE, ZERO) for a in h.normals] + box_rows(n)
-    for j in range(n):
+    for j in range(h.dim):
         for sign in (ONE, -ONE):
-            obj = [ZERO] * n
-            obj[j] = sign
-            res = lp.solve(lp.LinearProgram(n, obj, list(base_rows)))
-            if not isinstance(res, lp.Optimal):
-                raise InternalInconsistencyError("the boxed cone LP has an optimum")
+            res = boxed_max(h.normals, _unit(h.dim, j, sign))
             if res.value > 0:
                 return tuple(res.primal)
     return None
@@ -567,12 +572,8 @@ def contains(a, b) -> ContainsResult:
         return ContainsResult(True)
     if isinstance(b, HCone):
         # every halfspace of b must be valid over the cone a
-        dim = a.dim
-        base_rows = [(list(m), lp.LE, ZERO) for m in a.normals] + box_rows(dim)
         for target in b.normals:
-            res = lp.solve(lp.LinearProgram(dim, list(target), list(base_rows)))
-            if not isinstance(res, lp.Optimal):
-                raise InternalInconsistencyError("the boxed cone LP has an optimum")
+            res = boxed_max(a.normals, target)
             if res.value > 0:
                 return ContainsResult(False, tuple(res.primal))
         return ContainsResult(True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cones import FGCone, HPoly, Polytope
+from .cones import FGCone, GenConvexSet, HPoly, Polytope
 from .errors import ModelError, ParseError, UnsupportedOperationError
 from .rationals import (
     NEG_INF,
@@ -40,25 +40,6 @@ from .rationals import (
     sqrt_exact,
     vec_q,
 )
-
-
-@dataclass(frozen=True)
-class SubdiffSet:
-    """base + recession: the (possibly unbounded) subdifferential at a point."""
-
-    base: Polytope
-    recession: FGCone
-
-    @property
-    def is_empty(self) -> bool:
-        return self.base.is_empty
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.recession.is_zero
-
-    def vertices(self) -> tuple:
-        return self.base.vertices
 
 
 @dataclass(frozen=True)
@@ -228,10 +209,6 @@ def affine_pieces(f: ConvexFunc) -> Optional[list]:
     return None
 
 
-def fn_dim(f: ConvexFunc) -> int:
-    return f.dim
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -306,7 +283,7 @@ def eval_float(f: ConvexFunc, x) -> float:
 # subdifferentials
 
 
-def subdiff_set(f: ConvexFunc, x) -> SubdiffSet:
+def subdiff_set(f: ConvexFunc, x) -> GenConvexSet:
     """Exact subdifferential of f (+ its domain indicator) at x, split into a
     bounded base polytope and a recession cone (the domain's normal cone)."""
     x = vec_q(x)
@@ -319,11 +296,11 @@ def subdiff_set(f: ConvexFunc, x) -> SubdiffSet:
         rec = (
             f.domain.normal_cone(x) if f.domain is not None else FGCone(n, [])
         )
-        return SubdiffSet(base, rec)
+        return GenConvexSet(base, rec)
     if isinstance(f, NegSqrtParabola1D):
         v = x[0]
         if v == 0 or v == 2 * f.t:
-            return SubdiffSet(Polytope(1, []), FGCone(1, []))
+            return GenConvexSet(Polytope(1, []), FGCone(1, []))
         # interior: g'(x) = (x - t)/sqrt(x(2t - x)), rational only sometimes
         rad = v * (2 * f.t - v)
         slope_sq = (v - f.t) * (v - f.t) / rad
@@ -333,7 +310,7 @@ def subdiff_set(f: ConvexFunc, x) -> SubdiffSet:
                 "irrational interior subgradient has no rational representation"
             )
         slope = root if v > f.t else -root
-        return SubdiffSet(Polytope(1, [[slope]]), FGCone(1, []))
+        return GenConvexSet(Polytope(1, [[slope]]), FGCone(1, []))
     if isinstance(f, Scaled2Norm):
         diff = [xi - ci for xi, ci in zip(x, f.center)]
         if all(d == 0 for d in diff):
@@ -346,7 +323,7 @@ def subdiff_set(f: ConvexFunc, x) -> SubdiffSet:
                 "irrational 2-norm gradient has no rational representation"
             )
         grad = [f.weight * d / norm for d in diff]
-        return SubdiffSet(Polytope(n, [grad]), FGCone(n, []))
+        return GenConvexSet(Polytope(n, [grad]), FGCone(n, []))
     raise TypeError(f"unknown function kind {type(f).__name__}")
 
 
@@ -354,7 +331,7 @@ def subdiff(f: ConvexFunc, x) -> Polytope:
     """Subdifferential as a polytope; raises when a domain boundary makes it
     unbounded (use subdiff_set there)."""
     ss = subdiff_set(f, x)
-    if not ss.is_bounded:
+    if not ss.recession.is_zero:
         raise UnsupportedOperationError(
             "subdifferential is unbounded here; use subdiff_set for base + recession"
         )
@@ -448,7 +425,7 @@ def func_to_json(f: ConvexFunc) -> dict:
     return out
 
 
-def func_from_json(obj: dict, dim: Optional[int] = None) -> ConvexFunc:
+def func_from_json(obj: dict) -> ConvexFunc:
     kind = obj.get("kind")
     if kind == "affine":
         a = [as_q(c) for c in obj["a"]]

@@ -96,8 +96,7 @@ def gap_eval(p: MosipProblem, x, xi, lam):
         raise ModelError("lambda must be componentwise nonnegative")
     selections = [tuple(vec_q(s)) for s in xi]
     for i, sel in enumerate(selections):
-        ss = subdiff_set(p.objectives[i], x)
-        out = membership(sel, GenConvexSet(ss.base, ss.recession))
+        out = membership(sel, subdiff_set(p.objectives[i], x))
         if isinstance(out, NotMember):
             raise SubgradientPreconditionError(i, out.separator)
     c = [

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import lp
 from .cones import (
     FGCone,
     GenConvexSet,
-    box_rows,
+    boxed_max,
     decompose,
     hull_terms,
     separate,
@@ -237,13 +236,8 @@ def _support_cone_is_subspace(s: GenConvexSet) -> bool:
     """No support normal a has a'd < 0 somewhere on {d : sigma(d) <= 0}."""
     normals = [tuple(v) for v in s.base.vertices]
     normals.extend(tuple(g) for g in s.recession.generators)
-    n = s.dim
-    cone_rows = [(list(a), lp.LE, ZERO) for a in normals] + box_rows(n)
     for a in normals:
-        res = lp.solve(lp.LinearProgram(n, [-ai for ai in a], list(cone_rows)))
-        if not isinstance(res, lp.Optimal):
-            raise InternalInconsistencyError("the boxed cone LP has an optimum")
-        if res.value > 0:
+        if boxed_max(normals, [-ai for ai in a]).value > 0:
             return False
     return True
 

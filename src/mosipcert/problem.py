@@ -20,7 +20,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import funcs
-from .cones import FGCone, HCone, HPoly, Polytope, contains, dd_convert, decompose
+from .cones import (
+    FGCone,
+    GenConvexSet,
+    HCone,
+    HPoly,
+    Polytope,
+    contains,
+    dd_convert,
+    decompose,
+    polar,
+)
 from .errors import (
     InfeasiblePointError,
     InternalInconsistencyError,
@@ -32,7 +42,6 @@ from .funcs import (
     Affine,
     ConvexFunc,
     NegSqrtParabola1D,
-    SubdiffSet,
     SupportPolygon,
     evaluate,
     is_finite,
@@ -220,14 +229,14 @@ class MosipProblem:
         if not objectives:
             raise ModelError("at least one objective is required")
         for f in objectives:
-            if funcs.fn_dim(f) != dimension:
+            if f.dim != dimension:
                 raise ModelError("objective dimension mismatch")
         for k in range(constraints.size):
-            if funcs.fn_dim(constraints.member(k)) != dimension:
+            if constraints.member(k).dim != dimension:
                 raise ModelError(f"constraint {k} dimension mismatch")
         if feasible_set is not None and feasible_set.dim != dimension:
             raise ModelError("feasible_set dimension mismatch")
-        if psi_override is not None and funcs.fn_dim(psi_override) != dimension:
+        if psi_override is not None and psi_override.dim != dimension:
             raise ModelError("psi_override dimension mismatch")
         annotations = dict(annotations or {})
         unknown = set(annotations) - ANNOTATION_KEYS
@@ -386,7 +395,7 @@ class SubdiffTable:
             self._objectives[i] = subdiff(self.problem.objectives[i], self.x)
         return self._objectives[i]
 
-    def constraint(self, k: int) -> SubdiffSet:
+    def constraint(self, k: int) -> GenConvexSet:
         if k not in self._constraints:
             self._constraints[k] = subdiff_set(self.problem.constraint(k), self.x)
         return self._constraints[k]
@@ -403,7 +412,7 @@ class SubdiffTable:
             rec.extend(g for g in ss.recession.generators if g not in rec)
         return base, rec
 
-    def psi(self) -> Optional[SubdiffSet]:
+    def psi(self) -> Optional[GenConvexSet]:
         """Subdifferential of the upper envelope at x, when representable.
 
         The override's subdifferential is exact by the model contract.
@@ -416,7 +425,7 @@ class SubdiffTable:
             self._psi = self._envelope_subdiff()
         return self._psi
 
-    def _envelope_subdiff(self) -> Optional[SubdiffSet]:
+    def _envelope_subdiff(self) -> Optional[GenConvexSet]:
         p = self.problem
         if p.psi_override is not None:
             return subdiff_set(p.psi_override, self.x)
@@ -435,7 +444,7 @@ class SubdiffTable:
                 return None  # max rule needs every argmax subdifferential
             base.extend(ss.base.vertices)
             rec.extend(ss.recession.generators)
-        return SubdiffSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
+        return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +635,7 @@ class CandidatePoint:
                 normals = [tuple(Q(c[0], c[1]) for c in row) for row in doc["normals"]]
                 return HCone(p.dimension, normals), EXACT, "documented closed-form polar"
             prov = g_data_provenance(p, self.x)
-            return HCone(p.dimension, self.G_star.generators), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
+            return polar(self.G_star), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
 
         return self._kept("g_polar", compute)
 

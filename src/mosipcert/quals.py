@@ -96,6 +96,10 @@ UNDECIDABLE = "Undecidable"
 
 DEFAULT_EPS_GRID = tuple(Q(1, 2**k) for k in range(11))
 
+# members tried, in index order, when refuting the Slater condition by one
+# member that is nonnegative everywhere
+REFUTATION_MEMBER_CAP = 8
+
 # probe fan for envelope directional derivatives when the subdifferential is
 # empty (vertical tangents); complete for n = 1, best-effort for n = 2
 _FAN_2D = tuple(
@@ -112,7 +116,6 @@ _FAN_2D = tuple(
 @dataclass(frozen=True)
 class QualOptions:
     eps_grid: tuple = DEFAULT_EPS_GRID
-    refutation_member_cap: int = 8  # per-member Slater refutation attempts
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def _zero_decomposition(points, rec_gens, dim: int) -> dict:
     direction does, and persists under any extension of the point set."""
     poly = Polytope(dim, points)
     cone = FGCone(dim, rec_gens)
-    out = membership(ZERO_POINT(dim), GenConvexSet(poly, cone))
+    out = membership(tuple(ZERO for _ in range(dim)), GenConvexSet(poly, cone))
     if not isinstance(out, Member):
         raise InternalInconsistencyError(
             "no strictly negative direction exists, yet 0 is not in the hull"
@@ -165,10 +168,6 @@ def _zero_decomposition(points, rec_gens, dim: int) -> dict:
         "generators": cone.generators,
         "mu": out.mu,
     }
-
-
-def ZERO_POINT(dim: int) -> tuple:
-    return tuple(ZERO for _ in range(dim))
 
 
 def _rational_slack(value) -> Q:
@@ -240,13 +239,13 @@ def _verify_negative(p: MosipProblem, x) -> Optional[Q]:
     return _rational_slack(worst)
 
 
-def _member_nonnegative_everywhere(p: MosipProblem, cap: int) -> Optional[int]:
+def _member_nonnegative_everywhere(p: MosipProblem) -> Optional[int]:
     """Index of a constraint whose global minimum is >= 0 (so no point makes
     it strictly negative), or None.  Such a member refutes the Slater
     condition for any extension of the family."""
     n = p.dimension
     for k in p.indices():
-        if k >= cap:
+        if k >= REFUTATION_MEMBER_CAP:
             break
         if affine_pieces(p.constraint(k)) is None:
             continue  # built-in curved members all dip below zero
@@ -302,7 +301,7 @@ def _slater_pair(p: MosipProblem, cp: CandidatePoint, opts: QualOptions) -> tupl
     if state == "optimal" and tau is not None and tau >= 0:
         if p.psi_override is not None:
             # the envelope's global minimum is >= 0: SSCQ fails outright
-            k = _member_nonnegative_everywhere(p, opts.refutation_member_cap)
+            k = _member_nonnegative_everywhere(p)
             sscq_w = {"kind": "envelope_minimum", "value": tau}
             if k is not None:
                 scq_w = {"kind": "nonnegative_member", "index": k}
@@ -327,7 +326,7 @@ def _slater_pair(p: MosipProblem, cp: CandidatePoint, opts: QualOptions) -> tupl
         if finite:
             witness = {"kind": "envelope_minimum", "value": tau}
             return reports(FAILS, EXACT, witness, "finite family: the pointwise max has nonnegative global minimum")
-        k = _member_nonnegative_everywhere(p, opts.refutation_member_cap)
+        k = _member_nonnegative_everywhere(p)
         if k is not None:
             witness = {"kind": "nonnegative_member", "index": k}
             return reports(FAILS, EXACT, witness, f"constraint {k} is nonnegative everywhere; refutation survives any family extension")

@@ -1,0 +1,63 @@
+"""Reference canonicalisers: the pruning loops that `mosipcert.cones` replaced
+by one greedy loop over one Farkas redundancy LP.
+
+Each one asks its redundancy question through `cones.decompose` instead:
+a point is dropped when it is a convex combination of the other points, a
+generator or normal when it is a conic combination of the others.  For
+normals this is the Farkas dual of the implication test the library runs, so
+the two formulations check each other.  `reference_dd_convert` re-prunes its
+output once more, as the replaced double description did.
+"""
+
+from __future__ import annotations
+
+from mosipcert.cones import _unit, decompose, primitive, vec
+from mosipcert.rationals import ONE, qdot
+
+
+def _prune(kept: list, redundant) -> list:
+    i = 0
+    while i < len(kept):
+        if redundant(kept[i], kept[:i] + kept[i + 1 :]):
+            del kept[i]
+        else:
+            i += 1
+    return kept
+
+
+def _in_hull(p, others) -> bool:
+    return isinstance(decompose(p, [others]), list)
+
+
+def _in_cone(g, others) -> bool:
+    return isinstance(decompose(g, (), [others]), list)
+
+
+def reference_vertices(vertices) -> tuple:
+    """Polytope(dim, vertices).vertices."""
+    return tuple(_prune(sorted(set(vec(v) for v in vertices)), _in_hull))
+
+
+def reference_rays(vectors) -> tuple:
+    """FGCone(dim, vectors).generators, and HCone(dim, vectors).normals."""
+    rays = {primitive(vec(v)) for v in vectors if any(c != 0 for c in vec(v))}
+    return tuple(_prune(sorted(rays), _in_cone))
+
+
+def reference_dd_convert(dim: int, normals) -> tuple:
+    """dd_convert(HCone(dim, normals)).generators."""
+    gens = [_unit(dim, j) for j in range(dim)] + [_unit(dim, j, -ONE) for j in range(dim)]
+    for a in reference_rays(normals):
+        vals = [qdot(a, g) for g in gens]
+        keep = [g for g, v in zip(gens, vals) if v <= 0]
+        new = []
+        for gp, vp in zip(gens, vals):
+            if vp <= 0:
+                continue
+            for gn, vn in zip(gens, vals):
+                if vn < 0:
+                    w = tuple(vp * cn - vn * cp for cp, cn in zip(gp, gn))
+                    if any(c != 0 for c in w):
+                        new.append(primitive(w))
+        gens = _prune(sorted(set(keep) | set(new)), _in_cone)
+    return reference_rays(gens)

@@ -296,6 +296,14 @@ class TestOptions:
         assert by["EADQ"]["status"] == "Undecidable"
         assert "cap" in by["EADQ"]["notes"]
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_malformed_dim_cap_env_is_a_model_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MOSIP_DD_DIM_CAP", raw)
+        code, out, err = _run(capsys, ["quals", "octagon-support", "--point", "0,0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: model: ") and err.count("\n") == 1
+        assert "MOSIP_DD_DIM_CAP" in err
+
 
 class TestDeterminism:
     def test_byte_identical_repeat_runs(self, capsys):

@@ -9,6 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_cones import (
+    reference_dd_convert,
+    reference_rays,
+    reference_vertices,
+)
+from mosipcert import cones, lp
 from mosipcert.cones import (
     FGCone,
     GenConvexSet,
@@ -95,8 +101,6 @@ def test_polytope_drops_interior_and_duplicate_points() -> None:
 def test_polytope_empty() -> None:
     p = Polytope(2, [])
     assert p.is_empty
-    with pytest.raises(ValueError):
-        p.support([1, 0])
 
 
 def test_fgcone_scales_and_prunes() -> None:
@@ -108,6 +112,80 @@ def test_fgcone_scales_and_prunes() -> None:
 def test_hcone_removes_implied_normals() -> None:
     h = HCone(2, [[1, 0], [0, 1], [1, 1], [2, 0]])
     assert h.normals == ((0, 1), (1, 0))
+
+
+def _family(rng: random.Random, dim: int) -> list:
+    """Vectors with every kind of redundancy the canonical forms remove: a
+    duplicate, a zero vector, a positive multiple, a +- pair (a lineality
+    line for cones) and a midpoint (an interior point for polytopes)."""
+    base = [_rand_vec(rng, dim) for _ in range(rng.randint(1, 5))]
+    v = rng.choice(base)
+    out = base + [
+        list(rng.choice(base)),
+        [Q(0)] * dim,
+        [Q(rng.randint(2, 3)) * c for c in rng.choice(base)],
+        v,
+        [-c for c in v],
+    ]
+    a, b = rng.sample(out, 2)
+    out.append([(x + y) / 2 for x, y in zip(a, b)])
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_canonical_forms_match_the_decompose_reference(dim: int) -> None:
+    rng = random.Random(SEED + dim)
+    for _ in range(10 if dim < 5 else 4):
+        family = _family(rng, dim)
+        assert Polytope(dim, family).vertices == reference_vertices(family)
+        assert FGCone(dim, family).generators == reference_rays(family)
+        assert HCone(dim, family).normals == reference_rays(family)
+        normals = family[: rng.randint(1, 4)]
+        assert dd_convert(HCone(dim, normals)).generators == reference_dd_convert(dim, normals)
+
+
+def _count_solves(monkeypatch) -> list:
+    count = [0]
+    solve = lp.solve
+
+    def counted(prog):
+        count[0] += 1
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    return count
+
+
+def test_one_vector_canonicalisation_makes_no_lp(monkeypatch) -> None:
+    count = _count_solves(monkeypatch)
+    assert Polytope(2, [[1, 2], [1, 2]]).vertices == ((1, 2),)
+    assert FGCone(2, [[2, 4], [0, 0], [1, 2]]).generators == ((1, 2),)
+    assert HCone(2, [[2, 4], [1, 2]]).normals == ((1, 2),)
+    assert count[0] == 0
+
+
+def test_dd_convert_makes_its_lps_inside_its_slices(monkeypatch) -> None:
+    # every LP belongs to the canonical FGCone of one slice: none re-prunes
+    # the last slice's generators
+    count = _count_solves(monkeypatch)
+    inside = []
+    fgcone = cones.FGCone
+
+    def slice_cone(dim, generators):
+        before = count[0]
+        cone = fgcone(dim, generators)
+        inside.append(count[0] - before)
+        return cone
+
+    monkeypatch.setattr(cones, "FGCone", slice_cone)
+    rng = random.Random(SEED)
+    for dim in (2, 3, 4):
+        h = HCone(dim, _family(rng, dim)[:4])
+        count[0], inside[:] = 0, []
+        dd_convert(h)
+        assert len(inside) == len(h.normals)
+        assert sum(inside) == count[0] > 0
 
 
 def test_primitive_scaling() -> None:
@@ -328,13 +406,13 @@ def test_contains_witness_verifies(seed: int) -> None:
     [
         lambda: nontrivial_direction(HCone(2, [[1, 0]])),
         lambda: contains(HCone(2, [[1, 0]]), HCone(2, [[1, 1]])),
+        lambda: HCone(2, [[1, 0], [0, 1]]),
     ],
-    ids=["nontrivial_direction", "contains"],
+    ids=["nontrivial_direction", "contains", "redundancy"],
 )
 def test_unexpected_lp_outcome_is_an_internal_inconsistency(monkeypatch, call) -> None:
     # an LP that must have an optimum comes back infeasible: exit 4 from the
     # CLI, and no `assert` that `python -O` would strip
-    from mosipcert import lp
     from mosipcert.errors import InternalInconsistencyError
 
     monkeypatch.setattr(lp, "solve", lambda prog: lp.Infeasible([]))
