@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gap as gap_mod
-from . import instances, kkt, oracle, quals
+from . import cones, instances, kkt, oracle, quals
 from .errors import (
     InfeasiblePointError,
     InternalInconsistencyError,
@@ -186,14 +186,9 @@ def _load(config: RunConfig) -> tuple:
     return p, cp
 
 
-def _qual_options(config: RunConfig) -> quals.QualOptions:
-    if config.eps_grid is None:
-        return quals.QualOptions()
-    return quals.QualOptions(eps_grid=config.eps_grid)
-
-
 def _quals_section(p, cp, config) -> tuple:
-    reports = quals.check_all(p, cp, _qual_options(config))
+    eps_grid = quals.DEFAULT_EPS_GRID if config.eps_grid is None else config.eps_grid
+    reports = quals.check_all(p, cp, eps_grid)
     violations = quals.diagram_validate(p, cp, reports)
     doc = {
         "quals": quals.reports_to_json(reports),
@@ -376,6 +371,7 @@ def _verify_certificates(p, cp, doc: dict) -> None:
 
 def run(config: RunConfig) -> tuple:
     """Execute one subcommand; returns (exit_code, output_text)."""
+    cones.dd_dim_cap()  # a malformed MOSIP_DD_DIM_CAP fails every subcommand alike
     p, cp = _load(config)
     header = [
         f"problem: {p.annotations.get('name', config.problem)} "

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import lp
 from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
-from .rationals import Q, ZERO, ONE, as_q, qdot, sqrt_exact, sqrt_lower_bound
+from .rationals import Q, ZERO, ONE, as_q, lincomb, qdot, sqrt_exact, sqrt_lower_bound
 
 DEFAULT_DIM_CAP = 6
 
@@ -203,10 +203,7 @@ def hull_terms(weights, hulls) -> list:
             coeffs = tuple(w / total for w in ws)
         else:
             coeffs = (ONE,) + (ZERO,) * (len(block) - 1)
-        point = tuple(
-            sum((c * v[k] for c, v in zip(coeffs, block)), ZERO)
-            for k in range(len(block[0]))
-        )
+        point = lincomb(coeffs, block, len(block[0]))
         out.append((total, coeffs, point))
     return out
 

@@ -21,7 +21,6 @@ Exactness boundaries (by design):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -244,38 +243,6 @@ def evaluate(f: ConvexFunc, x):
         if v < 0 or v > 2 * f.t:
             return POS_INF
         return NegSqrt(v * (2 * f.t - v))
-    raise TypeError(f"unknown function kind {type(f).__name__}")
-
-
-def eval_float(f: ConvexFunc, x) -> float:
-    """Floating-point value for the search oracle (never certifies anything)."""
-    xs = [float(v) for v in x]
-    if f.domain is not None:
-        for a, b in f.domain.rows:
-            if sum(float(c) * v for c, v in zip(a, xs)) > float(b) + 1e-12:
-                return math.inf
-    if isinstance(f, Affine):
-        return sum(float(c) * v for c, v in zip(f.a, xs)) + float(f.b)
-    if isinstance(f, MaxAffine):
-        return max(
-            sum(float(c) * v for c, v in zip(a, xs)) + float(b) for a, b in f.pieces
-        )
-    if isinstance(f, SupportPolygon):
-        return max(sum(float(c) * v for c, v in zip(vtx, xs)) for vtx in f.vertices)
-    if isinstance(f, ScaledNormInf):
-        return float(f.weight) * max(
-            abs(v - float(c)) for v, c in zip(xs, f.center)
-        )
-    if isinstance(f, Scaled2Norm):
-        return float(f.weight) * math.sqrt(
-            sum((v - float(c)) ** 2 for v, c in zip(xs, f.center))
-        )
-    if isinstance(f, NegSqrtParabola1D):
-        t = float(f.t)
-        v = xs[0]
-        if v < 0 or v > 2 * t:
-            return math.inf
-        return -math.sqrt(max(v * (2 * t - v), 0.0))
     raise TypeError(f"unknown function kind {type(f).__name__}")
 
 

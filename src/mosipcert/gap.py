@@ -27,7 +27,8 @@ from .errors import (
     ParseError,
     UnsupportedOperationError,
 )
-from .funcs import subdiff, subdiff_set
+from .funcs import subdiff_set
+from .kkt import selection_issues
 from .problem import CandidatePoint, MosipProblem
 from .quals import jsonify
 from .rationals import (
@@ -38,6 +39,7 @@ from .rationals import (
     ZERO,
     as_q,
     float_to_q,
+    lincomb,
     q_from_pair,
     qdot,
     sqrt_lower_bound,
@@ -99,11 +101,7 @@ def gap_eval(p: MosipProblem, x, xi, lam):
         out = membership(sel, subdiff_set(p.objectives[i], x))
         if isinstance(out, NotMember):
             raise SubgradientPreconditionError(i, out.separator)
-    c = [
-        sum((lam[i] * selections[i][k] for i in range(len(lam))), ZERO)
-        for k in range(p.dimension)
-    ]
-    return _sup_lp(p, x, c)
+    return _sup_lp(p, x, lincomb(lam, selections, p.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
             "feasible set"
         )
     n = p.dimension
-    tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
+    tables = [cp.objective_subdiff(i).vertices for i in range(p.num_objectives)]
     shifted = [
         [tuple(v[k] - (tilt[k] if tilt else ZERO) for k in range(n)) for v in verts]
         for verts in tables
@@ -163,11 +161,8 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
         )
     lam, coeff_rows, selections = zip(*hull_terms(res, tables))
     tilt_vec = tuple(tilt) if tilt else zero
-    c = [
-        sum((lam[i] * (selections[i][k] - tilt_vec[k]) for i in range(len(lam))), ZERO)
-        for k in range(n)
-    ]
-    value = _sup_lp(p, cp.x, c)
+    tilted = [tuple(s - t for s, t in zip(sel, tilt_vec)) for sel in selections]
+    value = _sup_lp(p, cp.x, lincomb(lam, tilted, n))
     if value != 0:
         raise InternalInconsistencyError(
             "the normal-cone reduction produced multipliers whose gap value "
@@ -190,10 +185,9 @@ def gap_zero_search(p: MosipProblem, cp: CandidatePoint, mode: str = WEAK_MODE):
 
 def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
     """Exactness defects of a (possibly deserialized) witness, against vertex
-    tables recomputed from the problem's objectives (not read from
-    `cp.table`)."""
+    tables recomputed from the problem's objectives (not read from the
+    point's store)."""
     issues = []
-    n = p.dimension
     if len(w.lam) != p.num_objectives:
         return [f"{len(w.lam)} lambda entries for {p.num_objectives} objectives"]
     if any(l < 0 for l in w.lam):
@@ -203,21 +197,9 @@ def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
     if w.mode == STRONG_MODE and any(l <= 0 for l in w.lam):
         issues.append("strong witness needs every lambda component positive")
     for i in range(p.num_objectives):
-        ref = subdiff(p.objectives[i], cp.x).vertices
-        if tuple(w.xi_vertices[i]) != tuple(ref):
-            issues.append(f"objective {i}: vertex table drifted")
-            continue
-        coeffs = w.xi_coeffs[i]
-        if len(coeffs) != len(ref) or any(c < 0 for c in coeffs):
-            issues.append(f"objective {i}: bad convex coefficients")
-            continue
-        if sum(coeffs, ZERO) != 1:
-            issues.append(f"objective {i}: coefficients do not sum to 1")
-        rebuilt = tuple(
-            sum((c * v[k] for c, v in zip(coeffs, ref)), ZERO) for k in range(n)
+        issues += selection_issues(
+            p, cp.x, i, w.xi_vertices[i], w.xi_coeffs[i], w.xi[i]
         )
-        if rebuilt != tuple(w.xi[i]):
-            issues.append(f"objective {i}: xi does not match its coefficients")
     if not issues:
         value = gap_eval(p, cp.x, w.xi, w.lam)
         if value != w.value:

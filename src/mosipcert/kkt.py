@@ -35,7 +35,7 @@ from .problem import (
     g_data_provenance,
 )
 from .quals import DEFAULT_EPS_GRID, HOLDS, QualReport, jsonify
-from .rationals import ONE, ZERO, Q, as_q, q_from_pair
+from .rationals import ONE, ZERO, Q, as_q, lincomb, q_from_pair
 
 WEAK = "Weak"
 STRONG = "Strong"
@@ -84,11 +84,7 @@ class ConstraintTerm:
     def contribution(self) -> tuple:
         if self.zeta is not None:  # ray parts are already folded into zeta
             return tuple(self.beta * z for z in self.zeta)
-        n = len(self.rays[0])
-        return tuple(
-            sum((w * r[k] for w, r in zip(self.ray_coeffs, self.rays)), ZERO)
-            for k in range(n)
-        )
+        return lincomb(self.ray_coeffs, self.rays, len(self.rays[0]))
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,10 @@ def _decompose(p: MosipProblem, cp: CandidatePoint, target, margin=False):
     subdifferential (vertices, then rays).  Returns (objective terms,
     constraint terms, tau or None), or the `lp.Infeasible` refuting
     target in F* + G*."""
-    obj_tables = [cp.table.objective(i).vertices for i in range(p.num_objectives)]
+    obj_tables = [cp.objective_subdiff(i).vertices for i in range(p.num_objectives)]
     active_tables = []
     for t in cp.T:
-        ss = cp.table.constraint(t)
+        ss = cp.constraint_subdiff(t)
         if not ss.is_empty:
             active_tables.append((t, ss.base.vertices, ss.recession.generators))
     cones = [tuple(verts) + tuple(rays) for _, verts, rays in active_tables]
@@ -171,11 +167,7 @@ def _group_terms(values, obj_tables, active_tables, n):
         if beta > 0:
             coeffs = tuple(m / beta for m in nus)
             ray_coeffs = tuple(s / beta for s in sigmas)
-            zeta = tuple(
-                sum((c * v[k] for c, v in zip(coeffs, verts)), ZERO)
-                + sum((w * r[k] for w, r in zip(ray_coeffs, rays)), ZERO)
-                for k in range(n)
-            )
+            zeta = _conic_point(coeffs, verts, ray_coeffs, rays, n)
             cterms.append(
                 ConstraintTerm(t, beta, zeta, coeffs, tuple(verts), ray_coeffs, tuple(rays))
             )
@@ -184,6 +176,14 @@ def _group_terms(values, obj_tables, active_tables, n):
                 ConstraintTerm(t, ZERO, None, (), tuple(verts), tuple(sigmas), tuple(rays))
             )
     return oterms, tuple(cterms)
+
+
+def _conic_point(coeffs, vertices, ray_coeffs, rays, n) -> tuple:
+    """sum_j coeffs_j * vertices_j + sum_k ray_coeffs_k * rays_k."""
+    return tuple(
+        a + b
+        for a, b in zip(lincomb(coeffs, vertices, n), lincomb(ray_coeffs, rays, n))
+    )
 
 
 def _separator(cp: CandidatePoint, zero) -> KktSeparator:
@@ -349,7 +349,7 @@ def isolation_inclusion_report(
         if active not in solved:
             grads = []
             for t in active:
-                ss = cp.table.constraint(t)
+                ss = cp.constraint_subdiff(t)
                 if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
                     return None
                 grads.append(ss.base.vertices[0])
@@ -375,12 +375,29 @@ def isolation_inclusion_report(
 # Certificate verification (used by tests and the --verify CLI path)
 
 
+def selection_issues(p: MosipProblem, x, i: int, vertices, coeffs, xi) -> list:
+    """Defects of the selection xi = sum_j coeffs_j * vertices_j in the i-th
+    objective subdifferential at x, against its vertex table recomputed from
+    the problem's objective (shared by the KKT and gap verifiers)."""
+    ref = subdiff(p.objectives[i], x).vertices
+    if tuple(vertices) != tuple(ref):
+        return [f"objective {i}: vertex table drifted"]
+    if len(coeffs) != len(ref) or any(c < 0 for c in coeffs):
+        return [f"objective {i}: bad convex coefficients"]
+    issues = []
+    if sum(coeffs, ZERO) != 1:
+        issues.append(f"objective {i}: coefficients do not sum to 1")
+    if lincomb(coeffs, ref, p.dimension) != tuple(xi):
+        issues.append(f"objective {i}: xi does not match its coefficients")
+    return issues
+
+
 def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate) -> list:
     """Every exactness defect of `cert` against freshly recomputed data.
 
     The vertex tables are recomputed from the problem's functions at cp.x,
-    not read from `cp.table`, so a certificate built from a corrupted table
-    is caught here as a drifted table."""
+    not read from the point's store, so a certificate built from a corrupted
+    entry is caught here as a drifted table."""
     issues = []
     n = p.dimension
     if len(cert.target) != n:
@@ -401,20 +418,9 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
             issues.append(f"objective {term.index}: negative weight {term.alpha}")
         if cert.kind == STRONG and term.alpha <= 0:
             issues.append(f"objective {term.index}: strong certificate needs alpha > 0")
-        ref = subdiff(p.objectives[term.index], cp.x).vertices
-        if tuple(term.vertices) != tuple(ref):
-            issues.append(f"objective {term.index}: vertex table drifted")
-            continue
-        if len(term.coeffs) != len(ref) or any(c < 0 for c in term.coeffs):
-            issues.append(f"objective {term.index}: bad convex coefficients")
-            continue
-        if sum(term.coeffs, ZERO) != 1:
-            issues.append(f"objective {term.index}: coefficients do not sum to 1")
-        rebuilt = tuple(
-            sum((c * v[k] for c, v in zip(term.coeffs, ref)), ZERO) for k in range(n)
+        issues += selection_issues(
+            p, cp.x, term.index, term.vertices, term.coeffs, term.xi
         )
-        if rebuilt != tuple(term.xi):
-            issues.append(f"objective {term.index}: xi does not match its coefficients")
     active = set(cp.T)
     for term in cert.constraint_terms:
         if term.index not in active:
@@ -437,11 +443,7 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
             continue
         if sum(term.coeffs, ZERO) != 1:
             issues.append(f"constraint {term.index}: coefficients do not sum to 1")
-        rebuilt = tuple(
-            sum((c * v[k] for c, v in zip(term.coeffs, term.vertices)), ZERO)
-            + sum((w * r[k] for w, r in zip(term.ray_coeffs, term.rays)), ZERO)
-            for k in range(n)
-        )
+        rebuilt = _conic_point(term.coeffs, term.vertices, term.ray_coeffs, term.rays, n)
         if rebuilt != tuple(term.zeta):
             issues.append(f"constraint {term.index}: zeta does not match its coefficients")
     if any(r != 0 for r in cert.residual()):

@@ -29,10 +29,9 @@ from .funcs import (
     Scaled2Norm,
     ScaledNormInf,
     SupportPolygon,
-    eval_float,
     evaluate,
 )
-from .problem import MosipProblem, check_feasible
+from .problem import MosipProblem, constraint_values
 from .quals import jsonify
 from .rationals import Q, as_q, vec_q
 
@@ -82,7 +81,7 @@ def _vector_eval(f, pts: np.ndarray) -> np.ndarray:
         u = np.clip(v * (2.0 * t - v), 0.0, None)
         vals = np.where((v < -_NEAR_ZERO) | (v > 2.0 * t + _NEAR_ZERO), np.inf, -np.sqrt(u))
     else:
-        vals = np.array([eval_float(f, row) for row in pts], dtype=float)
+        raise TypeError(f"unknown function kind {type(f).__name__}")
     if getattr(f, "domain", None) is not None:
         for a, b in f.domain.rows:
             vals = np.where(pts @ _farray(a) > float(b) + _NEAR_ZERO, np.inf, vals)
@@ -99,7 +98,7 @@ def _exact_grid_point(flat: int, shape: tuple, box, resolution: int) -> tuple:
 
 def _exactly_feasible(p: MosipProblem, x) -> bool:
     try:
-        check_feasible(p, x)
+        constraint_values(p, x)
     except ModelError:
         return False
     return True
@@ -119,7 +118,7 @@ def classify_grid(p: MosipProblem, x_hat, box, resolution: int) -> OracleReport:
     candidate; ``resolution`` is the point count per axis (at least 2, and
     at most MAX_GRID_POINTS points in all)."""
     x_hat = tuple(vec_q(x_hat))
-    check_feasible(p, x_hat)
+    constraint_values(p, x_hat)
     box_q = [(as_q(lo), as_q(hi)) for lo, hi in box]
     if len(box_q) != p.dimension:
         raise ModelError("box needs one (lo, hi) pair per coordinate")
@@ -192,11 +191,11 @@ def classify_grid(p: MosipProblem, x_hat, box, resolution: int) -> OracleReport:
     eff_refuted = first_verified(eff_mask, strict=False)
 
     notes = []
-    iso = p.annotations.get("isolation", {}) if isinstance(p.annotations, dict) else {}
+    iso = p.annotations.get("isolation", {})
     if iso.get("discrepancy"):
         notes.append(f"documented isolation account: {iso['discrepancy']}")
-    if iso.get("documented_nu") is not None:
-        documented = float(Q(*iso["documented_nu"]))
+    if p.documented_nu is not None:
+        documented = float(p.documented_nu)
         if nu_hat < documented - 1e-6:
             notes.append(
                 f"grid minimum {nu_hat:.6g} falls below the documented "

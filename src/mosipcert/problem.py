@@ -4,6 +4,11 @@ truncation), the feasible set S, the envelope function psi, active index
 sets, and the derived sets F, F*, G, G*, Q^i, C(S, x), N(S, x) at a candidate
 point.
 
+Everything derived at one candidate point lives in that point's one store,
+`CandidatePoint.derived`: the constraint values, the subdifferentials of the
+objectives, of any constraint and of psi, and the cones built from them.
+Each entry is computed at most once; a refused computation is not stored.
+
 Truncation is a first-class, user-visible parameter: every value that depends
 on a truncated family carries a "truncated" provenance marker, because no
 finite slice of an infinite family can silently stand in for the whole.  For
@@ -48,7 +53,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import ZERO, ExtReal, Q, as_q, qdot, vec_q
+from .rationals import ZERO, ExtReal, Q, as_q, q_from_pair, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -207,8 +212,26 @@ ConstraintFamily = Union[FiniteFamily, IndexedFamily]
 # problem
 
 
+def _rational_vectors(rows, dimension: int, what: str) -> tuple:
+    """Vectors of [num, den] pairs, each with `dimension` entries."""
+    out = []
+    for row in rows:
+        vec = tuple(q_from_pair(c) for c in row)
+        if len(vec) != dimension:
+            raise ParseError(f"{what} has {len(vec)} entries, not {dimension}")
+        out.append(vec)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MosipProblem:
+    """The problem data.  The annotation rationals the toolkit reads are
+    parsed once, here, into attributes outside the dataclass fields (so ==
+    and repr see the fields only): `g_polar_normals`, the documented
+    G-polar's normals or None; `pinned_points`, the points where
+    ``g_sets_exact`` pins the truncated data; `documented_nu`, the documented
+    isolation constant or None."""
+
     dimension: int
     objectives: tuple
     constraints: ConstraintFamily
@@ -245,12 +268,32 @@ class MosipProblem:
         bad_flags = set(annotations.get("flags", {})) - FLAG_KEYS
         if bad_flags:
             raise ModelError(f"unknown flags: {sorted(bad_flags)}")
+        try:
+            g_polar = annotations.get("documented_g_polar")
+            pinned = annotations.get("g_sets_exact")
+            nu = annotations.get("isolation", {}).get("documented_nu")
+            g_polar_normals = (
+                _rational_vectors(g_polar["normals"], dimension, "a documented_g_polar normal")
+                if g_polar
+                else None
+            )
+            pinned_points = (
+                _rational_vectors(pinned.get("points", []), dimension, "a g_sets_exact point")
+                if pinned
+                else ()
+            )
+            documented_nu = None if nu is None else q_from_pair(nu)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed annotation: {exc}") from exc
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "objectives", objectives)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "feasible_set", feasible_set)
         object.__setattr__(self, "psi_override", psi_override)
         object.__setattr__(self, "annotations", annotations)
+        object.__setattr__(self, "g_polar_normals", g_polar_normals)
+        object.__setattr__(self, "pinned_points", pinned_points)
+        object.__setattr__(self, "documented_nu", documented_nu)
 
     @property
     def num_objectives(self) -> int:
@@ -311,7 +354,7 @@ def psi(p: MosipProblem, x) -> ExtValue:
     return ExtValue(max(vals), prov)
 
 
-def _constraint_values(p: MosipProblem, x) -> tuple:
+def constraint_values(p: MosipProblem, x) -> tuple:
     """Every g_k(x) over the truncated family, after the exact feasibility
     check of x against the family and, when supplied, the closed-form S;
     raises naming the first violated index or row."""
@@ -335,12 +378,6 @@ def _constraint_values(p: MosipProblem, x) -> tuple:
     return tuple(values)
 
 
-def check_feasible(p: MosipProblem, x) -> None:
-    """Exact feasibility of x against the truncated family and, when supplied,
-    the closed-form S; raises naming the first violated index or row."""
-    _constraint_values(p, x)
-
-
 def _eps_active(values, eps) -> list:
     """The indices k with g_k(x) >= -eps, given every g_k(x)."""
     eps = as_q(eps)
@@ -349,102 +386,15 @@ def _eps_active(values, eps) -> list:
     return [k for k, value in enumerate(values) if value >= -eps]
 
 
-def active_set(p: MosipProblem, x, eps=0) -> list:
-    """epsilon-active indices {k : g_k(x) >= -eps} over the truncated family."""
-    return _eps_active(_constraint_values(p, x), eps)
-
-
-# ---------------------------------------------------------------------------
-# derived sets at a candidate point
-
-
-_UNSET = object()
-
-
-class SubdiffTable:
-    """The subdifferentials of the problem's functions at one point x, each
-    computed at most once, on first request:
-
-    * ``objective(i)`` is subdiff(f_i, x), a polytope;
-    * ``constraint(k)`` is subdiff_set(g_k, x), for any index k;
-    * ``psi()`` is the envelope's subdifferential, built from the argmax
-      members' entries;
-    * ``values`` holds every g_k(x).
-
-    A computation that is refused (UnsupportedOperationError) is not stored,
-    so every request for that entry raises it again.
-    """
-
-    def __init__(self, p: MosipProblem, x: tuple, values: Optional[tuple] = None):
-        self.problem = p
-        self.x = x
-        self._values = values
-        self._objectives: dict = {}
-        self._constraints: dict = {}
-        self._psi = _UNSET
-
-    @property
-    def values(self) -> tuple:
-        if self._values is None:
-            p = self.problem
-            self._values = tuple(evaluate(p.constraint(k), self.x) for k in p.indices())
-        return self._values
-
-    def objective(self, i: int) -> Polytope:
-        if i not in self._objectives:
-            self._objectives[i] = subdiff(self.problem.objectives[i], self.x)
-        return self._objectives[i]
-
-    def constraint(self, k: int) -> GenConvexSet:
-        if k not in self._constraints:
-            self._constraints[k] = subdiff_set(self.problem.constraint(k), self.x)
-        return self._constraints[k]
-
-    def union(self, indices) -> tuple:
-        """Union of the listed constraints' subdifferentials, split into base
-        vertices and recession generators without repeats; empty
-        subdifferentials contribute nothing."""
-        base: list = []
-        rec: list = []
-        for k in indices:
-            ss = self.constraint(k)
-            base.extend(v for v in ss.base.vertices if v not in base)
-            rec.extend(g for g in ss.recession.generators if g not in rec)
-        return base, rec
-
-    def psi(self) -> Optional[GenConvexSet]:
-        """Subdifferential of the upper envelope at x, when representable.
-
-        The override's subdifferential is exact by the model contract.
-        Without an override, a finite family admits the max rule (convex
-        hull of the argmax members' subdifferentials); a truncated family
-        does not pin down the envelope near x, so the result is None
-        (undecidable downstream).
-        """
-        if self._psi is _UNSET:
-            self._psi = self._envelope_subdiff()
-        return self._psi
-
-    def _envelope_subdiff(self) -> Optional[GenConvexSet]:
-        p = self.problem
-        if p.psi_override is not None:
-            return subdiff_set(p.psi_override, self.x)
-        if p.truncated:
-            return None
-        top = max(self.values)
-        if not is_finite(top):
-            return None
-        base: list = []
-        rec: list = []
-        for k, value in enumerate(self.values):
-            if value != top:
-                continue
-            ss = self.constraint(k)
-            if ss.is_empty:
-                return None  # max rule needs every argmax subdifferential
-            base.extend(ss.base.vertices)
-            rec.extend(ss.recession.generators)
-        return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
+def _union(sets) -> tuple:
+    """Union of subdifferentials, split into base vertices and recession
+    generators without repeats; empty subdifferentials contribute nothing."""
+    base: list = []
+    rec: list = []
+    for ss in sets:
+        base.extend(v for v in ss.base.vertices if v not in base)
+        rec.extend(g for g in ss.recession.generators if g not in rec)
+    return base, rec
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +404,7 @@ class SubdiffTable:
 def pinned_exact(p: MosipProblem, x) -> bool:
     """Does an annotation certify that the truncated constraint data at x
     (active set, subdifferential union) already equals the full family's?"""
-    note = p.annotations.get("g_sets_exact")
-    if not note:
-        return False
-    x = list(vec_q(x))
-    for pt in note.get("points", []):
-        if [Q(c[0], c[1]) for c in pt] == x:
-            return True
-    return False
+    return tuple(vec_q(x)) in p.pinned_points
 
 
 def g_data_provenance(p: MosipProblem, x) -> str:
@@ -513,38 +456,23 @@ def sublevel_Q(p: MosipProblem, x, i: int) -> HPoly:
     return HPoly(p.dimension, rows)
 
 
-@dataclass(frozen=True)
-class TangentNormal:
-    C: HCone  # contingent cone to S
-    N: FGCone  # normal cone to S
-
-
-def tangent_normal(p: MosipProblem, x) -> TangentNormal:
-    if p.feasible_set is None:
-        raise ModelError(
-            "tangent/normal cones need an H-representation of S; supply feasible_set"
-        )
-    x = vec_q(x)
-    if not p.feasible_set.contains_point(x):
-        raise ModelError("point lies outside S")
-    return TangentNormal(
-        p.feasible_set.tangent_cone(x), p.feasible_set.normal_cone(x)
-    )
+# ---------------------------------------------------------------------------
+# derived sets at a candidate point
 
 
 @dataclass(frozen=True)
 class CandidatePoint:
     """A feasible point with its derived sets, computed when it is built.
 
-    `table` holds every subdifferential at x that the checkers, `kkt` and
-    `gap` read, and the constraint values g_k(x).  Building the point fills
-    in the objective entries and the active constraints' entries; any other
-    constraint's entry and the envelope's are computed on first request and
-    kept.
+    Every other quantity at x lives in the one store `derived`, each entry
+    computed at most once, on first request, and then kept:
 
-    The cones derived from these sets are likewise computed on first request
-    and kept in `derived`:
-
+    * ``objective_subdiff(i)``, subdiff(f_i, x); building the point computes
+      all of them, since F needs them;
+    * ``constraint_subdiff(k)``, subdiff_set(g_k, x) for any index k;
+      building the point computes those of the active constraints;
+    * ``psi_subdiff()``, the envelope's subdifferential;
+    * ``g_values``, every g_k(x), from the feasibility pass of `build`;
     * ``g_polar()``, the negative polar G^0(x) with its provenance and source
       (ACQ, WADQ, EADQ);
     * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
@@ -553,10 +481,11 @@ class CandidatePoint:
     * ``zero_decision()``, the decomposition LP deciding 0 in F* + G* over
       the canonical vertices and generators (weak and strong KKT).
 
-    A refused computation (UnsupportedDimensionError above the double
-    description cap, say) is not stored, so every request raises it again.
-    The table and the entries live and die with the point.  The certificate
-    verifiers read neither: they recompute from the problem data.
+    A refused computation (UnsupportedOperationError for an irrational
+    subdifferential, UnsupportedDimensionError above the double description
+    cap, say) is not stored, so every request raises it again.  The store
+    lives and dies with the point.  The certificate verifiers do not read
+    it: they recompute from the problem data.
     """
 
     problem: MosipProblem
@@ -570,17 +499,16 @@ class CandidatePoint:
     C: Optional[HCone]
     N: Optional[FGCone]
     Q: Optional[tuple]  # per-objective H-polyhedra when constructible
-    table: SubdiffTable = field(compare=False, repr=False)
     derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(p: MosipProblem, x) -> "CandidatePoint":
         x = tuple(vec_q(x))
-        table = SubdiffTable(p, x, _constraint_values(p, x))
-        T = tuple(_eps_active(table.values, 0))
+        derived: dict = {"g_values": constraint_values(p, x)}
+        T = tuple(_eps_active(derived["g_values"], 0))
         F: list = []
-        for i in range(p.num_objectives):
-            sd = table.objective(i)
+        for i, f in enumerate(p.objectives):
+            sd = derived[("objective", i)] = subdiff(f, x)
             if sd.is_empty:
                 raise ModelError(
                     f"objective {i} has empty subdifferential at {list(x)}; "
@@ -588,13 +516,16 @@ class CandidatePoint:
                 )
             F.extend(v for v in sd.vertices if v not in F)
         F_star = Polytope(p.dimension, F)
-        G, rec = table.union(T)
+        for k in T:
+            derived[("constraint", k)] = subdiff_set(p.constraint(k), x)
+        G, rec = _union(derived[("constraint", k)] for k in T)
         G_star = FGCone(p.dimension, G + rec)
         C = N = None
         Q = None
         if p.feasible_set is not None:
-            tn = tangent_normal(p, x)
-            C, N = tn.C, tn.N
+            # x satisfies every row of S: the feasibility pass checked it
+            C = p.feasible_set.tangent_cone(x)
+            N = p.feasible_set.normal_cone(x)
             try:
                 Q = tuple(sublevel_Q(p, x, i) for i in range(p.num_objectives))
             except UnsupportedOperationError:
@@ -615,13 +546,56 @@ class CandidatePoint:
             C=C,
             N=N,
             Q=Q,
-            table=table,
+            derived=derived,
         )
 
     def _kept(self, key, compute):
         if key not in self.derived:
             self.derived[key] = compute()
         return self.derived[key]
+
+    @property
+    def g_values(self) -> tuple:
+        """Every g_k(x) over the truncated family."""
+        return self.derived["g_values"]
+
+    def objective_subdiff(self, i: int) -> Polytope:
+        return self._kept(
+            ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
+        )
+
+    def constraint_subdiff(self, k: int) -> GenConvexSet:
+        return self._kept(
+            ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
+        )
+
+    def psi_subdiff(self) -> Optional[GenConvexSet]:
+        """Subdifferential of the upper envelope at x, when representable.
+
+        The override's subdifferential is exact by the model contract.
+        Without an override, a finite family admits the max rule (convex
+        hull of the argmax members' subdifferentials); a truncated family
+        does not pin down the envelope near x, so the result is None
+        (undecidable downstream).
+        """
+
+        def compute():
+            p = self.problem
+            if p.psi_override is not None:
+                return subdiff_set(p.psi_override, self.x)
+            if p.truncated:
+                return None
+            top = max(self.g_values)
+            if not is_finite(top):
+                return None
+            argmax = [k for k, value in enumerate(self.g_values) if value == top]
+            # the max rule needs every argmax subdifferential
+            if any(self.constraint_subdiff(k).is_empty for k in argmax):
+                return None
+            base, rec = _union(self.constraint_subdiff(k) for k in argmax)
+            return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
+
+        return self._kept("psi", compute)
 
     def g_polar(self) -> tuple:
         """(HCone, provenance, source): the negative polar of the
@@ -630,10 +604,8 @@ class CandidatePoint:
 
         def compute():
             p = self.problem
-            doc = p.annotations.get("documented_g_polar")
-            if doc:
-                normals = [tuple(Q(c[0], c[1]) for c in row) for row in doc["normals"]]
-                return HCone(p.dimension, normals), EXACT, "documented closed-form polar"
+            if p.g_polar_normals is not None:
+                return HCone(p.dimension, p.g_polar_normals), EXACT, "documented closed-form polar"
             prov = g_data_provenance(p, self.x)
             return polar(self.G_star), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
 
@@ -664,14 +636,14 @@ class CandidatePoint:
 
     def active(self, eps) -> list:
         """epsilon-active indices, read off the stored constraint values."""
-        return _eps_active(self.table.values, eps)
+        return _eps_active(self.g_values, eps)
 
     def subgradient_union(self, eps) -> tuple:
         """Union of the eps-active constraint subdifferentials, split into
         base vertices and recession generators; empty subdifferentials
         contribute nothing (their members impose no subgradient inequality
         here)."""
-        return self.table.union(self.active(eps))
+        return _union(self.constraint_subdiff(k) for k in self.active(eps))
 
 
 # ---------------------------------------------------------------------------

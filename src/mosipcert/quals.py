@@ -114,11 +114,6 @@ _FAN_2D = tuple(
 
 
 @dataclass(frozen=True)
-class QualOptions:
-    eps_grid: tuple = DEFAULT_EPS_GRID
-
-
-@dataclass(frozen=True)
 class QualReport:
     qual: str
     status: str
@@ -255,7 +250,7 @@ def _member_nonnegative_everywhere(p: MosipProblem) -> Optional[int]:
     return None
 
 
-def _slater_pair(p: MosipProblem, cp: CandidatePoint, opts: QualOptions) -> tuple:
+def _slater_pair(p: MosipProblem, cp: CandidatePoint) -> tuple:
     """SCQ and SSCQ together: both reduce to making the envelope strictly
     negative somewhere, and every certificate is re-verified by exact
     evaluation over the truncated family."""
@@ -340,19 +335,19 @@ def _slater_pair(p: MosipProblem, cp: CandidatePoint, opts: QualOptions) -> tupl
     )
 
 
-def _check_scq(p, cp, opts):
-    return _slater_pair(p, cp, opts)[0]
+def _check_scq(p, cp):
+    return _slater_pair(p, cp)[0]
 
 
-def _check_sscq(p, cp, opts):
-    return _slater_pair(p, cp, opts)[1]
+def _check_sscq(p, cp):
+    return _slater_pair(p, cp)[1]
 
 
 # ---------------------------------------------------------------------------
 # active-gradient conditions
 
 
-def _check_mfcq(p, cp, opts):
+def _check_mfcq(p, cp):
     prov = g_data_provenance(p, cp.x)
     if cp.G_is_empty:
         return QualReport(
@@ -380,16 +375,16 @@ def _check_mfcq(p, cp, opts):
     )
 
 
-def _check_pmfcq(p, cp, opts):
+def _check_pmfcq(p, cp, eps_grid):
     prov = g_data_provenance(p, cp.x)
     finite = not p.truncated
-    grid = (ZERO,) if finite else tuple(opts.eps_grid)
+    grid = (ZERO,) if finite else tuple(eps_grid)
     values = []
     solved = {}  # eps-active index set -> its min-max (value, direction)
     for eps in grid:
         active = tuple(cp.active(eps))
         if active not in solved:
-            base, rec = cp.table.union(active)
+            base, rec = cp.subgradient_union(eps)
             if not base and not rec:
                 witness = {"kind": "empty_subgradient_union", "eps": eps}
                 return QualReport(
@@ -427,7 +422,7 @@ def _check_pmfcq(p, cp, opts):
     )
 
 
-def _check_lfmcq(p, cp, opts):
+def _check_lfmcq(p, cp):
     if cp.N is None:
         return QualReport("LFMCQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs an H-representation of S for the normal cone")
     prov = g_data_provenance(p, cp.x)
@@ -448,7 +443,7 @@ def _envelope_halfspace_set(p, cp) -> Optional[HCone]:
     """{d : psi'(x; d) <= 0} as an H-cone when the envelope subdifferential is
     available and nonempty: the negative polar of base vertices plus recession
     generators."""
-    ss = cp.table.psi()
+    ss = cp.psi_subdiff()
     if ss is None or ss.is_empty:
         return None
     return HCone(p.dimension, list(ss.base.vertices) + list(ss.recession.generators))
@@ -460,9 +455,9 @@ def _probe_fan(n: int) -> tuple:
     return _FAN_2D
 
 
-def _check_cocq(p, cp, opts):
+def _check_cocq(p, cp):
     prov = psi_data_provenance(p)
-    ss = cp.table.psi()
+    ss = cp.psi_subdiff()
     if ss is None:
         return QualReport("COCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
     n = p.dimension
@@ -485,7 +480,7 @@ def _check_cocq(p, cp, opts):
     return QualReport("COCQ", UNDECIDABLE, prov, None, "no probe direction certified descent; the derivative has no finite representation")
 
 
-def _check_ktcq(p, cp, opts):
+def _check_ktcq(p, cp):
     prov = psi_data_provenance(p)
     if cp.C is None:
         return QualReport("KTCQ", UNDECIDABLE, prov, None, "needs an H-representation of S for the contingent cone")
@@ -498,7 +493,7 @@ def _check_ktcq(p, cp, opts):
             return QualReport("KTCQ", HOLDS, prov, witness, "every envelope-descent direction is a feasible direction")
         witness = {"kind": "escaping_direction", "direction": res.witness}
         return QualReport("KTCQ", FAILS, prov, witness, "an envelope-descent direction leaves the contingent cone")
-    ss = cp.table.psi()
+    ss = cp.psi_subdiff()
     if ss is None or p.psi_override is None or n > 2:
         return QualReport("KTCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable; no closed-form fallback applies")
     if n == 1:
@@ -522,9 +517,9 @@ def _check_ktcq(p, cp, opts):
     return QualReport("KTCQ", UNDECIDABLE, prov, None, "probing cannot certify the containment in two variables")
 
 
-def _check_plvcq(p, cp, opts):
+def _check_plvcq(p, cp):
     prov = worst_provenance(psi_data_provenance(p), g_data_provenance(p, cp.x))
-    ss = cp.table.psi()
+    ss = cp.psi_subdiff()
     if ss is None:
         return QualReport("PLVCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
     if ss.is_empty:
@@ -556,7 +551,7 @@ def _check_plvcq(p, cp, opts):
 # closedness, polar and directional conditions
 
 
-def _check_cccq(p, cp, opts):
+def _check_cccq(p, cp):
     prov = g_data_provenance(p, cp.x)
     if prov == EXACT:
         witness = {"kind": "finitely_generated", "generators": cp.G_star.generators}
@@ -570,7 +565,7 @@ def _check_cccq(p, cp, opts):
     )
 
 
-def _check_acq(p, cp, opts):
+def _check_acq(p, cp):
     if cp.G_is_empty:
         return QualReport("ACQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.C is None:
@@ -584,7 +579,7 @@ def _check_acq(p, cp, opts):
     return QualReport("ACQ", FAILS, prov, witness, f"a direction of the {source} leaves the contingent cone")
 
 
-def _check_wadq(p, cp, opts):
+def _check_wadq(p, cp):
     if cp.G_is_empty:
         return QualReport("WADQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.C is None:
@@ -605,7 +600,7 @@ def _check_wadq(p, cp, opts):
     return QualReport("WADQ", HOLDS, prov, witness, note + f" ({source})")
 
 
-def _check_eadq(p, cp, opts):
+def _check_eadq(p, cp):
     if cp.G_is_empty:
         return QualReport("EADQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.Q is None:
@@ -621,7 +616,7 @@ def _check_eadq(p, cp, opts):
     return QualReport("EADQ", HOLDS, prov, witness, f"every generator of the polar intersection is tangent to every sublevel set ({source})")
 
 
-def _check_moq(p, cp, opts):
+def _check_moq(p, cp):
     rank = span_rank(cp.F)
     n = p.dimension
     witness = {"kind": "span_rank", "rank": rank, "needed": n, "points": cp.F}
@@ -647,26 +642,26 @@ _CHECKERS = {
 }
 
 
-def check(qual: str, p: MosipProblem, cp: CandidatePoint, opts: Optional[QualOptions] = None) -> QualReport:
+def check(qual: str, p: MosipProblem, cp: CandidatePoint, eps_grid=DEFAULT_EPS_GRID) -> QualReport:
     """Run one checker; missing prerequisites surface as Undecidable, never a
-    crash."""
+    crash.  Only PMFCQ reads `eps_grid`."""
     if qual not in _CHECKERS:
         raise ModelError(f"unknown qualification {qual!r}")
-    opts = opts or QualOptions()
     try:
-        return _CHECKERS[qual](p, cp, opts)
+        if qual == "PMFCQ":
+            return _check_pmfcq(p, cp, eps_grid)
+        return _CHECKERS[qual](p, cp)
     except (UnsupportedOperationError, UnsupportedDimensionError) as exc:
         return QualReport(qual, UNDECIDABLE, g_data_provenance(p, cp.x), None, f"prerequisite unavailable: {exc}")
 
 
-def check_all(p: MosipProblem, cp: CandidatePoint, opts: Optional[QualOptions] = None) -> list:
+def check_all(p: MosipProblem, cp: CandidatePoint, eps_grid=DEFAULT_EPS_GRID) -> list:
     """All thirteen reports, in canonical order.  SCQ and SSCQ share one
     analysis, so the pair is computed once."""
-    opts = opts or QualOptions()
-    scq, sscq = _slater_pair(p, cp, opts)
+    scq, sscq = _slater_pair(p, cp)
     out = [scq, sscq]
     for qual in QUAL_IDS[2:]:
-        out.append(check(qual, p, cp, opts))
+        out.append(check(qual, p, cp, eps_grid))
     return out
 
 

@@ -61,6 +61,14 @@ def vec_q(values: Iterable[QLike]) -> list:
     return [as_q(v) for v in values]
 
 
+def lincomb(coeffs: Sequence, vectors: Sequence, n: int) -> tuple:
+    """sum_j coeffs_j * vectors_j, coordinate by coordinate, over n
+    coordinates (the zero vector when there are no terms)."""
+    return tuple(
+        sum((c * v[k] for c, v in zip(coeffs, vectors)), ZERO) for k in range(n)
+    )
+
+
 def qdot(a: Sequence, b: Sequence) -> Q:
     if len(a) != len(b):
         raise ValueError(f"dot of length {len(a)} vs {len(b)}")

@@ -158,10 +158,10 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: parse: ")
 
-    def _broken_fixture(self, tmp_path, edit):
+    def _broken_fixture(self, tmp_path, edit, name="alternating-affine"):
         from mosipcert.instances import fixture_path
 
-        doc = json.loads(fixture_path("alternating-affine").read_text(encoding="utf-8"))
+        doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
         edit(doc)
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -193,6 +193,38 @@ class TestExitCodes:
 
         path = self._broken_fixture(tmp_path, edit)
         code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, argv, key, value",
+        [
+            ("octagon-support", ["quals", "--point", "0,0"], "g_polar",
+             [[1, 1], [0, 1], [0, 1]]),
+            ("octagon-support", ["quals", "--point", "0,0"], "g_polar", [[1], [0, 1]]),
+            ("octagon-support", ["quals", "--point", "0,0"], "g_polar", [[1, 0], [0, 1]]),
+            ("alternating-affine", ["quals", "--point", "0"], "pinned", [[0]]),
+            ("alternating-affine", ["classify", "--point", "0", "--box=-3:0"], "nu",
+             [2, 0]),
+        ],
+        ids=["normal-length", "normal-entry", "normal-zero-den", "pinned-entry",
+             "nu-zero-den"],
+    )
+    def test_malformed_annotation_rational_is_a_parse_error(
+        self, capsys, tmp_path, name, argv, key, value
+    ):
+        def edit(doc):
+            notes = doc["annotations"]
+            if key == "g_polar":
+                notes["documented_g_polar"]["normals"][0] = value
+            elif key == "pinned":
+                notes["g_sets_exact"]["points"] = [value]
+            else:
+                notes["isolation"]["documented_nu"] = value
+
+        path = self._broken_fixture(tmp_path, edit, name)
+        code, out, err = _run(capsys, [argv[0], path, *argv[1:]])
         assert code == 3 and out == ""
         assert err.startswith("error: parse: ")
         assert err.count("\n") == 1
@@ -300,6 +332,18 @@ class TestOptions:
     def test_malformed_dim_cap_env_is_a_model_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("MOSIP_DD_DIM_CAP", raw)
         code, out, err = _run(capsys, ["quals", "octagon-support", "--point", "0,0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: model: ") and err.count("\n") == 1
+        assert "MOSIP_DD_DIM_CAP" in err
+
+
+    @pytest.mark.parametrize("subcommand", ["quals", "certify", "gap", "classify", "report"])
+    def test_malformed_dim_cap_env_fails_every_subcommand(self, capsys, monkeypatch, subcommand):
+        # every subcommand reads the cap before loading, so a malformed value
+        # fails the three that never reach a double description too
+        monkeypatch.setenv("MOSIP_DD_DIM_CAP", "abc")
+        box = ["--box=-2:0,-2:0"] if subcommand in ("classify", "report") else []
+        code, out, err = _run(capsys, [subcommand, "octagon-support", "--point", "0,0", *box])
         assert code == 3 and out == ""
         assert err.startswith("error: model: ") and err.count("\n") == 1
         assert "MOSIP_DD_DIM_CAP" in err

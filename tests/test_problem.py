@@ -35,8 +35,7 @@ from mosipcert.problem import (
     FiniteFamily,
     IndexedFamily,
     MosipProblem,
-    active_set,
-    SubdiffTable,
+    constraint_values,
     dump_problem,
     g_data_provenance,
     octagon_vertices,
@@ -44,9 +43,8 @@ from mosipcert.problem import (
     problem_to_json,
     psi,
     sublevel_Q,
-    tangent_normal,
 )
-from mosipcert.rationals import POS_INF, Q, qdot, vec_q
+from mosipcert.rationals import POS_INF, Q, qdot
 
 
 def f_sets(p, x):
@@ -61,8 +59,13 @@ def g_sets(p, x):
 
 
 def psi_subdiff(p, x):
-    """The envelope's subdifferential at x from a table of its own."""
-    return SubdiffTable(p, tuple(vec_q(x))).psi()
+    """The envelope's subdifferential at x from a candidate point of its own."""
+    return CandidatePoint.build(p, x).psi_subdiff()
+
+
+def active_set(p, x, eps=0):
+    """epsilon-active indices {k : g_k(x) >= -eps}, from the feasibility pass."""
+    return [k for k, value in enumerate(constraint_values(p, x)) if value >= -Q(eps)]
 
 
 def test_active_set_linear_fixture():
@@ -249,22 +252,22 @@ def test_sublevel_Q_max_affine_pieces():
 
 def test_tangent_normal_fixtures():
     p = linear_tail_problem()
-    tn = tangent_normal(p, [0])
-    assert tn.C.normals == ((1,),) and tn.N.generators == ((1,),)
-    assert tn.C.member([-3]) and not tn.C.member([1])
+    cp = CandidatePoint.build(p, [0])
+    assert cp.C.normals == ((1,),) and cp.N.generators == ((1,),)
+    assert cp.C.member([-3]) and not cp.C.member([1])
 
     p = octagon_problem()
-    tn = tangent_normal(p, [0, 0])
-    assert set(tn.N.generators) == {(Q(1), Q(0)), (Q(0), Q(1))}
+    cp = CandidatePoint.build(p, [0, 0])
+    assert set(cp.N.generators) == {(Q(1), Q(0)), (Q(0), Q(1))}
 
-    tn = tangent_normal(p, [-1, -1])  # interior point
-    assert tn.C.normals == () and tn.N.is_zero
+    cp = CandidatePoint.build(p, [-1, -1])  # interior point
+    assert cp.C.normals == () and cp.N.is_zero
 
 
 def test_tangent_normal_requires_feasible_set():
     p = MosipProblem(1, [Affine([1], 0)], FiniteFamily([Affine([1], 0)]))
-    with pytest.raises(ModelError, match="supply feasible_set"):
-        tangent_normal(p, [0])
+    cp = CandidatePoint.build(p, [0])
+    assert cp.C is None and cp.N is None
 
 
 def test_candidate_point_builds_on_fixtures():
@@ -332,24 +335,24 @@ def test_eps_monotonicity_property(eps1, eps2):
 
 
 # ---------------------------------------------------------------------------
-# the per-point subdifferential table
+# the per-point subdifferentials
 
 
-def _assert_table_matches_fresh(p, x) -> None:
+def _assert_store_matches_fresh(p, x) -> None:
     cp = CandidatePoint.build(p, x)
     for i, f in enumerate(p.objectives):
-        assert cp.table.objective(i) == subdiff(f, x)
-    assert cp.table.values == tuple(evaluate(p.constraint(k), x) for k in p.indices())
+        assert cp.objective_subdiff(i) == subdiff(f, x)
+    assert cp.g_values == tuple(evaluate(p.constraint(k), x) for k in p.indices())
     for k in p.indices():
         try:
             fresh = subdiff_set(p.constraint(k), x)
         except UnsupportedOperationError:
             with pytest.raises(UnsupportedOperationError):
-                cp.table.constraint(k)
+                cp.constraint_subdiff(k)
             continue
-        assert cp.table.constraint(k) == fresh
-        assert cp.table.constraint(k) is cp.table.constraint(k)  # computed once
-    assert cp.table.psi() == psi_subdiff(p, x)
+        assert cp.constraint_subdiff(k) == fresh
+        assert cp.constraint_subdiff(k) is cp.constraint_subdiff(k)  # computed once
+    assert cp.psi_subdiff() == psi_subdiff(p, x)
     for eps in (0, Q(1, 4), Q(1, 2), 1, 3):
         assert cp.active(eps) == active_set(p, x, eps)
 
@@ -357,14 +360,14 @@ def _assert_table_matches_fresh(p, x) -> None:
 def test_subdiff_table_matches_fresh_computation_on_fixtures():
     for build in FIXTURE_BUILDERS.values():
         p = build()
-        _assert_table_matches_fresh(p, [Q(0)] * p.dimension)
+        _assert_store_matches_fresh(p, [Q(0)] * p.dimension)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_subdiff_table_matches_fresh_computation_on_random_instances(seed):
     p, x = random_polyhedral_problem(random.Random(seed))
-    _assert_table_matches_fresh(p, x)
+    _assert_store_matches_fresh(p, x)
 
 
 def test_verifier_recomputes_instead_of_reading_the_table():
@@ -376,9 +379,9 @@ def test_verifier_recomputes_instead_of_reading_the_table():
     assert certificate_issues(p, CandidatePoint.build(p, [0]), cert) == []
 
     cp = CandidatePoint.build(p, [0])
-    (vertex,) = cp.table.objective(0).vertices
-    # objective 0 is -2x: a table claiming -4 still admits a decomposition
-    cp.table._objectives[0] = Polytope(1, [[2 * vertex[0]]])
+    (vertex,) = cp.objective_subdiff(0).vertices
+    # objective 0 is -2x: a store claiming -4 still admits a decomposition
+    cp.derived[("objective", 0)] = Polytope(1, [[2 * vertex[0]]])
     drifted = weak_kkt(p, cp)
     assert isinstance(drifted, KktCertificate)
     assert drifted.objective_terms[0].vertices == ((Q(-4),),)

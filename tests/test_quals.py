@@ -13,14 +13,14 @@ from helpers_instances import random_polyhedral_problem
 from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, span_rank
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff_set
 from mosipcert.instances import FIXTURE_BUILDERS, load_fixture
-from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem, active_set
+from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
 from mosipcert.quals import (
     ARROWS,
+    DEFAULT_EPS_GRID,
     FAILS,
     HOLDS,
     QUAL_IDS,
     UNDECIDABLE,
-    QualOptions,
     QualReport,
     _min_max_direction,
     check,
@@ -112,7 +112,7 @@ def test_pmfcq_grid_values_monotone_on_linear_fixture():
     p = load_fixture("alternating-affine")
     cp = _candidate(p)
     values = []
-    for eps in QualOptions().eps_grid:
+    for eps in DEFAULT_EPS_GRID:
         base, rec = cp.subgradient_union(eps)
         value, _ = _min_max_direction(base, rec, 1)
         values.append(value)
@@ -122,9 +122,10 @@ def test_pmfcq_grid_values_monotone_on_linear_fixture():
 
 def test_active_set_eps_pattern_matches_subgradients():
     p = load_fixture("alternating-affine")
-    base, _ = _candidate(p).subgradient_union(Q(1, 2))
+    cp = _candidate(p)
+    base, _ = cp.subgradient_union(Q(1, 2))
     assert set(base) == {(Q(1),), (Q(2),), (Q(3),)}
-    assert active_set(p, [0], Q(1, 2))[:2] == [0, 3]
+    assert cp.active(Q(1, 2))[:2] == [0, 3]
 
 
 def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
@@ -132,7 +133,7 @@ def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
 
     p = load_fixture("octagon-support")
     cp = _candidate(p)
-    grid = QualOptions().eps_grid
+    grid = DEFAULT_EPS_GRID
     calls = []
     real = quals._min_max_direction
 
@@ -174,9 +175,9 @@ def test_refused_subdifferential_is_refused_on_every_request():
     assert cp.T == ()
     for _ in range(2):
         with pytest.raises(UnsupportedOperationError):
-            cp.table.constraint(0)
+            cp.constraint_subdiff(0)
         with pytest.raises(UnsupportedOperationError):
-            cp.table.psi()
+            cp.psi_subdiff()
     first = [check(q, p, cp) for q in ("COCQ", "PLVCQ")]
     again = [check(q, p, cp) for q in ("COCQ", "PLVCQ")]
     assert first == again
