@@ -151,7 +151,7 @@ def build_parser() -> _Parser:
 def parse_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     eps = None
-    if getattr(args, "eps_grid", None):
+    if getattr(args, "eps_grid", None) is not None:
         eps = tuple(_rational(t) for t in args.eps_grid.split(","))
     return RunConfig(
         subcommand=args.subcommand,
@@ -160,9 +160,9 @@ def parse_config(argv) -> RunConfig:
         fmt=args.format,
         eps_grid=eps,
         truncation=args.truncation,
-        box=_parse_box(args.box) if getattr(args, "box", None) else None,
+        box=None if getattr(args, "box", None) is None else _parse_box(args.box),
         resolution=getattr(args, "resolution", 101),
-        nu=_rational(args.nu) if getattr(args, "nu", None) else None,
+        nu=None if getattr(args, "nu", None) is None else _rational(args.nu),
         sample_count=getattr(args, "sample_count", 8),
         verify=getattr(args, "verify", False),
     )

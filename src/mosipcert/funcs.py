@@ -69,6 +69,8 @@ class MaxAffine:
         cleaned = tuple((tuple(vec_q(a)), as_q(b)) for a, b in pieces)
         if not cleaned:
             raise ValueError("MaxAffine needs at least one piece")
+        if len({len(a) for a, _ in cleaned}) != 1:
+            raise ValueError("MaxAffine pieces differ in dimension")
         object.__setattr__(self, "pieces", cleaned)
         object.__setattr__(self, "domain", domain)
 
@@ -93,6 +95,8 @@ class SupportPolygon:
         cleaned = tuple(tuple(vec_q(v)) for v in vertices)
         if not cleaned:
             raise ValueError("SupportPolygon needs at least one vertex")
+        if len({len(v) for v in cleaned}) != 1:
+            raise ValueError("SupportPolygon vertices differ in dimension")
         object.__setattr__(self, "vertices", cleaned)
         object.__setattr__(self, "domain", domain)
 

@@ -187,9 +187,17 @@ def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
     """Exactness defects of a (possibly deserialized) witness, against vertex
     tables recomputed from the problem's objectives (not read from the
     point's store)."""
-    issues = []
-    if len(w.lam) != p.num_objectives:
-        return [f"{len(w.lam)} lambda entries for {p.num_objectives} objectives"]
+    m = p.num_objectives
+    issues = [
+        f"{len(entries)} {name} entries for {m} objectives"
+        for name, entries in (
+            ("lambda", w.lam), ("xi", w.xi), ("xi_coeffs", w.xi_coeffs),
+            ("xi_vertices", w.xi_vertices),
+        )
+        if len(entries) != m
+    ]
+    if issues:
+        return issues
     if any(l < 0 for l in w.lam):
         issues.append("negative lambda component")
     if sum(w.lam, ZERO) != 1:

@@ -35,7 +35,7 @@ from .problem import (
     g_data_provenance,
 )
 from .quals import DEFAULT_EPS_GRID, HOLDS, QualReport, jsonify
-from .rationals import ONE, ZERO, Q, as_q, lincomb, q_from_pair
+from .rationals import ONE, ZERO, Q, as_q, json_int, lincomb, q_from_pair
 
 WEAK = "Weak"
 STRONG = "Strong"
@@ -413,30 +413,46 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
     total = sum((t.alpha for t in cert.objective_terms), ZERO)
     if total != 1:
         issues.append(f"objective weights sum to {total}, not 1")
-    for term in cert.objective_terms:
+    # the residual is summed only over terms of n coordinates each
+    shaped = True
+    for i, term in enumerate(cert.objective_terms):
+        if term.index != i:
+            issues.append(f"objective term {i} has index {term.index}, not {i}")
+            shaped = False
+            continue
         if term.alpha < 0:
-            issues.append(f"objective {term.index}: negative weight {term.alpha}")
+            issues.append(f"objective {i}: negative weight {term.alpha}")
         if cert.kind == STRONG and term.alpha <= 0:
-            issues.append(f"objective {term.index}: strong certificate needs alpha > 0")
-        issues += selection_issues(
-            p, cp.x, term.index, term.vertices, term.coeffs, term.xi
-        )
+            issues.append(f"objective {i}: strong certificate needs alpha > 0")
+        shaped &= len(term.xi) == n
+        issues += selection_issues(p, cp.x, i, term.vertices, term.coeffs, term.xi)
     active = set(cp.T)
     for term in cert.constraint_terms:
         if term.index not in active:
             issues.append(f"constraint {term.index}: not active at the candidate")
+            shaped = False
             continue
         ss = subdiff_set(p.constraint(term.index), cp.x)
         if tuple(term.vertices) != tuple(ss.base.vertices) or tuple(term.rays) != tuple(
             ss.recession.generators
         ):
             issues.append(f"constraint {term.index}: subdifferential table drifted")
+            shaped = False
             continue
         if term.beta < 0:
             issues.append(f"constraint {term.index}: negative multiplier {term.beta}")
         if term.zeta is None:
-            if term.beta != 0 or not term.ray_coeffs:
+            if term.beta != 0 or not term.ray_coeffs or len(term.ray_coeffs) != len(term.rays):
                 issues.append(f"constraint {term.index}: malformed recession-only term")
+                shaped = False
+            elif any(w < 0 for w in term.ray_coeffs):
+                issues.append(f"constraint {term.index}: negative coefficients")
+            continue
+        if (len(term.coeffs), len(term.ray_coeffs), len(term.zeta)) != (
+            len(term.vertices), len(term.rays), n
+        ):
+            issues.append(f"constraint {term.index}: coefficient or zeta lengths are wrong")
+            shaped = False
             continue
         if any(c < 0 for c in term.coeffs) or any(w < 0 for w in term.ray_coeffs):
             issues.append(f"constraint {term.index}: negative coefficients")
@@ -446,7 +462,7 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
         rebuilt = _conic_point(term.coeffs, term.vertices, term.ray_coeffs, term.rays, n)
         if rebuilt != tuple(term.zeta):
             issues.append(f"constraint {term.index}: zeta does not match its coefficients")
-    if any(r != 0 for r in cert.residual()):
+    if shaped and any(r != 0 for r in cert.residual()):
         issues.append("stationarity residual is nonzero")
     return issues
 
@@ -493,7 +509,7 @@ def certificate_from_json(doc: dict) -> KktCertificate:
             raise ParseError(f"unknown certificate kind {kind!r}")
         oterms = tuple(
             ObjectiveTerm(
-                index=int(t["index"]),
+                index=json_int(t["index"], "index"),
                 alpha=q_from_pair(t["alpha"]),
                 xi=tuple(map(q_from_pair, t["xi"])),
                 coeffs=tuple(map(q_from_pair, t["coeffs"])),
@@ -503,7 +519,7 @@ def certificate_from_json(doc: dict) -> KktCertificate:
         )
         cterms = tuple(
             ConstraintTerm(
-                index=int(t["index"]),
+                index=json_int(t["index"], "index"),
                 beta=q_from_pair(t["beta"]),
                 zeta=None if t["zeta"] is None else tuple(map(q_from_pair, t["zeta"])),
                 coeffs=tuple(map(q_from_pair, t["coeffs"])),

@@ -18,22 +18,30 @@ Conventions
 
 Arithmetic
 ----------
+`solve` converts each LP row, coefficients and rhs, to integers once: the
+row times k, the lcm of its denominators.  The tableau and every
+substitution check read those same integer rows.
+
 The simplex loop computes with Python ints only.  Each tableau row, and the
 objective row, is a list of integers over one positive row denominator: the
-rational row is ints / den.  A row is built from the oriented LP row times k,
-the lcm of its denominators, with slack, artificial and audit entries k, so
-that ints / k is exactly the rational row; after every update the row is
-divided by the gcd of its entries and its denominator.  Denominators are
-positive, so sign tests read the ints and the ratio test cross-multiplies.
-Each rational row equals the one a rational tableau would hold, so the pivot
-sequence, and every result read off the final basis, is the same.  Results
-are built as rationals (Q) only at the end.
+rational row is ints / den.  A row is built from the oriented integer row,
+with slack and artificial entries k, so that ints / k is exactly the
+rational row; after every update the row is divided by the gcd of its
+entries and its denominator.  Denominators are positive, so sign tests read
+the ints and the ratio test cross-multiplies.  Each rational row equals the
+one a rational tableau would hold, so the pivot sequence, and every result
+read off the final basis, is the same.  Results are built as rationals (Q)
+only at the end.
 
-Multipliers are read off an identity audit block carried on the tableau
-(column i of the block records row i's multiple in every row), then
-re-verified by substitution before being returned.  The substitution checks
-clear the denominators of the LP's rows and of the result and compare
-integers; they are exact.
+Multipliers are read off each row's initial basic column: its artificial if
+it has one, else its slack.  After the sign fix that column is k e_i, the
+rational unit vector e_i, and every pivot and price-out applies the same row
+operations to it, so the objective row holds (the column's cost) - y_i
+there.  A slack costs 0 in both phases and an artificial costs 0 in phase 2,
+so the entry is -y_i; in phase 1 an artificial costs -1, so its entry is
+lower by exactly obj_den.  The multipliers are re-verified by substitution
+before being returned.  The substitution checks clear the denominators of
+the result and compare integers; they are exact.
 """
 
 from __future__ import annotations
@@ -117,18 +125,19 @@ LpOutcome = object  # Optimal | Infeasible | Unbounded
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
-    rows = lp.all_rows()
-    tab = _Tableau(lp.num_vars, lp.objective, rows)
+    rows = _int_rows(lp.all_rows())
+    objective = _int_row(lp.objective)
+    tab = _Tableau(lp.num_vars, objective, rows)
     farkas = tab.phase1()
     if farkas is not None:
-        if not verify_farkas(rows, farkas):
+        if not _farkas_holds(rows, farkas):
             raise InternalInconsistencyError("Farkas certificate failed substitution")
         return Infeasible(farkas)
     res = tab.phase2()
     if isinstance(res, Unbounded):
-        _check_ray(lp.objective, rows, res)
+        _check_ray(objective, rows, res)
     else:
-        _check_optimal(lp.objective, rows, res)
+        _check_optimal(objective, rows, res)
     return res
 
 
@@ -142,28 +151,11 @@ def feasible_point(num_vars: int, rows: Sequence):
 
 def verify_farkas(rows: Sequence, farkas: Sequence) -> bool:
     """Substitution check: nonnegative on inequalities, sum lam*a~ = 0, sum lam*b~ < 0."""
-    if len(farkas) != len(rows):
-        return False
-    combo = _combination(rows, farkas, len(rows[0][0]) if rows else 0)
-    if combo is None:
-        return False
-    *coeffs, rhs = combo[0]
-    return all(c == 0 for c in coeffs) and rhs < 0
+    return _farkas_holds(_int_rows(rows), farkas)
 
 
 def point_satisfies(rows: Sequence, point: Sequence) -> bool:
-    xs, d = _int_row(point)
-    for coeffs, rel, b in rows:
-        *ints, kb = _int_row([*coeffs, b])[0]
-        # a.x <= b  iff  (k a).(d x) <= (k b) d for k, d > 0, and d x = xs
-        lhs, rhs = _dot(ints, xs), kb * d
-        if rel == LE and lhs > rhs:
-            return False
-        if rel == GE and lhs < rhs:
-            return False
-        if rel == EQ and lhs != rhs:
-            return False
-    return True
+    return _satisfies(_int_rows(rows), *_int_row(point))
 
 
 def _int_row(values):
@@ -175,49 +167,83 @@ def _int_row(values):
     return [int(v.numerator) * (k // int(v.denominator)) for v in values], k
 
 
+def _int_rows(rows):
+    """Each row (coeffs, rel, rhs) as (a, b, k, rel): coeffs and rhs times k,
+    the lcm of the row's denominators, so that (a, b) / k is the row."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        (*a, b), k = _int_row([*coeffs, rhs])
+        out.append((a, b, k, rel))
+    return out
+
+
 def _dot(a, b) -> int:
     if len(a) != len(b):
         raise ValueError(f"dot of length {len(a)} vs {len(b)}")
     return sum(map(operator.mul, a, b))
 
 
+def _satisfies(rows, xs, d) -> bool:
+    """The integer rows hold at the point xs / d (d > 0)."""
+    for a, b, _, rel in rows:
+        # a.x <= b  iff  (k a).(d x) <= (k b) d for k, d > 0, and d x = xs
+        lhs, rhs = _dot(a, xs), b * d
+        if rel == LE and lhs > rhs:
+            return False
+        if rel == GE and lhs < rhs:
+            return False
+        if rel == EQ and lhs != rhs:
+            return False
+    return True
+
+
+def _farkas_holds(rows, farkas) -> bool:
+    if len(farkas) != len(rows):
+        return False
+    combo = _combination(rows, farkas, len(rows[0][0]) if rows else 0)
+    if combo is None:
+        return False
+    total, rhs, _ = combo
+    return all(c == 0 for c in total) and rhs < 0
+
+
 def _combination(rows, lams, n):
-    """(ints, e) with sum_i lam_i * (a~_i, b~_i) = ints / e over the oriented
-    rows, or None when an inequality row has a negative multiplier.  Row i
-    is scaled to integers by some k_i > 0, so its multiplier is lam_i / k_i."""
+    """(total, rhs, e) with sum_i lam_i * (a~_i, b~_i) = (total, rhs) / e over
+    the oriented integer rows, or None when an inequality row has a negative
+    multiplier.  Row i is its rational row times k_i, so its multiplier is
+    lam_i / k_i; a ">=" row is oriented by negating that multiplier."""
     parts = []
-    for lam, (coeffs, rel, b) in zip(lams, rows):
+    for lam, (a, b, k, rel) in zip(lams, rows):
         if rel != EQ and lam < 0:
             return None
-        ints, k = _int_row([*coeffs, b])
-        if rel == GE:
-            ints = [-v for v in ints]
-        parts.append((ints, int(lam.numerator), int(lam.denominator) * k))
-    e = math.lcm(*[q for _, _, q in parts])
-    total = [0] * (n + 1)
-    for ints, p, q in parts:
+        p = int(lam.numerator)
+        parts.append((a, b, -p if rel == GE else p, int(lam.denominator) * k))
+    e = math.lcm(*[q for *_, q in parts])
+    total, rhs = [0] * n, 0
+    for a, b, p, q in parts:
         if p:
             f = p * (e // q)
-            total = [t + f * v for t, v in zip(total, ints, strict=True)]
-    return total, e
+            total = [t + f * v for t, v in zip(total, a, strict=True)]
+            rhs += f * b
+    return total, rhs, e
 
 
 def _check_ray(objective, rows, res: Unbounded):
-    ok = point_satisfies(rows, res.feasible_point)
+    ok = _satisfies(rows, *_int_row(res.feasible_point))
     if ok:
         ray, _ = _int_row(res.ray)  # a positive multiple of the ray
-        for coeffs, rel, _ in rows:
-            d = _dot(_int_row(coeffs)[0], ray)
+        for a, _, _, rel in rows:
+            d = _dot(a, ray)
             ok &= (rel == LE and d <= 0) or (rel == GE and d >= 0) or (rel == EQ and d == 0)
-        ok &= _dot(_int_row(objective)[0], ray) > 0
+        ok &= _dot(objective[0], ray) > 0
     if not ok:
         raise InternalInconsistencyError("unboundedness ray failed substitution")
 
 
 def _check_optimal(objective, rows, res: Optimal):
-    ok = point_satisfies(rows, res.primal)
-    c, kc = _int_row(objective)
+    c, kc = objective
     xs, d = _int_row(res.primal)
+    ok = _satisfies(rows, xs, d)
     vn, vd = int(res.value.numerator), int(res.value.denominator)
     ok &= _dot(c, xs) * vd == vn * kc * d
     # Dual feasibility (equality rows because variables are free) and strong duality.
@@ -225,7 +251,7 @@ def _check_optimal(objective, rows, res: Optimal):
     if combo is None:
         ok = False
     else:
-        (*lhs, rhs), e = combo
+        lhs, rhs, e = combo
         ok &= all(a * kc == e * cj for a, cj in zip(lhs, c))
         ok &= rhs * vd == e * vn
     if not ok:
@@ -248,32 +274,36 @@ def _reduced(ints, den):
 
 
 class _Tableau:
-    """Equality-form tableau with an audit block recovering row multipliers.
+    """Equality-form tableau built from the integer rows (a, b, k, rel) that
+    `solve` converted once, and the objective as (ints, k).
 
     Row i is the integer list self.rows[i] over the positive denominator
     self.dens[i]; the objective row of the current phase is likewise self.obj
-    over self.obj_den.
+    over self.obj_den.  Row i's multiplier is read off the column that was
+    basic in it at the start (self.start[i]): after the sign fix that column
+    is k_i e_i, the rational unit vector e_i, so its objective entry is its
+    cost minus y_i throughout.  That is -y_i, except for an artificial in
+    phase 1 (cost -1), whose entry is lower by obj_den.  No audit block is
+    carried.
     """
 
     def __init__(self, num_vars: int, objective, rows):
-        self.objective = objective
+        self.objective = objective  # (ints, k) as from _int_row
         n = self.n = num_vars
         m = self.m = len(rows)
 
-        # Each row oriented as "<=" or "==" and scaled by k, the lcm of its
-        # denominators, to integers (coeffs, rhs).
+        # Each integer row oriented as "<=" or "==".
         oriented = []
-        for coeffs, rel, rhs in rows:
-            ints, k = _int_row([*coeffs, rhs])
+        for a, b, k, rel in rows:
             if rel == GE:
-                ints, rel = [-v for v in ints], LE
-            oriented.append((ints, rel, k))
+                a, b, rel = [-v for v in a], -b, LE
+            oriented.append((a, b, k, rel))
 
         # Equality form with slack columns for "<=" rows, then rhs-sign fix.
         # sigma[i] is the factor applied after slacks were added.
         self.slack_col = [-1] * m
         ncols = 2 * n  # u, v split of the free variables
-        for i, (_, rel, _) in enumerate(oriented):
+        for i, (*_, rel) in enumerate(oriented):
             if rel == LE:
                 self.slack_col[i] = ncols
                 ncols += 1
@@ -281,15 +311,11 @@ class _Tableau:
         self.art_col = [-1] * m
         body_cols = ncols
 
-        # The slack, artificial and audit entries of a row are its k, so that
+        # The slack and artificial entries of a row are its k, so that
         # ints / k is the rational row.
         eq_rows = []
-        for i, (ints, _, k) in enumerate(oriented):
-            b = ints.pop()
-            row = [0] * body_cols
-            for j, c in enumerate(ints):
-                row[j] = c
-                row[n + j] = -c
+        for i, (a, b, k, _) in enumerate(oriented):
+            row = a + [-c for c in a] + [0] * (body_cols - 2 * n)
             if self.slack_col[i] >= 0:
                 row[self.slack_col[i]] = k
             if b < 0:
@@ -308,17 +334,17 @@ class _Tableau:
                 self.art_col[i] = ncols
                 self.basis[i] = ncols
                 ncols += 1
+        self.start = list(self.basis)
         self.first_art = body_cols
         self.ncols = ncols
 
-        # Row layout: [columns..., rhs, audit block (m entries)]
+        # Row layout: [columns..., rhs]
         self.rows = []
         self.dens = []
         for i, (row, b, k) in enumerate(eq_rows):
-            full = row + [0] * (ncols - body_cols) + [b] + [0] * m
+            full = row + [0] * (ncols - body_cols) + [b]
             if self.art_col[i] >= 0:
                 full[self.art_col[i]] = k
-            full[ncols + 1 + i] = k
             self.rows.append(full)
             self.dens.append(k)
         self.rhs_idx = ncols
@@ -365,17 +391,19 @@ class _Tableau:
                 return enter
             self._pivot(leave, enter)
 
-    def _audit_multipliers(self):
-        """Oriented-row multipliers lam_i = y_i * sigma_i with y from the audit block."""
+    def _multipliers(self, art_cost):
+        """Oriented-row multipliers lam_i = y_i * sigma_i.  The objective entry
+        of row i's starting column is its cost minus y_i: art_cost (-obj_den in
+        phase 1, 0 in phase 2) for an artificial, 0 for a slack."""
         return [
-            Q(-self.obj[self.rhs_idx + 1 + i] * self.sigma[i], self.obj_den)
-            for i in range(self.m)
+            Q((art_cost * (col >= self.first_art) - self.obj[col]) * s, self.obj_den)
+            for col, s in zip(self.start, self.sigma)
         ]
 
     def phase1(self) -> Optional[list]:
         if all(c < 0 for c in self.art_col):
             return None
-        self.obj, self.obj_den = [0] * (self.ncols + 1 + self.m), 1
+        self.obj, self.obj_den = [0] * (self.ncols + 1), 1
         for c in self.art_col:
             if c >= 0:
                 self.obj[c] = -1
@@ -383,9 +411,9 @@ class _Tableau:
         if self._iterate(range(self.ncols)) is not None:  # pragma: no cover - bounded above by 0
             raise InternalInconsistencyError("phase 1 cannot be unbounded")
         if self.obj[self.rhs_idx] != 0:
-            # Optimal phase-1 value y'b is negative; the audit multipliers,
+            # Optimal phase-1 value y'b is negative; the multipliers,
             # re-signed for the oriented rows, are the Farkas vector.
-            return self._audit_multipliers()
+            return self._multipliers(-self.obj_den)
         # Drive degenerate artificials out of the basis; drop dependent rows.
         drop = []
         for i in range(len(self.rows)):
@@ -404,8 +432,8 @@ class _Tableau:
 
     def phase2(self):
         n = self.n
-        c, self.obj_den = _int_row(self.objective)
-        self.obj = c + [-x for x in c] + [0] * (self.ncols + 1 + self.m - 2 * n)
+        c, self.obj_den = self.objective
+        self.obj = c + [-x for x in c] + [0] * (self.ncols + 1 - 2 * n)
         self._price_out()
         enter = self._iterate(range(self.first_art))  # artificials stay out
         if enter is not None:
@@ -420,7 +448,7 @@ class _Tableau:
         return Optimal(
             value=Q(-self.obj[self.rhs_idx], self.obj_den),
             primal=self._primal(),
-            dual=self._audit_multipliers(),
+            dual=self._multipliers(0),
         )
 
     def _primal(self):

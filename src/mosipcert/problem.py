@@ -38,7 +38,6 @@ from .cones import (
 )
 from .errors import (
     InfeasiblePointError,
-    InternalInconsistencyError,
     ModelError,
     ParseError,
     UnsupportedOperationError,
@@ -53,7 +52,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import ZERO, ExtReal, Q, as_q, q_from_pair, qdot, vec_q
+from .rationals import ZERO, ExtReal, Q, as_q, json_int, q_from_pair, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -265,7 +264,10 @@ class MosipProblem:
         unknown = set(annotations) - ANNOTATION_KEYS
         if unknown:
             raise ModelError(f"unknown annotation keys: {sorted(unknown)}")
-        bad_flags = set(annotations.get("flags", {})) - FLAG_KEYS
+        flags = annotations.get("flags", {})
+        if not isinstance(flags, dict) or not all(type(v) is bool for v in flags.values()):
+            raise ParseError(f"flags must map names to true or false, got {flags!r}")
+        bad_flags = set(flags) - FLAG_KEYS
         if bad_flags:
             raise ModelError(f"unknown flags: {sorted(bad_flags)}")
         try:
@@ -531,8 +533,11 @@ class CandidatePoint:
             except UnsupportedOperationError:
                 Q = None
             if not contains(G_star, N).holds:
-                raise InternalInconsistencyError(
-                    "active-gradient cone escapes the normal cone to S"
+                # an active subgradient g has g'(y - x) <= g_t(y) <= 0 on the
+                # true feasible set, so the declared S is larger than it
+                raise ModelError(
+                    "active-gradient cone escapes the normal cone to S: "
+                    "feasible_set is larger than the constraints allow"
                 )
         return CandidatePoint(
             problem=p,
@@ -677,7 +682,7 @@ def problem_to_json(p: MosipProblem) -> dict:
 
 def problem_from_json(doc: dict) -> MosipProblem:
     try:
-        dim = int(doc["dimension"])
+        dim = json_int(doc["dimension"], "dimension")
         objectives = [funcs.func_from_json(o) for o in doc["objectives"]]
         cdoc = doc["constraints"]
         if "finite" in cdoc:
@@ -687,7 +692,7 @@ def problem_from_json(doc: dict) -> MosipProblem:
         elif "indexed" in cdoc:
             idoc = cdoc["indexed"]
             constraints = IndexedFamily(
-                idoc["family"], idoc.get("params"), int(idoc["truncation"])
+                idoc["family"], idoc.get("params"), json_int(idoc["truncation"], "truncation")
             )
         else:
             raise ParseError("constraints must be 'finite' or 'indexed'")
@@ -701,7 +706,7 @@ def problem_from_json(doc: dict) -> MosipProblem:
         )
         annotations = doc.get("annotations", {})
         return MosipProblem(dim, objectives, constraints, feasible, override, annotations)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed problem document: {exc}") from exc
 
 

@@ -44,6 +44,14 @@ def as_q(value: QLike) -> Q:
     return Q(value)
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON document: an int, never a float (which
+    int() would truncate), a bool or a string."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def q_pair(value) -> list:
     """Serialize a rational as a [numerator, denominator] pair of plain ints."""
     q = as_q(value)

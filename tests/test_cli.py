@@ -229,6 +229,44 @@ class TestExitCodes:
         assert err.startswith("error: parse: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "edit, category",
+        [
+            (lambda doc: doc["annotations"].update(flags=[]), "parse"),
+            (lambda doc: doc["annotations"].update(flags={"continuous": "false"}), "parse"),
+            (lambda doc: doc.update(psi_override={"kind": "max_affine", "pieces": []}), "parse"),
+            (lambda doc: doc["objectives"].append(
+                {"kind": "max_affine", "pieces": [{"a": [[1, 1]], "b": [0, 1]},
+                                                  {"a": [[1, 1], [0, 1]], "b": [0, 1]}]}
+            ), "parse"),
+            (lambda doc: doc.update(dimension=float("inf")), "parse"),
+            (lambda doc: doc.update(dimension=1.5), "parse"),
+            (lambda doc: doc["constraints"]["indexed"].update(truncation=50.7), "parse"),
+            (lambda doc: doc["feasible_set"].update(rows=[]), "model"),
+        ],
+        ids=["flags-list", "flag-string", "no-pieces", "ragged-pieces", "inf-dimension",
+             "float-dimension", "float-truncation", "feasible-set-too-large"],
+    )
+    def test_fuzz_findings_exit_3_with_one_error_line(self, capsys, tmp_path, edit, category):
+        path = self._broken_fixture(tmp_path, edit)
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "alternating-affine", "--point", "0", "--box", ""],
+            ["report", "alternating-affine", "--point", "0", "--box", ""],
+            ["gap", "alternating-affine", "--point", "0", "--nu", ""],
+            ["quals", "alternating-affine", "--point", "0", "--eps-grid", ""],
+        ],
+    )
+    def test_empty_option_value_is_a_parse_error(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ") and err.count("\n") == 1
+
     def test_missing_required_flag(self, capsys):
         code, _, err = _run(capsys, ["certify", "alternating-affine"])
         assert code == 3

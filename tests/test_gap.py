@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -235,6 +236,15 @@ class TestWitnessChecks:
         doc["mode"] = gap.STRONG_MODE
         relabeled = gap.witness_from_json(doc)
         assert any("positive" in m for m in gap.witness_issues(p, cp, relabeled))
+
+    @pytest.mark.parametrize("field", ["xi_vertices", "xi_coeffs", "xi", "lam"])
+    def test_issues_flag_short_fields(self, ex1, field):
+        # a witness cut short is listed as a defect, never indexed past its end
+        p, cp = ex1
+        w = gap.gap_zero_search(p, cp)
+        short = dataclasses.replace(w, **{field: getattr(w, field)[:1]})
+        name = "lambda" if field == "lam" else field
+        assert gap.witness_issues(p, cp, short) == [f"1 {name} entries for 2 objectives"]
 
 
 # ---------------------------------------------------------------------------

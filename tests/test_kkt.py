@@ -421,6 +421,56 @@ class TestSerialization:
         issues = kkt.certificate_issues(p, cp, tampered)
         assert any("sum" in msg for msg in issues)
 
+    @pytest.mark.parametrize("indices", [(7, 1), (-1, 1), (0, 0), (1, 0)])
+    def test_verifier_reports_bad_objective_indices(self, ex1, indices):
+        # out of range, negative, repeated and swapped: listed, never raised
+        p, cp = ex1
+        cert = kkt.weak_kkt(p, cp)
+        terms = tuple(
+            dataclasses.replace(t, index=i) for t, i in zip(cert.objective_terms, indices)
+        )
+        issues = kkt.certificate_issues(p, cp, dataclasses.replace(cert, objective_terms=terms))
+        expected = [
+            f"objective term {k} has index {i}, not {k}"
+            for k, i in enumerate(indices) if i != k
+        ]
+        assert issues == expected
+
+    def test_verifier_rejects_negative_recession_weights(self):
+        # max -x subject to a constraint whose domain x >= 0 gives the ray -1:
+        # weak KKT fails, and a negative ray weight would forge a zero residual
+        g = Affine([0], 0, HPoly(1, [((Q(-1),), ZERO)]))
+        p = MosipProblem(dimension=1, objectives=[Affine([-1], 0)], constraints=FiniteFamily([g]))
+        cp = CandidatePoint.build(p, [0])
+        assert isinstance(kkt.weak_kkt(p, cp), kkt.KktSeparator)
+        forged = kkt.KktCertificate(
+            kkt.WEAK,
+            (ZERO,),
+            (kkt.ObjectiveTerm(0, ONE, (-ONE,), (ONE,), ((-ONE,),)),),
+            (kkt.ConstraintTerm(0, ZERO, None, (), ((ZERO,),), (-ONE,), ((-ONE,),)),),
+        )
+        assert forged.residual() == (ZERO,)
+        assert kkt.certificate_issues(p, cp, forged) == ["constraint 0: negative coefficients"]
+
+    def test_verifier_reports_wrong_lengths(self, ex1):
+        p, cp = ex1
+        cert = kkt.weak_kkt(p, cp)
+        first, *rest = cert.objective_terms
+        short_xi = dataclasses.replace(first, xi=first.xi[:-1])
+        issues = kkt.certificate_issues(
+            p, cp, dataclasses.replace(cert, objective_terms=(short_xi, *rest))
+        )
+        assert issues == ["objective 0: xi does not match its coefficients"]
+        (term,) = cert.constraint_terms
+        for bad in (
+            dataclasses.replace(term, zeta=term.zeta[:-1]),
+            dataclasses.replace(term, coeffs=term.coeffs + (ZERO,)),
+        ):
+            issues = kkt.certificate_issues(
+                p, cp, dataclasses.replace(cert, constraint_terms=(bad,))
+            )
+            assert issues == ["constraint 0: coefficient or zeta lengths are wrong"]
+
 
 # ---------------------------------------------------------------------------
 # claims

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_lp import brute_force_max, random_lp, reference_solve, satisfies
-from mosipcert import lp
+from mosipcert import cli, lp
 from mosipcert.errors import InternalInconsistencyError
 from mosipcert.lp import (
     EQ,
@@ -46,12 +47,15 @@ def test_failed_certificate_check_is_an_internal_inconsistency(monkeypatch) -> N
     from mosipcert import lp
     from mosipcert.errors import InternalInconsistencyError
 
-    monkeypatch.setattr(lp, "point_satisfies", lambda rows, point: False)
+    # solve checks its integer rows, converted once, through these two names
+    calls = []
+    monkeypatch.setattr(lp, "_satisfies", lambda rows, xs, d: calls.append("point") or False)
     with pytest.raises(InternalInconsistencyError):
         solve(LinearProgram(1, [1], [([1], LE, 1)]))
-    monkeypatch.setattr(lp, "verify_farkas", lambda rows, farkas: False)
+    monkeypatch.setattr(lp, "_farkas_holds", lambda rows, farkas: calls.append("farkas") or False)
     with pytest.raises(InternalInconsistencyError):
         solve(LinearProgram(1, [1], [([1], LE, 0), ([1], GE, 1)]))
+    assert calls == ["point", "farkas"]
 
 
 def test_contradictory_bounds_farkas() -> None:
@@ -281,6 +285,47 @@ FAMILIES = {  # generator, the outcome kinds its sweep must produce
 }
 
 
+def _count_pivots(monkeypatch) -> list:
+    pivots = []
+    real_pivot = lp._Tableau._pivot
+
+    def counted_pivot(self, *args):
+        pivots.append(1)
+        return real_pivot(self, *args)
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", counted_pivot)
+    return pivots
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "alternating-affine", "--point", "0", "--verify"],
+        ["quals", "octagon-support", "--point", "0,0"],
+    ],
+)
+def test_call_site_lps_match_rational_reference(argv, monkeypatch, capsys) -> None:
+    # every LP the library builds on a real run, not only generated families;
+    # compared as solved, since callers may consume the result lists
+    pivots, mismatches, solves = _count_pivots(monkeypatch), [], []
+    real_solve = lp.solve
+
+    def capturing(prog):
+        pivots.clear()
+        res = real_solve(prog)
+        ref, ref_pivots = reference_solve(prog)
+        solves.append(1)
+        if type(res) is not type(ref) or res != ref or len(pivots) != ref_pivots:
+            mismatches.append((prog, res, ref))
+        return res
+
+    monkeypatch.setattr(lp, "solve", capturing)
+    assert cli.main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(solves) >= 20
+    assert mismatches == []
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_integer_tableau_matches_rational_reference(family, monkeypatch) -> None:
     pivots, dropped = [], []
@@ -339,6 +384,28 @@ CORRUPTIONS = {
         RAY, "phase2", lambda r: dataclasses.replace(r, feasible_point=[ZERO, Q(1)])
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [BOX, CONTRADICTION, RAY, LinearProgram(2, [2, 3], [([1, 1], EQ, 1)], lower=[Q(-2), Q(0)])],
+)
+def test_each_row_is_converted_to_integers_once(prog, monkeypatch) -> None:
+    seen = []
+    real = lp._int_row
+
+    def counted(values):
+        seen.append(tuple(values))
+        return real(values)
+
+    monkeypatch.setattr(lp, "_int_row", counted)
+    res = solve(prog)
+    rows = Counter(tuple([*coeffs, b]) for coeffs, _, b in prog.all_rows())
+    assert Counter(v for v in seen if v in rows) == rows
+    # besides the rows: the objective, then the primal point, or the
+    # feasible point and the ray
+    extra = {Optimal: 2, Infeasible: 1, Unbounded: 3}[type(res)]
+    assert len(seen) == sum(rows.values()) + extra
 
 
 @pytest.mark.parametrize("corrupted", sorted(CORRUPTIONS))
