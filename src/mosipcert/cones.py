@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import lp
 from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
-from .rationals import Q, ZERO, ONE, as_q, lincomb, qdot, sqrt_exact, sqrt_lower_bound
+from .rationals import Q, ZERO, ONE, as_q, lincomb, qdot, sqrt_exact, sqrt_lower_bound, vec_q
 
 DEFAULT_DIM_CAP = 6
 
@@ -52,10 +52,6 @@ def dd_dim_cap() -> int:
     except ValueError:
         pass
     raise ModelError(f"MOSIP_DD_DIM_CAP must be an integer >= 1, not {raw!r}")
-
-
-def vec(values) -> tuple:
-    return tuple(as_q(v) for v in values)
 
 
 def primitive(v: Sequence) -> tuple:
@@ -133,7 +129,7 @@ def _canonical_rays(dim: int, vectors, what: str) -> tuple:
     integer scaling, zeros dropped, duplicates merged, sorted, pruned."""
     prims = set()
     for v in vectors:
-        v = vec(v)
+        v = vec_q(v)
         if len(v) != dim:
             raise ValueError(f"{what} dimension mismatch")
         if any(c != 0 for c in v):
@@ -220,7 +216,7 @@ class Polytope:
     vertices: tuple
 
     def __init__(self, dim: int, vertices):
-        points = sorted(set(vec(v) for v in vertices))
+        points = sorted(set(vec_q(v) for v in vertices))
         for p in points:
             if len(p) != dim:
                 raise ValueError("vertex dimension mismatch")
@@ -235,7 +231,7 @@ class Polytope:
         return not self.vertices
 
     def contains_point(self, p) -> bool:
-        return isinstance(decompose(vec(p), [self.vertices]), list)
+        return isinstance(decompose(vec_q(p), [self.vertices]), list)
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,7 @@ class FGCone:
         return not self.generators
 
     def member(self, p) -> bool:
-        return isinstance(decompose(vec(p), (), [self.generators]), list)
+        return isinstance(decompose(vec_q(p), (), [self.generators]), list)
 
 
 @dataclass(frozen=True)
@@ -283,7 +279,7 @@ class HPoly:
     def __init__(self, dim: int, rows):
         cleaned = []
         for a, b in rows:
-            a = vec(a)
+            a = vec_q(a)
             if len(a) != dim:
                 raise ValueError("row dimension mismatch")
             cleaned.append((a, as_q(b)))
@@ -395,7 +391,7 @@ class NotMember:
 def membership(p, s: GenConvexSet):
     """Exact decomposition of p over s's vertices and generators, or a
     verified separating functional."""
-    p = vec(p)
+    p = vec_q(p)
     if s.is_empty:
         return NotMember(separator=tuple(ZERO for _ in p), gap=ZERO)
     res = decompose(p, [s.base.vertices], [s.recession.generators])
@@ -411,7 +407,7 @@ def separate(p, s: GenConvexSet) -> NotMember:
     LP: max t with h'p - h'v >= t for all vertices, h'r <= 0 for all
     generators, |h|_inf <= 1.  The optimum is positive because s is closed
     and convex and p is outside it."""
-    p = vec(p)
+    p = vec_q(p)
     dim = s.dim
     verts = s.base.vertices
     rows = [([p[i] - v[i] for i in range(dim)] + [-ONE], lp.GE, ZERO) for v in verts]
@@ -427,7 +423,7 @@ def separate(p, s: GenConvexSet) -> NotMember:
 
 def cone_member(p, c: FGCone) -> Optional[list]:
     """Nonnegative coefficients writing p over c's generators, or None."""
-    res = decompose(vec(p), (), [c.generators])
+    res = decompose(vec_q(p), (), [c.generators])
     return res if isinstance(res, list) else None
 
 
@@ -588,7 +584,7 @@ def cone_equal(a, b) -> bool:
 
 def span_rank(points) -> int:
     """Rank of the span of the points (exact Gaussian elimination)."""
-    rows = [list(vec(p)) for p in points]
+    rows = [list(vec_q(p)) for p in points]
     if not rows:
         return 0
     ncols = len(rows[0])

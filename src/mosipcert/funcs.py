@@ -9,20 +9,19 @@ is +inf outside, the subdifferential gains the domain's normal cone at active
 boundary points, and directional derivatives become +inf outside the feasible
 direction cone.
 
-Exactness boundaries (by design):
-* Scaled2Norm exists for the floating-point search oracle; exact calls succeed
-  only where the values are rational (perfect squares) and raise
-  UnsupportedOperationError otherwise.
-* NegSqrtParabola1D(t) is g(x) = -sqrt(2tx - x^2) on [0, 2t], +inf outside;
-  at the domain boundary the subdifferential is exactly empty and the
-  directional derivative is the closed-form +-inf.  Interior subgradients are
-  returned when rational, refused otherwise.
+The kinds are the piecewise-linear Affine, MaxAffine and SupportPolygon,
+whose calculus is one rule over their pieces (`affine_pieces`: the value is
+the largest piece, the subgradients are the active pieces), and the curved
+NegSqrtParabola1D(t), g(x) = -sqrt(2tx - x^2) on [0, 2t], +inf outside.  At
+the curved kind's domain boundary the subdifferential is exactly empty and
+the directional derivative is the closed-form +-inf; interior subgradients
+are returned when rational, refused otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .cones import FGCone, GenConvexSet, HPoly, Polytope
 from .errors import ModelError, ParseError, UnsupportedOperationError
@@ -48,16 +47,13 @@ class Affine:
     domain: Optional[HPoly] = None
 
     def __init__(self, a, b, domain: Optional[HPoly] = None):
-        object.__setattr__(self, "a", tuple(vec_q(a)))
+        object.__setattr__(self, "a", vec_q(a))
         object.__setattr__(self, "b", as_q(b))
         object.__setattr__(self, "domain", domain)
 
     @property
     def dim(self) -> int:
         return len(self.a)
-
-    def pieces_at(self, x) -> list:
-        return [self.a]
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class MaxAffine:
     domain: Optional[HPoly] = None
 
     def __init__(self, pieces, domain: Optional[HPoly] = None):
-        cleaned = tuple((tuple(vec_q(a)), as_q(b)) for a, b in pieces)
+        cleaned = tuple((vec_q(a), as_q(b)) for a, b in pieces)
         if not cleaned:
             raise ValueError("MaxAffine needs at least one piece")
         if len({len(a) for a, _ in cleaned}) != 1:
@@ -78,11 +74,6 @@ class MaxAffine:
     def dim(self) -> int:
         return len(self.pieces[0][0])
 
-    def pieces_at(self, x) -> list:
-        vals = [qdot(a, x) + b for a, b in self.pieces]
-        top = max(vals)
-        return [a for (a, _), v in zip(self.pieces, vals) if v == top]
-
 
 @dataclass(frozen=True)
 class SupportPolygon:
@@ -92,7 +83,7 @@ class SupportPolygon:
     domain: Optional[HPoly] = None
 
     def __init__(self, vertices, domain: Optional[HPoly] = None):
-        cleaned = tuple(tuple(vec_q(v)) for v in vertices)
+        cleaned = tuple(vec_q(v) for v in vertices)
         if not cleaned:
             raise ValueError("SupportPolygon needs at least one vertex")
         if len({len(v) for v in cleaned}) != 1:
@@ -103,71 +94,6 @@ class SupportPolygon:
     @property
     def dim(self) -> int:
         return len(self.vertices[0])
-
-    def pieces_at(self, x) -> list:
-        vals = [qdot(v, x) for v in self.vertices]
-        top = max(vals)
-        return [v for v, val in zip(self.vertices, vals) if val == top]
-
-
-@dataclass(frozen=True)
-class ScaledNormInf:
-    """weight * |x - center|_inf (polyhedral; expands to 2n affine pieces)."""
-
-    center: tuple
-    weight: Q
-
-    def __init__(self, center, weight):
-        w = as_q(weight)
-        if w <= 0:
-            raise ValueError("weight must be positive")
-        object.__setattr__(self, "center", tuple(vec_q(center)))
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
-    def domain(self) -> None:
-        return None
-
-    def as_max_affine(self) -> MaxAffine:
-        n = self.dim
-        pieces = []
-        for j in range(n):
-            for sign in (self.weight, -self.weight):
-                a = [ZERO] * n
-                a[j] = sign
-                pieces.append((a, -sign * self.center[j]))
-        return MaxAffine(pieces)
-
-    def pieces_at(self, x) -> list:
-        return self.as_max_affine().pieces_at(x)
-
-
-@dataclass(frozen=True)
-class Scaled2Norm:
-    """weight * |x - center|_2 — oracle family; exact calls only off-center
-    with rational norms."""
-
-    center: tuple
-    weight: Q
-
-    def __init__(self, center, weight):
-        w = as_q(weight)
-        if w <= 0:
-            raise ValueError("weight must be positive")
-        object.__setattr__(self, "center", tuple(vec_q(center)))
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
-    def domain(self) -> None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -191,25 +117,31 @@ class NegSqrtParabola1D:
         return None
 
 
-ConvexFunc = Union[
-    Affine, MaxAffine, SupportPolygon, ScaledNormInf, Scaled2Norm, NegSqrtParabola1D
-]
-
-_PIECEWISE = (Affine, MaxAffine, SupportPolygon, ScaledNormInf)
+ConvexFunc = Union[Affine, MaxAffine, SupportPolygon, NegSqrtParabola1D]
 
 
-def affine_pieces(f: ConvexFunc) -> Optional[list]:
+def affine_pieces(f: ConvexFunc) -> Optional[Sequence]:
     """(a, b) per piece of a piecewise-linear f = max_pieces a'x + b (on its
-    domain), or None for the curved kinds."""
+    domain), or None for the curved kind.  Apart from the serialiser, the
+    only code that tells the piecewise-linear kinds apart."""
     if isinstance(f, Affine):
         return [(f.a, f.b)]
     if isinstance(f, MaxAffine):
-        return list(f.pieces)
+        return f.pieces
     if isinstance(f, SupportPolygon):
         return [(v, ZERO) for v in f.vertices]
-    if isinstance(f, ScaledNormInf):
-        return list(f.as_max_affine().pieces)
     return None
+
+
+def active_pieces(f: ConvexFunc, x) -> Optional[list]:
+    """The gradients of the pieces of a piecewise-linear f that attain its
+    value at x, in piece order, or None for the curved kind."""
+    pieces = affine_pieces(f)
+    if pieces is None:
+        return None
+    vals = [qdot(a, x) + b for a, b in pieces]
+    top = max(vals)
+    return [a for (a, _), v in zip(pieces, vals) if v == top]
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +155,9 @@ def evaluate(f: ConvexFunc, x):
         raise ModelError("evaluation dimension mismatch")
     if f.domain is not None and not f.domain.contains_point(x):
         return POS_INF
-    if isinstance(f, Affine):
-        return qdot(f.a, x) + f.b
-    if isinstance(f, MaxAffine):
-        return max(qdot(a, x) + b for a, b in f.pieces)
-    if isinstance(f, SupportPolygon):
-        return max(qdot(v, x) for v in f.vertices)
-    if isinstance(f, ScaledNormInf):
-        return f.weight * max(abs(xi - ci) for xi, ci in zip(x, f.center))
-    if isinstance(f, Scaled2Norm):
-        r = f.weight * f.weight * qdot(
-            [xi - ci for xi, ci in zip(x, f.center)],
-            [xi - ci for xi, ci in zip(x, f.center)],
-        )
-        val = sqrt_exact(r)
-        if val is None:
-            raise UnsupportedOperationError(
-                "Scaled2Norm value is irrational here; use the float path"
-            )
-        return val
+    pieces = affine_pieces(f)
+    if pieces is not None:
+        return max(qdot(a, x) + b for a, b in pieces)
     if isinstance(f, NegSqrtParabola1D):
         v = x[0]
         if v < 0 or v > 2 * f.t:
@@ -262,40 +178,26 @@ def subdiff_set(f: ConvexFunc, x) -> GenConvexSet:
     if not is_finite(val):
         raise ModelError("subdifferential requested outside the domain")
     n = f.dim
-    if isinstance(f, _PIECEWISE):
-        base = Polytope(n, f.pieces_at(x))
+    active = active_pieces(f, x)
+    if active is not None:
         rec = (
             f.domain.normal_cone(x) if f.domain is not None else FGCone(n, [])
         )
-        return GenConvexSet(base, rec)
-    if isinstance(f, NegSqrtParabola1D):
-        v = x[0]
-        if v == 0 or v == 2 * f.t:
-            return GenConvexSet(Polytope(1, []), FGCone(1, []))
-        # interior: g'(x) = (x - t)/sqrt(x(2t - x)), rational only sometimes
-        rad = v * (2 * f.t - v)
-        slope_sq = (v - f.t) * (v - f.t) / rad
-        root = sqrt_exact(slope_sq)
-        if root is None:
-            raise UnsupportedOperationError(
-                "irrational interior subgradient has no rational representation"
-            )
-        slope = root if v > f.t else -root
-        return GenConvexSet(Polytope(1, [[slope]]), FGCone(1, []))
-    if isinstance(f, Scaled2Norm):
-        diff = [xi - ci for xi, ci in zip(x, f.center)]
-        if all(d == 0 for d in diff):
-            raise UnsupportedOperationError(
-                "subdifferential of a 2-norm at its center is a ball, not a polytope"
-            )
-        norm = sqrt_exact(qdot(diff, diff))
-        if norm is None:
-            raise UnsupportedOperationError(
-                "irrational 2-norm gradient has no rational representation"
-            )
-        grad = [f.weight * d / norm for d in diff]
-        return GenConvexSet(Polytope(n, [grad]), FGCone(n, []))
-    raise TypeError(f"unknown function kind {type(f).__name__}")
+        return GenConvexSet(Polytope(n, active), rec)
+    # NegSqrtParabola1D
+    v = x[0]
+    if v == 0 or v == 2 * f.t:
+        return GenConvexSet(Polytope(1, []), FGCone(1, []))
+    # interior: g'(x) = (x - t)/sqrt(x(2t - x)), rational only sometimes
+    rad = v * (2 * f.t - v)
+    slope_sq = (v - f.t) * (v - f.t) / rad
+    root = sqrt_exact(slope_sq)
+    if root is None:
+        raise UnsupportedOperationError(
+            "irrational interior subgradient has no rational representation"
+        )
+    slope = root if v > f.t else -root
+    return GenConvexSet(Polytope(1, [[slope]]), FGCone(1, []))
 
 
 def subdiff(f: ConvexFunc, x) -> Polytope:
@@ -323,28 +225,19 @@ def dir_derivative(f: ConvexFunc, x, d):
         for i in f.domain.active_rows(x):
             if qdot(f.domain.rows[i][0], d) > 0:
                 return POS_INF
-    if isinstance(f, _PIECEWISE):
-        return max(qdot(a, d) for a in f.pieces_at(x))
-    if isinstance(f, NegSqrtParabola1D):
-        v, dd = x[0], d[0]
-        if dd == 0:
-            return ZERO
-        if v == 0:
-            return NEG_INF if dd > 0 else POS_INF
-        if v == 2 * f.t:
-            return NEG_INF if dd < 0 else POS_INF
-        ss = subdiff_set(f, x)  # rational-slope interior or a refusal
-        return qdot(ss.base.vertices[0], d)
-    if isinstance(f, Scaled2Norm):
-        diff = [xi - ci for xi, ci in zip(x, f.center)]
-        if all(c == 0 for c in diff):
-            norm_d = sqrt_exact(qdot(d, d))
-            if norm_d is None:
-                raise UnsupportedOperationError("irrational directional derivative")
-            return f.weight * norm_d
-        ss = subdiff_set(f, x)
-        return qdot(ss.base.vertices[0], d)
-    raise TypeError(f"unknown function kind {type(f).__name__}")
+    active = active_pieces(f, x)
+    if active is not None:
+        return max(qdot(a, d) for a in active)
+    # NegSqrtParabola1D
+    v, dd = x[0], d[0]
+    if dd == 0:
+        return ZERO
+    if v == 0:
+        return NEG_INF if dd > 0 else POS_INF
+    if v == 2 * f.t:
+        return NEG_INF if dd < 0 else POS_INF
+    ss = subdiff_set(f, x)  # rational-slope interior or a refusal
+    return qdot(ss.base.vertices[0], d)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +276,6 @@ def func_to_json(f: ConvexFunc) -> dict:
         }
     elif isinstance(f, SupportPolygon):
         out = {"kind": "support_polygon", "vertices": [_vec_out(v) for v in f.vertices]}
-    elif isinstance(f, ScaledNormInf):
-        out = {"kind": "scaled_norm_inf", "center": _vec_out(f.center), "weight": q_pair(f.weight)}
-    elif isinstance(f, Scaled2Norm):
-        out = {"kind": "scaled_2norm", "center": _vec_out(f.center), "weight": q_pair(f.weight)}
     elif isinstance(f, NegSqrtParabola1D):
         out = {"kind": "neg_sqrt_parabola_1d", "t": q_pair(f.t)}
     else:
@@ -410,10 +299,6 @@ def func_from_json(obj: dict) -> ConvexFunc:
         verts = [[as_q(c) for c in v] for v in obj["vertices"]]
         domain = hpoly_from_json(obj.get("domain"), len(verts[0]))
         return SupportPolygon(verts, domain)
-    if kind == "scaled_norm_inf":
-        return ScaledNormInf([as_q(c) for c in obj["center"]], as_q(obj["weight"]))
-    if kind == "scaled_2norm":
-        return Scaled2Norm([as_q(c) for c in obj["center"]], as_q(obj["weight"]))
     if kind == "neg_sqrt_parabola_1d":
         return NegSqrtParabola1D(as_q(obj["t"]))
     raise ModelError(f"unknown function kind {kind!r}")

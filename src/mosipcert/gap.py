@@ -88,7 +88,7 @@ def gap_eval(p: MosipProblem, x, xi, lam):
     lambda is not forced onto the simplex here: the value is positively
     homogeneous in lambda and the scaling property is worth keeping testable.
     """
-    x = tuple(vec_q(x))
+    x = vec_q(x)
     lam = tuple(as_q(l) for l in lam)
     if len(lam) != p.num_objectives or len(xi) != p.num_objectives:
         raise ModelError(
@@ -96,7 +96,7 @@ def gap_eval(p: MosipProblem, x, xi, lam):
         )
     if any(l < 0 for l in lam):
         raise ModelError("lambda must be componentwise nonnegative")
-    selections = [tuple(vec_q(s)) for s in xi]
+    selections = [vec_q(s) for s in xi]
     for i, sel in enumerate(selections):
         out = membership(sel, subdiff_set(p.objectives[i], x))
         if isinstance(out, NotMember):

@@ -143,8 +143,9 @@ def _decompose(p: MosipProblem, cp: CandidatePoint, target, margin=False):
     res = decompose(target, obj_tables, cones, margin)
     if not isinstance(res, list):
         return res
-    tau = res.pop() if margin else None
-    return (*_group_terms(res, obj_tables, active_tables, p.dimension), tau)
+    # read tau without mutating `res`, which is the LP result's own primal
+    weights, tau = (res[:-1], res[-1]) if margin else (res, None)
+    return (*_group_terms(weights, obj_tables, active_tables, p.dimension), tau)
 
 
 def _group_terms(values, obj_tables, active_tables, n):

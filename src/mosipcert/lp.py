@@ -154,10 +154,6 @@ def verify_farkas(rows: Sequence, farkas: Sequence) -> bool:
     return _farkas_holds(_int_rows(rows), farkas)
 
 
-def point_satisfies(rows: Sequence, point: Sequence) -> bool:
-    return _satisfies(_int_rows(rows), *_int_row(point))
-
-
 def _int_row(values):
     """(ints, k): the rationals times k, the lcm of their denominators, so
     that ints / k are the values exactly."""

@@ -22,15 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .funcs import (
-    Affine,
-    MaxAffine,
-    NegSqrtParabola1D,
-    Scaled2Norm,
-    ScaledNormInf,
-    SupportPolygon,
-    evaluate,
-)
+from .funcs import NegSqrtParabola1D, affine_pieces, evaluate
 from .problem import MosipProblem, constraint_values
 from .quals import jsonify
 from .rationals import Q, as_q, vec_q
@@ -62,19 +54,11 @@ def _farray(vec) -> np.ndarray:
 
 def _vector_eval(f, pts: np.ndarray) -> np.ndarray:
     """Vectorized float values over the (N, n) point array; +inf off-domain."""
-    if isinstance(f, Affine):
-        vals = pts @ _farray(f.a) + float(f.b)
-    elif isinstance(f, MaxAffine):
+    pieces = affine_pieces(f)
+    if pieces is not None:
         vals = np.max(
-            np.stack([pts @ _farray(a) + float(b) for a, b in f.pieces]), axis=0
+            np.stack([pts @ _farray(a) + float(b) for a, b in pieces]), axis=0
         )
-    elif isinstance(f, SupportPolygon):
-        vals = np.max(np.stack([pts @ _farray(v) for v in f.vertices]), axis=0)
-    elif isinstance(f, ScaledNormInf):
-        vals = float(f.weight) * np.max(np.abs(pts - _farray(f.center)), axis=1)
-    elif isinstance(f, Scaled2Norm):
-        diff = pts - _farray(f.center)
-        vals = float(f.weight) * np.sqrt(np.sum(diff * diff, axis=1))
     elif isinstance(f, NegSqrtParabola1D):
         t = float(f.t)
         v = pts[:, 0]
@@ -82,7 +66,7 @@ def _vector_eval(f, pts: np.ndarray) -> np.ndarray:
         vals = np.where((v < -_NEAR_ZERO) | (v > 2.0 * t + _NEAR_ZERO), np.inf, -np.sqrt(u))
     else:
         raise TypeError(f"unknown function kind {type(f).__name__}")
-    if getattr(f, "domain", None) is not None:
+    if f.domain is not None:
         for a, b in f.domain.rows:
             vals = np.where(pts @ _farray(a) > float(b) + _NEAR_ZERO, np.inf, vals)
     return vals
@@ -117,7 +101,7 @@ def classify_grid(p: MosipProblem, x_hat, box, resolution: int) -> OracleReport:
     region.  ``box`` is one (lo, hi) pair per coordinate and must contain the
     candidate; ``resolution`` is the point count per axis (at least 2, and
     at most MAX_GRID_POINTS points in all)."""
-    x_hat = tuple(vec_q(x_hat))
+    x_hat = vec_q(x_hat)
     constraint_values(p, x_hat)
     box_q = [(as_q(lo), as_q(hi)) for lo, hi in box]
     if len(box_q) != p.dimension:

@@ -171,9 +171,15 @@ BUILTIN_FAMILIES = {
 }
 
 
+#: largest truncation an indexed family materializes; every member is built
+#: and evaluated, and 100,000 members already take seconds and 120 MB
+MAX_TRUNCATION = 100_000
+
+
 @dataclass(frozen=True)
 class IndexedFamily:
-    """A builtin infinite family materialized on indices 0 .. truncation-1."""
+    """A builtin infinite family materialized on indices 0 .. truncation-1
+    (at most MAX_TRUNCATION members)."""
 
     family: str
     params: dict
@@ -185,6 +191,8 @@ class IndexedFamily:
             raise ModelError(f"unknown constraint family {family!r}")
         if truncation < 1:
             raise ModelError("truncation must be at least 1")
+        if truncation > MAX_TRUNCATION:
+            raise ModelError(f"truncation {truncation} exceeds {MAX_TRUNCATION}")
         params = dict(params or {})
         fns = BUILTIN_FAMILIES[family](params, truncation)
         object.__setattr__(self, "family", family)
@@ -406,7 +414,7 @@ def _union(sets) -> tuple:
 def pinned_exact(p: MosipProblem, x) -> bool:
     """Does an annotation certify that the truncated constraint data at x
     (active set, subdifferential union) already equals the full family's?"""
-    return tuple(vec_q(x)) in p.pinned_points
+    return vec_q(x) in p.pinned_points
 
 
 def g_data_provenance(p: MosipProblem, x) -> str:
@@ -505,7 +513,7 @@ class CandidatePoint:
 
     @staticmethod
     def build(p: MosipProblem, x) -> "CandidatePoint":
-        x = tuple(vec_q(x))
+        x = vec_q(x)
         derived: dict = {"g_values": constraint_values(p, x)}
         T = tuple(_eps_active(derived["g_values"], 0))
         F: list = []

@@ -100,19 +100,6 @@ DEFAULT_EPS_GRID = tuple(Q(1, 2**k) for k in range(11))
 # member that is nonnegative everywhere
 REFUTATION_MEMBER_CAP = 8
 
-# probe fan for envelope directional derivatives when the subdifferential is
-# empty (vertical tangents); complete for n = 1, best-effort for n = 2
-_FAN_2D = tuple(
-    (Q(a), Q(b))
-    for a, b in (
-        (1, 0), (1, 1), (0, 1), (-1, 1),
-        (-1, 0), (-1, -1), (0, -1), (1, -1),
-        (2, 1), (1, 2), (-1, 2), (-2, 1),
-        (-2, -1), (-1, -2), (1, -2), (2, -1),
-    )
-)
-
-
 @dataclass(frozen=True)
 class QualReport:
     qual: str
@@ -449,12 +436,6 @@ def _envelope_halfspace_set(p, cp) -> Optional[HCone]:
     return HCone(p.dimension, list(ss.base.vertices) + list(ss.recession.generators))
 
 
-def _probe_fan(n: int) -> tuple:
-    if n == 1:
-        return ((ONE,), (-ONE,))
-    return _FAN_2D
-
-
 def _check_cocq(p, cp):
     prov = psi_data_provenance(p)
     ss = cp.psi_subdiff()
@@ -470,10 +451,10 @@ def _check_cocq(p, cp):
             list(ss.base.vertices), list(ss.recession.generators), n
         )
         return QualReport("COCQ", FAILS, prov, witness, "0 lies in the envelope subdifferential, so no descent direction exists")
-    # empty subdifferential: fall back to the closed-form directional derivative
-    if p.psi_override is None or n > 2:
-        return QualReport("COCQ", UNDECIDABLE, prov, None, "empty envelope subdifferential without a closed-form derivative")
-    for d in _probe_fan(n):
+    # empty subdifferential: only the one-variable NegSqrtParabola1D override
+    # has one (at its domain boundary), so probe its closed-form directional
+    # derivative along both axis directions
+    for d in ((ONE,), (-ONE,)):
         if dir_derivative(p.psi_override, cp.x, d) < 0:
             witness = {"kind": "direction", "direction": d, "note": "closed-form derivative"}
             return QualReport("COCQ", HOLDS, prov, witness, "closed-form envelope derivative is strictly negative along the witness")
@@ -484,7 +465,6 @@ def _check_ktcq(p, cp):
     prov = psi_data_provenance(p)
     if cp.C is None:
         return QualReport("KTCQ", UNDECIDABLE, prov, None, "needs an H-representation of S for the contingent cone")
-    n = p.dimension
     hs = _envelope_halfspace_set(p, cp)
     if hs is not None:
         res = contains(hs, cp.C)
@@ -493,28 +473,22 @@ def _check_ktcq(p, cp):
             return QualReport("KTCQ", HOLDS, prov, witness, "every envelope-descent direction is a feasible direction")
         witness = {"kind": "escaping_direction", "direction": res.witness}
         return QualReport("KTCQ", FAILS, prov, witness, "an envelope-descent direction leaves the contingent cone")
-    ss = cp.psi_subdiff()
-    if ss is None or p.psi_override is None or n > 2:
+    if cp.psi_subdiff() is None:
         return QualReport("KTCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable; no closed-form fallback applies")
-    if n == 1:
-        # the descent set is a cone in one variable: classify by probing both
-        # axis directions (the excluded ones become halfspace normals)
-        normals = []
-        for d in ((ONE,), (-ONE,)):
-            if dir_derivative(p.psi_override, cp.x, d) > 0:
-                normals.append(d)
-        hs = HCone(1, normals)
-        res = contains(hs, cp.C)
-        if res.holds:
-            witness = {"kind": "containment", "lhs_normals": hs.normals, "rhs_normals": cp.C.normals}
-            return QualReport("KTCQ", HOLDS, prov, witness, "descent set classified by the closed-form derivative; contained in the contingent cone")
-        witness = {"kind": "escaping_direction", "direction": res.witness}
-        return QualReport("KTCQ", FAILS, prov, witness, "a closed-form descent direction leaves the contingent cone")
-    for d in _probe_fan(n):
-        if dir_derivative(p.psi_override, cp.x, d) <= 0 and not cp.C.member(d):
-            witness = {"kind": "escaping_direction", "direction": d}
-            return QualReport("KTCQ", FAILS, prov, witness, "a probed descent direction leaves the contingent cone")
-    return QualReport("KTCQ", UNDECIDABLE, prov, None, "probing cannot certify the containment in two variables")
+    # empty subdifferential: only the one-variable NegSqrtParabola1D override
+    # has one, and its descent set is a cone in one variable; classify it by
+    # probing both axis directions (the excluded ones become halfspace normals)
+    normals = []
+    for d in ((ONE,), (-ONE,)):
+        if dir_derivative(p.psi_override, cp.x, d) > 0:
+            normals.append(d)
+    hs = HCone(1, normals)
+    res = contains(hs, cp.C)
+    if res.holds:
+        witness = {"kind": "containment", "lhs_normals": hs.normals, "rhs_normals": cp.C.normals}
+        return QualReport("KTCQ", HOLDS, prov, witness, "descent set classified by the closed-form derivative; contained in the contingent cone")
+    witness = {"kind": "escaping_direction", "direction": res.witness}
+    return QualReport("KTCQ", FAILS, prov, witness, "a closed-form descent direction leaves the contingent cone")
 
 
 def _check_plvcq(p, cp):

@@ -10,6 +10,8 @@ rationalize it explicitly and own the rounding decision.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError
@@ -24,10 +26,14 @@ QLike = Union[int, str, tuple, list, "Q"]
 ZERO = Q(0)
 ONE = Q(1)
 
+# the decimal exponent of a rational string, e.g. the "-3" of "1.5e-3"
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
 
 def as_q(value: QLike) -> Q:
     """Coerce ints, strings, [num, den] pairs and rationals to Q. Floats are
-    refused.  A value that already is a Q is returned as it is: Q is
+    refused, and so is a string whose decimal exponent is too large to
+    expand.  A value that already is a Q is returned as it is: Q is
     immutable, so rebuilding it would only cost time."""
     if type(value) is Q:
         return value
@@ -41,7 +47,22 @@ def as_q(value: QLike) -> Q:
         if den == 0:
             raise ParseError(f"zero denominator in {value!r}")
         return Q(num, den)
+    if isinstance(value, str):
+        _check_exponent(value)
     return Q(value)
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal exponent of more than sys.int_info.default_max_str_digits
+    in magnitude, the bound Python puts on the digits of an int literal:
+    "1e99999999" would otherwise build a hundred-million-digit integer."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return
+    limit = sys.int_info.default_max_str_digits
+    digits = match.group(1).replace("_", "").lstrip("0")
+    if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+        raise ParseError(f"decimal exponent of {text[:40]!r} exceeds {limit} in magnitude")
 
 
 def json_int(value, what: str) -> int:
@@ -65,8 +86,8 @@ def q_from_pair(obj) -> Q:
     return as_q(obj)
 
 
-def vec_q(values: Iterable[QLike]) -> list:
-    return [as_q(v) for v in values]
+def vec_q(values: Iterable[QLike]) -> tuple:
+    return tuple(as_q(v) for v in values)
 
 
 def lincomb(coeffs: Sequence, vectors: Sequence, n: int) -> tuple:

@@ -11,8 +11,8 @@ output once more, as the replaced double description did.
 
 from __future__ import annotations
 
-from mosipcert.cones import _unit, decompose, primitive, vec
-from mosipcert.rationals import ONE, qdot
+from mosipcert.cones import _unit, decompose, primitive
+from mosipcert.rationals import ONE, qdot, vec_q
 
 
 def _prune(kept: list, redundant) -> list:
@@ -35,12 +35,12 @@ def _in_cone(g, others) -> bool:
 
 def reference_vertices(vertices) -> tuple:
     """Polytope(dim, vertices).vertices."""
-    return tuple(_prune(sorted(set(vec(v) for v in vertices)), _in_hull))
+    return tuple(_prune(sorted(set(vec_q(v) for v in vertices)), _in_hull))
 
 
 def reference_rays(vectors) -> tuple:
     """FGCone(dim, vectors).generators, and HCone(dim, vectors).normals."""
-    rays = {primitive(vec(v)) for v in vectors if any(c != 0 for c in vec(v))}
+    rays = {primitive(vec_q(v)) for v in vectors if any(c != 0 for c in vec_q(v))}
     return tuple(_prune(sorted(rays), _in_cone))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -252,6 +253,61 @@ class TestExitCodes:
         code, out, err = _run(capsys, ["quals", path, "--point", "0"])
         assert code == 3 and out == ""
         assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
+
+    def test_removed_norm_kind_is_a_model_error(self, capsys, tmp_path):
+        def edit(doc):
+            doc["objectives"][0] = {
+                "kind": "scaled_2norm", "center": [[0, 1]], "weight": [1, 1]
+            }
+
+        path = self._broken_fixture(tmp_path, edit)
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: model: unknown function kind")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["point", "file"])
+    def test_huge_exponent_is_a_parse_error(self, capsys, tmp_path, where):
+        # expanding 1e99999999 would build a hundred-million-digit integer
+        argv = ["quals", "alternating-affine", "--point", "0"]
+        if where == "point":
+            argv[3] = "1e99999999"
+        else:
+            argv[1] = self._broken_fixture(
+                tmp_path, lambda doc: doc["objectives"][0].update(b="1e99999999")
+            )
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["option", "file"])
+    def test_truncation_is_refused_before_any_member_is_built(
+        self, capsys, tmp_path, monkeypatch, where
+    ):
+        from mosipcert import problem
+
+        build = problem.BUILTIN_FAMILIES["alternating_affine"]
+
+        def guarded(params, truncation):
+            if truncation > problem.MAX_TRUNCATION:
+                raise AssertionError("the members must not be built")
+            return build(params, truncation)
+
+        monkeypatch.setitem(problem.BUILTIN_FAMILIES, "alternating_affine", guarded)
+        argv = ["quals", "alternating-affine", "--point", "0"]
+        if where == "option":
+            argv += ["--truncation", "1000000000"]
+        else:
+            argv[1] = self._broken_fixture(
+                tmp_path,
+                lambda doc: doc["constraints"]["indexed"].update(truncation=10**9),
+            )
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: model: ") and err.count("\n") == 1
+        assert str(problem.MAX_TRUNCATION) in err
 
     @pytest.mark.parametrize(
         "argv",

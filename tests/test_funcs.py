@@ -3,6 +3,8 @@ max-formula for directional derivatives, and serialization round trips."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,9 @@ from mosipcert.funcs import (
     Affine,
     MaxAffine,
     NegSqrtParabola1D,
-    Scaled2Norm,
-    ScaledNormInf,
     SupportPolygon,
+    active_pieces,
+    affine_pieces,
     dir_derivative,
     evaluate,
     func_from_json,
@@ -65,29 +67,6 @@ def test_support_polygon_value_is_support_function():
     f = SupportPolygon([[2, 1], [-1, 3]])
     assert evaluate(f, [1, 1]) == Q(3)
     assert evaluate(f, [-1, 0]) == Q(1)
-
-
-def test_scaled_norm_inf_matches_expansion():
-    f = ScaledNormInf([1, -1], Q(3, 2))
-    g = f.as_max_affine()
-    for x in ([0, 0], [1, -1], [2, 5], [-3, Q(1, 2)]):
-        assert evaluate(f, x) == evaluate(g, x)
-        assert subdiff(f, x).vertices == subdiff(g, x).vertices
-    # at the center every signed axis gradient is active
-    assert len(subdiff(f, [1, -1]).vertices) == 4
-
-
-def test_scaled_2norm_exact_only_on_rational_points():
-    f = Scaled2Norm([0, 0], Q(1))
-    assert evaluate(f, [3, 4]) == Q(5)
-    sd = subdiff(f, [3, 4])
-    assert sd.vertices == ((Q(3, 5), Q(4, 5)),)
-    with pytest.raises(UnsupportedOperationError):
-        evaluate(f, [1, 1])
-    with pytest.raises(UnsupportedOperationError):
-        subdiff(f, [0, 0])
-    assert float_at(f, [1, 1]) == pytest.approx(2**0.5)
-    assert dir_derivative(f, [0, 0], [3, 4]) == Q(5)
 
 
 def test_neg_sqrt_parabola_values_and_domain():
@@ -198,6 +177,27 @@ def test_float_path_tracks_exact_path(f, x):
     assert float_at(f, x) == pytest.approx(float(evaluate(f, x)), abs=1e-9)
 
 
+def test_one_piecewise_rule_for_every_piecewise_kind():
+    # value = largest piece, subgradients = active pieces, on the exact and
+    # the float path alike
+    dom = HPoly(2, [((Q(1), Q(1)), Q(1))])
+    cases = [
+        (Affine([2, -1], Q(3)), [1, 1], [(Q(2), Q(-1))]),
+        (Affine([2, -1], Q(3), domain=dom), [0, 0], [(Q(2), Q(-1))]),
+        (MaxAffine([([1, 0], Q(0)), ([0, 1], Q(0)), ([-1, -1], Q(-1))]), [1, 1],
+         [(Q(1), Q(0)), (Q(0), Q(1))]),
+        (SupportPolygon([[2, 1], [-1, 3], [2, 1]]), [1, 0], [(Q(2), Q(1)), (Q(2), Q(1))]),
+    ]
+    for f, x, active in cases:
+        assert active_pieces(f, x) == active
+        assert evaluate(f, x) == max(qdot(a, x) + b for a, b in affine_pieces(f))
+        assert float_at(f, x) == float(evaluate(f, x))
+        assert dir_derivative(f, x, [1, -2]) == max(qdot(a, [1, -2]) for a in active)
+    assert affine_pieces(NegSqrtParabola1D(Q(1))) is None
+    assert active_pieces(NegSqrtParabola1D(Q(1)), [1]) is None
+    assert float_at(cases[1][0], [1, 1]) == float("inf")
+
+
 def test_neg_sqrt_parabola_float_convexity_spot_check():
     g = NegSqrtParabola1D(Q(2))
     xs = [0.1 + 0.15 * k for k in range(25) if 0.1 + 0.15 * k < 4.0]
@@ -221,17 +221,24 @@ def test_serialization_round_trip():
         Affine([1], Q(0), domain=dom),
         MaxAffine([([1, 0], Q(0)), ([0, 1], Q(-1, 3))]),
         SupportPolygon([[1, 2], [-1, 0]]),
-        ScaledNormInf([1, -1], Q(3, 2)),
-        Scaled2Norm([0, 1], Q(2)),
         NegSqrtParabola1D(Q(5, 4)),
     ]
     for f in funcs:
         assert func_from_json(func_to_json(f)) == f
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ModelError):
-        func_from_json({"kind": "mystery"})
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "mystery"},
+        {"kind": "scaled_norm_inf", "center": [[1, 1], [-1, 1]], "weight": [3, 2]},
+        {"kind": "scaled_2norm", "center": [[0, 1], [1, 1]], "weight": [2, 1]},
+    ],
+    ids=["mystery", "scaled_norm_inf", "scaled_2norm"],
+)
+def test_unknown_kind_rejected(doc):
+    with pytest.raises(ModelError, match="unknown function kind"):
+        func_from_json(doc)
 
 
 def test_as_q_returns_a_q_unchanged_and_still_refuses_floats():
@@ -247,3 +254,14 @@ def test_as_q_returns_a_q_unchanged_and_still_refuses_floats():
         as_q([1, 2.0])
     with pytest.raises(ParseError):
         as_q([1, 0])
+
+
+def test_as_q_refuses_an_exponent_beyond_the_int_digit_limit():
+    # the bound Python puts on the digits of an int literal (4300 by default)
+    limit = sys.int_info.default_max_str_digits
+    assert as_q("1e-3") == Q(1, 1000)
+    assert as_q(f"1e{limit}") == Q(10**limit)
+    assert as_q(f"1e-{limit}") == Q(1, 10**limit)
+    for text in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e99999999", "1e" + "9" * 10000):
+        with pytest.raises(ParseError):
+            as_q(text)

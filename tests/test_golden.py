@@ -1,8 +1,9 @@
 """Byte equality of the exact CLI paths against committed outputs.
 
 `tests/golden/<fixture>.<subcommand>.json` holds the stdout of `quals`,
-`certify --verify` and `gap --nu 2` on each bundled fixture at its documented
-candidate.  A change that is meant to keep every verdict, certificate and
+`certify --verify`, `gap --nu 2`, `classify --box=B` and
+`report --box=B --verify` on each bundled fixture at its documented candidate,
+with B the fixture's search box.  A change that is meant to keep every verdict, certificate and
 witness must leave these bytes alone; one that is meant to change them
 regenerates the files and says why.
 """
@@ -17,14 +18,22 @@ from mosipcert import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 POINTS = {"alternating-affine": "0", "octagon-support": "0,0", "neg-semicircle": "0"}
-EXTRA = {"quals": [], "certify": ["--verify"], "gap": ["--nu", "2"]}
+BOXES = {"alternating-affine": "-3:0", "octagon-support": "-2:0,-2:0", "neg-semicircle": "0:2"}
+EXTRA = {
+    "quals": [],
+    "certify": ["--verify"],
+    "gap": ["--nu", "2"],
+    "classify": ["--box={box}"],
+    "report": ["--box={box}", "--verify"],
+}
 
 
 @pytest.mark.parametrize("subcommand", sorted(EXTRA))
 @pytest.mark.parametrize("fixture", sorted(POINTS))
 def test_stdout_matches_golden(capsys, fixture, subcommand):
     argv = [subcommand, fixture, f"--point={POINTS[fixture]}", "--format", "json"]
-    assert cli.main(argv + EXTRA[subcommand]) == 0
+    extra = [arg.format(box=BOXES[fixture]) for arg in EXTRA[subcommand]]
+    assert cli.main(argv + extra) == 0
     out = capsys.readouterr().out
     expected = (GOLDEN / f"{fixture}.{subcommand}.json").read_text(encoding="utf-8")
     assert out == expected

@@ -262,6 +262,27 @@ class TestOneMembershipDecision:
         assert out.certificate is not None
         assert 1 < counts["solve"] <= 1 + normals  # tau-LP and support-cone LPs
 
+    def test_strong_kkt_leaves_the_lp_results_whole(self, ex1, monkeypatch):
+        # the tau-LP's weights end with tau; reading it must not shorten the
+        # primal of the LP result that `decompose` hands back
+        from mosipcert import lp
+
+        p, cp = self._fresh(ex1)
+        solved = []
+        solve = lp.solve
+
+        def capturing_solve(prog):
+            res = solve(prog)
+            solved.append((prog, res))
+            return res
+
+        monkeypatch.setattr(lp, "solve", capturing_solve)
+        out = kkt.strong_kkt(p, cp)
+        assert out.certificate is not None and out.tau is not None
+        optimal = [(prog, res) for prog, res in solved if isinstance(res, lp.Optimal)]
+        assert any(res.primal[-1] == out.tau for _, res in optimal)
+        assert all(len(res.primal) == prog.num_vars for prog, res in optimal)
+
     def test_grouped_decomposition_decides_membership(self):
         rng = random.Random(7919)
         outcomes = set()

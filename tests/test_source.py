@@ -19,3 +19,46 @@ def test_no_assert_statements_in_library():
     ]
     assert len(list(SRC.glob("*.py"))) > 10
     assert found == []
+
+
+PIECEWISE_KINDS = {"Affine", "MaxAffine", "SupportPolygon"}
+
+
+def _kind_names(node) -> set:
+    """Class names a node refers to, as `Name` or `module.Name`."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _piecewise_isinstance_sites(path: Path) -> list:
+    """(module, enclosing function) of each isinstance test on a
+    piecewise-linear function kind."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and _kind_names(node.args[1]) & PIECEWISE_KINDS
+        ):
+            sites.append((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_piecewise_kinds_are_told_apart_in_one_place():
+    # every other dispatch reads a piecewise-linear function through
+    # funcs.affine_pieces, so a new kind needs one branch there (plus its
+    # serialiser), not one per calculus rule
+    sites = {site for path in sorted(SRC.glob("*.py")) for site in _piecewise_isinstance_sites(path)}
+    assert sites == {("funcs", "affine_pieces"), ("funcs", "func_to_json")}
