@@ -8,16 +8,29 @@ points plus a conic combination of these generators" is one call to
 the first LP of `membership`, the KKT searches in `kkt` and the gap zero
 search in `gap`.  `hull_terms` reads its weights back per block of points.
 
-Everything is exact rational.  All types are immutable values canonicalized on
-construction (primitive integer scaling for rays and normals, lexicographic
-sorting, redundancy pruning), so structural equality of two objects built
-through the public constructors is semantic equality of the canonical
-representations.  Pruning is one greedy loop over one Farkas redundancy test,
-not a `decompose` call: a lies in cone(others) exactly when a'd <= 0 is
-implied by b'd <= 0 for every other b, so a redundant generator and a
-redundant normal are one question, and a polytope prunes its lifted points
-(p, 1).  Halfspace representations of lower-dimensional cones are not unique
-even canonically; use `cone_equal` for set equality.
+Everything is exact rational.  Every Polytope, FGCone and HCone holds its
+canonical form (primitive integer scaling for rays and normals, lexicographic
+sorting, redundancy pruning), so structural equality of two of them is
+equality of the canonical representations.  Pruning is one greedy loop over
+one Farkas redundancy test, not a `decompose` call: a lies in cone(others)
+exactly when a'd <= 0 is implied by b'd <= 0 for every other b, so a
+redundant generator and a redundant normal are one question, and a polytope
+prunes its lifted points (p, 1).  Halfspace representations of
+lower-dimensional cones are not unique even canonically; use `cone_equal` for
+set equality.
+
+The public constructors prune with LPs.  Rays that are canonical already go
+through the one private constructor `_canonical`, with no LP: `polar` (a
+cone's canonical generators are its polar's canonical normals, and back) and
+the pointed branch of `dd_convert`.  Rows that are only read by another LP
+need no canonical form: `Halfspaces` hands them to `dd_convert` unpruned.
+
+`dd_convert` has two branches, chosen by the data.  When the normals span
+n-space the cone is pointed, its canonical generators are its extreme rays,
+and `_extreme_rays` builds them in integer arithmetic with the combinatorial
+adjacency test, no LP.  Otherwise the cone has a lineality space: the
+canonical normals slice +-axis generators, each slice a canonical FGCone, and
+the generators that come out depend on that path.
 
 Conventions:
 * HCone(normals) is {d : a'd <= 0 for every normal a}; no normals = all space.
@@ -31,7 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import lp
 from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
@@ -54,19 +67,21 @@ def dd_dim_cap() -> int:
     raise ModelError(f"MOSIP_DD_DIM_CAP must be an integer >= 1, not {raw!r}")
 
 
-def primitive(v: Sequence) -> tuple:
-    """Scale a nonzero rational vector to coprime integers (sign preserved)."""
+def _primitive_ints(v) -> tuple:
+    """A rational vector scaled to coprime integers, sign preserved; the
+    zero vector stays zero."""
     denom_lcm = 1
     for c in v:
         d = as_q(c).denominator
         denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
     ints = [int(as_q(c) * denom_lcm) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return tuple(ZERO for _ in v)
-    return tuple(Q(c, g) for c in ints)
+    g = gcd(*ints)
+    return tuple(c // g for c in ints) if g else tuple(ints)
+
+
+def primitive(v: Sequence) -> tuple:
+    """Scale a nonzero rational vector to coprime integers (sign preserved)."""
+    return tuple(Q(c) for c in _primitive_ints(v))
 
 
 def _unit(dim: int, j: int, scale=ONE) -> tuple:
@@ -124,9 +139,8 @@ def _irredundant(vectors) -> list:
     return kept
 
 
-def _canonical_rays(dim: int, vectors, what: str) -> tuple:
-    """The shared canonical form of generators and normals: primitive
-    integer scaling, zeros dropped, duplicates merged, sorted, pruned."""
+def _primitive_set(dim: int, vectors, what: str) -> list:
+    """Primitive integer scaling, zeros dropped, duplicates merged, sorted."""
     prims = set()
     for v in vectors:
         v = vec_q(v)
@@ -134,7 +148,13 @@ def _canonical_rays(dim: int, vectors, what: str) -> tuple:
             raise ValueError(f"{what} dimension mismatch")
         if any(c != 0 for c in v):
             prims.add(primitive(v))
-    return tuple(_irredundant(sorted(prims)))
+    return sorted(prims)
+
+
+def _canonical_rays(dim: int, vectors, what: str) -> tuple:
+    """The shared canonical form of generators and normals: the primitive
+    set, pruned."""
+    return tuple(_irredundant(_primitive_set(dim, vectors, what)))
 
 
 def decompose(target, hulls, cones=(), margin=False):
@@ -298,7 +318,7 @@ class HPoly:
 
     def normal_cone(self, x) -> FGCone:
         """Cone of active row normals (polar of the tangent cone)."""
-        return FGCone(self.dim, [self.rows[i][0] for i in self.active_rows(x)])
+        return polar(self.tangent_cone(x))
 
     def lp_rows(self) -> list:
         return [(list(a), lp.LE, b) for a, b in self.rows]
@@ -328,19 +348,40 @@ class GenConvexSet:
 # Polars and double description
 
 
-def polar(c: FGCone) -> HCone:
-    """Negative polar cone: {d : g'd <= 0 for every generator g}."""
-    return HCone(c.dim, c.generators)
+class Halfspaces(NamedTuple):
+    """{d : a'd <= 0 for every a in normals} with the normals as given, not
+    canonicalised: the input of `dd_convert` where no HCone is printed or
+    compared."""
+
+    dim: int
+    normals: tuple
 
 
-def dd_convert(h: HCone) -> FGCone:
-    """Generators of {d : a'd <= 0 for all normals} (double description).
+def _canonical(cls, dim: int, rays: tuple):
+    """The FGCone or HCone of rays that are already canonical, built with no
+    LP."""
+    cone = object.__new__(cls)
+    object.__setattr__(cone, "dim", dim)
+    object.__setattr__(cone, "generators" if cls is FGCone else "normals", rays)
+    return cone
 
-    Starts from +-axis generators of all space and slices one halfspace at a
-    time; new rays come from all sign-crossing pairs, and each slice is the
-    canonical FGCone of the kept and new rays, which keeps counts small at
-    these dimensions.  The last slice's cone is the result.
-    """
+
+def polar(c):
+    """Negative polar cone: of an FGCone, {d : g'd <= 0 for every generator
+    g}; of an HCone, the cone of its normals.  Generators and normals share
+    one canonical form, so the rays carry over and no LP runs."""
+    if isinstance(c, FGCone):
+        return _canonical(HCone, c.dim, c.generators)
+    return _canonical(FGCone, c.dim, c.normals)
+
+
+def dd_convert(h) -> FGCone:
+    """Generators of {d : a'd <= 0 for every normal a} (double description)
+    of an HCone, or of raw `Halfspaces`.  A pointed cone gets its extreme
+    rays from `_extreme_rays`.  A cone with lineality is sliced: its
+    canonical normals cut +-axis generators of all space one halfspace at a
+    time, new rays come from all sign-crossing pairs, and each slice is the
+    canonical FGCone of the kept and new rays."""
     n = h.dim
     cap = dd_dim_cap()
     if n > cap:
@@ -348,10 +389,16 @@ def dd_convert(h: HCone) -> FGCone:
             f"double description in dimension {n} exceeds cap {cap} "
             f"(set MOSIP_DD_DIM_CAP to raise it)"
         )
+    normals = h.normals if isinstance(h, HCone) else _primitive_set(n, h.normals, "normal")
+    rays = _extreme_rays(n, [tuple(int(c) for c in a) for a in normals])
+    if rays is not None:
+        return _canonical(FGCone, n, tuple(tuple(Q(c) for c in r) for r in sorted(rays)))
+    if not isinstance(h, HCone):
+        normals = _irredundant(normals)
     gens = [_unit(n, j) for j in range(n)] + [_unit(n, j, -ONE) for j in range(n)]
-    if not h.normals:
+    if not normals:
         return FGCone(n, gens)
-    for a in h.normals:
+    for a in normals:
         vals = [qdot(a, g) for g in gens]
         keep = [g for g, v in zip(gens, vals) if v <= 0]
         new = []
@@ -366,6 +413,59 @@ def dd_convert(h: HCone) -> FGCone:
         cone = FGCone(n, keep + new)
         gens = cone.generators
     return cone
+
+
+def _extreme_rays(n: int, normals) -> Optional[list]:
+    """The extreme rays, as primitive integer tuples, of {d : a'd <= 0 for
+    every normal a} when the normals (distinct integer tuples) span n-space;
+    None when they do not, for then the cone has lineality.
+
+    The first n independent normals, rows of B, bound a simplicial cone whose
+    rays are the columns of -B^-1.  Each other normal a is one double
+    description step: rays with a'r <= 0 stay, and a ray with a'r > 0 meets a
+    ray with a'r < 0 on a'd = 0 only when the two are adjacent, that is when
+    no third ray vanishes on every normal both vanish on (the combinatorial
+    test of Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon,
+    Double description method revisited, 1996).  The cone stays pointed, so
+    the rays stay its extreme rays and no pruning LP is needed.
+    """
+    m = len(normals)
+    # Gauss-Jordan on [A' | I]: the pivot columns pick the first independent
+    # normals, and the right block becomes (B^-1)', one row per pivot
+    rows = [[Q(a[i]) for a in normals] + [ONE if j == i else ZERO for j in range(n)]
+            for i in range(n)]
+    basis = _row_reduce(rows, m)
+    if len(basis) < n:
+        return None
+    on_basis = sum(1 << k for k in basis)
+    # (ray, bitmask of the normals seen so far that vanish on it)
+    rays = [
+        (_primitive_ints([-c for c in rows[j][m:]]), on_basis & ~(1 << k))
+        for j, k in enumerate(basis)
+    ]
+    for k, a in enumerate(normals):
+        if on_basis >> k & 1:
+            continue
+        bit = 1 << k
+        signed = [(r, zero, sum(x * y for x, y in zip(a, r))) for r, zero in rays]
+        kept = [(r, zero | bit if v == 0 else zero) for r, zero, v in signed if v <= 0]
+        for p, zp, vp in signed:
+            if vp <= 0:
+                continue
+            for q, zq, vq in signed:
+                if vq >= 0:
+                    continue
+                common = zp & zq
+                # an edge lies on n - 2 independent normals at least
+                if common.bit_count() < n - 2:
+                    continue
+                if any(common & zero == common for r, zero in rays if r is not p and r is not q):
+                    continue
+                w = [vp * cq - vq * cp for cp, cq in zip(p, q)]
+                g = gcd(*w)
+                kept.append((tuple(c // g for c in w), common | bit))
+        rays = kept
+    return [r for r, _ in rays]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +578,7 @@ def _facets(s: GenConvexSet) -> list:
     """Facet rows (a, b) with s = {x : a'x <= b}, via the lifted-cone polar:
     (a, -b) ranges over the generators of {(v,1), (r,0)}^0."""
     dim = s.dim
-    lifted = HCone(
+    lifted = Halfspaces(
         dim + 1,
         [tuple(v) + (ONE,) for v in s.base.vertices]
         + [tuple(g) + (ZERO,) for g in s.recession.generators],
@@ -549,9 +649,12 @@ class ContainsResult:
 
 
 def contains(a, b) -> ContainsResult:
-    """Is a a subset of b?  When not, witness lies in a and outside b."""
+    """Is a a subset of b?  When not, witness lies in a and outside b.  Equal
+    canonical forms hold at once."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
+    if a == b:
+        return ContainsResult(True)
     if isinstance(a, FGCone):
         if isinstance(b, HCone):
             for g in a.generators:
@@ -582,14 +685,15 @@ def cone_equal(a, b) -> bool:
 # Rank
 
 
-def span_rank(points) -> int:
-    """Rank of the span of the points (exact Gaussian elimination)."""
-    rows = [list(vec_q(p)) for p in points]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+def _row_reduce(rows, ncols: int) -> list:
+    """Gauss-Jordan elimination, in place, of rational rows over their first
+    `ncols` columns.  Returns the pivot columns in order; the i-th row ends
+    with a unit pivot in the i-th of them and zeros above and below it."""
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), -1)
         if piv < 0:
             continue
@@ -600,5 +704,11 @@ def span_rank(points) -> int:
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def span_rank(points) -> int:
+    """Rank of the span of the points (exact Gaussian elimination)."""
+    rows = [list(vec_q(p)) for p in points]
+    return len(_row_reduce(rows, len(rows[0]))) if rows else 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import GenConvexSet, NotMember, decompose, hull_terms, membership, zero_interior
+from .cones import NotMember, decompose, hull_terms, membership
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -291,7 +291,7 @@ def perturbed_gap_check(
     if nu <= 0:
         raise ModelError("the tilt radius must be positive")
     n = p.dimension
-    zi = zero_interior(GenConvexSet(cp.F_star, cp.G_star))
+    zi = cp.zero_interior()
     exact_equiv = bool(zi.inside and zi.radius_lower_bound >= nu)
     tilts = []
     for j in range(n):

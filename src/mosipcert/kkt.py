@@ -297,7 +297,7 @@ def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
     point gets its own exact multiplier decomposition."""
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
-    zi = zero_interior(GenConvexSet(cp.F_star, cp.G_star))
+    zi = cp.zero_interior()
     if not zi.inside:
         return PerturbedKktReport(
             holds=False,
@@ -354,7 +354,12 @@ def isolation_inclusion_report(
                 if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
                     return None
                 grads.append(ss.base.vertices[0])
-            solved[active] = zero_interior(GenConvexSet(cp.F_star, FGCone(p.dimension, grads)))
+            # over the active set itself the cone is G*, whose answer the point keeps
+            solved[active] = (
+                cp.zero_interior()
+                if active == cp.T
+                else zero_interior(GenConvexSet(cp.F_star, FGCone(p.dimension, grads)))
+            )
         zi = solved[active]
         rows.append(
             {

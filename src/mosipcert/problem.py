@@ -28,13 +28,16 @@ from . import funcs
 from .cones import (
     FGCone,
     GenConvexSet,
+    Halfspaces,
     HCone,
     HPoly,
     Polytope,
+    ZeroInterior,
     contains,
     dd_convert,
     decompose,
     polar,
+    zero_interior,
 )
 from .errors import (
     InfeasiblePointError,
@@ -322,26 +325,6 @@ class MosipProblem:
     def flag(self, name: str) -> bool:
         return bool(self.annotations.get("flags", {}).get(name, False))
 
-    def validate_sample(self, points) -> None:
-        """Exact spot checks of the declared closed forms against the
-        truncated family: S-membership implies every g_k <= 0, and
-        psi_override dominates every g_k."""
-        for x in points:
-            x = vec_q(x)
-            if self.feasible_set is not None and self.feasible_set.contains_point(x):
-                for k in self.indices():
-                    if evaluate(self.constraint(k), x) > 0:
-                        raise ModelError(
-                            f"feasible_set point {x} violates constraint {k}"
-                        )
-            if self.psi_override is not None:
-                bound = evaluate(self.psi_override, x)
-                for k in self.indices():
-                    if evaluate(self.constraint(k), x) > bound:
-                        raise ModelError(
-                            f"psi_override undercuts constraint {k} at {x}"
-                        )
-
 
 # ---------------------------------------------------------------------------
 # envelope functions and active sets
@@ -488,8 +471,14 @@ class CandidatePoint:
     * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
       description (WADQ, EADQ);
     * ``sublevel_tangent(i)``, the tangent cone of Q^i(x) at x (EADQ);
+    * ``zero_interior()``, whether 0 is interior to F* + G*, with its
+      certified radius (perturbed KKT and gap check, isolation report);
     * ``zero_decision()``, the decomposition LP deciding 0 in F* + G* over
-      the canonical vertices and generators (weak and strong KKT).
+      the canonical vertices and generators (weak and strong KKT);
+    * checkers in other modules keep their own shared questions with
+      ``kept(key, compute)``: `quals` keys the min-max LP and the zero
+      decomposition by their input points and generators (MFCQ, PMFCQ,
+      COCQ).
 
     A refused computation (UnsupportedOperationError for an irrational
     subdifferential, UnsupportedDimensionError above the double description
@@ -535,7 +524,7 @@ class CandidatePoint:
         if p.feasible_set is not None:
             # x satisfies every row of S: the feasibility pass checked it
             C = p.feasible_set.tangent_cone(x)
-            N = p.feasible_set.normal_cone(x)
+            N = polar(C)
             try:
                 Q = tuple(sublevel_Q(p, x, i) for i in range(p.num_objectives))
             except UnsupportedOperationError:
@@ -562,7 +551,9 @@ class CandidatePoint:
             derived=derived,
         )
 
-    def _kept(self, key, compute):
+    def kept(self, key, compute):
+        """The stored value under `key`, computed by `compute()` on the first
+        request; a refusal it raises is not stored."""
         if key not in self.derived:
             self.derived[key] = compute()
         return self.derived[key]
@@ -573,12 +564,12 @@ class CandidatePoint:
         return self.derived["g_values"]
 
     def objective_subdiff(self, i: int) -> Polytope:
-        return self._kept(
+        return self.kept(
             ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
         )
 
     def constraint_subdiff(self, k: int) -> GenConvexSet:
-        return self._kept(
+        return self.kept(
             ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
         )
 
@@ -608,7 +599,7 @@ class CandidatePoint:
             base, rec = _union(self.constraint_subdiff(k) for k in argmax)
             return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
 
-        return self._kept("psi", compute)
+        return self.kept("psi", compute)
 
     def g_polar(self) -> tuple:
         """(HCone, provenance, source): the negative polar of the
@@ -622,7 +613,7 @@ class CandidatePoint:
             prov = g_data_provenance(p, self.x)
             return polar(self.G_star), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
 
-        return self._kept("g_polar", compute)
+        return self.kept("g_polar", compute)
 
     def fg_polar(self) -> FGCone:
         """F^0(x) intersect G^0(x) as generators: one double description of
@@ -630,19 +621,26 @@ class CandidatePoint:
 
         def compute():
             rows = list(self.F) + list(self.g_polar()[0].normals)
-            return dd_convert(HCone(self.problem.dimension, rows))
+            return dd_convert(Halfspaces(self.problem.dimension, rows))
 
-        return self._kept("fg_polar", compute)
+        return self.kept("fg_polar", compute)
 
     def sublevel_tangent(self, i: int) -> HCone:
         """The tangent cone at x of the sublevel polyhedron Q^i(x)."""
-        return self._kept(("sublevel_tangent", i), lambda: self.Q[i].tangent_cone(self.x))
+        return self.kept(("sublevel_tangent", i), lambda: self.Q[i].tangent_cone(self.x))
+
+    def zero_interior(self) -> ZeroInterior:
+        """`zero_interior` of F* + G*: is 0 interior, with a certified radius
+        (perturbed KKT, the perturbed gap check, the isolation report)."""
+        return self.kept(
+            "zero_interior", lambda: zero_interior(GenConvexSet(self.F_star, self.G_star))
+        )
 
     def zero_decision(self):
         """`decompose` of 0 over the canonical F* vertices and G* generators:
         the weights when 0 is in F* + G*, else the LP's `lp.Infeasible`."""
         zero = tuple(ZERO for _ in self.x)
-        return self._kept(
+        return self.kept(
             "zero_decision",
             lambda: decompose(zero, [self.F_star.vertices], [self.G_star.generators]),
         )

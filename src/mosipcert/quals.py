@@ -152,6 +152,20 @@ def _zero_decomposition(points, rec_gens, dim: int) -> dict:
     }
 
 
+def _kept_min_max(cp, points, rec_gens) -> tuple:
+    """`_min_max_direction`, asked once per point and input: MFCQ, PMFCQ and
+    COCQ share it when their points and generators are equal."""
+    key = ("min_max", tuple(points), tuple(rec_gens))
+    return cp.kept(key, lambda: _min_max_direction(points, rec_gens, cp.problem.dimension))
+
+
+def _kept_zero_decomposition(cp, points, rec_gens) -> dict:
+    """`_zero_decomposition`, asked once per point and input (MFCQ, COCQ);
+    each caller gets its own copy of the witness."""
+    key = ("zero_decomposition", tuple(points), tuple(rec_gens))
+    return dict(cp.kept(key, lambda: _zero_decomposition(points, rec_gens, cp.problem.dimension)))
+
+
 def _rational_slack(value) -> Q:
     """A positive rational epsilon with value <= -epsilon, for a negative
     extended-real value."""
@@ -345,14 +359,14 @@ def _check_mfcq(p, cp):
             "the active subgradient union is empty; the definition's fallback clause applies",
         )
     base, rec = cp.subgradient_union(ZERO)
-    value, d = _min_max_direction(base, rec, p.dimension)
+    value, d = _kept_min_max(cp, base, rec)
     if value < 0:
         witness = {"kind": "direction", "direction": d, "max_inner": value}
         note = "strictly negative direction against every active subgradient"
         if prov != EXACT:
             note += "; union taken over the truncated data"
         return QualReport("MFCQ", HOLDS, prov, witness, note)
-    witness = _zero_decomposition(base, rec, p.dimension)
+    witness = _kept_zero_decomposition(cp, base, rec)
     return QualReport(
         "MFCQ",
         FAILS,
@@ -381,7 +395,7 @@ def _check_pmfcq(p, cp, eps_grid):
                     witness,
                     "the eps-active subgradient union is empty, so its supremum is -infinity",
                 )
-            solved[active] = _min_max_direction(base, rec, p.dimension)
+            solved[active] = _kept_min_max(cp, base, rec)
         value, d = solved[active]
         values.append((eps, value))
         if value < 0:
@@ -441,15 +455,12 @@ def _check_cocq(p, cp):
     ss = cp.psi_subdiff()
     if ss is None:
         return QualReport("COCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
-    n = p.dimension
     if not ss.is_empty:
-        value, d = _min_max_direction(list(ss.base.vertices), list(ss.recession.generators), n)
+        value, d = _kept_min_max(cp, ss.base.vertices, ss.recession.generators)
         if value < 0:
             witness = {"kind": "direction", "direction": d, "derivative_bound": value}
             return QualReport("COCQ", HOLDS, prov, witness, "direction with strictly negative envelope derivative")
-        witness = _zero_decomposition(
-            list(ss.base.vertices), list(ss.recession.generators), n
-        )
+        witness = _kept_zero_decomposition(cp, ss.base.vertices, ss.recession.generators)
         return QualReport("COCQ", FAILS, prov, witness, "0 lies in the envelope subdifferential, so no descent direction exists")
     # empty subdifferential: only the one-variable NegSqrtParabola1D override
     # has one (at its domain boundary), so probe its closed-form directional

@@ -29,12 +29,17 @@ ONE = Q(1)
 # the decimal exponent of a rational string, e.g. the "-3" of "1.5e-3"
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
+# str() of an int, and so every output format, stops at this many digits
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+_TOO_LONG = 10**_MAX_DIGITS
+
 
 def as_q(value: QLike) -> Q:
     """Coerce ints, strings, [num, den] pairs and rationals to Q. Floats are
     refused, and so is a string whose decimal exponent is too large to
-    expand.  A value that already is a Q is returned as it is: Q is
-    immutable, so rebuilding it would only cost time."""
+    expand or whose value has a numerator or denominator too long to print.
+    A value that already is a Q is returned as it is: Q is immutable, so
+    rebuilding it would only cost time."""
     if type(value) is Q:
         return value
     if isinstance(value, float):
@@ -49,6 +54,13 @@ def as_q(value: QLike) -> Q:
         return Q(num, den)
     if isinstance(value, str):
         _check_exponent(value)
+        q = Q(value)
+        if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+            raise ParseError(
+                f"{value[:40]!r} has a numerator or denominator of more than "
+                f"{_MAX_DIGITS} digits, which cannot be printed"
+            )
+        return q
     return Q(value)
 
 
@@ -59,10 +71,9 @@ def _check_exponent(text: str) -> None:
     match = _EXPONENT.search(text)
     if match is None:
         return
-    limit = sys.int_info.default_max_str_digits
     digits = match.group(1).replace("_", "").lstrip("0")
-    if len(digits) > len(str(limit)) or int(digits or "0") > limit:
-        raise ParseError(f"decimal exponent of {text[:40]!r} exceeds {limit} in magnitude")
+    if len(digits) > len(str(_MAX_DIGITS)) or int(digits or "0") > _MAX_DIGITS:
+        raise ParseError(f"decimal exponent of {text[:40]!r} exceeds {_MAX_DIGITS} in magnitude")
 
 
 def json_int(value, what: str) -> int:

@@ -282,6 +282,32 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: parse: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "alternating-affine", "--point=-1e4300", "--format", "json"],
+            ["quals", "alternating-affine", "--point=-1e4300", "--format", "json"],
+            ["quals", "alternating-affine", "--point=1e-4300"],
+            ["classify", "alternating-affine", "--point=0", "--box=-1e4300:0"],
+            ["quals", "FILE", "--point=0"],
+        ],
+        ids=["certify-point", "quals-point", "quals-denominator", "classify-box", "file"],
+    )
+    def test_value_too_long_to_print_is_a_parse_error(self, capsys, tmp_path, argv):
+        # 10**4300 has 4301 digits, one more than str() of an int writes
+        if argv[1] == "FILE":
+            argv[1] = self._broken_fixture(
+                tmp_path, lambda doc: doc["objectives"][0].update(a=["1e4300"])
+            )
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: parse: ") and err.count("\n") == 1
+
+    def test_longest_printable_value_still_prints(self, capsys):
+        code, out, err = _run(capsys, ["quals", "alternating-affine", "--point=-1e4299"])
+        assert code == 0 and err == ""
+        assert f"candidate: ({-(10**4299)})" in out
+
     @pytest.mark.parametrize("where", ["option", "file"])
     def test_truncation_is_refused_before_any_member_is_built(
         self, capsys, tmp_path, monkeypatch, where

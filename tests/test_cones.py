@@ -18,6 +18,7 @@ from mosipcert import cones, lp
 from mosipcert.cones import (
     FGCone,
     GenConvexSet,
+    Halfspaces,
     HCone,
     Member,
     NotMember,
@@ -165,9 +166,25 @@ def test_one_vector_canonicalisation_makes_no_lp(monkeypatch) -> None:
     assert count[0] == 0
 
 
+def test_dd_convert_of_spanning_normals_makes_no_lp(monkeypatch) -> None:
+    # a pointed cone's generators are its extreme rays, built without LPs,
+    # from the canonical normals and from raw rows alike
+    rng = random.Random(SEED)
+    inputs = []
+    while len(inputs) < 6:
+        dim = rng.randint(2, 5)
+        normals = _family(rng, dim)
+        if span_rank(normals) == dim:
+            inputs.append((HCone(dim, normals), Halfspaces(dim, normals)))
+    count = _count_solves(monkeypatch)
+    for h, raw in inputs:
+        assert dd_convert(h) == dd_convert(raw)
+    assert count[0] == 0
+
+
 def test_dd_convert_makes_its_lps_inside_its_slices(monkeypatch) -> None:
-    # every LP belongs to the canonical FGCone of one slice: none re-prunes
-    # the last slice's generators
+    # a cone with lineality is sliced: every LP belongs to the canonical
+    # FGCone of one slice, and none re-prunes the last slice's generators
     count = _count_solves(monkeypatch)
     inside = []
     fgcone = cones.FGCone
@@ -181,11 +198,65 @@ def test_dd_convert_makes_its_lps_inside_its_slices(monkeypatch) -> None:
     monkeypatch.setattr(cones, "FGCone", slice_cone)
     rng = random.Random(SEED)
     for dim in (2, 3, 4):
-        h = HCone(dim, _family(rng, dim)[:4])
+        # normals without a last coordinate leave the last axis a lineality line
+        normals = [[Q(1)] + [Q(0)] * (dim - 1)]
+        normals += [v[:-1] + [Q(0)] for v in _family(rng, dim)[:4]]
+        h = HCone(dim, normals)
+        assert span_rank(h.normals) < dim
         count[0], inside[:] = 0, []
         dd_convert(h)
         assert len(inside) == len(h.normals)
         assert sum(inside) == count[0] > 0
+
+
+def _pointed_normals(rng: random.Random, dim: int, kind: str) -> list:
+    """Integer normals in [-2, 2] that span dim-space, with one kind of
+    awkwardness: a duplicate and a positive multiple, a redundant positive
+    combination, a degenerate ray (many normals orthogonal to one vector),
+    or a cone that is {0}."""
+    while True:
+        normals = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 2))]
+        if kind == "duplicate":
+            a = rng.choice(normals)
+            normals.append(list(a))
+            if max(map(abs, a)) <= 1:
+                normals.append([2 * c for c in a])
+        elif kind == "redundant":
+            a, b = rng.sample(normals, 2)
+            if all(abs(x + y) <= 2 for x, y in zip(a, b)):
+                normals.append([x + y for x, y in zip(a, b)])
+        elif kind == "degenerate":
+            # normals orthogonal to (1, ..., 1) meet on that line
+            for _ in range(dim + 1):
+                head = [rng.randint(-1, 1) for _ in range(dim - 1)]
+                normals.append(head + [-sum(head)])
+        elif kind == "zero":
+            # a normal opposite to the sum of the others pins every a'd to 0
+            total = [sum(col) for col in zip(*normals)]
+            normals.append([-c for c in total])
+        if span_rank(normals) == dim:
+            rng.shuffle(normals)
+            return normals
+
+
+def test_pointed_dd_matches_the_sliced_reference() -> None:
+    # the reference's pruning LPs grow fast with the dimension, so the
+    # higher dimensions get fewer of the 320 cases
+    rng = random.Random(SEED + 11)
+    kinds = ("plain", "duplicate", "redundant", "degenerate", "zero")
+    zero_cones = degenerate_rays = 0
+    for case in range(320):
+        dim = (2, 3, 4, 5, 2, 3, 4, 2)[case % 8]
+        normals = _pointed_normals(rng, dim, kinds[case % len(kinds)])
+        h = HCone(dim, normals)
+        got = dd_convert(h)
+        assert got.generators == reference_dd_convert(dim, normals)
+        assert dd_convert(Halfspaces(dim, normals)) == got  # pruned or not
+        zero_cones += got.is_zero
+        degenerate_rays += sum(
+            sum(1 for a in h.normals if qdot(a, r) == 0) > dim - 1 for r in got.generators
+        )
+    assert zero_cones >= 20 and degenerate_rays >= 20
 
 
 def test_primitive_scaling() -> None:

@@ -257,11 +257,13 @@ def test_as_q_returns_a_q_unchanged_and_still_refuses_floats():
 
 
 def test_as_q_refuses_an_exponent_beyond_the_int_digit_limit():
-    # the bound Python puts on the digits of an int literal (4300 by default)
+    # the bound Python puts on the digits of an int literal (4300 by default),
+    # which str() of an int, and so the output, keeps as well
     limit = sys.int_info.default_max_str_digits
     assert as_q("1e-3") == Q(1, 1000)
-    assert as_q(f"1e{limit}") == Q(10**limit)
-    assert as_q(f"1e-{limit}") == Q(1, 10**limit)
-    for text in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e99999999", "1e" + "9" * 10000):
+    assert as_q(f"-9.5e{limit - 1}") == Q(-95 * 10 ** (limit - 2))
+    assert as_q(f"1e-{limit - 1}") == Q(1, 10 ** (limit - 1))
+    for text in (f"1e{limit}", f"-1e{limit}", f"1e-{limit}", f"12e{limit - 1}",
+                 f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e99999999", "1e" + "9" * 10000):
         with pytest.raises(ParseError):
             as_q(text)

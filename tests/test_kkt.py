@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosipcert import instances, kkt, quals
+from mosipcert import instances, kkt, problem, quals
 from mosipcert.cones import FGCone, GenConvexSet, Member, NotMember, Polytope, membership
 from mosipcert.errors import InternalInconsistencyError, ParseError
 from mosipcert.funcs import Affine, HPoly, MaxAffine
@@ -330,6 +330,18 @@ class TestPerturbed:
         for g in cp.G_star.generators:
             assert qdot(d, g) <= 0
 
+    def test_witness_from_a_redundant_support_cone_is_pinned(self):
+        # the random-pipeline benchmark instance n3-obj3-con6-act4+3 at seed 3
+        # (the thirteenth draw of its slot's stream): its support cone has
+        # redundant normals, and leaving them in moves Bland's optimal vertex
+        # to (1, -1, 1), so zero_interior keeps that cone canonical
+        rng = random.Random("3:107")
+        for _ in range(13):
+            p, x = random_polyhedral_problem(rng, 3, 3, 6)
+        report = kkt.perturbed_kkt(p, CandidatePoint.build(p, x))
+        assert not report.holds
+        assert report.witness_direction == (Q(1), Q(-6, 7), Q(3, 7))
+
     def test_simplex_interior_radius_is_nearest_facet_distance(self):
         # triangle bounded by 3x + 4y <= 5, -4x + 3y <= 10 and y >= -2: the
         # facet normals have length 5, 5, 1, so the origin's facet distances
@@ -367,7 +379,11 @@ class TestIsolationInclusionReport:
         assert all(row["exact"] for row in report["rows"])
 
     def test_one_zero_interior_per_distinct_active_set(self, ex1, monkeypatch):
+        # the active set itself is asked through the point's store, which
+        # perturbed KKT then reads without asking again; a fresh point starts
+        # with an empty store
         p, cp = ex1
+        cp = CandidatePoint.build(p, cp.x)
         calls = []
         real = kkt.zero_interior
 
@@ -376,10 +392,13 @@ class TestIsolationInclusionReport:
             return real(s)
 
         monkeypatch.setattr(kkt, "zero_interior", counted)
+        monkeypatch.setattr(problem, "zero_interior", counted)
         report = kkt.isolation_inclusion_report(p, cp, 2)
         grid = quals.DEFAULT_EPS_GRID
         assert len(calls) == len({tuple(cp.active(eps)) for eps in grid}) < len(grid)
         assert [row["eps"] for row in report["rows"]] == list(grid)
+        kkt.perturbed_kkt(p, cp)
+        assert len(calls) == len({tuple(cp.active(eps)) for eps in grid})
 
     def test_suppressed_without_differentiability_flag(self, ex2):
         p, cp = ex2

@@ -160,17 +160,6 @@ def test_psi_dominates_members_on_grid():
                 assert evaluate(p.constraint(k), x) <= bound
 
 
-def test_validate_sample_fixtures():
-    for build in FIXTURE_BUILDERS.values():
-        p = build()
-        pts = (
-            [[x] for x in (-2, -1, 0, Q(1, 2), 1, 2, 3)]
-            if p.dimension == 1
-            else [[x, y] for x in (-2, 0, 1) for y in (-2, 0, 1)]
-        )
-        p.validate_sample(pts)
-
-
 def test_f_sets_fixtures():
     p = linear_tail_problem()
     fs = f_sets(p, [0])

@@ -223,12 +223,9 @@ def test_wadq_and_eadq_above_the_dd_cap_are_undecidable(monkeypatch):
     assert by["ACQ"].status == HOLDS
 
 
-def test_lfmcq_makes_no_forward_containment_lps(monkeypatch):
-    # G* in N is checked once, when the candidate point is built
+def _count_decompose(monkeypatch) -> list:
     from mosipcert import cones
 
-    p = load_fixture("alternating-affine")
-    cp = _candidate(p)
     calls = []
     real = cones.decompose
 
@@ -237,6 +234,32 @@ def test_lfmcq_makes_no_forward_containment_lps(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cones, "decompose", counted)
+    return calls
+
+
+def test_lfmcq_makes_no_forward_containment_lps(monkeypatch):
+    # G* in N is checked once, when the candidate point is built; N in G*
+    # takes at most one LP per generator of N, and none when N equals G*
+    p = load_fixture("alternating-affine")
+    cp = _candidate(p)
+    calls = _count_decompose(monkeypatch)
+    report = check("LFMCQ", p, cp)
+    assert report.status == HOLDS
+    assert cp.N == cp.G_star and len(calls) == 0
+
+
+def test_lfmcq_decides_n_in_g_star_by_lps_when_the_cones_differ(monkeypatch):
+    # S = {x1 = 0, x2 <= 0}: both cones are the half-plane x2 >= 0, but its
+    # lineality line leaves their canonical generators different
+    p = MosipProblem(
+        2,
+        [Affine([0, -1], 0)],
+        FiniteFamily([Affine([-1, 0], 0), Affine([1, 0], 0), Affine([0, 1], 0)]),
+        feasible_set=HPoly(2, [((-1, 0), 0), ((1, 0), 0), ((1, 1), 0)]),
+    )
+    cp = _candidate(p)
+    assert cp.N != cp.G_star
+    calls = _count_decompose(monkeypatch)
     report = check("LFMCQ", p, cp)
     assert report.status == HOLDS
     assert len(calls) == len(cp.N.generators)  # N in G*, one LP per generator
