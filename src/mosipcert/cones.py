@@ -16,21 +16,23 @@ one Farkas redundancy test, not a `decompose` call: a lies in cone(others)
 exactly when a'd <= 0 is implied by b'd <= 0 for every other b, so a
 redundant generator and a redundant normal are one question, and a polytope
 prunes its lifted points (p, 1).  Halfspace representations of
-lower-dimensional cones are not unique even canonically; use `cone_equal` for
-set equality.
+lower-dimensional cones are not unique even canonically, nor are the
+generators that survive the greedy loop for a cone with lineality; use
+`cone_equal` for set equality.
 
 The public constructors prune with LPs.  Rays that are canonical already go
 through the one private constructor `_canonical`, with no LP: `polar` (a
 cone's canonical generators are its polar's canonical normals, and back) and
-the pointed branch of `dd_convert`.  Rows that are only read by another LP
-need no canonical form: `Halfspaces` hands them to `dd_convert` unpruned.
+the output of `dd_convert`.  Rows that are only read by another LP need no
+canonical form: `Halfspaces` hands them to `dd_convert` unpruned.
 
-`dd_convert` has two branches, chosen by the data.  When the normals span
-n-space the cone is pointed, its canonical generators are its extreme rays,
-and `_extreme_rays` builds them in integer arithmetic with the combinatorial
-adjacency test, no LP.  Otherwise the cone has a lineality space: the
-canonical normals slice +-axis generators, each slice a canonical FGCone, and
-the generators that come out depend on that path.
+`dd_convert` is one double description with no LP, and its generators
+depend only on the cone.  A cone C with lineality space L is L plus its
+pointed part C n L^perp, so its form is the basis of L in reduced row echelon
+form, each vector a +- pair of primitive rays, and the extreme rays of the
+pointed part.  `_extreme_rays` builds those in integer arithmetic with the
+combinatorial adjacency test, from the normals plus +-(basis of L), rows
+that span n-space.  A pointed cone has L = {0} and keeps its extreme rays.
 
 Conventions:
 * HCone(normals) is {d : a'd <= 0 for every normal a}; no normals = all space.
@@ -256,7 +258,10 @@ class Polytope:
 
 @dataclass(frozen=True)
 class FGCone:
-    """cone(generators), always closed; no generators means {0}."""
+    """cone(generators), always closed; no generators means {0}.  The
+    constructor prunes greedily, so a cone with lineality keeps generators
+    that depend on the input; `dd_convert`'s are canonical, and `cone_equal`
+    compares across representations."""
 
     dim: int
     generators: tuple
@@ -377,11 +382,11 @@ def polar(c):
 
 def dd_convert(h) -> FGCone:
     """Generators of {d : a'd <= 0 for every normal a} (double description)
-    of an HCone, or of raw `Halfspaces`.  A pointed cone gets its extreme
-    rays from `_extreme_rays`.  A cone with lineality is sliced: its
-    canonical normals cut +-axis generators of all space one halfspace at a
-    time, new rays come from all sign-crossing pairs, and each slice is the
-    canonical FGCone of the kept and new rays."""
+    of an HCone, or of raw `Halfspaces`, in the form of the module
+    docstring: the +- pairs of `_lineality`'s basis and the extreme rays of
+    the pointed part, sorted together.  Fukuda and Prodon (Double
+    description method revisited, 1996) take the lineality space out first
+    the same way.  The generators are irredundant, so no LP prunes them."""
     n = h.dim
     cap = dd_dim_cap()
     if n > cap:
@@ -389,36 +394,34 @@ def dd_convert(h) -> FGCone:
             f"double description in dimension {n} exceeds cap {cap} "
             f"(set MOSIP_DD_DIM_CAP to raise it)"
         )
-    normals = h.normals if isinstance(h, HCone) else _primitive_set(n, h.normals, "normal")
-    rays = _extreme_rays(n, [tuple(int(c) for c in a) for a in normals])
-    if rays is not None:
-        return _canonical(FGCone, n, tuple(tuple(Q(c) for c in r) for r in sorted(rays)))
-    if not isinstance(h, HCone):
-        normals = _irredundant(normals)
-    gens = [_unit(n, j) for j in range(n)] + [_unit(n, j, -ONE) for j in range(n)]
-    if not normals:
-        return FGCone(n, gens)
-    for a in normals:
-        vals = [qdot(a, g) for g in gens]
-        keep = [g for g, v in zip(gens, vals) if v <= 0]
-        new = []
-        for gp, vp in zip(gens, vals):
-            if vp <= 0:
-                continue
-            for gn, vn in zip(gens, vals):
-                if vn < 0:
-                    # positive combination lying exactly on a'd = 0
-                    w = tuple(vp * cn - vn * cp for cp, cn in zip(gp, gn))
-                    new.append(w)
-        cone = FGCone(n, keep + new)
-        gens = cone.generators
-    return cone
+    normals = [tuple(int(c) for c in a) for a in _primitive_set(n, h.normals, "normal")]
+    lines = _lineality(n, normals)
+    lines += [tuple(-c for c in b) for b in lines]
+    rays = _extreme_rays(n, normals + lines)
+    return _canonical(FGCone, n, tuple(tuple(Q(c) for c in r) for r in sorted(rays + lines)))
 
 
-def _extreme_rays(n: int, normals) -> Optional[list]:
+def _lineality(n: int, normals) -> list:
+    """The basis of {d : a'd = 0 for every normal a} in reduced row echelon
+    form, each vector scaled to primitive integers: it depends only on the
+    space, not on the normals that cut it out."""
+    rows = [[Q(c) for c in a] for a in normals]
+    pivots = _row_reduce(rows, n)
+    # one null vector per free column f: 1 at f, minus column f of each pivot row
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [ONE if j == f else ZERO for j in range(n)]
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    _row_reduce(basis, n)
+    return [_primitive_ints(v) for v in basis]
+
+
+def _extreme_rays(n: int, normals) -> list:
     """The extreme rays, as primitive integer tuples, of {d : a'd <= 0 for
-    every normal a} when the normals (distinct integer tuples) span n-space;
-    None when they do not, for then the cone has lineality.
+    every normal a}, where the normals (distinct integer tuples) span
+    n-space, so the cone is pointed.
 
     The first n independent normals, rows of B, bound a simplicial cone whose
     rays are the columns of -B^-1.  Each other normal a is one double
@@ -426,8 +429,8 @@ def _extreme_rays(n: int, normals) -> Optional[list]:
     ray with a'r < 0 on a'd = 0 only when the two are adjacent, that is when
     no third ray vanishes on every normal both vanish on (the combinatorial
     test of Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon,
-    Double description method revisited, 1996).  The cone stays pointed, so
-    the rays stay its extreme rays and no pruning LP is needed.
+    1996).  The cone stays pointed, so the rays stay its extreme rays and no
+    pruning LP is needed.
     """
     m = len(normals)
     # Gauss-Jordan on [A' | I]: the pivot columns pick the first independent
@@ -436,7 +439,7 @@ def _extreme_rays(n: int, normals) -> Optional[list]:
             for i in range(n)]
     basis = _row_reduce(rows, m)
     if len(basis) < n:
-        return None
+        raise InternalInconsistencyError("the double description rows span n-space")
     on_basis = sum(1 << k for k in basis)
     # (ray, bitmask of the normals seen so far that vanish on it)
     rays = [

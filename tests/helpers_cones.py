@@ -5,13 +5,14 @@ Each one asks its redundancy question through `cones.decompose` instead:
 a point is dropped when it is a convex combination of the other points, a
 generator or normal when it is a conic combination of the others.  For
 normals this is the Farkas dual of the implication test the library runs, so
-the two formulations check each other.  `reference_dd_convert` re-prunes its
-output once more, as the replaced double description did.
+the two formulations check each other.  `reference_dd_convert` runs the
+replaced double description, +-axis slices pruned with LPs, and reads the
+canonical form of a cone with lineality off the generators it finds.
 """
 
 from __future__ import annotations
 
-from mosipcert.cones import _unit, decompose, primitive
+from mosipcert.cones import _row_reduce, _unit, decompose, primitive
 from mosipcert.rationals import ONE, qdot, vec_q
 
 
@@ -44,8 +45,9 @@ def reference_rays(vectors) -> tuple:
     return tuple(_prune(sorted(rays), _in_cone))
 
 
-def reference_dd_convert(dim: int, normals) -> tuple:
-    """dd_convert(HCone(dim, normals)).generators."""
+def _sliced_generators(dim: int, normals) -> list:
+    """Generators of the cone: the canonical normals cut the +-axis
+    generators of all space one halfspace at a time."""
     gens = [_unit(dim, j) for j in range(dim)] + [_unit(dim, j, -ONE) for j in range(dim)]
     for a in reference_rays(normals):
         vals = [qdot(a, g) for g in gens]
@@ -60,4 +62,30 @@ def reference_dd_convert(dim: int, normals) -> tuple:
                     if any(c != 0 for c in w):
                         new.append(primitive(w))
         gens = _prune(sorted(set(keep) | set(new)), _in_cone)
-    return reference_rays(gens)
+    return gens
+
+
+def reference_dd_convert(dim: int, normals) -> tuple:
+    """dd_convert(HCone(dim, normals)).generators, read off the sliced
+    generators G with LPs.  The lineality space L is spanned by the g with
+    -g in cone(G); its basis in reduced row echelon form gives the +-
+    primitive pairs, and the orthogonal projections of G onto L^perp,
+    pruned, give the extreme rays of the pointed part."""
+    gens = _sliced_generators(dim, normals)
+    basis = [list(g) for g in gens if _in_cone(tuple(-c for c in g), gens)]
+    basis = [primitive(b) for b in basis[: len(_row_reduce(basis, dim))]]
+    lines = basis + [tuple(-c for c in b) for b in basis]
+    ortho = []  # Gram-Schmidt: an orthogonal basis of L
+    for b in basis:
+        ortho.append(_minus_projection(b, ortho))
+    pointed = reference_rays(_minus_projection(g, ortho) for g in gens)
+    return tuple(sorted(set(lines) | set(pointed)))
+
+
+def _minus_projection(g, ortho) -> tuple:
+    """g less its orthogonal projection onto the span of the mutually
+    orthogonal vectors `ortho`."""
+    for w in ortho:
+        f = qdot(g, w) / qdot(w, w)
+        g = tuple(x - f * y for x, y in zip(g, w))
+    return g

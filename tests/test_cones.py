@@ -14,7 +14,7 @@ from helpers_cones import (
     reference_rays,
     reference_vertices,
 )
-from mosipcert import cones, lp
+from mosipcert import lp
 from mosipcert.cones import (
     FGCone,
     GenConvexSet,
@@ -182,40 +182,44 @@ def test_dd_convert_of_spanning_normals_makes_no_lp(monkeypatch) -> None:
     assert count[0] == 0
 
 
-def test_dd_convert_makes_its_lps_inside_its_slices(monkeypatch) -> None:
-    # a cone with lineality is sliced: every LP belongs to the canonical
-    # FGCone of one slice, and none re-prunes the last slice's generators
-    count = _count_solves(monkeypatch)
-    inside = []
-    fgcone = cones.FGCone
-
-    def slice_cone(dim, generators):
-        before = count[0]
-        cone = fgcone(dim, generators)
-        inside.append(count[0] - before)
-        return cone
-
-    monkeypatch.setattr(cones, "FGCone", slice_cone)
+def test_dd_convert_with_lineality_makes_no_lp(monkeypatch) -> None:
+    # a cone with lineality takes the same LP-free path: the +- pairs of its
+    # lineality basis and the extreme rays of its pointed part, from the
+    # canonical normals and from raw rows alike, and irredundant
     rng = random.Random(SEED)
-    for dim in (2, 3, 4):
-        # normals without a last coordinate leave the last axis a lineality line
-        normals = [[Q(1)] + [Q(0)] * (dim - 1)]
-        normals += [v[:-1] + [Q(0)] for v in _family(rng, dim)[:4]]
-        h = HCone(dim, normals)
-        assert span_rank(h.normals) < dim
-        count[0], inside[:] = 0, []
-        dd_convert(h)
-        assert len(inside) == len(h.normals)
-        assert sum(inside) == count[0] > 0
+    inputs = []
+    while len(inputs) < 8:
+        dim = rng.randint(2, 5)
+        normals = _family(rng, dim)[: rng.randint(0, dim)]
+        if len(inputs) % 2:
+            normals = [v[:-1] + [Q(0)] for v in normals]  # a zero column
+        if span_rank(normals) < dim:
+            inputs.append((HCone(dim, normals), Halfspaces(dim, normals)))
+    count = _count_solves(monkeypatch)
+    outs = []
+    for h, raw in inputs:
+        outs.append(dd_convert(h))
+        assert dd_convert(raw) == outs[-1]
+    assert count[0] == 0
+    for (h, _), out in zip(inputs, outs):
+        assert FGCone(h.dim, out.generators) == out
 
 
-def _pointed_normals(rng: random.Random, dim: int, kind: str) -> list:
-    """Integer normals in [-2, 2] that span dim-space, with one kind of
-    awkwardness: a duplicate and a positive multiple, a redundant positive
-    combination, a degenerate ray (many normals orthogonal to one vector),
-    or a cone that is {0}."""
+POINTED_KINDS = ("plain", "duplicate", "redundant", "degenerate", "zero")
+LINEALITY_KINDS = ("fewer", "zero column", "pairs", "none")
+
+
+def _dd_normals(rng: random.Random, dim: int, kind: str) -> list:
+    """Integer normals in [-2, 2] with one kind of awkwardness.  The pointed
+    kinds span dim-space: a duplicate and a positive multiple, a redundant
+    positive combination, a degenerate ray (many normals orthogonal to one
+    vector), or a cone that is {0}.  The lineality kinds do not: fewer
+    normals than the dimension, a zero column, +- pairs, or no normals."""
+    if kind == "none":
+        return []
     while True:
-        normals = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 2))]
+        count = rng.randint(1, dim - 1) if kind in ("fewer", "pairs") else rng.randint(dim, dim + 2)
+        normals = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(count)]
         if kind == "duplicate":
             a = rng.choice(normals)
             normals.append(list(a))
@@ -234,20 +238,27 @@ def _pointed_normals(rng: random.Random, dim: int, kind: str) -> list:
             # a normal opposite to the sum of the others pins every a'd to 0
             total = [sum(col) for col in zip(*normals)]
             normals.append([-c for c in total])
-        if span_rank(normals) == dim:
+        elif kind == "zero column":
+            j = rng.randrange(dim)
+            for a in normals:
+                a[j] = 0
+        elif kind == "pairs":
+            normals += [[-c for c in a] for a in rng.sample(normals, rng.randint(1, count))]
+        if (span_rank(normals) == dim) == (kind in POINTED_KINDS):
             rng.shuffle(normals)
             return normals
 
 
 def test_pointed_dd_matches_the_sliced_reference() -> None:
-    # the reference's pruning LPs grow fast with the dimension, so the
-    # higher dimensions get fewer of the 320 cases
+    # every kind meets every dimension; the reference's pruning LPs grow
+    # fast with the dimension, so the higher dimensions get fewer cases
     rng = random.Random(SEED + 11)
-    kinds = ("plain", "duplicate", "redundant", "degenerate", "zero")
+    kinds = POINTED_KINDS + LINEALITY_KINDS
     zero_cones = degenerate_rays = 0
-    for case in range(320):
+    lineality = {dim: 0 for dim in (2, 3, 4, 5)}
+    for case in range(576):
         dim = (2, 3, 4, 5, 2, 3, 4, 2)[case % 8]
-        normals = _pointed_normals(rng, dim, kinds[case % len(kinds)])
+        normals = _dd_normals(rng, dim, kinds[case % len(kinds)])
         h = HCone(dim, normals)
         got = dd_convert(h)
         assert got.generators == reference_dd_convert(dim, normals)
@@ -256,7 +267,9 @@ def test_pointed_dd_matches_the_sliced_reference() -> None:
         degenerate_rays += sum(
             sum(1 for a in h.normals if qdot(a, r) == 0) > dim - 1 for r in got.generators
         )
+        lineality[dim] += span_rank(normals) < dim
     assert zero_cones >= 20 and degenerate_rays >= 20
+    assert min(lineality.values()) >= 30
 
 
 def test_primitive_scaling() -> None:

@@ -3,9 +3,12 @@
 `tests/golden/<fixture>.<subcommand>.json` holds the stdout of `quals`,
 `certify --verify`, `gap --nu 2`, `classify --box=B` and
 `report --box=B --verify` on each bundled fixture at its documented candidate,
-with B the fixture's search box.  A change that is meant to keep every verdict, certificate and
-witness must leave these bytes alone; one that is meant to change them
-regenerates the files and says why.
+with B the fixture's search box.  `tests/golden/lineality-plane.quals.json`
+holds the stdout of `quals` on `tests/problems/lineality-plane.json` at the
+origin, where F0 n G0 has a lineality line: its WADQ and EADQ witnesses pin
+the canonical generators of a cone with lineality.  A change that is meant to
+keep every verdict, certificate and witness must leave these bytes alone; one
+that is meant to change them regenerates the files and says why.
 """
 
 from __future__ import annotations
@@ -37,3 +40,10 @@ def test_stdout_matches_golden(capsys, fixture, subcommand):
     out = capsys.readouterr().out
     expected = (GOLDEN / f"{fixture}.{subcommand}.json").read_text(encoding="utf-8")
     assert out == expected
+
+
+def test_lineality_generators_match_golden(capsys):
+    problem = Path(__file__).parent / "problems" / "lineality-plane.json"
+    assert cli.main(["quals", str(problem), "--point=0,0,0", "--format", "json"]) == 0
+    expected = (GOLDEN / "lineality-plane.quals.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -62,3 +62,27 @@ def test_piecewise_kinds_are_told_apart_in_one_place():
     # serialiser), not one per calculus rule
     sites = {site for path in sorted(SRC.glob("*.py")) for site in _piecewise_isinstance_sites(path)}
     assert sites == {("funcs", "affine_pieces"), ("funcs", "func_to_json")}
+
+
+LP_FREE = ("dd_convert", "_lineality", "_extreme_rays")
+LP_NAMES = {"lp", "_irredundant", "_in_cone", "_canonical_rays"}
+PRUNING_CONSTRUCTORS = {"Polytope", "FGCone", "HCone"}
+
+
+def test_double_description_makes_no_lp():
+    # the double description builds its canonical generators combinatorially;
+    # an LP, a pruning loop or a pruning constructor inside it would bring the
+    # cost of the deleted +-axis slices back
+    tree = ast.parse((SRC / "cones.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = {
+        name: (_kind_names(funcs[name]) & LP_NAMES) | {
+            node.func.id
+            for node in ast.walk(funcs[name])
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in PRUNING_CONSTRUCTORS
+        }
+        for name in LP_FREE
+    }
+    assert found == {name: set() for name in LP_FREE}
