@@ -33,6 +33,9 @@ form, each vector a +- pair of primitive rays, and the extreme rays of the
 pointed part.  `_extreme_rays` builds those in integer arithmetic with the
 combinatorial adjacency test, from the normals plus +-(basis of L), rows
 that span n-space.  A pointed cone has L = {0} and keeps its extreme rays.
+One elimination of the normals (`_eliminate`) gives both L and the start of
+the double description, so a pointed cone is eliminated once, and a cone
+with lineality once more with +-(basis of L) appended.
 
 Conventions:
 * HCone(normals) is {d : a'd <= 0 for every normal a}; no normals = all space.
@@ -395,33 +398,43 @@ def dd_convert(h) -> FGCone:
             f"(set MOSIP_DD_DIM_CAP to raise it)"
         )
     normals = [tuple(int(c) for c in a) for a in _primitive_set(n, h.normals, "normal")]
-    lines = _lineality(n, normals)
-    lines += [tuple(-c for c in b) for b in lines]
-    rays = _extreme_rays(n, normals + lines)
+    elimination = _eliminate(n, normals)
+    lines = _lineality(n, len(normals), *elimination)
+    if lines:
+        lines += [tuple(-c for c in b) for b in lines]
+        normals = normals + lines
+        elimination = _eliminate(n, normals)
+    rays = _extreme_rays(n, normals, *elimination)
     return _canonical(FGCone, n, tuple(tuple(Q(c) for c in r) for r in sorted(rays + lines)))
 
 
-def _lineality(n: int, normals) -> list:
-    """The basis of {d : a'd = 0 for every normal a} in reduced row echelon
-    form, each vector scaled to primitive integers: it depends only on the
-    space, not on the normals that cut it out."""
-    rows = [[Q(c) for c in a] for a in normals]
-    pivots = _row_reduce(rows, n)
-    # one null vector per free column f: 1 at f, minus column f of each pivot row
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        v = [ONE if j == f else ZERO for j in range(n)]
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        basis.append(v)
+def _eliminate(n: int, normals) -> tuple:
+    """Gauss-Jordan on [A' | I], A the normals as rows: (rows, pivots).
+    Row operations keep each row of the form (y'A', y'), so the pivot
+    columns pick the first independent normals, the right blocks of the
+    pivot rows are the rows of (B^-1)' for the matrix B of those normals,
+    and the rows past the pivots have y'A' = 0: their right blocks span the
+    null space of A."""
+    rows = [[Q(a[i]) for a in normals] + [ONE if j == i else ZERO for j in range(n)]
+            for i in range(n)]
+    return rows, _row_reduce(rows, len(normals))
+
+
+def _lineality(n: int, m: int, rows, pivots) -> list:
+    """The basis of {d : a'd = 0 for every normal a}, read off the null rows
+    of `_eliminate`'s rows over m normals, in reduced row echelon form and
+    each vector scaled to primitive integers: it depends only on the space,
+    not on the normals that cut it out."""
+    basis = [row[m:] for row in rows[len(pivots):]]
     _row_reduce(basis, n)
     return [_primitive_ints(v) for v in basis]
 
 
-def _extreme_rays(n: int, normals) -> list:
+def _extreme_rays(n: int, normals, rows, basis) -> list:
     """The extreme rays, as primitive integer tuples, of {d : a'd <= 0 for
     every normal a}, where the normals (distinct integer tuples) span
-    n-space, so the cone is pointed.
+    n-space, so the cone is pointed; `rows` and `basis` are `_eliminate`'s
+    elimination of them.
 
     The first n independent normals, rows of B, bound a simplicial cone whose
     rays are the columns of -B^-1.  Each other normal a is one double
@@ -433,11 +446,6 @@ def _extreme_rays(n: int, normals) -> list:
     pruning LP is needed.
     """
     m = len(normals)
-    # Gauss-Jordan on [A' | I]: the pivot columns pick the first independent
-    # normals, and the right block becomes (B^-1)', one row per pivot
-    rows = [[Q(a[i]) for a in normals] + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)]
-    basis = _row_reduce(rows, m)
     if len(basis) < n:
         raise InternalInconsistencyError("the double description rows span n-space")
     on_basis = sum(1 << k for k in basis)

@@ -49,6 +49,10 @@ from .rationals import (
 WEAK_MODE = "weak"
 STRONG_MODE = "strong"
 
+#: most near-sphere tilts one perturbed sweep runs: each is one zero search,
+#: and 1,000 take about a second on octagon-support
+MAX_SAMPLE_COUNT = 1_000
+
 
 class SubgradientPreconditionError(ModelError):
     """A proposed xi_i lies outside the i-th objective subdifferential."""
@@ -290,6 +294,10 @@ def perturbed_gap_check(
     nu = as_q(nu)
     if nu <= 0:
         raise ModelError("the tilt radius must be positive")
+    if sample_count < 0:
+        raise ModelError("the sample count must be nonnegative")
+    if sample_count > MAX_SAMPLE_COUNT:
+        raise ModelError(f"sample count {sample_count} exceeds {MAX_SAMPLE_COUNT}")
     n = p.dimension
     zi = cp.zero_interior()
     exact_equiv = bool(zi.inside and zi.radius_lower_bound >= nu)

@@ -20,7 +20,6 @@ from typing import Mapping, Optional, Sequence
 from .cones import (
     FGCone,
     GenConvexSet,
-    boxed_max,
     decompose,
     hull_terms,
     separate,
@@ -234,13 +233,12 @@ class StrongKktResult:
 
 
 def _support_cone_is_subspace(s: GenConvexSet) -> bool:
-    """No support normal a has a'd < 0 somewhere on {d : sigma(d) <= 0}."""
-    normals = [tuple(v) for v in s.base.vertices]
-    normals.extend(tuple(g) for g in s.recession.generators)
-    for a in normals:
-        if boxed_max(normals, [-ai for ai in a]).value > 0:
-            return False
-    return True
+    """Is {d : sigma(d) <= 0} a subspace?  It is the polar of the cone of the
+    support normals, so it is one exactly when that cone is, that is when
+    minus the sum of the normals lies in it (no LP when the sum is 0)."""
+    normals = list(s.base.vertices) + list(s.recession.generators)
+    minus_sum = tuple(-sum(c, ZERO) for c in zip(*normals))
+    return isinstance(decompose(minus_sum, (), [normals]), list)
 
 
 def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:

@@ -1,8 +1,7 @@
 """The MOSIP model: vector objectives, a constraint family over an index set
 (finite, or an infinite builtin family materialized up to an explicit
 truncation), the feasible set S, the envelope function psi, active index
-sets, and the derived sets F, F*, G, G*, Q^i, C(S, x), N(S, x) at a candidate
-point.
+sets, and the derived sets F, F*, G, G*, C(S, x), N(S, x) at a candidate point.
 
 Everything derived at one candidate point lives in that point's one store,
 `CandidatePoint.derived`: the constraint values, the subdifferentials of the
@@ -43,7 +42,6 @@ from .errors import (
     InfeasiblePointError,
     ModelError,
     ParseError,
-    UnsupportedOperationError,
 )
 from .funcs import (
     Affine,
@@ -418,37 +416,6 @@ def psi_data_provenance(p: MosipProblem) -> str:
     return TRUNCATED if p.truncated else EXACT
 
 
-def sublevel_Q(p: MosipProblem, x, i: int) -> HPoly:
-    """Q^i(x) = {y in S : f_l(y) <= f_l(x) for all l != i} as an
-    H-polyhedron (polyhedral objectives only); Q^1 = S when p = 1."""
-    if p.feasible_set is None:
-        raise ModelError(
-            "sublevel sets need an H-representation of S; supply feasible_set"
-        )
-    if not 0 <= i < p.num_objectives:
-        raise ModelError(f"objective index {i} out of range")
-    x = vec_q(x)
-    if p.num_objectives == 1:
-        return p.feasible_set
-    rows = list(p.feasible_set.rows)
-    for l, f in enumerate(p.objectives):
-        if l == i:
-            continue
-        level = evaluate(f, x)
-        if f.domain is not None:
-            raise UnsupportedOperationError(
-                "sublevel rows are only built for domain-free polyhedral objectives"
-            )
-        pieces = funcs.affine_pieces(f)
-        if pieces is None:
-            raise UnsupportedOperationError(
-                f"{type(f).__name__} objectives have no polyhedral sublevel sets"
-            )
-        for a, b in pieces:
-            rows.append((tuple(a), level - b))
-    return HPoly(p.dimension, rows)
-
-
 # ---------------------------------------------------------------------------
 # derived sets at a candidate point
 
@@ -470,7 +437,6 @@ class CandidatePoint:
       (ACQ, WADQ, EADQ);
     * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
       description (WADQ, EADQ);
-    * ``sublevel_tangent(i)``, the tangent cone of Q^i(x) at x (EADQ);
     * ``zero_interior()``, whether 0 is interior to F* + G*, with its
       certified radius (perturbed KKT and gap check, isolation report);
     * ``zero_decision()``, the decomposition LP deciding 0 in F* + G* over
@@ -497,7 +463,6 @@ class CandidatePoint:
     G_star: FGCone
     C: Optional[HCone]
     N: Optional[FGCone]
-    Q: Optional[tuple]  # per-objective H-polyhedra when constructible
     derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -520,15 +485,10 @@ class CandidatePoint:
         G, rec = _union(derived[("constraint", k)] for k in T)
         G_star = FGCone(p.dimension, G + rec)
         C = N = None
-        Q = None
         if p.feasible_set is not None:
             # x satisfies every row of S: the feasibility pass checked it
             C = p.feasible_set.tangent_cone(x)
             N = polar(C)
-            try:
-                Q = tuple(sublevel_Q(p, x, i) for i in range(p.num_objectives))
-            except UnsupportedOperationError:
-                Q = None
             if not contains(G_star, N).holds:
                 # an active subgradient g has g'(y - x) <= g_t(y) <= 0 on the
                 # true feasible set, so the declared S is larger than it
@@ -547,7 +507,6 @@ class CandidatePoint:
             G_star=G_star,
             C=C,
             N=N,
-            Q=Q,
             derived=derived,
         )
 
@@ -624,10 +583,6 @@ class CandidatePoint:
             return dd_convert(Halfspaces(self.problem.dimension, rows))
 
         return self.kept("fg_polar", compute)
-
-    def sublevel_tangent(self, i: int) -> HCone:
-        """The tangent cone at x of the sublevel polyhedron Q^i(x)."""
-        return self.kept(("sublevel_tangent", i), lambda: self.Q[i].tangent_cone(self.x))
 
     def zero_interior(self) -> ZeroInterior:
         """`zero_interior` of F* + G*: is 0 interior, with a certified radius

@@ -588,15 +588,20 @@ def _check_wadq(p, cp):
 def _check_eadq(p, cp):
     if cp.G_is_empty:
         return QualReport("EADQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
-    if cp.Q is None:
+    if cp.C is None or (
+        p.num_objectives > 1
+        and any(f.domain is not None or affine_pieces(f) is None for f in p.objectives)
+    ):
         return QualReport("EADQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs sublevel-set H-representations for every objective")
     _, prov, source = cp.g_polar()
     cone = cp.fg_polar()
+    # the contingent cone of Q^i(x) is C cut by xi'd <= 0 over the other
+    # objectives' active pieces xi, all in conv(F), where F0 n G0 is <= 0
+    # already: so g is in every one of them exactly when g is in C
     for g in cone.generators:
-        for i in range(len(cp.Q)):
-            if not cp.sublevel_tangent(i).member(g):
-                witness = {"kind": "escaping_generator", "generator": g, "objective": i}
-                return QualReport("EADQ", FAILS, prov, witness, "a polar generator leaves a sublevel contingent cone")
+        if not cp.C.member(g):
+            witness = {"kind": "escaping_generator", "generator": g, "objective": 0}
+            return QualReport("EADQ", FAILS, prov, witness, "a polar generator leaves a sublevel contingent cone")
     witness = {"kind": "generator_memberships", "generators": cone.generators}
     return QualReport("EADQ", HOLDS, prov, witness, f"every generator of the polar intersection is tangent to every sublevel set ({source})")
 

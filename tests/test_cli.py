@@ -335,6 +335,32 @@ class TestExitCodes:
         assert err.startswith("error: model: ") and err.count("\n") == 1
         assert str(problem.MAX_TRUNCATION) in err
 
+    @pytest.mark.parametrize("too_many", [False, True])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "octagon-support", "--point=0,0", "--nu", "2"],
+            ["report", "alternating-affine", "--point=0", "--nu", "2"],
+        ],
+    )
+    def test_sample_count_out_of_range_is_refused(self, capsys, monkeypatch, argv, too_many):
+        from mosipcert import gap
+
+        def unreachable(n, count):
+            raise AssertionError("no tilt may be drawn")
+
+        monkeypatch.setattr(gap, "_sphere_directions", unreachable)
+        count = gap.MAX_SAMPLE_COUNT + 1 if too_many else -1
+        code, out, err = _run(capsys, argv + ["--sample-count", str(count)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: model: ") and err.count("\n") == 1
+        assert str(count) in err if too_many else "nonnegative" in err
+
+    def test_zero_samples_leave_the_axis_tilts(self, capsys):
+        argv = ["gap", "octagon-support", "--point=0,0", "--nu", "2", "--sample-count", "0"]
+        code, doc = _run_json(capsys, argv)
+        assert code == 0 and len(doc["perturbed_sweep"]["per_w"]) == 4
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosipcert import instances, kkt, problem, quals
-from mosipcert.cones import FGCone, GenConvexSet, Member, NotMember, Polytope, membership
+from mosipcert.cones import (
+    FGCone,
+    GenConvexSet,
+    Member,
+    NotMember,
+    Polytope,
+    boxed_max,
+    membership,
+)
 from mosipcert.errors import InternalInconsistencyError, ParseError
 from mosipcert.funcs import Affine, HPoly, MaxAffine
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
@@ -43,6 +51,30 @@ def relative_interior_zero(s: GenConvexSet) -> bool:
     if isinstance(membership(zero, s), NotMember):
         return False
     return kkt._support_cone_is_subspace(s)
+
+
+def support_cone_is_subspace_by_boxed_lps(s: GenConvexSet) -> bool:
+    """The support-cone test `kkt` replaced, one boxed LP per support normal
+    a: no a has a'd < 0 somewhere on {d : sigma(d) <= 0}."""
+    normals = list(s.base.vertices) + list(s.recession.generators)
+    return all(boxed_max(normals, [-c for c in a]).value <= 0 for a in normals)
+
+
+def _random_support_sets(rng: random.Random, count: int) -> list:
+    """Sets base + recession whose vertices and generators lie in the span of
+    the first few coordinates, so the support cone is all of space, a proper
+    subspace or no subspace at all."""
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        span = rng.randint(1, dim)
+
+        def vec():
+            return tuple(Q(rng.randint(-2, 2)) if j < span else ZERO for j in range(dim))
+
+        base = Polytope(dim, [vec() for _ in range(rng.randint(1, 4))])
+        out.append(GenConvexSet(base, FGCone(dim, [vec() for _ in range(rng.randint(0, 2))])))
+    return out
 
 
 def _qual_map(p, cp):
@@ -178,6 +210,31 @@ class TestRelativeInteriorZero:
         seg = Polytope(2, [(ONE, ZERO), (Q(2), ZERO)])
         assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
 
+    def test_support_cone_matches_the_boxed_lp_reference(self):
+        outcomes = set()
+        for s in _random_support_sets(random.Random(4241), 60):
+            subspace = kkt._support_cone_is_subspace(s)
+            assert subspace == support_cone_is_subspace_by_boxed_lps(s)
+            outcomes.add(subspace)
+        assert outcomes == {True, False}
+
+    def test_support_cone_makes_at_most_one_lp(self, monkeypatch):
+        from mosipcert import lp
+
+        sets = _random_support_sets(random.Random(4241), 60)
+        solves = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
+        for s in sets:
+            solves.clear()
+            kkt._support_cone_is_subspace(s)
+            assert len(solves) <= 1
+        # normals summing to 0 span a subspace with no LP
+        seg = Polytope(2, [(Q(-1), ZERO), (ONE, ZERO)])
+        solves.clear()
+        assert kkt._support_cone_is_subspace(GenConvexSet(seg, FGCone(2, []))) is True
+        assert solves == []
+
 
 class TestOneMembershipDecision:
     """weak_kkt and strong_kkt share one decision of 0 in F* + G*, the
@@ -232,13 +289,12 @@ class TestOneMembershipDecision:
 
     def test_strong_certificate_adds_only_support_cone_lps(self, ex1, monkeypatch):
         p, cp = self._fresh(ex1)
-        normals = len(cp.F_star.vertices) + len(cp.G_star.generators)
         counts = self._count_solves(monkeypatch)
         out = kkt.strong_kkt(p, cp)
         assert out.certificate is not None
-        # the decision and the tau-LP, then at most one support-cone LP per normal
+        # the decision, the tau-LP and the one support-cone LP
         assert counts["membership"] == 0
-        assert 2 < counts["solve"] <= 2 + normals
+        assert counts["solve"] == 3
 
     def test_octagon_weak_and_strong_never_build_the_grouped_lp(self, ex2, monkeypatch):
         # the canonical F* has 1 vertex and G* 2 generators, while the grouped
@@ -258,9 +314,8 @@ class TestOneMembershipDecision:
         kkt.weak_kkt(p, cp)
         counts = self._count_solves(monkeypatch)
         out = kkt.strong_kkt(p, cp)
-        normals = len(cp.F_star.vertices) + len(cp.G_star.generators)
         assert out.certificate is not None
-        assert 1 < counts["solve"] <= 1 + normals  # tau-LP and support-cone LPs
+        assert counts["solve"] == 2  # the tau-LP and the support-cone LP
 
     def test_strong_kkt_leaves_the_lp_results_whole(self, ex1, monkeypatch):
         # the tau-LP's weights end with tau; reading it must not shorten the
@@ -296,7 +351,8 @@ class TestOneMembershipDecision:
             assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
             assert isinstance(kkt._decompose(p, cp, zero, margin=True), tuple) == member
             assert isinstance(cp.zero_decision(), list) == member
-            assert kkt.strong_kkt(p, cp).ri_zero == relative_interior_zero(gs)
+            ri = member and support_cone_is_subspace_by_boxed_lps(gs)
+            assert kkt.strong_kkt(p, cp).ri_zero == ri
         assert outcomes == {True, False}
 
 

@@ -4,16 +4,18 @@ implication-diagram sweeps, and the span-rank/definitional divergence."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_instances import random_polyhedral_problem
+from helpers_sublevel import reference_eadq
 from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, span_rank
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff_set
 from mosipcert.instances import FIXTURE_BUILDERS, load_fixture
-from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
+from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem, load_problem
 from mosipcert.quals import (
     ARROWS,
     DEFAULT_EPS_GRID,
@@ -221,6 +223,77 @@ def test_wadq_and_eadq_above_the_dd_cap_are_undecidable(monkeypatch):
             qual, UNDECIDABLE, "approximated-subdifferentials", None, note
         )
     assert by["ACQ"].status == HOLDS
+
+
+def _tightened(rng):
+    """A random instance whose S may carry up to two more rows through the
+    origin.  S stays inside the constraints' feasible set, and its normal
+    cone can outgrow G*, so generators of F0 n G0 can leave C."""
+    p, x = random_polyhedral_problem(rng)
+    extra = [
+        (tuple(Q(rng.randint(-2, 2)) for _ in range(p.dimension)), Q(0))
+        for _ in range(rng.randint(0, 2))
+    ]
+    rows = list(p.feasible_set.rows) + extra
+    return MosipProblem(p.dimension, p.objectives, p.constraints, HPoly(p.dimension, rows)), x
+
+
+def _eadq_cases() -> list:
+    """The fixtures, lineality-plane and 30 seeded draws, at the origin."""
+    problems = [build() for build in FIXTURE_BUILDERS.values()]
+    problems.append(load_problem(Path(__file__).parent / "problems" / "lineality-plane.json"))
+    rng = random.Random("eadq-reference")
+    return [(p, [0] * p.dimension) for p in problems] + [_tightened(rng) for _ in range(30)]
+
+
+def test_eadq_matches_the_sublevel_definition():
+    # the one containment in C gives the report the sublevel cones give
+    seen = set()
+    for p, x in _eadq_cases():
+        cp = CandidatePoint.build(p, x)
+        report = check("EADQ", p, cp)
+        status, witness = reference_eadq(p, cp)
+        assert (report.status, report.witness) == (status, witness)
+        seen.add((status, witness["kind"], p.num_objectives > 1))
+    for several in (False, True):
+        assert (HOLDS, "generator_memberships", several) in seen
+        assert (FAILS, "escaping_generator", several) in seen
+
+
+def test_eadq_needs_sublevel_rows_for_every_objective():
+    # x = 0 is inside the second objective's domain, so the point builds, but
+    # that objective gives Q^1(x) no polyhedral rows; alone, it leaves
+    # Q^1(x) = S, and EADQ is decided
+    dom = HPoly(1, [((Q(1),), Q(1)), ((Q(-1),), Q(1))])
+    objectives = [Affine([1], 0), Affine([-1], 0, domain=dom)]
+    constraints = FiniteFamily([Affine([1], 0)])
+    S = HPoly(1, [((Q(1),), Q(0))])
+    p = MosipProblem(1, objectives, constraints, S)
+    cp = CandidatePoint.build(p, [0])
+    note = "needs sublevel-set H-representations for every objective"
+    assert check("EADQ", p, cp) == QualReport("EADQ", UNDECIDABLE, "exact", None, note)
+    assert reference_eadq(p, cp) == (UNDECIDABLE, None)
+    p = MosipProblem(1, objectives[1:], constraints, S)
+    cp = CandidatePoint.build(p, [0])
+    report = check("EADQ", p, cp)
+    assert report.status == HOLDS
+    assert (report.status, report.witness) == reference_eadq(p, cp)
+
+
+def test_eadq_makes_no_lp_once_the_polar_intersection_is_kept(monkeypatch):
+    from mosipcert import lp
+
+    points = []
+    for p, x in _eadq_cases():
+        cp = CandidatePoint.build(p, x)
+        cp.fg_polar()
+        points.append((p, cp))
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
+    for p, cp in points:
+        check("EADQ", p, cp)
+    assert solves == []
 
 
 def _count_decompose(monkeypatch) -> list:

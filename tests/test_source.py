@@ -64,7 +64,7 @@ def test_piecewise_kinds_are_told_apart_in_one_place():
     assert sites == {("funcs", "affine_pieces"), ("funcs", "func_to_json")}
 
 
-LP_FREE = ("dd_convert", "_lineality", "_extreme_rays")
+LP_FREE = ("dd_convert", "_eliminate", "_lineality", "_extreme_rays")
 LP_NAMES = {"lp", "_irredundant", "_in_cone", "_canonical_rays"}
 PRUNING_CONSTRUCTORS = {"Polytope", "FGCone", "HCone"}
 
