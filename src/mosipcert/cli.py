@@ -372,6 +372,7 @@ def _verify_certificates(p, cp, doc: dict) -> None:
 def run(config: RunConfig) -> tuple:
     """Execute one subcommand; returns (exit_code, output_text)."""
     cones.dd_dim_cap()  # a malformed MOSIP_DD_DIM_CAP fails every subcommand alike
+    gap_mod.check_sample_count(config.sample_count)  # with or without --nu
     p, cp = _load(config)
     header = [
         f"problem: {p.annotations.get('name', config.problem)} "

@@ -11,13 +11,18 @@ search in `gap`.  `hull_terms` reads its weights back per block of points.
 Everything is exact rational.  Every Polytope, FGCone and HCone holds its
 canonical form (primitive integer scaling for rays and normals, lexicographic
 sorting, redundancy pruning), so structural equality of two of them is
-equality of the canonical representations.  Pruning is one greedy loop over
-one Farkas redundancy test, not a `decompose` call: a lies in cone(others)
+equality of the canonical representations.  Pruning asks one Farkas
+redundancy LP, `_in_cone`, not a `decompose` call: a lies in cone(others)
 exactly when a'd <= 0 is implied by b'd <= 0 for every other b, so a
-redundant generator and a redundant normal are one question, and a polytope
-prunes its lifted points (p, 1).  Halfspace representations of
-lower-dimensional cones are not unique even canonically, nor are the
-generators that survive the greedy loop for a cone with lineality; use
+redundant generator, a redundant normal and a redundant point (p lifted to
+(p, 1)) are one question.  A polytope keeps its extreme points, which are
+unique, so it finds them with Clarkson's output-sensitive algorithm
+(`_extreme_points`): each LP runs against the extreme points found so far.
+Rays and normals keep the greedy loop (`_irredundant`), each LP against all
+the others still kept: for a cone with lineality the rays it keeps depend on
+the input order, and a different loop would change them.  Halfspace
+representations of lower-dimensional cones are not unique even
+canonically, nor are those greedy generators of a cone with lineality; use
 `cone_equal` for set equality.
 
 The public constructors prune with LPs.  Rays that are canonical already go
@@ -114,20 +119,21 @@ def boxed_max(normals, objective) -> lp.Optimal:
     return res
 
 
-def _in_cone(a, others) -> bool:
-    """Is a in cone(others)?  By Farkas, exactly when a'd <= 0 is implied by
-    b'd <= 0 for every other b, that is when max a'd over those rows, capped
-    by a'd <= 1, is 0.  d = 0 is feasible and the cap bounds the objective,
-    so the LP has an optimum.  With no others a nonzero a is not, and no LP
-    runs."""
+def _in_cone(a, others) -> Optional[tuple]:
+    """None when a is in cone(others), else a direction d with b'd <= 0 for
+    every other b and a'd > 0.  By Farkas, a is in the cone exactly when
+    a'd <= 0 is implied by b'd <= 0 for every other b, that is when max a'd
+    over those rows, capped by a'd <= 1, is 0; d is the LP's optimal point.
+    d = 0 is feasible and the cap bounds the objective, so the LP has an
+    optimum.  With no others no LP runs: a nonzero a is its own direction."""
     if not others:
-        return False
+        return tuple(a)
     rows = [(list(b), lp.LE, ZERO) for b in others]
     rows.append((list(a), lp.LE, ONE))
     res = lp.solve(lp.LinearProgram(len(a), list(a), rows))
     if not isinstance(res, lp.Optimal):
         raise InternalInconsistencyError("the redundancy LP has an optimum")
-    return res.value <= 0
+    return None if res.value <= 0 else tuple(res.primal)
 
 
 def _irredundant(vectors) -> list:
@@ -137,11 +143,45 @@ def _irredundant(vectors) -> list:
     kept = list(vectors)
     i = 0
     while i < len(kept):
-        if _in_cone(kept[i], kept[:i] + kept[i + 1 :]):
+        if _in_cone(kept[i], kept[:i] + kept[i + 1 :]) is None:
             del kept[i]
         else:
             i += 1
     return kept
+
+
+def _extreme_points(points) -> list:
+    """The extreme points of conv(points), for sorted distinct points, in
+    their order; Clarkson's output-sensitive algorithm (More output-sensitive
+    geometric algorithms, FOCS 1994).
+
+    The lexicographically largest maximiser of a linear function over the
+    points is an extreme point.  The maximisers of +-p_j seed the extreme
+    points E with no LP; in dimension 1 they are the two ends, and no LP
+    runs.  Each other point p is tested by `_in_cone` of (p, 1) against
+    (e, 1) for e in E only.  When p is not in conv(E), the direction d has
+    d'(e, 1) <= 0 on E, hence on every point found inside conv(E), and
+    d'(p, 1) > 0, so d'(q, 1) is maximised only by points still untested:
+    the largest such maximiser joins E, and p is tested again unless it is
+    that point.  Each LP settles one point, so there is one LP per point the
+    seeds leave, with at most one row per extreme point plus the cap."""
+    if not points:
+        return []
+    dim = len(points[0])
+    found = dict.fromkeys(
+        max(points, key=lambda q: (sign * q[j], q)) for j in range(dim) for sign in (ONE, -ONE)
+    )
+    untested = [p for p in points if p not in found] if dim != 1 else []
+    for p in list(untested):
+        while p in untested:
+            d = _in_cone(p + (ONE,), [e + (ONE,) for e in found])
+            if d is None:
+                untested.remove(p)
+            else:
+                v = max(untested, key=lambda q: (qdot(d[:-1], q) + d[-1], q))
+                untested.remove(v)
+                found[v] = None
+    return [p for p in points if p in found]
 
 
 def _primitive_set(dim: int, vectors, what: str) -> list:
@@ -245,11 +285,8 @@ class Polytope:
         for p in points:
             if len(p) != dim:
                 raise ValueError("vertex dimension mismatch")
-        # p is in conv(others) exactly when (p, 1) is in cone((q, 1) : q in
-        # others); the common last coordinate keeps the sort order
-        lifted = _irredundant([p + (ONE,) for p in points])
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", tuple(p[:-1] for p in lifted))
+        object.__setattr__(self, "vertices", tuple(_extreme_points(points)))
 
     @property
     def is_empty(self) -> bool:

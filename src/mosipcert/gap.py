@@ -283,6 +283,14 @@ def _rational_ball_point(direction, nu: Q) -> Optional[tuple]:
     return tuple(rho * c for c in v)
 
 
+def check_sample_count(sample_count: int) -> None:
+    """Refuse a sample count outside 0..MAX_SAMPLE_COUNT with a ModelError."""
+    if sample_count < 0:
+        raise ModelError("the sample count must be nonnegative")
+    if sample_count > MAX_SAMPLE_COUNT:
+        raise ModelError(f"sample count {sample_count} exceeds {MAX_SAMPLE_COUNT}")
+
+
 def perturbed_gap_check(
     p: MosipProblem, cp: CandidatePoint, nu, sample_count: int = 8
 ) -> PerturbedGapReport:
@@ -294,10 +302,7 @@ def perturbed_gap_check(
     nu = as_q(nu)
     if nu <= 0:
         raise ModelError("the tilt radius must be positive")
-    if sample_count < 0:
-        raise ModelError("the sample count must be nonnegative")
-    if sample_count > MAX_SAMPLE_COUNT:
-        raise ModelError(f"sample count {sample_count} exceeds {MAX_SAMPLE_COUNT}")
+    check_sample_count(sample_count)
     n = p.dimension
     zi = cp.zero_interior()
     exact_equiv = bool(zi.inside and zi.radius_lower_bound >= nu)
@@ -308,9 +313,11 @@ def perturbed_gap_check(
             w[j] = sign * nu
             tilts.append(tuple(w))
     if n > 1:
+        seen = set(tilts)
         for direction in _sphere_directions(n, sample_count):
             w = _rational_ball_point(direction, nu)
-            if w is not None and w not in tilts:
+            if w is not None and w not in seen:
+                seen.add(w)
                 tilts.append(w)
     outcomes = []
     for w in tilts:

@@ -9,7 +9,8 @@ a maximized margin, perturbed decomposes the scaled axis points of a
 certified ball inside F*(x) + G*(x).  Weak and strong share one decision of
 0 in F* + G*, `CandidatePoint.zero_decision`, a `decompose` over the
 canonical F* vertices and G* generators.  The grouped LP runs only when the
-decision is feasible, and the separator LP only when it is not.
+decision is feasible, and the separator LP, once per point, only when it is
+not.
 """
 
 from __future__ import annotations
@@ -188,9 +189,14 @@ def _conic_point(coeffs, vertices, ray_coeffs, rays, n) -> tuple:
 
 def _separator(cp: CandidatePoint, zero) -> KktSeparator:
     """The separator of 0 from F* + G*, over the canonical tables; called
-    once `cp.zero_decision()` has found 0 outside."""
-    out = separate(zero, GenConvexSet(cp.F_star, cp.G_star))
-    return KktSeparator(direction=out.separator, gap=out.gap)
+    once `cp.zero_decision()` has found 0 outside, and kept at the point,
+    since weak and strong KKT both report it."""
+
+    def compute():
+        out = separate(zero, GenConvexSet(cp.F_star, cp.G_star))
+        return KktSeparator(direction=out.separator, gap=out.gap)
+
+    return cp.kept("separator", compute)
 
 
 def _decompose_zero(p: MosipProblem, cp: CandidatePoint, zero, margin=False):

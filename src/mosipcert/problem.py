@@ -444,7 +444,8 @@ class CandidatePoint:
     * checkers in other modules keep their own shared questions with
       ``kept(key, compute)``: `quals` keys the min-max LP and the zero
       decomposition by their input points and generators (MFCQ, PMFCQ,
-      COCQ).
+      COCQ), and `kkt` keeps the ``"separator"`` of 0 from F* + G* when
+      the decision finds 0 outside (weak and strong KKT).
 
     A refused computation (UnsupportedOperationError for an irrational
     subdifferential, UnsupportedDimensionError above the double description

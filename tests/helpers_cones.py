@@ -8,11 +8,13 @@ normals this is the Farkas dual of the implication test the library runs, so
 the two formulations check each other.  `reference_dd_convert` runs the
 replaced double description, +-axis slices pruned with LPs, and reads the
 canonical form of a cone with lineality off the generators it finds.
+`greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced in
+`Polytope`.
 """
 
 from __future__ import annotations
 
-from mosipcert.cones import _row_reduce, _unit, decompose, primitive
+from mosipcert.cones import _irredundant, _row_reduce, _unit, decompose, primitive
 from mosipcert.rationals import ONE, qdot, vec_q
 
 
@@ -37,6 +39,14 @@ def _in_cone(g, others) -> bool:
 def reference_vertices(vertices) -> tuple:
     """Polytope(dim, vertices).vertices."""
     return tuple(_prune(sorted(set(vec_q(v) for v in vertices)), _in_hull))
+
+
+def greedy_vertices(vertices) -> tuple:
+    """Polytope(dim, vertices).vertices by the greedy loop `Polytope` ran
+    before Clarkson's algorithm: the lifted points (p, 1), sorted, each
+    dropped when it lies in the cone of the others still kept."""
+    points = sorted(set(vec_q(v) for v in vertices))
+    return tuple(p[:-1] for p in _irredundant([p + (ONE,) for p in points]))
 
 
 def reference_rays(vectors) -> tuple:

@@ -341,6 +341,9 @@ class TestExitCodes:
         [
             ["gap", "octagon-support", "--point=0,0", "--nu", "2"],
             ["report", "alternating-affine", "--point=0", "--nu", "2"],
+            # without --nu no sweep runs, and the value is refused all the same
+            ["gap", "octagon-support", "--point=0,0"],
+            ["report", "alternating-affine", "--point=0"],
         ],
     )
     def test_sample_count_out_of_range_is_refused(self, capsys, monkeypatch, argv, too_many):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_cones import (
+    greedy_vertices,
     reference_dd_convert,
     reference_rays,
     reference_vertices,
@@ -144,6 +145,69 @@ def test_canonical_forms_match_the_decompose_reference(dim: int) -> None:
         assert HCone(dim, family).normals == reference_rays(family)
         normals = family[: rng.randint(1, 4)]
         assert dd_convert(HCone(dim, normals)).generators == reference_dd_convert(dim, normals)
+
+
+POINT_SET_KINDS = (
+    "none", "one", "duplicates", "all-extreme", "interior", "grid", "lower-dimensional",
+)
+
+
+def _point_set(rng: random.Random, dim: int, kind: str) -> list:
+    """Seeded points of one kind: duplicates; all extreme (eight points of
+    the moment curve (t, t^2, ...), in convex position like the octagon's
+    subgradients; collinear in dimension 1); extreme points with convex
+    combinations inside; grid points of {0, 1, 2}^n, many collinear or
+    coplanar, with ties in every coordinate; points of a lower-dimensional
+    affine subspace; one point; none."""
+
+    def vec() -> list:
+        return [Q(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(dim)]
+
+    if kind == "none":
+        return []
+    if kind == "one":
+        return [vec()]
+    if kind == "duplicates":
+        points = [vec() for _ in range(rng.randint(2, 6))]
+        return points + [list(rng.choice(points)) for _ in range(3)]
+    if kind == "all-extreme":
+        return [[Q(t) ** (j + 1) for j in range(dim)] for t in rng.sample(range(-5, 6), 8)]
+    if kind == "interior":
+        points = [vec() for _ in range(rng.randint(2, 6))]
+        for _ in range(rng.randint(1, 6)):
+            weights = [Q(rng.randint(0, 3)) for _ in points]
+            total = sum(weights) or Q(1)
+            points.append([sum(w * v[i] for w, v in zip(weights, points)) / total
+                           for i in range(dim)])
+        return points
+    if kind == "grid":
+        return [[Q(rng.randint(0, 2)) for _ in range(dim)] for _ in range(rng.randint(4, 16))]
+    # an affine subspace of dimension below n (a point or a line in dimension 1)
+    base, directions = vec(), [vec() for _ in range(rng.randint(0, dim - 1))]
+    return [
+        [b + sum(t * d[i] for t, d in zip(ts, directions)) for i, b in enumerate(base)]
+        for ts in ([Q(rng.randint(-3, 3)) for _ in directions] for _ in range(rng.randint(2, 10)))
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_polytope_matches_the_greedy_loop(dim: int, monkeypatch) -> None:
+    # Clarkson's algorithm keeps the extreme points the greedy loop kept,
+    # with at most one LP per point, each with a row per extreme point found
+    # so far plus the cap, and none in dimension 1
+    rng = random.Random(SEED + 10 * dim)
+    rows = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: rows.append(len(prog.rows)) or solve(prog))
+    for kind in POINT_SET_KINDS:
+        for _ in range(6):
+            points = _point_set(rng, dim, kind)
+            del rows[:]
+            vertices = Polytope(dim, points).vertices
+            assert len(rows) <= len({tuple(p) for p in points})
+            assert all(r <= len(vertices) + 1 for r in rows)
+            assert not rows or dim > 1
+            assert vertices == greedy_vertices(points), (kind, points)
 
 
 def _count_solves(monkeypatch) -> list:
@@ -491,8 +555,9 @@ def test_contains_witness_verifies(seed: int) -> None:
         lambda: nontrivial_direction(HCone(2, [[1, 0]])),
         lambda: contains(HCone(2, [[1, 0]]), HCone(2, [[1, 1]])),
         lambda: HCone(2, [[1, 0], [0, 1]]),
+        lambda: Polytope(2, [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]]),
     ],
-    ids=["nontrivial_direction", "contains", "redundancy"],
+    ids=["nontrivial_direction", "contains", "redundancy", "polytope"],
 )
 def test_unexpected_lp_outcome_is_an_internal_inconsistency(monkeypatch, call) -> None:
     # an LP that must have an optimum comes back infeasible: exit 4 from the

@@ -296,6 +296,23 @@ class TestPerturbedSweep:
         for outcome in report.per_w:
             assert sum(c * c for c in outcome.w) <= nu * nu
 
+    @pytest.mark.parametrize("count", [0, 1, 12, 200, gap.MAX_SAMPLE_COUNT])
+    def test_tilts_match_the_list_scan(self, ex2, monkeypatch, count):
+        # repeated tilts are dropped by a set now: the tilts, and their
+        # order, are those of the former scan over the list
+        p, cp = ex2
+        nu = Q(2)
+        reference = [(nu, ZERO), (-nu, ZERO), (ZERO, nu), (ZERO, -nu)]
+        for direction in gap._sphere_directions(2, count):
+            w = gap._rational_ball_point(direction, nu)
+            if w is not None and w not in reference:
+                reference.append(w)
+        refused = gap.GapRefusal(gap.WEAK_MODE, "not searched")
+        monkeypatch.setattr(gap, "_zero_search", lambda *args, **kwargs: refused)
+        report = gap.perturbed_gap_check(p, cp, nu, sample_count=count)
+        assert [t.w for t in report.per_w] == reference
+        assert count == 0 or len(reference) < 4 + count  # repeats were dropped
+
     def test_report_serialization(self, ex1):
         p, cp = ex1
         report = gap.perturbed_gap_check(p, cp, Q(2))

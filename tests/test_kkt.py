@@ -239,7 +239,7 @@ class TestRelativeInteriorZero:
 class TestOneMembershipDecision:
     """weak_kkt and strong_kkt share one decision of 0 in F* + G*, the
     candidate point's `zero_decision`; the grouped LP runs only when it is
-    feasible, the separator LP only when it is not."""
+    feasible, the separator LP only when it is not, and once per point."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -304,10 +304,24 @@ class TestOneMembershipDecision:
         weak = kkt.weak_kkt(p, cp)
         assert counts["solve"] == 2
         strong = kkt.strong_kkt(p, cp)
-        assert counts["solve"] == 3  # the decision is not made again
+        assert counts["solve"] == 2  # neither the decision nor the separator again
         assert max(counts["columns"]) == 3
         assert strong.separator == weak
         assert cp.derived["zero_decision"] is cp.zero_decision()
+
+    @pytest.mark.parametrize("weak_first", [True, False])
+    def test_weak_and_strong_share_the_separator(self, ex2, monkeypatch, weak_first):
+        # whichever asks first runs the decision and the separator LP; the
+        # other reads both off the point
+        p, cp = self._fresh(ex2)
+        counts = self._count_solves(monkeypatch)
+        calls = [kkt.weak_kkt, lambda p, cp: kkt.strong_kkt(p, cp).separator]
+        first, second = calls if weak_first else calls[::-1]
+        separator = first(p, cp)
+        assert counts["solve"] == 2
+        assert second(p, cp) is separator
+        assert counts["solve"] == 2
+        assert cp.derived["separator"] is separator
 
     def test_weak_and_strong_share_the_decision(self, ex1, monkeypatch):
         p, cp = self._fresh(ex1)

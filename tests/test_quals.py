@@ -166,6 +166,38 @@ def test_octagon_quals_lp_count_guard(monkeypatch, capsys):
     assert len(calls) <= 160
 
 
+def test_octagon_union_lps_run_against_the_extreme_points_found(monkeypatch):
+    # the 43-point subgradient union of MFCQ's zero decomposition: each
+    # canonicalisation LP has a row per extreme point found so far plus the
+    # cap, never a row per other point
+    from mosipcert import cones, lp
+
+    calls = []  # [number of points, rows of each LP, extreme points]
+    open_calls = []
+    extreme_points, solve = cones._extreme_points, lp.solve
+
+    def recorded(points):
+        open_calls.append([len(points), []])
+        out = extreme_points(points)
+        calls.append(open_calls.pop() + [out])
+        return out
+
+    def counted(prog):
+        if open_calls:
+            open_calls[-1][1].append(len(prog.rows))
+        return solve(prog)
+
+    monkeypatch.setattr(cones, "_extreme_points", recorded)
+    monkeypatch.setattr(lp, "solve", counted)
+    p = load_fixture("octagon-support")
+    check_all(p, _candidate(p))
+    union = [c for c in calls if c[0] == 43]
+    assert union
+    for _, rows, vertices in union:
+        assert len(vertices) == 8 and rows
+        assert max(rows) <= len(vertices) + 1
+
+
 def test_refused_subdifferential_is_refused_on_every_request():
     from mosipcert.errors import UnsupportedOperationError
     from mosipcert.funcs import NegSqrtParabola1D
