@@ -373,6 +373,8 @@ def run(config: RunConfig) -> tuple:
     """Execute one subcommand; returns (exit_code, output_text)."""
     cones.dd_dim_cap()  # a malformed MOSIP_DD_DIM_CAP fails every subcommand alike
     gap_mod.check_sample_count(config.sample_count)  # with or without --nu
+    if any(eps < 0 for eps in config.eps_grid or ()):  # whether or not PMFCQ reads it
+        raise ModelError("epsilon must be nonnegative")
     p, cp = _load(config)
     header = [
         f"problem: {p.annotations.get('name', config.problem)} "

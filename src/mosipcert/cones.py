@@ -7,6 +7,10 @@ points plus a conic combination of these generators" is one call to
 `decompose`, the package's only decomposition LP: `contains`, `cone_member`,
 the first LP of `membership`, the KKT searches in `kkt` and the gap zero
 search in `gap`.  `hull_terms` reads its weights back per block of points.
+Its converse, "which direction strictly separates 0 from conv(points) +
+cone(generators)", is one call to `min_max_direction`, the only separation
+LP: `membership` shifts the points by the target, MFCQ, PMFCQ and COCQ read
+their directions off it, and weak and strong KKT decide 0 in F* + G* with it.
 
 Everything is exact rational.  Every Polytope, FGCone and HCone holds its
 canonical form (primitive integer scaling for rays and normals, lexicographic
@@ -22,8 +26,9 @@ Rays and normals keep the greedy loop (`_irredundant`), each LP against all
 the others still kept: for a cone with lineality the rays it keeps depend on
 the input order, and a different loop would change them.  Halfspace
 representations of lower-dimensional cones are not unique even
-canonically, nor are those greedy generators of a cone with lineality; use
-`cone_equal` for set equality.
+canonically, nor are those greedy generators of a cone with lineality, so
+`==` is not set equality there; `contains` decides inclusion between two
+cones of one representation.
 
 The public constructors prune with LPs.  Rays that are canonical already go
 through the one private constructor `_canonical`, with no LP: `polar` (a
@@ -300,8 +305,7 @@ class Polytope:
 class FGCone:
     """cone(generators), always closed; no generators means {0}.  The
     constructor prunes greedily, so a cone with lineality keeps generators
-    that depend on the input; `dd_convert`'s are canonical, and `cone_equal`
-    compares across representations."""
+    that depend on the input; `dd_convert`'s are canonical."""
 
     dim: int
     generators: tuple
@@ -538,35 +542,40 @@ class NotMember:
 
 def membership(p, s: GenConvexSet):
     """Exact decomposition of p over s's vertices and generators, or a
-    verified separating functional."""
+    verified separating functional: `min_max_direction` over the shifted
+    points v - p, whose value is < 0 exactly when p is outside."""
     p = vec_q(p)
     if s.is_empty:
         return NotMember(separator=tuple(ZERO for _ in p), gap=ZERO)
     res = decompose(p, [s.base.vertices], [s.recession.generators])
-    if not isinstance(res, list):
-        return separate(p, s)
-    nv = len(s.base.vertices)
-    return Member(alpha=tuple(res[:nv]), mu=tuple(res[nv:]))
+    if isinstance(res, list):
+        nv = len(s.base.vertices)
+        return Member(alpha=tuple(res[:nv]), mu=tuple(res[nv:]))
+    shifted = [tuple(c - q for c, q in zip(v, p)) for v in s.base.vertices]
+    value, h = min_max_direction(shifted, s.recession.generators, s.dim)
+    if not value < 0:
+        raise InternalInconsistencyError("the min-max LP must certify exclusion")
+    return NotMember(separator=h, gap=-value)
 
 
-def separate(p, s: GenConvexSet) -> NotMember:
-    """The separating functional of a point p outside the nonempty set s.
-
-    LP: max t with h'p - h'v >= t for all vertices, h'r <= 0 for all
-    generators, |h|_inf <= 1.  The optimum is positive because s is closed
-    and convex and p is outside it."""
-    p = vec_q(p)
-    dim = s.dim
-    verts = s.base.vertices
-    rows = [([p[i] - v[i] for i in range(dim)] + [-ONE], lp.GE, ZERO) for v in verts]
-    rows.extend((list(g) + [ZERO], lp.LE, ZERO) for g in s.recession.generators)
-    rows.extend(box_rows(dim, 1))
-    out = lp.solve(lp.LinearProgram(dim + 1, _unit(dim + 1, dim), rows))
-    if not (isinstance(out, lp.Optimal) and out.value > 0):
-        raise InternalInconsistencyError("separator LP must certify exclusion")
-    h = tuple(out.primal[:dim])
-    sup = max(qdot(h, v) for v in verts)
-    return NotMember(separator=h, gap=qdot(h, p) - sup)
+def min_max_direction(points, gens, dim: int) -> tuple:
+    """min over d in the unit box of max_v v'd subject to r'd <= 0 for the
+    generators r: the package's one separation LP.  Returns (value, d).  The
+    value is <= 0 (d = 0 is feasible), and it is < 0 exactly when d strictly
+    separates 0 from conv(points) + cone(gens) (positive homogeneity makes
+    the box harmless)."""
+    if not points:
+        raise ValueError("min-max over an empty point set")
+    rows = [(list(v) + [-ONE], lp.LE, ZERO) for v in points]
+    rows += [(list(r) + [ZERO], lp.LE, ZERO) for r in gens]
+    rows += box_rows(dim, 1)
+    obj = [ZERO] * dim + [-ONE]
+    res = lp.solve(lp.LinearProgram(dim + 1, obj, rows))
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError(
+            "the min-max LP has no optimum although d = 0 is feasible and the box bounds it"
+        )
+    return -res.value, tuple(res.primal[:dim])
 
 
 def cone_member(p, c: FGCone) -> Optional[list]:
@@ -697,36 +706,24 @@ class ContainsResult:
 
 
 def contains(a, b) -> ContainsResult:
-    """Is a a subset of b?  When not, witness lies in a and outside b.  Equal
-    canonical forms hold at once."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
+    """Is the cone a a subset of the cone b, two FGCones or two HCones?  When
+    not, witness lies in a and outside b.  Equal canonical forms hold at
+    once."""
+    if a.dim != b.dim or type(a) is not type(b):
+        raise ValueError("contains compares two FGCones or two HCones of one dimension")
     if a == b:
         return ContainsResult(True)
     if isinstance(a, FGCone):
-        if isinstance(b, HCone):
-            for g in a.generators:
-                bad = next((n for n in b.normals if qdot(n, g) > 0), None)
-                if bad is not None:
-                    return ContainsResult(False, g)
-            return ContainsResult(True)
         for g in a.generators:
             if not isinstance(decompose(g, (), [b.generators]), list):
                 return ContainsResult(False, g)
         return ContainsResult(True)
-    if isinstance(b, HCone):
-        # every halfspace of b must be valid over the cone a
-        for target in b.normals:
-            res = boxed_max(a.normals, target)
-            if res.value > 0:
-                return ContainsResult(False, tuple(res.primal))
-        return ContainsResult(True)
-    return contains(dd_convert(a), b)
-
-
-def cone_equal(a, b) -> bool:
-    """Set equality across representations (mutual containment)."""
-    return contains(a, b).holds and contains(b, a).holds
+    # every halfspace of b must be valid over the cone a
+    for target in b.normals:
+        res = boxed_max(a.normals, target)
+        if res.value > 0:
+            return ContainsResult(False, tuple(res.primal))
+    return ContainsResult(True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ subdifferential and zeta_t in the subdifferential of the t-th active
 constraint.  Weak takes w = 0, strong additionally pushes every alpha_i above
 a maximized margin, perturbed decomposes the scaled axis points of a
 certified ball inside F*(x) + G*(x).  Weak and strong share one decision of
-0 in F* + G*, `CandidatePoint.zero_decision`, a `decompose` over the
-canonical F* vertices and G* generators.  The grouped LP runs only when the
-decision is feasible, and the separator LP, once per point, only when it is
-not.
+0 in F* + G*, the point's min-max LP over the canonical F* vertices and G*
+generators (`CandidatePoint.min_max`): a strictly separating direction is
+the separator, and the grouped LP runs only when there is none.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .cones import (
     GenConvexSet,
     decompose,
     hull_terms,
-    separate,
     zero_interior,
 )
 from .errors import InternalInconsistencyError, ModelError, ParseError
@@ -187,25 +185,22 @@ def _conic_point(coeffs, vertices, ray_coeffs, rays, n) -> tuple:
     )
 
 
-def _separator(cp: CandidatePoint, zero) -> KktSeparator:
-    """The separator of 0 from F* + G*, over the canonical tables; called
-    once `cp.zero_decision()` has found 0 outside, and kept at the point,
-    since weak and strong KKT both report it."""
-
-    def compute():
-        out = separate(zero, GenConvexSet(cp.F_star, cp.G_star))
-        return KktSeparator(direction=out.separator, gap=out.gap)
-
-    return cp.kept("separator", compute)
+def _separator(cp: CandidatePoint) -> Optional[KktSeparator]:
+    """The separator of 0 from F* + G*, or None when 0 is in it: the point's
+    min-max LP over the canonical F* vertices and G* generators, which weak
+    and strong KKT share."""
+    value, d = cp.min_max(cp.F_star.vertices, cp.G_star.generators)
+    return KktSeparator(direction=d, gap=-value) if value < 0 else None
 
 
 def _decompose_zero(p: MosipProblem, cp: CandidatePoint, zero, margin=False):
-    """The grouped decomposition of 0, run once `cp.zero_decision()` has
-    found 0 in F* + G*: the grouped tables span the same set, so it exists."""
+    """The grouped decomposition of 0, run once `_separator` has found 0 in
+    F* + G*: the grouped tables span the same set, so it exists."""
     out = _decompose(p, cp, zero, margin)
     if not isinstance(out, tuple):
         raise InternalInconsistencyError(
-            "0 decomposes over the canonical F* + G* but not over the grouped tables"
+            "no direction separates 0 from the canonical F* + G*, yet the "
+            "grouped tables do not decompose it"
         )
     return out
 
@@ -218,9 +213,10 @@ def weak_kkt(p: MosipProblem, cp: CandidatePoint):
     """KktCertificate with target 0, or the separating functional."""
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
+    separator = _separator(cp)
+    if separator is not None:
+        return separator
     zero = tuple(ZERO for _ in range(p.dimension))
-    if not isinstance(cp.zero_decision(), list):
-        return _separator(cp, zero)
     oterms, cterms, _ = _decompose_zero(p, cp, zero)
     return KktCertificate(WEAK, zero, oterms, cterms)
 
@@ -233,7 +229,7 @@ def weak_kkt(p: MosipProblem, cp: CandidatePoint):
 class StrongKktResult:
     certificate: Optional[KktCertificate]
     tau: Optional[Q]  # maximized lower margin on the alpha_i (None if weak fails)
-    separator: Optional[tuple]
+    separator: Optional[KktSeparator]
     ri_zero: Optional[bool]  # the separate geometric test 0 in ri(F* + G*)
     refusal: str = ""
 
@@ -254,15 +250,16 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
     by the shared decision, so only the support cone is left to test."""
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
-    zero = tuple(ZERO for _ in range(p.dimension))
-    if not isinstance(cp.zero_decision(), list):
+    separator = _separator(cp)
+    if separator is not None:
         return StrongKktResult(
             certificate=None,
             tau=None,
-            separator=_separator(cp, zero),
+            separator=separator,
             ri_zero=False,
             refusal="the weak KKT condition already fails",
         )
+    zero = tuple(ZERO for _ in range(p.dimension))
     oterms, cterms, tau = _decompose_zero(p, cp, zero, margin=True)
     ri = _support_cone_is_subspace(GenConvexSet(cp.F_star, cp.G_star))
     if tau <= 0:

@@ -149,11 +149,6 @@ def feasible_point(num_vars: int, rows: Sequence):
     return res.primal if isinstance(res, Optimal) else res.feasible_point
 
 
-def verify_farkas(rows: Sequence, farkas: Sequence) -> bool:
-    """Substitution check: nonnegative on inequalities, sum lam*a~ = 0, sum lam*b~ < 0."""
-    return _farkas_holds(_int_rows(rows), farkas)
-
-
 def _int_row(values):
     """(ints, k): the rationals times k, the lcm of their denominators, so
     that ints / k are the values exactly."""

@@ -34,7 +34,7 @@ from .cones import (
     ZeroInterior,
     contains,
     dd_convert,
-    decompose,
+    min_max_direction,
     polar,
     zero_interior,
 )
@@ -53,7 +53,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import ZERO, ExtReal, Q, as_q, json_int, q_from_pair, qdot, vec_q
+from .rationals import Q, as_q, json_int, q_from_pair, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -328,23 +328,6 @@ class MosipProblem:
 # envelope functions and active sets
 
 
-@dataclass(frozen=True)
-class ExtValue:
-    value: ExtReal
-    provenance: str  # EXACT or TRUNCATED
-
-
-def psi(p: MosipProblem, x) -> ExtValue:
-    """Upper envelope sup_t g_t(x): the exact override when present, else the
-    max over the truncated family (marked as such)."""
-    x = vec_q(x)
-    if p.psi_override is not None:
-        return ExtValue(evaluate(p.psi_override, x), EXACT)
-    vals = [evaluate(p.constraint(k), x) for k in p.indices()]
-    prov = TRUNCATED if p.truncated else EXACT
-    return ExtValue(max(vals), prov)
-
-
 def constraint_values(p: MosipProblem, x) -> tuple:
     """Every g_k(x) over the truncated family, after the exact feasibility
     check of x against the family and, when supplied, the closed-form S;
@@ -439,13 +422,15 @@ class CandidatePoint:
       description (WADQ, EADQ);
     * ``zero_interior()``, whether 0 is interior to F* + G*, with its
       certified radius (perturbed KKT and gap check, isolation report);
-    * ``zero_decision()``, the decomposition LP deciding 0 in F* + G* over
-      the canonical vertices and generators (weak and strong KKT);
+    * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
+    * ``min_max(points, gens)``, the one separation LP, keyed by its input:
+      it decides 0 in conv(points) + cone(gens) and gives the separating
+      direction when 0 is outside (MFCQ, PMFCQ and COCQ over their subgradient
+      unions; weak and strong KKT over the canonical F* vertices and G*
+      generators);
     * checkers in other modules keep their own shared questions with
-      ``kept(key, compute)``: `quals` keys the min-max LP and the zero
-      decomposition by their input points and generators (MFCQ, PMFCQ,
-      COCQ), and `kkt` keeps the ``"separator"`` of 0 from F* + G* when
-      the decision finds 0 outside (weak and strong KKT).
+      ``kept(key, compute)``: `quals` keys the zero decomposition by its
+      input points and generators (MFCQ, COCQ).
 
     A refused computation (UnsupportedOperationError for an irrational
     subdifferential, UnsupportedDimensionError above the double description
@@ -592,13 +577,13 @@ class CandidatePoint:
             "zero_interior", lambda: zero_interior(GenConvexSet(self.F_star, self.G_star))
         )
 
-    def zero_decision(self):
-        """`decompose` of 0 over the canonical F* vertices and G* generators:
-        the weights when 0 is in F* + G*, else the LP's `lp.Infeasible`."""
-        zero = tuple(ZERO for _ in self.x)
+    def min_max(self, points, gens) -> tuple:
+        """`min_max_direction` over the points and generators, (value, d),
+        kept under its input: value < 0 exactly when d strictly separates 0
+        from conv(points) + cone(gens)."""
         return self.kept(
-            "zero_decision",
-            lambda: decompose(zero, [self.F_star.vertices], [self.G_star.generators]),
+            ("min_max", tuple(points), tuple(gens)),
+            lambda: min_max_direction(points, gens, self.problem.dimension),
         )
 
     def active(self, eps) -> list:
@@ -607,10 +592,14 @@ class CandidatePoint:
 
     def subgradient_union(self, eps) -> tuple:
         """Union of the eps-active constraint subdifferentials, split into
-        base vertices and recession generators; empty subdifferentials
-        contribute nothing (their members impose no subgradient inequality
-        here)."""
-        return _union(self.constraint_subdiff(k) for k in self.active(eps))
+        base vertices and recession generators, kept per eps-active set;
+        empty subdifferentials contribute nothing (their members impose no
+        subgradient inequality here)."""
+        active = tuple(self.active(eps))
+        return self.kept(
+            ("subgradient_union", active),
+            lambda: tuple(map(tuple, _union(self.constraint_subdiff(k) for k in active))),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .cones import (
     HCone,
     Polytope,
     Member,
-    box_rows,
     cone_member,
     contains,
     membership,
@@ -113,25 +112,6 @@ class QualReport:
 # shared machinery
 
 
-def _min_max_direction(points, rec_gens, dim: int) -> tuple:
-    """min over d in the unit box of max_v v'd subject to r'd <= 0 for the
-    recession generators.  Returns (value, d).  The value is <= 0 (d = 0 is
-    feasible), and it is < 0 exactly when a strictly separating direction
-    exists (positive homogeneity makes the box harmless)."""
-    if not points:
-        raise ValueError("min-max over an empty point set")
-    rows = [(list(v) + [-ONE], lp.LE, ZERO) for v in points]
-    rows += [(list(r) + [ZERO], lp.LE, ZERO) for r in rec_gens]
-    rows += box_rows(dim, 1)
-    obj = [ZERO] * dim + [-ONE]
-    res = lp.solve(lp.LinearProgram(dim + 1, obj, rows))
-    if not isinstance(res, lp.Optimal):
-        raise InternalInconsistencyError(
-            "the min-max LP has no optimum although d = 0 is feasible and the box bounds it"
-        )
-    return -res.value, tuple(res.primal[:dim])
-
-
 def _zero_decomposition(points, rec_gens, dim: int) -> dict:
     """Write 0 as a convex combination of the (canonicalized) points plus a
     conic one of the generators; exists exactly when no strictly negative
@@ -150,13 +130,6 @@ def _zero_decomposition(points, rec_gens, dim: int) -> dict:
         "generators": cone.generators,
         "mu": out.mu,
     }
-
-
-def _kept_min_max(cp, points, rec_gens) -> tuple:
-    """`_min_max_direction`, asked once per point and input: MFCQ, PMFCQ and
-    COCQ share it when their points and generators are equal."""
-    key = ("min_max", tuple(points), tuple(rec_gens))
-    return cp.kept(key, lambda: _min_max_direction(points, rec_gens, cp.problem.dimension))
 
 
 def _kept_zero_decomposition(cp, points, rec_gens) -> dict:
@@ -359,7 +332,7 @@ def _check_mfcq(p, cp):
             "the active subgradient union is empty; the definition's fallback clause applies",
         )
     base, rec = cp.subgradient_union(ZERO)
-    value, d = _kept_min_max(cp, base, rec)
+    value, d = cp.min_max(base, rec)
     if value < 0:
         witness = {"kind": "direction", "direction": d, "max_inner": value}
         note = "strictly negative direction against every active subgradient"
@@ -381,22 +354,18 @@ def _check_pmfcq(p, cp, eps_grid):
     finite = not p.truncated
     grid = (ZERO,) if finite else tuple(eps_grid)
     values = []
-    solved = {}  # eps-active index set -> its min-max (value, direction)
     for eps in grid:
-        active = tuple(cp.active(eps))
-        if active not in solved:
-            base, rec = cp.subgradient_union(eps)
-            if not base and not rec:
-                witness = {"kind": "empty_subgradient_union", "eps": eps}
-                return QualReport(
-                    "PMFCQ",
-                    HOLDS,
-                    prov,
-                    witness,
-                    "the eps-active subgradient union is empty, so its supremum is -infinity",
-                )
-            solved[active] = _kept_min_max(cp, base, rec)
-        value, d = solved[active]
+        base, rec = cp.subgradient_union(eps)
+        if not base and not rec:
+            witness = {"kind": "empty_subgradient_union", "eps": eps}
+            return QualReport(
+                "PMFCQ",
+                HOLDS,
+                prov,
+                witness,
+                "the eps-active subgradient union is empty, so its supremum is -infinity",
+            )
+        value, d = cp.min_max(base, rec)
         values.append((eps, value))
         if value < 0:
             witness = {"kind": "grid_certificate", "eps": eps, "direction": d, "value": value}
@@ -456,7 +425,7 @@ def _check_cocq(p, cp):
     if ss is None:
         return QualReport("COCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
     if not ss.is_empty:
-        value, d = _kept_min_max(cp, ss.base.vertices, ss.recession.generators)
+        value, d = cp.min_max(ss.base.vertices, ss.recession.generators)
         if value < 0:
             witness = {"kind": "direction", "direction": d, "derivative_bound": value}
             return QualReport("COCQ", HOLDS, prov, witness, "direction with strictly negative envelope derivative")

@@ -9,13 +9,31 @@ the two formulations check each other.  `reference_dd_convert` runs the
 replaced double description, +-axis slices pruned with LPs, and reads the
 canonical form of a cone with lineality off the generators it finds.
 `greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced in
-`Polytope`.
+`Polytope`.  `reference_separate` is the separation LP that
+`cones.min_max_direction` replaced in `membership`.  `contains_across` and
+`cone_equal` compare cones across representations, which the library never
+needs.
 """
 
 from __future__ import annotations
 
-from mosipcert.cones import _irredundant, _row_reduce, _unit, decompose, primitive
-from mosipcert.rationals import ONE, qdot, vec_q
+from mosipcert import lp
+from mosipcert.cones import (
+    ContainsResult,
+    FGCone,
+    GenConvexSet,
+    HCone,
+    NotMember,
+    _irredundant,
+    _row_reduce,
+    _unit,
+    box_rows,
+    contains,
+    dd_convert,
+    decompose,
+    primitive,
+)
+from mosipcert.rationals import ONE, ZERO, qdot, vec_q
 
 
 def _prune(kept: list, redundant) -> list:
@@ -99,3 +117,46 @@ def _minus_projection(g, ortho) -> tuple:
         f = qdot(g, w) / qdot(w, w)
         g = tuple(x - f * y for x, y in zip(g, w))
     return g
+
+
+def reference_separate(p, s: GenConvexSet):
+    """The separating functional of a point p from the nonempty set s, or
+    None when p is in s: the separation LP `membership` ran before
+    `cones.min_max_direction` took its place.
+
+    LP: max t with h'p - h'v >= t for all vertices, h'r <= 0 for all
+    generators, |h|_inf <= 1.  The optimum is positive exactly when p is
+    outside s, since s is closed and convex, and 0 otherwise."""
+    p = vec_q(p)
+    dim = s.dim
+    verts = s.base.vertices
+    rows = [([p[i] - v[i] for i in range(dim)] + [-ONE], lp.GE, ZERO) for v in verts]
+    rows.extend((list(g) + [ZERO], lp.LE, ZERO) for g in s.recession.generators)
+    rows.extend(box_rows(dim, 1))
+    out = lp.solve(lp.LinearProgram(dim + 1, _unit(dim + 1, dim), rows))
+    if not isinstance(out, lp.Optimal):
+        raise AssertionError("t = 0, h = 0 is feasible and the box bounds t")
+    if out.value <= 0:
+        return None
+    h = tuple(out.primal[:dim])
+    sup = max(qdot(h, v) for v in verts)
+    return NotMember(separator=h, gap=qdot(h, p) - sup)
+
+
+def contains_across(a, b) -> ContainsResult:
+    """`cones.contains`, also between an FGCone and an HCone: generators
+    against normals by dot products, and an HCone in an FGCone through the
+    HCone's generators."""
+    if isinstance(a, FGCone) and isinstance(b, HCone):
+        for g in a.generators:
+            if any(qdot(n, g) > 0 for n in b.normals):
+                return ContainsResult(False, g)
+        return ContainsResult(True)
+    if isinstance(a, HCone) and isinstance(b, FGCone):
+        return contains(dd_convert(a), b)
+    return contains(a, b)
+
+
+def cone_equal(a, b) -> bool:
+    """Set equality across representations (mutual containment)."""
+    return contains_across(a, b).holds and contains_across(b, a).holds

@@ -5,6 +5,8 @@
   every nonempty region is a polytope and the max sits at a vertex).
 * Reference tableau: the rational two-phase simplex that `mosipcert.lp`
   replaced by its integer tableau; `reference_solve` runs it with a pivot count.
+* `verify_farkas`: an infeasibility certificate checked by substitution in
+  rational arithmetic, apart from the solver's own integer check.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ def satisfies(rows, x) -> bool:
         if (rel == LE and lhs > b) or (rel == GE and lhs < b) or (rel == EQ and lhs != b):
             return False
     return True
+
+
+def verify_farkas(rows, farkas) -> bool:
+    """Rational substitution check of an infeasibility certificate: over the
+    rows oriented as "<=", every inequality multiplier is nonnegative,
+    sum lam_i a~_i = 0 and sum lam_i b~_i < 0."""
+    if len(farkas) != len(rows):
+        return False
+    oriented = [_oriented(r) for r in rows]
+    if any(rel != EQ and lam < 0 for lam, (_, rel, _) in zip(farkas, oriented)):
+        return False
+    n = len(rows[0][0]) if rows else 0
+    total = [sum((lam * Q(a[j]) for lam, (a, _, _) in zip(farkas, oriented)), ZERO)
+             for j in range(n)]
+    rhs = sum((lam * Q(b) for lam, (_, _, b) in zip(farkas, oriented)), ZERO)
+    return all(t == 0 for t in total) and rhs < 0
 
 
 def brute_force_max(num_vars: int, objective, rows):

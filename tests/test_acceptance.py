@@ -23,7 +23,6 @@ from mosipcert.cones import (
     FGCone,
     GenConvexSet,
     Polytope,
-    cone_equal,
     dd_convert,
     polar,
     zero_interior,
@@ -34,6 +33,7 @@ from mosipcert.problem import APPROXIMATED, EXACT, CandidatePoint
 from mosipcert.quals import FAILS, HOLDS, UNDECIDABLE
 from mosipcert.rationals import ONE, Q, ZERO, qdot
 
+from helpers_cones import cone_equal
 from helpers_instances import random_polyhedral_problem
 from helpers_lp import brute_force_max, random_lp
 

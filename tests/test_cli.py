@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +359,31 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: model: ") and err.count("\n") == 1
         assert str(count) in err if too_many else "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # PMFCQ reads the grid up to its first certified entry, 1 here
+            ["quals", "alternating-affine", "--point=0", "--eps-grid=1,-1"],
+            ["quals", "octagon-support", "--point=0,0", "--eps-grid=1,-1"],
+            ["quals", "octagon-support", "--point=0,0", "--eps-grid=-1"],
+            # a finite family never reads the grid
+            ["quals", "LINEALITY", "--point=0,0,0", "--eps-grid=-1"],
+            # nor do the other subcommands
+            ["certify", "alternating-affine", "--point=0", "--eps-grid=-1/2"],
+            ["gap", "octagon-support", "--point=0,0", "--eps-grid=-1"],
+            ["classify", "alternating-affine", "--point=0", "--box=-3:0", "--eps-grid=-1"],
+            ["report", "alternating-affine", "--point=0", "--eps-grid=0,-1"],
+        ],
+        ids=["after-a-certificate", "after-a-value", "only-entry", "finite-family",
+             "certify", "gap", "classify", "report"],
+    )
+    def test_negative_eps_grid_entry_is_refused(self, capsys, argv):
+        if argv[1] == "LINEALITY":
+            argv[1] = str(Path(__file__).parent / "problems" / "lineality-plane.json")
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == "error: model: epsilon must be nonnegative\n"
 
     def test_zero_samples_leave_the_axis_tilts(self, capsys):
         argv = ["gap", "octagon-support", "--point=0,0", "--nu", "2", "--sample-count", "0"]

@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_cones import (
+    cone_equal,
+    contains_across,
     greedy_vertices,
     reference_dd_convert,
     reference_rays,
+    reference_separate,
     reference_vertices,
 )
+from helpers_instances import random_polyhedral_problem
 from mosipcert import lp
 from mosipcert.cones import (
     FGCone,
@@ -24,7 +28,6 @@ from mosipcert.cones import (
     Member,
     NotMember,
     Polytope,
-    cone_equal,
     cone_member,
     contains,
     dd_convert,
@@ -36,7 +39,9 @@ from mosipcert.cones import (
     zero_interior,
 )
 from mosipcert.errors import UnsupportedDimensionError
-from mosipcert.rationals import Q, qdot
+from mosipcert.instances import FIXTURE_BUILDERS
+from mosipcert.problem import CandidatePoint
+from mosipcert.rationals import Q, qdot, vec_q
 
 SEED = 987123
 
@@ -461,9 +466,9 @@ def test_contains_frozen() -> None:
 
 
 def test_contains_hcone_in_fgcone() -> None:
-    res = contains(HCone(2, [[1, 0], [0, 1]]), FGCone(2, [[-1, 0], [0, -1]]))
+    res = contains_across(HCone(2, [[1, 0], [0, 1]]), FGCone(2, [[-1, 0], [0, -1]]))
     assert res.holds
-    res = contains(HCone(2, [[1, 0]]), FGCone(2, [[-1, 0]]))
+    res = contains_across(HCone(2, [[1, 0]]), FGCone(2, [[-1, 0]]))
     assert not res.holds
     w = res.witness
     assert w[0] <= 0 and cone_member(w, FGCone(2, [[-1, 0]])) is None
@@ -506,6 +511,70 @@ def test_dd_membership_agreement(c: FGCone, raw: list) -> None:
     direct = h.member(d)
     via_generators = cone_member(d, dd_convert(h)) is not None
     assert direct == via_generators
+
+
+def _check_against_reference_separate(p, s: GenConvexSet):
+    """membership(p, s) against the replaced separation LP: the same verdict,
+    and a separator with gap = h'p - max h'v > 0 and h'r <= 0.  Returns the
+    pair of separators, (None, None) when p is in s."""
+    res, ref = membership(p, s), reference_separate(p, s)
+    assert isinstance(res, Member) == (ref is None)
+    if ref is None:
+        return None, None
+    h = res.separator
+    assert res.gap == qdot(h, p) - max(qdot(h, v) for v in s.base.vertices) > 0
+    assert all(qdot(h, r) <= 0 for r in s.recession.generators)
+    return res, ref
+
+
+def _fixture_sets(p, cp) -> list:
+    """F* + G*, each active constraint's subdifferential and the envelope's
+    at the point, where nonempty."""
+    sets = [GenConvexSet(cp.F_star, cp.G_star)]
+    sets += [cp.constraint_subdiff(k) for k in cp.T]
+    sets.append(cp.psi_subdiff())
+    return [s for s in sets if s is not None and not s.is_empty]
+
+
+def test_membership_separator_matches_the_reference_on_fixtures() -> None:
+    separated = 0
+    for build in FIXTURE_BUILDERS.values():
+        p = build()
+        cp = CandidatePoint.build(p, [Q(0)] * p.dimension)
+        n = p.dimension
+        targets = [vec_q(t) for t in ([0] * n, [1] * n, [-1] * n, [-2] + [3] * (n - 1))]
+        for s in _fixture_sets(p, cp):
+            for target in targets:
+                res, ref = _check_against_reference_separate(target, s)
+                if ref is not None:
+                    assert res == ref
+                    separated += 1
+    assert separated >= 10
+
+
+def test_membership_separator_matches_the_reference_on_random_instances() -> None:
+    rng = random.Random(4211)
+    outcomes = set()
+    for _ in range(40):
+        p, x = random_polyhedral_problem(rng)
+        cp = CandidatePoint.build(p, x)
+        res, _ = _check_against_reference_separate(x, GenConvexSet(cp.F_star, cp.G_star))
+        outcomes.add(res is None)
+    assert outcomes == {True, False}
+
+
+def test_membership_separator_matches_the_reference_on_random_sets() -> None:
+    rng = random.Random(977)
+    outcomes = set()
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        base = Polytope(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(1, 4))])
+        rec = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))])
+        p = _rand_vec(rng, dim)
+        p[0] += 1 if p[0] >= 0 else -1  # p != 0
+        res, _ = _check_against_reference_separate(p, GenConvexSet(base, rec))
+        outcomes.add(res is None)
+    assert outcomes == {True, False}
 
 
 @given(st.integers(0, 10**6))

@@ -238,8 +238,9 @@ class TestRelativeInteriorZero:
 
 class TestOneMembershipDecision:
     """weak_kkt and strong_kkt share one decision of 0 in F* + G*, the
-    candidate point's `zero_decision`; the grouped LP runs only when it is
-    feasible, the separator LP only when it is not, and once per point."""
+    candidate point's min-max LP over the canonical F* vertices and G*
+    generators, run once per point: its direction is the separator when 0 is
+    outside, and the grouped LP runs only when 0 is inside."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -274,18 +275,18 @@ class TestOneMembershipDecision:
         assert isinstance(kkt.weak_kkt(p, cp), kkt.KktCertificate)
         assert counts["solve"] == 2 and counts["membership"] == 0
 
-    def test_weak_separator_is_decomposition_plus_separator(self, ex2, monkeypatch):
+    def test_weak_separator_is_one_min_max_lp(self, ex2, monkeypatch):
         p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         assert isinstance(kkt.weak_kkt(p, cp), kkt.KktSeparator)
-        assert counts["solve"] == 2 and counts["membership"] == 0
+        assert counts["solve"] == 1 and counts["membership"] == 0
 
-    def test_strong_refusal_is_decision_plus_separator(self, ex2, monkeypatch):
+    def test_strong_refusal_is_one_min_max_lp(self, ex2, monkeypatch):
         p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         out = kkt.strong_kkt(p, cp)
         assert out.separator is not None and out.ri_zero is False
-        assert counts["solve"] == 2 and counts["membership"] == 0
+        assert counts["solve"] == 1 and counts["membership"] == 0
 
     def test_strong_certificate_adds_only_support_cone_lps(self, ex1, monkeypatch):
         p, cp = self._fresh(ex1)
@@ -297,31 +298,33 @@ class TestOneMembershipDecision:
         assert counts["solve"] == 3
 
     def test_octagon_weak_and_strong_never_build_the_grouped_lp(self, ex2, monkeypatch):
-        # the canonical F* has 1 vertex and G* 2 generators, while the grouped
-        # tables have 50 columns: every LP here has at most 3
+        # the min-max LP has one column per coordinate plus one, while the
+        # grouped tables have 50 columns
         p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         weak = kkt.weak_kkt(p, cp)
-        assert counts["solve"] == 2
+        assert counts["solve"] == 1
         strong = kkt.strong_kkt(p, cp)
-        assert counts["solve"] == 2  # neither the decision nor the separator again
-        assert max(counts["columns"]) == 3
+        assert counts["solve"] == 1  # the decision is not asked again
+        assert counts["columns"] == [p.dimension + 1]
         assert strong.separator == weak
-        assert cp.derived["zero_decision"] is cp.zero_decision()
+        key = ("min_max", cp.F_star.vertices, cp.G_star.generators)
+        assert cp.derived[key] is cp.min_max(cp.F_star.vertices, cp.G_star.generators)
 
     @pytest.mark.parametrize("weak_first", [True, False])
     def test_weak_and_strong_share_the_separator(self, ex2, monkeypatch, weak_first):
-        # whichever asks first runs the decision and the separator LP; the
-        # other reads both off the point
+        # whichever asks first runs the min-max LP; the other reads it off
+        # the point
         p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         calls = [kkt.weak_kkt, lambda p, cp: kkt.strong_kkt(p, cp).separator]
         first, second = calls if weak_first else calls[::-1]
         separator = first(p, cp)
-        assert counts["solve"] == 2
-        assert second(p, cp) is separator
-        assert counts["solve"] == 2
-        assert cp.derived["separator"] is separator
+        assert counts["solve"] == 1
+        assert second(p, cp) == separator
+        assert counts["solve"] == 1
+        value, d = cp.min_max(cp.F_star.vertices, cp.G_star.generators)
+        assert separator == kkt.KktSeparator(direction=d, gap=-value)
 
     def test_weak_and_strong_share_the_decision(self, ex1, monkeypatch):
         p, cp = self._fresh(ex1)
@@ -364,7 +367,8 @@ class TestOneMembershipDecision:
             outcomes.add(member)
             assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
             assert isinstance(kkt._decompose(p, cp, zero, margin=True), tuple) == member
-            assert isinstance(cp.zero_decision(), list) == member
+            value, _ = cp.min_max(cp.F_star.vertices, cp.G_star.generators)
+            assert (value < 0) != member
             ri = member and support_cone_is_subspace_by_boxed_lps(gs)
             assert kkt.strong_kkt(p, cp).ri_zero == ri
         assert outcomes == {True, False}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_lp import brute_force_max, random_lp, reference_solve, satisfies
+from helpers_lp import brute_force_max, random_lp, reference_solve, satisfies, verify_farkas
 from mosipcert import cli, lp
 from mosipcert.errors import InternalInconsistencyError
 from mosipcert.lp import (
@@ -28,7 +28,6 @@ from mosipcert.lp import (
     Unbounded,
     feasible_point,
     solve,
-    verify_farkas,
 )
 from mosipcert.rationals import Q, ZERO, qdot
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosipcert.cones import FGCone, HCone, HPoly, Polytope, dd_convert, decompose
+from mosipcert.cones import FGCone, HCone, HPoly, Polytope, dd_convert, min_max_direction
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import sublevel_Q
 from mosipcert.errors import (
@@ -43,7 +43,6 @@ from mosipcert.problem import (
     octagon_vertices,
     problem_from_json,
     problem_to_json,
-    psi,
 )
 from mosipcert.rationals import POS_INF, Q, qdot
 
@@ -57,6 +56,15 @@ def g_sets(p, x):
     """G, its emptiness and G* at x, read off a built candidate point."""
     cp = CandidatePoint.build(p, x)
     return SimpleNamespace(G=cp.G, is_empty=cp.G_is_empty, G_star=cp.G_star)
+
+
+def psi(p, x):
+    """Upper envelope sup_t g_t(x) with its provenance: the exact override
+    when present, else the max over the truncated family."""
+    if p.psi_override is not None:
+        return SimpleNamespace(value=evaluate(p.psi_override, x), provenance=EXACT)
+    value = max(evaluate(p.constraint(k), x) for k in p.indices())
+    return SimpleNamespace(value=value, provenance=TRUNCATED if p.truncated else EXACT)
 
 
 def psi_subdiff(p, x):
@@ -402,9 +410,9 @@ def _assert_derived_match_fresh(p, x) -> None:
     assert cp.fg_polar() == dd_convert(
         HCone(p.dimension, list(cp.F) + list(g_polar[0].normals))
     )
-    zero = tuple(Q(0) for _ in cp.x)
-    assert cp.zero_decision() == decompose(zero, [cp.F_star.vertices], [cp.G_star.generators])
-    for entry in (cp.g_polar, cp.fg_polar, cp.zero_decision):
+    verts, gens = cp.F_star.vertices, cp.G_star.generators
+    assert cp.min_max(verts, gens) == min_max_direction(verts, gens, p.dimension)
+    for entry in (cp.g_polar, cp.fg_polar, lambda: cp.min_max(verts, gens)):
         assert entry() is entry()  # computed once
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import reference_eadq
-from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, span_rank
+from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, min_max_direction, span_rank
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff_set
 from mosipcert.instances import FIXTURE_BUILDERS, load_fixture
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem, load_problem
@@ -24,7 +24,6 @@ from mosipcert.quals import (
     QUAL_IDS,
     UNDECIDABLE,
     QualReport,
-    _min_max_direction,
     check,
     check_all,
     diagram_validate,
@@ -116,7 +115,7 @@ def test_pmfcq_grid_values_monotone_on_linear_fixture():
     values = []
     for eps in DEFAULT_EPS_GRID:
         base, rec = cp.subgradient_union(eps)
-        value, _ = _min_max_direction(base, rec, 1)
+        value, _ = min_max_direction(base, rec, 1)
         values.append(value)
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert values[0] == -1 and values[-1] == -2
@@ -131,22 +130,25 @@ def test_active_set_eps_pattern_matches_subgradients():
 
 
 def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
-    from mosipcert import quals
+    from mosipcert import problem
 
     p = load_fixture("octagon-support")
     cp = _candidate(p)
     grid = DEFAULT_EPS_GRID
-    calls = []
-    real = quals._min_max_direction
+    calls, unions = [], []
+    real, union = problem.min_max_direction, problem._union
 
-    def counted(points, rec_gens, dim):
+    def counted(points, gens, dim):
         calls.append(1)
-        return real(points, rec_gens, dim)
+        return real(points, gens, dim)
 
-    monkeypatch.setattr(quals, "_min_max_direction", counted)
+    monkeypatch.setattr(problem, "min_max_direction", counted)
+    # each grid entry reads its union off the point, built once per active set
+    monkeypatch.setattr(problem, "_union", lambda sets: unions.append(1) or union(sets))
     report = check("PMFCQ", p, cp)
     assert report.status == UNDECIDABLE
-    assert len(calls) == len({tuple(cp.active(eps)) for eps in grid})
+    distinct = len({tuple(cp.active(eps)) for eps in grid})
+    assert len(calls) == len(unions) == distinct
     assert [row[0] for row in report.witness["values"]] == list(grid)
 
 

@@ -86,3 +86,35 @@ def test_double_description_makes_no_lp():
         for name in LP_FREE
     }
     assert found == {name: set() for name in LP_FREE}
+
+
+def _lp_builders(path: Path) -> set:
+    """(module, function) of each function that calls `LinearProgram` or
+    `lp.LinearProgram`."""
+    return {
+        (path.stem, node.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call) and "LinearProgram" in _kind_names(call.func)
+            for call in ast.walk(node)
+        )
+    }
+
+
+def test_every_lp_builder_is_listed():
+    # one LP per question: `decompose` writes a target over points and
+    # generators, `min_max_direction` separates 0 from them, and each other
+    # builder asks a question of its own; a second decomposition or
+    # separation LP must not come back unnoticed
+    builders = {site for path in sorted(SRC.glob("*.py")) for site in _lp_builders(path)}
+    assert builders == {
+        ("cones", "boxed_max"),  # max a linear function over a boxed H-cone
+        ("cones", "_in_cone"),  # the Farkas redundancy LP of canonicalisation
+        ("cones", "decompose"),  # with a margin; without one via lp.feasible_point
+        ("cones", "min_max_direction"),  # the one separation LP
+        ("cones", "_radius_by_axis_points"),  # the interior radius above dimension 3
+        ("gap", "_sup_lp"),  # sup of a linear function over S
+        ("lp", "feasible_point"),  # a point of the rows, for decompose
+        ("quals", "_slater_lp"),  # min of the envelope over its domains
+    }
