@@ -5,12 +5,22 @@ interior tests.
 Every question of the form "is the target a convex combination of these
 points plus a conic combination of these generators" is one call to
 `decompose`, the package's only decomposition LP: `contains`, `cone_member`,
-the first LP of `membership`, the KKT searches in `kkt` and the gap zero
-search in `gap`.  `hull_terms` reads its weights back per block of points.
-Its converse, "which direction strictly separates 0 from conv(points) +
-cone(generators)", is one call to `min_max_direction`, the only separation
-LP: `membership` shifts the points by the target, MFCQ, PMFCQ and COCQ read
-their directions off it, and weak and strong KKT decide 0 in F* + G* with it.
+`subspace_escape`, the first LP of `membership`, the KKT searches in `kkt`
+and the gap zero search in `gap`.  `hull_terms` reads its weights back per
+block of points.  When no weights exist, the Farkas vector of the infeasible
+LP is a direction, and `subspace_escape` and `contains` return it as their
+witness.  Its converse, "which direction strictly separates 0 from
+conv(points) + cone(generators)", is one call to `min_max_direction`, the
+only separation LP: `membership` shifts the points by the target, MFCQ,
+PMFCQ and COCQ read their directions off it, and weak and strong KKT decide
+0 in F* + G* with it.
+
+Interior and containment ask no boxed LP.  0 is interior to conv(V) +
+cone(R) exactly when V u R positively spans n-space (Davis 1954): rank n,
+read off `_eliminate` with no LP, and a cone that is a subspace, one
+`subspace_escape`.  One H-cone lies in another exactly when each normal of
+the second is in the cone of the first one's normals (Farkas), one
+`decompose` per normal.
 
 Everything is exact rational.  Every Polytope, FGCone and HCone holds its
 canonical form (primitive integer scaling for rays and normals, lexicographic
@@ -32,9 +42,11 @@ cones of one representation.
 
 The public constructors prune with LPs.  Rays that are canonical already go
 through the one private constructor `_canonical`, with no LP: `polar` (a
-cone's canonical generators are its polar's canonical normals, and back) and
-the output of `dd_convert`.  Rows that are only read by another LP need no
-canonical form: `Halfspaces` hands them to `dd_convert` unpruned.
+cone's canonical generators are its polar's canonical normals, and back),
+the output of `dd_convert`, and the rays a candidate point keeps per sorted
+primitive set (`problem.CandidatePoint.cone`), which depend on that set
+alone.  Rows that are only read by another LP need no canonical form:
+`Halfspaces` hands them to `dd_convert` unpruned.
 
 `dd_convert` is one double description with no LP, and its generators
 depend only on the cone.  A cone C with lineality space L is L plus its
@@ -111,17 +123,6 @@ def box_rows(dim: int, extra: int = 0) -> list:
         rows.append((e, lp.LE, ONE))
         rows.append((list(e), lp.GE, -ONE))
     return rows
-
-
-def boxed_max(normals, objective) -> lp.Optimal:
-    """max objective'd over {d : a'd <= 0 for every normal a} intersected
-    with the unit box -1 <= d_j <= 1.  d = 0 is feasible and the box bounds
-    the objective, so the LP has an optimum."""
-    rows = [(list(a), lp.LE, ZERO) for a in normals] + box_rows(len(objective))
-    res = lp.solve(lp.LinearProgram(len(objective), list(objective), rows))
-    if not isinstance(res, lp.Optimal):
-        raise InternalInconsistencyError("the boxed cone LP has an optimum")
-    return res
 
 
 def _in_cone(a, others) -> Optional[tuple]:
@@ -297,9 +298,6 @@ class Polytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def contains_point(self, p) -> bool:
-        return isinstance(decompose(vec_q(p), [self.vertices]), list)
-
 
 @dataclass(frozen=True)
 class FGCone:
@@ -317,9 +315,6 @@ class FGCone:
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    def member(self, p) -> bool:
-        return isinstance(decompose(vec_q(p), (), [self.generators]), list)
 
 
 @dataclass(frozen=True)
@@ -585,19 +580,28 @@ def cone_member(p, c: FGCone) -> Optional[list]:
 
 
 # ---------------------------------------------------------------------------
-# Interior, triviality, containment
+# Interior, subspaces, containment
 
 
-def nontrivial_direction(h: HCone) -> Optional[tuple]:
-    """A nonzero member of {d : a'd <= 0 for all normals}, or None when the
-    cone is {0}.  Decided by 2n LPs maximizing +-d_i over the cone
-    intersected with the unit box."""
-    for j in range(h.dim):
-        for sign in (ONE, -ONE):
-            res = boxed_max(h.normals, _unit(h.dim, j, sign))
-            if res.value > 0:
-                return tuple(res.primal)
-    return None
+def _escape_of(res, dim: int) -> tuple:
+    """The direction d = -y of an infeasible `decompose` of a target t over
+    cone(vectors) alone, y the Farkas multipliers of its coordinate rows:
+    y'a >= 0 for every vector a and y't < 0, so d'a <= 0 and d't > 0."""
+    return tuple(-y for y in res.farkas[:dim])
+
+
+def subspace_escape(normals) -> Optional[tuple]:
+    """None when cone(normals) is a linear subspace, else a direction d with
+    a'd <= 0 for every normal a and a'd < 0 for some, so d != 0.
+
+    The cone is a subspace exactly when minus the sum of the normals lies in
+    it, one `decompose` (no LP when the sum is 0).  Then {d : a'd <= 0 for
+    every a}, the polar, is a subspace too: for the support normals of
+    F* + G* that is the test of 0 in ri(F* + G*), and with rank n the test of
+    0 in int(F* + G*)."""
+    minus_sum = tuple(-sum(c, ZERO) for c in zip(*normals))
+    res = decompose(minus_sum, (), [normals])
+    return None if isinstance(res, list) else _escape_of(res, len(minus_sum))
 
 
 @dataclass(frozen=True)
@@ -610,20 +614,29 @@ class ZeroInterior:
     witness_direction: Optional[tuple] = None
 
 
-def zero_interior(s: GenConvexSet) -> ZeroInterior:
+def zero_interior(s: GenConvexSet, escape=None) -> ZeroInterior:
     """Is 0 in the interior of base + recession, with a certified ball radius.
 
-    The interior test reduces to triviality of {d : sigma_s(d) <= 0}
-    = {d : v'd <= 0 for all vertices, r'd <= 0 for all generators}: the support
-    function of a closed convex set is positive away from 0 exactly when 0 is
-    interior.  The radius is exact (min facet distance) in dimension <= 3 via
-    a lifted double description; above that, certified axis-point stepping
-    scaled by 1/sqrt(n).
+    0 is interior to conv(V) + cone(R) exactly when V u R positively spans
+    n-space (C. Davis, Theory of positive linear dependence, Amer. J. Math.
+    1954): the vectors have rank n and their cone is a subspace.  A
+    counter-witness is a nonzero d with v'd <= 0 and r'd <= 0 for every
+    vertex and generator.  The rank test runs no LP: below rank n, the first
+    basis vector of the null space (`_eliminate`, `_lineality`) is one.  At
+    rank n, `subspace_escape` of the vertices then generators decides with
+    one LP and gives one; `escape`, when given, returns that answer (a point
+    keeps it).  The radius is exact (min facet distance) in dimension <= 3
+    via a lifted double description; above that, certified axis-point
+    stepping scaled by 1/sqrt(n).
     """
     if s.is_empty:
         return ZeroInterior(False, ZERO, True, "empty set")
-    support_normals = list(s.base.vertices) + list(s.recession.generators)
-    direction = nontrivial_direction(HCone(s.dim, support_normals))
+    normals = list(s.base.vertices) + list(s.recession.generators)
+    rows, pivots = _eliminate(s.dim, normals)
+    if len(pivots) < s.dim:
+        null = _lineality(s.dim, len(normals), rows, pivots)[0]
+        return ZeroInterior(False, ZERO, True, witness_direction=tuple(Q(c) for c in null))
+    direction = escape() if escape is not None else subspace_escape(normals)
     if direction is not None:
         return ZeroInterior(False, ZERO, True, witness_direction=direction)
     if s.dim <= 3:
@@ -708,7 +721,11 @@ class ContainsResult:
 def contains(a, b) -> ContainsResult:
     """Is the cone a a subset of the cone b, two FGCones or two HCones?  When
     not, witness lies in a and outside b.  Equal canonical forms hold at
-    once."""
+    once.  Each question is one `decompose`: a generator of a in cone(b's
+    generators), or, by Farkas, a normal t of b in cone(a's normals), which
+    says t'd <= 0 holds on a.  When t is outside, the Farkas direction
+    (`_escape_of`) lies in a and has t'd > 0; when a has no normals, a is
+    all of space and t itself escapes."""
     if a.dim != b.dim or type(a) is not type(b):
         raise ValueError("contains compares two FGCones or two HCones of one dimension")
     if a == b:
@@ -718,11 +735,12 @@ def contains(a, b) -> ContainsResult:
             if not isinstance(decompose(g, (), [b.generators]), list):
                 return ContainsResult(False, g)
         return ContainsResult(True)
-    # every halfspace of b must be valid over the cone a
-    for target in b.normals:
-        res = boxed_max(a.normals, target)
-        if res.value > 0:
-            return ContainsResult(False, tuple(res.primal))
+    for t in b.normals:
+        res = decompose(t, (), [a.normals])
+        if res is None:
+            return ContainsResult(False, t)
+        if not isinstance(res, list):
+            return ContainsResult(False, _escape_of(res, a.dim))
     return ContainsResult(True)
 
 

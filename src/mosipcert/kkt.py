@@ -234,20 +234,13 @@ class StrongKktResult:
     refusal: str = ""
 
 
-def _support_cone_is_subspace(s: GenConvexSet) -> bool:
-    """Is {d : sigma(d) <= 0} a subspace?  It is the polar of the cone of the
-    support normals, so it is one exactly when that cone is, that is when
-    minus the sum of the normals lies in it (no LP when the sum is 0)."""
-    normals = list(s.base.vertices) + list(s.recession.generators)
-    minus_sum = tuple(-sum(c, ZERO) for c in zip(*normals))
-    return isinstance(decompose(minus_sum, (), [normals]), list)
-
-
 def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
     """Maximize the smallest objective weight subject to exact stationarity;
     a Strong certificate needs optimum > 0.  The relative-interior
     sufficient test 0 in ri(F* + G*) is reported alongside: 0 is in the set
-    by the shared decision, so only the support cone is left to test."""
+    by the shared decision, so only the support cone is left to test: it is
+    a subspace exactly when the point's `support_escape`, which
+    `zero_interior` shares, finds no escaping direction."""
     if cp.F_star.is_empty:
         raise ModelError("no objectives: F*(x) is empty")
     separator = _separator(cp)
@@ -261,7 +254,7 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
         )
     zero = tuple(ZERO for _ in range(p.dimension))
     oterms, cterms, tau = _decompose_zero(p, cp, zero, margin=True)
-    ri = _support_cone_is_subspace(GenConvexSet(cp.F_star, cp.G_star))
+    ri = cp.support_escape() is None
     if tau <= 0:
         return StrongKktResult(
             certificate=None,

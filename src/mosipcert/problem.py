@@ -32,10 +32,14 @@ from .cones import (
     HPoly,
     Polytope,
     ZeroInterior,
+    _canonical,
+    _irredundant,
+    _primitive_set,
     contains,
     dd_convert,
     min_max_direction,
     polar,
+    subspace_escape,
     zero_interior,
 )
 from .errors import (
@@ -357,7 +361,8 @@ def _eps_active(values, eps) -> list:
     eps = as_q(eps)
     if eps < 0:
         raise ModelError("epsilon must be nonnegative")
-    return [k for k, value in enumerate(values) if value >= -eps]
+    floor = -eps
+    return [k for k, value in enumerate(values) if value >= floor]
 
 
 def _union(sets) -> tuple:
@@ -369,6 +374,22 @@ def _union(sets) -> tuple:
         base.extend(v for v in ss.base.vertices if v not in base)
         rec.extend(g for g in ss.recession.generators if g not in rec)
     return base, rec
+
+
+def _kept(derived: dict, key, compute):
+    """The value in `derived` under `key`, computed by `compute()` on the
+    first request; a refusal it raises is not stored."""
+    if key not in derived:
+        derived[key] = compute()
+    return derived[key]
+
+
+def _kept_cone(derived: dict, cls, dim: int, vectors):
+    """cls(dim, vectors), an FGCone or an HCone, its rays kept in `derived`
+    under the sorted primitive set: the canonical form depends on that set
+    alone, so a set asked again, as generators or as normals, runs no LP."""
+    prims = tuple(_primitive_set(dim, vectors, "generator" if cls is FGCone else "normal"))
+    return _canonical(cls, dim, _kept(derived, ("rays", prims), lambda: tuple(_irredundant(prims))))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +441,19 @@ class CandidatePoint:
       (ACQ, WADQ, EADQ);
     * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
       description (WADQ, EADQ);
+    * ``cone(cls, vectors)``, the FGCone or HCone of the vectors, whose rays
+      are kept per sorted primitive set: G*, C and N in `build`, and KTCQ's
+      envelope cone, take them from one entry, since random and bundled
+      instances often ask one set as generators and as normals;
+    * ``support_escape()``, `subspace_escape` of the F* vertices and G*
+      generators: None exactly when the support cone of F* + G* is a
+      subspace (strong KKT's ri test, and `zero_interior` at rank n);
     * ``zero_interior()``, whether 0 is interior to F* + G*, with its
       certified radius (perturbed KKT and gap check, isolation report);
     * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
+    * ``union_min_max(eps)``, `min_max` over that union, kept per
+      eps-active set too, so a long eps grid hashes index tuples, not
+      rational points (MFCQ, PMFCQ);
     * ``min_max(points, gens)``, the one separation LP, keyed by its input:
       it decides 0 in conv(points) + cone(gens) and gives the separating
       direction when 0 is outside (MFCQ, PMFCQ and COCQ over their subgradient
@@ -469,11 +500,13 @@ class CandidatePoint:
         for k in T:
             derived[("constraint", k)] = subdiff_set(p.constraint(k), x)
         G, rec = _union(derived[("constraint", k)] for k in T)
-        G_star = FGCone(p.dimension, G + rec)
+        G_star = _kept_cone(derived, FGCone, p.dimension, G + rec)
         C = N = None
         if p.feasible_set is not None:
-            # x satisfies every row of S: the feasibility pass checked it
-            C = p.feasible_set.tangent_cone(x)
+            # x satisfies every row of S: the feasibility pass checked it;
+            # C is its tangent cone, and N the polar of C
+            S = p.feasible_set
+            C = _kept_cone(derived, HCone, p.dimension, [S.rows[i][0] for i in S.active_rows(x)])
             N = polar(C)
             if not contains(G_star, N).holds:
                 # an active subgradient g has g'(y - x) <= g_t(y) <= 0 on the
@@ -499,9 +532,12 @@ class CandidatePoint:
     def kept(self, key, compute):
         """The stored value under `key`, computed by `compute()` on the first
         request; a refusal it raises is not stored."""
-        if key not in self.derived:
-            self.derived[key] = compute()
-        return self.derived[key]
+        return _kept(self.derived, key, compute)
+
+    def cone(self, cls, vectors):
+        """cls(dimension, vectors), an FGCone or an HCone, with its rays kept
+        per sorted primitive set."""
+        return _kept_cone(self.derived, cls, self.problem.dimension, vectors)
 
     @property
     def g_values(self) -> tuple:
@@ -570,11 +606,21 @@ class CandidatePoint:
 
         return self.kept("fg_polar", compute)
 
+    def support_escape(self) -> Optional[tuple]:
+        """`subspace_escape` of the F* vertices and G* generators: None when
+        the support cone of F* + G* is a subspace, else a direction escaping
+        it (strong KKT's ri test; `zero_interior` at rank n)."""
+        return self.kept(
+            "support_escape",
+            lambda: subspace_escape(self.F_star.vertices + self.G_star.generators),
+        )
+
     def zero_interior(self) -> ZeroInterior:
         """`zero_interior` of F* + G*: is 0 interior, with a certified radius
         (perturbed KKT, the perturbed gap check, the isolation report)."""
         return self.kept(
-            "zero_interior", lambda: zero_interior(GenConvexSet(self.F_star, self.G_star))
+            "zero_interior",
+            lambda: zero_interior(GenConvexSet(self.F_star, self.G_star), self.support_escape),
         )
 
     def min_max(self, points, gens) -> tuple:
@@ -599,6 +645,13 @@ class CandidatePoint:
         return self.kept(
             ("subgradient_union", active),
             lambda: tuple(map(tuple, _union(self.constraint_subdiff(k) for k in active))),
+        )
+
+    def union_min_max(self, eps) -> tuple:
+        """`min_max` over `subgradient_union(eps)`, kept per eps-active set."""
+        return self.kept(
+            ("union_min_max", tuple(self.active(eps))),
+            lambda: self.min_max(*self.subgradient_union(eps)),
         )
 
 

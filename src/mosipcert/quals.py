@@ -332,7 +332,7 @@ def _check_mfcq(p, cp):
             "the active subgradient union is empty; the definition's fallback clause applies",
         )
     base, rec = cp.subgradient_union(ZERO)
-    value, d = cp.min_max(base, rec)
+    value, d = cp.union_min_max(ZERO)
     if value < 0:
         witness = {"kind": "direction", "direction": d, "max_inner": value}
         note = "strictly negative direction against every active subgradient"
@@ -365,7 +365,7 @@ def _check_pmfcq(p, cp, eps_grid):
                 witness,
                 "the eps-active subgradient union is empty, so its supremum is -infinity",
             )
-        value, d = cp.min_max(base, rec)
+        value, d = cp.union_min_max(eps)
         values.append((eps, value))
         if value < 0:
             witness = {"kind": "grid_certificate", "eps": eps, "direction": d, "value": value}
@@ -412,11 +412,11 @@ def _check_lfmcq(p, cp):
 def _envelope_halfspace_set(p, cp) -> Optional[HCone]:
     """{d : psi'(x; d) <= 0} as an H-cone when the envelope subdifferential is
     available and nonempty: the negative polar of base vertices plus recession
-    generators."""
+    generators, its normals kept at the point (often G*'s own rays)."""
     ss = cp.psi_subdiff()
     if ss is None or ss.is_empty:
         return None
-    return HCone(p.dimension, list(ss.base.vertices) + list(ss.recession.generators))
+    return cp.cone(HCone, list(ss.base.vertices) + list(ss.recession.generators))
 
 
 def _check_cocq(p, cp):

@@ -10,9 +10,13 @@ replaced double description, +-axis slices pruned with LPs, and reads the
 canonical form of a cone with lineality off the generators it finds.
 `greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced in
 `Polytope`.  `reference_separate` is the separation LP that
-`cones.min_max_direction` replaced in `membership`.  `contains_across` and
-`cone_equal` compare cones across representations, which the library never
-needs.
+`cones.min_max_direction` replaced in `membership`.  `boxed_max` is the
+boxed H-cone LP that `zero_interior` and the H-cone branch of
+`cones.contains` ran before positive spanning and Farkas multipliers took
+its place: `reference_nontrivial_direction` and `reference_hcone_contains`
+keep those two uses.  `contains_across` and `cone_equal` compare cones
+across representations, which the library never needs; `contains_point` and
+`cone_contains` are the polytope and cone membership tests only tests ask.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from mosipcert.cones import (
     GenConvexSet,
     HCone,
     NotMember,
+    Polytope,
     _irredundant,
     _row_reduce,
     _unit,
@@ -33,6 +38,7 @@ from mosipcert.cones import (
     decompose,
     primitive,
 )
+from mosipcert.errors import InternalInconsistencyError
 from mosipcert.rationals import ONE, ZERO, qdot, vec_q
 
 
@@ -160,3 +166,55 @@ def contains_across(a, b) -> ContainsResult:
 def cone_equal(a, b) -> bool:
     """Set equality across representations (mutual containment)."""
     return contains_across(a, b).holds and contains_across(b, a).holds
+
+
+def contains_point(poly: Polytope, p) -> bool:
+    """Is p in the polytope (one decomposition LP)?"""
+    return isinstance(decompose(vec_q(p), [poly.vertices]), list)
+
+
+def cone_contains(cone: FGCone, p) -> bool:
+    """Is p in cone(generators) (one decomposition LP)?"""
+    return isinstance(decompose(vec_q(p), (), [cone.generators]), list)
+
+
+def boxed_max(normals, objective) -> lp.Optimal:
+    """max objective'd over {d : a'd <= 0 for every normal a} intersected
+    with the unit box -1 <= d_j <= 1.  d = 0 is feasible and the box bounds
+    the objective, so the LP has an optimum."""
+    rows = [(list(a), lp.LE, ZERO) for a in normals] + box_rows(len(objective))
+    res = lp.solve(lp.LinearProgram(len(objective), list(objective), rows))
+    if not isinstance(res, lp.Optimal):
+        raise InternalInconsistencyError("the boxed cone LP has an optimum")
+    return res
+
+
+def reference_nontrivial_direction(h: HCone):
+    """A nonzero member of {d : a'd <= 0 for all normals}, or None when the
+    cone is {0}: the 2n boxed LPs maximising +-d_j that `zero_interior` ran
+    on its pruned support cone before the positive-spanning test."""
+    for j in range(h.dim):
+        for sign in (ONE, -ONE):
+            res = boxed_max(h.normals, _unit(h.dim, j, sign))
+            if res.value > 0:
+                return tuple(res.primal)
+    return None
+
+
+def reference_zero_inside(s: GenConvexSet) -> bool:
+    """0 in int(s), by the replaced triviality test of the support cone
+    {d : v'd <= 0, r'd <= 0 for every vertex and generator}."""
+    if s.is_empty:
+        return False
+    normals = list(s.base.vertices) + list(s.recession.generators)
+    return reference_nontrivial_direction(HCone(s.dim, normals)) is None
+
+
+def reference_hcone_contains(a: HCone, b: HCone) -> ContainsResult:
+    """`cones.contains` of two H-cones by the replaced boxed LPs: each
+    normal t of b must have max t'd <= 0 over a in the unit box."""
+    for t in b.normals:
+        res = boxed_max(a.normals, t)
+        if res.value > 0:
+            return ContainsResult(False, tuple(res.primal))
+    return ContainsResult(True)

@@ -3,6 +3,7 @@ membership/separator exclusivity, interior radii."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,9 +15,12 @@ from helpers_cones import (
     contains_across,
     greedy_vertices,
     reference_dd_convert,
+    reference_hcone_contains,
+    reference_nontrivial_direction,
     reference_rays,
     reference_separate,
     reference_vertices,
+    reference_zero_inside,
 )
 from helpers_instances import random_polyhedral_problem
 from mosipcert import lp
@@ -32,12 +36,14 @@ from mosipcert.cones import (
     contains,
     dd_convert,
     membership,
-    nontrivial_direction,
+    min_max_direction,
     polar,
     primitive,
     span_rank,
+    subspace_escape,
     zero_interior,
 )
+from mosipcert import cones
 from mosipcert.errors import UnsupportedDimensionError
 from mosipcert.instances import FIXTURE_BUILDERS
 from mosipcert.problem import CandidatePoint
@@ -417,8 +423,6 @@ def test_zero_interior_empty() -> None:
 
 
 def test_zero_interior_axis_path_dim4() -> None:
-    import itertools
-
     cube = GenConvexSet(
         Polytope(4, list(itertools.product([-1, 1], repeat=4))), FGCone(4, [])
     )
@@ -448,10 +452,103 @@ def test_zero_interior_radius_certifies_axis_points() -> None:
     assert checked >= 3
 
 
-def test_cone_triviality() -> None:
-    assert nontrivial_direction(HCone(1, [[1], [-1]])) is None
-    d = nontrivial_direction(HCone(1, [[1]]))
+def test_reference_cone_triviality() -> None:
+    assert reference_nontrivial_direction(HCone(1, [[1], [-1]])) is None
+    d = reference_nontrivial_direction(HCone(1, [[1]]))
     assert d is not None and d[0] < 0
+
+
+def _check_zero_interior(s: GenConvexSet) -> bool:
+    """zero_interior(s) against the replaced 2n-boxed-LP triviality test:
+    the same verdict, and when 0 is not interior a nonzero witness d with
+    d'v <= 0 and d'g <= 0 for every vertex and generator.  Returns the
+    verdict."""
+    zi = zero_interior(s)
+    assert zi.inside == reference_zero_inside(s)
+    if not zi.inside and not s.is_empty:
+        d = zi.witness_direction
+        assert len(d) == s.dim and any(c != 0 for c in d)
+        assert all(qdot(d, v) <= 0 for v in s.base.vertices)
+        assert all(qdot(d, g) <= 0 for g in s.recession.generators)
+    return zi.inside
+
+
+def test_zero_interior_matches_the_boxed_reference_on_fixtures() -> None:
+    outcomes = set()
+    for build in FIXTURE_BUILDERS.values():
+        p = build()
+        cp = CandidatePoint.build(p, [Q(0)] * p.dimension)
+        for s in _fixture_sets(p, cp):
+            outcomes.add(_check_zero_interior(s))
+    assert outcomes == {True, False}
+
+
+def test_zero_interior_matches_the_boxed_reference_on_random_instances() -> None:
+    rng = random.Random(5519)
+    outcomes = []
+    for _ in range(60):
+        p, x = random_polyhedral_problem(rng)
+        cp = CandidatePoint.build(p, x)
+        outcomes.append(_check_zero_interior(GenConvexSet(cp.F_star, cp.G_star)))
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def test_zero_interior_matches_the_boxed_reference_on_random_sets() -> None:
+    rng = random.Random(6121)
+    outcomes = set()
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        base = Polytope(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(1, 6))])
+        rec = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))])
+        outcomes.add(_check_zero_interior(GenConvexSet(base, rec)))
+    assert outcomes == {True, False}
+
+
+def test_zero_interior_asks_one_lp_at_most_before_the_radius(monkeypatch) -> None:
+    # below rank n the null space gives the witness with no LP; at rank n one
+    # decomposition of minus the sum decides, none when the sum is 0
+    sets = []
+    rng = random.Random(5519)
+    for _ in range(60):
+        p, x = random_polyhedral_problem(rng)
+        cp = CandidatePoint.build(p, x)
+        sets.append(GenConvexSet(cp.F_star, cp.G_star))
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
+    stub = lambda s: "radius"  # noqa: E731
+    monkeypatch.setattr(cones, "_radius_by_facets", stub)
+    monkeypatch.setattr(cones, "_radius_by_axis_points", stub)
+    ranks = set()
+    for s in sets:
+        normals = list(s.base.vertices) + list(s.recession.generators)
+        rank = span_rank(normals)
+        zero_sum = all(sum(c) == 0 for c in zip(*normals))
+        solves.clear()
+        zero_interior(s)
+        assert len(solves) == (0 if rank < s.dim or zero_sum else 1)
+        ranks.add(rank < s.dim)
+    assert ranks == {True, False}
+
+
+def test_zero_interior_reads_a_given_escape() -> None:
+    # a point hands over its kept answer, which is asked only at rank n
+    corner = GenConvexSet(Polytope(2, [[0, 0], [1, 0], [0, 1]]), FGCone(2, []))
+    normals = list(corner.base.vertices)
+    asked = []
+    zi = zero_interior(corner, lambda: asked.append(1) or subspace_escape(normals))
+    assert asked == [1] and zi == zero_interior(corner) and not zi.inside
+    segment = GenConvexSet(Polytope(2, [[1, 0], [-1, 0]]), FGCone(2, []))
+    zi = zero_interior(segment, lambda: asked.append(1))
+    assert asked == [1] and not zi.inside and zi.witness_direction == (Q(0), Q(1))
+
+
+def test_subspace_escape_witness() -> None:
+    assert subspace_escape([(Q(1), Q(0)), (Q(-1), Q(0))]) is None
+    normals = [(Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(1))]
+    d = subspace_escape(normals)
+    assert all(qdot(a, d) <= 0 for a in normals)
+    assert any(qdot(a, d) < 0 for a in normals)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +560,11 @@ def test_contains_frozen() -> None:
     assert contains(minus, minus).holds
     res = contains(dd_convert(minus), dd_convert(HCone(1, [[-1]])))
     assert not res.holds and res.witness == (-1,)
+    # an H-cone with no normals is all of space: b's first normal escapes
+    res = contains(HCone(2, []), HCone(2, [[0, 1], [1, 0]]))
+    assert not res.holds and res.witness == (0, 1)
+    res = contains(HCone(2, [[1, 0], [0, 1]]), HCone(2, [[1, 1]]))
+    assert res.holds and res.witness is None
 
 
 def test_contains_hcone_in_fgcone() -> None:
@@ -609,6 +711,7 @@ def test_contains_witness_verifies(seed: int) -> None:
     a = HCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))])
     b = HCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 3))])
     res = contains(a, b)
+    assert res.holds == reference_hcone_contains(a, b).holds
     if res.holds:
         # spot-check with the generator picture
         for g in dd_convert(a).generators:
@@ -621,12 +724,15 @@ def test_contains_witness_verifies(seed: int) -> None:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: nontrivial_direction(HCone(2, [[1, 0]])),
-        lambda: contains(HCone(2, [[1, 0]]), HCone(2, [[1, 1]])),
+        lambda: min_max_direction([(Q(1), Q(0))], [], 2),
+        # the cube's vertices sum to 0, so only the radius LPs run
+        lambda: zero_interior(
+            GenConvexSet(Polytope(4, list(itertools.product([-1, 1], repeat=4))), FGCone(4, []))
+        ),
         lambda: HCone(2, [[1, 0], [0, 1]]),
         lambda: Polytope(2, [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]]),
     ],
-    ids=["nontrivial_direction", "contains", "redundancy", "polytope"],
+    ids=["min_max", "axis_radius", "redundancy", "polytope"],
 )
 def test_unexpected_lp_outcome_is_an_internal_inconsistency(monkeypatch, call) -> None:
     # an LP that must have an optimum comes back infeasible: exit 4 from the

@@ -15,14 +15,15 @@ from mosipcert.cones import (
     Member,
     NotMember,
     Polytope,
-    boxed_max,
     membership,
+    subspace_escape,
 )
 from mosipcert.errors import InternalInconsistencyError, ParseError
 from mosipcert.funcs import Affine, HPoly, MaxAffine
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
 from mosipcert.rationals import ONE, ZERO, Q, qdot
 
+from helpers_cones import boxed_max
 from helpers_instances import random_polyhedral_problem
 
 
@@ -50,7 +51,13 @@ def relative_interior_zero(s: GenConvexSet) -> bool:
     zero = tuple(ZERO for _ in range(s.dim))
     if isinstance(membership(zero, s), NotMember):
         return False
-    return kkt._support_cone_is_subspace(s)
+    return _support_escape(s) is None
+
+
+def _support_escape(s: GenConvexSet):
+    """`subspace_escape` of the support normals: None exactly when the
+    support cone {d : sigma(d) <= 0} is a subspace."""
+    return subspace_escape(list(s.base.vertices) + list(s.recession.generators))
 
 
 def support_cone_is_subspace_by_boxed_lps(s: GenConvexSet) -> bool:
@@ -213,9 +220,13 @@ class TestRelativeInteriorZero:
     def test_support_cone_matches_the_boxed_lp_reference(self):
         outcomes = set()
         for s in _random_support_sets(random.Random(4241), 60):
-            subspace = kkt._support_cone_is_subspace(s)
-            assert subspace == support_cone_is_subspace_by_boxed_lps(s)
-            outcomes.add(subspace)
+            d = _support_escape(s)
+            assert (d is None) == support_cone_is_subspace_by_boxed_lps(s)
+            if d is not None:
+                # d lies in the support cone but off its lineality space
+                dots = [qdot(a, d) for a in s.base.vertices + s.recession.generators]
+                assert max(dots) <= 0 and min(dots) < 0
+            outcomes.add(d is None)
         assert outcomes == {True, False}
 
     def test_support_cone_makes_at_most_one_lp(self, monkeypatch):
@@ -227,13 +238,36 @@ class TestRelativeInteriorZero:
         monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
         for s in sets:
             solves.clear()
-            kkt._support_cone_is_subspace(s)
+            _support_escape(s)
             assert len(solves) <= 1
         # normals summing to 0 span a subspace with no LP
         seg = Polytope(2, [(Q(-1), ZERO), (ONE, ZERO)])
         solves.clear()
-        assert kkt._support_cone_is_subspace(GenConvexSet(seg, FGCone(2, []))) is True
+        assert _support_escape(GenConvexSet(seg, FGCone(2, []))) is None
         assert solves == []
+
+    def test_strong_and_perturbed_share_one_support_escape(self, monkeypatch):
+        # ri(F* + G*) in strong KKT and the rank-n step of zero_interior ask
+        # one question; the point keeps its answer, whichever asks first
+        calls = []
+        real = problem.subspace_escape
+        monkeypatch.setattr(
+            problem, "subspace_escape", lambda normals: calls.append(1) or real(normals)
+        )
+        rng = random.Random(7919)
+        shared = 0
+        for k in range(40):
+            p, x = random_polyhedral_problem(rng)
+            cp = CandidatePoint.build(p, x)
+            calls.clear()
+            first, second = (kkt.strong_kkt, kkt.perturbed_kkt)[:: 1 if k % 2 else -1]
+            strong = (first(p, cp), second(p, cp))[k % 2 == 0]
+            assert len(calls) <= 1
+            if strong.separator is None:  # strong KKT asked it
+                assert len(calls) == 1
+                shared += 1
+            assert cp.support_escape() == real(cp.F_star.vertices + cp.G_star.generators)
+        assert shared >= 10
 
 
 class TestOneMembershipDecision:
@@ -461,9 +495,9 @@ class TestIsolationInclusionReport:
         calls = []
         real = kkt.zero_interior
 
-        def counted(s):
+        def counted(s, escape=None):
             calls.append(1)
-            return real(s)
+            return real(s, escape)
 
         monkeypatch.setattr(kkt, "zero_interior", counted)
         monkeypatch.setattr(problem, "zero_interior", counted)

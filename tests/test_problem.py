@@ -12,7 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosipcert.cones import FGCone, HCone, HPoly, Polytope, dd_convert, min_max_direction
+from mosipcert.cones import (
+    FGCone,
+    GenConvexSet,
+    HCone,
+    HPoly,
+    Polytope,
+    dd_convert,
+    min_max_direction,
+    subspace_escape,
+    zero_interior,
+)
+from helpers_cones import contains_point
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import sublevel_Q
 from mosipcert.errors import (
@@ -174,7 +185,7 @@ def test_f_sets_fixtures():
     fs = f_sets(p, [0])
     assert set(fs.F) == {(Q(-2),), (Q(-1),)}
     assert fs.F_star.vertices == ((Q(-2),), (Q(-1),))
-    assert fs.F_star.contains_point([Q(-3, 2)])
+    assert contains_point(fs.F_star, [Q(-3, 2)])
 
     p = octagon_problem()
     fs = f_sets(p, [0, 0])
@@ -412,7 +423,24 @@ def _assert_derived_match_fresh(p, x) -> None:
     )
     verts, gens = cp.F_star.vertices, cp.G_star.generators
     assert cp.min_max(verts, gens) == min_max_direction(verts, gens, p.dimension)
-    for entry in (cp.g_polar, cp.fg_polar, lambda: cp.min_max(verts, gens)):
+    # the kept rays are those the public constructors find
+    G, rec = cp.subgradient_union(0)
+    assert cp.G_star == FGCone(p.dimension, G + rec)
+    if p.feasible_set is not None:
+        assert cp.C == p.feasible_set.tangent_cone(cp.x)
+    envelope = cp.psi_subdiff()
+    if envelope is not None and not envelope.is_empty:
+        normals = envelope.base.vertices + envelope.recession.generators
+        assert cp.cone(HCone, normals) == HCone(p.dimension, normals)
+    assert cp.support_escape() == subspace_escape(verts + gens)
+    assert cp.zero_interior() == zero_interior(GenConvexSet(cp.F_star, cp.G_star))
+    for entry in (
+        cp.g_polar,
+        cp.fg_polar,
+        lambda: cp.min_max(verts, gens),
+        cp.support_escape,
+        cp.zero_interior,
+    ):
         assert entry() is entry()  # computed once
 
 
@@ -437,6 +465,30 @@ def _draw(seed: int):
 @pytest.mark.parametrize("seed", range(25))
 def test_derived_cones_match_fresh_computation_on_random_instances(seed):
     _assert_derived_match_fresh(*_draw(seed))
+
+
+def test_one_canonical_form_per_primitive_set(monkeypatch):
+    # S is the constraint pieces here, so G*, C and KTCQ's envelope cone are
+    # often one primitive set: each set is pruned once per point
+    from mosipcert import problem, quals
+
+    pruned = []
+    real = problem._irredundant
+    monkeypatch.setattr(problem, "_irredundant", lambda v: pruned.append(tuple(v)) or real(v))
+    rng = random.Random(8513)
+    shared = 0
+    for _ in range(30):
+        p, x = random_polyhedral_problem(rng)
+        pruned.clear()
+        cp = CandidatePoint.build(p, x)
+        quals.check("KTCQ", p, cp)
+        assert len(pruned) == len(set(pruned))
+        envelope = cp.psi_subdiff()
+        asked = {cp.G_star.generators, cp.C.normals}
+        if not envelope.is_empty:
+            asked.add(cp.cone(HCone, envelope.base.vertices + envelope.recession.generators).normals)
+        shared += len(asked) == 1 and len(pruned) == 1
+    assert shared >= 10
 
 
 def test_refused_derived_cone_is_refused_on_every_request(monkeypatch):

@@ -3,6 +3,7 @@ implication-diagram sweeps, and the span-rank/definitional divergence."""
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_cones import cone_contains
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import reference_eadq
 from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, min_max_direction, span_rank
@@ -150,6 +152,38 @@ def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
     distinct = len({tuple(cp.active(eps)) for eps in grid})
     assert len(calls) == len(unions) == distinct
     assert [row[0] for row in report.witness["values"]] == list(grid)
+
+
+def test_pmfcq_long_grid_asks_once_per_distinct_active_set(monkeypatch, capsys):
+    # each grid entry looks its (value, d) up by the eps-active index set, so
+    # the point's min-max store, keyed by rational points, is asked once per
+    # set, not once per entry; the output is what a fresh LP per entry gives
+    from mosipcert import cli, problem
+
+    grid = [Q(1, k) for k in range(1, 1501)] + [Q(3, 2**k) for k in range(12)]
+    argv = ["quals", "octagon-support", "--point=0,0", "--format", "json",
+            "--eps-grid=" + ",".join(str(eps) for eps in grid)]
+    asked, solved = [], []
+    real_ask, real_solve = CandidatePoint.min_max, problem.min_max_direction
+    monkeypatch.setattr(
+        CandidatePoint, "min_max", lambda self, *args: asked.append(1) or real_ask(self, *args)
+    )
+    monkeypatch.setattr(
+        problem, "min_max_direction", lambda *args: solved.append(1) or real_solve(*args)
+    )
+    assert cli.main(argv) == 0
+    kept = capsys.readouterr().out
+    cp = _candidate(load_fixture("octagon-support"))
+    active_sets = {tuple(cp.active(eps)) for eps in (0, *grid)}  # MFCQ asks eps = 0
+    assert len(asked) == len(solved) == len(active_sets) + 1  # COCQ asks one more
+    monkeypatch.setattr(
+        CandidatePoint,
+        "union_min_max",
+        lambda self, eps: real_solve(*self.subgradient_union(eps), self.problem.dimension),
+    )
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == kept
+    assert len(json.loads(kept)["quals"][3]["witness"]["values"]) == len(grid)
 
 
 def test_octagon_quals_lp_count_guard(monkeypatch, capsys):
@@ -425,7 +459,7 @@ def _verify_witness(p, cp, r) -> None:
     elif kind == "escaping_generator" and r.qual == "LFMCQ":
         d = w["direction"]
         if w["escapes"] == "active-gradient cone":
-            assert cp.N.member(d) is not None  # direction came from N
+            assert cone_contains(cp.N, d)  # direction came from N
             from mosipcert.cones import cone_member
 
             assert cone_member(d, cp.G_star) is None

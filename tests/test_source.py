@@ -109,7 +109,6 @@ def test_every_lp_builder_is_listed():
     # separation LP must not come back unnoticed
     builders = {site for path in sorted(SRC.glob("*.py")) for site in _lp_builders(path)}
     assert builders == {
-        ("cones", "boxed_max"),  # max a linear function over a boxed H-cone
         ("cones", "_in_cone"),  # the Farkas redundancy LP of canonicalisation
         ("cones", "decompose"),  # with a margin; without one via lp.feasible_point
         ("cones", "min_max_direction"),  # the one separation LP
