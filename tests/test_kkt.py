@@ -440,15 +440,20 @@ class TestPerturbed:
 
     def test_witness_from_a_redundant_support_cone_is_pinned(self):
         # the random-pipeline benchmark instance n3-obj3-con6-act4+3 at seed 3
-        # (the thirteenth draw of its slot's stream): its support cone has
-        # redundant normals, and leaving them in moves Bland's optimal vertex
-        # to (1, -1, 1), so zero_interior keeps that cone canonical
+        # (the thirteenth draw of its slot's stream): its seven support
+        # normals have rank 3 and some are redundant; the witness is the
+        # Farkas direction of the one decomposition of minus their sum, over
+        # all seven, where the boxed LPs over the pruned cone gave
+        # (1, -6/7, 3/7)
         rng = random.Random("3:107")
         for _ in range(13):
             p, x = random_polyhedral_problem(rng, 3, 3, 6)
-        report = kkt.perturbed_kkt(p, CandidatePoint.build(p, x))
+        cp = CandidatePoint.build(p, x)
+        report = kkt.perturbed_kkt(p, cp)
         assert not report.holds
-        assert report.witness_direction == (Q(1), Q(-6, 7), Q(3, 7))
+        assert report.witness_direction == (Q(1), Q(-1), Q(1))
+        normals = cp.F_star.vertices + cp.G_star.generators
+        assert max(qdot(a, report.witness_direction) for a in normals) <= 0
 
     def test_simplex_interior_radius_is_nearest_facet_distance(self):
         # triangle bounded by 3x + 4y <= 5, -4x + 3y <= 10 and y >= -2: the
