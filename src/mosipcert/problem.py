@@ -453,7 +453,7 @@ class CandidatePoint:
     * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
     * ``union_min_max(eps)``, `min_max` over that union, kept per
       eps-active set too, so a long eps grid hashes index tuples, not
-      rational points (MFCQ, PMFCQ);
+      rational points (PMFCQ);
     * ``min_max(points, gens)``, the one separation LP, keyed by its input:
       it decides 0 in conv(points) + cone(gens) and gives the separating
       direction when 0 is outside (MFCQ, PMFCQ and COCQ over their subgradient
@@ -504,7 +504,7 @@ class CandidatePoint:
         C = N = None
         if p.feasible_set is not None:
             # x satisfies every row of S: the feasibility pass checked it;
-            # C is its tangent cone, and N the polar of C
+            # C is cut out by the active rows
             S = p.feasible_set
             C = _kept_cone(derived, HCone, p.dimension, [S.rows[i][0] for i in S.active_rows(x)])
             N = polar(C)

@@ -332,7 +332,7 @@ def _check_mfcq(p, cp):
             "the active subgradient union is empty; the definition's fallback clause applies",
         )
     base, rec = cp.subgradient_union(ZERO)
-    value, d = cp.union_min_max(ZERO)
+    value, d = cp.min_max(base, rec)
     if value < 0:
         witness = {"kind": "direction", "direction": d, "max_inner": value}
         note = "strictly negative direction against every active subgradient"

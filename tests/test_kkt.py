@@ -443,8 +443,7 @@ class TestPerturbed:
         # (the thirteenth draw of its slot's stream): its seven support
         # normals have rank 3 and some are redundant; the witness is the
         # Farkas direction of the one decomposition of minus their sum, over
-        # all seven, where the boxed LPs over the pruned cone gave
-        # (1, -6/7, 3/7)
+        # all seven, with no pruning first
         rng = random.Random("3:107")
         for _ in range(13):
             p, x = random_polyhedral_problem(rng, 3, 3, 6)

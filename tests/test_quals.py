@@ -174,8 +174,10 @@ def test_pmfcq_long_grid_asks_once_per_distinct_active_set(monkeypatch, capsys):
     assert cli.main(argv) == 0
     kept = capsys.readouterr().out
     cp = _candidate(load_fixture("octagon-support"))
-    active_sets = {tuple(cp.active(eps)) for eps in (0, *grid)}  # MFCQ asks eps = 0
-    assert len(asked) == len(solved) == len(active_sets) + 1  # COCQ asks one more
+    grid_sets = {tuple(cp.active(eps)) for eps in grid}
+    assert len(asked) == len(grid_sets) + 2  # MFCQ and COCQ ask once each
+    # MFCQ's union, at eps = 0, is solved once with PMFCQ's when they agree
+    assert len(solved) == len(grid_sets | {tuple(cp.active(0))}) + 1
     monkeypatch.setattr(
         CandidatePoint,
         "union_min_max",
