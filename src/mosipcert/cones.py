@@ -59,6 +59,15 @@ One elimination of the normals (`_eliminate`) gives both L and the start of
 the double description, so a pointed cone is eliminated once, and a cone
 with lineality once more with +-(basis of L) appended.
 
+The elimination (`_row_reduce`) is Gauss-Jordan in Python ints: each row is
+scaled once by the lcm of its denominators, the pivots fall where the
+rational elimination to unit pivots puts them, and every row changed is
+divided by the gcd of its entries, as in the integer tableau of `lp`.  Every
+row stays a positive multiple of the row of the rational reduced row echelon
+form, so the sign of every entry, the lineality basis and every primitive
+ray are those of the rational elimination, and `span_rank` and the rank test
+of `zero_interior` read the same pivots.
+
 Conventions:
 * HCone(normals) is {d : a'd <= 0 for every normal a}; no normals = all space.
 * FGCone(generators) is cone(generators) including 0; no generators = {0}.
@@ -75,7 +84,18 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import lp
 from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
-from .rationals import Q, ZERO, ONE, as_q, lincomb, qdot, sqrt_exact, sqrt_lower_bound, vec_q
+from .rationals import (
+    ONE,
+    Q,
+    ZERO,
+    as_q,
+    lincomb,
+    qdot,
+    scaled_ints,
+    sqrt_exact,
+    sqrt_lower_bound,
+    vec_q,
+)
 
 DEFAULT_DIM_CAP = 6
 
@@ -94,21 +114,16 @@ def dd_dim_cap() -> int:
     raise ModelError(f"MOSIP_DD_DIM_CAP must be an integer >= 1, not {raw!r}")
 
 
-def _primitive_ints(v) -> tuple:
-    """A rational vector scaled to coprime integers, sign preserved; the
-    zero vector stays zero."""
-    denom_lcm = 1
-    for c in v:
-        d = as_q(c).denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(as_q(c) * denom_lcm) for c in v]
+def _primitive_ints(ints) -> tuple:
+    """An integer vector divided by the gcd of its entries, sign preserved;
+    the zero vector stays zero."""
     g = gcd(*ints)
-    return tuple(c // g for c in ints) if g else tuple(ints)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
 def primitive(v: Sequence) -> tuple:
     """Scale a nonzero rational vector to coprime integers (sign preserved)."""
-    return tuple(Q(c) for c in _primitive_ints(v))
+    return tuple(Q(c) for c in _primitive_ints(scaled_ints(v)[0]))
 
 
 def _unit(dim: int, j: int, scale=ONE) -> tuple:
@@ -190,16 +205,23 @@ def _extreme_points(points) -> list:
     return [p for p in points if p in found]
 
 
-def _primitive_set(dim: int, vectors, what: str) -> list:
-    """Primitive integer scaling, zeros dropped, duplicates merged, sorted."""
+def _primitive_int_set(dim: int, vectors, what: str) -> list:
+    """Primitive integer tuples of the vectors, zeros dropped, duplicates
+    merged, sorted."""
     prims = set()
     for v in vectors:
         v = vec_q(v)
         if len(v) != dim:
             raise ValueError(f"{what} dimension mismatch")
         if any(c != 0 for c in v):
-            prims.add(primitive(v))
+            prims.add(_primitive_ints(scaled_ints(v)[0]))
     return sorted(prims)
+
+
+def _primitive_set(dim: int, vectors, what: str) -> list:
+    """Primitive integer scaling as rationals, zeros dropped, duplicates
+    merged, sorted."""
+    return [tuple(Q(c) for c in p) for p in _primitive_int_set(dim, vectors, what)]
 
 
 def _canonical_rays(dim: int, vectors, what: str) -> tuple:
@@ -433,7 +455,7 @@ def dd_convert(h) -> FGCone:
             f"double description in dimension {n} exceeds cap {cap} "
             f"(set MOSIP_DD_DIM_CAP to raise it)"
         )
-    normals = [tuple(int(c) for c in a) for a in _primitive_set(n, h.normals, "normal")]
+    normals = _primitive_int_set(n, h.normals, "normal")
     elimination = _eliminate(n, normals)
     lines = _lineality(n, len(normals), *elimination)
     if lines:
@@ -445,14 +467,20 @@ def dd_convert(h) -> FGCone:
 
 
 def _eliminate(n: int, normals) -> tuple:
-    """Gauss-Jordan on [A' | I], A the normals as rows: (rows, pivots).
-    Row operations keep each row of the form (y'A', y'), so the pivot
-    columns pick the first independent normals, the right blocks of the
-    pivot rows are the rows of (B^-1)' for the matrix B of those normals,
-    and the rows past the pivots have y'A' = 0: their right blocks span the
-    null space of A."""
-    rows = [[Q(a[i]) for a in normals] + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)]
+    """Gauss-Jordan on [A' | I], A the (rational or integer) normals as
+    rows: (rows, pivots).  Row i starts as (A'_i, e_i) times the lcm of the
+    denominators of A'_i, so every row is integer.  Row operations keep each
+    row a positive multiple of the form (y'A', y'), so the pivot columns pick
+    the first independent normals, the right blocks of the pivot rows are
+    positive multiples of the rows of (B^-1)' for the matrix B of those
+    normals, and the rows past the pivots have y'A' = 0: their right blocks
+    span the null space of A."""
+    rows = []
+    for i in range(n):
+        ints, k = scaled_ints([a[i] for a in normals])
+        unit = [0] * n
+        unit[i] = k
+        rows.append(ints + unit)
     return rows, _row_reduce(rows, len(normals))
 
 
@@ -509,8 +537,7 @@ def _extreme_rays(n: int, normals, rows, basis) -> list:
                 if any(common & zero == common for r, zero in rays if r is not p and r is not q):
                     continue
                 w = [vp * cq - vq * cp for cp, cq in zip(p, q)]
-                g = gcd(*w)
-                kept.append((tuple(c // g for c in w), common | bit))
+                kept.append((_primitive_ints(w), common | bit))
         rays = kept
     return [r for r, _ in rays]
 
@@ -749,9 +776,15 @@ def contains(a, b) -> ContainsResult:
 
 
 def _row_reduce(rows, ncols: int) -> list:
-    """Gauss-Jordan elimination, in place, of rational rows over their first
-    `ncols` columns.  Returns the pivot columns in order; the i-th row ends
-    with a unit pivot in the i-th of them and zeros above and below it."""
+    """Gauss-Jordan elimination, in place, of integer rows over their first
+    `ncols` columns.  Returns the pivot columns in order.  The pivots are
+    those of the rational elimination to unit pivots, the first nonzero
+    entry from the current rank down, and every row stays a positive
+    multiple of the row that elimination would hold: the i-th row ends with
+    a positive entry in the i-th pivot column and zeros above and below it.
+    A pivot row is negated when its entry is negative, every row changed is
+    divided by the gcd of its entries, and row r loses row_r[col] / p times
+    the pivot row after being multiplied by p / gcd(p, row_r[col]) > 0."""
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -760,18 +793,28 @@ def _row_reduce(rows, ncols: int) -> list:
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), -1)
         if piv < 0:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        prow = rows[piv]
+        rows[piv] = rows[rank]
+        g = gcd(*prow)
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
+            prow = [v // g for v in prow]
+        rows[rank] = prow
+        p = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f != 0 and r != rank:
+                g = gcd(f, p)
+                a, b = p // g, f // g
+                row = [a * v - b * w for v, w in zip(row, prow)]
+                g = gcd(*row)
+                rows[r] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
     return pivots
 
 
 def span_rank(points) -> int:
     """Rank of the span of the points (exact Gaussian elimination)."""
-    rows = [list(vec_q(p)) for p in points]
+    rows = [scaled_ints(vec_q(p))[0] for p in points]
     return len(_row_reduce(rows, len(rows[0]))) if rows else 0

@@ -3,8 +3,11 @@
 Conventions
 -----------
 * Variables are free (unrestricted) unless bounds are given; internally each
-  variable is split into a difference of two nonnegative variables and bounds
-  become rows.
+  variable is split into a difference x_j = u_j - v_j of two nonnegative
+  variables and bounds become rows.  The tableau stores one column per free
+  variable, u_j's: v_j's column is minus u_j's in every row and in the
+  objective row, so it is implied.  Bland's rule reads the logical indices
+  (u_j = j, v_j = n + j, then the slacks and artificials).
 * Rows are (coeffs, rel, rhs) with rel in {"<=", ">=", "=="}; the objective is
   always maximized.
 * Bland's rule (lowest eligible index enters, lowest basic index leaves), so
@@ -18,9 +21,9 @@ Conventions
 
 Arithmetic
 ----------
-`solve` converts each LP row, coefficients and rhs, to integers once: the
-row times k, the lcm of its denominators.  The tableau and every
-substitution check read those same integer rows.
+`solve` converts each LP row, coefficients and rhs, to integers once with
+`rationals.scaled_ints`: the row times k, the lcm of its denominators.  The
+tableau and every substitution check read those same integer rows.
 
 The simplex loop computes with Python ints only.  Each tableau row, and the
 objective row, is a list of integers over one positive row denominator: the
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InternalInconsistencyError
-from .rationals import Q, ZERO, as_q
+from .rationals import Q, ZERO, as_q, scaled_ints
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELS = (LE, GE, EQ)
@@ -126,7 +129,7 @@ LpOutcome = object  # Optimal | Infeasible | Unbounded
 
 def solve(lp: LinearProgram) -> LpOutcome:
     rows = _int_rows(lp.all_rows())
-    objective = _int_row(lp.objective)
+    objective = scaled_ints(lp.objective)
     tab = _Tableau(lp.num_vars, objective, rows)
     farkas = tab.phase1()
     if farkas is not None:
@@ -149,21 +152,12 @@ def feasible_point(num_vars: int, rows: Sequence):
     return res.primal if isinstance(res, Optimal) else res.feasible_point
 
 
-def _int_row(values):
-    """(ints, k): the rationals times k, the lcm of their denominators, so
-    that ints / k are the values exactly."""
-    k = math.lcm(*[int(v.denominator) for v in values])
-    if k == 1:
-        return [int(v.numerator) for v in values], 1
-    return [int(v.numerator) * (k // int(v.denominator)) for v in values], k
-
-
 def _int_rows(rows):
     """Each row (coeffs, rel, rhs) as (a, b, k, rel): coeffs and rhs times k,
     the lcm of the row's denominators, so that (a, b) / k is the row."""
     out = []
     for coeffs, rel, rhs in rows:
-        (*a, b), k = _int_row([*coeffs, rhs])
+        (*a, b), k = scaled_ints([*coeffs, rhs])
         out.append((a, b, k, rel))
     return out
 
@@ -220,9 +214,9 @@ def _combination(rows, lams, n):
 
 
 def _check_ray(objective, rows, res: Unbounded):
-    ok = _satisfies(rows, *_int_row(res.feasible_point))
+    ok = _satisfies(rows, *scaled_ints(res.feasible_point))
     if ok:
-        ray, _ = _int_row(res.ray)  # a positive multiple of the ray
+        ray, _ = scaled_ints(res.ray)  # a positive multiple of the ray
         for a, _, _, rel in rows:
             d = _dot(a, ray)
             ok &= (rel == LE and d <= 0) or (rel == GE and d >= 0) or (rel == EQ and d == 0)
@@ -233,7 +227,7 @@ def _check_ray(objective, rows, res: Unbounded):
 
 def _check_optimal(objective, rows, res: Optimal):
     c, kc = objective
-    xs, d = _int_row(res.primal)
+    xs, d = scaled_ints(res.primal)
     ok = _satisfies(rows, xs, d)
     vn, vd = int(res.value.numerator), int(res.value.denominator)
     ok &= _dot(c, xs) * vd == vn * kc * d
@@ -250,10 +244,13 @@ def _check_optimal(objective, rows, res: Optimal):
 
 
 def _eliminate(row, den, col, prow, pden):
-    """row - (row[col] / pden) * prow over a positive denominator, for a pivot
-    row whose entry prow[col] equals pden (the rational 1)."""
+    """row - (row[col] / prow[col]) * prow over a positive denominator, for a
+    pivot row whose entry prow[col] is +-pden (the rational +-1): the sign is
+    the pivot entry's, -1 when the pivot column is a free variable's v_j."""
     g = math.gcd(row[col], pden)
     a, b = pden // g, row[col] // g
+    if prow[col] < 0:
+        b = -b
     return _reduced([x * a - b * y for x, y in zip(row, prow)], den * a)
 
 
@@ -268,6 +265,13 @@ class _Tableau:
     """Equality-form tableau built from the integer rows (a, b, k, rel) that
     `solve` converted once, and the objective as (ints, k).
 
+    Columns have logical indices, which Bland's rule and the ratio test's
+    tie-break read: u_j = j and v_j = n + j for the free variables x_j =
+    u_j - v_j, then the slacks and the artificials from 2n on.  Row
+    operations keep v_j's column minus u_j's in every row, so only u_j's is
+    stored: logical column c < n is stored at c, c >= 2n at c - n, and v_j
+    is read as minus the entry stored at j.
+
     Row i is the integer list self.rows[i] over the positive denominator
     self.dens[i]; the objective row of the current phase is likewise self.obj
     over self.obj_den.  Row i's multiplier is read off the column that was
@@ -279,7 +283,7 @@ class _Tableau:
     """
 
     def __init__(self, num_vars: int, objective, rows):
-        self.objective = objective  # (ints, k) as from _int_row
+        self.objective = objective  # (ints, k) as from scaled_ints
         n = self.n = num_vars
         m = self.m = len(rows)
 
@@ -291,7 +295,8 @@ class _Tableau:
             oriented.append((a, b, k, rel))
 
         # Equality form with slack columns for "<=" rows, then rhs-sign fix.
-        # sigma[i] is the factor applied after slacks were added.
+        # sigma[i] is the factor applied after slacks were added.  Column
+        # indices are logical.
         self.slack_col = [-1] * m
         ncols = 2 * n  # u, v split of the free variables
         for i, (*_, rel) in enumerate(oriented):
@@ -303,12 +308,12 @@ class _Tableau:
         body_cols = ncols
 
         # The slack and artificial entries of a row are its k, so that
-        # ints / k is the rational row.
+        # ints / k is the rational row.  Stored columns: u, then slacks.
         eq_rows = []
         for i, (a, b, k, _) in enumerate(oriented):
-            row = a + [-c for c in a] + [0] * (body_cols - 2 * n)
+            row = a + [0] * (body_cols - 2 * n)
             if self.slack_col[i] >= 0:
-                row[self.slack_col[i]] = k
+                row[self.slack_col[i] - n] = k
             if b < 0:
                 self.sigma[i] = -1
                 row = [-c for c in row]
@@ -329,49 +334,73 @@ class _Tableau:
         self.first_art = body_cols
         self.ncols = ncols
 
-        # Row layout: [columns..., rhs]
+        # Row layout: [stored columns..., rhs]
         self.rows = []
         self.dens = []
         for i, (row, b, k) in enumerate(eq_rows):
             full = row + [0] * (ncols - body_cols) + [b]
             if self.art_col[i] >= 0:
-                full[self.art_col[i]] = k
+                full[self.art_col[i] - n] = k
             self.rows.append(full)
             self.dens.append(k)
-        self.rhs_idx = ncols
+        self.rhs_idx = ncols - n
+
+    def _stored(self, col) -> tuple:
+        """(stored index, sign) of a logical column: v_j is minus u_j."""
+        n = self.n
+        if col < n:
+            return col, 1
+        return col - n, -1 if col < 2 * n else 1
 
     def _price_out(self):
         for i, col in enumerate(self.basis):
-            if self.obj[col] != 0:
+            p, _ = self._stored(col)
+            if self.obj[p] != 0:
                 self.obj, self.obj_den = _eliminate(
-                    self.obj, self.obj_den, col, self.rows[i], self.dens[i]
+                    self.obj, self.obj_den, p, self.rows[i], self.dens[i]
                 )
 
     def _pivot(self, i, col):
+        """Pivot on row i and logical column col: the row is scaled so that
+        col's entry is the rational 1 (u_j's entry -1 for a v_j pivot)."""
+        p, sign = self._stored(col)
         row = self.rows[i]
-        if row[col] < 0:
+        if row[p] * sign < 0:
             row = [-c for c in row]
-        row, den = _reduced(row, row[col])
+        row, den = _reduced(row, row[p] * sign)
         self.rows[i], self.dens[i] = row, den
         for k, other in enumerate(self.rows):
-            if k != i and other[col] != 0:
-                self.rows[k], self.dens[k] = _eliminate(other, self.dens[k], col, row, den)
-        if self.obj[col] != 0:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, col, row, den)
+            if k != i and other[p] != 0:
+                self.rows[k], self.dens[k] = _eliminate(other, self.dens[k], p, row, den)
+        if self.obj[p] != 0:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, p, row, den)
         self.basis[i] = col
 
-    def _iterate(self, allowed_cols):
-        """Bland's-rule loop.  Returns None at optimum, or the entering column
-        of an unbounded improving direction.  Denominators are positive, so
-        signs are read off the ints and the ratio test cross-multiplies."""
+    def _entering(self, end):
+        """Bland's rule: the lowest logical column below `end` whose
+        objective entry is positive, or -1.  v_j's entry is minus u_j's."""
+        obj, n = self.obj, self.n
+        enter = next((j for j in range(n) if obj[j] > 0), -1)
+        if enter < 0:
+            enter = next((n + j for j in range(n) if obj[j] < 0), -1)
+        if enter < 0:
+            enter = next((p + n for p in range(n, end - n) if obj[p] > 0), -1)
+        return enter
+
+    def _iterate(self, end):
+        """Bland's-rule loop over the logical columns below `end`.  Returns
+        None at optimum, or the entering column of an unbounded improving
+        direction.  Denominators are positive, so signs are read off the ints
+        and the ratio test cross-multiplies."""
         rhs = self.rhs_idx
         while True:
-            enter = next((j for j in allowed_cols if self.obj[j] > 0), -1)
+            enter = self._entering(end)
             if enter < 0:
                 return None
+            p, sign = self._stored(enter)
             leave = -1
             for i, row in enumerate(self.rows):
-                a = row[enter]
+                a = row[p] * sign
                 # ratio row[rhs] / a below best_b / best_a, ties to the lower basic index
                 if a > 0 and (
                     leave < 0
@@ -386,33 +415,37 @@ class _Tableau:
         """Oriented-row multipliers lam_i = y_i * sigma_i.  The objective entry
         of row i's starting column is its cost minus y_i: art_cost (-obj_den in
         phase 1, 0 in phase 2) for an artificial, 0 for a slack."""
+        n = self.n
         return [
-            Q((art_cost * (col >= self.first_art) - self.obj[col]) * s, self.obj_den)
+            Q((art_cost * (col >= self.first_art) - self.obj[col - n]) * s, self.obj_den)
             for col, s in zip(self.start, self.sigma)
         ]
 
     def phase1(self) -> Optional[list]:
         if all(c < 0 for c in self.art_col):
             return None
-        self.obj, self.obj_den = [0] * (self.ncols + 1), 1
+        n = self.n
+        self.obj, self.obj_den = [0] * (self.rhs_idx + 1), 1
         for c in self.art_col:
             if c >= 0:
-                self.obj[c] = -1
+                self.obj[c - n] = -1
         self._price_out()
-        if self._iterate(range(self.ncols)) is not None:  # pragma: no cover - bounded above by 0
+        if self._iterate(self.ncols) is not None:  # pragma: no cover - bounded above by 0
             raise InternalInconsistencyError("phase 1 cannot be unbounded")
         if self.obj[self.rhs_idx] != 0:
             # Optimal phase-1 value y'b is negative; the multipliers,
             # re-signed for the oriented rows, are the Farkas vector.
             return self._multipliers(-self.obj_den)
         # Drive degenerate artificials out of the basis; drop dependent rows.
+        # The lowest logical column with a nonzero entry is stored first:
+        # v_j is zero where u_j is.
         drop = []
         for i in range(len(self.rows)):
             if self.basis[i] >= self.first_art:
                 row = self.rows[i]
-                piv = next((j for j in range(self.first_art) if row[j] != 0), -1)
+                piv = next((p for p in range(self.first_art - n) if row[p] != 0), -1)
                 if piv >= 0:
-                    self._pivot(i, piv)
+                    self._pivot(i, piv if piv < n else piv + n)
                 else:
                     drop.append(i)
         for i in reversed(drop):
@@ -424,14 +457,15 @@ class _Tableau:
     def phase2(self):
         n = self.n
         c, self.obj_den = self.objective
-        self.obj = c + [-x for x in c] + [0] * (self.ncols + 1 - 2 * n)
+        self.obj = c + [0] * (self.rhs_idx + 1 - n)
         self._price_out()
-        enter = self._iterate(range(self.first_art))  # artificials stay out
+        enter = self._iterate(self.first_art)  # artificials stay out
         if enter is not None:
+            p, sign = self._stored(enter)
             ray_z = {enter: Q(1)}
             for i, row in enumerate(self.rows):
-                if row[enter] != 0:
-                    ray_z[self.basis[i]] = Q(-row[enter], self.dens[i])
+                if row[p] != 0:
+                    ray_z[self.basis[i]] = Q(-row[p] * sign, self.dens[i])
             ray = [ray_z.get(j, ZERO) - ray_z.get(n + j, ZERO) for j in range(n)]
             return Unbounded(ray=ray, feasible_point=self._primal())
         # The priced-out objective row holds c - y'A with rhs entry -y'b, and

@@ -1,8 +1,13 @@
 """Exact rational scalars, extended reals and symbolic -sqrt values.
 
 Everything on the certification path computes exactly.  Q is gmpy2.mpq when
-gmpy2 is installed and fractions.Fraction otherwise.  The simplex in `lp` does
-not compute with Q: it works on Python ints and builds Q results at the end.
+gmpy2 is installed and fractions.Fraction otherwise.  The exact kernels
+do not compute with Q: they scale a rational vector to integers over one
+common denominator (`scaled_ints`), work on Python ints and build Q results
+at the end.  That holds for the simplex in `lp`, the elimination in `cones`,
+and the dot products and linear combinations here: `qdot` is one integer dot
+product over the lcm-scaled numerators of its two vectors, and `lincomb` one
+integer combination per coordinate, each made one Q at the end.
 Floats are rejected at the boundary: callers that have float data must
 rationalize it explicitly and own the rounding decision.
 """
@@ -10,6 +15,7 @@ rationalize it explicitly and own the rounding decision.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from typing import Iterable, Sequence, Union
@@ -101,21 +107,39 @@ def vec_q(values: Iterable[QLike]) -> tuple:
     return tuple(as_q(v) for v in values)
 
 
+def scaled_ints(values) -> tuple:
+    """(ints, k): the rationals (or ints) times k, the lcm of their
+    denominators, so that ints / k are the values exactly."""
+    k = math.lcm(*[int(v.denominator) for v in values])
+    if k == 1:
+        return [int(v.numerator) for v in values], 1
+    return [int(v.numerator) * (k // int(v.denominator)) for v in values], k
+
+
 def lincomb(coeffs: Sequence, vectors: Sequence, n: int) -> tuple:
     """sum_j coeffs_j * vectors_j, coordinate by coordinate, over n
-    coordinates (the zero vector when there are no terms)."""
+    coordinates (the zero vector when there are no terms): one integer
+    combination over the common denominators of the coefficients and of the
+    vectors, and one Q per coordinate."""
+    terms = list(zip(coeffs, vectors))
+    if not terms:
+        return (ZERO,) * n
+    cs, kc = scaled_ints([c for c, _ in terms])
+    flat, kv = scaled_ints([v[k] for _, v in terms for k in range(n)])
+    den = kc * kv
     return tuple(
-        sum((c * v[k] for c, v in zip(coeffs, vectors)), ZERO) for k in range(n)
+        Q(sum(map(operator.mul, cs, flat[k::n])), den) for k in range(n)
     )
 
 
 def qdot(a: Sequence, b: Sequence) -> Q:
+    """a'b as one integer dot product over the common denominators of a and
+    of b, made one Q at the end."""
     if len(a) != len(b):
         raise ValueError(f"dot of length {len(a)} vs {len(b)}")
-    total = ZERO
-    for x, y in zip(a, b):
-        total += x * y
-    return total
+    xs, ka = scaled_ints(a)
+    ys, kb = scaled_ints(b)
+    return Q(sum(map(operator.mul, xs, ys)), ka * kb)
 
 
 class _Infinity:

@@ -8,8 +8,10 @@ normals this is the Farkas dual of the implication test the library runs, so
 the two formulations check each other.  `reference_dd_convert` runs the
 replaced double description, +-axis slices pruned with LPs, and reads the
 canonical form of a cone with lineality off the generators it finds.
-`greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced in
-`Polytope`.  `reference_separate` is the separation LP that
+`reference_row_reduce` is the rational Gauss-Jordan elimination that the
+integer elimination of `cones` replaced; `reference_dd_convert` reads its
+lineality basis with it.  `greedy_vertices` runs the greedy loop that
+Clarkson's algorithm replaced in `Polytope`.  `reference_separate` is the separation LP that
 `cones.min_max_direction` replaced in `membership`.  `boxed_max` is the
 boxed H-cone LP that `zero_interior` and the H-cone branch of
 `cones.contains` ran before positive spanning and Farkas multipliers took
@@ -30,7 +32,6 @@ from mosipcert.cones import (
     NotMember,
     Polytope,
     _irredundant,
-    _row_reduce,
     _unit,
     box_rows,
     contains,
@@ -40,6 +41,32 @@ from mosipcert.cones import (
 )
 from mosipcert.errors import InternalInconsistencyError
 from mosipcert.rationals import ONE, ZERO, qdot, vec_q
+
+
+# The rational Gauss-Jordan elimination that `mosipcert.cones` replaced by
+# its integer elimination, kept verbatim as the reference of the
+# differential tests.
+def reference_row_reduce(rows, ncols: int) -> list:
+    """Gauss-Jordan elimination, in place, of rational rows over their first
+    `ncols` columns.  Returns the pivot columns in order; the i-th row ends
+    with a unit pivot in the i-th of them and zeros above and below it."""
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), -1)
+        if piv < 0:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return pivots
 
 
 def _prune(kept: list, redundant) -> list:
@@ -107,7 +134,7 @@ def reference_dd_convert(dim: int, normals) -> tuple:
     pruned, give the extreme rays of the pointed part."""
     gens = _sliced_generators(dim, normals)
     basis = [list(g) for g in gens if _in_cone(tuple(-c for c in g), gens)]
-    basis = [primitive(b) for b in basis[: len(_row_reduce(basis, dim))]]
+    basis = [primitive(b) for b in basis[: len(reference_row_reduce(basis, dim))]]
     lines = basis + [tuple(-c for c in b) for b in basis]
     ortho = []  # Gram-Schmidt: an orthogonal basis of L
     for b in basis:

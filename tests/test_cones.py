@@ -18,6 +18,7 @@ from helpers_cones import (
     reference_hcone_contains,
     reference_nontrivial_direction,
     reference_rays,
+    reference_row_reduce,
     reference_separate,
     reference_vertices,
     reference_zero_inside,
@@ -46,7 +47,7 @@ from mosipcert.cones import (
 from mosipcert.errors import UnsupportedDimensionError
 from mosipcert.instances import FIXTURE_BUILDERS
 from mosipcert.problem import CandidatePoint
-from mosipcert.rationals import Q, qdot, vec_q
+from mosipcert.rationals import Q, qdot, scaled_ints, vec_q
 
 SEED = 987123
 
@@ -580,6 +581,81 @@ def test_span_rank_frozen() -> None:
     assert span_rank([[-1, 0]]) == 1
     assert span_rank([[0, 0]]) == 0
     assert span_rank([[1, 0, 0], [1, 1, 0], [2, 1, 0]]) == 2
+
+
+ELIMINATION_DENOMINATORS = [1, 1, 2, 3, 7, 10**9 + 7]
+
+
+def _elimination_matrix(rng: random.Random) -> tuple:
+    """(rows, ncols, features): a rational matrix with integer or rational
+    entries (denominators up to 10**9 + 7), now and then a zero column and
+    a row that depends on the others, with more rows than columns or fewer."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    integer = rng.random() < 0.3
+    rows = [
+        [Q(rng.randint(-4, 4), 1 if integer else rng.choice(ELIMINATION_DENOMINATORS))
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    features = {"integer" if integer else "rational"}
+    if ncols > 1 and rng.random() < 0.4:
+        zero = rng.randrange(ncols)
+        for row in rows:
+            row[zero] = Q(0)
+        features.add("zero column")
+    if nrows > 1 and rng.random() < 0.5:
+        f, g = (Q(rng.randint(-3, 3), rng.choice(ELIMINATION_DENOMINATORS)) for _ in range(2))
+        a, b = rng.sample(range(nrows), 2)
+        rows[rng.randrange(nrows)] = [f * x + g * y for x, y in zip(rows[a], rows[b])]
+        features.add("dependent row")
+    if nrows != ncols:
+        features.add("more rows" if nrows > ncols else "fewer rows")
+    return rows, ncols, features
+
+
+def _positive_multiple(ints, ref) -> bool:
+    """ints = c * ref for some rational c > 0, or both are zero."""
+    j = next((j for j, x in enumerate(ref) if x != 0), -1)
+    if j < 0:
+        return all(x == 0 for x in ints)
+    c = Q(ints[j]) / ref[j]
+    return c > 0 and all(x == c * y for x, y in zip(ints, ref))
+
+
+def test_integer_elimination_matches_the_rational_reference() -> None:
+    # the same pivots as the rational Gauss-Jordan elimination, and every row
+    # a positive multiple of its row, so signs, the lineality basis and every
+    # primitive ray of the double description are unchanged; both over all
+    # columns and, as `_eliminate` does, over a leading block of them
+    rng = random.Random(f"{SEED}:elimination")
+    seen = set()
+    for _ in range(300):
+        rows, ncols, features = _elimination_matrix(rng)
+        seen |= features
+        for width in sorted({ncols, rng.randint(1, ncols)}):
+            ref = [list(row) for row in rows]
+            ints = [scaled_ints(row)[0] for row in rows]
+            assert cones._row_reduce(ints, width) == reference_row_reduce(ref, width)
+            assert all(type(x) is int for row in ints for x in row)
+            assert all(_positive_multiple(z, r) for z, r in zip(ints, ref))
+    assert seen == {"integer", "rational", "zero column", "dependent row", "more rows", "fewer rows"}
+
+
+def test_eliminate_matches_the_rational_reference() -> None:
+    # [A' | I] with the identity block scaled with its row, for rational
+    # normals (as `zero_interior` passes them) and integer ones (`dd_convert`)
+    rng = random.Random(f"{SEED}:eliminate")
+    for _ in range(100):
+        rows, dim, _ = _elimination_matrix(rng)
+        normals = [tuple(row) for row in rows]
+        if rng.random() < 0.3:
+            normals = [tuple(scaled_ints(a)[0]) for a in normals]
+        ref = [[Q(a[i]) for a in normals] + [Q(int(j == i)) for j in range(dim)]
+               for i in range(dim)]
+        ref_pivots = reference_row_reduce(ref, len(normals))
+        ints, pivots = cones._eliminate(dim, normals)
+        assert pivots == ref_pivots
+        assert all(_positive_multiple(z, r) for z, r in zip(ints, ref))
 
 
 # ---------------------------------------------------------------------------

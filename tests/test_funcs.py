@@ -1,9 +1,12 @@
 """Convex-function calculus: frozen values, subgradient inequality, the
-max-formula for directional derivatives, and serialization round trips."""
+max-formula for directional derivatives, and serialization round trips; and
+the rational helpers it computes with (`as_q`, `qdot`, `lincomb`)."""
 
 from __future__ import annotations
 
+import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from mosipcert.funcs import (
     subdiff_set,
 )
 from mosipcert.oracle import _vector_eval
-from mosipcert.rationals import NEG_INF, POS_INF, NegSqrt, Q, as_q, qdot
+from mosipcert.rationals import NEG_INF, POS_INF, NegSqrt, Q, as_q, lincomb, qdot
 
 
 def float_at(f, x) -> float:
@@ -254,6 +257,60 @@ def test_as_q_returns_a_q_unchanged_and_still_refuses_floats():
         as_q([1, 2.0])
     with pytest.raises(ParseError):
         as_q([1, 0])
+
+
+def _fraction_fold_dot(a, b):
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def _fraction_fold_lincomb(coeffs, vectors, n):
+    return tuple(
+        sum((Fraction(c) * Fraction(v[k]) for c, v in zip(coeffs, vectors)), Fraction(0))
+        for k in range(n)
+    )
+
+
+def _random_entry(rng: random.Random, kind: str):
+    """An int, a Q, or either; denominators up to 10**9 + 7 and numerators
+    up to 10**12."""
+    if kind == "mixed":
+        kind = rng.choice(["int", "q"])
+    num = rng.choice([rng.randint(-5, 5), rng.randint(-10**12, 10**12)])
+    if kind == "int":
+        return num
+    return Q(num, rng.choice([1, 2, 3, 7, 10**9 + 7, 10**18 + 9]))
+
+
+@pytest.mark.parametrize("kind", ["int", "q", "mixed"])
+def test_qdot_and_lincomb_match_the_fraction_fold(kind):
+    # one integer dot product (or combination) over common denominators gives
+    # the value of the Fraction fold, as a Q
+    rng = random.Random(f"qdot:{kind}")
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        a = [_random_entry(rng, kind) for _ in range(n)]
+        b = [_random_entry(rng, kind) for _ in range(n)]
+        value = qdot(a, b)
+        assert type(value) is Q and value == _fraction_fold_dot(a, b)
+        terms = rng.randint(0, 4)
+        coeffs = [_random_entry(rng, kind) for _ in range(terms)]
+        vectors = [tuple(_random_entry(rng, kind) for _ in range(n)) for _ in range(terms)]
+        combo = lincomb(coeffs, vectors, n)
+        assert type(combo) is tuple and len(combo) == n
+        assert all(type(c) is Q for c in combo)
+        assert combo == _fraction_fold_lincomb(coeffs, vectors, n)
+
+
+def test_qdot_and_lincomb_edge_cases():
+    assert qdot([], []) == 0 and type(qdot([], [])) is Q
+    assert lincomb([], [], 3) == (0, 0, 0) and all(type(c) is Q for c in lincomb([], [], 3))
+    big = Q(1, 10**40 + 1)
+    assert qdot([big, Q(1, 3)], [big, 3]) == big * big + 1
+    assert lincomb([big, -big], [(1, Q(1, 10**30)), (1, 0)], 2) == (0, big / 10**30)
+    with pytest.raises(ValueError, match="dot of length"):
+        qdot([1, 2], [1])
+    with pytest.raises(ValueError, match="dot of length"):
+        qdot([], [Q(1)])
 
 
 def test_as_q_refuses_an_exponent_beyond_the_int_digit_limit():

@@ -391,13 +391,13 @@ CORRUPTIONS = {
 )
 def test_each_row_is_converted_to_integers_once(prog, monkeypatch) -> None:
     seen = []
-    real = lp._int_row
+    real = lp.scaled_ints
 
     def counted(values):
         seen.append(tuple(values))
         return real(values)
 
-    monkeypatch.setattr(lp, "_int_row", counted)
+    monkeypatch.setattr(lp, "scaled_ints", counted)
     res = solve(prog)
     rows = Counter(tuple([*coeffs, b]) for coeffs, _, b in prog.all_rows())
     assert Counter(v for v in seen if v in rows) == rows

@@ -88,6 +88,40 @@ def test_double_description_makes_no_lp():
     assert found == {name: set() for name in LP_FREE}
 
 
+INTEGER_KERNELS = {
+    "cones": ("_row_reduce", "_eliminate", "_lineality", "_extreme_rays"),
+    "lp": ("_eliminate", "_reduced", "_Tableau._pivot", "_Tableau._iterate",
+           "_Tableau._entering", "_Tableau._price_out"),
+}
+RATIONAL_NAMES = {"Q", "as_q", "ONE", "ZERO", "Fraction"}
+
+
+def _functions(path: Path) -> dict:
+    """Top-level functions and class methods by name, a method as
+    `Class.method`."""
+    found = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def test_exact_kernels_compute_in_integers():
+    # the elimination of the double description and the pivoting of the
+    # simplex work on Python ints; a rational creeping back into them would
+    # bring back one Fraction operation per entry
+    found = {}
+    for module, names in INTEGER_KERNELS.items():
+        funcs = _functions(SRC / f"{module}.py")
+        for name in names:
+            found[f"{module}.{name}"] = _kind_names(funcs[name]) & RATIONAL_NAMES
+    assert found == {f"{m}.{n}": set() for m, names in INTEGER_KERNELS.items() for n in names}
+
+
 def _lp_builders(path: Path) -> set:
     """(module, function) of each function that calls `LinearProgram` or
     `lp.LinearProgram`."""
