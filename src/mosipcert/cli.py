@@ -34,8 +34,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .problem import CandidatePoint, IndexedFamily, MosipProblem, load_problem
-from .quals import jsonify
-from .rationals import Q, as_q
+from .rationals import Q, as_q, jsonify
 
 SUBCOMMANDS = ("quals", "certify", "gap", "classify", "report")
 FORMATS = ("json", "table")

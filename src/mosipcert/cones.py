@@ -5,15 +5,17 @@ interior tests.
 Every question of the form "is the target a convex combination of these
 points plus a conic combination of these generators" is one call to
 `decompose`, the package's only decomposition LP: `contains`, `cone_member`,
-`subspace_escape`, the first LP of `membership`, the KKT searches in `kkt`
-and the gap zero search in `gap`.  `hull_terms` reads its weights back per
-block of points.  When no weights exist, the Farkas vector of the infeasible
-LP is a direction, and `subspace_escape` and `contains` return it as their
-witness.  Its converse, "which direction strictly separates 0 from
-conv(points) + cone(generators)", is one call to `min_max_direction`, the
-only separation LP: `membership` shifts the points by the target, MFCQ,
-PMFCQ and COCQ read their directions off it, and weak and strong KKT decide
-0 in F* + G* with it.
+`subspace_escape`, the first LP of `membership` (whose one caller checks
+the subgradient selections of `gap.gap_eval`), the zero decomposition that
+refutes MFCQ and COCQ (`problem.CandidatePoint.zero_decomposition`), the
+KKT searches in `kkt` and the gap zero search in `gap`.  `hull_terms` reads
+its weights back per block of points.  When no weights exist, the Farkas
+vector of the infeasible LP is a direction, and `subspace_escape` and
+`contains` return it as their witness.  Its converse, "which direction
+strictly separates 0 from conv(points) + cone(generators)", is one call to
+`min_max_direction`, the only separation LP: `membership` shifts the points
+by the target, MFCQ, PMFCQ and COCQ read their directions off it, and weak
+and strong KKT decide 0 in F* + G* with it.
 
 Interior and containment ask no boxed LP.  0 is interior to conv(V) +
 cone(R) exactly when V u R positively spans n-space (Davis 1954): rank n,
@@ -44,8 +46,8 @@ The public constructors prune with LPs.  Rays that are canonical already go
 through the one private constructor `_canonical`, with no LP: `polar` (a
 cone's canonical generators are its polar's canonical normals, and back),
 the output of `dd_convert`, and the rays a candidate point keeps per sorted
-primitive set (`problem.CandidatePoint.cone`), which depend on that set
-alone.  Rows that are only read by another LP need no canonical form:
+primitive integer set (`problem.CandidatePoint.cone`), which depend on that
+set alone.  Rows that are only read by another LP need no canonical form:
 `Halfspaces` hands them to `dd_convert` unpruned.
 
 `dd_convert` is one double description with no LP, and its generators
@@ -218,23 +220,23 @@ def _primitive_int_set(dim: int, vectors, what: str) -> list:
     return sorted(prims)
 
 
-def _primitive_set(dim: int, vectors, what: str) -> list:
-    """Primitive integer scaling as rationals, zeros dropped, duplicates
-    merged, sorted."""
-    return [tuple(Q(c) for c in p) for p in _primitive_int_set(dim, vectors, what)]
+def _pruned_rays(prims) -> tuple:
+    """The canonical rays of a primitive integer set: pruned, as rationals."""
+    return tuple(tuple(Q(c) for c in r) for r in _irredundant(prims))
 
 
 def _canonical_rays(dim: int, vectors, what: str) -> tuple:
     """The shared canonical form of generators and normals: the primitive
-    set, pruned."""
-    return tuple(_irredundant(_primitive_set(dim, vectors, what)))
+    integer set, pruned."""
+    return _pruned_rays(_primitive_int_set(dim, vectors, what))
 
 
 def decompose(target, hulls, cones=(), margin=False):
     """Nonnegative weights writing `target` as a combination of the columns
     of `hulls` and `cones` (each a sequence of blocks of vectors) whose hull
     weights sum to 1.  This is the one decomposition LP of the package:
-    membership, the KKT searches and the gap zero search all call it.
+    membership, the zero decomposition of MFCQ and COCQ, the KKT searches
+    and the gap zero search all call it.
 
     Rows, in this order: one equality per coordinate, columns in block order
     with the hull blocks first; the simplex row over every hull column (only

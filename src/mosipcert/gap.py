@@ -30,7 +30,6 @@ from .errors import (
 from .funcs import subdiff_set
 from .kkt import selection_issues
 from .problem import CandidatePoint, MosipProblem
-from .quals import jsonify
 from .rationals import (
     NEG_INF,
     ONE,
@@ -39,6 +38,7 @@ from .rationals import (
     ZERO,
     as_q,
     float_to_q,
+    jsonify,
     lincomb,
     q_from_pair,
     qdot,

@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .cones import (
-    FGCone,
-    GenConvexSet,
-    decompose,
-    hull_terms,
-    zero_interior,
-)
+from .cones import decompose, hull_terms
 from .errors import InternalInconsistencyError, ModelError, ParseError
 from .funcs import subdiff, subdiff_set
 from .problem import (
@@ -32,8 +26,8 @@ from .problem import (
     MosipProblem,
     g_data_provenance,
 )
-from .quals import DEFAULT_EPS_GRID, HOLDS, QualReport, jsonify
-from .rationals import ONE, ZERO, Q, as_q, json_int, lincomb, q_from_pair
+from .quals import DEFAULT_EPS_GRID, HOLDS, QualReport
+from .rationals import ONE, ZERO, Q, as_q, json_int, jsonify, lincomb, q_from_pair
 
 WEAK = "Weak"
 STRONG = "Strong"
@@ -338,23 +332,13 @@ def isolation_inclusion_report(
         return None
     nu = as_q(nu)
     rows = []
-    solved = {}  # eps-active index set -> its zero_interior result
     for eps in eps_grid:
-        active = tuple(cp.active(eps))
-        if active not in solved:
-            grads = []
-            for t in active:
-                ss = cp.constraint_subdiff(t)
-                if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
-                    return None
-                grads.append(ss.base.vertices[0])
-            # over the active set itself the cone is G*, whose answer the point keeps
-            solved[active] = (
-                cp.zero_interior()
-                if active == cp.T
-                else zero_interior(GenConvexSet(cp.F_star, FGCone(p.dimension, grads)))
-            )
-        zi = solved[active]
+        for t in cp.active(eps):
+            ss = cp.constraint_subdiff(t)
+            if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
+                return None
+        # the cone of the eps-active gradients; the point keeps one answer per set
+        zi = cp.zero_interior(eps)
         rows.append(
             {
                 "eps": eps,

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ModelError
 from .funcs import NegSqrtParabola1D, affine_pieces, evaluate
 from .problem import MosipProblem, constraint_values
-from .quals import jsonify
-from .rationals import Q, as_q, vec_q
+from .rationals import Q, as_q, jsonify, vec_q
 
 FLOAT_SLACK = 1e-9
 _NEAR_ZERO = 1e-12

@@ -33,10 +33,11 @@ from .cones import (
     Polytope,
     ZeroInterior,
     _canonical,
-    _irredundant,
-    _primitive_set,
+    _primitive_int_set,
+    _pruned_rays,
     contains,
     dd_convert,
+    decompose,
     min_max_direction,
     polar,
     subspace_escape,
@@ -57,7 +58,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import Q, as_q, json_int, q_from_pair, qdot, vec_q
+from .rationals import ZERO, Q, as_q, json_int, q_from_pair, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -184,7 +185,9 @@ MAX_TRUNCATION = 100_000
 @dataclass(frozen=True)
 class IndexedFamily:
     """A builtin infinite family materialized on indices 0 .. truncation-1
-    (at most MAX_TRUNCATION members)."""
+    (at most MAX_TRUNCATION members).  No builtin family has parameters, so
+    `params` must be empty: a parameter would otherwise be silently
+    ignored."""
 
     family: str
     params: dict
@@ -198,7 +201,9 @@ class IndexedFamily:
             raise ModelError("truncation must be at least 1")
         if truncation > MAX_TRUNCATION:
             raise ModelError(f"truncation {truncation} exceeds {MAX_TRUNCATION}")
-        params = dict(params or {})
+        if params:
+            raise ModelError(f"constraint family {family!r} takes no params")
+        params = {}
         fns = BUILTIN_FAMILIES[family](params, truncation)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
@@ -386,10 +391,11 @@ def _kept(derived: dict, key, compute):
 
 def _kept_cone(derived: dict, cls, dim: int, vectors):
     """cls(dim, vectors), an FGCone or an HCone, its rays kept in `derived`
-    under the sorted primitive set: the canonical form depends on that set
-    alone, so a set asked again, as generators or as normals, runs no LP."""
-    prims = tuple(_primitive_set(dim, vectors, "generator" if cls is FGCone else "normal"))
-    return _canonical(cls, dim, _kept(derived, ("rays", prims), lambda: tuple(_irredundant(prims))))
+    under the sorted primitive integer set: the canonical form depends on
+    that set alone, so a set asked again, as generators or as normals, runs
+    no LP."""
+    prims = tuple(_primitive_int_set(dim, vectors, "generator" if cls is FGCone else "normal"))
+    return _canonical(cls, dim, _kept(derived, ("rays", prims), lambda: _pruned_rays(prims)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +448,17 @@ class CandidatePoint:
     * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
       description (WADQ, EADQ);
     * ``cone(cls, vectors)``, the FGCone or HCone of the vectors, whose rays
-      are kept per sorted primitive set: G*, C and N in `build`, and KTCQ's
-      envelope cone, take them from one entry, since random and bundled
-      instances often ask one set as generators and as normals;
+      are kept per sorted primitive integer set: G*, C and N in `build`,
+      KTCQ's envelope cone and the isolation report's cones take them from
+      one entry, since random and bundled instances often ask one set as
+      generators and as normals;
     * ``support_escape()``, `subspace_escape` of the F* vertices and G*
       generators: None exactly when the support cone of F* + G* is a
       subspace (strong KKT's ri test, and `zero_interior` at rank n);
-    * ``zero_interior()``, whether 0 is interior to F* + G*, with its
-      certified radius (perturbed KKT and gap check, isolation report);
+    * ``zero_interior(eps)``, whether 0 is interior to F* plus the cone of
+      the eps-active subgradient union, with its certified radius, kept per
+      eps-active set; at eps = 0 that cone is G* (perturbed KKT and gap
+      check), and the isolation report asks each set of its eps grid;
     * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
     * ``union_min_max(eps)``, `min_max` over that union, kept per
       eps-active set too, so a long eps grid hashes index tuples, not
@@ -459,9 +468,12 @@ class CandidatePoint:
       direction when 0 is outside (MFCQ, PMFCQ and COCQ over their subgradient
       unions; weak and strong KKT over the canonical F* vertices and G*
       generators);
-    * checkers in other modules keep their own shared questions with
-      ``kept(key, compute)``: `quals` keys the zero decomposition by its
-      input points and generators (MFCQ, COCQ).
+    * ``zero_decomposition(points, gens)``, beside it under the same input:
+      the weights writing 0 over conv(points) + cone(gens) when `min_max`
+      finds 0 inside (the Fails witness of MFCQ and COCQ, shared when their
+      inputs coincide).
+
+    No other module keeps a memo or knows a key of the store.
 
     A refused computation (UnsupportedOperationError for an irrational
     subdifferential, UnsupportedDimensionError above the double description
@@ -529,11 +541,6 @@ class CandidatePoint:
             derived=derived,
         )
 
-    def kept(self, key, compute):
-        """The stored value under `key`, computed by `compute()` on the first
-        request; a refusal it raises is not stored."""
-        return _kept(self.derived, key, compute)
-
     def cone(self, cls, vectors):
         """cls(dimension, vectors), an FGCone or an HCone, with its rays kept
         per sorted primitive set."""
@@ -545,13 +552,13 @@ class CandidatePoint:
         return self.derived["g_values"]
 
     def objective_subdiff(self, i: int) -> Polytope:
-        return self.kept(
-            ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
+        return _kept(
+            self.derived, ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
         )
 
     def constraint_subdiff(self, k: int) -> GenConvexSet:
-        return self.kept(
-            ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
+        return _kept(
+            self.derived, ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
         )
 
     def psi_subdiff(self) -> Optional[GenConvexSet]:
@@ -580,7 +587,7 @@ class CandidatePoint:
             base, rec = _union(self.constraint_subdiff(k) for k in argmax)
             return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
 
-        return self.kept("psi", compute)
+        return _kept(self.derived, "psi", compute)
 
     def g_polar(self) -> tuple:
         """(HCone, provenance, source): the negative polar of the
@@ -594,7 +601,7 @@ class CandidatePoint:
             prov = g_data_provenance(p, self.x)
             return polar(self.G_star), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
 
-        return self.kept("g_polar", compute)
+        return _kept(self.derived, "g_polar", compute)
 
     def fg_polar(self) -> FGCone:
         """F^0(x) intersect G^0(x) as generators: one double description of
@@ -604,32 +611,53 @@ class CandidatePoint:
             rows = list(self.F) + list(self.g_polar()[0].normals)
             return dd_convert(Halfspaces(self.problem.dimension, rows))
 
-        return self.kept("fg_polar", compute)
+        return _kept(self.derived, "fg_polar", compute)
 
     def support_escape(self) -> Optional[tuple]:
         """`subspace_escape` of the F* vertices and G* generators: None when
         the support cone of F* + G* is a subspace, else a direction escaping
         it (strong KKT's ri test; `zero_interior` at rank n)."""
-        return self.kept(
+        return _kept(
+            self.derived,
             "support_escape",
             lambda: subspace_escape(self.F_star.vertices + self.G_star.generators),
         )
 
-    def zero_interior(self) -> ZeroInterior:
-        """`zero_interior` of F* + G*: is 0 interior, with a certified radius
-        (perturbed KKT, the perturbed gap check, the isolation report)."""
-        return self.kept(
-            "zero_interior",
-            lambda: zero_interior(GenConvexSet(self.F_star, self.G_star), self.support_escape),
-        )
+    def zero_interior(self, eps=ZERO) -> ZeroInterior:
+        """`zero_interior` of F* plus the cone of `subgradient_union(eps)`: is
+        0 interior, with a certified radius; kept per eps-active set.  Over T
+        that cone is G*, whose `support_escape()` it reuses (perturbed KKT,
+        the perturbed gap check; the isolation report over its eps grid)."""
+        active = tuple(self.active(eps))
+
+        def compute():
+            if active == self.T:
+                return zero_interior(GenConvexSet(self.F_star, self.G_star), self.support_escape)
+            base, rec = self.subgradient_union(eps)
+            return zero_interior(GenConvexSet(self.F_star, self.cone(FGCone, base + rec)))
+
+        return _kept(self.derived, ("zero_interior", active), compute)
 
     def min_max(self, points, gens) -> tuple:
         """`min_max_direction` over the points and generators, (value, d),
         kept under its input: value < 0 exactly when d strictly separates 0
         from conv(points) + cone(gens)."""
-        return self.kept(
+        return _kept(
+            self.derived,
             ("min_max", tuple(points), tuple(gens)),
             lambda: min_max_direction(points, gens, self.problem.dimension),
+        )
+
+    def zero_decomposition(self, points, gens):
+        """`decompose` of 0 over conv(points) + cone(gens), kept under the
+        input of `min_max`: the weights, points first, when 0 is in the set,
+        else the LP's `lp.Infeasible`.  The LP returns a basic solution, so
+        at most n + 1 weights are positive (Caratheodory)."""
+        zero = (ZERO,) * self.problem.dimension
+        return _kept(
+            self.derived,
+            ("zero_decomposition", tuple(points), tuple(gens)),
+            lambda: decompose(zero, [points], [gens]),
         )
 
     def active(self, eps) -> list:
@@ -642,14 +670,16 @@ class CandidatePoint:
         empty subdifferentials contribute nothing (their members impose no
         subgradient inequality here)."""
         active = tuple(self.active(eps))
-        return self.kept(
+        return _kept(
+            self.derived,
             ("subgradient_union", active),
             lambda: tuple(map(tuple, _union(self.constraint_subdiff(k) for k in active))),
         )
 
     def union_min_max(self, eps) -> tuple:
         """`min_max` over `subgradient_union(eps)`, kept per eps-active set."""
-        return self.kept(
+        return _kept(
+            self.derived,
             ("union_min_max", tuple(self.active(eps))),
             lambda: self.min_max(*self.subgradient_union(eps)),
         )

@@ -29,17 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import (
-    FGCone,
-    GenConvexSet,
-    HCone,
-    Polytope,
-    Member,
-    cone_member,
-    contains,
-    membership,
-    span_rank,
-)
+from .cones import HCone, cone_member, contains, span_rank
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -68,7 +58,7 @@ from .rationals import (
     Q,
     ZERO,
     as_q,
-    q_pair,
+    jsonify,
     qdot,
     sqrt_lower_bound,
 )
@@ -112,31 +102,26 @@ class QualReport:
 # shared machinery
 
 
-def _zero_decomposition(points, rec_gens, dim: int) -> dict:
-    """Write 0 as a convex combination of the (canonicalized) points plus a
-    conic one of the generators; exists exactly when no strictly negative
-    direction does, and persists under any extension of the point set."""
-    poly = Polytope(dim, points)
-    cone = FGCone(dim, rec_gens)
-    out = membership(tuple(ZERO for _ in range(dim)), GenConvexSet(poly, cone))
-    if not isinstance(out, Member):
+def _zero_decomposition(cp, points, gens) -> dict:
+    """0 as a convex combination of the points plus a conic one of the
+    generators, the input `cp.min_max` found no strictly negative direction
+    for: the point's one `decompose` of 0 over them.  Only the support is
+    printed, the entries of positive weight in input order; a basic solution
+    has at most n + 1 of them (Caratheodory).  The decomposition persists
+    under any extension of the point set."""
+    weights = cp.zero_decomposition(points, gens)
+    if not isinstance(weights, list):
         raise InternalInconsistencyError(
             "no strictly negative direction exists, yet 0 is not in the hull"
         )
+    alpha, mu = weights[: len(points)], weights[len(points) :]
     return {
         "kind": "zero_decomposition",
-        "points": poly.vertices,
-        "alpha": out.alpha,
-        "generators": cone.generators,
-        "mu": out.mu,
+        "points": tuple(v for v, w in zip(points, alpha) if w > 0),
+        "alpha": tuple(w for w in alpha if w > 0),
+        "generators": tuple(g for g, w in zip(gens, mu) if w > 0),
+        "mu": tuple(w for w in mu if w > 0),
     }
-
-
-def _kept_zero_decomposition(cp, points, rec_gens) -> dict:
-    """`_zero_decomposition`, asked once per point and input (MFCQ, COCQ);
-    each caller gets its own copy of the witness."""
-    key = ("zero_decomposition", tuple(points), tuple(rec_gens))
-    return dict(cp.kept(key, lambda: _zero_decomposition(points, rec_gens, cp.problem.dimension)))
 
 
 def _rational_slack(value) -> Q:
@@ -147,19 +132,6 @@ def _rational_slack(value) -> Q:
     if value is NEG_INF:
         return ONE
     return -as_q(value)
-
-
-def jsonify(obj):
-    """Recursive JSON form: rationals become [num, den] pairs."""
-    if obj is None or isinstance(obj, (bool, str, int)):
-        return obj
-    if isinstance(obj, Q):
-        return q_pair(obj)
-    if isinstance(obj, dict):
-        return {k: jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +311,7 @@ def _check_mfcq(p, cp):
         if prov != EXACT:
             note += "; union taken over the truncated data"
         return QualReport("MFCQ", HOLDS, prov, witness, note)
-    witness = _kept_zero_decomposition(cp, base, rec)
+    witness = _zero_decomposition(cp, base, rec)
     return QualReport(
         "MFCQ",
         FAILS,
@@ -429,7 +401,7 @@ def _check_cocq(p, cp):
         if value < 0:
             witness = {"kind": "direction", "direction": d, "derivative_bound": value}
             return QualReport("COCQ", HOLDS, prov, witness, "direction with strictly negative envelope derivative")
-        witness = _kept_zero_decomposition(cp, ss.base.vertices, ss.recession.generators)
+        witness = _zero_decomposition(cp, ss.base.vertices, ss.recession.generators)
         return QualReport("COCQ", FAILS, prov, witness, "0 lies in the envelope subdifferential, so no descent direction exists")
     # empty subdifferential: only the one-variable NegSqrtParabola1D override
     # has one (at its domain boundary), so probe its closed-form directional

@@ -96,6 +96,19 @@ def q_pair(value) -> list:
     return [int(q.numerator), int(q.denominator)]
 
 
+def jsonify(obj):
+    """Recursive JSON form: rationals become [num, den] pairs."""
+    if obj is None or isinstance(obj, (bool, str, int)):
+        return obj
+    if isinstance(obj, Q):
+        return q_pair(obj)
+    if isinstance(obj, dict):
+        return {k: jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def q_from_pair(obj) -> Q:
     """Read a rational serialized as a [numerator, denominator] pair."""
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):

@@ -255,6 +255,17 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
 
+    def test_family_params_are_a_model_error(self, capsys, tmp_path):
+        # no builtin family reads params: the default family's table would be
+        # printed for a family the file does not describe
+        def edit(doc):
+            doc["constraints"]["indexed"]["params"] = {"slope": [7, 1]}
+
+        path = self._broken_fixture(tmp_path, edit)
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        assert err == "error: model: constraint family 'alternating_affine' takes no params\n"
+
     def test_removed_norm_kind_is_a_model_error(self, capsys, tmp_path):
         def edit(doc):
             doc["objectives"][0] = {

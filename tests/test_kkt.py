@@ -491,19 +491,18 @@ class TestIsolationInclusionReport:
         assert all(row["exact"] for row in report["rows"])
 
     def test_one_zero_interior_per_distinct_active_set(self, ex1, monkeypatch):
-        # the active set itself is asked through the point's store, which
-        # perturbed KKT then reads without asking again; a fresh point starts
-        # with an empty store
+        # every eps-active set is asked through the point's store, and
+        # perturbed KKT then reads the answer at T without asking again; a
+        # fresh point starts with an empty store
         p, cp = ex1
         cp = CandidatePoint.build(p, cp.x)
         calls = []
-        real = kkt.zero_interior
+        real = problem.zero_interior
 
         def counted(s, escape=None):
             calls.append(1)
             return real(s, escape)
 
-        monkeypatch.setattr(kkt, "zero_interior", counted)
         monkeypatch.setattr(problem, "zero_interior", counted)
         report = kkt.isolation_inclusion_report(p, cp, 2)
         grid = quals.DEFAULT_EPS_GRID

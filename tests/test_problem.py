@@ -306,6 +306,16 @@ def test_problem_json_rejects_unknown_annotation():
         problem_from_json(doc)
 
 
+def test_problem_json_rejects_family_params():
+    # no builtin family reads params, so a given one would be silently ignored
+    doc = problem_to_json(linear_tail_problem())
+    assert doc["constraints"]["indexed"]["params"] == {}
+    assert problem_from_json(doc) == linear_tail_problem()
+    doc["constraints"]["indexed"]["params"] = {"slope": [7, 1]}
+    with pytest.raises(ModelError, match="takes no params"):
+        problem_from_json(doc)
+
+
 def test_problem_json_rejects_malformed():
     with pytest.raises(ParseError):
         problem_from_json({"dimension": 1, "objectives": []})
@@ -473,8 +483,8 @@ def test_one_canonical_form_per_primitive_set(monkeypatch):
     from mosipcert import problem, quals
 
     pruned = []
-    real = problem._irredundant
-    monkeypatch.setattr(problem, "_irredundant", lambda v: pruned.append(tuple(v)) or real(v))
+    real = problem._pruned_rays
+    monkeypatch.setattr(problem, "_pruned_rays", lambda v: pruned.append(tuple(v)) or real(v))
     rng = random.Random(8513)
     shared = 0
     for _ in range(30):

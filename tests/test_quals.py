@@ -33,7 +33,7 @@ from mosipcert.quals import (
     reports_to_json,
     truth_table_text,
 )
-from mosipcert.rationals import Q, qdot
+from mosipcert.rationals import Q, lincomb, qdot
 
 
 def _candidate(p):
@@ -154,6 +154,38 @@ def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
     assert [row[0] for row in report.witness["values"]] == list(grid)
 
 
+class _TruncatedFamily(FiniteFamily):
+    """Finite members standing for a truncated family, so that PMFCQ walks
+    its whole eps grid; a finite family asks eps = 0 only."""
+
+    @property
+    def truncated(self) -> bool:
+        return True
+
+
+def test_pmfcq_solves_one_min_max_lp_per_active_set_across_several(monkeypatch):
+    # +-x1 are active at 0 and +-k x2 - 1/2^k join as eps grows, so the grid
+    # crosses four eps-active sets with four different subgradient unions,
+    # while +-x1 keep every min-max value at 0
+    from mosipcert import problem
+
+    members = [Affine([1, 0], 0), Affine([-1, 0], 0)]
+    for k in (1, 2, 3):
+        members += [Affine([0, k], -Q(1, 2**k)), Affine([0, -k], -Q(1, 2**k))]
+    p = MosipProblem(2, [Affine([1, 1], 0)], _TruncatedFamily(members))
+    cp = _candidate(p)
+    sets = {tuple(cp.active(eps)) for eps in DEFAULT_EPS_GRID}
+    assert len(sets) == 4
+    calls, unions = [], []
+    real, union = problem.min_max_direction, problem._union
+    monkeypatch.setattr(problem, "min_max_direction", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(problem, "_union", lambda sets: unions.append(1) or union(sets))
+    report = check("PMFCQ", p, cp)
+    assert (report.status, report.provenance) == (UNDECIDABLE, "truncated")
+    assert [row[1] for row in report.witness["values"]] == [0] * len(DEFAULT_EPS_GRID)
+    assert len(calls) == len(unions) == len(sets)
+
+
 def test_pmfcq_long_grid_asks_once_per_distinct_active_set(monkeypatch, capsys):
     # each grid entry looks its (value, d) up by the eps-active index set, so
     # the point's min-max store, keyed by rational points, is asked once per
@@ -205,35 +237,21 @@ def test_octagon_quals_lp_count_guard(monkeypatch, capsys):
 
 
 def test_octagon_union_lps_run_against_the_extreme_points_found(monkeypatch):
-    # the 43-point subgradient union of MFCQ's zero decomposition: each
-    # canonicalisation LP has a row per extreme point found so far plus the
-    # cap, never a row per other point
-    from mosipcert import cones, lp
+    # the canonical polytope of the octagon's 43-point active subgradient
+    # union: each LP of Clarkson's algorithm has a row per extreme point
+    # found so far plus the cap, never a row per other point
+    from mosipcert import lp
+    from mosipcert.cones import Polytope
 
-    calls = []  # [number of points, rows of each LP, extreme points]
-    open_calls = []
-    extreme_points, solve = cones._extreme_points, lp.solve
-
-    def recorded(points):
-        open_calls.append([len(points), []])
-        out = extreme_points(points)
-        calls.append(open_calls.pop() + [out])
-        return out
-
-    def counted(prog):
-        if open_calls:
-            open_calls[-1][1].append(len(prog.rows))
-        return solve(prog)
-
-    monkeypatch.setattr(cones, "_extreme_points", recorded)
-    monkeypatch.setattr(lp, "solve", counted)
     p = load_fixture("octagon-support")
-    check_all(p, _candidate(p))
-    union = [c for c in calls if c[0] == 43]
-    assert union
-    for _, rows, vertices in union:
-        assert len(vertices) == 8 and rows
-        assert max(rows) <= len(vertices) + 1
+    union, _ = _candidate(p).subgradient_union(0)
+    assert len(set(union)) == 43
+    rows = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: rows.append(len(prog.rows)) or solve(prog))
+    vertices = Polytope(2, union).vertices
+    assert len(vertices) == 8 and rows
+    assert max(rows) <= len(vertices) + 1
 
 
 def test_refused_subdifferential_is_refused_on_every_request():
@@ -465,6 +483,43 @@ def _verify_witness(p, cp, r) -> None:
             from mosipcert.cones import cone_member
 
             assert cone_member(d, cp.G_star) is None
+
+
+def test_zero_decompositions_are_supported_on_the_decided_input(monkeypatch):
+    # MFCQ's and COCQ's Fails witness is the support of one basic solution
+    # over the very points and generators `min_max` found no strictly
+    # negative direction for, in their input order
+    decided = []
+    real = CandidatePoint.min_max
+    monkeypatch.setattr(
+        CandidatePoint,
+        "min_max",
+        lambda self, points, gens: decided.append((tuple(points), tuple(gens)))
+        or real(self, points, gens),
+    )
+    rng = random.Random("zero-decomposition")
+    problems = [build() for build in FIXTURE_BUILDERS.values()]
+    problems += [random_polyhedral_problem(rng)[0] for _ in range(40)]
+    problems += [random_polyhedral_problem(rng, max_dim=5)[0] for _ in range(40)]
+    seen = {"MFCQ": 0, "COCQ": 0}
+    for p in problems:
+        cp = _candidate(p)
+        for qual in seen:
+            decided.clear()
+            r = check(qual, p, cp)
+            if r.status != FAILS or r.witness["kind"] != "zero_decomposition":
+                continue
+            (points, gens), = decided
+            w = r.witness
+            assert len(w["alpha"]) == len(w["points"]) and len(w["mu"]) == len(w["generators"])
+            assert all(c > 0 for c in w["alpha"] + w["mu"]) and sum(w["alpha"]) == 1
+            combination = lincomb(w["alpha"] + w["mu"], w["points"] + w["generators"], p.dimension)
+            assert combination == (0,) * p.dimension
+            assert list(w["points"]) == [v for v in points if v in w["points"]]
+            assert list(w["generators"]) == [g for g in gens if g in w["generators"]]
+            assert len(w["points"]) + len(w["generators"]) <= p.dimension + 1
+            seen[qual] += 1
+    assert seen["MFCQ"] >= 10 and seen["COCQ"] >= 10, seen
 
 
 @settings(max_examples=60, deadline=None)

@@ -64,6 +64,48 @@ def test_piecewise_kinds_are_told_apart_in_one_place():
     assert sites == {("funcs", "affine_pieces"), ("funcs", "func_to_json")}
 
 
+def _module_names(path: Path) -> set:
+    """Every name a module refers to or imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return _kind_names(tree) | imported
+
+
+CANONICALISING = {"Polytope", "FGCone", "GenConvexSet", "membership"}
+
+
+def _store_references(path: Path) -> set:
+    """`.kept`, `_kept` and `derived` wherever a module names them."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("kept", "_kept", "derived"):
+            found.add("." + node.attr)
+        elif isinstance(node, ast.Name) and node.id in ("_kept", "derived"):
+            found.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names} & {"_kept", "derived"}
+    return found
+
+
+def test_the_point_store_is_the_only_memo():
+    # every derived quantity at a candidate point is kept in one store that
+    # only `problem` reads and writes; a module keeping entries of its own
+    # would split it again.  MFCQ and COCQ refute with one decomposition
+    # over the raw input, so `quals` canonicalises nothing.
+    found = {
+        path.stem: _store_references(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "problem"
+    }
+    assert found == {stem: set() for stem in found}
+    assert _module_names(SRC / "quals.py") & CANONICALISING == set()
+
+
 LP_FREE = ("dd_convert", "_eliminate", "_lineality", "_extreme_rays")
 LP_NAMES = {"lp", "_irredundant", "_in_cone", "_canonical_rays"}
 PRUNING_CONSTRUCTORS = {"Polytope", "FGCone", "HCone"}
