@@ -337,7 +337,6 @@ def isolation_inclusion_report(
             ss = cp.constraint_subdiff(t)
             if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
                 return None
-        # the cone of the eps-active gradients; the point keeps one answer per set
         zi = cp.zero_interior(eps)
         rows.append(
             {

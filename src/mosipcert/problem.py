@@ -185,9 +185,7 @@ MAX_TRUNCATION = 100_000
 @dataclass(frozen=True)
 class IndexedFamily:
     """A builtin infinite family materialized on indices 0 .. truncation-1
-    (at most MAX_TRUNCATION members).  No builtin family has parameters, so
-    `params` must be empty: a parameter would otherwise be silently
-    ignored."""
+    (at most MAX_TRUNCATION members); no builtin family reads `params`."""
 
     family: str
     params: dict
@@ -203,10 +201,9 @@ class IndexedFamily:
             raise ModelError(f"truncation {truncation} exceeds {MAX_TRUNCATION}")
         if params:
             raise ModelError(f"constraint family {family!r} takes no params")
-        params = {}
-        fns = BUILTIN_FAMILIES[family](params, truncation)
+        fns = BUILTIN_FAMILIES[family]({}, truncation)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", {})
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "functions", fns)
 
@@ -455,10 +452,9 @@ class CandidatePoint:
     * ``support_escape()``, `subspace_escape` of the F* vertices and G*
       generators: None exactly when the support cone of F* + G* is a
       subspace (strong KKT's ri test, and `zero_interior` at rank n);
-    * ``zero_interior(eps)``, whether 0 is interior to F* plus the cone of
-      the eps-active subgradient union, with its certified radius, kept per
-      eps-active set; at eps = 0 that cone is G* (perturbed KKT and gap
-      check), and the isolation report asks each set of its eps grid;
+    * ``zero_interior(eps)``, per eps-active set, whether 0 is interior to F*
+      plus the cone of that set's subgradients, with a certified radius (G*
+      at eps = 0: perturbed KKT and gap check; the isolation report's grid);
     * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
     * ``union_min_max(eps)``, `min_max` over that union, kept per
       eps-active set too, so a long eps grid hashes index tuples, not
@@ -541,9 +537,14 @@ class CandidatePoint:
             derived=derived,
         )
 
+    def _kept(self, key, compute):
+        """The stored value under `key`, computed by `compute()` on the first
+        request; a refusal it raises is not stored."""
+        return _kept(self.derived, key, compute)
+
     def cone(self, cls, vectors):
         """cls(dimension, vectors), an FGCone or an HCone, with its rays kept
-        per sorted primitive set."""
+        per sorted primitive integer set."""
         return _kept_cone(self.derived, cls, self.problem.dimension, vectors)
 
     @property
@@ -552,13 +553,13 @@ class CandidatePoint:
         return self.derived["g_values"]
 
     def objective_subdiff(self, i: int) -> Polytope:
-        return _kept(
-            self.derived, ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
+        return self._kept(
+            ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
         )
 
     def constraint_subdiff(self, k: int) -> GenConvexSet:
-        return _kept(
-            self.derived, ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
+        return self._kept(
+            ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
         )
 
     def psi_subdiff(self) -> Optional[GenConvexSet]:
@@ -587,7 +588,7 @@ class CandidatePoint:
             base, rec = _union(self.constraint_subdiff(k) for k in argmax)
             return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
 
-        return _kept(self.derived, "psi", compute)
+        return self._kept("psi", compute)
 
     def g_polar(self) -> tuple:
         """(HCone, provenance, source): the negative polar of the
@@ -601,7 +602,7 @@ class CandidatePoint:
             prov = g_data_provenance(p, self.x)
             return polar(self.G_star), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
 
-        return _kept(self.derived, "g_polar", compute)
+        return self._kept("g_polar", compute)
 
     def fg_polar(self) -> FGCone:
         """F^0(x) intersect G^0(x) as generators: one double description of
@@ -611,23 +612,21 @@ class CandidatePoint:
             rows = list(self.F) + list(self.g_polar()[0].normals)
             return dd_convert(Halfspaces(self.problem.dimension, rows))
 
-        return _kept(self.derived, "fg_polar", compute)
+        return self._kept("fg_polar", compute)
 
     def support_escape(self) -> Optional[tuple]:
         """`subspace_escape` of the F* vertices and G* generators: None when
         the support cone of F* + G* is a subspace, else a direction escaping
         it (strong KKT's ri test; `zero_interior` at rank n)."""
-        return _kept(
-            self.derived,
+        return self._kept(
             "support_escape",
             lambda: subspace_escape(self.F_star.vertices + self.G_star.generators),
         )
 
     def zero_interior(self, eps=ZERO) -> ZeroInterior:
-        """`zero_interior` of F* plus the cone of `subgradient_union(eps)`: is
-        0 interior, with a certified radius; kept per eps-active set.  Over T
-        that cone is G*, whose `support_escape()` it reuses (perturbed KKT,
-        the perturbed gap check; the isolation report over its eps grid)."""
+        """`zero_interior` of F* plus the cone of `subgradient_union(eps)`,
+        kept per eps-active set; over T that cone is G*, and the answer
+        reuses `support_escape()`."""
         active = tuple(self.active(eps))
 
         def compute():
@@ -636,28 +635,24 @@ class CandidatePoint:
             base, rec = self.subgradient_union(eps)
             return zero_interior(GenConvexSet(self.F_star, self.cone(FGCone, base + rec)))
 
-        return _kept(self.derived, ("zero_interior", active), compute)
+        return self._kept(("zero_interior", active), compute)
 
     def min_max(self, points, gens) -> tuple:
         """`min_max_direction` over the points and generators, (value, d),
         kept under its input: value < 0 exactly when d strictly separates 0
         from conv(points) + cone(gens)."""
-        return _kept(
-            self.derived,
+        return self._kept(
             ("min_max", tuple(points), tuple(gens)),
             lambda: min_max_direction(points, gens, self.problem.dimension),
         )
 
     def zero_decomposition(self, points, gens):
-        """`decompose` of 0 over conv(points) + cone(gens), kept under the
-        input of `min_max`: the weights, points first, when 0 is in the set,
-        else the LP's `lp.Infeasible`.  The LP returns a basic solution, so
-        at most n + 1 weights are positive (Caratheodory)."""
-        zero = (ZERO,) * self.problem.dimension
-        return _kept(
-            self.derived,
+        """`decompose` of 0 over conv(points) + cone(gens), kept beside
+        `min_max` under the same input: a basic solution, so at most n + 1
+        weights are positive (Caratheodory), or the LP's `lp.Infeasible`."""
+        return self._kept(
             ("zero_decomposition", tuple(points), tuple(gens)),
-            lambda: decompose(zero, [points], [gens]),
+            lambda: decompose((ZERO,) * self.problem.dimension, [points], [gens]),
         )
 
     def active(self, eps) -> list:
@@ -670,16 +665,14 @@ class CandidatePoint:
         empty subdifferentials contribute nothing (their members impose no
         subgradient inequality here)."""
         active = tuple(self.active(eps))
-        return _kept(
-            self.derived,
+        return self._kept(
             ("subgradient_union", active),
             lambda: tuple(map(tuple, _union(self.constraint_subdiff(k) for k in active))),
         )
 
     def union_min_max(self, eps) -> tuple:
         """`min_max` over `subgradient_union(eps)`, kept per eps-active set."""
-        return _kept(
-            self.derived,
+        return self._kept(
             ("union_min_max", tuple(self.active(eps))),
             lambda: self.min_max(*self.subgradient_union(eps)),
         )

@@ -104,11 +104,9 @@ class QualReport:
 
 def _zero_decomposition(cp, points, gens) -> dict:
     """0 as a convex combination of the points plus a conic one of the
-    generators, the input `cp.min_max` found no strictly negative direction
-    for: the point's one `decompose` of 0 over them.  Only the support is
-    printed, the entries of positive weight in input order; a basic solution
-    has at most n + 1 of them (Caratheodory).  The decomposition persists
-    under any extension of the point set."""
+    generators, where `cp.min_max` found no strictly negative direction: the
+    support of the point's `zero_decomposition`, at most n + 1 entries in
+    input order.  It persists under any extension of the point set."""
     weights = cp.zero_decomposition(points, gens)
     if not isinstance(weights, list):
         raise InternalInconsistencyError(

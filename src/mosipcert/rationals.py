@@ -9,7 +9,9 @@ and the dot products and linear combinations here: `qdot` is one integer dot
 product over the lcm-scaled numerators of its two vectors, and `lincomb` one
 integer combination per coordinate, each made one Q at the end.
 Floats are rejected at the boundary: callers that have float data must
-rationalize it explicitly and own the rounding decision.
+rationalize it explicitly and own the rounding decision.  In JSON a rational
+is a [numerator, denominator] pair: `q_pair` and `jsonify` write them,
+`q_from_pair` reads one.
 """
 
 from __future__ import annotations
