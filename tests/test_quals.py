@@ -179,7 +179,7 @@ def test_pmfcq_solves_one_min_max_lp_per_active_set_across_several(monkeypatch):
     calls, unions = [], []
     real, union = problem.min_max_direction, problem._union
     monkeypatch.setattr(problem, "min_max_direction", lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(problem, "_union", lambda sets: unions.append(1) or union(sets))
+    monkeypatch.setattr(problem, "_union", lambda subdiffs: unions.append(1) or union(subdiffs))
     report = check("PMFCQ", p, cp)
     assert (report.status, report.provenance) == (UNDECIDABLE, "truncated")
     assert [row[1] for row in report.witness["values"]] == [0] * len(DEFAULT_EPS_GRID)
