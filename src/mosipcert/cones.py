@@ -5,17 +5,18 @@ interior tests.
 Every question of the form "is the target a convex combination of these
 points plus a conic combination of these generators" is one call to
 `decompose`, the package's only decomposition LP: `contains`, `cone_member`,
-`subspace_escape`, the first LP of `membership` (whose one caller checks
-the subgradient selections of `gap.gap_eval`), the zero decomposition that
-refutes MFCQ and COCQ (`problem.CandidatePoint.zero_decomposition`), the
-KKT searches in `kkt` and the gap zero search in `gap`.  `hull_terms` reads
-its weights back per block of points.  When no weights exist, the Farkas
-vector of the infeasible LP is a direction, and `subspace_escape` and
-`contains` return it as their witness.  Its converse, "which direction
-strictly separates 0 from conv(points) + cone(generators)", is one call to
-`min_max_direction`, the only separation LP: `membership` shifts the points
-by the target, MFCQ, PMFCQ and COCQ read their directions off it, and weak
-and strong KKT decide 0 in F* + G* with it.
+`subspace_escape`, the first LP of `membership` (whose one caller,
+`gap.gap_eval`, checks each subgradient selection against the points and
+rays of `funcs.subdiff_set`), the zero decomposition that refutes MFCQ and
+COCQ (`problem.CandidatePoint.zero_decomposition`), the KKT searches in
+`kkt` and the gap zero search in `gap`.  `hull_terms` reads its weights back
+per block of points.  When no weights exist, the Farkas vector of the
+infeasible LP is a direction, and `subspace_escape` and `contains` return it
+as their witness.  Its converse, "which direction strictly separates 0 from
+conv(points) + cone(generators)", is one call to `min_max_direction`, the
+only separation LP: `membership` shifts the points by the target, MFCQ,
+PMFCQ and COCQ read their directions off it, and weak and strong KKT decide
+0 in F* + G* with it.
 
 Interior and containment ask no boxed LP.  0 is interior to conv(V) +
 cone(R) exactly when V u R positively spans n-space (Davis 1954): rank n,
@@ -73,8 +74,8 @@ of `zero_interior` read the same pivots.
 Conventions:
 * HCone(normals) is {d : a'd <= 0 for every normal a}; no normals = all space.
 * FGCone(generators) is cone(generators) including 0; no generators = {0}.
-* GenConvexSet(base, recession) is base + recession (Minkowski sum), empty iff
-  the base polytope is empty.
+* A (points, generators) pair, a subdifferential's shape, is conv(points) +
+  cone(generators), read as LP columns or rows; no points = the empty set.
 """
 
 from __future__ import annotations
@@ -318,10 +319,6 @@ class Polytope:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", tuple(_extreme_points(points)))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
 
 @dataclass(frozen=True)
 class FGCone:
@@ -335,10 +332,6 @@ class FGCone:
     def __init__(self, dim: int, generators):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", _canonical_rays(dim, generators, "generator"))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
 
 
 @dataclass(frozen=True)
@@ -390,26 +383,6 @@ class HPoly:
 
     def lp_rows(self) -> list:
         return [(list(a), lp.LE, b) for a, b in self.rows]
-
-
-@dataclass(frozen=True)
-class GenConvexSet:
-    """base + recession (Minkowski sum of a polytope and a cone)."""
-
-    base: Polytope
-    recession: FGCone
-
-    def __post_init__(self):
-        if self.base.dim != self.recession.dim:
-            raise ValueError("base/recession dimension mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def is_empty(self) -> bool:
-        return self.base.is_empty
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +537,19 @@ class NotMember:
     gap: Q  # h'p - sup_s h
 
 
-def membership(p, s: GenConvexSet):
-    """Exact decomposition of p over s's vertices and generators, or a
-    verified separating functional: `min_max_direction` over the shifted
-    points v - p, whose value is < 0 exactly when p is outside."""
+def membership(p, points, gens):
+    """Exact decomposition of p over conv(points) + cone(gens), or a verified
+    separating functional: `min_max_direction` over the shifted points
+    v - p, whose value is < 0 exactly when p is outside."""
     p = vec_q(p)
-    if s.is_empty:
+    if not points:
         return NotMember(separator=tuple(ZERO for _ in p), gap=ZERO)
-    res = decompose(p, [s.base.vertices], [s.recession.generators])
+    res = decompose(p, [points], [gens])
     if isinstance(res, list):
-        nv = len(s.base.vertices)
+        nv = len(points)
         return Member(alpha=tuple(res[:nv]), mu=tuple(res[nv:]))
-    shifted = [tuple(c - q for c, q in zip(v, p)) for v in s.base.vertices]
-    value, h = min_max_direction(shifted, s.recession.generators, s.dim)
+    shifted = [tuple(c - q for c, q in zip(v, p)) for v in points]
+    value, h = min_max_direction(shifted, gens, len(p))
     if not value < 0:
         raise InternalInconsistencyError("the min-max LP must certify exclusion")
     return NotMember(separator=h, gap=-value)
@@ -643,8 +616,8 @@ class ZeroInterior:
     witness_direction: Optional[tuple] = None
 
 
-def zero_interior(s: GenConvexSet, escape=None) -> ZeroInterior:
-    """Is 0 in the interior of base + recession, with a certified ball radius.
+def zero_interior(dim: int, points, gens, escape=None) -> ZeroInterior:
+    """Is 0 interior to conv(points) + cone(gens), with a certified ball radius.
 
     0 is interior to conv(V) + cone(R) exactly when V u R positively spans
     n-space (C. Davis, Theory of positive linear dependence, Amer. J. Math.
@@ -658,29 +631,27 @@ def zero_interior(s: GenConvexSet, escape=None) -> ZeroInterior:
     via a lifted double description; above that, certified axis-point
     stepping scaled by 1/sqrt(n).
     """
-    if s.is_empty:
+    if not points:
         return ZeroInterior(False, ZERO, True, "empty set")
-    normals = list(s.base.vertices) + list(s.recession.generators)
-    rows, pivots = _eliminate(s.dim, normals)
-    if len(pivots) < s.dim:
-        null = _lineality(s.dim, len(normals), rows, pivots)[0]
+    normals = list(points) + list(gens)
+    rows, pivots = _eliminate(dim, normals)
+    if len(pivots) < dim:
+        null = _lineality(dim, len(normals), rows, pivots)[0]
         return ZeroInterior(False, ZERO, True, witness_direction=tuple(Q(c) for c in null))
     direction = escape() if escape is not None else subspace_escape(normals)
     if direction is not None:
         return ZeroInterior(False, ZERO, True, witness_direction=direction)
-    if s.dim <= 3:
-        return _radius_by_facets(s)
-    return _radius_by_axis_points(s)
+    if dim <= 3:
+        return _radius_by_facets(dim, points, gens)
+    return _radius_by_axis_points(dim, points, gens)
 
 
-def _facets(s: GenConvexSet) -> list:
-    """Facet rows (a, b) with s = {x : a'x <= b}, via the lifted-cone polar:
-    (a, -b) ranges over the generators of {(v,1), (r,0)}^0."""
-    dim = s.dim
+def _facets(dim: int, points, gens) -> list:
+    """Facet rows (a, b) with conv(points) + cone(gens) = {x : a'x <= b}, via
+    the lifted-cone polar: (a, -b) ranges over the generators of {(v,1), (r,0)}^0."""
     lifted = Halfspaces(
         dim + 1,
-        [tuple(v) + (ONE,) for v in s.base.vertices]
-        + [tuple(g) + (ZERO,) for g in s.recession.generators],
+        [tuple(v) + (ONE,) for v in points] + [tuple(g) + (ZERO,) for g in gens],
     )
     facets = []
     for gen in dd_convert(lifted).generators:
@@ -690,8 +661,8 @@ def _facets(s: GenConvexSet) -> list:
     return facets
 
 
-def _radius_by_facets(s: GenConvexSet) -> ZeroInterior:
-    facets = _facets(s)
+def _radius_by_facets(dim: int, points, gens) -> ZeroInterior:
+    facets = _facets(dim, points, gens)
     if not facets:
         return ZeroInterior(
             True, ONE, False, "set is all of space; any radius certifies"
@@ -708,11 +679,9 @@ def _radius_by_facets(s: GenConvexSet) -> ZeroInterior:
     return ZeroInterior(True, best, best_exact)
 
 
-def _radius_by_axis_points(s: GenConvexSet) -> ZeroInterior:
-    """Largest t with +-t*e_i in s for each axis (2n LPs); the cross-polytope
-    they span contains the ball of radius t/sqrt(n)."""
-    dim = s.dim
-    verts, gens = s.base.vertices, s.recession.generators
+def _radius_by_axis_points(dim: int, verts, gens) -> ZeroInterior:
+    """Largest t with +-t*e_i in conv(verts) + cone(gens) for each axis (2n
+    LPs); the cross-polytope they span contains the ball of radius t/sqrt(n)."""
     nv, ng = len(verts), len(gens)
     t_min = None
     for j in range(dim):
@@ -733,7 +702,7 @@ def _radius_by_axis_points(s: GenConvexSet) -> ZeroInterior:
             t = res.value
             if t_min is None or t < t_min:
                 t_min = t
-    ratio = t_min * t_min / s.dim
+    ratio = t_min * t_min / dim
     exact = sqrt_exact(ratio)
     radius = exact if exact is not None else sqrt_lower_bound(ratio)
     return ZeroInterior(

@@ -1,6 +1,7 @@
 """Convex function calculus: exact evaluation (extended-real), subdifferentials
-as polytopes (plus a recession cone when a domain boundary makes them
-unbounded), and directional derivatives.
+as (points, rays) pairs, conv(points) + cone(rays), the rays spanning the
+domain's normal cone when a domain boundary makes them unbounded, and
+directional derivatives.
 
 The function classes are a closed enumeration so that every class carries an
 exact subdifferential rule — certification must not depend on a user oracle.
@@ -11,7 +12,8 @@ direction cone.
 
 The kinds are the piecewise-linear Affine, MaxAffine and SupportPolygon,
 whose calculus is one rule over their pieces (`affine_pieces`: the value is
-the largest piece, the subgradients are the active pieces), and the curved
+the largest piece, the subgradients are the active pieces, sorted and
+distinct but not pruned), and the curved
 NegSqrtParabola1D(t), g(x) = -sqrt(2tx - x^2) on [0, 2t], +inf outside.  At
 the curved kind's domain boundary the subdifferential is exactly empty and
 the directional derivative is the closed-form +-inf; interior subgradients
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cones import FGCone, GenConvexSet, HPoly, Polytope
+from .cones import HPoly
 from .errors import ModelError, ParseError, UnsupportedOperationError
 from .rationals import (
     NEG_INF,
@@ -33,6 +35,7 @@ from .rationals import (
     ZERO,
     as_q,
     is_finite,
+    json_object,
     q_pair,
     qdot,
     sqrt_exact,
@@ -170,24 +173,22 @@ def evaluate(f: ConvexFunc, x):
 # subdifferentials
 
 
-def subdiff_set(f: ConvexFunc, x) -> GenConvexSet:
-    """Exact subdifferential of f (+ its domain indicator) at x, split into a
-    bounded base polytope and a recession cone (the domain's normal cone)."""
+def subdiff_set(f: ConvexFunc, x) -> tuple:
+    """Exact subdifferential of f (+ its domain indicator) at x as (points,
+    rays): conv(points) + cone(rays), the rays generating the domain's normal
+    cone.  No points means the empty set."""
     x = vec_q(x)
     val = evaluate(f, x)
     if not is_finite(val):
         raise ModelError("subdifferential requested outside the domain")
-    n = f.dim
     active = active_pieces(f, x)
     if active is not None:
-        rec = (
-            f.domain.normal_cone(x) if f.domain is not None else FGCone(n, [])
-        )
-        return GenConvexSet(Polytope(n, active), rec)
+        rays = f.domain.normal_cone(x).generators if f.domain is not None else ()
+        return tuple(sorted(set(active))), rays
     # NegSqrtParabola1D
     v = x[0]
     if v == 0 or v == 2 * f.t:
-        return GenConvexSet(Polytope(1, []), FGCone(1, []))
+        return (), ()
     # interior: g'(x) = (x - t)/sqrt(x(2t - x)), rational only sometimes
     rad = v * (2 * f.t - v)
     slope_sq = (v - f.t) * (v - f.t) / rad
@@ -197,18 +198,18 @@ def subdiff_set(f: ConvexFunc, x) -> GenConvexSet:
             "irrational interior subgradient has no rational representation"
         )
     slope = root if v > f.t else -root
-    return GenConvexSet(Polytope(1, [[slope]]), FGCone(1, []))
+    return ((slope,),), ()
 
 
-def subdiff(f: ConvexFunc, x) -> Polytope:
-    """Subdifferential as a polytope; raises when a domain boundary makes it
+def subdiff(f: ConvexFunc, x) -> tuple:
+    """The subdifferential's points; raises when a domain boundary makes it
     unbounded (use subdiff_set there)."""
-    ss = subdiff_set(f, x)
-    if not ss.recession.is_zero:
+    points, rays = subdiff_set(f, x)
+    if rays:
         raise UnsupportedOperationError(
-            "subdifferential is unbounded here; use subdiff_set for base + recession"
+            "subdifferential is unbounded here; use subdiff_set for points + rays"
         )
-    return ss.base
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +237,8 @@ def dir_derivative(f: ConvexFunc, x, d):
         return NEG_INF if dd > 0 else POS_INF
     if v == 2 * f.t:
         return NEG_INF if dd < 0 else POS_INF
-    ss = subdiff_set(f, x)  # rational-slope interior or a refusal
-    return qdot(ss.base.vertices[0], d)
+    (gradient,), _ = subdiff_set(f, x)  # rational-slope interior or a refusal
+    return qdot(gradient, d)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def hpoly_from_json(obj, dim: int) -> Optional[HPoly]:
     if obj is None:
         return None
     rows = []
-    for row in obj["rows"]:
+    for row in json_object(obj, {"rows"}, "H-polyhedron")["rows"]:
         vals = [as_q(c) for c in row]
         if len(vals) != dim + 1:
             raise ParseError(f"H-polyhedron row has {len(vals)} entries, expected {dim + 1}")
@@ -288,17 +289,22 @@ def func_to_json(f: ConvexFunc) -> dict:
 def func_from_json(obj: dict) -> ConvexFunc:
     kind = obj.get("kind")
     if kind == "affine":
+        json_object(obj, {"kind", "a", "b", "domain"}, "affine function")
         a = [as_q(c) for c in obj["a"]]
         domain = hpoly_from_json(obj.get("domain"), len(a))
         return Affine(a, as_q(obj["b"]), domain)
     if kind == "max_affine":
-        pieces = [([as_q(c) for c in p["a"]], as_q(p["b"])) for p in obj["pieces"]]
+        json_object(obj, {"kind", "pieces", "domain"}, "max_affine function")
+        docs = [json_object(p, {"a", "b"}, "piece") for p in obj["pieces"]]
+        pieces = [([as_q(c) for c in p["a"]], as_q(p["b"])) for p in docs]
         domain = hpoly_from_json(obj.get("domain"), len(pieces[0][0]))
         return MaxAffine(pieces, domain)
     if kind == "support_polygon":
+        json_object(obj, {"kind", "vertices", "domain"}, "support_polygon function")
         verts = [[as_q(c) for c in v] for v in obj["vertices"]]
         domain = hpoly_from_json(obj.get("domain"), len(verts[0]))
         return SupportPolygon(verts, domain)
     if kind == "neg_sqrt_parabola_1d":
+        json_object(obj, {"kind", "t"}, "neg_sqrt_parabola_1d function")
         return NegSqrtParabola1D(as_q(obj["t"]))
     raise ModelError(f"unknown function kind {kind!r}")

@@ -102,7 +102,7 @@ def gap_eval(p: MosipProblem, x, xi, lam):
         raise ModelError("lambda must be componentwise nonnegative")
     selections = [vec_q(s) for s in xi]
     for i, sel in enumerate(selections):
-        out = membership(sel, subdiff_set(p.objectives[i], x))
+        out = membership(sel, *subdiff_set(p.objectives[i], x))
         if isinstance(out, NotMember):
             raise SubgradientPreconditionError(i, out.separator)
     return _sup_lp(p, x, lincomb(lam, selections, p.dimension))
@@ -143,7 +143,7 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
             "feasible set"
         )
     n = p.dimension
-    tables = [cp.objective_subdiff(i).vertices for i in range(p.num_objectives)]
+    tables = [cp.objective_subdiff(i) for i in range(p.num_objectives)]
     shifted = [
         [tuple(v[k] - (tilt[k] if tilt else ZERO) for k in range(n)) for v in verts]
         for verts in tables

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .cones import decompose, hull_terms
-from .errors import InternalInconsistencyError, ModelError, ParseError
+from .errors import InternalInconsistencyError, ParseError
 from .funcs import subdiff, subdiff_set
 from .problem import (
     EXACT,
@@ -125,13 +125,13 @@ def _decompose(p: MosipProblem, cp: CandidatePoint, target, margin=False):
     subdifferential (vertices, then rays).  Returns (objective terms,
     constraint terms, tau or None), or the `lp.Infeasible` refuting
     target in F* + G*."""
-    obj_tables = [cp.objective_subdiff(i).vertices for i in range(p.num_objectives)]
+    obj_tables = [cp.objective_subdiff(i) for i in range(p.num_objectives)]
     active_tables = []
     for t in cp.T:
-        ss = cp.constraint_subdiff(t)
-        if not ss.is_empty:
-            active_tables.append((t, ss.base.vertices, ss.recession.generators))
-    cones = [tuple(verts) + tuple(rays) for _, verts, rays in active_tables]
+        points, rays = cp.constraint_subdiff(t)
+        if points:
+            active_tables.append((t, points, rays))
+    cones = [verts + rays for _, verts, rays in active_tables]
     res = decompose(target, obj_tables, cones, margin)
     if not isinstance(res, list):
         return res
@@ -205,8 +205,6 @@ def _decompose_zero(p: MosipProblem, cp: CandidatePoint, zero, margin=False):
 
 def weak_kkt(p: MosipProblem, cp: CandidatePoint):
     """KktCertificate with target 0, or the separating functional."""
-    if cp.F_star.is_empty:
-        raise ModelError("no objectives: F*(x) is empty")
     separator = _separator(cp)
     if separator is not None:
         return separator
@@ -235,8 +233,6 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
     by the shared decision, so only the support cone is left to test: it is
     a subspace exactly when the point's `support_escape`, which
     `zero_interior` shares, finds no escaping direction."""
-    if cp.F_star.is_empty:
-        raise ModelError("no objectives: F*(x) is empty")
     separator = _separator(cp)
     if separator is not None:
         return StrongKktResult(
@@ -283,8 +279,6 @@ class PerturbedKktReport:
 def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
     """0 in int(F*(x) + G*(x)) with a certified ball radius; each scaled axis
     point gets its own exact multiplier decomposition."""
-    if cp.F_star.is_empty:
-        raise ModelError("no objectives: F*(x) is empty")
     zi = cp.zero_interior()
     if not zi.inside:
         return PerturbedKktReport(
@@ -334,8 +328,8 @@ def isolation_inclusion_report(
     rows = []
     for eps in eps_grid:
         for t in cp.active(eps):
-            ss = cp.constraint_subdiff(t)
-            if ss.is_empty or len(ss.base.vertices) != 1 or ss.recession.generators:
+            points, rays = cp.constraint_subdiff(t)
+            if len(points) != 1 or rays:
                 return None
         zi = cp.zero_interior(eps)
         rows.append(
@@ -362,7 +356,7 @@ def selection_issues(p: MosipProblem, x, i: int, vertices, coeffs, xi) -> list:
     """Defects of the selection xi = sum_j coeffs_j * vertices_j in the i-th
     objective subdifferential at x, against its vertex table recomputed from
     the problem's objective (shared by the KKT and gap verifiers)."""
-    ref = subdiff(p.objectives[i], x).vertices
+    ref = subdiff(p.objectives[i], x)
     if tuple(vertices) != tuple(ref):
         return [f"objective {i}: vertex table drifted"]
     if len(coeffs) != len(ref) or any(c < 0 for c in coeffs):
@@ -415,10 +409,8 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
             issues.append(f"constraint {term.index}: not active at the candidate")
             shaped = False
             continue
-        ss = subdiff_set(p.constraint(term.index), cp.x)
-        if tuple(term.vertices) != tuple(ss.base.vertices) or tuple(term.rays) != tuple(
-            ss.recession.generators
-        ):
+        table = (tuple(term.vertices), tuple(term.rays))
+        if table != subdiff_set(p.constraint(term.index), cp.x):
             issues.append(f"constraint {term.index}: subdifferential table drifted")
             shaped = False
             continue

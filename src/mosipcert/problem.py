@@ -26,7 +26,6 @@ from typing import Optional, Union
 from . import funcs
 from .cones import (
     FGCone,
-    GenConvexSet,
     Halfspaces,
     HCone,
     HPoly,
@@ -58,7 +57,7 @@ from .funcs import (
     subdiff,
     subdiff_set,
 )
-from .rationals import ZERO, Q, as_q, json_int, q_from_pair, qdot, vec_q
+from .rationals import ZERO, Q, as_q, json_int, json_object, q_from_pair, qdot, vec_q
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -275,10 +274,7 @@ class MosipProblem:
             raise ModelError("feasible_set dimension mismatch")
         if psi_override is not None and psi_override.dim != dimension:
             raise ModelError("psi_override dimension mismatch")
-        annotations = dict(annotations or {})
-        unknown = set(annotations) - ANNOTATION_KEYS
-        if unknown:
-            raise ModelError(f"unknown annotation keys: {sorted(unknown)}")
+        annotations = json_object(dict(annotations or {}), ANNOTATION_KEYS, "annotation")
         flags = annotations.get("flags", {})
         if not isinstance(flags, dict) or not all(type(v) is bool for v in flags.values()):
             raise ParseError(f"flags must map names to true or false, got {flags!r}")
@@ -367,23 +363,28 @@ def _eps_active(values, eps) -> list:
     return [k for k, value in enumerate(values) if value >= floor]
 
 
-def _union(sets) -> tuple:
-    """Union of subdifferentials, split into base vertices and recession
-    generators without repeats; empty subdifferentials contribute nothing."""
+def _union(pairs) -> tuple:
+    """Union of (points, rays) subdifferentials, split into points and rays
+    without repeats; empty subdifferentials contribute nothing."""
     base: list = []
     rec: list = []
-    for ss in sets:
-        base.extend(v for v in ss.base.vertices if v not in base)
-        rec.extend(g for g in ss.recession.generators if g not in rec)
+    for points, rays in pairs:
+        base.extend(v for v in points if v not in base)
+        rec.extend(g for g in rays if g not in rec)
     return base, rec
+
+
+#: marks a key `derived` does not hold; a kept value may be None
+_ABSENT = object()
 
 
 def _kept(derived: dict, key, compute):
     """The value in `derived` under `key`, computed by `compute()` on the
     first request; a refusal it raises is not stored."""
-    if key not in derived:
-        derived[key] = compute()
-    return derived[key]
+    value = derived.get(key, _ABSENT)
+    if value is _ABSENT:
+        value = derived[key] = compute()
+    return value
 
 
 def _kept_cone(derived: dict, cls, dim: int, vectors):
@@ -434,11 +435,13 @@ class CandidatePoint:
     Every other quantity at x lives in the one store `derived`, each entry
     computed at most once, on first request, and then kept:
 
-    * ``objective_subdiff(i)``, subdiff(f_i, x); building the point computes
-      all of them, since F needs them;
-    * ``constraint_subdiff(k)``, subdiff_set(g_k, x) for any index k;
-      building the point computes those of the active constraints;
-    * ``psi_subdiff()``, the envelope's subdifferential;
+    * ``objective_subdiff(i)``, subdiff(f_i, x), the points of the active
+      pieces; building the point computes all of them, since F needs them;
+    * ``constraint_subdiff(k)``, subdiff_set(g_k, x), a (points, rays) pair,
+      for any index k; building the point computes those of the active
+      constraints;
+    * ``psi_subdiff()``, the envelope's subdifferential as a (points, rays)
+      pair, both canonical (extreme points and pruned rays);
     * ``g_values``, every g_k(x), from the feasibility pass of `build`;
     * ``g_polar()``, the negative polar G^0(x) with its provenance and source
       (ACQ, WADQ, EADQ);
@@ -498,12 +501,12 @@ class CandidatePoint:
         F: list = []
         for i, f in enumerate(p.objectives):
             sd = derived[("objective", i)] = subdiff(f, x)
-            if sd.is_empty:
+            if not sd:
                 raise ModelError(
                     f"objective {i} has empty subdifferential at {list(x)}; "
                     "objectives must be finite-valued convex functions"
                 )
-            F.extend(v for v in sd.vertices if v not in F)
+            F.extend(v for v in sd if v not in F)
         F_star = Polytope(p.dimension, F)
         for k in T:
             derived[("constraint", k)] = subdiff_set(p.constraint(k), x)
@@ -552,18 +555,19 @@ class CandidatePoint:
         """Every g_k(x) over the truncated family."""
         return self.derived["g_values"]
 
-    def objective_subdiff(self, i: int) -> Polytope:
+    def objective_subdiff(self, i: int) -> tuple:
         return self._kept(
             ("objective", i), lambda: subdiff(self.problem.objectives[i], self.x)
         )
 
-    def constraint_subdiff(self, k: int) -> GenConvexSet:
+    def constraint_subdiff(self, k: int) -> tuple:
         return self._kept(
             ("constraint", k), lambda: subdiff_set(self.problem.constraint(k), self.x)
         )
 
-    def psi_subdiff(self) -> Optional[GenConvexSet]:
-        """Subdifferential of the upper envelope at x, when representable.
+    def psi_subdiff(self) -> Optional[tuple]:
+        """Subdifferential of the upper envelope at x as (points, rays), when
+        representable.
 
         The override's subdifferential is exact by the model contract.
         Without an override, a finite family admits the max rule (convex
@@ -583,10 +587,10 @@ class CandidatePoint:
                 return None
             argmax = [k for k, value in enumerate(self.g_values) if value == top]
             # the max rule needs every argmax subdifferential
-            if any(self.constraint_subdiff(k).is_empty for k in argmax):
+            if any(not self.constraint_subdiff(k)[0] for k in argmax):
                 return None
             base, rec = _union(self.constraint_subdiff(k) for k in argmax)
-            return GenConvexSet(Polytope(p.dimension, base), FGCone(p.dimension, rec))
+            return Polytope(p.dimension, base).vertices, FGCone(p.dimension, rec).generators
 
         return self._kept("psi", compute)
 
@@ -630,10 +634,11 @@ class CandidatePoint:
         active = tuple(self.active(eps))
 
         def compute():
+            n, points = self.problem.dimension, self.F_star.vertices
             if active == self.T:
-                return zero_interior(GenConvexSet(self.F_star, self.G_star), self.support_escape)
+                return zero_interior(n, points, self.G_star.generators, self.support_escape)
             base, rec = self.subgradient_union(eps)
-            return zero_interior(GenConvexSet(self.F_star, self.cone(FGCone, base + rec)))
+            return zero_interior(n, points, self.cone(FGCone, base + rec).generators)
 
         return self._kept(("zero_interior", active), compute)
 
@@ -707,17 +712,28 @@ def problem_to_json(p: MosipProblem) -> dict:
     return out
 
 
+#: the keys a problem document may hold
+PROBLEM_KEYS = frozenset(
+    {"dimension", "objectives", "constraints", "feasible_set", "psi_override", "annotations"}
+)
+
+
 def problem_from_json(doc: dict) -> MosipProblem:
     try:
+        json_object(doc, PROBLEM_KEYS, "problem")
         dim = json_int(doc["dimension"], "dimension")
         objectives = [funcs.func_from_json(o) for o in doc["objectives"]]
         cdoc = doc["constraints"]
         if "finite" in cdoc:
+            json_object(cdoc, {"finite"}, "constraints")
             constraints: ConstraintFamily = FiniteFamily(
                 funcs.func_from_json(f) for f in cdoc["finite"]
             )
         elif "indexed" in cdoc:
-            idoc = cdoc["indexed"]
+            json_object(cdoc, {"indexed"}, "constraints")
+            idoc = json_object(
+                cdoc["indexed"], {"family", "params", "truncation"}, "indexed family"
+            )
             constraints = IndexedFamily(
                 idoc["family"], idoc.get("params"), json_int(idoc["truncation"], "truncation")
             )

@@ -381,12 +381,13 @@ def _check_lfmcq(p, cp):
 
 def _envelope_halfspace_set(p, cp) -> Optional[HCone]:
     """{d : psi'(x; d) <= 0} as an H-cone when the envelope subdifferential is
-    available and nonempty: the negative polar of base vertices plus recession
-    generators, its normals kept at the point (often G*'s own rays)."""
+    available and nonempty: the negative polar of its points plus its rays,
+    its normals kept at the point (often G*'s own rays)."""
     ss = cp.psi_subdiff()
-    if ss is None or ss.is_empty:
+    if ss is None or not ss[0]:
         return None
-    return cp.cone(HCone, list(ss.base.vertices) + list(ss.recession.generators))
+    points, rays = ss
+    return cp.cone(HCone, points + rays)
 
 
 def _check_cocq(p, cp):
@@ -394,12 +395,13 @@ def _check_cocq(p, cp):
     ss = cp.psi_subdiff()
     if ss is None:
         return QualReport("COCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
-    if not ss.is_empty:
-        value, d = cp.min_max(ss.base.vertices, ss.recession.generators)
+    points, rays = ss
+    if points:
+        value, d = cp.min_max(points, rays)
         if value < 0:
             witness = {"kind": "direction", "direction": d, "derivative_bound": value}
             return QualReport("COCQ", HOLDS, prov, witness, "direction with strictly negative envelope derivative")
-        witness = _zero_decomposition(cp, ss.base.vertices, ss.recession.generators)
+        witness = _zero_decomposition(cp, points, rays)
         return QualReport("COCQ", FAILS, prov, witness, "0 lies in the envelope subdifferential, so no descent direction exists")
     # empty subdifferential: only the one-variable NegSqrtParabola1D override
     # has one (at its domain boundary), so probe its closed-form directional
@@ -446,7 +448,8 @@ def _check_plvcq(p, cp):
     ss = cp.psi_subdiff()
     if ss is None:
         return QualReport("PLVCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
-    if ss.is_empty:
+    points, rays = ss
+    if not points:
         return QualReport(
             "PLVCQ",
             HOLDS,
@@ -455,13 +458,13 @@ def _check_plvcq(p, cp):
             "the envelope subdifferential is empty, so the containment is vacuous",
         )
     memberships = []
-    for v in ss.base.vertices:
+    for v in points:
         coeffs = cone_member(v, cp.G_star)
         if coeffs is None:
             witness = {"kind": "non_member_vertex", "vertex": v, "cone_generators": cp.G_star.generators}
             return QualReport("PLVCQ", FAILS, prov, witness, "an envelope subgradient is not conically generated by active subgradients")
         memberships.append({"vertex": v, "coefficients": tuple(coeffs)})
-    for g in ss.recession.generators:
+    for g in rays:
         coeffs = cone_member(g, cp.G_star)
         if coeffs is None:
             witness = {"kind": "non_member_direction", "direction": g, "cone_generators": cp.G_star.generators}

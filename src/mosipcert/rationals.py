@@ -22,7 +22,7 @@ import re
 import sys
 from typing import Iterable, Sequence, Union
 
-from .errors import ParseError
+from .errors import ModelError, ParseError
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Q
@@ -89,6 +89,18 @@ def json_int(value, what: str) -> int:
     int() would truncate), a bool or a string."""
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, keys, what: str) -> dict:
+    """An object of a JSON document that holds no key outside `keys`: a key
+    the reader does not read is refused, listed, so a misspelled one is not
+    silently ignored."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, not {type(value).__name__}")
+    unknown = set(value) - keys
+    if unknown:
+        raise ModelError(f"unknown {what} keys: {sorted(unknown)}")
     return value
 
 

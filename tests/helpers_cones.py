@@ -27,7 +27,6 @@ from mosipcert import lp
 from mosipcert.cones import (
     ContainsResult,
     FGCone,
-    GenConvexSet,
     HCone,
     NotMember,
     Polytope,
@@ -152,19 +151,18 @@ def _minus_projection(g, ortho) -> tuple:
     return g
 
 
-def reference_separate(p, s: GenConvexSet):
-    """The separating functional of a point p from the nonempty set s, or
-    None when p is in s: the separation LP `membership` ran before
-    `cones.min_max_direction` took its place.
+def reference_separate(p, verts, gens):
+    """The separating functional of a point p from the nonempty set
+    conv(verts) + cone(gens), or None when p is in it: the separation LP
+    `membership` ran before `cones.min_max_direction` took its place.
 
     LP: max t with h'p - h'v >= t for all vertices, h'r <= 0 for all
     generators, |h|_inf <= 1.  The optimum is positive exactly when p is
-    outside s, since s is closed and convex, and 0 otherwise."""
+    outside the set, since it is closed and convex, and 0 otherwise."""
     p = vec_q(p)
-    dim = s.dim
-    verts = s.base.vertices
+    dim = len(p)
     rows = [([p[i] - v[i] for i in range(dim)] + [-ONE], lp.GE, ZERO) for v in verts]
-    rows.extend((list(g) + [ZERO], lp.LE, ZERO) for g in s.recession.generators)
+    rows.extend((list(g) + [ZERO], lp.LE, ZERO) for g in gens)
     rows.extend(box_rows(dim, 1))
     out = lp.solve(lp.LinearProgram(dim + 1, _unit(dim + 1, dim), rows))
     if not isinstance(out, lp.Optimal):
@@ -228,13 +226,13 @@ def reference_nontrivial_direction(h: HCone):
     return None
 
 
-def reference_zero_inside(s: GenConvexSet) -> bool:
-    """0 in int(s), by the replaced triviality test of the support cone
-    {d : v'd <= 0, r'd <= 0 for every vertex and generator}."""
-    if s.is_empty:
+def reference_zero_inside(dim: int, verts, gens) -> bool:
+    """0 in int(conv(verts) + cone(gens)), by the replaced triviality test of
+    the support cone {d : v'd <= 0, r'd <= 0 for every vertex and
+    generator}."""
+    if not verts:
         return False
-    normals = list(s.base.vertices) + list(s.recession.generators)
-    return reference_nontrivial_direction(HCone(s.dim, normals)) is None
+    return reference_nontrivial_direction(HCone(dim, list(verts) + list(gens))) is None
 
 
 def reference_hcone_contains(a: HCone, b: HCone) -> ContainsResult:

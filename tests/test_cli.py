@@ -130,6 +130,32 @@ class TestSubcommands:
         assert doc["oracle"] is None
         assert all(c["provenance"] == "approximated-subdifferentials" for c in doc["claims"])
 
+    def test_non_extreme_active_gradient_is_listed_and_verifies(self, capsys, tmp_path):
+        # min max(x1, x2, (x1 + x2)/2) over the nonnegative quadrant at 0:
+        # the middle gradient is not extreme, and the certificates list it in
+        # the objective's vertex table all the same
+        def pieces(*grads):
+            return [{"a": [[n, d] for n, d in a], "b": [0, 1]} for a in grads]
+
+        doc = {
+            "dimension": 2,
+            "objectives": [{"kind": "max_affine",
+                            "pieces": pieces([(1, 1), (0, 1)], [(0, 1), (1, 1)], [(1, 2), (1, 2)])}],
+            "constraints": {"finite": [{"kind": "max_affine",
+                                        "pieces": pieces([(-1, 1), (0, 1)], [(0, 1), (-1, 1)])}]},
+            "feasible_set": {"rows": [[[-1, 1], [0, 1], [0, 1]], [[0, 1], [-1, 1], [0, 1]]]},
+        }
+        path = tmp_path / "middle.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        table = [[[0, 1], [1, 1]], [[1, 2], [1, 2]], [[1, 1], [0, 1]]]
+        code, cert = _run_json(capsys, ["certify", str(path), "--point", "0,0", "--verify"])
+        assert code == 0
+        assert cert["weak"]["objectives"][0]["vertices"] == table
+        assert cert["strong"]["certificate"]["objectives"][0]["vertices"] == table
+        code, report = _run_json(capsys, ["report", str(path), "--point", "0,0", "--verify"])
+        assert code == 0
+        assert report["kkt"]["weak"]["objectives"][0]["vertices"] == table
+
 
 class TestExitCodes:
     def test_infeasible_candidate(self, capsys):
@@ -265,6 +291,30 @@ class TestExitCodes:
         code, out, err = _run(capsys, ["quals", path, "--point", "0"])
         assert code == 3 and out == ""
         assert err == "error: model: constraint family 'alternating_affine' takes no params\n"
+
+    @pytest.mark.parametrize(
+        "name, point, edit, error",
+        [
+            ("octagon-support", "0,0",
+             lambda doc: doc.update(psi_overide=doc.pop("psi_override"),
+                                    feasible_sett=doc.pop("feasible_set")),
+             "unknown problem keys: ['feasible_sett', 'psi_overide']"),
+            ("alternating-affine", "0",
+             lambda doc: doc["objectives"][0].update(domian={"rows": [[[1, 1], [0, 1]]]}),
+             "unknown affine function keys: ['domian']"),
+            ("alternating-affine", "0",
+             lambda doc: doc["constraints"]["indexed"].update(truncaton=3),
+             "unknown indexed family keys: ['truncaton']"),
+        ],
+        ids=["problem", "function", "family"],
+    )
+    def test_misspelled_key_is_a_model_error(self, capsys, tmp_path, name, point, edit, error):
+        # a key the loader does not read would otherwise drop its data
+        # silently: the envelope, the feasible set or a domain
+        path = self._broken_fixture(tmp_path, edit, name)
+        code, out, err = _run(capsys, ["quals", path, "--point", point])
+        assert code == 3 and out == ""
+        assert err == f"error: model: {error}\n"
 
     def test_removed_norm_kind_is_a_model_error(self, capsys, tmp_path):
         def edit(doc):

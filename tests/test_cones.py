@@ -27,7 +27,6 @@ from helpers_instances import random_polyhedral_problem
 from mosipcert import cones, lp
 from mosipcert.cones import (
     FGCone,
-    GenConvexSet,
     Halfspaces,
     HCone,
     Member,
@@ -113,7 +112,7 @@ def test_polytope_drops_interior_and_duplicate_points() -> None:
 
 def test_polytope_empty() -> None:
     p = Polytope(2, [])
-    assert p.is_empty
+    assert not p.vertices
 
 
 def test_fgcone_scales_and_prunes() -> None:
@@ -338,7 +337,7 @@ def test_pointed_dd_matches_the_sliced_reference() -> None:
         got = dd_convert(h)
         assert got.generators == reference_dd_convert(dim, normals)
         assert dd_convert(Halfspaces(dim, normals)) == got  # pruned or not
-        zero_cones += got.is_zero
+        zero_cones += not got.generators
         degenerate_rays += sum(
             sum(1 for a in h.normals if qdot(a, r) == 0) > dim - 1 for r in got.generators
         )
@@ -357,37 +356,35 @@ def test_primitive_scaling() -> None:
 
 
 def test_membership_interval_plus_ray() -> None:
-    s = GenConvexSet(Polytope(1, [[-2], [-1]]), FGCone(1, [[2]]))
-    res = membership([0], s)
+    points, gens = Polytope(1, [[-2], [-1]]).vertices, FGCone(1, [[2]]).generators
+    res = membership([0], points, gens)
     assert isinstance(res, Member)
-    x = sum(a * v[0] for a, v in zip(res.alpha, s.base.vertices)) + sum(
-        m * g[0] for m, g in zip(res.mu, s.recession.generators)
+    x = sum(a * v[0] for a, v in zip(res.alpha, points)) + sum(
+        m * g[0] for m, g in zip(res.mu, gens)
     )
     assert x == 0 and sum(res.alpha) == 1
     assert all(a >= 0 for a in res.alpha) and all(m >= 0 for m in res.mu)
 
 
 def test_membership_vertex_unit_coefficient() -> None:
-    s = GenConvexSet(Polytope(2, [[1, 2], [3, -1]]), FGCone(2, []))
-    res = membership([1, 2], s)
+    res = membership([1, 2], Polytope(2, [[1, 2], [3, -1]]).vertices, ())
     assert isinstance(res, Member)
     assert sorted(res.alpha) == [0, 1]
 
 
 def test_separator_verifies_by_substitution() -> None:
-    s = GenConvexSet(Polytope(2, [[-1, 0]]), FGCone(2, [[4, 1], [0, 1]]))
-    res = membership([0, 0], s)
+    points, gens = Polytope(2, [[-1, 0]]).vertices, FGCone(2, [[4, 1], [0, 1]]).generators
+    res = membership([0, 0], points, gens)
     assert isinstance(res, NotMember)
     h = res.separator
-    sup_base = max(qdot(h, v) for v in s.base.vertices)
+    sup_base = max(qdot(h, v) for v in points)
     assert qdot(h, (0, 0)) > sup_base
-    assert all(qdot(h, g) <= 0 for g in s.recession.generators)
+    assert all(qdot(h, g) <= 0 for g in gens)
     assert res.gap > 0
 
 
 def test_membership_empty_base() -> None:
-    s = GenConvexSet(Polytope(1, []), FGCone(1, [[1]]))
-    res = membership([0], s)
+    res = membership([0], (), FGCone(1, [[1]]).generators)
     assert isinstance(res, NotMember)
 
 
@@ -396,37 +393,33 @@ def test_membership_empty_base() -> None:
 
 
 def test_zero_interior_halfline_radius_two() -> None:
-    s = GenConvexSet(Polytope(1, [[-2], [-1]]), FGCone(1, [[2]]))
-    zi = zero_interior(s)
+    zi = zero_interior(1, Polytope(1, [[-2], [-1]]).vertices, FGCone(1, [[2]]).generators)
     assert zi.inside and zi.radius_lower_bound == 2 and zi.exact
 
 
 def test_zero_interior_simplex_unit_inradius() -> None:
     # all three facet distances equal 1 (normals are Pythagorean)
-    s = GenConvexSet(Polytope(2, [[0, Q(5, 4)], [3, -1], [-3, -1]]), FGCone(2, []))
-    zi = zero_interior(s)
+    zi = zero_interior(2, Polytope(2, [[0, Q(5, 4)], [3, -1], [-3, -1]]).vertices, ())
     assert zi.inside and zi.radius_lower_bound == 1 and zi.exact
 
 
 def test_zero_interior_boundary_point() -> None:
-    s = GenConvexSet(Polytope(2, [[0, 0], [1, 0], [0, 1]]), FGCone(2, []))
-    zi = zero_interior(s)
+    points = Polytope(2, [[0, 0], [1, 0], [0, 1]]).vertices
+    zi = zero_interior(2, points, ())
     assert not zi.inside
     d = zi.witness_direction
     assert d is not None and any(c != 0 for c in d)
-    assert all(qdot(v, d) <= 0 for v in s.base.vertices)
+    assert all(qdot(v, d) <= 0 for v in points)
 
 
 def test_zero_interior_empty() -> None:
-    zi = zero_interior(GenConvexSet(Polytope(2, []), FGCone(2, [])))
+    zi = zero_interior(2, (), ())
     assert not zi.inside
 
 
 def test_zero_interior_axis_path_dim4() -> None:
-    cube = GenConvexSet(
-        Polytope(4, list(itertools.product([-1, 1], repeat=4))), FGCone(4, [])
-    )
-    zi = zero_interior(cube)
+    cube = Polytope(4, list(itertools.product([-1, 1], repeat=4))).vertices
+    zi = zero_interior(4, cube, ())
     assert zi.inside and zi.radius_lower_bound == Q(1, 2)  # 1/sqrt(4), certified
 
 
@@ -437,8 +430,7 @@ def test_zero_interior_radius_certifies_axis_points() -> None:
         dim = rng.randint(1, 3)
         base = Polytope(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(1, 4))])
         rec = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))])
-        s = GenConvexSet(base, rec)
-        zi = zero_interior(s)
+        zi = zero_interior(dim, base.vertices, rec.generators)
         if not zi.inside:
             continue
         checked += 1
@@ -448,7 +440,7 @@ def test_zero_interior_radius_certifies_axis_points() -> None:
             for sign in (1, -1):
                 p = [Q(0)] * dim
                 p[j] = sign * nu
-                assert isinstance(membership(p, s), Member)
+                assert isinstance(membership(p, base.vertices, rec.generators), Member)
     assert checked >= 3
 
 
@@ -458,18 +450,18 @@ def test_cone_triviality() -> None:
     assert d is not None and d[0] < 0
 
 
-def _check_zero_interior(s: GenConvexSet) -> bool:
-    """zero_interior(s) against the replaced 2n-boxed-LP triviality test:
-    the same verdict, and when 0 is not interior a nonzero witness d with
-    d'v <= 0 and d'g <= 0 for every vertex and generator.  Returns the
-    verdict."""
-    zi = zero_interior(s)
-    assert zi.inside == reference_zero_inside(s)
-    if not zi.inside and not s.is_empty:
+def _check_zero_interior(dim: int, points, gens) -> bool:
+    """zero_interior(dim, points, gens) against the replaced 2n-boxed-LP
+    triviality test: the same verdict, and when 0 is not interior a nonzero
+    witness d with d'v <= 0 and d'g <= 0 for every vertex and generator.
+    Returns the verdict."""
+    zi = zero_interior(dim, points, gens)
+    assert zi.inside == reference_zero_inside(dim, points, gens)
+    if not zi.inside and points:
         d = zi.witness_direction
-        assert len(d) == s.dim and any(c != 0 for c in d)
-        assert all(qdot(d, v) <= 0 for v in s.base.vertices)
-        assert all(qdot(d, g) <= 0 for g in s.recession.generators)
+        assert len(d) == dim and any(c != 0 for c in d)
+        assert all(qdot(d, v) <= 0 for v in points)
+        assert all(qdot(d, g) <= 0 for g in gens)
     return zi.inside
 
 
@@ -478,8 +470,8 @@ def test_zero_interior_matches_the_boxed_reference_on_fixtures() -> None:
     for build in FIXTURE_BUILDERS.values():
         p = build()
         cp = CandidatePoint.build(p, [Q(0)] * p.dimension)
-        for s in _fixture_sets(p, cp):
-            outcomes.add(_check_zero_interior(s))
+        for points, gens in _fixture_sets(p, cp):
+            outcomes.add(_check_zero_interior(p.dimension, points, gens))
     assert outcomes == {True, False}
 
 
@@ -489,7 +481,9 @@ def test_zero_interior_matches_the_boxed_reference_on_random_instances() -> None
     for _ in range(60):
         p, x = random_polyhedral_problem(rng)
         cp = CandidatePoint.build(p, x)
-        outcomes.append(_check_zero_interior(GenConvexSet(cp.F_star, cp.G_star)))
+        outcomes.append(
+            _check_zero_interior(p.dimension, cp.F_star.vertices, cp.G_star.generators)
+        )
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
@@ -500,7 +494,7 @@ def test_zero_interior_matches_the_boxed_reference_on_random_sets() -> None:
         dim = rng.randint(1, 4)
         base = Polytope(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(1, 6))])
         rec = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))])
-        outcomes.add(_check_zero_interior(GenConvexSet(base, rec)))
+        outcomes.add(_check_zero_interior(dim, base.vertices, rec.generators))
     assert outcomes == {True, False}
 
 
@@ -512,34 +506,34 @@ def test_zero_interior_asks_one_lp_at_most_before_the_radius(monkeypatch) -> Non
     for _ in range(60):
         p, x = random_polyhedral_problem(rng)
         cp = CandidatePoint.build(p, x)
-        sets.append(GenConvexSet(cp.F_star, cp.G_star))
+        sets.append((p.dimension, cp.F_star.vertices, cp.G_star.generators))
     solves = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
-    stub = lambda s: "radius"  # noqa: E731
+    stub = lambda *args: "radius"  # noqa: E731
     monkeypatch.setattr(cones, "_radius_by_facets", stub)
     monkeypatch.setattr(cones, "_radius_by_axis_points", stub)
     ranks = set()
-    for s in sets:
-        normals = list(s.base.vertices) + list(s.recession.generators)
+    for dim, points, gens in sets:
+        normals = list(points) + list(gens)
         rank = span_rank(normals)
         zero_sum = all(sum(c) == 0 for c in zip(*normals))
         solves.clear()
-        zero_interior(s)
-        assert len(solves) == (0 if rank < s.dim or zero_sum else 1)
-        ranks.add(rank < s.dim)
+        zero_interior(dim, points, gens)
+        assert len(solves) == (0 if rank < dim or zero_sum else 1)
+        ranks.add(rank < dim)
     assert ranks == {True, False}
 
 
 def test_zero_interior_reads_a_given_escape() -> None:
     # a point hands over its kept answer, which is asked only at rank n
-    corner = GenConvexSet(Polytope(2, [[0, 0], [1, 0], [0, 1]]), FGCone(2, []))
-    normals = list(corner.base.vertices)
+    corner = Polytope(2, [[0, 0], [1, 0], [0, 1]]).vertices
+    normals = list(corner)
     asked = []
-    zi = zero_interior(corner, lambda: asked.append(1) or subspace_escape(normals))
-    assert asked == [1] and zi == zero_interior(corner) and not zi.inside
-    segment = GenConvexSet(Polytope(2, [[1, 0], [-1, 0]]), FGCone(2, []))
-    zi = zero_interior(segment, lambda: asked.append(1))
+    zi = zero_interior(2, corner, (), lambda: asked.append(1) or subspace_escape(normals))
+    assert asked == [1] and zi == zero_interior(2, corner, ()) and not zi.inside
+    segment = Polytope(2, [[1, 0], [-1, 0]]).vertices
+    zi = zero_interior(2, segment, (), lambda: asked.append(1))
     assert asked == [1] and not zi.inside and zi.witness_direction == (Q(0), Q(1))
 
 
@@ -690,27 +684,27 @@ def test_dd_membership_agreement(c: FGCone, raw: list) -> None:
     assert direct == via_generators
 
 
-def _check_against_reference_separate(p, s: GenConvexSet):
-    """membership(p, s) against the replaced separation LP: the same verdict,
-    and a separator with gap = h'p - max h'v > 0 and h'r <= 0.  Returns the
-    pair of separators, (None, None) when p is in s."""
-    res, ref = membership(p, s), reference_separate(p, s)
+def _check_against_reference_separate(p, points, gens):
+    """membership(p, points, gens) against the replaced separation LP: the
+    same verdict, and a separator with gap = h'p - max h'v > 0 and h'r <= 0.
+    Returns the pair of separators, (None, None) when p is in the set."""
+    res, ref = membership(p, points, gens), reference_separate(p, points, gens)
     assert isinstance(res, Member) == (ref is None)
     if ref is None:
         return None, None
     h = res.separator
-    assert res.gap == qdot(h, p) - max(qdot(h, v) for v in s.base.vertices) > 0
-    assert all(qdot(h, r) <= 0 for r in s.recession.generators)
+    assert res.gap == qdot(h, p) - max(qdot(h, v) for v in points) > 0
+    assert all(qdot(h, r) <= 0 for r in gens)
     return res, ref
 
 
 def _fixture_sets(p, cp) -> list:
     """F* + G*, each active constraint's subdifferential and the envelope's
-    at the point, where nonempty."""
-    sets = [GenConvexSet(cp.F_star, cp.G_star)]
+    at the point, as (points, generators) pairs, where nonempty."""
+    sets = [(cp.F_star.vertices, cp.G_star.generators)]
     sets += [cp.constraint_subdiff(k) for k in cp.T]
     sets.append(cp.psi_subdiff())
-    return [s for s in sets if s is not None and not s.is_empty]
+    return [s for s in sets if s is not None and s[0]]
 
 
 def test_membership_separator_matches_the_reference_on_fixtures() -> None:
@@ -720,9 +714,9 @@ def test_membership_separator_matches_the_reference_on_fixtures() -> None:
         cp = CandidatePoint.build(p, [Q(0)] * p.dimension)
         n = p.dimension
         targets = [vec_q(t) for t in ([0] * n, [1] * n, [-1] * n, [-2] + [3] * (n - 1))]
-        for s in _fixture_sets(p, cp):
+        for points, gens in _fixture_sets(p, cp):
             for target in targets:
-                res, ref = _check_against_reference_separate(target, s)
+                res, ref = _check_against_reference_separate(target, points, gens)
                 if ref is not None:
                     assert res == ref
                     separated += 1
@@ -735,7 +729,7 @@ def test_membership_separator_matches_the_reference_on_random_instances() -> Non
     for _ in range(40):
         p, x = random_polyhedral_problem(rng)
         cp = CandidatePoint.build(p, x)
-        res, _ = _check_against_reference_separate(x, GenConvexSet(cp.F_star, cp.G_star))
+        res, _ = _check_against_reference_separate(x, cp.F_star.vertices, cp.G_star.generators)
         outcomes.add(res is None)
     assert outcomes == {True, False}
 
@@ -749,7 +743,7 @@ def test_membership_separator_matches_the_reference_on_random_sets() -> None:
         rec = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))])
         p = _rand_vec(rng, dim)
         p[0] += 1 if p[0] >= 0 else -1  # p != 0
-        res, _ = _check_against_reference_separate(p, GenConvexSet(base, rec))
+        res, _ = _check_against_reference_separate(p, base.vertices, rec.generators)
         outcomes.add(res is None)
     assert outcomes == {True, False}
 
@@ -761,9 +755,8 @@ def test_membership_separator_exclusivity(seed: int) -> None:
     dim = rng.randint(1, 3)
     base = Polytope(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(1, 4))])
     rec = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))])
-    s = GenConvexSet(base, rec)
     p = _rand_vec(rng, dim)
-    res = membership(p, s)
+    res = membership(p, base.vertices, rec.generators)
     if isinstance(res, Member):
         recon = [
             sum(a * v[i] for a, v in zip(res.alpha, base.vertices))
@@ -802,7 +795,7 @@ def test_contains_witness_verifies(seed: int) -> None:
         lambda: min_max_direction([(Q(1), Q(0))], [], 2),
         # the cube's vertices sum to 0, so only the radius LPs run
         lambda: zero_interior(
-            GenConvexSet(Polytope(4, list(itertools.product([-1, 1], repeat=4))), FGCone(4, []))
+            4, Polytope(4, list(itertools.product([-1, 1], repeat=4))).vertices, ()
         ),
         lambda: HCone(2, [[1, 0], [0, 1]]),
         lambda: Polytope(2, [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]]),

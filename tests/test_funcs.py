@@ -41,19 +41,19 @@ def float_at(f, x) -> float:
 def test_affine_basics():
     f = Affine([2, -1], Q(3))
     assert evaluate(f, [1, 1]) == Q(4)
-    assert subdiff(f, [1, 1]).vertices == ((Q(2), Q(-1)),)
+    assert subdiff(f, [1, 1]) == ((Q(2), Q(-1)),)
     assert dir_derivative(f, [1, 1], [1, 0]) == Q(2)
 
 
 def test_max_affine_kink_recovers_interval():
     f = MaxAffine([([1], Q(0)), ([3], Q(0))])
     sd = subdiff(f, [0])
-    assert sd.vertices == ((Q(1),), (Q(3),))
+    assert sd == ((Q(1),), (Q(3),))
     assert dir_derivative(f, [0], [1]) == Q(3)
     assert dir_derivative(f, [0], [-1]) == Q(-1)
     # off the kink only one piece is active
-    assert subdiff(f, [1]).vertices == ((Q(3),),)
-    assert subdiff(f, [-1]).vertices == ((Q(1),),)
+    assert subdiff(f, [1]) == ((Q(3),),)
+    assert subdiff(f, [-1]) == ((Q(1),),)
 
 
 def test_support_polygon_at_origin_is_whole_polygon():
@@ -61,9 +61,23 @@ def test_support_polygon_at_origin_is_whole_polygon():
     f = SupportPolygon(verts)
     assert evaluate(f, [0, 0]) == Q(0)
     sd = subdiff(f, [0, 0])
-    assert set(sd.vertices) == {(Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(-1))}
+    assert set(sd) == {(Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(-1))}
     # away from the origin the maximizing vertex is unique
-    assert subdiff(f, [1, 0]).vertices == ((Q(1), Q(0)),)
+    assert subdiff(f, [1, 0]) == ((Q(1), Q(0)),)
+
+
+def test_subdiff_set_lists_every_active_piece_sorted_with_no_lp(monkeypatch):
+    # the max rule: the gradients of the active pieces, sorted and distinct;
+    # (1/2, 1/2) lies between the other two and stays listed
+    from mosipcert import lp
+
+    f = MaxAffine([([1, 0], 0), ([0, 1], 0), ([Q(1, 2), Q(1, 2)], 0), ([1, 0], 0)])
+    solves = []
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog))
+    points, rays = subdiff_set(f, [0, 0])
+    assert points == ((Q(0), Q(1)), (Q(1, 2), Q(1, 2)), (Q(1), Q(0)))
+    assert rays == () and solves == []
+    assert subdiff(f, [0, 0]) == points
 
 
 def test_support_polygon_value_is_support_function():
@@ -87,8 +101,8 @@ def test_neg_sqrt_parabola_values_and_domain():
 def test_neg_sqrt_parabola_boundary_subdifferential_is_empty():
     g = NegSqrtParabola1D(Q(1))
     for point in ([0], [2]):
-        sd = subdiff_set(g, point)
-        assert sd.is_empty
+        points, rays = subdiff_set(g, point)
+        assert points == ()
     with pytest.raises(ModelError):
         subdiff_set(g, [-1])
 
@@ -106,10 +120,10 @@ def test_neg_sqrt_parabola_interior_slopes():
     g = NegSqrtParabola1D(Q(1))
     # (x - t)^2 / (x (2t - x)) = 16/9 at x = 1/5, so the slope is -4/3
     sd = subdiff(g, [Q(1, 5)])
-    assert sd.vertices == ((Q(-4, 3),),)
+    assert sd == ((Q(-4, 3),),)
     assert dir_derivative(g, [Q(1, 5)], [1]) == Q(-4, 3)
     # mirrored point: slope +4/3
-    assert subdiff(g, [Q(9, 5)]).vertices == ((Q(4, 3),),)
+    assert subdiff(g, [Q(9, 5)]) == ((Q(4, 3),),)
     with pytest.raises(UnsupportedOperationError):
         subdiff(g, [Q(1, 2)])  # slope -1/sqrt(3) is irrational
 
@@ -129,15 +143,15 @@ def test_domain_indicator_changes_the_calculus():
     dom = HPoly(2, [((Q(1), Q(0)), Q(0)), ((Q(0), Q(1)), Q(0))])
     f = Affine([0, 0], Q(0), domain=dom)
     assert evaluate(f, [1, 1]) is POS_INF
-    sd = subdiff_set(f, [0, 0])
-    assert sd.base.vertices == ((Q(0), Q(0)),)
-    assert set(sd.recession.generators) == {(Q(1), Q(0)), (Q(0), Q(1))}
+    points, rays = subdiff_set(f, [0, 0])
+    assert points == ((Q(0), Q(0)),)
+    assert set(rays) == {(Q(1), Q(0)), (Q(0), Q(1))}
     with pytest.raises(UnsupportedOperationError):
         subdiff(f, [0, 0])
     assert dir_derivative(f, [0, 0], [1, 0]) is POS_INF
     assert dir_derivative(f, [0, 0], [-1, -2]) == Q(0)
     # interior of the domain: plain calculus again
-    assert subdiff(f, [-1, -1]).vertices == ((Q(0), Q(0)),)
+    assert subdiff(f, [-1, -1]) == ((Q(0), Q(0)),)
 
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -160,7 +174,7 @@ def test_subgradient_inequality_exact(f, x, y):
     y = [Q(c) for c in y]
     fx, fy = evaluate(f, x), evaluate(f, y)
     step = [b - a for a, b in zip(x, y)]
-    for g in subdiff(f, x).vertices:
+    for g in subdiff(f, x):
         assert fy >= fx + qdot(g, step)
 
 
@@ -169,7 +183,7 @@ def test_subgradient_inequality_exact(f, x, y):
 def test_max_formula_for_directional_derivative(f, x, d):
     x = [Q(c) for c in x]
     d = [Q(c) for c in d]
-    want = max(qdot(g, d) for g in subdiff(f, x).vertices)
+    want = max(qdot(g, d) for g in subdiff(f, x))
     assert dir_derivative(f, x, d) == want
 
 

@@ -342,7 +342,7 @@ def test_nonnegativity_and_witness_validity_on_random_instances(seed):
     cp = CandidatePoint.build(p, x)
     # gap_eval is nonnegative at feasible points (y = x is always admissible)
     lam = tuple(Q(1, len(p.objectives)) for _ in p.objectives)
-    sel = [subdiff(f, x).vertices[0] for f in p.objectives]
+    sel = [subdiff(f, x)[0] for f in p.objectives]
     value = gap.gap_eval(p, x, sel, lam)
     assert value is POS_INF or value >= 0
 

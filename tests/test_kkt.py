@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mosipcert import instances, kkt, problem, quals
 from mosipcert.cones import (
     FGCone,
-    GenConvexSet,
     Member,
     NotMember,
     Polytope,
@@ -45,30 +44,30 @@ def ex3():
     return p, CandidatePoint.build(p, [0])
 
 
-def relative_interior_zero(s: GenConvexSet) -> bool:
-    """0 in ri(base + recession), exactly: 0 is a member and the support cone
-    {d : sigma(d) <= 0} is a linear subspace."""
-    zero = tuple(ZERO for _ in range(s.dim))
-    if isinstance(membership(zero, s), NotMember):
+def relative_interior_zero(points, gens) -> bool:
+    """0 in ri(conv(points) + cone(gens)), exactly: 0 is a member and the
+    support cone {d : sigma(d) <= 0} is a linear subspace."""
+    zero = tuple(ZERO for _ in points[0])
+    if isinstance(membership(zero, points, gens), NotMember):
         return False
-    return _support_escape(s) is None
+    return _support_escape(points, gens) is None
 
 
-def _support_escape(s: GenConvexSet):
+def _support_escape(points, gens):
     """`subspace_escape` of the support normals: None exactly when the
     support cone {d : sigma(d) <= 0} is a subspace."""
-    return subspace_escape(list(s.base.vertices) + list(s.recession.generators))
+    return subspace_escape(list(points) + list(gens))
 
 
-def support_cone_is_subspace_by_boxed_lps(s: GenConvexSet) -> bool:
+def support_cone_is_subspace_by_boxed_lps(points, gens) -> bool:
     """The support-cone test `kkt` replaced, one boxed LP per support normal
     a: no a has a'd < 0 somewhere on {d : sigma(d) <= 0}."""
-    normals = list(s.base.vertices) + list(s.recession.generators)
+    normals = list(points) + list(gens)
     return all(boxed_max(normals, [-c for c in a]).value <= 0 for a in normals)
 
 
 def _random_support_sets(rng: random.Random, count: int) -> list:
-    """Sets base + recession whose vertices and generators lie in the span of
+    """(points, generators) pairs whose members lie in the span of
     the first few coordinates, so the support cone is all of space, a proper
     subspace or no subspace at all."""
     out = []
@@ -80,7 +79,7 @@ def _random_support_sets(rng: random.Random, count: int) -> list:
             return tuple(Q(rng.randint(-2, 2)) if j < span else ZERO for j in range(dim))
 
         base = Polytope(dim, [vec() for _ in range(rng.randint(1, 4))])
-        out.append(GenConvexSet(base, FGCone(dim, [vec() for _ in range(rng.randint(0, 2))])))
+        out.append((base.vertices, FGCone(dim, [vec() for _ in range(rng.randint(0, 2))]).generators))
     return out
 
 
@@ -207,24 +206,24 @@ class TestStrong:
 class TestRelativeInteriorZero:
     def test_segment_through_origin(self):
         seg = Polytope(2, [(Q(-1), ZERO), (ONE, ZERO)])
-        assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is True
+        assert relative_interior_zero(seg.vertices, ()) is True
 
     def test_segment_with_origin_as_endpoint(self):
         seg = Polytope(2, [(ZERO, ZERO), (ONE, ZERO)])
-        assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
+        assert relative_interior_zero(seg.vertices, ()) is False
 
     def test_origin_outside(self):
         seg = Polytope(2, [(ONE, ZERO), (Q(2), ZERO)])
-        assert relative_interior_zero(GenConvexSet(seg, FGCone(2, []))) is False
+        assert relative_interior_zero(seg.vertices, ()) is False
 
     def test_support_cone_matches_the_boxed_lp_reference(self):
         outcomes = set()
-        for s in _random_support_sets(random.Random(4241), 60):
-            d = _support_escape(s)
-            assert (d is None) == support_cone_is_subspace_by_boxed_lps(s)
+        for points, gens in _random_support_sets(random.Random(4241), 60):
+            d = _support_escape(points, gens)
+            assert (d is None) == support_cone_is_subspace_by_boxed_lps(points, gens)
             if d is not None:
                 # d lies in the support cone but off its lineality space
-                dots = [qdot(a, d) for a in s.base.vertices + s.recession.generators]
+                dots = [qdot(a, d) for a in points + gens]
                 assert max(dots) <= 0 and min(dots) < 0
             outcomes.add(d is None)
         assert outcomes == {True, False}
@@ -236,14 +235,14 @@ class TestRelativeInteriorZero:
         solves = []
         solve = lp.solve
         monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
-        for s in sets:
+        for points, gens in sets:
             solves.clear()
-            _support_escape(s)
+            _support_escape(points, gens)
             assert len(solves) <= 1
         # normals summing to 0 span a subspace with no LP
         seg = Polytope(2, [(Q(-1), ZERO), (ONE, ZERO)])
         solves.clear()
-        assert _support_escape(GenConvexSet(seg, FGCone(2, []))) is None
+        assert _support_escape(seg.vertices, ()) is None
         assert solves == []
 
     def test_strong_and_perturbed_share_one_support_escape(self, monkeypatch):
@@ -396,14 +395,14 @@ class TestOneMembershipDecision:
             p, x = random_polyhedral_problem(rng)
             cp = CandidatePoint.build(p, x)
             zero = tuple(ZERO for _ in range(p.dimension))
-            gs = GenConvexSet(cp.F_star, cp.G_star)
-            member = isinstance(membership(zero, gs), Member)
+            verts, gens = cp.F_star.vertices, cp.G_star.generators
+            member = isinstance(membership(zero, verts, gens), Member)
             outcomes.add(member)
             assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
             assert isinstance(kkt._decompose(p, cp, zero, margin=True), tuple) == member
-            value, _ = cp.min_max(cp.F_star.vertices, cp.G_star.generators)
+            value, _ = cp.min_max(verts, gens)
             assert (value < 0) != member
-            ri = member and support_cone_is_subspace_by_boxed_lps(gs)
+            ri = member and support_cone_is_subspace_by_boxed_lps(verts, gens)
             assert kkt.strong_kkt(p, cp).ri_zero == ri
         assert outcomes == {True, False}
 
@@ -499,9 +498,9 @@ class TestIsolationInclusionReport:
         calls = []
         real = problem.zero_interior
 
-        def counted(s, escape=None):
+        def counted(dim, points, gens, escape=None):
             calls.append(1)
-            return real(s, escape)
+            return real(dim, points, gens, escape)
 
         monkeypatch.setattr(problem, "zero_interior", counted)
         report = kkt.isolation_inclusion_report(p, cp, 2)

@@ -554,10 +554,8 @@ def _definitional_moq(p, cp) -> bool:
     for g in f0.generators:
         decreasing = False
         for f in p.objectives:
-            sd = subdiff_set(f, cp.x)
-            if max(qdot(v, g) for v in sd.base.vertices) < 0 and all(
-                qdot(r, g) <= 0 for r in sd.recession.generators
-            ):
+            points, rays = subdiff_set(f, cp.x)
+            if max(qdot(v, g) for v in points) < 0 and all(qdot(r, g) <= 0 for r in rays):
                 decreasing = True
                 break
         if not decreasing:

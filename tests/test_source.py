@@ -76,7 +76,7 @@ def _module_names(path: Path) -> set:
     return _kind_names(tree) | imported
 
 
-CANONICALISING = {"Polytope", "FGCone", "GenConvexSet", "membership"}
+CANONICALISING = {"Polytope", "FGCone", "membership"}
 
 
 def _store_references(path: Path) -> set:
@@ -104,6 +104,27 @@ def test_the_point_store_is_the_only_memo():
     }
     assert found == {stem: set() for stem in found}
     assert _module_names(SRC / "quals.py") & CANONICALISING == set()
+
+
+def _calls(path: Path, names) -> set:
+    """The names among `names` that a module calls, as `Name(...)` or
+    `module.Name(...)`."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and (node.func.id if isinstance(node.func, ast.Name) else node.func.attr) in names
+    }
+
+
+def test_a_subdifferential_is_its_active_pieces():
+    # a subdifferential is a (points, rays) pair read off the active pieces;
+    # every consumer reads the pair as columns or rows, so canonicalising it
+    # would only add pruning LPs, and the wrapper class that held it is gone
+    named = {path.stem for path in sorted(SRC.glob("*.py")) if "GenConvexSet" in _module_names(path)}
+    assert named == set()
+    assert _calls(SRC / "funcs.py", {"Polytope", "FGCone", "HCone"}) == set()
 
 
 LP_FREE = ("dd_convert", "_eliminate", "_lineality", "_extreme_rays")
