@@ -4,19 +4,20 @@ interior tests.
 
 Every question of the form "is the target a convex combination of these
 points plus a conic combination of these generators" is one call to
-`decompose`, the package's only decomposition LP: `contains`, `cone_member`,
-`subspace_escape`, the first LP of `membership` (whose one caller,
-`gap.gap_eval`, checks each subgradient selection against the points and
-rays of `funcs.subdiff_set`), the zero decomposition that refutes MFCQ and
-COCQ (`problem.CandidatePoint.zero_decomposition`), the KKT searches in
-`kkt` and the gap zero search in `gap`.  `hull_terms` reads its weights back
-per block of points.  When no weights exist, the Farkas vector of the
-infeasible LP is a direction, and `subspace_escape` and `contains` return it
-as their witness.  Its converse, "which direction strictly separates 0 from
-conv(points) + cone(generators)", is one call to `min_max_direction`, the
-only separation LP: `membership` shifts the points by the target, MFCQ,
-PMFCQ and COCQ read their directions off it, and weak and strong KKT decide
-0 in F* + G* with it.
+`decompose`, the package's only decomposition LP: the pruning of the
+constructors, `contains`, `cone_member`, `subspace_escape`, the first LP of
+`membership` (whose one caller, `gap.gap_eval`, checks each subgradient
+selection against the points and rays of `funcs.subdiff_set`), the zero
+decomposition that refutes MFCQ and COCQ
+(`problem.CandidatePoint.zero_decomposition`), the KKT searches in `kkt` and
+the gap zero search in `gap`.  `hull_terms` reads its weights back per block
+of points.  When no weights exist, the Farkas vector of the infeasible LP is
+a direction (`_escape_of`): `subspace_escape` and `contains` return it as
+their witness, and Clarkson's algorithm steers by it.  Its converse, "which
+direction strictly separates 0 from conv(points) + cone(generators)", is one
+call to `min_max_direction`, the only separation LP: `membership` shifts the
+points by the target, MFCQ, PMFCQ and COCQ read their directions off it, and
+weak and strong KKT decide 0 in F* + G* with it.
 
 Interior and containment ask no boxed LP.  0 is interior to conv(V) +
 cone(R) exactly when V u R positively spans n-space (Davis 1954): rank n,
@@ -28,12 +29,10 @@ the second is in the cone of the first one's normals (Farkas), one
 Everything is exact rational.  Every Polytope, FGCone and HCone holds its
 canonical form (primitive integer scaling for rays and normals, lexicographic
 sorting, redundancy pruning), so structural equality of two of them is
-equality of the canonical representations.  Pruning asks one Farkas
-redundancy LP, `_in_cone`, not a `decompose` call: a lies in cone(others)
-exactly when a'd <= 0 is implied by b'd <= 0 for every other b, so a
-redundant generator, a redundant normal and a redundant point (p lifted to
-(p, 1)) are one question.  A polytope keeps its extreme points, which are
-unique, so it finds them with Clarkson's output-sensitive algorithm
+equality of the canonical representations.  A redundant generator or
+normal lies in the cone of the others, and a redundant point in the hull of
+the others: one `decompose` each.  A polytope keeps its extreme points,
+which are unique, so it finds them with Clarkson's output-sensitive algorithm
 (`_extreme_points`): each LP runs against the extreme points found so far.
 Rays and normals keep the greedy loop (`_irredundant`), each LP against all
 the others still kept: for a cone with lineality the rays it keeps depend on
@@ -49,7 +48,8 @@ cone's canonical generators are its polar's canonical normals, and back),
 the output of `dd_convert`, and the rays a candidate point keeps per sorted
 primitive integer set (`problem.CandidatePoint.cone`), which depend on that
 set alone.  Rows that are only read by another LP need no canonical form:
-`Halfspaces` hands them to `dd_convert` unpruned.
+`Halfspaces` hands them to `dd_convert` unpruned, and `HPoly.normal_rays`
+lists a domain's active normals for `funcs.subdiff_set` unpruned.
 
 `dd_convert` is one double description with no LP, and its generators
 depend only on the cone.  A cone C with lineality space L is L plus its
@@ -143,31 +143,15 @@ def box_rows(dim: int, extra: int = 0) -> list:
     return rows
 
 
-def _in_cone(a, others) -> Optional[tuple]:
-    """None when a is in cone(others), else a direction d with b'd <= 0 for
-    every other b and a'd > 0.  By Farkas, a is in the cone exactly when
-    a'd <= 0 is implied by b'd <= 0 for every other b, that is when max a'd
-    over those rows, capped by a'd <= 1, is 0; d is the LP's optimal point.
-    d = 0 is feasible and the cap bounds the objective, so the LP has an
-    optimum.  With no others no LP runs: a nonzero a is its own direction."""
-    if not others:
-        return tuple(a)
-    rows = [(list(b), lp.LE, ZERO) for b in others]
-    rows.append((list(a), lp.LE, ONE))
-    res = lp.solve(lp.LinearProgram(len(a), list(a), rows))
-    if not isinstance(res, lp.Optimal):
-        raise InternalInconsistencyError("the redundancy LP has an optimum")
-    return None if res.value <= 0 else tuple(res.primal)
-
-
 def _irredundant(vectors) -> list:
     """Greedy pruning of nonzero vectors: in order, drop each one that lies
-    in the cone of the others still kept.  A vector kept was tested against
-    a superset of the final others, so the result is irredundant."""
+    in the cone of the others still kept, one `decompose` (no LP when no
+    other is left).  A vector kept was tested against a superset of the
+    final others, so the result is irredundant."""
     kept = list(vectors)
     i = 0
     while i < len(kept):
-        if _in_cone(kept[i], kept[:i] + kept[i + 1 :]) is None:
+        if isinstance(decompose(kept[i], (), [kept[:i] + kept[i + 1 :]]), list):
             del kept[i]
         else:
             i += 1
@@ -182,13 +166,14 @@ def _extreme_points(points) -> list:
     The lexicographically largest maximiser of a linear function over the
     points is an extreme point.  The maximisers of +-p_j seed the extreme
     points E with no LP; in dimension 1 they are the two ends, and no LP
-    runs.  Each other point p is tested by `_in_cone` of (p, 1) against
-    (e, 1) for e in E only.  When p is not in conv(E), the direction d has
+    runs.  Each other point p is tested by one `decompose` over E only.
+    When p is not in conv(E), its Farkas direction d (`_escape_of`) has
     d'(e, 1) <= 0 on E, hence on every point found inside conv(E), and
     d'(p, 1) > 0, so d'(q, 1) is maximised only by points still untested:
     the largest such maximiser joins E, and p is tested again unless it is
     that point.  Each LP settles one point, so there is one LP per point the
-    seeds leave, with at most one row per extreme point plus the cap."""
+    seeds leave, with a row per coordinate, the simplex row and a row per
+    extreme point found so far."""
     if not points:
         return []
     dim = len(points[0])
@@ -198,10 +183,11 @@ def _extreme_points(points) -> list:
     untested = [p for p in points if p not in found] if dim != 1 else []
     for p in list(untested):
         while p in untested:
-            d = _in_cone(p + (ONE,), [e + (ONE,) for e in found])
-            if d is None:
+            res = decompose(p, [list(found)])
+            if isinstance(res, list):
                 untested.remove(p)
             else:
+                d = _escape_of(res, dim + 1)
                 v = max(untested, key=lambda q: (qdot(d[:-1], q) + d[-1], q))
                 untested.remove(v)
                 found[v] = None
@@ -236,8 +222,8 @@ def decompose(target, hulls, cones=(), margin=False):
     """Nonnegative weights writing `target` as a combination of the columns
     of `hulls` and `cones` (each a sequence of blocks of vectors) whose hull
     weights sum to 1.  This is the one decomposition LP of the package:
-    membership, the zero decomposition of MFCQ and COCQ, the KKT searches
-    and the gap zero search all call it.
+    pruning, membership, the zero decomposition of MFCQ and COCQ, the KKT
+    searches and the gap zero search all call it.
 
     Rows, in this order: one equality per coordinate, columns in block order
     with the hull blocks first; the simplex row over every hull column (only
@@ -279,6 +265,17 @@ def decompose(target, hulls, cones=(), margin=False):
     if not isinstance(res, lp.Optimal):
         raise InternalInconsistencyError("the margin is capped, so the LP has an optimum")
     return res.primal
+
+
+def _escape_of(res, dim: int) -> tuple:
+    """The direction d = -y of an infeasible `decompose` of a target t, y
+    the Farkas multipliers of its first `dim` rows.  Over cone(vectors)
+    alone these are the coordinate rows: y'a >= 0 for every vector a and
+    y't < 0, so d'a <= 0 and d't > 0.  Over conv(points), dim = len(t) + 1
+    takes the simplex row too, and the same holds of the lifted points
+    (p, 1) and target (t, 1): d'(p, 1) <= 0 for every point p and
+    d'(t, 1) > 0."""
+    return tuple(-y for y in res.farkas[:dim])
 
 
 def hull_terms(weights, hulls) -> list:
@@ -373,13 +370,11 @@ class HPoly:
     def active_rows(self, x) -> list:
         return [i for i, (a, b) in enumerate(self.rows) if qdot(a, x) == b]
 
-    def tangent_cone(self, x) -> HCone:
-        """Feasible-direction/contingent cone at a point of the polyhedron."""
-        return HCone(self.dim, [self.rows[i][0] for i in self.active_rows(x)])
-
-    def normal_cone(self, x) -> FGCone:
-        """Cone of active row normals (polar of the tangent cone)."""
-        return polar(self.tangent_cone(x))
+    def normal_rays(self, x) -> tuple:
+        """The sorted distinct primitive normals of the rows active at x,
+        unpruned: they generate the normal cone at x."""
+        active = [self.rows[i][0] for i in self.active_rows(x)]
+        return tuple(tuple(Q(c) for c in r) for r in _primitive_int_set(self.dim, active, "normal"))
 
     def lp_rows(self) -> list:
         return [(list(a), lp.LE, b) for a, b in self.rows]
@@ -583,13 +578,6 @@ def cone_member(p, c: FGCone) -> Optional[list]:
 
 # ---------------------------------------------------------------------------
 # Interior, subspaces, containment
-
-
-def _escape_of(res, dim: int) -> tuple:
-    """The direction d = -y of an infeasible `decompose` of a target t over
-    cone(vectors) alone, y the Farkas multipliers of its coordinate rows:
-    y'a >= 0 for every vector a and y't < 0, so d'a <= 0 and d't > 0."""
-    return tuple(-y for y in res.farkas[:dim])
 
 
 def subspace_escape(normals) -> Optional[tuple]:

@@ -1,7 +1,7 @@
 """Convex function calculus: exact evaluation (extended-real), subdifferentials
-as (points, rays) pairs, conv(points) + cone(rays), the rays spanning the
-domain's normal cone when a domain boundary makes them unbounded, and
-directional derivatives.
+as (points, rays) pairs, conv(points) + cone(rays), the rays the active
+normals of the domain when a domain boundary makes them unbounded, and
+directional derivatives.  The calculus runs no LP.
 
 The function classes are a closed enumeration so that every class carries an
 exact subdifferential rule — certification must not depend on a user oracle.
@@ -175,15 +175,16 @@ def evaluate(f: ConvexFunc, x):
 
 def subdiff_set(f: ConvexFunc, x) -> tuple:
     """Exact subdifferential of f (+ its domain indicator) at x as (points,
-    rays): conv(points) + cone(rays), the rays generating the domain's normal
-    cone.  No points means the empty set."""
+    rays): conv(points) + cone(rays), the rays the normals of the domain rows
+    active at x (`HPoly.normal_rays`), which generate its normal cone.  No
+    points means the empty set.  Nothing is pruned, so no LP runs."""
     x = vec_q(x)
     val = evaluate(f, x)
     if not is_finite(val):
         raise ModelError("subdifferential requested outside the domain")
     active = active_pieces(f, x)
     if active is not None:
-        rays = f.domain.normal_cone(x).generators if f.domain is not None else ()
+        rays = f.domain.normal_rays(x) if f.domain is not None else ()
         return tuple(sorted(set(active))), rays
     # NegSqrtParabola1D
     v = x[0]

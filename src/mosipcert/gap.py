@@ -213,7 +213,9 @@ def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
             p, cp.x, i, w.xi_vertices[i], w.xi_coeffs[i], w.xi[i]
         )
     if not issues:
-        value = gap_eval(p, cp.x, w.xi, w.lam)
+        # by here each xi is an exact combination of its recomputed vertex
+        # table, so the membership LPs of gap_eval would only ask again
+        value = _sup_lp(p, cp.x, lincomb(w.lam, w.xi, p.dimension))
         if value != w.value:
             issues.append(f"recorded value {w.value} but recomputed {value}")
         if value != 0:

@@ -274,7 +274,9 @@ class MosipProblem:
             raise ModelError("feasible_set dimension mismatch")
         if psi_override is not None and psi_override.dim != dimension:
             raise ModelError("psi_override dimension mismatch")
-        annotations = json_object(dict(annotations or {}), ANNOTATION_KEYS, "annotation")
+        annotations = dict(
+            json_object({} if annotations is None else annotations, ANNOTATION_KEYS, "annotation")
+        )
         flags = annotations.get("flags", {})
         if not isinstance(flags, dict) or not all(type(v) is bool for v in flags.values()):
             raise ParseError(f"flags must map names to true or false, got {flags!r}")
@@ -517,7 +519,7 @@ class CandidatePoint:
             # x satisfies every row of S: the feasibility pass checked it;
             # C is cut out by the active rows
             S = p.feasible_set
-            C = _kept_cone(derived, HCone, p.dimension, [S.rows[i][0] for i in S.active_rows(x)])
+            C = _kept_cone(derived, HCone, p.dimension, S.normal_rays(x))
             N = polar(C)
             if not contains(G_star, N).holds:
                 # an active subgradient g has g'(y - x) <= g_t(y) <= 0 on the

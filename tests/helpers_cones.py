@@ -1,11 +1,13 @@
-"""Reference canonicalisers: the pruning loops that `mosipcert.cones` replaced
-by one greedy loop over one Farkas redundancy LP.
+"""Reference canonicalisers: plain greedy pruning loops, written apart from
+`mosipcert.cones`.
 
-Each one asks its redundancy question through `cones.decompose` instead:
-a point is dropped when it is a convex combination of the other points, a
-generator or normal when it is a conic combination of the others.  For
-normals this is the Farkas dual of the implication test the library runs, so
-the two formulations check each other.  `reference_dd_convert` runs the
+Each one asks its redundancy question through `cones.decompose`: a point is
+dropped when it is a convex combination of the other points, a generator or
+normal when it is a conic combination of the others.  The library asks the
+same of rays and normals; of points it runs Clarkson's algorithm, which
+`reference_vertices` checks.  `tangent_cone` is the canonical H-cone of a
+polyhedron's active rows, the fresh reference for a point's tangent cone
+C.  `reference_dd_convert` runs the
 replaced double description, +-axis slices pruned with LPs, and reads the
 canonical form of a cone with lineality off the generators it finds.
 `reference_row_reduce` is the rational Gauss-Jordan elimination that the
@@ -28,6 +30,7 @@ from mosipcert.cones import (
     ContainsResult,
     FGCone,
     HCone,
+    HPoly,
     NotMember,
     Polytope,
     _irredundant,
@@ -97,6 +100,12 @@ def greedy_vertices(vertices) -> tuple:
     dropped when it lies in the cone of the others still kept."""
     points = sorted(set(vec_q(v) for v in vertices))
     return tuple(p[:-1] for p in _irredundant([p + (ONE,) for p in points]))
+
+
+def tangent_cone(poly: HPoly, x) -> HCone:
+    """The feasible-direction (contingent) cone of the polyhedron at a point
+    of it: the canonical HCone of the normals of its active rows."""
+    return HCone(poly.dim, [poly.rows[i][0] for i in poly.active_rows(x)])
 
 
 def reference_rays(vectors) -> tuple:

@@ -9,6 +9,7 @@ against.
 
 from __future__ import annotations
 
+from helpers_cones import tangent_cone
 from mosipcert.cones import HPoly
 from mosipcert.errors import ModelError, UnsupportedOperationError
 from mosipcert.funcs import affine_pieces, evaluate
@@ -44,7 +45,7 @@ def reference_eadq(p, cp) -> tuple:
     if p.feasible_set is None:
         return UNDECIDABLE, None
     try:
-        tangents = [sublevel_Q(p, cp.x, i).tangent_cone(cp.x) for i in range(p.num_objectives)]
+        tangents = [tangent_cone(sublevel_Q(p, cp.x, i), cp.x) for i in range(p.num_objectives)]
     except UnsupportedOperationError:
         return UNDECIDABLE, None
     generators = cp.fg_polar().generators

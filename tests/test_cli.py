@@ -156,6 +156,31 @@ class TestSubcommands:
         assert code == 0
         assert report["kkt"]["weak"]["objectives"][0]["vertices"] == table
 
+    def test_redundant_domain_normal_is_listed_and_verifies(self, capsys, tmp_path):
+        # min -x1 - x2 subject to x1 + x2 <= 0 on the domain x1 <= 0, x2 <= 0,
+        # x1 + x2 <= 0: the third row's normal is implied by the other two,
+        # and the certificates list it as a ray with coefficient 0
+        def row(*entries):
+            return [[n, 1] for n in entries]
+
+        doc = {
+            "dimension": 2,
+            "objectives": [{"kind": "affine", "a": row(-1, -1), "b": [0, 1]}],
+            "constraints": {"finite": [{"kind": "affine", "a": row(1, 1), "b": [0, 1],
+                                        "domain": {"rows": [row(1, 0, 0), row(0, 1, 0),
+                                                            row(1, 1, 0)]}}]},
+            "feasible_set": {"rows": [row(1, 0, 0), row(0, 1, 0)]},
+        }
+        path = tmp_path / "redundant-domain.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, cert = _run_json(capsys, ["certify", str(path), "--point", "0,0", "--verify"])
+        assert code == 0
+        for term in (cert["weak"]["constraints"][0], cert["strong"]["certificate"]["constraints"][0]):
+            assert term["rays"] == [row(0, 1), row(1, 0), row(1, 1)]
+            assert term["ray_coeffs"][2] == [0, 1]
+        code, _ = _run_json(capsys, ["report", str(path), "--point", "0,0", "--verify"])
+        assert code == 0
+
 
 class TestExitCodes:
     def test_infeasible_candidate(self, capsys):
@@ -224,6 +249,18 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: parse: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "annotations", [[["name", "sneaky"]], [], "sneaky"], ids=["pairs", "empty-list", "string"]
+    )
+    def test_non_object_annotations_are_a_parse_error(self, capsys, tmp_path, annotations):
+        # dict() would read a list of pairs as an object and an empty list as
+        # no annotations
+        path = self._broken_fixture(tmp_path, lambda doc: doc.update(annotations=annotations))
+        code, out, err = _run(capsys, ["quals", path, "--point", "0"])
+        assert code == 3 and out == ""
+        kind = type(annotations).__name__
+        assert err == f"error: parse: annotation must be an object, not {kind}\n"
 
     @pytest.mark.parametrize(
         "name, argv, key, value",

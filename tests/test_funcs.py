@@ -80,6 +80,40 @@ def test_subdiff_set_lists_every_active_piece_sorted_with_no_lp(monkeypatch):
     assert subdiff(f, [0, 0]) == points
 
 
+# x1 <= 0, x2 <= 0 and x1 + x2 <= 0: the third row is implied by the other two
+REDUNDANT_QUADRANT = HPoly(2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)])
+
+
+def test_subdiff_set_lists_every_active_domain_normal():
+    # the domain's rays are the sorted distinct primitive normals of its
+    # active rows; (1, 1) lies in the cone of the other two and stays listed
+    f = Affine([1, 1], 0, REDUNDANT_QUADRANT)
+    assert subdiff_set(f, [0, 0]) == (((Q(1), Q(1)),), ((0, 1), (1, 0), (1, 1)))
+    assert subdiff_set(f, [-1, 0]) == (((Q(1), Q(1)),), ((0, 1),))
+    assert subdiff_set(f, [-1, -1]) == (((Q(1), Q(1)),), ())
+
+
+def test_the_calculus_runs_no_lp(monkeypatch):
+    # every kind, with and without a domain, at boundary and interior points
+    from mosipcert import lp
+
+    kinds = [
+        lambda domain: Affine([1, 1], 0, domain),
+        lambda domain: MaxAffine([([1, 0], 0), ([0, 1], 0), ([Q(1, 2), Q(1, 2)], 0)], domain),
+        lambda domain: SupportPolygon([[1, 0], [0, 1], [-1, -1]], domain),
+    ]
+    solves = []
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog))
+    for kind in kinds:
+        for domain in (None, REDUNDANT_QUADRANT):
+            for x in ([0, 0], [-1, 0], [-1, -2]):
+                points, rays = subdiff_set(kind(domain), x)
+                assert points and len(rays) <= (3 if domain else 0)
+    g = NegSqrtParabola1D(1)
+    assert [subdiff_set(g, [x]) for x in (0, 1, 2)] == [((), ()), (((Q(0),),), ()), ((), ())]
+    assert solves == []
+
+
 def test_support_polygon_value_is_support_function():
     f = SupportPolygon([[2, 1], [-1, 3]])
     assert evaluate(f, [1, 1]) == Q(3)

@@ -246,6 +246,40 @@ class TestWitnessChecks:
         name = "lambda" if field == "lam" else field
         assert gap.witness_issues(p, cp, short) == [f"1 {name} entries for 2 objectives"]
 
+    def test_a_valid_witness_costs_one_lp(self, monkeypatch):
+        # min (x, -x) over [0, 1] at 0: the selections are matched exactly
+        # against the recomputed vertex tables, so the sup over S is the one
+        # LP; lam = (0, 1) passes the simplex checks and only that LP finds
+        # its gap
+        from mosipcert import lp
+
+        p = MosipProblem(
+            dimension=1,
+            objectives=[Affine([1], 0), Affine([-1], 0)],
+            constraints=FiniteFamily([Affine([1], -1), Affine([-1], 0)]),
+            feasible_set=HPoly(1, [([1], 1), ([-1], 0)]),
+        )
+        cp = CandidatePoint.build(p, [0])
+        w = gap.gap_zero_search(p, cp)
+        assert w.lam == (Q(1, 2), Q(1, 2))
+        solves = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
+        assert gap.witness_issues(p, cp, w) == [] and len(solves) == 1
+        corrupted = {
+            "xi": dataclasses.replace(w, xi=((Q(2),), w.xi[1])),
+            "xi_coeffs": dataclasses.replace(w, xi_coeffs=((Q(2),), w.xi_coeffs[1])),
+            "lam": dataclasses.replace(w, lam=(ZERO, ONE)),
+        }
+        assert {name: gap.witness_issues(p, cp, bad) for name, bad in corrupted.items()} == {
+            "xi": ["objective 0: xi does not match its coefficients"],
+            "xi_coeffs": [
+                "objective 0: coefficients do not sum to 1",
+                "objective 0: xi does not match its coefficients",
+            ],
+            "lam": ["recorded value 0 but recomputed 1", "gap value is 1, not zero"],
+        }
+
 
 # ---------------------------------------------------------------------------
 # perturbed sweep

@@ -166,6 +166,26 @@ class TestWeak:
         assert kkt.certificate_issues(p, cp, cert) == []
 
 
+def test_certificates_with_a_redundant_domain_row_verify_with_no_lp(monkeypatch):
+    # the constraint's domain x1 <= 0, x2 <= 0, x1 + x2 <= 0 lists all three
+    # normals as rays, the implied (1, 1) included; recomputing the tables
+    # for the verifier asks the calculus, which runs no LP
+    from mosipcert import lp
+
+    domain = HPoly(2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)])
+    p = MosipProblem(
+        2, [Affine([-1, -1], 0)], FiniteFamily([Affine([1, 1], 0, domain)]),
+        feasible_set=HPoly(2, [([1, 0], 0), ([0, 1], 0)]),
+    )
+    cp = CandidatePoint.build(p, [0, 0])
+    certs = [kkt.weak_kkt(p, cp), kkt.strong_kkt(p, cp).certificate]
+    assert [c.constraint_terms[0].rays for c in certs] == [((0, 1), (1, 0), (1, 1))] * 2
+    solves = []
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog))
+    assert [kkt.certificate_issues(p, cp, c) for c in certs] == [[], []]
+    assert solves == []
+
+
 # ---------------------------------------------------------------------------
 # strong
 

@@ -21,7 +21,7 @@ from mosipcert.cones import (
     subspace_escape,
     zero_interior,
 )
-from helpers_cones import contains_point
+from helpers_cones import contains_point, tangent_cone
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import sublevel_Q
 from mosipcert.errors import (
@@ -330,6 +330,17 @@ def test_problem_json_refuses_keys_it_does_not_read(edit, error):
     assert str(info.value) == error
 
 
+@pytest.mark.parametrize("annotations", [[["name", "sneaky"]], [], "sneaky", 0])
+def test_problem_json_refuses_non_object_annotations(annotations):
+    # a list of pairs is not read as an object, nor an empty list as none
+    doc = problem_to_json(MosipProblem(1, [Affine([1], 0)], FiniteFamily([Affine([1], 0)])))
+    assert "annotations" not in doc and problem_from_json(doc).annotations == {}
+    doc["annotations"] = annotations
+    with pytest.raises(ParseError) as info:
+        problem_from_json(doc)
+    assert str(info.value) == f"annotation must be an object, not {type(annotations).__name__}"
+
+
 def test_generated_problems_round_trip_through_the_loader():
     # the loader reads every key the serialiser writes
     rng = random.Random(2207)
@@ -469,7 +480,7 @@ def _assert_derived_match_fresh(p, x) -> None:
     G, rec = cp.subgradient_union(0)
     assert cp.G_star == FGCone(p.dimension, G + rec)
     if p.feasible_set is not None:
-        assert cp.C == p.feasible_set.tangent_cone(cp.x)
+        assert cp.C == tangent_cone(p.feasible_set, cp.x)
     envelope = cp.psi_subdiff()
     if envelope is not None and envelope[0]:
         normals = envelope[0] + envelope[1]

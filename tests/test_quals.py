@@ -238,8 +238,9 @@ def test_octagon_quals_lp_count_guard(monkeypatch, capsys):
 
 def test_octagon_union_lps_run_against_the_extreme_points_found(monkeypatch):
     # the canonical polytope of the octagon's 43-point active subgradient
-    # union: each LP of Clarkson's algorithm has a row per extreme point
-    # found so far plus the cap, never a row per other point
+    # union: each LP of Clarkson's algorithm has a row per coordinate, the
+    # simplex row and a row per extreme point found so far, never a row per
+    # other point
     from mosipcert import lp
     from mosipcert.cones import Polytope
 
@@ -251,7 +252,7 @@ def test_octagon_union_lps_run_against_the_extreme_points_found(monkeypatch):
     monkeypatch.setattr(lp, "solve", lambda prog: rows.append(len(prog.rows)) or solve(prog))
     vertices = Polytope(2, union).vertices
     assert len(vertices) == 8 and rows
-    assert max(rows) <= len(vertices) + 1
+    assert max(rows) <= 2 + 1 + len(vertices)
 
 
 def test_refused_subdifferential_is_refused_on_every_request():

@@ -127,8 +127,30 @@ def test_a_subdifferential_is_its_active_pieces():
     assert _calls(SRC / "funcs.py", {"Polytope", "FGCone", "HCone"}) == set()
 
 
+def _imports_of(path: Path, module: str) -> set:
+    """The names a module imports from `module` (relative or as
+    `mosipcert.<module>`), and `module` itself when it is imported whole."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (module, f"mosipcert.{module}"):
+                found |= {alias.name for alias in node.names}
+            elif node.module in (None, "mosipcert"):
+                found |= {module for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.Import):
+            found |= {module for alias in node.names if alias.name == f"mosipcert.{module}"}
+    return found
+
+
+def test_the_calculus_takes_only_hpoly_from_cones():
+    # a subdifferential lists active pieces and active domain normals, so
+    # `funcs` runs no LP; a pruning constructor or `polar` imported from
+    # `cones` would bring canonicalisation back into the calculus
+    assert _imports_of(SRC / "funcs.py", "cones") == {"HPoly"}
+
+
 LP_FREE = ("dd_convert", "_eliminate", "_lineality", "_extreme_rays")
-LP_NAMES = {"lp", "_irredundant", "_in_cone", "_canonical_rays"}
+LP_NAMES = {"lp", "_irredundant", "decompose", "_canonical_rays"}
 PRUNING_CONSTRUCTORS = {"Polytope", "FGCone", "HCone"}
 
 
@@ -201,12 +223,11 @@ def _lp_builders(path: Path) -> set:
 
 def test_every_lp_builder_is_listed():
     # one LP per question: `decompose` writes a target over points and
-    # generators, `min_max_direction` separates 0 from them, and each other
-    # builder asks a question of its own; a second decomposition or
-    # separation LP must not come back unnoticed
+    # generators, and so also prunes, `min_max_direction` separates 0 from
+    # them, and each other builder asks a question of its own; a second
+    # decomposition or separation LP must not come back unnoticed
     builders = {site for path in sorted(SRC.glob("*.py")) for site in _lp_builders(path)}
     assert builders == {
-        ("cones", "_in_cone"),  # the Farkas redundancy LP of canonicalisation
         ("cones", "decompose"),  # with a margin; without one via lp.feasible_point
         ("cones", "min_max_direction"),  # the one separation LP
         ("cones", "_radius_by_axis_points"),  # the interior radius above dimension 3
