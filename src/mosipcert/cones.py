@@ -26,6 +26,17 @@ read off `_eliminate` with no LP, and a cone that is a subspace, one
 the second is in the cone of the first one's normals (Farkas), one
 `decompose` per normal.
 
+No LP runs where one exact elimination (`_row_reduce`) already forces the
+answer.  `decompose` returns weights that its equality rows force, when they
+are nonnegative, with no LP (`_forced_weights`): independent columns and a
+target in their span.  That settles most of `cone_member`, the pruning
+loops, the KKT searches and the zero decompositions.  The greedy loop keeps
+a vector outside the span of the others with no `decompose` at all
+(`_alone`), and Clarkson's algorithm steers by a null-space direction when a
+point is off the affine hull of the extreme points found so far
+(`_affine_escape`).  Each shortcut gives the answer the LP would give, so
+every output is the same; where the LP's Farkas vector is read, the LP runs.
+
 Everything is exact rational.  Every Polytope, FGCone and HCone holds its
 canonical form (primitive integer scaling for rays and normals, lexicographic
 sorting, redundancy pruning), so structural equality of two of them is
@@ -33,8 +44,8 @@ equality of the canonical representations.  A redundant generator or
 normal lies in the cone of the others, and a redundant point in the hull of
 the others: one `decompose` each.  A polytope keeps its extreme points,
 which are unique, so it finds them with Clarkson's output-sensitive algorithm
-(`_extreme_points`): each LP runs against the extreme points found so far.
-Rays and normals keep the greedy loop (`_irredundant`), each LP against all
+(`_extreme_points`): each test runs against the extreme points found so far.
+Rays and normals keep the greedy loop (`_irredundant`), each test against all
 the others still kept: for a cone with lineality the rays it keeps depend on
 the input order, and a different loop would change them.  Halfspace
 representations of lower-dimensional cones are not unique even
@@ -82,7 +93,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import lp
@@ -146,16 +158,40 @@ def box_rows(dim: int, extra: int = 0) -> list:
 def _irredundant(vectors) -> list:
     """Greedy pruning of nonzero vectors: in order, drop each one that lies
     in the cone of the others still kept, one `decompose` (no LP when no
-    other is left).  A vector kept was tested against a superset of the
-    final others, so the result is irredundant."""
+    other is left, nor when the others force its weights).  A vector kept
+    was tested against a superset of the final others, so the result is
+    irredundant.  A vector outside the span of the others cannot lie in
+    their cone, so it stays with no `decompose` at all: `_alone` finds every
+    such vector with one elimination, again after each deletion."""
     kept = list(vectors)
+    alone = _alone(kept)
     i = 0
     while i < len(kept):
-        if isinstance(decompose(kept[i], (), [kept[:i] + kept[i + 1 :]]), list):
+        if not alone[i] and isinstance(decompose(kept[i], (), [kept[:i] + kept[i + 1 :]]), list):
             del kept[i]
+            alone = _alone(kept)
         else:
             i += 1
     return kept
+
+
+def _alone(vectors) -> list:
+    """Per vector, whether it lies outside the span of the others: one
+    Gauss-Jordan elimination of the matrix with the vectors as columns.
+    Each non-pivot column f gives the dependency with weight 1 on f and
+    -row[f] / row[pivot] on each pivot column, and these span every linear
+    dependency; so a vector is outside the span of the others exactly when
+    it is a pivot column whose row is 0 on every non-pivot column."""
+    if not vectors:
+        return []
+    m = len(vectors)
+    rows = [scaled_ints([v[i] for v in vectors])[0] for i in range(len(vectors[0]))]
+    pivots = _row_reduce(rows, m)
+    free = [j for j in range(m) if j not in pivots]
+    alone = [False] * m
+    for row, col in zip(rows, pivots):
+        alone[col] = not any(row[f] for f in free)
+    return alone
 
 
 def _extreme_points(points) -> list:
@@ -166,14 +202,18 @@ def _extreme_points(points) -> list:
     The lexicographically largest maximiser of a linear function over the
     points is an extreme point.  The maximisers of +-p_j seed the extreme
     points E with no LP; in dimension 1 they are the two ends, and no LP
-    runs.  Each other point p is tested by one `decompose` over E only.
-    When p is not in conv(E), its Farkas direction d (`_escape_of`) has
-    d'(e, 1) <= 0 on E, hence on every point found inside conv(E), and
-    d'(p, 1) > 0, so d'(q, 1) is maximised only by points still untested:
-    the largest such maximiser joins E, and p is tested again unless it is
-    that point.  Each LP settles one point, so there is one LP per point the
-    seeds leave, with a row per coordinate, the simplex row and a row per
-    extreme point found so far."""
+    runs.  Each other point p is tested against E only.  When p is not in
+    conv(E), a direction d has d'(e, 1) <= 0 on E, hence on every point
+    found inside conv(E), and d'(p, 1) > 0, so d'(q, 1) is maximised only by
+    points still untested: the largest such maximiser joins E, and p is
+    tested again unless it is that point.  When p is off the affine hull of
+    E, `_affine_escape` gives such a d with no LP; otherwise one `decompose`
+    over E decides, and its Farkas direction (`_escape_of`) is d.  The
+    extreme points are unique, so the output does not depend on which d
+    steers.  Each test settles one point, so there is one LP per point the
+    seeds leave at most, with a row per coordinate, the simplex row and a
+    row per extreme point found so far, and none where the elimination
+    settles the point."""
     if not points:
         return []
     dim = len(points[0])
@@ -183,15 +223,32 @@ def _extreme_points(points) -> list:
     untested = [p for p in points if p not in found] if dim != 1 else []
     for p in list(untested):
         while p in untested:
-            res = decompose(p, [list(found)])
-            if isinstance(res, list):
-                untested.remove(p)
-            else:
+            d = _affine_escape(list(found), p)
+            if d is None:
+                res = decompose(p, [list(found)])
+                if isinstance(res, list):
+                    untested.remove(p)
+                    continue
                 d = _escape_of(res, dim + 1)
-                v = max(untested, key=lambda q: (qdot(d[:-1], q) + d[-1], q))
-                untested.remove(v)
-                found[v] = None
+            v = max(untested, key=lambda q: (qdot(d[:-1], q) + d[-1], q))
+            untested.remove(v)
+            found[v] = None
     return [p for p in points if p in found]
+
+
+def _affine_escape(points, p) -> Optional[tuple]:
+    """When p is off the affine hull of the points, an integer d with
+    d'(e, 1) = 0 for every point e and d'(p, 1) > 0; else None.  One
+    `_eliminate` of the lifted points with (p, 1) last: (p, 1) is outside
+    the span of the others exactly when its column is a pivot, and that
+    pivot row, 0 left of its positive pivot, is (y'A', y') up to a positive
+    factor, so y is d."""
+    lifted = [tuple(e) + (ONE,) for e in points] + [tuple(p) + (ONE,)]
+    m = len(lifted)
+    rows, pivots = _eliminate(len(lifted[0]), lifted)
+    if pivots[-1] != m - 1:
+        return None
+    return tuple(rows[len(pivots) - 1][m:])
 
 
 def _primitive_int_set(dim: int, vectors, what: str) -> list:
@@ -233,8 +290,13 @@ def decompose(target, hulls, cones=(), margin=False):
 
     Returns the weights in column order (tau last with `margin`), or the
     LP's `lp.Infeasible`, whose Farkas vector certifies that no weights
-    exist.  Two cases need no LP: a zero target without hull blocks is the
-    zero combination, and no columns at all give None.
+    exist.  Three cases need no LP: a zero target without hull blocks is the
+    zero combination; no columns at all give None; and without `margin`,
+    weights that the equality rows force (`_forced_weights`: the columns,
+    each with its simplex-row entry, are linearly independent and the
+    target is in their span) are unique, so when they are nonnegative they
+    are the LP's only feasible point.  Every other case runs the LP, whose
+    Farkas vector the callers read.
     """
     columns = [c for block in (*hulls, *cones) for c in block]
     k = len(columns)
@@ -248,6 +310,10 @@ def decompose(target, hulls, cones=(), margin=False):
     num_hull = sum(len(block) for block in hulls)
     if hulls:
         rows.append(([ONE] * num_hull + [ZERO] * (width - num_hull), lp.EQ, ONE))
+    if not margin:
+        forced = _forced_weights(k, rows)
+        if forced is not None:
+            return forced
     rows.extend((_unit(width, j), lp.GE, ZERO) for j in range(k))
     if not margin:
         return lp.feasible_point(k, rows)
@@ -265,6 +331,30 @@ def decompose(target, hulls, cones=(), margin=False):
     if not isinstance(res, lp.Optimal):
         raise InternalInconsistencyError("the margin is capped, so the LP has an optimum")
     return res.primal
+
+
+def _forced_weights(k: int, rows) -> Optional[list]:
+    """The nonnegative weights x with a'x = b for every equality row (a, b)
+    over k columns, when these rows force x; else None.  They force it when
+    the columns are linearly independent and the right-hand side lies in
+    their span: one Gauss-Jordan elimination of the integer rows (a, b)
+    shows both, with pivots in the first k columns and a zero right-hand side
+    on every row past them.  Then pivot row j reads p_j x_j = r_j, p_j > 0.
+    The weights are re-checked by integer substitution into the rows, as
+    `lp.solve` checks its results."""
+    if k > len(rows):
+        return None
+    ints = [scaled_ints([*a, b])[0] for a, _, b in rows]
+    reduced = [list(row) for row in ints]
+    if len(_row_reduce(reduced, k)) < k or any(row[k] for row in reduced[k:]):
+        return None
+    if any(row[k] < 0 for row in reduced[:k]):
+        return None
+    den = lcm(*[reduced[j][j] for j in range(k)])
+    xs = [reduced[j][k] * (den // reduced[j][j]) for j in range(k)]
+    if any(sum(map(mul, row, xs)) != row[k] * den for row in ints):
+        raise InternalInconsistencyError("forced weights failed substitution")
+    return [Q(reduced[j][k], reduced[j][j]) for j in range(k)]
 
 
 def _escape_of(res, dim: int) -> tuple:

@@ -457,9 +457,12 @@ class CandidatePoint:
     * ``support_escape()``, `subspace_escape` of the F* vertices and G*
       generators: None exactly when the support cone of F* + G* is a
       subspace (strong KKT's ri test, and `zero_interior` at rank n);
-    * ``zero_interior(eps)``, per eps-active set, whether 0 is interior to F*
-      plus the cone of that set's subgradients, with a certified radius (G*
-      at eps = 0: perturbed KKT and gap check; the isolation report's grid);
+    * ``zero_interior(eps)``, whether 0 is interior to F* plus the cone of
+      the eps-active set's subgradients, with a certified radius (G* at
+      eps = 0: perturbed KKT and gap check; the isolation report's grid);
+      kept per cone, under the integer tuples of its canonical rays, so
+      eps-active sets with one cone ask once, and G* reuses
+      ``support_escape()``;
     * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
     * ``union_min_max(eps)``, `min_max` over that union, kept per
       eps-active set too, so a long eps grid hashes index tuples, not
@@ -631,18 +634,19 @@ class CandidatePoint:
 
     def zero_interior(self, eps=ZERO) -> ZeroInterior:
         """`zero_interior` of F* plus the cone of `subgradient_union(eps)`,
-        kept per eps-active set; over T that cone is G*, and the answer
-        reuses `support_escape()`."""
-        active = tuple(self.active(eps))
-
-        def compute():
-            n, points = self.problem.dimension, self.F_star.vertices
-            if active == self.T:
-                return zero_interior(n, points, self.G_star.generators, self.support_escape)
-            base, rec = self.subgradient_union(eps)
-            return zero_interior(n, points, self.cone(FGCone, base + rec).generators)
-
-        return self._kept(("zero_interior", active), compute)
+        kept per cone, under the integer tuples of its canonical rays:
+        eps-active sets that give one cone share one answer.  Over T that
+        cone is G*; wherever the cone is G*, the answer reuses
+        `support_escape()`."""
+        if tuple(self.active(eps)) == self.T:
+            gens = self.G_star.generators
+        else:
+            gens = self.cone(FGCone, sum(self.subgradient_union(eps), ())).generators
+        escape = self.support_escape if gens == self.G_star.generators else None
+        return self._kept(
+            ("zero_interior", tuple(tuple(map(int, g)) for g in gens)),
+            lambda: zero_interior(self.problem.dimension, self.F_star.vertices, gens, escape),
+        )
 
     def min_max(self, points, gens) -> tuple:
         """`min_max_direction` over the points and generators, (value, d),

@@ -1,19 +1,23 @@
 """Reference canonicalisers: plain greedy pruning loops, written apart from
 `mosipcert.cones`.
 
-Each one asks its redundancy question through `cones.decompose`: a point is
-dropped when it is a convex combination of the other points, a generator or
-normal when it is a conic combination of the others.  The library asks the
-same of rays and normals; of points it runs Clarkson's algorithm, which
-`reference_vertices` checks.  `tangent_cone` is the canonical H-cone of a
-polyhedron's active rows, the fresh reference for a point's tangent cone
-C.  `reference_dd_convert` runs the
-replaced double description, +-axis slices pruned with LPs, and reads the
-canonical form of a cone with lineality off the generators it finds.
-`reference_row_reduce` is the rational Gauss-Jordan elimination that the
-integer elimination of `cones` replaced; `reference_dd_convert` reads its
-lineality basis with it.  `greedy_vertices` runs the greedy loop that
-Clarkson's algorithm replaced in `Polytope`.  `reference_separate` is the separation LP that
+Each one asks its redundancy question as one LP: `lp_decompose` builds the
+rows of `cones.decompose` and solves them with `lp.feasible_point`, with
+none of decompose's shortcuts, so the elimination that settles forced
+answers in `cones` is checked here, not run.  A point is dropped when it is
+a convex combination of the other points, a generator or normal when it is
+a conic combination of the others.  The library asks the same of rays and
+normals; of points it runs Clarkson's algorithm, which `reference_vertices`
+checks.  `reference_prune` is the greedy loop of `cones._irredundant` in
+the given order.  `tangent_cone` is the canonical H-cone of a polyhedron's
+active rows, the fresh reference for a point's tangent cone C.
+`reference_dd_convert` runs the replaced double description, +-axis slices
+pruned with LPs, and reads the canonical form of a cone with lineality off
+the generators it finds.  `reference_row_reduce` is the rational
+Gauss-Jordan elimination that the integer elimination of `cones` replaced;
+`reference_dd_convert` reads its lineality basis with it.
+`greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced
+in `Polytope`.  `reference_separate` is the separation LP that
 `cones.min_max_direction` replaced in `membership`.  `boxed_max` is the
 boxed H-cone LP that `zero_interior` and the H-cone branch of
 `cones.contains` ran before positive spanning and Farkas multipliers took
@@ -33,12 +37,10 @@ from mosipcert.cones import (
     HPoly,
     NotMember,
     Polytope,
-    _irredundant,
     _unit,
     box_rows,
     contains,
     dd_convert,
-    decompose,
     primitive,
 )
 from mosipcert.errors import InternalInconsistencyError
@@ -81,12 +83,32 @@ def _prune(kept: list, redundant) -> list:
     return kept
 
 
+def lp_decompose(target, hulls, cones=()):
+    """`cones.decompose(target, hulls, cones)` as the LP alone, with
+    decompose's rows and none of its shortcuts: one equality per coordinate,
+    columns in block order with the hull blocks first; the simplex row over
+    the hull columns when there is a hull block; x_j >= 0."""
+    columns = [c for block in (*hulls, *cones) for c in block]
+    k, num_hull = len(columns), sum(len(block) for block in hulls)
+    rows = [([c[i] for c in columns], lp.EQ, target[i]) for i in range(len(target))]
+    if hulls:
+        rows.append(([ONE] * num_hull + [ZERO] * (k - num_hull), lp.EQ, ONE))
+    rows.extend((_unit(k, j), lp.GE, ZERO) for j in range(k))
+    return lp.feasible_point(k, rows)
+
+
 def _in_hull(p, others) -> bool:
-    return isinstance(decompose(p, [others]), list)
+    return bool(others) and isinstance(lp_decompose(p, [others]), list)
 
 
 def _in_cone(g, others) -> bool:
-    return isinstance(decompose(g, (), [others]), list)
+    return bool(others) and isinstance(lp_decompose(g, (), [others]), list)
+
+
+def reference_prune(vectors) -> list:
+    """`cones._irredundant(vectors)`: the greedy loop in the given order, one
+    LP per vector that has others left."""
+    return _prune(list(vectors), _in_cone)
 
 
 def reference_vertices(vertices) -> tuple:
@@ -99,7 +121,7 @@ def greedy_vertices(vertices) -> tuple:
     before Clarkson's algorithm: the lifted points (p, 1), sorted, each
     dropped when it lies in the cone of the others still kept."""
     points = sorted(set(vec_q(v) for v in vertices))
-    return tuple(p[:-1] for p in _irredundant([p + (ONE,) for p in points]))
+    return tuple(p[:-1] for p in reference_prune(p + (ONE,) for p in points))
 
 
 def tangent_cone(poly: HPoly, x) -> HCone:
@@ -204,12 +226,13 @@ def cone_equal(a, b) -> bool:
 
 def contains_point(poly: Polytope, p) -> bool:
     """Is p in the polytope (one decomposition LP)?"""
-    return isinstance(decompose(vec_q(p), [poly.vertices]), list)
+    return _in_hull(vec_q(p), poly.vertices)
 
 
 def cone_contains(cone: FGCone, p) -> bool:
-    """Is p in cone(generators) (one decomposition LP)?"""
-    return isinstance(decompose(vec_q(p), (), [cone.generators]), list)
+    """Is p in cone(generators) (one decomposition LP, none for p = 0)?"""
+    p = vec_q(p)
+    return all(c == 0 for c in p) or _in_cone(p, cone.generators)
 
 
 def boxed_max(normals, objective) -> lp.Optimal:

@@ -14,9 +14,11 @@ from helpers_cones import (
     cone_equal,
     contains_across,
     greedy_vertices,
+    lp_decompose,
     reference_dd_convert,
     reference_hcone_contains,
     reference_nontrivial_direction,
+    reference_prune,
     reference_rays,
     reference_row_reduce,
     reference_separate,
@@ -43,10 +45,10 @@ from mosipcert.cones import (
     subspace_escape,
     zero_interior,
 )
-from mosipcert.errors import UnsupportedDimensionError
+from mosipcert.errors import InternalInconsistencyError, UnsupportedDimensionError
 from mosipcert.instances import FIXTURE_BUILDERS
 from mosipcert.problem import CandidatePoint
-from mosipcert.rationals import Q, qdot, scaled_ints, vec_q
+from mosipcert.rationals import Q, lincomb, qdot, scaled_ints, vec_q
 
 SEED = 987123
 
@@ -239,6 +241,149 @@ def test_one_vector_canonicalisation_makes_no_lp(monkeypatch) -> None:
     assert FGCone(2, [[2, 4], [0, 0], [1, 2]]).generators == ((1, 2),)
     assert HCone(2, [[2, 4], [1, 2]]).normals == ((1, 2),)
     assert count[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# forced answers: settled by elimination, checked against the LP
+
+
+def _decompose_input(rng: random.Random, dim: int) -> tuple:
+    """Seeded (target, hulls, cones): zero to two hull blocks and cone
+    blocks, some columns repeated, scaled or summed (dependent columns), some
+    cones with a line (g and -g), and a target that is a nonnegative
+    combination of the columns, one with a negative weight, or random."""
+
+    def vec() -> tuple:
+        return tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+
+    hulls = [[vec() for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(0, 2))]
+    cones_ = [[vec() for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(0, 2))]
+    if cones_ and rng.random() < 0.3:
+        g = vec()
+        cones_[0] += [g, tuple(-c for c in g)]
+    blocks = hulls + cones_
+    if blocks and rng.random() < 0.3:
+        block = rng.choice(blocks)
+        a, b = rng.choice(block), rng.choice(block)
+        block.append(tuple(Q(rng.randint(1, 2)) * x + y for x, y in zip(a, b)))
+    columns = [c for block in blocks for c in block]
+    kind = rng.choice(("inside", "negative", "random"))
+    if kind == "random" or not columns:
+        return vec(), hulls, cones_
+    weights = [Q(rng.randint(0, 3)) for _ in columns]
+    if kind == "negative":
+        weights[rng.randrange(len(weights))] = Q(-1)
+    num_hull = sum(len(block) for block in hulls)
+    total = sum(weights[:num_hull], Q(0))
+    if hulls and total != 0:
+        weights[:num_hull] = [w / total for w in weights[:num_hull]]
+    target = tuple(sum((w * c[i] for w, c in zip(weights, columns)), Q(0)) for i in range(dim))
+    return target, hulls, cones_
+
+
+def test_decompose_matches_the_lp_on_generated_inputs(monkeypatch) -> None:
+    # the weights settled by elimination are the LP's only feasible point,
+    # and every other answer is the LP's own, Farkas vector included
+    rng = random.Random(SEED + 70)
+    inputs = []
+    for _ in range(400):
+        target, hulls, cones_ = _decompose_input(rng, rng.randint(1, 4))
+        if hulls or (cones_ and any(c != 0 for c in target)):
+            inputs.append((target, hulls, cones_, lp_decompose(target, hulls, cones_)))
+    count = _count_solves(monkeypatch)
+    settled = 0
+    for target, hulls, cones_, reference in inputs:
+        before = count[0]
+        assert cones.decompose(target, hulls, cones_) == reference, (target, hulls, cones_)
+        settled += count[0] == before
+        assert count[0] == before or count[0] == before + 1
+    # both paths are exercised
+    assert 50 < settled < len(inputs) - 50
+
+
+def test_forced_weights_are_checked_by_substitution(monkeypatch) -> None:
+    # an elimination that went wrong is caught before its weights leave
+    gens = [(Q(1), Q(0)), (Q(1), Q(1))]
+    assert cones.decompose((Q(3), Q(1)), (), [gens]) == [Q(2), Q(1)]
+    real = cones._row_reduce
+
+    def corrupted(rows, ncols):
+        pivots = real(rows, ncols)
+        rows[0][ncols] += rows[0][0]
+        return pivots
+
+    monkeypatch.setattr(cones, "_row_reduce", corrupted)
+    with pytest.raises(InternalInconsistencyError):
+        cones.decompose((Q(3), Q(1)), (), [gens])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_irredundant_matches_the_lp_loop_under_shuffled_orders(dim: int) -> None:
+    # a vector outside the span of the others stays with no LP; the rays
+    # kept, which for a cone with lineality depend on the order, are the
+    # LP loop's in every order
+    rng = random.Random(SEED + 80 + dim)
+    for _ in range(8):
+        family = [primitive(v) for v in _family(rng, dim) if any(c != 0 for c in v)]
+        if family and rng.random() < 0.5:
+            family.append(tuple(-c for c in rng.choice(family)))
+        family = sorted(set(family))
+        for _ in range(4):
+            rng.shuffle(family)
+            assert cones._irredundant(family) == reference_prune(family), family
+
+
+def test_alone_marks_the_vectors_outside_the_span_of_the_others() -> None:
+    rng = random.Random(SEED + 90)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+        expected = [
+            span_rank(vectors[:i] + vectors[i + 1 :] + [v]) > span_rank(vectors[:i] + vectors[i + 1 :])
+            for i, v in enumerate(vectors)
+        ]
+        assert cones._alone(vectors) == expected, vectors
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_extreme_points_match_the_lp_reference(dim: int) -> None:
+    rng = random.Random(SEED + 100 + dim)
+    for kind in POINT_SET_KINDS:
+        for _ in range(4):
+            points = sorted(set(vec_q(p) for p in _point_set(rng, dim, kind)))
+            assert tuple(cones._extreme_points(points)) == reference_vertices(points), (kind, points)
+
+
+def test_pruning_independent_vectors_makes_no_lp(monkeypatch) -> None:
+    count = _count_solves(monkeypatch)
+    vectors = [[1, 2, 0], [0, 1, -1], [3, 0, 1]]
+    assert len(FGCone(3, vectors).generators) == 3
+    assert len(HCone(3, vectors).normals) == 3
+    assert count[0] == 0
+
+
+def test_cone_member_over_independent_generators_makes_no_lp(monkeypatch) -> None:
+    c = FGCone(3, [[1, 0, 0], [1, 1, 0], [0, 1, 2]])
+    count = _count_solves(monkeypatch)
+    weights = cone_member([5, 2, 2], c)
+    assert count[0] == 0
+    assert min(weights) >= 0 and lincomb(weights, c.generators, 3) == vec_q([5, 2, 2])
+    # a negative forced weight, or a point off the span, still asks the LP
+    assert cone_member([-1, 0, 0], c) is None
+    assert count[0] == 1
+    assert cone_member([1, 2, 3], FGCone(3, [[1, 0, 0], [0, 1, 0]])) is None
+    assert count[0] == 2
+
+
+def test_point_off_the_affine_hull_makes_no_clarkson_lp(monkeypatch) -> None:
+    # the seeds, the maximisers of +-p_j, lie on the plane z = x; the apex
+    # (0, 0, 1) is extreme in no coordinate, and the elimination shows it is
+    # off their plane, so it joins with no LP
+    seeds = [[2, 0, 2], [-2, 0, -2], [0, 2, 0], [0, -2, 0]]
+    count = _count_solves(monkeypatch)
+    vertices = Polytope(3, seeds + [[0, 0, 1]]).vertices
+    assert count[0] == 0
+    assert vertices == tuple(sorted(vec_q(p) for p in seeds + [[0, 0, 1]]))
 
 
 def test_dd_convert_of_spanning_normals_makes_no_lp(monkeypatch) -> None:

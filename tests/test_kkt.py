@@ -509,10 +509,10 @@ class TestIsolationInclusionReport:
         assert all(row["included"] for row in report["rows"])
         assert all(row["exact"] for row in report["rows"])
 
-    def test_one_zero_interior_per_distinct_active_set(self, ex1, monkeypatch):
-        # every eps-active set is asked through the point's store, and
-        # perturbed KKT then reads the answer at T without asking again; a
-        # fresh point starts with an empty store
+    def test_one_zero_interior_per_distinct_cone(self, ex1, monkeypatch):
+        # every eps-active set is asked through the point's store, which
+        # keeps one answer per cone, and perturbed KKT then reads the answer
+        # at T without asking again; a fresh point starts with an empty store
         p, cp = ex1
         cp = CandidatePoint.build(p, cp.x)
         calls = []
@@ -525,10 +525,12 @@ class TestIsolationInclusionReport:
         monkeypatch.setattr(problem, "zero_interior", counted)
         report = kkt.isolation_inclusion_report(p, cp, 2)
         grid = quals.DEFAULT_EPS_GRID
-        assert len(calls) == len({tuple(cp.active(eps)) for eps in grid}) < len(grid)
+        cones = {cp.cone(FGCone, sum(cp.subgradient_union(eps), ())) for eps in grid}
+        active_sets = {tuple(cp.active(eps)) for eps in grid}
+        assert len(calls) == len(cones) == 1 < len(active_sets) < len(grid)
         assert [row["eps"] for row in report["rows"]] == list(grid)
         kkt.perturbed_kkt(p, cp)
-        assert len(calls) == len({tuple(cp.active(eps)) for eps in grid})
+        assert len(calls) == len(cones)
 
     def test_suppressed_without_differentiability_flag(self, ex2):
         p, cp = ex2

@@ -299,13 +299,21 @@ def _count_pivots(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["report", "alternating-affine", "--point", "0", "--verify"],
-        ["quals", "octagon-support", "--point", "0,0"],
+        [
+            ["report", "alternating-affine", "--point", "0", "--verify"],
+            ["gap", "alternating-affine", "--point", "0", "--nu", "2"],
+        ],
+        [
+            ["quals", "octagon-support", "--point", "0,0"],
+            ["gap", "octagon-support", "--point", "0,0", "--nu", "2"],
+        ],
     ],
 )
 def test_call_site_lps_match_rational_reference(argv, monkeypatch, capsys) -> None:
-    # every LP the library builds on a real run, not only generated families;
-    # compared as solved, since callers may consume the result lists
+    # every LP the library builds on real runs, not only generated families;
+    # compared as solved, since callers may consume the result lists.  Each
+    # case joins fixture calls until they build 20 LPs at least, since the
+    # decompositions the elimination settles build none
     pivots, mismatches, solves = _count_pivots(monkeypatch), [], []
     real_solve = lp.solve
 
@@ -319,7 +327,8 @@ def test_call_site_lps_match_rational_reference(argv, monkeypatch, capsys) -> No
         return res
 
     monkeypatch.setattr(lp, "solve", capturing)
-    assert cli.main([*argv, "--format", "json"]) == 0
+    for args in argv:
+        assert cli.main([*args, "--format", "json"]) == 0
     capsys.readouterr()
     assert len(solves) >= 20
     assert mismatches == []

@@ -149,7 +149,10 @@ def test_the_calculus_takes_only_hpoly_from_cones():
     assert _imports_of(SRC / "funcs.py", "cones") == {"HPoly"}
 
 
-LP_FREE = ("dd_convert", "_eliminate", "_lineality", "_extreme_rays")
+LP_FREE = (
+    "dd_convert", "_eliminate", "_lineality", "_extreme_rays", "_alone", "_affine_escape",
+    "_forced_weights",
+)
 LP_NAMES = {"lp", "_irredundant", "decompose", "_canonical_rays"}
 PRUNING_CONSTRUCTORS = {"Polytope", "FGCone", "HCone"}
 
@@ -157,7 +160,8 @@ PRUNING_CONSTRUCTORS = {"Polytope", "FGCone", "HCone"}
 def test_double_description_makes_no_lp():
     # the double description builds its canonical generators combinatorially;
     # an LP, a pruning loop or a pruning constructor inside it would bring the
-    # cost of the deleted +-axis slices back
+    # cost of the deleted +-axis slices back.  The eliminations that settle
+    # forced answers in place of an LP must not run one either
     tree = ast.parse((SRC / "cones.py").read_text(encoding="utf-8"))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found = {
