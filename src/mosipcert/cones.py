@@ -13,7 +13,8 @@ decomposition that refutes MFCQ and COCQ
 the gap zero search in `gap`.  `hull_terms` reads its weights back per block
 of points.  When no weights exist, the Farkas vector of the infeasible LP is
 a direction (`_escape_of`): `subspace_escape` and `contains` return it as
-their witness, and Clarkson's algorithm steers by it.  Its converse, "which
+their witness, Clarkson's algorithm steers by it, and the cone form slices
+a pointed cone with it.  Its converse, "which
 direction strictly separates 0 from conv(points) + cone(generators)", is one
 call to `min_max_direction`, the only separation LP: `membership` shifts the
 points by the target, MFCQ, PMFCQ and COCQ read their directions off it, and
@@ -29,29 +30,24 @@ the second is in the cone of the first one's normals (Farkas), one
 No LP runs where one exact elimination (`_row_reduce`) already forces the
 answer.  `decompose` returns weights that its equality rows force, when they
 are nonnegative, with no LP (`_forced_weights`): independent columns and a
-target in their span.  That settles most of `cone_member`, the pruning
-loops, the KKT searches and the zero decompositions.  The greedy loop keeps
-a vector outside the span of the others with no `decompose` at all
-(`_alone`), and Clarkson's algorithm steers by a null-space direction when a
-point is off the affine hull of the extreme points found so far
-(`_affine_escape`).  Each shortcut gives the answer the LP would give, so
+target in their span.  That settles most of `cone_member`, the lineality
+rounds of the canonical cone form, the KKT searches and the zero
+decompositions.  Linearly independent rays are their own canonical form
+with no `decompose` at all, and Clarkson's algorithm steers by a null-space
+direction when a point is off the affine hull of the extreme points found so
+far (`_affine_escape`).  Each shortcut gives the answer the LP would give, so
 every output is the same; where the LP's Farkas vector is read, the LP runs.
 
-Everything is exact rational.  Every Polytope, FGCone and HCone holds its
-canonical form (primitive integer scaling for rays and normals, lexicographic
-sorting, redundancy pruning), so structural equality of two of them is
-equality of the canonical representations.  A redundant generator or
-normal lies in the cone of the others, and a redundant point in the hull of
-the others: one `decompose` each.  A polytope keeps its extreme points,
-which are unique, so it finds them with Clarkson's output-sensitive algorithm
-(`_extreme_points`): each test runs against the extreme points found so far.
-Rays and normals keep the greedy loop (`_irredundant`), each test against all
-the others still kept: for a cone with lineality the rays it keeps depend on
-the input order, and a different loop would change them.  Halfspace
-representations of lower-dimensional cones are not unique even
-canonically, nor are those greedy generators of a cone with lineality, so
-`==` is not set equality there; `contains` decides inclusion between two
-cones of one representation.
+Everything is exact rational.  Every Polytope, FGCone and HCone holds a
+canonical form that depends only on the set it describes (primitive integer
+scaling for rays and normals, lexicographic sorting, redundancy removed), so
+structural equality of two of them is set equality.  Clarkson's
+output-sensitive algorithm (`_extreme_points`) finds both the extreme points
+of a polytope and the extreme rays of a pointed cone, each test against the
+extreme points found so far.  A cone keeps `dd_convert`'s form (below),
+reached with `decompose` LPs and no dimension cap (`_pruned_rays`); the
+normals of an HCone take the form of their own cone, the polar, so the
+H-representation too is fixed by the cone.
 
 The public constructors prune with LPs.  Rays that are canonical already go
 through the one private constructor `_canonical`, with no LP: `polar` (a
@@ -95,7 +91,7 @@ import os
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from . import lp
 from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
@@ -136,11 +132,6 @@ def _primitive_ints(ints) -> tuple:
     return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
-def primitive(v: Sequence) -> tuple:
-    """Scale a nonzero rational vector to coprime integers (sign preserved)."""
-    return tuple(Q(c) for c in _primitive_ints(scaled_ints(v)[0]))
-
-
 def _unit(dim: int, j: int, scale=ONE) -> tuple:
     return tuple(scale if i == j else ZERO for i in range(dim))
 
@@ -155,49 +146,12 @@ def box_rows(dim: int, extra: int = 0) -> list:
     return rows
 
 
-def _irredundant(vectors) -> list:
-    """Greedy pruning of nonzero vectors: in order, drop each one that lies
-    in the cone of the others still kept, one `decompose` (no LP when no
-    other is left, nor when the others force its weights).  A vector kept
-    was tested against a superset of the final others, so the result is
-    irredundant.  A vector outside the span of the others cannot lie in
-    their cone, so it stays with no `decompose` at all: `_alone` finds every
-    such vector with one elimination, again after each deletion."""
-    kept = list(vectors)
-    alone = _alone(kept)
-    i = 0
-    while i < len(kept):
-        if not alone[i] and isinstance(decompose(kept[i], (), [kept[:i] + kept[i + 1 :]]), list):
-            del kept[i]
-            alone = _alone(kept)
-        else:
-            i += 1
-    return kept
-
-
-def _alone(vectors) -> list:
-    """Per vector, whether it lies outside the span of the others: one
-    Gauss-Jordan elimination of the matrix with the vectors as columns.
-    Each non-pivot column f gives the dependency with weight 1 on f and
-    -row[f] / row[pivot] on each pivot column, and these span every linear
-    dependency; so a vector is outside the span of the others exactly when
-    it is a pivot column whose row is 0 on every non-pivot column."""
-    if not vectors:
-        return []
-    m = len(vectors)
-    rows = [scaled_ints([v[i] for v in vectors])[0] for i in range(len(vectors[0]))]
-    pivots = _row_reduce(rows, m)
-    free = [j for j in range(m) if j not in pivots]
-    alone = [False] * m
-    for row, col in zip(rows, pivots):
-        alone[col] = not any(row[f] for f in free)
-    return alone
-
-
 def _extreme_points(points) -> list:
     """The extreme points of conv(points), for sorted distinct points, in
     their order; Clarkson's output-sensitive algorithm (More output-sensitive
-    geometric algorithms, FOCS 1994).
+    geometric algorithms, FOCS 1994).  `Polytope` keeps them, and
+    `_pruned_rays` reads a pointed cone's extreme rays off the extreme points
+    of a slice.
 
     The lexicographically largest maximiser of a linear function over the
     points is an extreme point.  The maximisers of +-p_j seed the extreme
@@ -265,8 +219,51 @@ def _primitive_int_set(dim: int, vectors, what: str) -> list:
 
 
 def _pruned_rays(prims) -> tuple:
-    """The canonical rays of a primitive integer set: pruned, as rationals."""
-    return tuple(tuple(Q(c) for c in r) for r in _irredundant(prims))
+    """`dd_convert`'s form of the cone of a sorted primitive integer set, as
+    rationals, with `decompose` LPs and no dimension cap.  Independent rays
+    are in the form already.  Else each round asks one `decompose` of 0 over
+    the rays as a hull: rays of positive weight lie in the lineality space
+    L, which grows, and the input is projected onto L^perp; once no weights
+    exist, the Farkas direction d has d'r < 0 on every ray, and the extreme
+    rays are those whose slice points r / (-d'r) are extreme."""
+    n = len(prims[0]) if prims else 0
+    rays, basis = list(prims), []
+    while len(_rref(rays, n)) < len(rays):
+        res = decompose((ZERO,) * n, [rays])
+        if not isinstance(res, list):
+            d = _escape_of(res, n + 1)[:n]
+            slices = {tuple(c / s for c in r): r for r, s in ((r, -qdot(d, r)) for r in rays)}
+            rays = sorted(slices[p] for p in _extreme_points(sorted(slices)))
+            break
+        basis = _rref(basis + [r for r, w in zip(rays, res) if w > 0], n)
+        rays = _projected(prims, basis)
+    lines = basis + [tuple(-c for c in b) for b in basis]
+    return tuple(tuple(Q(c) for c in r) for r in sorted(lines + rays))
+
+
+def _rref(vectors, n: int) -> list:
+    """The basis of the span of integer vectors of length n in reduced row
+    echelon form, each vector primitive: it depends only on the span."""
+    rows = [list(v) for v in vectors]
+    return [_primitive_ints(row) for row in rows[: len(_row_reduce(rows, n))]]
+
+
+def _projected(vectors, basis) -> list:
+    """The projections of integer vectors onto the orthogonal complement of
+    span(basis), primitive, distinct, nonzero and sorted, by Gram-Schmidt in
+    integers: v less its projection onto w, times w'w, is (w'w) v - (v'w) w."""
+
+    def less(v, ortho):
+        for w in ortho:
+            f = sum(map(mul, v, w))
+            if f:
+                v = _primitive_ints([sum(map(mul, w, w)) * a - f * b for a, b in zip(v, w)])
+        return tuple(v)
+
+    ortho = []
+    for b in basis:
+        ortho.append(less(b, ortho))
+    return sorted({p for p in (less(v, ortho) for v in vectors) if any(p)})
 
 
 def _canonical_rays(dim: int, vectors, what: str) -> tuple:
@@ -291,7 +288,9 @@ def decompose(target, hulls, cones=(), margin=False):
     Returns the weights in column order (tau last with `margin`), or the
     LP's `lp.Infeasible`, whose Farkas vector certifies that no weights
     exist.  Three cases need no LP: a zero target without hull blocks is the
-    zero combination; no columns at all give None; and without `margin`,
+    zero combination; no columns at all give the `lp.Infeasible` with Farkas
+    vector minus (target, 1 with a hull block), every coefficient 0 and the
+    right-hand side -|target|^2 (- 1) < 0; and without `margin`,
     weights that the equality rows force (`_forced_weights`: the columns,
     each with its simplex-row entry, are linearly independent and the
     target is in their span) are unique, so when they are nonnegative they
@@ -303,7 +302,7 @@ def decompose(target, hulls, cones=(), margin=False):
     if not hulls and all(c == 0 for c in target):
         return [ZERO] * k
     if not columns:
-        return None
+        return lp.Infeasible([-c for c in target] + ([-ONE] if hulls else []))
     width = k + 1 if margin else k
     pad = [ZERO] * (width - k)
     rows = [([c[i] for c in columns] + pad, lp.EQ, target[i]) for i in range(len(target))]
@@ -410,8 +409,7 @@ class Polytope:
 @dataclass(frozen=True)
 class FGCone:
     """cone(generators), always closed; no generators means {0}.  The
-    constructor prunes greedily, so a cone with lineality keeps generators
-    that depend on the input; `dd_convert`'s are canonical."""
+    generators are `dd_convert`'s form, fixed by the cone."""
 
     dim: int
     generators: tuple
@@ -423,7 +421,9 @@ class FGCone:
 
 @dataclass(frozen=True)
 class HCone:
-    """{d : a'd <= 0 for all normals a}; no normals means all of n-space."""
+    """{d : a'd <= 0 for all normals a}; no normals means all of n-space.
+    The normals are `dd_convert`'s form of the polar, the cone of the
+    normals, so the H-representation is fixed by the cone."""
 
     dim: int
     normals: tuple
@@ -549,9 +549,7 @@ def _lineality(n: int, m: int, rows, pivots) -> list:
     of `_eliminate`'s rows over m normals, in reduced row echelon form and
     each vector scaled to primitive integers: it depends only on the space,
     not on the normals that cut it out."""
-    basis = [row[m:] for row in rows[len(pivots):]]
-    _row_reduce(basis, n)
-    return [_primitive_ints(v) for v in basis]
+    return _rref([row[m:] for row in rows[len(pivots):]], n)
 
 
 def _extreme_rays(n: int, normals, rows, basis) -> list:
@@ -796,12 +794,15 @@ class ContainsResult:
 
 def contains(a, b) -> ContainsResult:
     """Is the cone a a subset of the cone b, two FGCones or two HCones?  When
-    not, witness lies in a and outside b.  Equal canonical forms hold at
-    once.  Each question is one `decompose`: a generator of a in cone(b's
+    not, witness lies in a and outside b.  Its callers are the check that G*
+    lies in N (`problem.CandidatePoint.build`), and in `quals` LFMCQ (N in
+    G*) and the H-cone inclusions in C of KTCQ and ACQ.
+    Canonical forms are fixed by the cone, so equal cones hold at once.
+    Each question is one `decompose`: a generator of a in cone(b's
     generators), or, by Farkas, a normal t of b in cone(a's normals), which
     says t'd <= 0 holds on a.  When t is outside, the Farkas direction
     (`_escape_of`) lies in a and has t'd > 0; when a has no normals, a is
-    all of space and t itself escapes."""
+    all of space, the Farkas vector is -t and t itself escapes."""
     if a.dim != b.dim or type(a) is not type(b):
         raise ValueError("contains compares two FGCones or two HCones of one dimension")
     if a == b:
@@ -813,8 +814,6 @@ def contains(a, b) -> ContainsResult:
         return ContainsResult(True)
     for t in b.normals:
         res = decompose(t, (), [a.normals])
-        if res is None:
-            return ContainsResult(False, t)
         if not isinstance(res, list):
             return ContainsResult(False, _escape_of(res, a.dim))
     return ContainsResult(True)

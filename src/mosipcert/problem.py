@@ -367,13 +367,14 @@ def _eps_active(values, eps) -> list:
 
 def _union(pairs) -> tuple:
     """Union of (points, rays) subdifferentials, split into points and rays
-    without repeats; empty subdifferentials contribute nothing."""
-    base: list = []
-    rec: list = []
+    without repeats, each in order of first appearance; empty
+    subdifferentials contribute nothing."""
+    base: dict = {}
+    rec: dict = {}
     for points, rays in pairs:
-        base.extend(v for v in points if v not in base)
-        rec.extend(g for g in rays if g not in rec)
-    return base, rec
+        base.update(dict.fromkeys(points))
+        rec.update(dict.fromkeys(rays))
+    return list(base), list(rec)
 
 
 #: marks a key `derived` does not hold; a kept value may be None

@@ -282,10 +282,6 @@ class NegSqrt:
         raise TypeError("positive square roots are not modeled; compare against the negative")
 
 
-#: Extended-real values produced by function evaluation.
-ExtReal = Union[Q, _Infinity, NegSqrt]
-
-
 def is_finite(value) -> bool:
     return not isinstance(value, _Infinity)
 

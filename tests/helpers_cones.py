@@ -1,4 +1,4 @@
-"""Reference canonicalisers: plain greedy pruning loops, written apart from
+"""Reference canonicalisers: plain pruning loops, written apart from
 `mosipcert.cones`.
 
 Each one asks its redundancy question as one LP: `lp_decompose` builds the
@@ -8,12 +8,15 @@ answers in `cones` is checked here, not run.  A point is dropped when it is
 a convex combination of the other points, a generator or normal when it is
 a conic combination of the others.  The library asks the same of rays and
 normals; of points it runs Clarkson's algorithm, which `reference_vertices`
-checks.  `reference_prune` is the greedy loop of `cones._irredundant` in
-the given order.  `tangent_cone` is the canonical H-cone of a polyhedron's
-active rows, the fresh reference for a point's tangent cone C.
+checks.  `reference_rays` is the canonical form of a cone read off its
+generators with one LP per generator: the lineality space, its basis in
+reduced row echelon form, and the pointed part pruned greedily, whose
+survivors are its extreme rays.  `tangent_cone` is the canonical H-cone of a
+polyhedron's active rows, the fresh reference for a point's tangent cone C.
 `reference_dd_convert` runs the replaced double description, +-axis slices
-pruned with LPs, and reads the canonical form of a cone with lineality off
-the generators it finds.  `reference_row_reduce` is the rational
+pruned with LPs, and reads the canonical form off the generators it finds
+with `reference_rays`.  `primitive` scales a rational vector to coprime
+integers.  `reference_row_reduce` is the rational
 Gauss-Jordan elimination that the integer elimination of `cones` replaced;
 `reference_dd_convert` reads its lineality basis with it.
 `greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced
@@ -37,14 +40,19 @@ from mosipcert.cones import (
     HPoly,
     NotMember,
     Polytope,
+    _primitive_ints,
     _unit,
     box_rows,
     contains,
     dd_convert,
-    primitive,
 )
 from mosipcert.errors import InternalInconsistencyError
-from mosipcert.rationals import ONE, ZERO, qdot, vec_q
+from mosipcert.rationals import ONE, ZERO, Q, qdot, scaled_ints, vec_q
+
+
+def primitive(v) -> tuple:
+    """Scale a nonzero rational vector to coprime integers (sign preserved)."""
+    return tuple(Q(c) for c in _primitive_ints(scaled_ints(v)[0]))
 
 
 # The rational Gauss-Jordan elimination that `mosipcert.cones` replaced by
@@ -105,12 +113,6 @@ def _in_cone(g, others) -> bool:
     return bool(others) and isinstance(lp_decompose(g, (), [others]), list)
 
 
-def reference_prune(vectors) -> list:
-    """`cones._irredundant(vectors)`: the greedy loop in the given order, one
-    LP per vector that has others left."""
-    return _prune(list(vectors), _in_cone)
-
-
 def reference_vertices(vertices) -> tuple:
     """Polytope(dim, vertices).vertices."""
     return tuple(_prune(sorted(set(vec_q(v) for v in vertices)), _in_hull))
@@ -121,7 +123,7 @@ def greedy_vertices(vertices) -> tuple:
     before Clarkson's algorithm: the lifted points (p, 1), sorted, each
     dropped when it lies in the cone of the others still kept."""
     points = sorted(set(vec_q(v) for v in vertices))
-    return tuple(p[:-1] for p in reference_prune(p + (ONE,) for p in points))
+    return tuple(p[:-1] for p in _prune([p + (ONE,) for p in points], _in_cone))
 
 
 def tangent_cone(poly: HPoly, x) -> HCone:
@@ -130,17 +132,35 @@ def tangent_cone(poly: HPoly, x) -> HCone:
     return HCone(poly.dim, [poly.rows[i][0] for i in poly.active_rows(x)])
 
 
+def _primitive_set(vectors) -> list:
+    """The sorted distinct primitive rays of the nonzero vectors."""
+    return sorted({primitive(vec_q(v)) for v in vectors if any(c != 0 for c in vec_q(v))})
+
+
 def reference_rays(vectors) -> tuple:
-    """FGCone(dim, vectors).generators, and HCone(dim, vectors).normals."""
-    rays = {primitive(vec_q(v)) for v in vectors if any(c != 0 for c in vec_q(v))}
-    return tuple(_prune(sorted(rays), _in_cone))
+    """FGCone(dim, vectors).generators, and HCone(dim, vectors).normals, read
+    off the primitive rays G with LPs.  The lineality space L is spanned by
+    the g with -g in cone(G); its basis in reduced row echelon form gives the
+    +- primitive pairs, and the orthogonal projections of G onto L^perp,
+    pruned, give the extreme rays of the pointed part."""
+    gens = _primitive_set(vectors)
+    if not gens:
+        return ()
+    basis = [list(g) for g in gens if _in_cone(tuple(-c for c in g), gens)]
+    basis = [primitive(b) for b in basis[: len(reference_row_reduce(basis, len(gens[0])))]]
+    lines = basis + [tuple(-c for c in b) for b in basis]
+    ortho = []  # Gram-Schmidt: an orthogonal basis of L
+    for b in basis:
+        ortho.append(_minus_projection(b, ortho))
+    pointed = _prune(_primitive_set(_minus_projection(g, ortho) for g in gens), _in_cone)
+    return tuple(sorted(set(lines) | set(pointed)))
 
 
 def _sliced_generators(dim: int, normals) -> list:
-    """Generators of the cone: the canonical normals cut the +-axis
+    """Generators of the cone: the normals, pruned, cut the +-axis
     generators of all space one halfspace at a time."""
     gens = [_unit(dim, j) for j in range(dim)] + [_unit(dim, j, -ONE) for j in range(dim)]
-    for a in reference_rays(normals):
+    for a in _prune(_primitive_set(normals), _in_cone):
         vals = [qdot(a, g) for g in gens]
         keep = [g for g, v in zip(gens, vals) if v <= 0]
         new = []
@@ -157,20 +177,9 @@ def _sliced_generators(dim: int, normals) -> list:
 
 
 def reference_dd_convert(dim: int, normals) -> tuple:
-    """dd_convert(HCone(dim, normals)).generators, read off the sliced
-    generators G with LPs.  The lineality space L is spanned by the g with
-    -g in cone(G); its basis in reduced row echelon form gives the +-
-    primitive pairs, and the orthogonal projections of G onto L^perp,
-    pruned, give the extreme rays of the pointed part."""
-    gens = _sliced_generators(dim, normals)
-    basis = [list(g) for g in gens if _in_cone(tuple(-c for c in g), gens)]
-    basis = [primitive(b) for b in basis[: len(reference_row_reduce(basis, dim))]]
-    lines = basis + [tuple(-c for c in b) for b in basis]
-    ortho = []  # Gram-Schmidt: an orthogonal basis of L
-    for b in basis:
-        ortho.append(_minus_projection(b, ortho))
-    pointed = reference_rays(_minus_projection(g, ortho) for g in gens)
-    return tuple(sorted(set(lines) | set(pointed)))
+    """dd_convert(HCone(dim, normals)).generators: the canonical form of the
+    sliced generators."""
+    return reference_rays(_sliced_generators(dim, normals))
 
 
 def _minus_projection(g, ortho) -> tuple:

@@ -15,10 +15,10 @@ from helpers_cones import (
     contains_across,
     greedy_vertices,
     lp_decompose,
+    primitive,
     reference_dd_convert,
     reference_hcone_contains,
     reference_nontrivial_direction,
-    reference_prune,
     reference_rays,
     reference_row_reduce,
     reference_separate,
@@ -40,7 +40,6 @@ from mosipcert.cones import (
     membership,
     min_max_direction,
     polar,
-    primitive,
     span_rank,
     subspace_escape,
     zero_interior,
@@ -318,31 +317,58 @@ def test_forced_weights_are_checked_by_substitution(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_irredundant_matches_the_lp_loop_under_shuffled_orders(dim: int) -> None:
-    # a vector outside the span of the others stays with no LP; the rays
-    # kept, which for a cone with lineality depend on the order, are the
-    # LP loop's in every order
+def test_cone_forms_do_not_depend_on_the_generating_set(dim: int) -> None:
+    # a shuffled set, and the set with one nonnegative combination of its
+    # members added, describe the same cone, so they give the same form
     rng = random.Random(SEED + 80 + dim)
     for _ in range(8):
-        family = [primitive(v) for v in _family(rng, dim) if any(c != 0 for c in v)]
-        if family and rng.random() < 0.5:
-            family.append(tuple(-c for c in rng.choice(family)))
-        family = sorted(set(family))
+        family = _family(rng, dim)
+        fg, h = FGCone(dim, family), HCone(dim, family)
         for _ in range(4):
             rng.shuffle(family)
-            assert cones._irredundant(family) == reference_prune(family), family
+            weights = [Q(rng.randint(0, 2)) for _ in family]
+            more = family + [list(lincomb(weights, family, dim))]
+            assert FGCone(dim, family) == FGCone(dim, more) == fg, family
+            assert HCone(dim, family) == HCone(dim, more) == h, family
 
 
-def test_alone_marks_the_vectors_outside_the_span_of_the_others() -> None:
-    rng = random.Random(SEED + 90)
-    for _ in range(60):
-        dim = rng.randint(1, 4)
-        vectors = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
-        expected = [
-            span_rank(vectors[:i] + vectors[i + 1 :] + [v]) > span_rank(vectors[:i] + vectors[i + 1 :])
-            for i, v in enumerate(vectors)
-        ]
-        assert cones._alone(vectors) == expected, vectors
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_cone_forms_are_the_double_description_form(dim: int) -> None:
+    # the generators of the polar's generators, both LP-free, are the cone's
+    # dd_convert form; the constructors reach it with LPs
+    rng = random.Random(SEED + 70 + dim)
+    for _ in range(10):
+        family = _family(rng, dim)
+        form = dd_convert(Halfspaces(dim, dd_convert(Halfspaces(dim, family)).generators))
+        assert FGCone(dim, family).generators == form.generators, family
+        assert HCone(dim, family).normals == form.generators, family
+
+
+def test_double_description_output_is_a_fixed_point() -> None:
+    rng = random.Random(SEED + 60)
+    for _ in range(30):
+        dim = rng.randint(1, 5)
+        g = dd_convert(HCone(dim, _family(rng, dim)[: rng.randint(0, dim + 1)])).generators
+        assert FGCone(dim, g).generators == g
+
+
+def test_cone_form_has_no_dimension_cap() -> None:
+    # e_1..e_4 and minus their sum span a lineality space, the rest is a
+    # pointed cone after projection; the double description refuses
+    # dimension 7 by default, the constructor does not
+    rng = random.Random(SEED + 50)
+    units = [[Q(int(i == j)) for i in range(7)] for j in range(4)]
+    pointed = [
+        [Q(rng.randint(-2, 2)) for _ in range(4)] + [Q(rng.randint(0, 3)) for _ in range(3)]
+        for _ in range(6)
+    ]
+    family = units + [[-c for c in v] for v in units[:3]] + [[-1, -1, -1, -1, 0, 0, 0]] + pointed
+    rng.shuffle(family)
+    got = FGCone(7, family).generators
+    assert got == reference_rays(family)
+    assert sum(1 for g in got if tuple(-c for c in g) in got) == 8
+    with pytest.raises(UnsupportedDimensionError):
+        dd_convert(Halfspaces(7, family))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

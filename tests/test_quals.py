@@ -411,8 +411,9 @@ def test_lfmcq_makes_no_forward_containment_lps(monkeypatch):
 
 
 def test_lfmcq_decides_n_in_g_star_by_lps_when_the_cones_differ(monkeypatch):
-    # S = {x1 = 0, x2 <= 0}: both cones are the half-plane x2 >= 0, but its
-    # lineality line leaves their canonical generators different
+    # S = {x1 = 0, x2 <= 0}: both cones are the half-plane x2 >= 0, a cone
+    # with lineality, and one cone has one canonical form, so N in G* holds
+    # with no LP
     p = MosipProblem(
         2,
         [Affine([0, -1], 0)],
@@ -420,11 +421,19 @@ def test_lfmcq_decides_n_in_g_star_by_lps_when_the_cones_differ(monkeypatch):
         feasible_set=HPoly(2, [((-1, 0), 0), ((1, 0), 0), ((1, 1), 0)]),
     )
     cp = _candidate(p)
-    assert cp.N != cp.G_star
+    assert cp.N == cp.G_star
     calls = _count_decompose(monkeypatch)
+    assert check("LFMCQ", p, cp).status == HOLDS
+    assert len(calls) == 0
+    # the octagon's N is the quadrant, G* a narrower cone: N in G* takes at
+    # most one LP per generator of N, and fails
+    p = load_fixture("octagon-support")
+    cp = _candidate(p)
+    assert cp.N != cp.G_star
+    calls.clear()
     report = check("LFMCQ", p, cp)
-    assert report.status == HOLDS
-    assert len(calls) == len(cp.N.generators)  # N in G*, one LP per generator
+    assert report.status == FAILS
+    assert 0 < len(calls) <= len(cp.N.generators)
 
 
 # ---------------------------------------------------------------------------
