@@ -33,8 +33,16 @@ rational row; after every update the row is divided by the gcd of its
 entries and its denominator.  Denominators are positive, so sign tests read
 the ints and the ratio test cross-multiplies.  Each rational row equals the
 one a rational tableau would hold, so the pivot sequence, and every result
-read off the final basis, is the same.  Results are built as rationals (Q)
-only at the end.
+read off the final basis, is the same.
+
+Results leave the tableau as integers: the primal (and an unbounded LP's
+feasible point and ray) as ints over one common denominator, the
+multipliers and the Farkas vector as ints over the objective row's
+denominator, the value as a numerator and a denominator.  `solve` checks
+them there and only then builds one Q per returned entry.  When the
+objective is zero, phase 2 would price out nothing and make no pivot, so
+`solve` returns right after phase 1: the phase-1 point, value 0 and zero
+multipliers, the point checked by substitution.
 
 Multipliers are read off each row's initial basic column: its artificial if
 it has one, else its slack.  After the sign fix that column is k e_i, the
@@ -43,8 +51,8 @@ operations to it, so the objective row holds (the column's cost) - y_i
 there.  A slack costs 0 in both phases and an artificial costs 0 in phase 2,
 so the entry is -y_i; in phase 1 an artificial costs -1, so its entry is
 lower by exactly obj_den.  The multipliers are re-verified by substitution
-before being returned.  The substitution checks clear the denominators of
-the result and compare integers; they are exact.
+before being returned.  The substitution checks compare integers, with
+every denominator cleared; they are exact.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ class LinearProgram:
     upper: Optional[list] = None
 
     def __post_init__(self):
-        self.objective = [as_q(c) for c in self.objective]
+        self.objective = _q_list(self.objective)
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length mismatch")
         cleaned = []
@@ -79,7 +87,7 @@ class LinearProgram:
                 raise ValueError(f"unknown relation {rel!r}")
             if len(coeffs) != self.num_vars:
                 raise ValueError("row length mismatch")
-            cleaned.append(([as_q(c) for c in coeffs], rel, as_q(rhs)))
+            cleaned.append((_q_list(coeffs), rel, rhs if type(rhs) is Q else as_q(rhs)))
         self.rows = cleaned
         for name in ("lower", "upper"):
             bnds = getattr(self, name)
@@ -135,21 +143,37 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if farkas is not None:
         if not _farkas_holds(rows, farkas):
             raise InternalInconsistencyError("Farkas certificate failed substitution")
-        return Infeasible(farkas)
+        return Infeasible(_qs(*farkas))
+    if not any(objective[0]):
+        # Phase 2 would price out nothing and make no pivot: the phase-1
+        # point is optimal with value 0 and zero multipliers.
+        primal = tab.primal()
+        if not _satisfies(rows, *primal):
+            raise InternalInconsistencyError("feasible point failed substitution")
+        return Optimal(ZERO, _qs(*primal), [ZERO] * len(rows))
     res = tab.phase2()
     if isinstance(res, Unbounded):
         _check_ray(objective, rows, res)
-    else:
-        _check_optimal(objective, rows, res)
-    return res
+        return Unbounded(_qs(*res.ray), _qs(*res.feasible_point))
+    _check_optimal(objective, rows, res)
+    return Optimal(Q(*res.value), _qs(*res.primal), _qs(*res.dual))
 
 
 def feasible_point(num_vars: int, rows: Sequence):
-    """A point satisfying the rows exactly (list), or Infeasible with a Farkas vector."""
+    """A point satisfying the rows exactly (list), or Infeasible with a Farkas
+    vector.  The objective is zero, so the outcome is never Unbounded."""
     res = solve(LinearProgram(num_vars, [ZERO] * num_vars, list(rows)))
-    if isinstance(res, Infeasible):
-        return res
-    return res.primal if isinstance(res, Optimal) else res.feasible_point
+    return res if isinstance(res, Infeasible) else res.primal
+
+
+def _q_list(values) -> list:
+    """The values as a new list of Q; an entry that already is a Q is kept."""
+    return [v if type(v) is Q else as_q(v) for v in values]
+
+
+def _qs(ints, den) -> list:
+    """The rationals ints / den, one Q each."""
+    return [Q(v, den) if v else ZERO for v in ints]
 
 
 def _int_rows(rows):
@@ -170,6 +194,8 @@ def _dot(a, b) -> int:
 
 def _satisfies(rows, xs, d) -> bool:
     """The integer rows hold at the point xs / d (d > 0)."""
+    if d <= 0:
+        return False
     for a, b, _, rel in rows:
         # a.x <= b  iff  (k a).(d x) <= (k b) d for k, d > 0, and d x = xs
         lhs, rhs = _dot(a, xs), b * d
@@ -183,8 +209,6 @@ def _satisfies(rows, xs, d) -> bool:
 
 
 def _farkas_holds(rows, farkas) -> bool:
-    if len(farkas) != len(rows):
-        return False
     combo = _combination(rows, farkas, len(rows[0][0]) if rows else 0)
     if combo is None:
         return False
@@ -194,43 +218,53 @@ def _farkas_holds(rows, farkas) -> bool:
 
 def _combination(rows, lams, n):
     """(total, rhs, e) with sum_i lam_i * (a~_i, b~_i) = (total, rhs) / e over
-    the oriented integer rows, or None when an inequality row has a negative
-    multiplier.  Row i is its rational row times k_i, so its multiplier is
-    lam_i / k_i; a ">=" row is oriented by negating that multiplier."""
+    the oriented integer rows, for the multipliers lam_i = ys_i / den given
+    as lams = (ys, den), or None when their number is not the number of rows,
+    den is not positive or an inequality row has a negative multiplier.  Row
+    i is its rational row times k_i, so its multiplier is ys_i / (den k_i); a
+    ">=" row is oriented by negating it.  Zero multipliers are skipped."""
+    ys, den = lams
+    if len(ys) != len(rows) or den <= 0:
+        return None
     parts = []
-    for lam, (a, b, k, rel) in zip(lams, rows):
-        if rel != EQ and lam < 0:
-            return None
-        p = int(lam.numerator)
-        parts.append((a, b, -p if rel == GE else p, int(lam.denominator) * k))
-    e = math.lcm(*[q for *_, q in parts])
+    for y, (a, b, k, rel) in zip(ys, rows):
+        if y:
+            if rel != EQ and y < 0:
+                return None
+            parts.append((a, b, -y if rel == GE else y, k))
+    e = math.lcm(*[k for *_, k in parts])
     total, rhs = [0] * n, 0
-    for a, b, p, q in parts:
-        if p:
-            f = p * (e // q)
-            total = [t + f * v for t, v in zip(total, a, strict=True)]
-            rhs += f * b
-    return total, rhs, e
+    for a, b, y, k in parts:
+        f = y * (e // k)
+        total = [t + f * v for t, v in zip(total, a, strict=True)]
+        rhs += f * b
+    return total, rhs, e * den
 
 
 def _check_ray(objective, rows, res: Unbounded):
-    ok = _satisfies(rows, *scaled_ints(res.feasible_point))
+    """The integer Unbounded result: the feasible point satisfies the rows,
+    and the ray keeps every row and raises the objective."""
+    ok = _satisfies(rows, *res.feasible_point)
     if ok:
-        ray, _ = scaled_ints(res.ray)  # a positive multiple of the ray
+        ray, d = res.ray  # ints, a positive multiple of the ray when d > 0
+        ok &= d > 0
         for a, _, _, rel in rows:
-            d = _dot(a, ray)
-            ok &= (rel == LE and d <= 0) or (rel == GE and d >= 0) or (rel == EQ and d == 0)
+            t = _dot(a, ray)
+            ok &= (rel == LE and t <= 0) or (rel == GE and t >= 0) or (rel == EQ and t == 0)
         ok &= _dot(objective[0], ray) > 0
     if not ok:
         raise InternalInconsistencyError("unboundedness ray failed substitution")
 
 
 def _check_optimal(objective, rows, res: Optimal):
+    """The integer Optimal result: the primal satisfies the rows and attains
+    the value, and the multipliers combine the rows into the objective and
+    the value."""
     c, kc = objective
-    xs, d = scaled_ints(res.primal)
+    xs, d = res.primal
     ok = _satisfies(rows, xs, d)
-    vn, vd = int(res.value.numerator), int(res.value.denominator)
-    ok &= _dot(c, xs) * vd == vn * kc * d
+    vn, vd = res.value
+    ok &= vd > 0 and _dot(c, xs) * vd == vn * kc * d
     # Dual feasibility (equality rows because variables are free) and strong duality.
     combo = _combination(rows, res.dual, len(c))
     if combo is None:
@@ -280,6 +314,11 @@ class _Tableau:
     cost minus y_i throughout.  That is -y_i, except for an artificial in
     phase 1 (cost -1), whose entry is lower by obj_den.  No audit block is
     carried.
+
+    `phase1` returns None or the Farkas vector as (ints, obj_den); `phase2`
+    returns an `Optimal` or `Unbounded` whose fields hold integers: every
+    vector as (ints, den) and the value as (numerator, denominator).
+    `primal` reads the basic solution as (ints, den).
     """
 
     def __init__(self, num_vars: int, objective, rows):
@@ -412,16 +451,17 @@ class _Tableau:
             self._pivot(leave, enter)
 
     def _multipliers(self, art_cost):
-        """Oriented-row multipliers lam_i = y_i * sigma_i.  The objective entry
-        of row i's starting column is its cost minus y_i: art_cost (-obj_den in
-        phase 1, 0 in phase 2) for an artificial, 0 for a slack."""
-        n = self.n
+        """Oriented-row multipliers lam_i = y_i * sigma_i as (ints, obj_den).
+        The objective entry of row i's starting column is its cost minus y_i:
+        art_cost (-obj_den in phase 1, 0 in phase 2) for an artificial, 0 for
+        a slack."""
+        n, obj = self.n, self.obj
         return [
-            Q((art_cost * (col >= self.first_art) - self.obj[col - n]) * s, self.obj_den)
+            (art_cost * (col >= self.first_art) - obj[col - n]) * s
             for col, s in zip(self.start, self.sigma)
-        ]
+        ], self.obj_den
 
-    def phase1(self) -> Optional[list]:
+    def phase1(self) -> Optional[tuple]:
         if all(c < 0 for c in self.art_col):
             return None
         n = self.n
@@ -462,21 +502,37 @@ class _Tableau:
         enter = self._iterate(self.first_art)  # artificials stay out
         if enter is not None:
             p, sign = self._stored(enter)
-            ray_z = {enter: Q(1)}
+            ray = {enter: (1, 1)}
             for i, row in enumerate(self.rows):
                 if row[p] != 0:
-                    ray_z[self.basis[i]] = Q(-row[p] * sign, self.dens[i])
-            ray = [ray_z.get(j, ZERO) - ray_z.get(n + j, ZERO) for j in range(n)]
-            return Unbounded(ray=ray, feasible_point=self._primal())
+                    ray[self.basis[i]] = (-row[p] * sign, self.dens[i])
+            return Unbounded(ray=self._free(ray), feasible_point=self.primal())
         # The priced-out objective row holds c - y'A with rhs entry -y'b, and
         # the optimal value is y'b.
         return Optimal(
-            value=Q(-self.obj[self.rhs_idx], self.obj_den),
-            primal=self._primal(),
+            value=(-self.obj[self.rhs_idx], self.obj_den),
+            primal=self.primal(),
             dual=self._multipliers(0),
         )
 
-    def _primal(self):
+    def primal(self):
+        """The basic solution as (ints, d)."""
+        rhs = self.rhs_idx
+        return self._free(
+            {col: (self.rows[i][rhs], self.dens[i]) for i, col in enumerate(self.basis)}
+        )
+
+    def _free(self, z):
+        """(xs, d) with xs_j / d = z[u_j] - z[v_j], for z a dict from logical
+        columns to (num, den) pairs (absent entries 0, other columns
+        ignored); d is the lcm of the u and v denominators."""
         n = self.n
-        z = {col: Q(self.rows[i][self.rhs_idx], self.dens[i]) for i, col in enumerate(self.basis)}
-        return [z.get(j, ZERO) - z.get(n + j, ZERO) for j in range(n)]
+        z = {col: q for col, q in z.items() if col < 2 * n}
+        d = math.lcm(*[den for _, den in z.values()])
+        xs = [0] * n
+        for col, (num, den) in z.items():
+            if col < n:
+                xs[col] += num * (d // den)
+            else:
+                xs[col - n] -= num * (d // den)
+        return xs, d

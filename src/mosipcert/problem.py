@@ -366,15 +366,15 @@ def _eps_active(values, eps) -> list:
 
 
 def _union(pairs) -> tuple:
-    """Union of (points, rays) subdifferentials, split into points and rays
-    without repeats, each in order of first appearance; empty
-    subdifferentials contribute nothing."""
+    """Union of (points, rays) subdifferentials, split into a tuple of points
+    and a tuple of rays without repeats, each in order of first appearance;
+    empty subdifferentials contribute nothing."""
     base: dict = {}
     rec: dict = {}
     for points, rays in pairs:
         base.update(dict.fromkeys(points))
         rec.update(dict.fromkeys(rays))
-    return list(base), list(rec)
+    return tuple(base), tuple(rec)
 
 
 #: marks a key `derived` does not hold; a kept value may be None
@@ -388,6 +388,14 @@ def _kept(derived: dict, key, compute):
     if value is _ABSENT:
         value = derived[key] = compute()
     return value
+
+
+def _kept_union(derived: dict, indices: tuple, subdiff_of) -> tuple:
+    """`_union` of the subdifferentials subdiff_of(k) over the index set,
+    kept in `derived` per index set."""
+    return _kept(
+        derived, ("subgradient_union", indices), lambda: _union(map(subdiff_of, indices))
+    )
 
 
 def _kept_cone(derived: dict, cls, dim: int, vectors):
@@ -464,7 +472,10 @@ class CandidatePoint:
       kept per cone, under the integer tuples of its canonical rays, so
       eps-active sets with one cone ask once, and G* reuses
       ``support_escape()``;
-    * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ);
+    * ``subgradient_union(eps)``, per eps-active set (MFCQ, PMFCQ); one
+      entry per index set, which `build` reads for G (over T) and
+      ``psi_subdiff()`` for the max rule (over the argmax set, T when
+      max g = 0);
     * ``union_min_max(eps)``, `min_max` over that union, kept per
       eps-active set too, so a long eps grid hashes index tuples, not
       rational points (PMFCQ);
@@ -516,7 +527,7 @@ class CandidatePoint:
         F_star = Polytope(p.dimension, F)
         for k in T:
             derived[("constraint", k)] = subdiff_set(p.constraint(k), x)
-        G, rec = _union(derived[("constraint", k)] for k in T)
+        G, rec = _kept_union(derived, T, lambda k: derived[("constraint", k)])
         G_star = _kept_cone(derived, FGCone, p.dimension, G + rec)
         C = N = None
         if p.feasible_set is not None:
@@ -538,7 +549,7 @@ class CandidatePoint:
             T=T,
             F=tuple(F),
             F_star=F_star,
-            G=tuple(G),
+            G=G,
             G_is_empty=not G and not rec,
             G_star=G_star,
             C=C,
@@ -595,7 +606,7 @@ class CandidatePoint:
             # the max rule needs every argmax subdifferential
             if any(not self.constraint_subdiff(k)[0] for k in argmax):
                 return None
-            base, rec = _union(self.constraint_subdiff(k) for k in argmax)
+            base, rec = _kept_union(self.derived, tuple(argmax), self.constraint_subdiff)
             return Polytope(p.dimension, base).vertices, FGCone(p.dimension, rec).generators
 
         return self._kept("psi", compute)
@@ -676,11 +687,7 @@ class CandidatePoint:
         base vertices and recession generators, kept per eps-active set;
         empty subdifferentials contribute nothing (their members impose no
         subgradient inequality here)."""
-        active = tuple(self.active(eps))
-        return self._kept(
-            ("subgradient_union", active),
-            lambda: tuple(map(tuple, _union(self.constraint_subdiff(k) for k in active))),
-        )
+        return _kept_union(self.derived, tuple(self.active(eps)), self.constraint_subdiff)
 
     def union_min_max(self, eps) -> tuple:
         """`min_max` over `subgradient_union(eps)`, kept per eps-active set."""

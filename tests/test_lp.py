@@ -51,10 +51,12 @@ def test_failed_certificate_check_is_an_internal_inconsistency(monkeypatch) -> N
     monkeypatch.setattr(lp, "_satisfies", lambda rows, xs, d: calls.append("point") or False)
     with pytest.raises(InternalInconsistencyError):
         solve(LinearProgram(1, [1], [([1], LE, 1)]))
+    with pytest.raises(InternalInconsistencyError):  # a zero objective ends after phase 1
+        solve(LinearProgram(1, [0], [([1], LE, 1)]))
     monkeypatch.setattr(lp, "_farkas_holds", lambda rows, farkas: calls.append("farkas") or False)
     with pytest.raises(InternalInconsistencyError):
         solve(LinearProgram(1, [1], [([1], LE, 0), ([1], GE, 1)]))
-    assert calls == ["point", "farkas"]
+    assert calls == ["point", "point", "farkas"]
 
 
 def test_contradictory_bounds_farkas() -> None:
@@ -272,6 +274,22 @@ def _awkward(rng: random.Random) -> LinearProgram:
     return LinearProgram(n, objective, rows, lower=lower, upper=[box] * n)
 
 
+def _decomposition(rng: random.Random) -> LinearProgram:
+    """The rows `cones.decompose` builds, objective 0: one equality per
+    coordinate writing the target over the columns, hull columns first; the
+    simplex row over the hull columns when there are any; x_j >= 0 for every
+    column."""
+    dim, num_hull, num_cone = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 2)
+    k = max(num_hull + num_cone, 1)
+    columns = [[Q(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(k)]
+    target = [Q(rng.randint(-2, 2), rng.choice([1, 1, 2, 3])) for _ in range(dim)]
+    rows = [([c[i] for c in columns], EQ, target[i]) for i in range(dim)]
+    if num_hull:
+        rows.append(([Q(int(j < num_hull)) for j in range(k)], EQ, Q(1)))
+    rows.extend(([Q(int(i == j)) for i in range(k)], GE, ZERO) for j in range(k))
+    return LinearProgram(k, [ZERO] * k, rows)
+
+
 OPTIMAL_OR_NOT = {"Optimal", "Infeasible"}
 ALL_OUTCOMES = {"Optimal", "Infeasible", "Unbounded"}
 FAMILIES = {  # generator, the outcome kinds its sweep must produce
@@ -281,6 +299,7 @@ FAMILIES = {  # generator, the outcome kinds its sweep must produce
     "unboxed": (_unboxed, ALL_OUTCOMES),
     "contradictory": (_contradictory, {"Infeasible"}),
     "awkward": (_awkward, ALL_OUTCOMES),
+    "decomposition": (_decomposition, OPTIMAL_OR_NOT),
 }
 
 
@@ -376,27 +395,37 @@ def test_integer_tableau_matches_rational_reference(family, monkeypatch) -> None
 BOX = LinearProgram(2, [1, 1], [([1, 0], LE, 1), ([0, 1], LE, 1), ([1, 0], GE, 0), ([0, 1], GE, 0)])
 CONTRADICTION = LinearProgram(1, [1], [([1], LE, 0), ([1], GE, 1)])
 RAY = LinearProgram(2, [1, 0], [([0, 1], EQ, 0)])
+SIMPLEX = LinearProgram(2, [0, 0], [([1, 1], EQ, 1), ([1, 0], GE, 0), ([0, 1], GE, 0)])
 
 
-def _bump(vector: list) -> list:
-    return [vector[0] + 1, *vector[1:]]
+def _bump(result: tuple) -> tuple:
+    """An integer result (ints, den) with its first entry raised by 1."""
+    ints, den = result
+    return [ints[0] + den, *ints[1:]], den
 
 
+# The tableau hands each result to `solve` as integers over a denominator;
+# solve checks them there, so each is corrupted there.
 CORRUPTIONS = {
     "dual": (BOX, "phase2", lambda r: dataclasses.replace(r, dual=_bump(r.dual))),
     "primal": (BOX, "phase2", lambda r: dataclasses.replace(r, primal=_bump(r.primal))),
-    "value": (BOX, "phase2", lambda r: dataclasses.replace(r, value=r.value + 1)),
+    "value": (BOX, "phase2", lambda r: dataclasses.replace(r, value=(sum(r.value), r.value[1]))),
     "farkas": (CONTRADICTION, "phase1", _bump),
-    "ray": (RAY, "phase2", lambda r: dataclasses.replace(r, ray=[r.ray[0], Q(1)])),
-    "feasible_point": (
-        RAY, "phase2", lambda r: dataclasses.replace(r, feasible_point=[ZERO, Q(1)])
-    ),
+    "ray": (RAY, "phase2", lambda r: dataclasses.replace(r, ray=([r.ray[0][0], 1], r.ray[1]))),
+    "feasible_point": (RAY, "phase2", lambda r: dataclasses.replace(r, feasible_point=([0, 1], 1))),
+    "zero_objective_primal": (SIMPLEX, "primal", _bump),
 }
 
 
 @pytest.mark.parametrize(
     "prog",
-    [BOX, CONTRADICTION, RAY, LinearProgram(2, [2, 3], [([1, 1], EQ, 1)], lower=[Q(-2), Q(0)])],
+    [
+        BOX,
+        CONTRADICTION,
+        RAY,
+        LinearProgram(2, [2, 3], [([1, 1], EQ, 1)], lower=[Q(-2), Q(0)]),
+        SIMPLEX,
+    ],
 )
 def test_each_row_is_converted_to_integers_once(prog, monkeypatch) -> None:
     seen = []
@@ -407,13 +436,11 @@ def test_each_row_is_converted_to_integers_once(prog, monkeypatch) -> None:
         return real(values)
 
     monkeypatch.setattr(lp, "scaled_ints", counted)
-    res = solve(prog)
-    rows = Counter(tuple([*coeffs, b]) for coeffs, _, b in prog.all_rows())
-    assert Counter(v for v in seen if v in rows) == rows
-    # besides the rows: the objective, then the primal point, or the
-    # feasible point and the ray
-    extra = {Optimal: 2, Infeasible: 1, Unbounded: 3}[type(res)]
-    assert len(seen) == sum(rows.values()) + extra
+    solve(prog)
+    # each row and the objective, and nothing else: no result is re-scaled
+    expected = Counter(tuple([*coeffs, b]) for coeffs, _, b in prog.all_rows())
+    expected[tuple(prog.objective)] += 1
+    assert Counter(seen) == expected
 
 
 @pytest.mark.parametrize("corrupted", sorted(CORRUPTIONS))
@@ -435,7 +462,8 @@ assert False, "asserts are live"  # stripped under -O
 real = lp._Tableau.phase2
 def corrupt(self):
     r = real(self)
-    return dataclasses.replace(r, dual=[r.dual[0] + 1, *r.dual[1:]])
+    (first, *rest), den = r.dual
+    return dataclasses.replace(r, dual=([first + den, *rest], den))
 lp._Tableau.phase2 = corrupt
 try:
     lp.solve(lp.LinearProgram(2, [1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)]))

@@ -16,6 +16,7 @@ from mosipcert.cones import (
     FGCone,
     HCone,
     HPoly,
+    Polytope,
     dd_convert,
     min_max_direction,
     subspace_escape,
@@ -495,6 +496,24 @@ def _assert_derived_match_fresh(p, x) -> None:
         cp.zero_interior,
     ):
         assert entry() is entry()  # computed once
+
+
+def test_each_subgradient_union_is_computed_once_per_point(monkeypatch):
+    # build keeps G's union over T; subgradient_union(0) and the max rule of
+    # psi_subdiff, whose argmax set is T when max g = 0, read that entry
+    from mosipcert import problem
+
+    unions = []
+    real = problem._union
+    monkeypatch.setattr(problem, "_union", lambda pairs: unions.append(1) or real(pairs))
+    members = [Affine([1, 0], 0), Affine([-1, 1], 0), Affine([0, 1], -1)]
+    p = MosipProblem(2, [Affine([1, 1], 0)], FiniteFamily(members))
+    cp = CandidatePoint.build(p, [0, 0])
+    assert cp.T == (0, 1) and len(unions) == 1
+    assert cp.subgradient_union(0) == (cp.G, ())
+    assert cp.psi_subdiff() == (Polytope(2, cp.G).vertices, ())
+    assert len(unions) == 1
+    assert cp.subgradient_union(1) == ((*cp.G, (0, 1)), ()) and len(unions) == 2
 
 
 def test_derived_cones_match_fresh_computation_on_fixtures():

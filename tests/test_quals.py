@@ -135,7 +135,6 @@ def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
     from mosipcert import problem
 
     p = load_fixture("octagon-support")
-    cp = _candidate(p)
     grid = DEFAULT_EPS_GRID
     calls, unions = [], []
     real, union = problem.min_max_direction, problem._union
@@ -145,8 +144,10 @@ def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
         return real(points, gens, dim)
 
     monkeypatch.setattr(problem, "min_max_direction", counted)
-    # each grid entry reads its union off the point, built once per active set
+    # each grid entry reads its union off the point, built once per active
+    # set, that of T when the point is built
     monkeypatch.setattr(problem, "_union", lambda sets: unions.append(1) or union(sets))
+    cp = _candidate(p)
     report = check("PMFCQ", p, cp)
     assert report.status == UNDECIDABLE
     distinct = len({tuple(cp.active(eps)) for eps in grid})
@@ -173,13 +174,13 @@ def test_pmfcq_solves_one_min_max_lp_per_active_set_across_several(monkeypatch):
     for k in (1, 2, 3):
         members += [Affine([0, k], -Q(1, 2**k)), Affine([0, -k], -Q(1, 2**k))]
     p = MosipProblem(2, [Affine([1, 1], 0)], _TruncatedFamily(members))
-    cp = _candidate(p)
-    sets = {tuple(cp.active(eps)) for eps in DEFAULT_EPS_GRID}
-    assert len(sets) == 4
     calls, unions = [], []
     real, union = problem.min_max_direction, problem._union
     monkeypatch.setattr(problem, "min_max_direction", lambda *args: calls.append(1) or real(*args))
     monkeypatch.setattr(problem, "_union", lambda subdiffs: unions.append(1) or union(subdiffs))
+    cp = _candidate(p)
+    sets = {tuple(cp.active(eps)) for eps in DEFAULT_EPS_GRID}
+    assert len(sets) == 4 and cp.T in sets
     report = check("PMFCQ", p, cp)
     assert (report.status, report.provenance) == (UNDECIDABLE, "truncated")
     assert [row[1] for row in report.witness["values"]] == [0] * len(DEFAULT_EPS_GRID)
