@@ -27,9 +27,14 @@ tableau and every substitution check read those same integer rows.
 
 The simplex loop computes with Python ints only.  Each tableau row, and the
 objective row, is a list of integers over one positive row denominator: the
-rational row is ints / den.  A row is built from the oriented integer row,
-with slack and artificial entries k, so that ints / k is exactly the
-rational row; after every update the row is divided by the gcd of its
+rational row is ints / den.  A row is built in one pass from its integer
+row: the coefficients and the rhs times the orientation (-1 for ">=") and
+the sign fix, the slack entry the sign fix times k, the artificial entry k,
+so that ints / k is exactly the rational row.  An update subtracts a
+multiple of the pivot row, whose pivot entry is its denominator pden (the
+rational +-1); when pden divides the row's entry, the row keeps its
+denominator and only the pivot row's nonzero positions, listed once per
+pivot, change.  After every update the row is divided by the gcd of its
 entries and its denominator.  Denominators are positive, so sign tests read
 the ints and the ratio test cross-multiplies.  Each rational row equals the
 one a rational tableau would hold, so the pivot sequence, and every result
@@ -277,15 +282,28 @@ def _check_optimal(objective, rows, res: Optimal):
         raise InternalInconsistencyError("optimality certificates failed substitution")
 
 
-def _eliminate(row, den, col, prow, pden):
+def _eliminate(row, den, col, prow, pden, nonzero):
     """row - (row[col] / prow[col]) * prow over a positive denominator, for a
     pivot row whose entry prow[col] is +-pden (the rational +-1): the sign is
-    the pivot entry's, -1 when the pivot column is a free variable's v_j."""
+    the pivot entry's, -1 when the pivot column is a free variable's v_j.
+    `nonzero` lists the positions of prow's nonzero entries.  When pden
+    divides row[col], the row keeps its denominator and only those
+    positions change."""
     g = math.gcd(row[col], pden)
     a, b = pden // g, row[col] // g
     if prow[col] < 0:
         b = -b
+    if a == 1:
+        out = row.copy()
+        for j in nonzero:
+            out[j] -= b * prow[j]
+        return _reduced(out, den)
     return _reduced([x * a - b * y for x, y in zip(row, prow)], den * a)
+
+
+def _nonzero(ints) -> list:
+    """The positions of the nonzero entries."""
+    return [j for j, v in enumerate(ints) if v]
 
 
 def _reduced(ints, den):
@@ -307,13 +325,15 @@ class _Tableau:
     is read as minus the entry stored at j.
 
     Row i is the integer list self.rows[i] over the positive denominator
-    self.dens[i]; the objective row of the current phase is likewise self.obj
-    over self.obj_den.  Row i's multiplier is read off the column that was
-    basic in it at the start (self.start[i]): after the sign fix that column
-    is k_i e_i, the rational unit vector e_i, so its objective entry is its
-    cost minus y_i throughout.  That is -y_i, except for an artificial in
-    phase 1 (cost -1), whose entry is lower by obj_den.  No audit block is
-    carried.
+    self.dens[i], built in one pass from the integer row; the objective row
+    of the current phase is likewise self.obj over self.obj_den.  Rows are
+    updated by `_eliminate`, which touches only the pivot row's nonzero
+    positions when the row's denominator stays.  Row i's multiplier is read
+    off the column that was basic in it at the start (self.start[i]): after
+    the sign fix that column is k_i e_i, the rational unit vector e_i, so
+    its objective entry is its cost minus y_i throughout.  That is -y_i,
+    except for an artificial in phase 1 (cost -1), whose entry is lower by
+    obj_den.  No audit block is carried.
 
     `phase1` returns None or the Farkas vector as (ints, obj_den); `phase2`
     returns an `Optimal` or `Unbounded` whose fields hold integers: every
@@ -326,62 +346,47 @@ class _Tableau:
         n = self.n = num_vars
         m = self.m = len(rows)
 
-        # Each integer row oriented as "<=" or "==".
-        oriented = []
-        for a, b, k, rel in rows:
-            if rel == GE:
-                a, b, rel = [-v for v in a], -b, LE
-            oriented.append((a, b, k, rel))
-
-        # Equality form with slack columns for "<=" rows, then rhs-sign fix.
-        # sigma[i] is the factor applied after slacks were added.  Column
-        # indices are logical.
+        # Column numbering (logical): the u, v split of the free variables,
+        # a slack per inequality row, then an artificial per row that does
+        # not start on its slack.  sigma[i] = -1 when the rhs of row i,
+        # oriented as "<=" (a ">=" row negated), is negative: the row is
+        # negated again after its slack is added, so the rhs is nonnegative.
         self.slack_col = [-1] * m
-        ncols = 2 * n  # u, v split of the free variables
-        for i, (*_, rel) in enumerate(oriented):
-            if rel == LE:
+        ncols = 2 * n
+        for i, (*_, rel) in enumerate(rows):
+            if rel != EQ:
                 self.slack_col[i] = ncols
                 ncols += 1
+        self.first_art = ncols
         self.sigma = [1] * m
         self.art_col = [-1] * m
-        body_cols = ncols
-
-        # The slack and artificial entries of a row are its k, so that
-        # ints / k is the rational row.  Stored columns: u, then slacks.
-        eq_rows = []
-        for i, (a, b, k, _) in enumerate(oriented):
-            row = a + [0] * (body_cols - 2 * n)
-            if self.slack_col[i] >= 0:
-                row[self.slack_col[i] - n] = k
-            if b < 0:
+        self.basis = list(self.slack_col)
+        for i, (_, b, _, rel) in enumerate(rows):
+            if (b > 0) if rel == GE else (b < 0):
                 self.sigma[i] = -1
-                row = [-c for c in row]
-                b = -b
-            eq_rows.append((row, b, k))
-
-        # Basic column per row: the slack if it survived the sign fix, else artificial.
-        self.basis = [-1] * m
-        for i in range(m):
-            sc = self.slack_col[i]
-            if sc >= 0 and self.sigma[i] == 1:
-                self.basis[i] = sc
-            else:
-                self.art_col[i] = ncols
-                self.basis[i] = ncols
+            if rel == EQ or self.sigma[i] < 0:
+                self.art_col[i] = self.basis[i] = ncols
                 ncols += 1
         self.start = list(self.basis)
-        self.first_art = body_cols
         self.ncols = ncols
 
-        # Row layout: [stored columns..., rhs]
+        # Row layout: [stored columns..., rhs], the stored columns being u,
+        # then the slacks and the artificials.  Each row is built in one
+        # pass: the integer row times its orientation and sigma, the slack
+        # entry sigma * k, the artificial entry k, so that ints / k is the
+        # rational row.
+        pad = [0] * (ncols - 2 * n)
         self.rows = []
-        self.dens = []
-        for i, (row, b, k) in enumerate(eq_rows):
-            full = row + [0] * (ncols - body_cols) + [b]
+        for i, (a, b, k, rel) in enumerate(rows):
+            s = -self.sigma[i] if rel == GE else self.sigma[i]
+            row = (a if s > 0 else [-v for v in a]) + pad
+            row.append(b * s)
+            if self.slack_col[i] >= 0:
+                row[self.slack_col[i] - n] = self.sigma[i] * k
             if self.art_col[i] >= 0:
-                full[self.art_col[i] - n] = k
-            self.rows.append(full)
-            self.dens.append(k)
+                row[self.art_col[i] - n] = k
+            self.rows.append(row)
+        self.dens = [k for *_, k, _ in rows]
         self.rhs_idx = ncols - n
 
     def _stored(self, col) -> tuple:
@@ -395,8 +400,9 @@ class _Tableau:
         for i, col in enumerate(self.basis):
             p, _ = self._stored(col)
             if self.obj[p] != 0:
+                row = self.rows[i]
                 self.obj, self.obj_den = _eliminate(
-                    self.obj, self.obj_den, p, self.rows[i], self.dens[i]
+                    self.obj, self.obj_den, p, row, self.dens[i], _nonzero(row)
                 )
 
     def _pivot(self, i, col):
@@ -408,11 +414,12 @@ class _Tableau:
             row = [-c for c in row]
         row, den = _reduced(row, row[p] * sign)
         self.rows[i], self.dens[i] = row, den
+        nonzero = _nonzero(row)
         for k, other in enumerate(self.rows):
             if k != i and other[p] != 0:
-                self.rows[k], self.dens[k] = _eliminate(other, self.dens[k], p, row, den)
+                self.rows[k], self.dens[k] = _eliminate(other, self.dens[k], p, row, den, nonzero)
         if self.obj[p] != 0:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, p, row, den)
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, p, row, den, nonzero)
         self.basis[i] = col
 
     def _entering(self, end):

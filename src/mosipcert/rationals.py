@@ -8,6 +8,11 @@ at the end.  That holds for the simplex in `lp`, the elimination in `cones`,
 and the dot products and linear combinations here: `qdot` is one integer dot
 product over the lcm-scaled numerators of its two vectors, and `lincomb` one
 integer combination per coordinate, each made one Q at the end.
+`scaled_ints` is the one door from Q to integers: no other module reads a
+numerator or a denominator.  It reads each entry's denominator and
+numerator once.  On the `fractions` backend these already are Python ints,
+as an int's are, so they pass through; gmpy2's are mpz, and `_python_ints`
+turns them into ints in one step, the only line that depends on the backend.
 Floats are rejected at the boundary: callers that have float data must
 rationalize it explicitly and own the rounding decision.  In JSON a rational
 is a [numerator, denominator] pair: `q_pair` and `jsonify` write them,
@@ -24,10 +29,19 @@ from typing import Iterable, Sequence, Union
 
 from .errors import ModelError, ParseError
 
+# `_python_ints` makes a list of Q's numerators Python ints: gmpy2's are mpz,
+# Fraction's already are ints.
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Q
+
+    def _python_ints(values: list) -> list:
+        return list(map(int, values))
+
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q  # type: ignore[assignment]
+
+    def _python_ints(values: list) -> list:
+        return values
 
 QLike = Union[int, str, tuple, list, "Q"]
 
@@ -136,11 +150,15 @@ def vec_q(values: Iterable[QLike]) -> tuple:
 
 def scaled_ints(values) -> tuple:
     """(ints, k): the rationals (or ints) times k, the lcm of their
-    denominators, so that ints / k are the values exactly."""
-    k = math.lcm(*[int(v.denominator) for v in values])
+    denominators, so that ints / k are the values exactly.  Each entry's
+    denominator and numerator are read once; the ints and k are Python
+    ints."""
+    dens = [v.denominator for v in values]
+    k = math.lcm(*dens)
+    nums = [v.numerator for v in values]
     if k == 1:
-        return [int(v.numerator) for v in values], 1
-    return [int(v.numerator) * (k // int(v.denominator)) for v in values], k
+        return _python_ints(nums), 1
+    return _python_ints([x * (k // d) for x, d in zip(nums, dens)]), k
 
 
 def lincomb(coeffs: Sequence, vectors: Sequence, n: int) -> tuple:

@@ -4,6 +4,7 @@ agreement with the rational reference tableau, rejection of corrupted results.""
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -388,6 +389,53 @@ def test_integer_tableau_matches_rational_reference(family, monkeypatch) -> None
         assert any(dropped)  # dependent equality rows went through the row drop
 
 
+def test_eliminate_matches_the_rational_update() -> None:
+    # row / den - (row[col] / den) / (prow[col] / pden) * prow / pden, with
+    # the pivot entry prow[col] = +-pden; a == 1 when pden divides row[col]
+    rng = random.Random(f"{SEED}:eliminate")
+    branches = Counter()
+    for _ in range(400):
+        width = rng.randint(2, 7)
+        col = rng.randrange(width)
+        pden = rng.choice([1, 2, 3, 6, 7, 12, 10**9 + 7])
+        sign = rng.choice([1, -1])
+        prow = [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(width)]
+        prow[col] = sign * pden
+        den = rng.randint(1, 30)
+        row = [rng.randint(-50, 50) for _ in range(width)]
+        if rng.random() < 0.5:
+            row[col] = pden * rng.randint(-3, 3)
+        before = list(row)
+        nonzero = [j for j, y in enumerate(prow) if y]
+        out, d = lp._eliminate(row, den, col, prow, pden, nonzero)
+        f = Q(row[col], den) / Q(prow[col], pden)
+        assert [Q(x, d) for x in out] == [Q(x, den) - f * Q(y, pden) for x, y in zip(row, prow)]
+        assert d > 0 and math.gcd(d, *out) == 1  # reduced over a positive denominator
+        assert out[col] == 0 and row == before
+        branches[(row[col] % pden == 0, sign)] += 1
+    assert set(branches) == {(a_is_1, s) for a_is_1 in (True, False) for s in (1, -1)}
+
+
+@pytest.mark.parametrize("rhs", [Q(-3, 4), Q(5, 3)], ids=["negative", "nonnegative"])
+@pytest.mark.parametrize("rel", [LE, GE, EQ])
+def test_each_row_case_matches_the_rational_reference(rel, rhs, monkeypatch) -> None:
+    # the tableau tells six row cases apart: the relation, and the sign of
+    # the rhs oriented as "<=", which decides sigma and whether the row
+    # starts on its slack or on an artificial; the objective makes the row
+    # bind, so its multiplier is nonzero
+    objective = [-1, 1] if rel == GE else [1, -1]
+    prog = LinearProgram(2, objective, [([Q(1, 2), -2], rel, rhs)], lower=[-4, -4], upper=[4, 4])
+    tab = lp._Tableau(2, lp.scaled_ints(prog.objective), lp._int_rows(prog.all_rows()))
+    oriented = -rhs if rel == GE else rhs
+    assert tab.sigma[0] == (-1 if oriented < 0 else 1)
+    assert (tab.art_col[0] >= 0) == (rel == EQ or oriented < 0)
+    pivots = _count_pivots(monkeypatch)
+    res = solve(prog)
+    ref, ref_pivots = reference_solve(prog)
+    assert isinstance(res, Optimal) and res == ref and res.dual[0] != 0
+    assert len(pivots) == ref_pivots
+
+
 # ---------------------------------------------------------------------------
 # the substitution checks reject a corrupted result
 
@@ -456,6 +504,7 @@ def test_corrupted_dual_is_caught_under_python_O() -> None:
     # the checks raise, so they survive `python -O`, which strips asserts
     code = """
 import dataclasses
+import math
 from mosipcert import lp
 from mosipcert.errors import InternalInconsistencyError
 assert False, "asserts are live"  # stripped under -O

@@ -212,6 +212,19 @@ def test_exact_kernels_compute_in_integers():
     assert found == {f"{m}.{n}": set() for m, names in INTEGER_KERNELS.items() for n in names}
 
 
+def test_only_rationals_reads_numerators_and_denominators():
+    # every conversion from Q to integers goes through `rationals`, whose
+    # `scaled_ints` hands the kernels Python ints on either backend (gmpy2's
+    # numerators and denominators are mpz); a read elsewhere would bypass it
+    readers = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    }
+    assert readers == {"rationals"}
+
+
 def _lp_builders(path: Path) -> set:
     """(module, function) of each function that calls `LinearProgram` or
     `lp.LinearProgram`."""
