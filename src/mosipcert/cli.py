@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gap as gap_mod
-from . import cones, instances, kkt, oracle, quals
+from . import instances, kkt, oracle, quals
 from .errors import (
     InfeasiblePointError,
     InternalInconsistencyError,
     ModelError,
     MosipError,
     ParseError,
-    UnsupportedDimensionError,
     UnsupportedOperationError,
 )
 from .problem import CandidatePoint, IndexedFamily, MosipProblem, load_problem
@@ -370,7 +369,6 @@ def _verify_certificates(p, cp, doc: dict) -> None:
 
 def run(config: RunConfig) -> tuple:
     """Execute one subcommand; returns (exit_code, output_text)."""
-    cones.dd_dim_cap()  # a malformed MOSIP_DD_DIM_CAP fails every subcommand alike
     gap_mod.check_sample_count(config.sample_count)  # with or without --nu
     if any(eps < 0 for eps in config.eps_grid or ()):  # whether or not PMFCQ reads it
         raise ModelError("epsilon must be nonnegative")
@@ -466,7 +464,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: parse: {exc}\n")
         return 3
-    except (ModelError, UnsupportedOperationError, UnsupportedDimensionError) as exc:
+    except (ModelError, UnsupportedOperationError) as exc:
         sys.stderr.write(f"error: model: {exc}\n")
         return 3
     except InternalInconsistencyError as exc:

@@ -9,8 +9,9 @@ constructors, `contains`, `cone_member`, `subspace_escape`, the first LP of
 `membership` (whose one caller, `gap.gap_eval`, checks each subgradient
 selection against the points and rays of `funcs.subdiff_set`), the zero
 decomposition that refutes MFCQ and COCQ
-(`problem.CandidatePoint.zero_decomposition`), the KKT searches in `kkt` and
-the gap zero search in `gap`.  `hull_terms` reads its weights back per block
+(`problem.CandidatePoint.zero_decomposition`), the KKT searches in `kkt`,
+the gap zero search in `gap` and the axis steps of `zero_interior`'s radius
+above dimension 3.  `hull_terms` reads its weights back per block
 of points.  When no weights exist, the Farkas vector of the infeasible LP is
 a direction (`_escape_of`): `subspace_escape` and `contains` return it as
 their witness, Clarkson's algorithm steers by it, and the cone form slices
@@ -55,16 +56,17 @@ cone's canonical generators are its polar's canonical normals, and back),
 the output of `dd_convert`, and the rays a candidate point keeps per sorted
 primitive integer set (`problem.CandidatePoint.cone`), which depend on that
 set alone.  Rows that are only read by another LP need no canonical form:
-`Halfspaces` hands them to `dd_convert` unpruned, and `HPoly.normal_rays`
+`dd_convert` takes plain normals, pruned or not, and `HPoly.normal_rays`
 lists a domain's active normals for `funcs.subdiff_set` unpruned.
 
-`dd_convert` is one double description with no LP, and its generators
-depend only on the cone.  A cone C with lineality space L is L plus its
-pointed part C n L^perp, so its form is the basis of L in reduced row echelon
-form, each vector a +- pair of primitive rays, and the extreme rays of the
-pointed part.  `_extreme_rays` builds those in integer arithmetic with the
-combinatorial adjacency test, from the normals plus +-(basis of L), rows
-that span n-space.  A pointed cone has L = {0} and keeps its extreme rays.
+`dd_convert` is one double description with no LP, up to dimension
+DD_DIM_CAP, and its generators depend only on the cone.  A cone C with
+lineality space L is L plus its pointed part C n L^perp, so its form is the
+basis of L in reduced row echelon form, each vector a +- pair of primitive
+rays, and the extreme rays of the pointed part.  `_extreme_rays` builds
+those in integer arithmetic with the combinatorial adjacency test, from the
+normals plus +-(basis of L), rows that span n-space.  A pointed cone has
+L = {0} and keeps its extreme rays.
 One elimination of the normals (`_eliminate`) gives both L and the start of
 the double description, so a pointed cone is eliminated once, and a cone
 with lineality once more with +-(basis of L) appended.
@@ -87,14 +89,13 @@ Conventions:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import lp
-from .errors import InternalInconsistencyError, ModelError, UnsupportedDimensionError
+from .errors import InternalInconsistencyError, UnsupportedOperationError
 from .rationals import (
     ONE,
     Q,
@@ -108,21 +109,8 @@ from .rationals import (
     vec_q,
 )
 
-DEFAULT_DIM_CAP = 6
-
-
-def dd_dim_cap() -> int:
-    """The largest dimension `dd_convert` accepts: MOSIP_DD_DIM_CAP when set,
-    which must be an integer >= 1, else DEFAULT_DIM_CAP."""
-    raw = os.environ.get("MOSIP_DD_DIM_CAP", "")
-    if not raw:
-        return DEFAULT_DIM_CAP
-    try:
-        if int(raw) >= 1:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ModelError(f"MOSIP_DD_DIM_CAP must be an integer >= 1, not {raw!r}")
+DD_DIM_CAP = 6  # the largest dimension `dd_convert` accepts
+AXIS_STEP_CAP = Q(2**20)  # the largest axis step asked: recession may allow any
 
 
 def _primitive_ints(ints) -> tuple:
@@ -277,7 +265,8 @@ def decompose(target, hulls, cones=(), margin=False):
     of `hulls` and `cones` (each a sequence of blocks of vectors) whose hull
     weights sum to 1.  This is the one decomposition LP of the package:
     pruning, membership, the zero decomposition of MFCQ and COCQ, the KKT
-    searches and the gap zero search all call it.
+    searches, the gap zero search and the axis steps of the interior radius
+    all call it.
 
     Rows, in this order: one equality per coordinate, columns in block order
     with the hull blocks first; the simplex row over every hull column (only
@@ -474,15 +463,6 @@ class HPoly:
 # Polars and double description
 
 
-class Halfspaces(NamedTuple):
-    """{d : a'd <= 0 for every a in normals} with the normals as given, not
-    canonicalised: the input of `dd_convert` where no HCone is printed or
-    compared."""
-
-    dim: int
-    normals: tuple
-
-
 def _canonical(cls, dim: int, rays: tuple):
     """The FGCone or HCone of rays that are already canonical, built with no
     LP."""
@@ -501,21 +481,19 @@ def polar(c):
     return _canonical(FGCone, c.dim, c.normals)
 
 
-def dd_convert(h) -> FGCone:
-    """Generators of {d : a'd <= 0 for every normal a} (double description)
-    of an HCone, or of raw `Halfspaces`, in the form of the module
-    docstring: the +- pairs of `_lineality`'s basis and the extreme rays of
-    the pointed part, sorted together.  Fukuda and Prodon (Double
-    description method revisited, 1996) take the lineality space out first
-    the same way.  The generators are irredundant, so no LP prunes them."""
-    n = h.dim
-    cap = dd_dim_cap()
-    if n > cap:
-        raise UnsupportedDimensionError(
-            f"double description in dimension {n} exceeds cap {cap} "
-            f"(set MOSIP_DD_DIM_CAP to raise it)"
+def dd_convert(n: int, normals) -> FGCone:
+    """Generators of {d in n-space : a'd <= 0 for every normal a} (double
+    description) in the form of the module docstring: the +- pairs of
+    `_lineality`'s basis and the extreme rays of the pointed part, sorted
+    together.  The normals may be raw or canonical.  Fukuda and Prodon
+    (Double description method revisited, 1996) take the lineality space out
+    first the same way.  The generators are irredundant, so no LP prunes
+    them."""
+    if n > DD_DIM_CAP:
+        raise UnsupportedOperationError(
+            f"double description in dimension {n} exceeds cap {DD_DIM_CAP}"
         )
-    normals = _primitive_int_set(n, h.normals, "normal")
+    normals = _primitive_int_set(n, normals, "normal")
     elimination = _eliminate(n, normals)
     lines = _lineality(n, len(normals), *elimination)
     if lines:
@@ -725,12 +703,9 @@ def zero_interior(dim: int, points, gens, escape=None) -> ZeroInterior:
 def _facets(dim: int, points, gens) -> list:
     """Facet rows (a, b) with conv(points) + cone(gens) = {x : a'x <= b}, via
     the lifted-cone polar: (a, -b) ranges over the generators of {(v,1), (r,0)}^0."""
-    lifted = Halfspaces(
-        dim + 1,
-        [tuple(v) + (ONE,) for v in points] + [tuple(g) + (ZERO,) for g in gens],
-    )
+    lifted = [tuple(v) + (ONE,) for v in points] + [tuple(g) + (ZERO,) for g in gens]
     facets = []
-    for gen in dd_convert(lifted).generators:
+    for gen in dd_convert(dim + 1, lifted).generators:
         a, neg_b = gen[:dim], gen[dim]
         if any(c != 0 for c in a):
             facets.append((a, -neg_b))
@@ -756,26 +731,21 @@ def _radius_by_facets(dim: int, points, gens) -> ZeroInterior:
 
 
 def _radius_by_axis_points(dim: int, verts, gens) -> ZeroInterior:
-    """Largest t with +-t*e_i in conv(verts) + cone(gens) for each axis (2n
-    LPs); the cross-polytope they span contains the ball of radius t/sqrt(n)."""
-    nv, ng = len(verts), len(gens)
+    """Largest t <= AXIS_STEP_CAP with +-t*e_j in conv(verts) + cone(gens)
+    for each axis; the cross-polytope they span contains the ball of radius
+    t/sqrt(n).  Each step is one `decompose` (2n LPs): 0 over the hulls
+    `verts` and the far point -CAP*u, u = +-e_j, with margin.  Weights alpha
+    on `verts` and beta on the far point write (beta/sum alpha)*CAP*u into
+    the set, and the margin tau = min(sum alpha, beta) <= 1/2 is largest
+    exactly at the largest such step, so t = CAP*tau/(1 - tau)."""
     t_min = None
     for j in range(dim):
         for sign in (ONE, -ONE):
-            # max t s.t. t*sign*e_j = sum alpha v + sum mu g, convex alpha
-            k = nv + ng + 1
-            rows = []
-            for i in range(dim):
-                coeffs = [v[i] for v in verts] + [g[i] for g in gens]
-                coeffs.append(-sign if i == j else ZERO)
-                rows.append((coeffs, lp.EQ, ZERO))
-            rows.append(([ONE] * nv + [ZERO] * (ng + 1), lp.EQ, ONE))
-            rows.extend((_unit(k, idx), lp.GE, ZERO) for idx in range(nv + ng))
-            rows.append((_unit(k, k - 1), lp.LE, Q(2**20)))  # cap: recession may allow any step
-            res = lp.solve(lp.LinearProgram(k, _unit(k, k - 1), rows))
-            if not (isinstance(res, lp.Optimal) and res.value > 0):
+            far = _unit(dim, j, -sign * AXIS_STEP_CAP)
+            res = decompose((ZERO,) * dim, [verts, [far]], [gens], margin=True)
+            if not (isinstance(res, list) and res[-1] > 0):
                 raise InternalInconsistencyError("0 interior guarantees a positive axis step")
-            t = res.value
+            t = AXIS_STEP_CAP * res[-1] / (ONE - res[-1])
             if t_min is None or t < t_min:
                 t_min = t
     ratio = t_min * t_min / dim

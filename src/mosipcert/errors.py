@@ -21,13 +21,10 @@ class ParseError(MosipError):
     """A problem or certificate file does not conform to the schema."""
 
 
-class UnsupportedDimensionError(MosipError):
-    """A double-description conversion was requested above the dimension cap."""
-
-
 class UnsupportedOperationError(MosipError):
-    """The requested exact computation is outside the supported function classes
-    (e.g. an irrational subdifferential that has no rational representation)."""
+    """The requested exact computation is outside what the toolkit supports:
+    an irrational subdifferential that has no rational representation, say,
+    or a double description above the dimension cap."""
 
 
 class InternalInconsistencyError(MosipError):

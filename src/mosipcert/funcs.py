@@ -23,12 +23,14 @@ are returned when rational, refused otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .cones import HPoly
 from .errors import ModelError, ParseError, UnsupportedOperationError
 from .rationals import (
     NEG_INF,
+    ONE,
     POS_INF,
     NegSqrt,
     Q,
@@ -38,6 +40,7 @@ from .rationals import (
     json_object,
     q_pair,
     qdot,
+    scaled_ints,
     sqrt_exact,
     vec_q,
 )
@@ -142,9 +145,23 @@ def active_pieces(f: ConvexFunc, x) -> Optional[list]:
     pieces = affine_pieces(f)
     if pieces is None:
         return None
-    vals = [qdot(a, x) + b for a, b in pieces]
+    vals, _ = _piece_values(pieces, x)
     top = max(vals)
     return [a for (a, _), v in zip(pieces, vals) if v == top]
+
+
+def _piece_values(pieces, x) -> tuple:
+    """(values, den): the value a'x + b of piece i is values[i] / den, the
+    dot product of (a, b) with (x, 1).  The point and the pieces are each
+    scaled to integers once (`scaled_ints`), so each value is one integer
+    dot product."""
+    for a, _ in pieces:
+        if len(a) != len(x):
+            raise ValueError(f"dot of length {len(a)} vs {len(x)}")
+    xs, kx = scaled_ints([*x, ONE])
+    flat, k = scaled_ints([c for a, b in pieces for c in (*a, b)])
+    w = len(xs)
+    return [sum(map(mul, flat[i : i + w], xs)) for i in range(0, len(flat), w)], k * kx
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +177,8 @@ def evaluate(f: ConvexFunc, x):
         return POS_INF
     pieces = affine_pieces(f)
     if pieces is not None:
-        return max(qdot(a, x) + b for a, b in pieces)
+        vals, den = _piece_values(pieces, x)
+        return Q(max(vals), den)
     if isinstance(f, NegSqrtParabola1D):
         v = x[0]
         if v < 0 or v > 2 * f.t:

@@ -26,7 +26,6 @@ from typing import Optional, Union
 from . import funcs
 from .cones import (
     FGCone,
-    Halfspaces,
     HCone,
     HPoly,
     Polytope,
@@ -492,10 +491,10 @@ class CandidatePoint:
     No other module keeps a memo or knows a key of the store.
 
     A refused computation (UnsupportedOperationError for an irrational
-    subdifferential, UnsupportedDimensionError above the double description
-    cap, say) is not stored, so every request raises it again.  The store
-    lives and dies with the point.  The certificate verifiers do not read
-    it: they recompute from the problem data.
+    subdifferential or above the double description cap, say) is not
+    stored, so every request raises it again.  The store lives and dies
+    with the point.  The certificate verifiers do not read it: they
+    recompute from the problem data.
     """
 
     problem: MosipProblem
@@ -631,7 +630,7 @@ class CandidatePoint:
 
         def compute():
             rows = list(self.F) + list(self.g_polar()[0].normals)
-            return dd_convert(Halfspaces(self.problem.dimension, rows))
+            return dd_convert(self.problem.dimension, rows)
 
         return self._kept("fg_polar", compute)
 

@@ -33,7 +33,6 @@ from .cones import HCone, cone_member, contains, span_rank
 from .errors import (
     InternalInconsistencyError,
     ModelError,
-    UnsupportedDimensionError,
     UnsupportedOperationError,
 )
 from .funcs import (
@@ -583,7 +582,7 @@ def check(qual: str, p: MosipProblem, cp: CandidatePoint, eps_grid=DEFAULT_EPS_G
         if qual == "PMFCQ":
             return _check_pmfcq(p, cp, eps_grid)
         return _CHECKERS[qual](p, cp)
-    except (UnsupportedOperationError, UnsupportedDimensionError) as exc:
+    except UnsupportedOperationError as exc:
         return QualReport(qual, UNDECIDABLE, g_data_provenance(p, cp.x), None, f"prerequisite unavailable: {exc}")
 
 

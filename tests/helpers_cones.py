@@ -25,7 +25,10 @@ in `Polytope`.  `reference_separate` is the separation LP that
 boxed H-cone LP that `zero_interior` and the H-cone branch of
 `cones.contains` ran before positive spanning and Farkas multipliers took
 its place: `reference_nontrivial_direction` and `reference_hcone_contains`
-keep those two uses.  `contains_across` and `cone_equal` compare cones
+keep those two uses.  `reference_axis_steps` is the axis-step LP that
+`zero_interior` ran above dimension 3 before each step became one
+`cones.decompose` with margin, and `reference_radius_by_axis_points` the
+radius read off those steps.  `contains_across` and `cone_equal` compare cones
 across representations, which the library never needs; `contains_point` and
 `cone_contains` are the polytope and cone membership tests only tests ask.
 """
@@ -40,6 +43,7 @@ from mosipcert.cones import (
     HPoly,
     NotMember,
     Polytope,
+    ZeroInterior,
     _primitive_ints,
     _unit,
     box_rows,
@@ -47,7 +51,16 @@ from mosipcert.cones import (
     dd_convert,
 )
 from mosipcert.errors import InternalInconsistencyError
-from mosipcert.rationals import ONE, ZERO, Q, qdot, scaled_ints, vec_q
+from mosipcert.rationals import (
+    ONE,
+    ZERO,
+    Q,
+    qdot,
+    scaled_ints,
+    sqrt_exact,
+    sqrt_lower_bound,
+    vec_q,
+)
 
 
 def primitive(v) -> tuple:
@@ -177,7 +190,7 @@ def _sliced_generators(dim: int, normals) -> list:
 
 
 def reference_dd_convert(dim: int, normals) -> tuple:
-    """dd_convert(HCone(dim, normals)).generators: the canonical form of the
+    """dd_convert(dim, normals).generators: the canonical form of the
     sliced generators."""
     return reference_rays(_sliced_generators(dim, normals))
 
@@ -224,7 +237,7 @@ def contains_across(a, b) -> ContainsResult:
                 return ContainsResult(False, g)
         return ContainsResult(True)
     if isinstance(a, HCone) and isinstance(b, FGCone):
-        return contains(dd_convert(a), b)
+        return contains(dd_convert(a.dim, a.normals), b)
     return contains(a, b)
 
 
@@ -284,3 +297,40 @@ def reference_hcone_contains(a: HCone, b: HCone) -> ContainsResult:
         if res.value > 0:
             return ContainsResult(False, tuple(res.primal))
     return ContainsResult(True)
+
+
+def reference_axis_steps(dim: int, verts, gens) -> list:
+    """Largest t <= 2**20 with t*sign*e_j in conv(verts) + cone(gens), for
+    j = 0, ..., dim - 1 and sign = +1, -1 in turn: one LP each, with the step
+    as a column of its own."""
+    nv, ng = len(verts), len(gens)
+    steps = []
+    for j in range(dim):
+        for sign in (ONE, -ONE):
+            # max t s.t. t*sign*e_j = sum alpha v + sum mu g, convex alpha
+            k = nv + ng + 1
+            rows = []
+            for i in range(dim):
+                coeffs = [v[i] for v in verts] + [g[i] for g in gens]
+                coeffs.append(-sign if i == j else ZERO)
+                rows.append((coeffs, lp.EQ, ZERO))
+            rows.append(([ONE] * nv + [ZERO] * (ng + 1), lp.EQ, ONE))
+            rows.extend((_unit(k, idx), lp.GE, ZERO) for idx in range(nv + ng))
+            rows.append((_unit(k, k - 1), lp.LE, Q(2**20)))  # cap: recession may allow any step
+            res = lp.solve(lp.LinearProgram(k, _unit(k, k - 1), rows))
+            if not (isinstance(res, lp.Optimal) and res.value > 0):
+                raise InternalInconsistencyError("0 interior guarantees a positive axis step")
+            steps.append(res.value)
+    return steps
+
+
+def reference_radius_by_axis_points(dim: int, steps) -> ZeroInterior:
+    """The `ZeroInterior` of the smallest of the axis steps scaled by
+    1/sqrt(n)."""
+    t_min = min(steps)
+    ratio = t_min * t_min / dim
+    exact = sqrt_exact(ratio)
+    radius = exact if exact is not None else sqrt_lower_bound(ratio)
+    return ZeroInterior(
+        True, radius, exact is not None, "axis-point bound scaled by 1/sqrt(n)"
+    )

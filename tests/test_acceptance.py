@@ -297,7 +297,8 @@ def test_criterion_8_geometry_kernel() -> None:
     for _ in range(200):
         dim = rng.randint(1, 3)
         c = FGCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(0, 4))])
-        assert cone_equal(polar(dd_convert(polar(c))), c)
+        h = polar(c)
+        assert cone_equal(polar(dd_convert(h.dim, h.normals)), c)
 
     directions = {dim: _unit_directions(dim, 10_000) for dim in (1, 2, 3)}
     for _ in range(100):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mosipcert import cli
+from mosipcert import cli, cones
 
 
 def _run(capsys, argv):
@@ -592,7 +592,7 @@ class TestOptions:
         assert code == 0 and err == ""
 
     def test_dim_cap_env_degrades_to_undecidable(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOSIP_DD_DIM_CAP", "1")
+        monkeypatch.setattr(cones, "DD_DIM_CAP", 1)
         code, doc = _run_json(
             capsys, ["quals", "octagon-support", "--point", "0,0"]
         )
@@ -601,25 +601,30 @@ class TestOptions:
         assert by["EADQ"]["status"] == "Undecidable"
         assert "cap" in by["EADQ"]["notes"]
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_malformed_dim_cap_env_is_a_model_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("MOSIP_DD_DIM_CAP", raw)
-        code, out, err = _run(capsys, ["quals", "octagon-support", "--point", "0,0"])
-        assert code == 3 and out == ""
-        assert err.startswith("error: model: ") and err.count("\n") == 1
-        assert "MOSIP_DD_DIM_CAP" in err
+    def test_dimension_seven_is_above_the_dd_cap(self, capsys, tmp_path):
+        # three affine objectives and constraints in 7-space, two active at 0:
+        # every check runs, and the two that need a double description say why not
+        def affine(a, b=0):
+            return {"kind": "affine", "a": [[c, 1] for c in a], "b": [b, 1]}
 
+        cons = [([-1, 0, 0, 0, 0, 0, 0], 0), ([0, -1, -1, 0, 0, 0, 0], 0), ([0, 0, 0, -1, 0, 0, 0], -1)]
+        doc = {
+            "dimension": 7,
+            "objectives": [affine([1, 0, 0, 0, 0, 0, 1]), affine([0, 1, 0, 0, 0, 1, 0]),
+                           affine([0, 0, 1, 0, 1, 0, 0])],
+            "constraints": {"finite": [affine(a, b) for a, b in cons]},
+            "feasible_set": {"rows": [[[c, 1] for c in a] + [[-b, 1]] for a, b in cons]},
+        }
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = _run_json(capsys, ["quals", str(path), "--point", "0,0,0,0,0,0,0"])
+        assert code == 0
+        by = {r["qual"]: r for r in out["quals"]}
+        for qual in ("WADQ", "EADQ"):
+            assert by[qual]["status"] == "Undecidable"
+            assert "exceeds cap 6" in by[qual]["notes"]
+        assert by["ACQ"]["status"] == "Holds"
 
-    @pytest.mark.parametrize("subcommand", ["quals", "certify", "gap", "classify", "report"])
-    def test_malformed_dim_cap_env_fails_every_subcommand(self, capsys, monkeypatch, subcommand):
-        # every subcommand reads the cap before loading, so a malformed value
-        # fails the three that never reach a double description too
-        monkeypatch.setenv("MOSIP_DD_DIM_CAP", "abc")
-        box = ["--box=-2:0,-2:0"] if subcommand in ("classify", "report") else []
-        code, out, err = _run(capsys, [subcommand, "octagon-support", "--point", "0,0", *box])
-        assert code == 3 and out == ""
-        assert err.startswith("error: model: ") and err.count("\n") == 1
-        assert "MOSIP_DD_DIM_CAP" in err
 
 
 class TestDeterminism:

@@ -16,9 +16,11 @@ from helpers_cones import (
     greedy_vertices,
     lp_decompose,
     primitive,
+    reference_axis_steps,
     reference_dd_convert,
     reference_hcone_contains,
     reference_nontrivial_direction,
+    reference_radius_by_axis_points,
     reference_rays,
     reference_row_reduce,
     reference_separate,
@@ -29,7 +31,6 @@ from helpers_instances import random_polyhedral_problem
 from mosipcert import cones, lp
 from mosipcert.cones import (
     FGCone,
-    Halfspaces,
     HCone,
     Member,
     NotMember,
@@ -44,7 +45,7 @@ from mosipcert.cones import (
     subspace_escape,
     zero_interior,
 )
-from mosipcert.errors import InternalInconsistencyError, UnsupportedDimensionError
+from mosipcert.errors import InternalInconsistencyError, UnsupportedOperationError
 from mosipcert.instances import FIXTURE_BUILDERS
 from mosipcert.problem import CandidatePoint
 from mosipcert.rationals import Q, lincomb, qdot, scaled_ints, vec_q
@@ -78,28 +79,28 @@ def test_polar_orthant() -> None:
 
 
 def test_dd_negative_orthant() -> None:
-    g = dd_convert(HCone(2, [[1, 0], [0, 1]]))
+    g = dd_convert(2, [[1, 0], [0, 1]])
     assert g.generators == ((-1, 0), (0, -1))
 
 
 def test_dd_halfline() -> None:
-    g = dd_convert(HCone(1, [[2]]))
+    g = dd_convert(1, [[2]])
     assert g.generators == ((-1,),)
 
 
 def test_dd_no_normals_gives_all_space() -> None:
-    g = dd_convert(HCone(2, []))
+    g = dd_convert(2, [])
     assert set(g.generators) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_dd_dimension_cap(monkeypatch: pytest.MonkeyPatch) -> None:
-    with pytest.raises(UnsupportedDimensionError):
-        dd_convert(HCone(7, [[1] * 7]))
-    monkeypatch.setenv("MOSIP_DD_DIM_CAP", "2")
-    with pytest.raises(UnsupportedDimensionError):
-        dd_convert(HCone(3, [[1, 0, 0]]))
-    monkeypatch.setenv("MOSIP_DD_DIM_CAP", "8")
-    assert dd_convert(HCone(7, [[1] * 7])).generators  # now allowed
+    with pytest.raises(UnsupportedOperationError, match="exceeds cap 6"):
+        dd_convert(7, [[1] * 7])
+    monkeypatch.setattr(cones, "DD_DIM_CAP", 2)
+    with pytest.raises(UnsupportedOperationError, match="exceeds cap 2"):
+        dd_convert(3, [[1, 0, 0]])
+    monkeypatch.setattr(cones, "DD_DIM_CAP", 8)
+    assert dd_convert(7, [[1] * 7]).generators  # now allowed
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,8 @@ def test_canonical_forms_match_the_decompose_reference(dim: int) -> None:
         assert FGCone(dim, family).generators == reference_rays(family)
         assert HCone(dim, family).normals == reference_rays(family)
         normals = family[: rng.randint(1, 4)]
-        assert dd_convert(HCone(dim, normals)).generators == reference_dd_convert(dim, normals)
+        h = HCone(dim, normals)
+        assert dd_convert(h.dim, h.normals).generators == reference_dd_convert(dim, normals)
 
 
 POINT_SET_KINDS = (
@@ -339,7 +341,7 @@ def test_cone_forms_are_the_double_description_form(dim: int) -> None:
     rng = random.Random(SEED + 70 + dim)
     for _ in range(10):
         family = _family(rng, dim)
-        form = dd_convert(Halfspaces(dim, dd_convert(Halfspaces(dim, family)).generators))
+        form = dd_convert(dim, dd_convert(dim, family).generators)
         assert FGCone(dim, family).generators == form.generators, family
         assert HCone(dim, family).normals == form.generators, family
 
@@ -348,7 +350,8 @@ def test_double_description_output_is_a_fixed_point() -> None:
     rng = random.Random(SEED + 60)
     for _ in range(30):
         dim = rng.randint(1, 5)
-        g = dd_convert(HCone(dim, _family(rng, dim)[: rng.randint(0, dim + 1)])).generators
+        h = HCone(dim, _family(rng, dim)[: rng.randint(0, dim + 1)])
+        g = dd_convert(h.dim, h.normals).generators
         assert FGCone(dim, g).generators == g
 
 
@@ -367,8 +370,8 @@ def test_cone_form_has_no_dimension_cap() -> None:
     got = FGCone(7, family).generators
     assert got == reference_rays(family)
     assert sum(1 for g in got if tuple(-c for c in g) in got) == 8
-    with pytest.raises(UnsupportedDimensionError):
-        dd_convert(Halfspaces(7, family))
+    with pytest.raises(UnsupportedOperationError):
+        dd_convert(7, family)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -421,10 +424,10 @@ def test_dd_convert_of_spanning_normals_makes_no_lp(monkeypatch) -> None:
         dim = rng.randint(2, 5)
         normals = _family(rng, dim)
         if span_rank(normals) == dim:
-            inputs.append((HCone(dim, normals), Halfspaces(dim, normals)))
+            inputs.append((HCone(dim, normals), normals))
     count = _count_solves(monkeypatch)
     for h, raw in inputs:
-        assert dd_convert(h) == dd_convert(raw)
+        assert dd_convert(h.dim, h.normals) == dd_convert(h.dim, raw)
     assert count[0] == 0
 
 
@@ -440,12 +443,12 @@ def test_dd_convert_with_lineality_makes_no_lp(monkeypatch) -> None:
         if len(inputs) % 2:
             normals = [v[:-1] + [Q(0)] for v in normals]  # a zero column
         if span_rank(normals) < dim:
-            inputs.append((HCone(dim, normals), Halfspaces(dim, normals)))
+            inputs.append((HCone(dim, normals), normals))
     count = _count_solves(monkeypatch)
     outs = []
     for h, raw in inputs:
-        outs.append(dd_convert(h))
-        assert dd_convert(raw) == outs[-1]
+        outs.append(dd_convert(h.dim, h.normals))
+        assert dd_convert(h.dim, raw) == outs[-1]
     assert count[0] == 0
     for (h, _), out in zip(inputs, outs):
         assert FGCone(h.dim, out.generators) == out
@@ -506,9 +509,9 @@ def test_pointed_dd_matches_the_sliced_reference() -> None:
         dim = (2, 3, 4, 5, 2, 3, 4, 2)[case % 8]
         normals = _dd_normals(rng, dim, kinds[case % len(kinds)])
         h = HCone(dim, normals)
-        got = dd_convert(h)
+        got = dd_convert(h.dim, h.normals)
         assert got.generators == reference_dd_convert(dim, normals)
-        assert dd_convert(Halfspaces(dim, normals)) == got  # pruned or not
+        assert dd_convert(dim, normals) == got  # pruned or not
         zero_cones += not got.generators
         degenerate_rays += sum(
             sum(1 for a in h.normals if qdot(a, r) == 0) > dim - 1 for r in got.generators
@@ -593,6 +596,33 @@ def test_zero_interior_axis_path_dim4() -> None:
     cube = Polytope(4, list(itertools.product([-1, 1], repeat=4))).vertices
     zi = zero_interior(4, cube, ())
     assert zi.inside and zi.radius_lower_bound == Q(1, 2)  # 1/sqrt(4), certified
+
+
+def test_axis_steps_match_the_lp_reference() -> None:
+    # each axis step is one decompose with margin; the replaced LP with the
+    # step as its own column is the reference.  Dimensions 1-3 take the
+    # facet radius in zero_interior, so the axis path is called directly;
+    # unit generators make some steps unbounded, capped at 2**20
+    rng = random.Random(SEED + 90)
+    capped = set()
+    for dim in (1, 2, 3, 4, 5):
+        drawn = 0
+        while drawn < 12:
+            verts = [_rand_vec(rng, dim) for _ in range(rng.randint(1, 2 * dim + 2))]
+            gens = [_rand_vec(rng, dim) for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.4:
+                gens.append(list(cones._unit(dim, rng.randrange(dim), Q(rng.choice((1, -1))))))
+            if span_rank(verts + gens) < dim or subspace_escape(verts + gens) is not None:
+                continue
+            drawn += 1
+            steps = reference_axis_steps(dim, verts, gens)
+            capped.add(max(steps) == 2**20)
+            want = reference_radius_by_axis_points(dim, steps)
+            if dim <= 3:
+                assert cones._radius_by_axis_points(dim, verts, gens) == want
+            else:
+                assert zero_interior(dim, verts, gens) == want
+    assert capped == {True, False}
 
 
 def test_zero_interior_radius_certifies_axis_points() -> None:
@@ -724,7 +754,7 @@ def test_subspace_escape_witness() -> None:
 def test_contains_frozen() -> None:
     minus = HCone(1, [[1]])
     assert contains(minus, minus).holds
-    res = contains(dd_convert(minus), dd_convert(HCone(1, [[-1]])))
+    res = contains(dd_convert(1, minus.normals), dd_convert(1, [[-1]]))
     assert not res.holds and res.witness == (-1,)
     # an H-cone with no normals is all of space: b's first normal escapes
     res = contains(HCone(2, []), HCone(2, [[0, 1], [1, 0]]))
@@ -842,7 +872,8 @@ def fgcones(draw, max_dim: int = 3):
 @settings(max_examples=60, deadline=None)
 def test_bipolar_round_trip(c: FGCone) -> None:
     # polar(dd_convert(polar(c))) recovers c as a set
-    back = polar(dd_convert(polar(c)))
+    h = polar(c)
+    back = polar(dd_convert(h.dim, h.normals))
     assert cone_equal(back, c)
 
 
@@ -852,7 +883,7 @@ def test_dd_membership_agreement(c: FGCone, raw: list) -> None:
     h = polar(c)
     d = raw[: c.dim]
     direct = h.member(d)
-    via_generators = cone_member(d, dd_convert(h)) is not None
+    via_generators = cone_member(d, dd_convert(h.dim, h.normals)) is not None
     assert direct == via_generators
 
 
@@ -954,7 +985,7 @@ def test_contains_witness_verifies(seed: int) -> None:
     assert res.holds == reference_hcone_contains(a, b).holds
     if res.holds:
         # spot-check with the generator picture
-        for g in dd_convert(a).generators:
+        for g in dd_convert(a.dim, a.normals).generators:
             assert b.member(g)
     else:
         w = res.witness

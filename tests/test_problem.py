@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosipcert import cones
 from mosipcert.cones import (
     FGCone,
     HCone,
@@ -28,7 +29,6 @@ from helpers_sublevel import sublevel_Q
 from mosipcert.errors import (
     ModelError,
     ParseError,
-    UnsupportedDimensionError,
     UnsupportedOperationError,
 )
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff, subdiff_set
@@ -472,9 +472,8 @@ def _assert_derived_match_fresh(p, x) -> None:
     cp = CandidatePoint.build(p, x)
     g_polar = _fresh_g_polar(p, cp)
     assert cp.g_polar() == g_polar
-    assert cp.fg_polar() == dd_convert(
-        HCone(p.dimension, list(cp.F) + list(g_polar[0].normals))
-    )
+    h = HCone(p.dimension, list(cp.F) + list(g_polar[0].normals))
+    assert cp.fg_polar() == dd_convert(h.dim, h.normals)
     verts, gens = cp.F_star.vertices, cp.G_star.generators
     assert cp.min_max(verts, gens) == min_max_direction(verts, gens, p.dimension)
     # the kept rays are those the public constructors find
@@ -566,10 +565,10 @@ def test_one_canonical_form_per_primitive_set(monkeypatch):
 def test_refused_derived_cone_is_refused_on_every_request(monkeypatch):
     p = octagon_problem()
     cp = CandidatePoint.build(p, [0, 0])
-    monkeypatch.setenv("MOSIP_DD_DIM_CAP", "1")
+    monkeypatch.setattr(cones, "DD_DIM_CAP", 1)
     for _ in range(2):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(UnsupportedOperationError):
             cp.fg_polar()
     assert "fg_polar" not in cp.derived
-    monkeypatch.delenv("MOSIP_DD_DIM_CAP")
+    monkeypatch.undo()
     assert cp.fg_polar() is cp.fg_polar()

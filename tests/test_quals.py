@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers_cones import cone_contains
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import reference_eadq
+from mosipcert import cones
 from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, min_max_direction, span_rank
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff_set
 from mosipcert.instances import FIXTURE_BUILDERS, load_fixture
@@ -283,9 +284,9 @@ def test_one_double_description_per_check_all(monkeypatch):
     calls = []
     real = problem.dd_convert
 
-    def counted(h):
-        calls.append(h)
-        return real(h)
+    def counted(n, normals):
+        calls.append(normals)
+        return real(n, normals)
 
     monkeypatch.setattr(problem, "dd_convert", counted)
     for name in ("alternating-affine", "octagon-support"):
@@ -300,14 +301,11 @@ def test_one_double_description_per_check_all(monkeypatch):
 def test_wadq_and_eadq_above_the_dd_cap_are_undecidable(monkeypatch):
     # the reports are those of the checkers that each ran their own double
     # description, and the refused entry is not kept between them
-    monkeypatch.setenv("MOSIP_DD_DIM_CAP", "1")
+    monkeypatch.setattr(cones, "DD_DIM_CAP", 1)
     p = load_fixture("octagon-support")
     cp = _candidate(p)
     by = {r.qual: r for r in check_all(p, cp)}
-    note = (
-        "prerequisite unavailable: double description in dimension 2 exceeds cap 1 "
-        "(set MOSIP_DD_DIM_CAP to raise it)"
-    )
+    note = "prerequisite unavailable: double description in dimension 2 exceeds cap 1"
     for qual in ("WADQ", "EADQ"):
         assert by[qual] == QualReport(
             qual, UNDECIDABLE, "approximated-subdifferentials", None, note
@@ -561,7 +559,7 @@ def test_generated_instances_diagram_clean(seed):
 def _definitional_moq(p, cp) -> bool:
     """F^0 inside {0} union the strict-descent sets of the objectives,
     evaluated on double-description generators of F^0."""
-    f0 = dd_convert(HCone(p.dimension, cp.F))
+    f0 = dd_convert(p.dimension, cp.F)
     for g in f0.generators:
         decreasing = False
         for f in p.objectives:

@@ -248,11 +248,24 @@ def test_every_lp_builder_is_listed():
     assert builders == {
         ("cones", "decompose"),  # with a margin; without one via lp.feasible_point
         ("cones", "min_max_direction"),  # the one separation LP
-        ("cones", "_radius_by_axis_points"),  # the interior radius above dimension 3
         ("gap", "_sup_lp"),  # sup of a linear function over S
         ("lp", "feasible_point"),  # a point of the rows, for decompose
         ("quals", "_slater_lp"),  # min of the envelope over its domains
     }
+
+
+def test_no_module_reads_the_environment():
+    # the library's behaviour is fixed by its arguments and constants: no
+    # module imports `os`, so no environment variable can steer it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "os" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os")
+        or (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+    ]
+    assert found == []
 
 
 def _definitions(path: Path) -> set:
