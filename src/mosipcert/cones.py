@@ -33,7 +33,7 @@ answer.  `decompose` returns weights that its equality rows force, when they
 are nonnegative, with no LP (`_forced_weights`): independent columns and a
 target in their span.  That settles most of `cone_member`, the lineality
 rounds of the canonical cone form, the KKT searches and the zero
-decompositions.  Linearly independent rays are their own canonical form
+decompositions, and gives `gap.witness_issues` its weights over N.  Linearly independent rays are their own canonical form
 with no `decompose` at all, and Clarkson's algorithm steers by a null-space
 direction when a point is off the affine hull of the extreme points found so
 far (`_affine_escape`).  Each shortcut gives the answer the LP would give, so

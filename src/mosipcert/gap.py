@@ -3,14 +3,20 @@
 A zero of the gap at a feasible candidate certifies weak efficiency for
 lambda >= 0 and efficiency for lambda > 0.  The search does not scan lambda:
 it solves one exact LP placing -sum_i lambda_i xi_i inside the normal cone
-N(S, x), which is equivalent to a zero value, and every emitted witness is
-re-validated against the direct sup-LP.  That LP is `cones.decompose`, the
-engine the KKT searches use: one hull block per objective vertex table (the
-block weights are lambda) and the normal-cone generators as one cone block;
-the strong mode maximizes the smallest lambda_i.  The perturbed check runs
-the same search on tilted objective subdifferentials (each shifted by -w) for
-w ranging over axis points and deterministic near-sphere samples of a
-nu-ball.
+N(S, x), which is equivalent to a zero value.  That LP is `cones.decompose`,
+the engine the KKT searches use: one hull block per objective vertex table
+(the block weights are lambda) and the normal-cone generators as one cone
+block; the strong mode maximizes the smallest lambda_i.  The perturbed check
+runs the same search on tilted objective subdifferentials (each shifted by
+-w) for w ranging over axis points and deterministic near-sphere samples of
+a nu-ball.
+
+Every emitted zero is proved by active-row multipliers, with no LP
+(`_row_multipliers`): the cone weights over N's generators become eta >= 0
+over rows a_m'x = b_m of S with sum_m eta_m a_m = -c exactly, so
+c'(x - y) = sum_m eta_m (a_m'y - b_m) <= 0 on S, with equality at x.  Only
+weights on a generator that no active row is a positive multiple of (a
++- lineality vector of N) leave the proof to the direct sup-LP `_sup_lp`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import NotMember, decompose, hull_terms, membership
+from .cones import HPoly, NotMember, _forced_weights, decompose, hull_terms, membership
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -108,6 +114,43 @@ def gap_eval(p: MosipProblem, x, xi, lam):
     return _sup_lp(p, x, lincomb(lam, selections, p.dimension))
 
 
+def _row_multipliers(S: HPoly, x, c, gens, weights) -> Optional[tuple]:
+    """eta >= 0 per row of S, positive only on rows active at x, with
+    sum_m eta_m a_m = -c exactly; None when the weights over the normal-cone
+    generators do not give it.  Each generator g of positive weight w takes
+    the first active row a = s g, s > 0, and adds w / s to its eta.  Then
+    c'(x - y) = sum_m eta_m (a_m'y - b_m) <= 0 for every y in S, with
+    equality at y = x, so the gap at a feasible x is exactly zero."""
+    active = [(m, S.rows[m][0]) for m in S.active_rows(x)]
+    eta = [ZERO] * len(S.rows)
+    for g, w in zip(gens, weights):
+        if w < 0:
+            return None
+        if w == 0:
+            continue
+        j = next(j for j, gj in enumerate(g) if gj)
+        for m, a in active:
+            s = a[j] / g[j]
+            if s > 0 and all(ak == s * gk for ak, gk in zip(a, g)):
+                eta[m] += w / s
+                break
+        else:
+            return None
+    if lincomb(eta, [a for a, _ in S.rows], len(c)) != tuple(-ck for ck in c):
+        return None
+    return tuple(eta)
+
+
+def _proved_value(p: MosipProblem, cp: CandidatePoint, c, weights) -> Q:
+    """The gap value sup_{y in S} c'(cp.x - y): ZERO when the cone weights
+    over cp.N's generators give active-row multipliers, else `_sup_lp`'s."""
+    if weights is not None and _row_multipliers(
+        p.feasible_set, cp.x, c, cp.N.generators, weights
+    ) is not None:
+        return ZERO
+    return _sup_lp(p, cp.x, c)
+
+
 # ---------------------------------------------------------------------------
 # Zero search
 
@@ -119,7 +162,8 @@ class GapWitness:
     xi: tuple  # per-objective subgradient selections
     xi_coeffs: tuple  # per-objective convex coefficients over the vertex tables
     xi_vertices: tuple  # per-objective subdifferential vertex tables
-    value: object  # recomputed gap value; ZERO on every emitted witness
+    value: object  # gap value, ZERO on every emitted witness: proved by
+    # active-row multipliers, or by `_sup_lp` for weights on lineality vectors
 
 
 @dataclass(frozen=True)
@@ -131,10 +175,12 @@ class GapRefusal:
 
 def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
     """Joint LP over per-objective coefficients mu_ij and normal-cone weights:
-    sum_ij mu_ij (v_ij - tilt) + sum_m eta_m g_m = 0 with sum mu = 1.
+    sum_ij mu_ij (v_ij - tilt) + sum_g w_g g = 0 with sum mu = 1.
 
     The reduction: the gap vanishes at cp.x iff -sum_i lambda_i xi_i lies in
-    N(S, cp.x)."""
+    N(S, cp.x).  The weights w_g prove the zero as active-row multipliers
+    (`_row_multipliers`), with no LP; `_sup_lp` confirms it only when some
+    weight sits on a lineality vector of N that no active row matches."""
     if mode not in (WEAK_MODE, STRONG_MODE):
         raise ModelError(f"unknown gap search mode {mode!r}")
     if cp.N is None:
@@ -166,7 +212,9 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
     lam, coeff_rows, selections = zip(*hull_terms(res, tables))
     tilt_vec = tuple(tilt) if tilt else zero
     tilted = [tuple(s - t for s, t in zip(sel, tilt_vec)) for sel in selections]
-    value = _sup_lp(p, cp.x, lincomb(lam, tilted, n))
+    hull_width = sum(len(t) for t in tables)
+    cone_weights = res[hull_width : hull_width + len(cp.N.generators)]
+    value = _proved_value(p, cp, lincomb(lam, tilted, n), cone_weights)
     if value != 0:
         raise InternalInconsistencyError(
             "the normal-cone reduction produced multipliers whose gap value "
@@ -190,7 +238,10 @@ def gap_zero_search(p: MosipProblem, cp: CandidatePoint, mode: str = WEAK_MODE):
 def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
     """Exactness defects of a (possibly deserialized) witness, against vertex
     tables recomputed from the problem's objectives (not read from the
-    point's store)."""
+    point's store).  The zero is proved by active-row multipliers from the
+    weights over N's generators that one elimination forces
+    (`cones._forced_weights`, no LP); when it forces none, or they give no
+    multipliers, `_sup_lp` recomputes the value."""
     m = p.num_objectives
     issues = [
         f"{len(entries)} {name} entries for {m} objectives"
@@ -215,7 +266,13 @@ def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
     if not issues:
         # by here each xi is an exact combination of its recomputed vertex
         # table, so the membership LPs of gap_eval would only ask again
-        value = _sup_lp(p, cp.x, lincomb(w.lam, w.xi, p.dimension))
+        c = lincomb(w.lam, w.xi, p.dimension)
+        weights = None
+        if cp.N is not None:
+            gens = cp.N.generators
+            rows = [([g[i] for g in gens], lp.EQ, -ci) for i, ci in enumerate(c)]
+            weights = _forced_weights(len(gens), rows)
+        value = _proved_value(p, cp, c, weights)
         if value != w.value:
             issues.append(f"recorded value {w.value} but recomputed {value}")
         if value != 0:

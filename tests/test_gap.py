@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mosipcert import gap, instances
 from mosipcert.errors import ModelError, ParseError, UnsupportedOperationError
 from mosipcert.funcs import Affine, HPoly, MaxAffine, subdiff
-from mosipcert.rationals import ONE, POS_INF, ZERO, Q
+from mosipcert.rationals import ONE, POS_INF, ZERO, Q, qdot
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
 
 from helpers_instances import random_polyhedral_problem
@@ -246,11 +246,12 @@ class TestWitnessChecks:
         name = "lambda" if field == "lam" else field
         assert gap.witness_issues(p, cp, short) == [f"1 {name} entries for 2 objectives"]
 
-    def test_a_valid_witness_costs_one_lp(self, monkeypatch):
+    def test_a_valid_witness_costs_no_lp(self, monkeypatch):
         # min (x, -x) over [0, 1] at 0: the selections are matched exactly
-        # against the recomputed vertex tables, so the sup over S is the one
-        # LP; lam = (0, 1) passes the simplex checks and only that LP finds
-        # its gap
+        # against the recomputed vertex tables, and the weight over N that
+        # the elimination forces proves the zero by active-row multipliers,
+        # so no LP runs; lam = (0, 1) passes the simplex checks, forces a
+        # negative weight, and only the sup LP over S finds its gap
         from mosipcert import lp
 
         p = MosipProblem(
@@ -265,7 +266,7 @@ class TestWitnessChecks:
         solves = []
         solve = lp.solve
         monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
-        assert gap.witness_issues(p, cp, w) == [] and len(solves) == 1
+        assert gap.witness_issues(p, cp, w) == [] and len(solves) == 0
         corrupted = {
             "xi": dataclasses.replace(w, xi=((Q(2),), w.xi[1])),
             "xi_coeffs": dataclasses.replace(w, xi_coeffs=((Q(2),), w.xi_coeffs[1])),
@@ -279,6 +280,117 @@ class TestWitnessChecks:
             ],
             "lam": ["recorded value 0 but recomputed 1", "gap value is 1, not zero"],
         }
+        assert len(solves) == 1  # the sup LP of lam = (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the zero proved by active-row multipliers
+
+
+def _row_proof_cases():
+    """Every fixture and 40 fixed-seed random instances, each with the
+    origin as its candidate (the fixtures' documented one)."""
+    problems = [build() for build in instances.FIXTURE_BUILDERS.values()]
+    problems += [random_polyhedral_problem(random.Random(f"row-proof:{k}"))[0] for k in range(40)]
+    return [(p, [Q(0)] * p.dimension) for p in problems]
+
+
+def _parallel_rows(S, g) -> set:
+    """The rows of S whose normal is a positive multiple of g."""
+    j = next(j for j, gj in enumerate(g) if gj)
+    return {
+        m for m, (a, _) in enumerate(S.rows)
+        if a[j] * g[j] > 0 and all(ak * g[j] == a[j] * gk for ak, gk in zip(a, g))
+    }
+
+
+class TestRowMultipliers:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        # the weak, strong and tilted searches and the witness checks, on the
+        # fixtures and random instances: every call of the row proof, with
+        # its problem
+        out, calls = [], []
+        real = gap._row_multipliers
+
+        def recording(S, x, c, gens, weights):
+            eta = real(S, x, c, gens, weights)
+            calls.append((S, x, c, tuple(gens), tuple(weights), eta))
+            return eta
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gap, "_row_multipliers", recording)
+            for p, x in _row_proof_cases():
+                cp = CandidatePoint.build(p, x)
+                start = len(calls)
+                for mode in (gap.WEAK_MODE, gap.STRONG_MODE):
+                    w = gap.gap_zero_search(p, cp, mode)
+                    if isinstance(w, gap.GapWitness):
+                        assert gap.witness_issues(p, cp, w) == []
+                gap.perturbed_gap_check(p, cp, Q(1, 2), sample_count=4)
+                out += [(p, call) for call in calls[start:]]
+        return out
+
+    def test_every_accepted_proof_has_sup_exactly_zero(self, recorded):
+        accepted = [(p, call) for p, call in recorded if call[-1] is not None]
+        for p, (S, x, c, gens, weights, eta) in accepted:
+            assert gap._sup_lp(p, x, c) == 0
+            assert all(e >= 0 for e in eta)
+            assert all(e == 0 or qdot(a, x) == b for e, (a, b) in zip(eta, S.rows))
+        # both outcomes are reached, and the proof settles most calls
+        assert len(accepted) > 3 * (len(recorded) - len(accepted)) > 0
+
+    def test_a_scaled_weight_or_a_removed_row_is_refused(self, recorded):
+        mutated = 0
+        for _, (S, x, c, gens, weights, eta) in recorded:
+            if eta is None:
+                continue
+            for k, (g, w) in enumerate(zip(gens, weights)):
+                if w <= 0:
+                    continue
+                scaled = [*weights[:k], 2 * w, *weights[k + 1 :]]
+                assert gap._row_multipliers(S, x, c, gens, scaled) is None
+                drop = _parallel_rows(S, g)
+                stripped = HPoly(S.dim, [row for m, row in enumerate(S.rows) if m not in drop])
+                assert gap._row_multipliers(stripped, x, c, gens, weights) is None
+                mutated += 1
+        assert mutated > 20
+
+    def test_a_forged_objective_is_refused(self):
+        # -c = (1, 2) over the rows x1 <= 0 and x2 <= 0, both active at 0
+        S = HPoly(2, [([1, 0], 0), ([0, 2], 0), ([1, 1], 1)])
+        gens, weights, x = [(ONE, ZERO), (ZERO, ONE)], [ONE, Q(2)], (ZERO, ZERO)
+        assert gap._row_multipliers(S, x, (-ONE, Q(-2)), gens, weights) == (ONE, ONE, ZERO)
+        assert gap._row_multipliers(S, x, (-ONE, Q(-3)), gens, weights) is None
+        assert gap._row_multipliers(S, x, (-ONE, Q(-2)), gens, [ONE, -ONE]) is None
+        # the third row is inactive at 0, so it never takes a multiplier
+        assert gap._row_multipliers(S, x, (-ONE, -ONE), [(ONE, ONE)], [ONE]) is None
+
+    @pytest.mark.parametrize(
+        "rows, objective, sup_lps",
+        [
+            # N is the line x2 = 0; its +-e1 generators are the rows themselves
+            ([([1, 0], 0), ([-1, 0], 0)], [1, 0], 0),
+            # S = {0} and N is the plane: -e2 matches no row, so the sup LP
+            # confirms the zero
+            ([([1, 1], 0), ([1, -1], 0), ([-1, 0], 0)], [0, 1], 1),
+        ],
+    )
+    def test_lineality_falls_back_to_one_sup_lp(self, monkeypatch, rows, objective, sup_lps):
+        p = MosipProblem(
+            dimension=2,
+            objectives=[Affine(objective, 0)],
+            constraints=FiniteFamily([Affine(a, b) for a, b in rows]),
+            feasible_set=HPoly(2, rows),
+        )
+        cp = CandidatePoint.build(p, [0, 0])
+        assert len(cp.N.generators) == 2 * len(rows) - 2
+        calls = []
+        sup = gap._sup_lp
+        monkeypatch.setattr(gap, "_sup_lp", lambda *args: calls.append(1) or sup(*args))
+        w = gap.gap_zero_search(p, cp)
+        assert isinstance(w, gap.GapWitness) and w.value == 0
+        assert len(calls) == sup_lps
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,14 @@ def test_double_description_makes_no_lp():
     assert found == {name: set() for name in LP_FREE}
 
 
+def test_the_gap_row_proof_makes_no_lp():
+    # the zero of the gap is proved by substitution of active-row
+    # multipliers, a check much simpler than the LPs that found them; an LP,
+    # a decomposition or the sup LP inside it would make it a second solver
+    funcs = _functions(SRC / "gap.py")
+    assert _kind_names(funcs["_row_multipliers"]) & {"lp", "decompose", "_sup_lp"} == set()
+
+
 INTEGER_KERNELS = {
     "cones": ("_row_reduce", "_eliminate", "_lineality", "_extreme_rays"),
     "lp": ("_eliminate", "_reduced", "_Tableau._pivot", "_Tableau._iterate",
