@@ -13,8 +13,8 @@ decomposition that refutes MFCQ and COCQ
 the gap zero search in `gap` and the axis steps of `zero_interior`'s radius
 above dimension 3.  `hull_terms` reads its weights back per block
 of points.  When no weights exist, the Farkas vector of the infeasible LP is
-a direction (`_escape_of`): `subspace_escape` and `contains` return it as
-their witness, Clarkson's algorithm steers by it, and the cone form slices
+a direction (`_escape_of`): `subspace_escape` and `normal_escape` return it
+as their witness, Clarkson's algorithm steers by it, and the cone form slices
 a pointed cone with it.  Its converse, "which
 direction strictly separates 0 from conv(points) + cone(generators)", is one
 call to `min_max_direction`, the only separation LP: `membership` shifts the
@@ -26,7 +26,8 @@ cone(R) exactly when V u R positively spans n-space (Davis 1954): rank n,
 read off `_eliminate` with no LP, and a cone that is a subspace, one
 `subspace_escape`.  One H-cone lies in another exactly when each normal of
 the second is in the cone of the first one's normals (Farkas), one
-`decompose` per normal.
+`decompose` per normal, none for a multiple of a row (`normal_escape`,
+which `contains` and WADQ and EADQ ask over rows as given).
 
 No LP runs where one exact elimination (`_row_reduce`) already forces the
 answer.  `decompose` returns weights that its equality rows force, when they
@@ -59,17 +60,17 @@ set alone.  Rows that are only read by another LP need no canonical form:
 `dd_convert` takes plain normals, pruned or not, and `HPoly.normal_rays`
 lists a domain's active normals for `funcs.subdiff_set` unpruned.
 
-`dd_convert` is one double description with no LP, up to dimension
-DD_DIM_CAP, and its generators depend only on the cone.  A cone C with
-lineality space L is L plus its pointed part C n L^perp, so its form is the
-basis of L in reduced row echelon form, each vector a +- pair of primitive
-rays, and the extreme rays of the pointed part.  `_extreme_rays` builds
-those in integer arithmetic with the combinatorial adjacency test, from the
-normals plus +-(basis of L), rows that span n-space.  A pointed cone has
-L = {0} and keeps its extreme rays.
-One elimination of the normals (`_eliminate`) gives both L and the start of
-the double description, so a pointed cone is eliminated once, and a cone
-with lineality once more with +-(basis of L) appended.
+`dd_convert` is one double description with no LP (only `_facets` calls
+it, in dimension 4 at most), and its generators depend only on the cone.  A
+cone C with lineality space L is L plus its pointed part C n L^perp, so its
+form is the basis of L in reduced row echelon form, each vector a +- pair of
+primitive rays, and the extreme rays of the pointed part.  `_extreme_rays`
+builds those in integer arithmetic with the combinatorial adjacency test,
+from the normals plus +-(basis of L), rows that span n-space.  A pointed
+cone has L = {0} and keeps its extreme rays.  One elimination of the
+normals (`_eliminate`) gives both L and the start of the double description,
+so a pointed cone is eliminated once, and a cone with lineality once more
+with +-(basis of L) appended.
 
 The elimination (`_row_reduce`) is Gauss-Jordan in Python ints: each row is
 scaled once by the lcm of its denominators, the pivots fall where the
@@ -95,7 +96,7 @@ from operator import mul
 from typing import Optional
 
 from . import lp
-from .errors import InternalInconsistencyError, UnsupportedOperationError
+from .errors import InternalInconsistencyError
 from .rationals import (
     ONE,
     Q,
@@ -109,7 +110,6 @@ from .rationals import (
     vec_q,
 )
 
-DD_DIM_CAP = 6  # the largest dimension `dd_convert` accepts
 AXIS_STEP_CAP = Q(2**20)  # the largest axis step asked: recession may allow any
 
 
@@ -489,10 +489,6 @@ def dd_convert(n: int, normals) -> FGCone:
     (Double description method revisited, 1996) take the lineality space out
     first the same way.  The generators are irredundant, so no LP prunes
     them."""
-    if n > DD_DIM_CAP:
-        raise UnsupportedOperationError(
-            f"double description in dimension {n} exceeds cap {DD_DIM_CAP}"
-        )
     normals = _primitive_int_set(n, normals, "normal")
     elimination = _eliminate(n, normals)
     lines = _lineality(n, len(normals), *elimination)
@@ -769,10 +765,8 @@ def contains(a, b) -> ContainsResult:
     G*) and the H-cone inclusions in C of KTCQ and ACQ.
     Canonical forms are fixed by the cone, so equal cones hold at once.
     Each question is one `decompose`: a generator of a in cone(b's
-    generators), or, by Farkas, a normal t of b in cone(a's normals), which
-    says t'd <= 0 holds on a.  When t is outside, the Farkas direction
-    (`_escape_of`) lies in a and has t'd > 0; when a has no normals, a is
-    all of space, the Farkas vector is -t and t itself escapes."""
+    generators), or, for two HCones, a normal of b in cone(a's normals), by
+    `normal_escape`, whose escaping direction is the witness."""
     if a.dim != b.dim or type(a) is not type(b):
         raise ValueError("contains compares two FGCones or two HCones of one dimension")
     if a == b:
@@ -782,11 +776,23 @@ def contains(a, b) -> ContainsResult:
             if not isinstance(decompose(g, (), [b.generators]), list):
                 return ContainsResult(False, g)
         return ContainsResult(True)
-    for t in b.normals:
-        res = decompose(t, (), [a.normals])
-        if not isinstance(res, list):
-            return ContainsResult(False, _escape_of(res, a.dim))
-    return ContainsResult(True)
+    escape = normal_escape(a.normals, b.normals)
+    return ContainsResult(True) if escape is None else ContainsResult(False, escape[1])
+
+
+def normal_escape(rows, normals) -> Optional[tuple]:
+    """None when every normal t is in cone(rows), raw or canonical, so that
+    t'd <= 0 wherever r'd <= 0 for every row r (Farkas); else (t, d) with
+    r'd <= 0 on the rows and t'd > 0, the Farkas direction (`_escape_of`;
+    t itself when there are no rows).  One `decompose` per normal, none for
+    a positive multiple of a row."""
+    same_ray = {_primitive_ints(scaled_ints(r)[0]) for r in rows}
+    for t in normals:
+        if _primitive_ints(scaled_ints(t)[0]) not in same_ray:
+            res = decompose(t, (), [rows])
+            if not isinstance(res, list):
+                return t, _escape_of(res, len(t))
+    return None
 
 
 # ---------------------------------------------------------------------------

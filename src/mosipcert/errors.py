@@ -24,7 +24,7 @@ class ParseError(MosipError):
 class UnsupportedOperationError(MosipError):
     """The requested exact computation is outside what the toolkit supports:
     an irrational subdifferential that has no rational representation, say,
-    or a double description above the dimension cap."""
+    or a gap function asked of a feasible set with no halfspace rows."""
 
 
 class InternalInconsistencyError(MosipError):

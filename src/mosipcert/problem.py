@@ -34,7 +34,6 @@ from .cones import (
     _primitive_int_set,
     _pruned_rays,
     contains,
-    dd_convert,
     decompose,
     min_max_direction,
     polar,
@@ -455,8 +454,6 @@ class CandidatePoint:
     * ``g_values``, every g_k(x), from the feasibility pass of `build`;
     * ``g_polar()``, the negative polar G^0(x) with its provenance and source
       (ACQ, WADQ, EADQ);
-    * ``fg_polar()``, F^0(x) intersect G^0(x) as generators, by one double
-      description (WADQ, EADQ);
     * ``cone(cls, vectors)``, the FGCone or HCone of the vectors, whose rays
       are kept per sorted primitive integer set: G*, C and N in `build`,
       KTCQ's envelope cone and the isolation report's cones take them from
@@ -482,19 +479,18 @@ class CandidatePoint:
       it decides 0 in conv(points) + cone(gens) and gives the separating
       direction when 0 is outside (MFCQ, PMFCQ and COCQ over their subgradient
       unions; weak and strong KKT over the canonical F* vertices and G*
-      generators);
+      generators, which WADQ shares unless the G-polar has a closed form);
     * ``zero_decomposition(points, gens)``, beside it under the same input:
       the weights writing 0 over conv(points) + cone(gens) when `min_max`
       finds 0 inside (the Fails witness of MFCQ and COCQ, shared when their
-      inputs coincide).
+      inputs coincide, and WADQ's vacuous Holds witness).
 
     No other module keeps a memo or knows a key of the store.
 
     A refused computation (UnsupportedOperationError for an irrational
-    subdifferential or above the double description cap, say) is not
-    stored, so every request raises it again.  The store lives and dies
-    with the point.  The certificate verifiers do not read it: they
-    recompute from the problem data.
+    subdifferential, say) is not stored, so every request raises it again.
+    The store lives and dies with the point.  The certificate verifiers do
+    not read it: they recompute from the problem data.
     """
 
     problem: MosipProblem
@@ -623,16 +619,6 @@ class CandidatePoint:
             return polar(self.G_star), prov, "polar of the truncated active-gradient cone" if prov != EXACT else "polar of the active-gradient cone"
 
         return self._kept("g_polar", compute)
-
-    def fg_polar(self) -> FGCone:
-        """F^0(x) intersect G^0(x) as generators: one double description of
-        the objective subgradients together with the G-polar's normals."""
-
-        def compute():
-            rows = list(self.F) + list(self.g_polar()[0].normals)
-            return dd_convert(self.problem.dimension, rows)
-
-        return self._kept("fg_polar", compute)
 
     def support_escape(self) -> Optional[tuple]:
         """`subspace_escape` of the F* vertices and G* generators: None when

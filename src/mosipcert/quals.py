@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import HCone, cone_member, contains, span_rank
+from .cones import HCone, cone_member, contains, normal_escape, span_rank
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -510,20 +510,25 @@ def _check_wadq(p, cp):
         return QualReport("WADQ", FAILS, g_data_provenance(p, cp.x), {"kind": "empty_active_union"}, "the active subgradient union is empty; the definition's fallback clause applies")
     if cp.C is None:
         return QualReport("WADQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs an H-representation of S for the contingent cone")
-    _, prov, source = cp.g_polar()
-    cone = cp.fg_polar()
-    tested = []
-    for g in cone.generators:
-        if max(qdot(v, g) for v in cp.F) < 0:  # strictly objective-decreasing
-            if not cp.C.member(g):
-                witness = {"kind": "escaping_generator", "generator": g}
-                return QualReport("WADQ", FAILS, prov, witness, "an objective-decreasing polar generator leaves the contingent cone")
-            tested.append(g)
-    witness = {"kind": "generator_memberships", "generators": tested}
-    note = "every objective-decreasing generator of the polar intersection is a feasible direction"
-    if not tested:
-        note = "no polar generator is strictly objective-decreasing; the containment is vacuous on generators"
-    return QualReport("WADQ", HOLDS, prov, witness, note + f" ({source})")
+    # the strict set {d in G0 : v'd < 0 on F} lies in C when K = F0 n G0 does
+    # (K, cut out by the rows F and G0's normals, is its closure when it is
+    # not empty, and C is closed), or when it is empty: by Motzkin, when 0 is
+    # in conv(F) + cone(G0's normals)
+    g0, prov, source = cp.g_polar()
+    rows = cp.F + g0.normals
+    escape = normal_escape(rows, cp.C.normals)
+    if escape is None:
+        witness = {"kind": "containment", "lhs_normals": rows, "rhs_normals": cp.C.normals}
+        return QualReport("WADQ", HOLDS, prov, witness, f"every direction of the polar intersection is a feasible direction ({source})")
+    value, strict = cp.min_max(cp.F_star.vertices, g0.normals)
+    if value >= 0:
+        witness = _zero_decomposition(cp, cp.F_star.vertices, g0.normals)
+        return QualReport("WADQ", HOLDS, prov, witness, f"no direction of the G-polar strictly decreases every objective; the containment is vacuous ({source})")
+    # strict + lam * d stays strict and in G0, and t'(strict + lam * d) >= t'd > 0
+    t, d = escape
+    lam = ONE + max(ZERO, -qdot(t, strict)) / qdot(t, d)
+    witness = {"kind": "escaping_direction", "direction": tuple(a + lam * b for a, b in zip(strict, d))}
+    return QualReport("WADQ", FAILS, prov, witness, "a strictly objective-decreasing direction of the G-polar leaves the contingent cone")
 
 
 def _check_eadq(p, cp):
@@ -534,17 +539,17 @@ def _check_eadq(p, cp):
         and any(f.domain is not None or affine_pieces(f) is None for f in p.objectives)
     ):
         return QualReport("EADQ", UNDECIDABLE, g_data_provenance(p, cp.x), None, "needs sublevel-set H-representations for every objective")
-    _, prov, source = cp.g_polar()
-    cone = cp.fg_polar()
     # the contingent cone of Q^i(x) is C cut by xi'd <= 0 over the other
     # objectives' active pieces xi, all in conv(F), where F0 n G0 is <= 0
-    # already: so g is in every one of them exactly when g is in C
-    for g in cone.generators:
-        if not cp.C.member(g):
-            witness = {"kind": "escaping_generator", "generator": g, "objective": 0}
-            return QualReport("EADQ", FAILS, prov, witness, "a polar generator leaves a sublevel contingent cone")
-    witness = {"kind": "generator_memberships", "generators": cone.generators}
-    return QualReport("EADQ", HOLDS, prov, witness, f"every generator of the polar intersection is tangent to every sublevel set ({source})")
+    # already: so F0 n G0 lies in every one of them exactly when it lies in C
+    g0, prov, source = cp.g_polar()
+    rows = cp.F + g0.normals
+    escape = normal_escape(rows, cp.C.normals)
+    if escape is None:
+        witness = {"kind": "containment", "lhs_normals": rows, "rhs_normals": cp.C.normals}
+        return QualReport("EADQ", HOLDS, prov, witness, f"every direction of the polar intersection is tangent to every sublevel set ({source})")
+    witness = {"kind": "escaping_direction", "direction": escape[1]}
+    return QualReport("EADQ", FAILS, prov, witness, "a direction of the polar intersection leaves every sublevel contingent cone")
 
 
 def _check_moq(p, cp):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mosipcert import cli, cones
+from mosipcert import cli
 
 
 def _run(capsys, argv):
@@ -591,19 +591,10 @@ class TestOptions:
         )
         assert code == 0 and err == ""
 
-    def test_dim_cap_env_degrades_to_undecidable(self, capsys, monkeypatch):
-        monkeypatch.setattr(cones, "DD_DIM_CAP", 1)
-        code, doc = _run_json(
-            capsys, ["quals", "octagon-support", "--point", "0,0"]
-        )
-        assert code == 0
-        by = {r["qual"]: r for r in doc["quals"]}
-        assert by["EADQ"]["status"] == "Undecidable"
-        assert "cap" in by["EADQ"]["notes"]
-
-    def test_dimension_seven_is_above_the_dd_cap(self, capsys, tmp_path):
+    def test_dimension_seven_decides_wadq_and_eadq(self, capsys, tmp_path):
         # three affine objectives and constraints in 7-space, two active at 0:
-        # every check runs, and the two that need a double description say why not
+        # every check runs, and WADQ and EADQ decide by one containment, as
+        # in any dimension
         def affine(a, b=0):
             return {"kind": "affine", "a": [[c, 1] for c in a], "b": [b, 1]}
 
@@ -620,9 +611,11 @@ class TestOptions:
         code, out = _run_json(capsys, ["quals", str(path), "--point", "0,0,0,0,0,0,0"])
         assert code == 0
         by = {r["qual"]: r for r in out["quals"]}
+        normals = [[[c, 1] for c in a] for a, _ in cons[:2]]
         for qual in ("WADQ", "EADQ"):
-            assert by[qual]["status"] == "Undecidable"
-            assert "exceeds cap 6" in by[qual]["notes"]
+            assert by[qual]["status"] == "Holds"
+            assert by[qual]["witness"]["kind"] == "containment"
+            assert by[qual]["witness"]["rhs_normals"] == normals
         assert by["ACQ"]["status"] == "Holds"
 
 

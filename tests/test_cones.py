@@ -40,12 +40,13 @@ from mosipcert.cones import (
     dd_convert,
     membership,
     min_max_direction,
+    normal_escape,
     polar,
     span_rank,
     subspace_escape,
     zero_interior,
 )
-from mosipcert.errors import InternalInconsistencyError, UnsupportedOperationError
+from mosipcert.errors import InternalInconsistencyError
 from mosipcert.instances import FIXTURE_BUILDERS
 from mosipcert.problem import CandidatePoint
 from mosipcert.rationals import Q, lincomb, qdot, scaled_ints, vec_q
@@ -91,16 +92,6 @@ def test_dd_halfline() -> None:
 def test_dd_no_normals_gives_all_space() -> None:
     g = dd_convert(2, [])
     assert set(g.generators) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-
-
-def test_dd_dimension_cap(monkeypatch: pytest.MonkeyPatch) -> None:
-    with pytest.raises(UnsupportedOperationError, match="exceeds cap 6"):
-        dd_convert(7, [[1] * 7])
-    monkeypatch.setattr(cones, "DD_DIM_CAP", 2)
-    with pytest.raises(UnsupportedOperationError, match="exceeds cap 2"):
-        dd_convert(3, [[1, 0, 0]])
-    monkeypatch.setattr(cones, "DD_DIM_CAP", 8)
-    assert dd_convert(7, [[1] * 7]).generators  # now allowed
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,8 @@ def test_double_description_output_is_a_fixed_point() -> None:
 
 def test_cone_form_has_no_dimension_cap() -> None:
     # e_1..e_4 and minus their sum span a lineality space, the rest is a
-    # pointed cone after projection; the double description refuses
-    # dimension 7 by default, the constructor does not
+    # pointed cone after projection; the constructor reaches the form in
+    # dimension 7 with LPs
     rng = random.Random(SEED + 50)
     units = [[Q(int(i == j)) for i in range(7)] for j in range(4)]
     pointed = [
@@ -370,8 +361,6 @@ def test_cone_form_has_no_dimension_cap() -> None:
     got = FGCone(7, family).generators
     assert got == reference_rays(family)
     assert sum(1 for g in got if tuple(-c for c in g) in got) == 8
-    with pytest.raises(UnsupportedOperationError):
-        dd_convert(7, family)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -990,6 +979,29 @@ def test_contains_witness_verifies(seed: int) -> None:
     else:
         w = res.witness
         assert a.member(w) and not b.member(w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_normal_escape_over_raw_rows_matches_contains(dim: int, monkeypatch) -> None:
+    # raw rows, redundant ones included, decide what their canonical HCone
+    # decides, and an escape lies under the rows and over its normal
+    rng = random.Random(SEED + 110 + dim)
+    for _ in range(15):
+        rows = _family(rng, dim)
+        b = HCone(dim, [_rand_vec(rng, dim) for _ in range(rng.randint(1, 3))])
+        escape = normal_escape(rows, b.normals)
+        assert (escape is None) == contains(HCone(dim, rows), b).holds
+        if escape is not None:
+            t, d = escape
+            assert t in b.normals and qdot(t, d) > 0
+            assert all(qdot(r, d) <= 0 for r in rows)
+    # a normal that is a positive multiple of a row asks no LP
+    solves = []
+    real = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or real(prog))
+    rows = _family(rng, dim)
+    assert normal_escape(rows, [[Q(3) * c for c in r] for r in rows if any(r)]) is None
+    assert solves == []
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@
 `report --box=B --verify` on each bundled fixture at its documented candidate,
 with B the fixture's search box.  `tests/golden/lineality-plane.quals.json`
 holds the stdout of `quals` on `tests/problems/lineality-plane.json` at the
-origin, where F0 n G0 has a lineality line: its WADQ and EADQ witnesses pin
-the canonical generators of a cone with lineality.  A change that is meant to
+origin, where F0 n G0 has a lineality line.  WADQ and EADQ decide it by one
+containment and print no generators of it; the canonical form of a cone with
+lineality is pinned by the `dd_convert` reference tests of `test_cones.py`.
+A change that is meant to
 keep every verdict, certificate and witness must leave these bytes alone; one
 that is meant to change them regenerates the files and says why.
 """

@@ -12,13 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosipcert import cones
 from mosipcert.cones import (
     FGCone,
     HCone,
     HPoly,
     Polytope,
-    dd_convert,
     min_max_direction,
     subspace_escape,
     zero_interior,
@@ -31,7 +29,7 @@ from mosipcert.errors import (
     ParseError,
     UnsupportedOperationError,
 )
-from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff, subdiff_set
+from mosipcert.funcs import Affine, MaxAffine, NegSqrtParabola1D, evaluate, subdiff, subdiff_set
 from mosipcert.instances import (
     FIXTURE_BUILDERS,
     fixture_path,
@@ -472,8 +470,6 @@ def _assert_derived_match_fresh(p, x) -> None:
     cp = CandidatePoint.build(p, x)
     g_polar = _fresh_g_polar(p, cp)
     assert cp.g_polar() == g_polar
-    h = HCone(p.dimension, list(cp.F) + list(g_polar[0].normals))
-    assert cp.fg_polar() == dd_convert(h.dim, h.normals)
     verts, gens = cp.F_star.vertices, cp.G_star.generators
     assert cp.min_max(verts, gens) == min_max_direction(verts, gens, p.dimension)
     # the kept rays are those the public constructors find
@@ -489,7 +485,6 @@ def _assert_derived_match_fresh(p, x) -> None:
     assert cp.zero_interior() == zero_interior(p.dimension, verts, gens)
     for entry in (
         cp.g_polar,
-        cp.fg_polar,
         lambda: cp.min_max(verts, gens),
         cp.support_escape,
         cp.zero_interior,
@@ -562,13 +557,15 @@ def test_one_canonical_form_per_primitive_set(monkeypatch):
     assert shared >= 10
 
 
-def test_refused_derived_cone_is_refused_on_every_request(monkeypatch):
-    p = octagon_problem()
-    cp = CandidatePoint.build(p, [0, 0])
-    monkeypatch.setattr(cones, "DD_DIM_CAP", 1)
+def test_refused_derived_cone_is_refused_on_every_request():
+    # at x = 1/2 the arc of t = 1 has slope -1/sqrt(3), which has no rational
+    # form; the arc of t = 1/2 has its apex there, is the envelope's argmax
+    # member, and its subdifferential {0} gives the envelope's
+    arcs = [NegSqrtParabola1D(1), NegSqrtParabola1D(Q(1, 2))]
+    p = MosipProblem(1, [Affine([1], 0)], FiniteFamily(arcs))
+    cp = CandidatePoint.build(p, [Q(1, 2)])
     for _ in range(2):
         with pytest.raises(UnsupportedOperationError):
-            cp.fg_polar()
-    assert "fg_polar" not in cp.derived
-    monkeypatch.undo()
-    assert cp.fg_polar() is cp.fg_polar()
+            cp.constraint_subdiff(0)
+    assert ("constraint", 0) not in cp.derived
+    assert cp.psi_subdiff() is cp.psi_subdiff()

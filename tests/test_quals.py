@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_cones import cone_contains
+from helpers_cones import cone_contains, primitive
 from helpers_instances import random_polyhedral_problem
-from helpers_sublevel import reference_eadq
+from helpers_sublevel import polar_intersection_generators, reference_eadq, reference_wadq
 from mosipcert import cones
 from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, min_max_direction, span_rank
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff_set
@@ -279,38 +279,23 @@ def test_refused_subdifferential_is_refused_on_every_request():
 
 
 def test_one_double_description_per_check_all(monkeypatch):
-    from mosipcert import problem
-
+    # WADQ and EADQ decide by one containment and no generators, so no
+    # checker runs a double description at all
     calls = []
-    real = problem.dd_convert
+    real = cones.dd_convert
 
     def counted(n, normals):
         calls.append(normals)
         return real(n, normals)
 
-    monkeypatch.setattr(problem, "dd_convert", counted)
+    monkeypatch.setattr(cones, "dd_convert", counted)
     for name in ("alternating-affine", "octagon-support"):
         p = load_fixture(name)
         cp = _candidate(p)
         calls.clear()
         by = {r.qual: r for r in check_all(p, cp)}
         assert by["WADQ"].status != UNDECIDABLE and by["EADQ"].status != UNDECIDABLE
-        assert len(calls) == 1
-
-
-def test_wadq_and_eadq_above_the_dd_cap_are_undecidable(monkeypatch):
-    # the reports are those of the checkers that each ran their own double
-    # description, and the refused entry is not kept between them
-    monkeypatch.setattr(cones, "DD_DIM_CAP", 1)
-    p = load_fixture("octagon-support")
-    cp = _candidate(p)
-    by = {r.qual: r for r in check_all(p, cp)}
-    note = "prerequisite unavailable: double description in dimension 2 exceeds cap 1"
-    for qual in ("WADQ", "EADQ"):
-        assert by[qual] == QualReport(
-            qual, UNDECIDABLE, "approximated-subdifferentials", None, note
-        )
-    assert by["ACQ"].status == HOLDS
+        assert len(calls) == 0
 
 
 def _tightened(rng):
@@ -326,26 +311,96 @@ def _tightened(rng):
     return MosipProblem(p.dimension, p.objectives, p.constraints, HPoly(p.dimension, rows)), x
 
 
-def _eadq_cases() -> list:
-    """The fixtures, lineality-plane and 30 seeded draws, at the origin."""
+def _reference_cases(seed: str, draws: int) -> list:
+    """The fixtures, lineality-plane and seeded draws, at the origin."""
     problems = [build() for build in FIXTURE_BUILDERS.values()]
     problems.append(load_problem(Path(__file__).parent / "problems" / "lineality-plane.json"))
-    rng = random.Random("eadq-reference")
-    return [(p, [0] * p.dimension) for p in problems] + [_tightened(rng) for _ in range(30)]
+    rng = random.Random(seed)
+    return [(p, [0] * p.dimension) for p in problems] + [_tightened(rng) for _ in range(draws)]
+
+
+def _eadq_cases() -> list:
+    return _reference_cases("eadq-reference", 30)
 
 
 def test_eadq_matches_the_sublevel_definition():
-    # the one containment in C gives the report the sublevel cones give
+    # the one containment in C gives the verdict the generators of F0 n G0
+    # give against the sublevel cones, and its witness checks by substitution
     seen = set()
     for p, x in _eadq_cases():
         cp = CandidatePoint.build(p, x)
         report = check("EADQ", p, cp)
-        status, witness = reference_eadq(p, cp)
-        assert (report.status, report.witness) == (status, witness)
-        seen.add((status, witness["kind"], p.num_objectives > 1))
+        status, _ = reference_eadq(p, cp)
+        assert report.status == status
+        _verify_witness(p, cp, report)
+        seen.add((status, report.witness["kind"], p.num_objectives > 1))
     for several in (False, True):
-        assert (HOLDS, "generator_memberships", several) in seen
-        assert (FAILS, "escaping_generator", several) in seen
+        assert (HOLDS, "containment", several) in seen
+        assert (FAILS, "escaping_direction", several) in seen
+
+
+def _generator_wadq(p, cp) -> str:
+    """The generator test WADQ once ran: only generators of F0 n G0 with
+    max v'g < 0 over F were tested against C."""
+    strict = [
+        g for g in polar_intersection_generators(p, cp)
+        if max(qdot(v, g) for v in cp.F) < 0
+    ]
+    return FAILS if any(not cp.C.member(g) for g in strict) else HOLDS
+
+
+def test_wadq_matches_the_set_definition():
+    # the containment, then Motzkin's test of the strict set, give the
+    # verdict of the set definition; the old generator test, which skipped
+    # generators with max v'g = 0, printed Holds on some draws that fail
+    seen, skipped = set(), 0
+    for p, x in _reference_cases("wadq-probe", 60):
+        cp = CandidatePoint.build(p, x)
+        report = check("WADQ", p, cp)
+        status, _ = reference_wadq(p, cp)
+        assert report.status == status
+        _verify_witness(p, cp, report)
+        seen.add(status)
+        skipped += status == FAILS and not cp.G_is_empty and _generator_wadq(p, cp) == HOLDS
+    assert {HOLDS, FAILS} <= seen
+    assert skipped >= 1
+
+
+def test_wadq_fails_on_a_strict_direction_that_no_generator_shows():
+    # f = -x2, g = -x1, S = {-x1 <= 0, x1 - x2 <= 0}: F0 n G0 has the
+    # generators (0, 1), strict and in C, and (1, 0), not strict and not in
+    # C, so the generator test printed Holds; yet (1, 1/2) is strict and
+    # leaves C
+    S = HPoly(2, [((Q(-1), Q(0)), Q(0)), ((Q(1), Q(-1)), Q(0))])
+    p = MosipProblem(2, [Affine([0, -1], 0)], FiniteFamily([Affine([-1, 0], 0)]), S)
+    cp = _candidate(p)
+    assert _generator_wadq(p, cp) == HOLDS
+    by = {r.qual: r for r in check_all(p, cp)}
+    wadq = by["WADQ"]
+    assert wadq.status == FAILS and wadq.witness["kind"] == "escaping_direction"
+    d = wadq.witness["direction"]
+    assert qdot((0, -1), d) < 0 and qdot((-1, 0), d) <= 0  # strict, in G0
+    assert not all(qdot(a, d) <= b for a, b in S.rows)  # outside C at 0
+    _verify_witness(p, cp, wadq)
+    for qual in ("EADQ", "ACQ", "KTCQ", "LFMCQ"):
+        assert by[qual].status == FAILS, qual
+    assert reference_wadq(p, cp)[0] == FAILS
+
+
+def test_wadq_holds_vacuously_when_no_direction_is_strict():
+    # f = x1, g = -x1, S adds -x2 <= 0: F0 n G0 is the x2-axis, which leaves
+    # C, but no direction of G0 has d1 < 0, so WADQ holds by Motzkin's
+    # weights and EADQ fails
+    S = HPoly(2, [((Q(-1), Q(0)), Q(0)), ((Q(0), Q(-1)), Q(0))])
+    p = MosipProblem(2, [Affine([1, 0], 0)], FiniteFamily([Affine([-1, 0], 0)]), S)
+    cp = _candidate(p)
+    wadq, eadq = check("WADQ", p, cp), check("EADQ", p, cp)
+    assert wadq.status == HOLDS and wadq.witness["kind"] == "zero_decomposition"
+    assert eadq.status == FAILS and eadq.witness["kind"] == "escaping_direction"
+    for r in (wadq, eadq):
+        _verify_witness(p, cp, r)
+    assert reference_wadq(p, cp) == (HOLDS, {"kind": "empty_strict_set"})
+    assert reference_eadq(p, cp)[0] == FAILS
 
 
 def test_eadq_needs_sublevel_rows_for_every_objective():
@@ -364,24 +419,32 @@ def test_eadq_needs_sublevel_rows_for_every_objective():
     p = MosipProblem(1, objectives[1:], constraints, S)
     cp = CandidatePoint.build(p, [0])
     report = check("EADQ", p, cp)
-    assert report.status == HOLDS
-    assert (report.status, report.witness) == reference_eadq(p, cp)
+    assert report.status == HOLDS == reference_eadq(p, cp)[0]
+    _verify_witness(p, cp, report)
 
 
-def test_eadq_makes_no_lp_once_the_polar_intersection_is_kept(monkeypatch):
+def test_eadq_asks_one_lp_per_normal_of_c_off_the_rows(monkeypatch):
+    # a normal of C that is a multiple of an objective subgradient or of a
+    # G-polar normal lies in their cone with no LP; each other normal asks
+    # one `decompose` at most, and none when the elimination forces it
     from mosipcert import lp
 
-    points = []
-    for p, x in _eadq_cases():
-        cp = CandidatePoint.build(p, x)
-        cp.fg_polar()
-        points.append((p, cp))
+    points = [(p, CandidatePoint.build(p, x)) for p, x in _eadq_cases()]
     solves = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
+    off_rows = 0
     for p, cp in points:
+        solves.clear()
         check("EADQ", p, cp)
-    assert solves == []
+        if cp.C is None or cp.G_is_empty:
+            assert solves == []
+            continue
+        rays = {primitive(r) for r in cp.F + cp.g_polar()[0].normals if any(r)}
+        off = [t for t in cp.C.normals if primitive(t) not in rays]
+        assert len(solves) <= len(off)
+        off_rows += len(off)
+    assert off_rows > 0
 
 
 def _count_decompose(monkeypatch) -> list:
@@ -464,6 +527,17 @@ def _verify_witness(p, cp, r) -> None:
             total = sum(a * v[i] for a, v in zip(alpha, pts))
             total += sum(m * g[i] for m, g in zip(mu, gens))
             assert total == 0
+        if r.qual == "WADQ":
+            # 0 in conv(F) + cone(G0's normals): no direction of G0 is strict
+            assert set(pts) <= set(cp.F_star.vertices)
+            assert set(gens) <= set(cp.g_polar()[0].normals)
+    elif kind == "containment":
+        lhs, rhs = w["lhs_normals"], w["rhs_normals"]
+        if r.qual in ("WADQ", "EADQ"):
+            assert lhs == cp.F + cp.g_polar()[0].normals and rhs == cp.C.normals
+        # the generator picture: every generator of the first cone is in the second
+        for g in dd_convert(p.dimension, lhs).generators:
+            assert all(qdot(t, g) <= 0 for t in rhs)
     elif kind == "grid_certificate":
         base, rec = cp.subgradient_union(w["eps"])
         assert max(qdot(v, w["direction"]) for v in base) == w["value"] < 0
@@ -485,6 +559,11 @@ def _verify_witness(p, cp, r) -> None:
     elif kind == "escaping_direction":
         d = w["direction"]
         assert cp.C is not None and not cp.C.member(d)
+        if r.qual in ("WADQ", "EADQ"):
+            # d lies in F0 n G0, strictly decreasing every objective for WADQ
+            assert all(qdot(a, d) <= 0 for a in cp.g_polar()[0].normals)
+            values = [qdot(v, d) for v in cp.F]
+            assert all(v < 0 for v in values) if r.qual == "WADQ" else all(v <= 0 for v in values)
     elif kind == "escaping_generator" and r.qual == "LFMCQ":
         d = w["direction"]
         if w["escapes"] == "active-gradient cone":

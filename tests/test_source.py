@@ -178,6 +178,20 @@ def test_double_description_makes_no_lp():
     assert found == {name: set() for name in LP_FREE}
 
 
+def test_the_checkers_and_the_point_run_no_double_description():
+    # WADQ and EADQ ask one containment of F0 n G0 in C, with no generators;
+    # a double description in the checkers or the candidate point would
+    # bring back the generator loop and a dimension limit with it
+    found = {
+        f"{module}.{name}"
+        for module in ("quals", "problem")
+        for name, node in _functions(SRC / f"{module}.py").items()
+        if "dd_convert" in _kind_names(node)
+    }
+    assert found == set()
+    assert all("dd_convert" not in _imports_of(SRC / f"{m}.py", "cones") for m in ("quals", "problem"))
+
+
 def test_the_gap_row_proof_makes_no_lp():
     # the zero of the gap is proved by substitution of active-row
     # multipliers, a check much simpler than the LPs that found them; an LP,
