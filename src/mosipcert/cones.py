@@ -274,51 +274,69 @@ def decompose(target, hulls, cones=(), margin=False):
     trailing free variable tau is maximised subject to one row
     sum(block) - tau >= 0 per hull block and tau <= 1.
 
-    Returns the weights in column order (tau last with `margin`), or the
-    LP's `lp.Infeasible`, whose Farkas vector certifies that no weights
-    exist.  Three cases need no LP: a zero target without hull blocks is the
-    zero combination; no columns at all give the `lp.Infeasible` with Farkas
-    vector minus (target, 1 with a hull block), every coefficient 0 and the
-    right-hand side -|target|^2 (- 1) < 0; and without `margin`,
-    weights that the equality rows force (`_forced_weights`: the columns,
-    each with its simplex-row entry, are linearly independent and the
-    target is in their span) are unique, so when they are nonnegative they
-    are the LP's only feasible point.  Every other case runs the LP, whose
-    Farkas vector the callers read.
+    Returns the weights in column order (tau last with `margin`), or an
+    `lp.Infeasible` whose Farkas vector over the plain rows (coordinates,
+    simplex row, x >= 0) certifies that no weights exist, with or without
+    `margin`.  Three cases need no LP: a zero target without hull blocks is
+    the zero combination; no columns at all give the `lp.Infeasible` with
+    Farkas vector minus (target, 1 with a hull block), every coefficient 0
+    and the right-hand side -|target|^2 (- 1) < 0; and weights that the
+    equality rows force (`_forced_weights`: the columns, each with its
+    simplex-row entry, are linearly independent and the target is in their
+    span) are unique, so when they are nonnegative they are the LP's only
+    feasible point, and the margin its least hull-block sum, capped at 1
+    (`_with_margin`).  Every other case runs the LP, whose Farkas vector the
+    callers read.
     """
     columns = [c for block in (*hulls, *cones) for c in block]
     k = len(columns)
     if not hulls and all(c == 0 for c in target):
-        return [ZERO] * k
+        return _with_margin([ZERO] * k, hulls, margin)
     if not columns:
         return lp.Infeasible([-c for c in target] + ([-ONE] if hulls else []))
-    width = k + 1 if margin else k
-    pad = [ZERO] * (width - k)
-    rows = [([c[i] for c in columns] + pad, lp.EQ, target[i]) for i in range(len(target))]
+    rows = [([c[i] for c in columns], lp.EQ, target[i]) for i in range(len(target))]
     num_hull = sum(len(block) for block in hulls)
     if hulls:
-        rows.append(([ONE] * num_hull + [ZERO] * (width - num_hull), lp.EQ, ONE))
-    if not margin:
-        forced = _forced_weights(k, rows)
-        if forced is not None:
-            return forced
-    rows.extend((_unit(width, j), lp.GE, ZERO) for j in range(k))
+        rows.append(([ONE] * num_hull + [ZERO] * (k - num_hull), lp.EQ, ONE))
+    forced = _forced_weights(k, rows)
+    if forced is not None:
+        return _with_margin(forced, hulls, margin)
+    rows.extend((_unit(k, j), lp.GE, ZERO) for j in range(k))
     if not margin:
         return lp.feasible_point(k, rows)
+    # tau is a free column that only the margin rows and its cap carry, with
+    # nonnegative Farkas multipliers: on an infeasible LP those are exactly
+    # 0, and the rest is a Farkas vector of the plain rows
+    plain = len(rows)
+    rows = [([*a, ZERO], rel, b) for a, rel, b in rows]
     pos = 0
     for block in hulls:
-        row = [ZERO] * width
+        row = [ZERO] * (k + 1)
         row[pos : pos + len(block)] = [ONE] * len(block)
         row[k] = -ONE
         rows.append((row, lp.GE, ZERO))
         pos += len(block)
-    rows.append((_unit(width, k), lp.LE, ONE))
-    res = lp.solve(lp.LinearProgram(width, _unit(width, k), rows))
+    rows.append((_unit(k + 1, k), lp.LE, ONE))
+    res = lp.solve(lp.LinearProgram(k + 1, _unit(k + 1, k), rows))
     if isinstance(res, lp.Infeasible):
-        return res
+        if any(y != 0 for y in res.farkas[plain:]):
+            raise InternalInconsistencyError("the margin rows carry Farkas weight")
+        return lp.Infeasible(res.farkas[:plain])
     if not isinstance(res, lp.Optimal):
         raise InternalInconsistencyError("the margin is capped, so the LP has an optimum")
     return res.primal
+
+
+def _with_margin(weights, hulls, margin) -> list:
+    """The weights, followed with `margin` by the margin the LP reaches at
+    them: tau = min(1, least hull-block sum)."""
+    if not margin:
+        return weights
+    tau, pos = ONE, 0
+    for block in hulls:
+        tau = min(tau, sum(weights[pos : pos + len(block)], ZERO))
+        pos += len(block)
+    return weights + [tau]
 
 
 def _forced_weights(k: int, rows) -> Optional[list]:

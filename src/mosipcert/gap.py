@@ -190,13 +190,12 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
         )
     n = p.dimension
     tables = [cp.objective_subdiff(i) for i in range(p.num_objectives)]
-    shifted = [
-        [tuple(v[k] - (tilt[k] if tilt else ZERO) for k in range(n)) for v in verts]
-        for verts in tables
-    ]
-    strong = mode == STRONG_MODE
-    zero = tuple(ZERO for _ in range(n))
-    res = decompose(zero, shifted, [cp.N.generators], margin=strong)
+    zero = (ZERO,) * n
+    if tilt is None:
+        res = cp.margin_zero(tables, [cp.N.generators])
+    else:
+        shifted = [[tuple(a - b for a, b in zip(v, tilt)) for v in verts] for verts in tables]
+        res = decompose(zero, shifted, [cp.N.generators], margin=True)
     if not isinstance(res, list):
         return GapRefusal(
             mode,
@@ -204,13 +203,13 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
             "inside the polar of the feasible directions",
             farkas=res.farkas,
         )
-    if strong and res[-1] <= 0:
+    if mode == STRONG_MODE and res[-1] <= 0:
         return GapRefusal(
             mode,
             "every zero of the gap drives some lambda component to zero",
         )
     lam, coeff_rows, selections = zip(*hull_terms(res, tables))
-    tilt_vec = tuple(tilt) if tilt else zero
+    tilt_vec = zero if tilt is None else tuple(tilt)
     tilted = [tuple(s - t for s, t in zip(sel, tilt_vec)) for sel in selections]
     hull_width = sum(len(t) for t in tables)
     cone_weights = res[hull_width : hull_width + len(cp.N.generators)]

@@ -119,25 +119,28 @@ class KktSeparator:
 # Shared decomposition engine
 
 
-def _decompose(p: MosipProblem, cp: CandidatePoint, target, margin=False):
-    """`decompose` over the grouped tables: one hull block per objective
-    vertex table, one cone block per nonempty active constraint
-    subdifferential (vertices, then rays).  Returns (objective terms,
-    constraint terms, tau or None), or the `lp.Infeasible` refuting
-    target in F* + G*."""
+def _tables(p: MosipProblem, cp: CandidatePoint) -> tuple:
+    """The grouped tables (objective tables, active tables, cone blocks): one
+    hull block per objective vertex table, and (t, vertices, rays) per active
+    constraint with a nonempty subdifferential, whose cone block is its
+    vertices, then its rays."""
     obj_tables = [cp.objective_subdiff(i) for i in range(p.num_objectives)]
     active_tables = []
     for t in cp.T:
         points, rays = cp.constraint_subdiff(t)
         if points:
             active_tables.append((t, points, rays))
-    cones = [verts + rays for _, verts, rays in active_tables]
-    res = decompose(target, obj_tables, cones, margin)
+    return obj_tables, active_tables, [verts + rays for _, verts, rays in active_tables]
+
+
+def _decompose(p: MosipProblem, cp: CandidatePoint, target):
+    """`decompose` over the grouped tables.  Returns (objective terms,
+    constraint terms), or the `lp.Infeasible` refuting target in F* + G*."""
+    obj_tables, active_tables, cones = _tables(p, cp)
+    res = decompose(target, obj_tables, cones)
     if not isinstance(res, list):
         return res
-    # read tau without mutating `res`, which is the LP result's own primal
-    weights, tau = (res[:-1], res[-1]) if margin else (res, None)
-    return (*_group_terms(weights, obj_tables, active_tables, p.dimension), tau)
+    return _group_terms(res, obj_tables, active_tables, p.dimension)
 
 
 def _group_terms(values, obj_tables, active_tables, n):
@@ -187,16 +190,20 @@ def _separator(cp: CandidatePoint) -> Optional[KktSeparator]:
     return KktSeparator(direction=d, gap=-value) if value < 0 else None
 
 
-def _decompose_zero(p: MosipProblem, cp: CandidatePoint, zero, margin=False):
-    """The grouped decomposition of 0, run once `_separator` has found 0 in
-    F* + G*: the grouped tables span the same set, so it exists."""
-    out = _decompose(p, cp, zero, margin)
-    if not isinstance(out, tuple):
+def _zero_terms(p: MosipProblem, cp: CandidatePoint) -> tuple:
+    """(objective terms, constraint terms, tau) of the point's
+    `margin_zero` over the grouped tables, which weak and strong KKT share,
+    asked once `_separator` has found 0 in F* + G*: the grouped tables span
+    the same set, so the weights exist."""
+    obj_tables, active_tables, cones = _tables(p, cp)
+    res = cp.margin_zero(obj_tables, cones)
+    if not isinstance(res, list):
         raise InternalInconsistencyError(
             "no direction separates 0 from the canonical F* + G*, yet the "
             "grouped tables do not decompose it"
         )
-    return out
+    # read tau without mutating `res`, which the point keeps
+    return (*_group_terms(res[:-1], obj_tables, active_tables, p.dimension), res[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +215,8 @@ def weak_kkt(p: MosipProblem, cp: CandidatePoint):
     separator = _separator(cp)
     if separator is not None:
         return separator
-    zero = tuple(ZERO for _ in range(p.dimension))
-    oterms, cterms, _ = _decompose_zero(p, cp, zero)
-    return KktCertificate(WEAK, zero, oterms, cterms)
+    oterms, cterms, _ = _zero_terms(p, cp)
+    return KktCertificate(WEAK, (ZERO,) * p.dimension, oterms, cterms)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,7 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
             ri_zero=False,
             refusal="the weak KKT condition already fails",
         )
-    zero = tuple(ZERO for _ in range(p.dimension))
-    oterms, cterms, tau = _decompose_zero(p, cp, zero, margin=True)
+    oterms, cterms, tau = _zero_terms(p, cp)
     ri = cp.support_escape() is None
     if tau <= 0:
         return StrongKktResult(
@@ -255,7 +260,7 @@ def strong_kkt(p: MosipProblem, cp: CandidatePoint) -> StrongKktResult:
             "weight to zero",
         )
     return StrongKktResult(
-        certificate=KktCertificate(STRONG, zero, oterms, cterms),
+        certificate=KktCertificate(STRONG, (ZERO,) * p.dimension, oterms, cterms),
         tau=tau,
         separator=None,
         ri_zero=ri,
@@ -301,7 +306,7 @@ def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
                     "zero_interior certified the ball but the grouped decomposition "
                     "of an axis point has no solution"
                 )
-            oterms, cterms, _ = out
+            oterms, cterms = out
             axes.append(KktCertificate(PERTURBED, tuple(target), oterms, cterms))
     return PerturbedKktReport(
         holds=True,

@@ -36,6 +36,7 @@ from .cones import (
     contains,
     decompose,
     min_max_direction,
+    normal_escape,
     polar,
     subspace_escape,
     zero_interior,
@@ -482,8 +483,17 @@ class CandidatePoint:
       generators, which WADQ shares unless the G-polar has a closed form);
     * ``zero_decomposition(points, gens)``, beside it under the same input:
       the weights writing 0 over conv(points) + cone(gens) when `min_max`
-      finds 0 inside (the Fails witness of MFCQ and COCQ, shared when their
-      inputs coincide, and WADQ's vacuous Holds witness).
+      finds 0 inside (the Fails witness of MFCQ and COCQ, which share one
+      input when psi's subdifferential is MFCQ's union, and WADQ's vacuous
+      Holds witness);
+    * ``margin_zero(hulls, cones)``, keyed by its input too: the
+      maximised-margin `decompose` of 0 over hull and cone blocks, the one
+      answer to a weak and a strong zero question (weak and strong KKT over
+      the grouped tables; the untilted weak and strong gap searches over the
+      objective tables and N);
+    * ``normal_escape(rows, normals)``, keyed by its input: whether
+      {d : a'd <= 0 over the rows} lies in the H-cone of the normals (WADQ
+      and EADQ over F plus the G-polar's normals against C).
 
     No other module keeps a memo or knows a key of the store.
 
@@ -661,6 +671,25 @@ class CandidatePoint:
         return self._kept(
             ("zero_decomposition", tuple(points), tuple(gens)),
             lambda: decompose((ZERO,) * self.problem.dimension, [points], [gens]),
+        )
+
+    def margin_zero(self, hulls, cones):
+        """`decompose` of 0 over the hull and cone blocks with margin, kept
+        under its input: the weights with the maximised least hull-block sum
+        tau last, or the `lp.Infeasible` over the plain rows.  Weights with
+        tau > 0 answer the strong question, and any weights the weak one."""
+        return self._kept(
+            ("margin_zero", tuple(map(tuple, hulls)), tuple(map(tuple, cones))),
+            lambda: decompose((ZERO,) * self.problem.dimension, hulls, cones, margin=True),
+        )
+
+    def normal_escape(self, rows, normals) -> Optional[tuple]:
+        """`cones.normal_escape` of the rows against the normals, kept under
+        its input: None when {d : a'd <= 0 over the rows} lies in the H-cone
+        of the normals, else (normal, escaping direction)."""
+        return self._kept(
+            ("normal_escape", tuple(rows), tuple(normals)),
+            lambda: normal_escape(rows, normals),
         )
 
     def active(self, eps) -> list:

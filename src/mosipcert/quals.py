@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import HCone, cone_member, contains, normal_escape, span_rank
+from .cones import HCone, cone_member, contains, span_rank
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -396,6 +396,10 @@ def _check_cocq(p, cp):
         return QualReport("COCQ", UNDECIDABLE, prov, None, "envelope subdifferential unavailable under truncation")
     points, rays = ss
     if points:
+        if p.psi_override is None and cp.T:
+            # the argmax set is T, so the max rule's set is MFCQ's union:
+            # ask MFCQ's question over its own input
+            points, rays = cp.subgradient_union(ZERO)
         value, d = cp.min_max(points, rays)
         if value < 0:
             witness = {"kind": "direction", "direction": d, "derivative_bound": value}
@@ -516,7 +520,7 @@ def _check_wadq(p, cp):
     # in conv(F) + cone(G0's normals)
     g0, prov, source = cp.g_polar()
     rows = cp.F + g0.normals
-    escape = normal_escape(rows, cp.C.normals)
+    escape = cp.normal_escape(rows, cp.C.normals)
     if escape is None:
         witness = {"kind": "containment", "lhs_normals": rows, "rhs_normals": cp.C.normals}
         return QualReport("WADQ", HOLDS, prov, witness, f"every direction of the polar intersection is a feasible direction ({source})")
@@ -544,7 +548,7 @@ def _check_eadq(p, cp):
     # already: so F0 n G0 lies in every one of them exactly when it lies in C
     g0, prov, source = cp.g_polar()
     rows = cp.F + g0.normals
-    escape = normal_escape(rows, cp.C.normals)
+    escape = cp.normal_escape(rows, cp.C.normals)
     if escape is None:
         witness = {"kind": "containment", "lhs_normals": rows, "rhs_normals": cp.C.normals}
         return QualReport("EADQ", HOLDS, prov, witness, f"every direction of the polar intersection is tangent to every sublevel set ({source})")

@@ -2,9 +2,10 @@
 `mosipcert.cones`.
 
 Each one asks its redundancy question as one LP: `lp_decompose` builds the
-rows of `cones.decompose` and solves them with `lp.feasible_point`, with
-none of decompose's shortcuts, so the elimination that settles forced
-answers in `cones` is checked here, not run.  A point is dropped when it is
+rows of `cones.decompose` (`decompose_rows`) and solves them with
+`lp.feasible_point`, with none of decompose's shortcuts, so the elimination
+that settles forced answers in `cones` is checked here, not run;
+`lp_margin_decompose` solves decompose's margin LP the same way.  A point is dropped when it is
 a convex combination of the other points, a generator or normal when it is
 a conic combination of the others.  The library asks the same of rays and
 normals; of points it runs Clarkson's algorithm, which `reference_vertices`
@@ -104,18 +105,39 @@ def _prune(kept: list, redundant) -> list:
     return kept
 
 
-def lp_decompose(target, hulls, cones=()):
-    """`cones.decompose(target, hulls, cones)` as the LP alone, with
-    decompose's rows and none of its shortcuts: one equality per coordinate,
-    columns in block order with the hull blocks first; the simplex row over
-    the hull columns when there is a hull block; x_j >= 0."""
+def decompose_rows(target, hulls, cones=()) -> tuple:
+    """(k, rows): the plain rows of `cones.decompose(target, hulls, cones)`
+    over its k columns: one equality per coordinate, columns in block order
+    with the hull blocks first; the simplex row over the hull columns when
+    there is a hull block; x_j >= 0."""
     columns = [c for block in (*hulls, *cones) for c in block]
     k, num_hull = len(columns), sum(len(block) for block in hulls)
     rows = [([c[i] for c in columns], lp.EQ, target[i]) for i in range(len(target))]
     if hulls:
         rows.append(([ONE] * num_hull + [ZERO] * (k - num_hull), lp.EQ, ONE))
     rows.extend((_unit(k, j), lp.GE, ZERO) for j in range(k))
-    return lp.feasible_point(k, rows)
+    return k, rows
+
+
+def lp_decompose(target, hulls, cones=()):
+    """`cones.decompose(target, hulls, cones)` as the LP alone, with
+    decompose's rows and none of its shortcuts."""
+    return lp.feasible_point(*decompose_rows(target, hulls, cones))
+
+
+def lp_margin_decompose(target, hulls, cones=()):
+    """The `lp.solve` outcome of `cones.decompose(target, hulls, cones,
+    margin=True)`'s LP alone: the plain rows with a trailing free column
+    tau, maximised, one row sum(block) - tau >= 0 per hull block and
+    tau <= 1."""
+    k, plain = decompose_rows(target, hulls, cones)
+    rows = [([*a, ZERO], rel, b) for a, rel, b in plain]
+    pos = 0
+    for block in hulls:
+        rows.append(([ONE if pos <= j < pos + len(block) else ZERO for j in range(k)] + [-ONE], lp.GE, ZERO))
+        pos += len(block)
+    rows.append((_unit(k + 1, k), lp.LE, ONE))
+    return lp.solve(lp.LinearProgram(k + 1, _unit(k + 1, k), rows))
 
 
 def _in_hull(p, others) -> bool:

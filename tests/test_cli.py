@@ -62,7 +62,9 @@ class TestSubcommands:
             capsys, ["gap", "alternating-affine", "--point", "0", "--nu", "2"]
         )
         assert code == 0
-        assert doc["weak"]["witness"]["lambda"] == [[1, 1], [0, 1]]
+        # weak and strong read one maximised-margin LP
+        assert doc["weak"]["witness"]["lambda"] == [[1, 2], [1, 2]]
+        assert doc["strong"]["witness"]["lambda"] == [[1, 2], [1, 2]]
         assert all(t["success"] for t in doc["perturbed_sweep"]["per_w"])
 
     def test_gap_sweep_beyond_radius(self, capsys):

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from helpers_cones import (
     cone_equal,
     contains_across,
+    decompose_rows,
     greedy_vertices,
     lp_decompose,
+    lp_margin_decompose,
     primitive,
     reference_axis_steps,
     reference_dd_convert,
@@ -28,6 +30,7 @@ from helpers_cones import (
     reference_zero_inside,
 )
 from helpers_instances import random_polyhedral_problem
+from helpers_lp import verify_farkas
 from mosipcert import cones, lp
 from mosipcert.cones import (
     FGCone,
@@ -291,6 +294,68 @@ def test_decompose_matches_the_lp_on_generated_inputs(monkeypatch) -> None:
         assert count[0] == before or count[0] == before + 1
     # both paths are exercised
     assert 50 < settled < len(inputs) - 50
+
+
+def _forced_margin_input(rng: random.Random) -> tuple:
+    """Seeded (target, hulls, cones, weights) whose equality rows force the
+    weights: zero to two hull blocks and cone blocks of random columns,
+    independent with their simplex-row entries, and a target that the
+    nonnegative weights, some of them 0, write over them."""
+    while True:
+        dim = rng.randint(1, 4)
+        sizes = [rng.randint(1, 2) for _ in range(rng.randint(0, 2))]
+        cone_sizes = [rng.randint(1, 2) for _ in range(rng.randint(0, 2))]
+        hulls = [[tuple(Q(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(m)] for m in sizes]
+        cones_ = [[tuple(Q(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(m)] for m in cone_sizes]
+        k, rows = decompose_rows((Q(0),) * dim, hulls, cones_)
+        if k == 0 or len(reference_row_reduce([list(a) for a, rel, _ in rows if rel == lp.EQ], k)) < k:
+            continue
+        weights = [Q(rng.choice((0, 1, 2, 3))) for _ in range(k)]
+        num_hull = sum(sizes)
+        total = sum(weights[:num_hull], Q(0))
+        if num_hull and total == 0:
+            weights[0], total = Q(1), Q(1)
+        if num_hull:
+            weights[:num_hull] = [w / total for w in weights[:num_hull]]
+        columns = [c for block in hulls + cones_ for c in block]
+        return vec_q(lincomb(weights, columns, dim)), hulls, cones_, weights
+
+
+def test_forced_margin_matches_the_lp_it_skips(monkeypatch) -> None:
+    # forced weights are the margin LP's only feasible point, so decompose
+    # returns them, and the LP's tau, min(1, least hull-block sum), with no LP
+    rng = random.Random(SEED + 71)
+    cases = [_forced_margin_input(rng) for _ in range(150)]
+    references = [lp_margin_decompose(t, h, c) for t, h, c, _ in cases]
+    count = _count_solves(monkeypatch)
+    taus = set()
+    for (target, hulls, cones_, weights), reference in zip(cases, references):
+        assert isinstance(reference, lp.Optimal)
+        assert reference.primal[:-1] == weights
+        assert cones.decompose(target, hulls, cones_, margin=True) == reference.primal
+        assert cones.decompose(target, hulls, cones_) == weights
+        taus.add(reference.primal[-1])
+    assert count[0] == 0
+    # the cap, a block sum below it, and 0 all occur
+    assert {Q(0), Q(1)} < taus
+
+
+def test_infeasible_margin_lp_returns_the_plain_rows_farkas_vector() -> None:
+    # the margin rows and the tau cap carry no Farkas weight, so what is
+    # returned certifies the plain rows, and the exact check of those zeros
+    # holds on every infeasible input
+    rng = random.Random(SEED + 72)
+    refused = 0
+    for _ in range(300):
+        target, hulls, cones_ = _decompose_input(rng, rng.randint(1, 4))
+        if not hulls:
+            continue
+        res = cones.decompose(target, hulls, cones_, margin=True)
+        assert isinstance(res, list) == isinstance(lp_decompose(target, hulls, cones_), list)
+        if isinstance(res, lp.Infeasible):
+            assert verify_farkas(decompose_rows(target, hulls, cones_)[1], res.farkas)
+            refused += 1
+    assert refused > 20
 
 
 def test_forced_weights_are_checked_by_substitution(monkeypatch) -> None:

@@ -14,7 +14,9 @@ from mosipcert.funcs import Affine, HPoly, MaxAffine, subdiff
 from mosipcert.rationals import ONE, POS_INF, ZERO, Q, qdot
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
 
+from helpers_cones import decompose_rows
 from helpers_instances import random_polyhedral_problem
+from helpers_lp import verify_farkas
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +154,9 @@ class TestZeroSearch:
         assert isinstance(w, gap.GapWitness)
         assert w.mode == gap.WEAK_MODE
         assert w.value == ZERO
-        assert w.lam == (ONE, ZERO)
+        # weak reads the maximised-margin LP that the strong search asks
+        assert w.lam == (Q(1, 2), Q(1, 2))
+        assert w == dataclasses.replace(gap.gap_zero_search(p, cp, gap.STRONG_MODE), mode=w.mode)
         assert gap.witness_issues(p, cp, w) == []
 
     def test_strong_witness_on_linear_tail_is_balanced(self, ex1):
@@ -163,6 +167,22 @@ class TestZeroSearch:
         assert w.lam == (Q(1, 2), Q(1, 2))
         assert all(l > 0 for l in w.lam)
         assert gap.witness_issues(p, cp, w) == []
+
+    def test_weak_and_strong_share_one_margin_lp(self, monkeypatch):
+        # both modes read the point's one maximised-margin LP: the second
+        # search runs no LP, and the weak witness is the strong one
+        from mosipcert import lp
+
+        p = instances.linear_tail_problem()
+        cp = CandidatePoint.build(p, [0])
+        solves = []
+        real = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or real(prog))
+        weak = gap.gap_zero_search(p, cp, gap.WEAK_MODE)
+        assert len(solves) == 1
+        strong = gap.gap_zero_search(p, cp, gap.STRONG_MODE)
+        assert len(solves) == 1
+        assert weak.lam == strong.lam and weak.xi == strong.xi
 
     def test_octagon_witnesses_match_documented_selection(self, ex2):
         p, cp = ex2
@@ -230,8 +250,18 @@ class TestWitnessChecks:
         assert gap.witness_issues(p, cp, tampered) != []
 
     def test_issues_flag_strongness_violation(self, ex1):
+        # a valid weak witness with lam = (1, 0): -(1 * -2) lies in
+        # N = cone{1}, the normal cone of S = {x <= 0} at 0
         p, cp = ex1
-        w = gap.gap_zero_search(p, cp)  # weak witness: lam = (1, 0)
+        w = gap.GapWitness(
+            mode=gap.WEAK_MODE,
+            lam=(ONE, ZERO),
+            xi=((Q(-2),), (Q(-1),)),
+            xi_coeffs=((ONE,), (ONE,)),
+            xi_vertices=tuple(tuple(cp.objective_subdiff(i)) for i in range(2)),
+            value=ZERO,
+        )
+        assert gap.witness_issues(p, cp, w) == []
         doc = json.loads(json.dumps(gap.witness_to_json(w)))
         doc["mode"] = gap.STRONG_MODE
         relabeled = gap.witness_from_json(doc)
@@ -497,3 +527,28 @@ def test_nonnegativity_and_witness_validity_on_random_instances(seed):
         assert gap.witness_issues(p, cp, out) == []
     else:
         assert out.reason
+
+
+def test_refusals_carry_the_weak_lps_farkas_vector():
+    # weak and strong ask one margin LP; when it is infeasible, both print
+    # its Farkas vector over the plain rows, which certifies the weak LP's
+    # rows, rebuilt here from vertex tables recomputed by the calculus
+    rng = random.Random("gap-farkas")
+    cases = [random_polyhedral_problem(rng) for _ in range(80)]
+    cases += [random_polyhedral_problem(rng, 5, 2, 3) for _ in range(20)]
+    refused = 0
+    for p, x in cases:
+        cp = CandidatePoint.build(p, x)
+        weak = gap.gap_zero_search(p, cp, gap.WEAK_MODE)
+        strong = gap.gap_zero_search(p, cp, gap.STRONG_MODE)
+        if isinstance(weak, gap.GapWitness):
+            # strong may refuse only for a margin of 0, with no Farkas vector
+            assert isinstance(strong, gap.GapWitness) or strong.farkas is None
+            continue
+        assert isinstance(strong, gap.GapRefusal)
+        assert strong.farkas == weak.farkas
+        tables = [subdiff(f, cp.x) for f in p.objectives]
+        _, rows = decompose_rows((ZERO,) * p.dimension, tables, [cp.N.generators])
+        assert verify_farkas(rows, weak.farkas)
+        refused += 1
+    assert refused > 20

@@ -120,24 +120,36 @@ def _descent_line() -> tuple:
 
 class TestWeak:
     def test_certificate_on_linear_tail(self, ex1):
+        # weak reads the maximised-margin LP that strong asks, so its weights
+        # are strong's: -2/2 - 1/2 + (3/4) 2 = 0
         p, cp = ex1
         cert = kkt.weak_kkt(p, cp)
         assert isinstance(cert, kkt.KktCertificate)
         assert cert.kind == kkt.WEAK
-        assert cert.alpha == (ONE, ZERO)
-        assert cert.beta == ((0, ONE),)
-        assert cert.objective_terms[0].xi == (Q(-2),)
+        assert cert.alpha == (Q(1, 2), Q(1, 2))
+        assert cert.beta == ((0, Q(3, 4)),)
+        assert [t.xi for t in cert.objective_terms] == [(Q(-2),), (Q(-1),)]
         assert cert.constraint_terms[0].zeta == (Q(2),)
         assert cert.residual() == (ZERO,)
         assert kkt.certificate_issues(p, cp, cert) == []
 
-    def test_zero_weight_selection_pins_first_vertex(self, ex1):
-        p, cp = ex1
+    def test_zero_weight_selection_pins_first_vertex(self):
+        # f1 = max(x, 2x) has subgradients 1 and 2 at 0 and f2 = 0, so every
+        # weak certificate gives f1 weight 0 (the margin is 0)
+        p = MosipProblem(
+            dimension=1,
+            objectives=[MaxAffine([([1], 0), ([2], 0)]), Affine([0], 0)],
+            constraints=FiniteFamily([Affine([1], -1)]),
+            feasible_set=HPoly(1, [((Q(1),), Q(1))]),
+        )
+        cp = CandidatePoint.build(p, [0])
         cert = kkt.weak_kkt(p, cp)
-        idle = cert.objective_terms[1]
+        idle = cert.objective_terms[0]
+        assert len(idle.vertices) == 2
         assert idle.alpha == ZERO
         assert idle.xi == idle.vertices[0]
         assert idle.coeffs[0] == ONE
+        assert kkt.certificate_issues(p, cp, cert) == []
 
     def test_separator_on_octagon(self, ex2):
         p, cp = ex2
@@ -385,7 +397,7 @@ class TestOneMembershipDecision:
         counts = self._count_solves(monkeypatch)
         out = kkt.strong_kkt(p, cp)
         assert out.certificate is not None
-        assert counts["solve"] == 2  # the tau-LP and the support-cone LP
+        assert counts["solve"] == 1  # the support-cone LP: weak kept the tau-LP
 
     def test_strong_kkt_leaves_the_lp_results_whole(self, ex1, monkeypatch):
         # the tau-LP's weights end with tau; reading it must not shorten the
@@ -419,7 +431,8 @@ class TestOneMembershipDecision:
             member = isinstance(membership(zero, verts, gens), Member)
             outcomes.add(member)
             assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
-            assert isinstance(kkt._decompose(p, cp, zero, margin=True), tuple) == member
+            obj_tables, _, cones = kkt._tables(p, cp)
+            assert isinstance(cp.margin_zero(obj_tables, cones), list) == member
             value, _ = cp.min_max(verts, gens)
             assert (value < 0) != member
             ri = member and support_cone_is_subspace_by_boxed_lps(verts, gens)

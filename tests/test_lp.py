@@ -323,6 +323,7 @@ def _count_pivots(monkeypatch) -> list:
             ["report", "alternating-affine", "--point", "0", "--verify"],
             ["gap", "alternating-affine", "--point", "0", "--nu", "2"],
             ["certify", "alternating-affine", "--point", "0", "--verify"],
+            ["quals", "alternating-affine", "--point", "0"],
         ],
         [
             ["quals", "octagon-support", "--point", "0,0"],

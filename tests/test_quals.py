@@ -447,6 +447,28 @@ def test_eadq_asks_one_lp_per_normal_of_c_off_the_rows(monkeypatch):
     assert off_rows > 0
 
 
+def test_eadq_after_wadq_asks_no_lp(monkeypatch):
+    # WADQ and EADQ ask one containment, F0 n G0 in C, which the point keeps:
+    # EADQ after WADQ reads it and runs no LP, while the containment and
+    # WADQ's Motzkin test do run LPs on these draws
+    from mosipcert import lp
+
+    rng = random.Random("wadq-probe")
+    points = [(p, CandidatePoint.build(p, x)) for p, x in (_tightened(rng) for _ in range(400))]
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
+    wadq_lps = 0
+    for p, cp in points:
+        solves.clear()
+        check("WADQ", p, cp)
+        wadq_lps += len(solves)
+        solves.clear()
+        check("EADQ", p, cp)
+        assert solves == []
+    assert wadq_lps > 0
+
+
 def _count_decompose(monkeypatch) -> list:
     from mosipcert import cones
 
@@ -608,6 +630,37 @@ def test_zero_decompositions_are_supported_on_the_decided_input(monkeypatch):
             assert len(w["points"]) + len(w["generators"]) <= p.dimension + 1
             seen[qual] += 1
     assert seen["MFCQ"] >= 10 and seen["COCQ"] >= 10, seen
+
+
+def test_cocq_reads_mfcqs_answer_when_psi_is_the_max_over_t(monkeypatch):
+    # with no override and T nonempty, psi's argmax set is T, so the max
+    # rule's set is MFCQ's union: COCQ asks MFCQ's min_max and zero
+    # decomposition over MFCQ's own input and runs no LP of its own
+    from mosipcert import lp
+
+    rng = random.Random("cocq-reads-mfcq")
+    points = [_candidate(random_polyhedral_problem(rng)[0]) for _ in range(60)]
+    solves = []
+    real = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or real(prog))
+    seen = set()
+    for cp in points:
+        p = cp.problem
+        if not cp.T:
+            continue
+        cp.psi_subdiff()  # the canonical set, which PLVCQ and KTCQ read
+        mfcq = check("MFCQ", p, cp)
+        solves.clear()
+        cocq = check("COCQ", p, cp)
+        assert solves == []
+        assert cocq.status == mfcq.status
+        if cocq.status == FAILS:
+            assert cocq.witness == mfcq.witness
+        else:
+            assert cocq.witness["direction"] == mfcq.witness["direction"]
+            assert cocq.witness["derivative_bound"] == mfcq.witness["max_inner"]
+        seen.add(cocq.status)
+    assert seen == {HOLDS, FAILS}
 
 
 @settings(max_examples=60, deadline=None)
