@@ -6,10 +6,13 @@ it solves one exact LP placing -sum_i lambda_i xi_i inside the normal cone
 N(S, x), which is equivalent to a zero value.  That LP is `cones.decompose`,
 the engine the KKT searches use: one hull block per objective vertex table
 (the block weights are lambda) and the normal-cone generators as one cone
-block; the strong mode maximizes the smallest lambda_i.  The perturbed check
-runs the same search on tilted objective subdifferentials (each shifted by
--w) for w ranging over axis points and deterministic near-sphere samples of
-a nu-ball.
+block, maximising the smallest lambda_i, tau.  Any weights give a weak zero,
+and weights with tau > 0 a strong one, so both modes read one LP, kept at
+the point (`CandidatePoint.margin_zero`); when it is infeasible, both print
+its Farkas vector over the plain rows.  The perturbed check runs the same
+search on tilted objective subdifferentials (each shifted by -w), asking
+`decompose` with margin directly, for w ranging over axis points and
+deterministic near-sphere samples of a nu-ball.
 
 Every emitted zero is proved by active-row multipliers, with no LP
 (`_row_multipliers`): the cone weights over N's generators become eta >= 0
@@ -175,7 +178,8 @@ class GapRefusal:
 
 def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
     """Joint LP over per-objective coefficients mu_ij and normal-cone weights:
-    sum_ij mu_ij (v_ij - tilt) + sum_g w_g g = 0 with sum mu = 1.
+    sum_ij mu_ij (v_ij - tilt) + sum_g w_g g = 0 with sum mu = 1, maximising
+    the least lambda_i = sum_j mu_ij; the strong mode needs it positive.
 
     The reduction: the gap vanishes at cp.x iff -sum_i lambda_i xi_i lies in
     N(S, cp.x).  The weights w_g prove the zero as active-row multipliers

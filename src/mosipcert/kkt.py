@@ -4,12 +4,15 @@ The three certificate searches share one exact decomposition engine,
 `cones.decompose`: a target vector w is written as
 sum_i alpha_i xi_i + sum_t beta_t zeta_t with xi_i in the i-th objective
 subdifferential and zeta_t in the subdifferential of the t-th active
-constraint.  Weak takes w = 0, strong additionally pushes every alpha_i above
-a maximized margin, perturbed decomposes the scaled axis points of a
-certified ball inside F*(x) + G*(x).  Weak and strong share one decision of
-0 in F* + G*, the point's min-max LP over the canonical F* vertices and G*
-generators (`CandidatePoint.min_max`): a strictly separating direction is
-the separator, and the grouped LP runs only when there is none.
+constraint.  Weak and strong take w = 0, perturbed decomposes the scaled
+axis points of a certified ball inside F*(x) + G*(x).  Weak and strong share
+one decision of 0 in F* + G*, the point's min-max LP over the canonical F*
+vertices and G* generators (`CandidatePoint.min_max`): a strictly separating
+direction is the separator.  When there is none, both read one grouped
+decomposition of 0 that maximises the least alpha_i, tau
+(`CandidatePoint.margin_zero`): its weights are a weak certificate, and a
+strong one when tau > 0.  Weak drops tau, so its certificate is strong's
+whenever one exists, and `weak_kkt` alone still asks one grouped LP.
 """
 
 from __future__ import annotations

@@ -478,9 +478,11 @@ class CandidatePoint:
       rational points (PMFCQ);
     * ``min_max(points, gens)``, the one separation LP, keyed by its input:
       it decides 0 in conv(points) + cone(gens) and gives the separating
-      direction when 0 is outside (MFCQ, PMFCQ and COCQ over their subgradient
-      unions; weak and strong KKT over the canonical F* vertices and G*
-      generators, which WADQ shares unless the G-polar has a closed form);
+      direction when 0 is outside (MFCQ and PMFCQ over their subgradient
+      unions, and COCQ over MFCQ's when psi has no override and T is not
+      empty, since psi's argmax set is then T; weak and strong KKT over the
+      canonical F* vertices and G* generators, which WADQ shares unless the
+      G-polar has a closed form);
     * ``zero_decomposition(points, gens)``, beside it under the same input:
       the weights writing 0 over conv(points) + cone(gens) when `min_max`
       finds 0 inside (the Fails witness of MFCQ and COCQ, which share one
