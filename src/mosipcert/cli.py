@@ -203,12 +203,6 @@ def _quals_section(p, cp, config) -> tuple:
     return doc, lines, reports, violations
 
 
-def _separator_json(sep: kkt.KktSeparator) -> dict:
-    return jsonify(
-        {"kind": "separator", "direction": list(sep.direction), "gap": sep.gap}
-    )
-
-
 def _certify_section(p, cp) -> tuple:
     weak = kkt.weak_kkt(p, cp)
     strong = kkt.strong_kkt(p, cp)
@@ -221,7 +215,7 @@ def _certify_section(p, cp) -> tuple:
     doc = {
         "weak": kkt.certificate_to_json(weak)
         if isinstance(weak, kkt.KktCertificate)
-        else _separator_json(weak),
+        else kkt.separator_to_json(weak),
         "strong": {
             "tau": jsonify(strong.tau),
             "ri_zero": strong.ri_zero,
@@ -231,7 +225,7 @@ def _certify_section(p, cp) -> tuple:
             else kkt.certificate_to_json(strong.certificate),
             "separator": None
             if strong.separator is None
-            else _separator_json(strong.separator),
+            else kkt.separator_to_json(strong.separator),
         },
         "perturbed": kkt.perturbed_to_json(perturbed),
         "isolation_inclusion": jsonify(isolation),
@@ -327,44 +321,42 @@ def _render(doc: dict, lines: list, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _axis_issues(p, cp, report) -> list:
+    return [issue for cert in report.axis_certificates for issue in kkt.certificate_issues(p, cp, cert)]
+
+
+# (parse, verify, serialise) of each kind of emitted witness
+_CERTIFICATE = (kkt.certificate_from_json, kkt.certificate_issues, kkt.certificate_to_json)
+_SEPARATOR = (kkt.separator_from_json, kkt.separator_issues, kkt.separator_to_json)
+_PERTURBED = (kkt.perturbed_from_json, _axis_issues, kkt.perturbed_to_json)
+_GAP_WITNESS = (gap_mod.witness_from_json, gap_mod.witness_issues, gap_mod.witness_to_json)
+
+
 def _verify_certificates(p, cp, doc: dict) -> None:
-    """Re-parse the emitted JSON and re-run every verifier; failures are
-    internal inconsistencies, never user errors."""
-    issues = []
-    text = json.dumps(doc, sort_keys=True)
-    parsed = json.loads(text)
+    """Re-parse the emitted JSON and re-run every verifier on each witness,
+    which must also re-serialize bit-exactly; failures are internal
+    inconsistencies, never user errors."""
+    parsed = json.loads(json.dumps(doc, sort_keys=True))
     kkt_doc = parsed.get("kkt", parsed)
+    strong, gap_doc = kkt_doc.get("strong", {}), parsed.get("gap", {})
     weak = kkt_doc.get("weak")
-    if weak and "separator" not in str(weak.get("kind", "")):
-        cert = kkt.certificate_from_json(weak)
-        issues += kkt.certificate_issues(p, cp, cert)
-        if kkt.certificate_to_json(cert) != weak:
-            issues.append("weak certificate does not re-serialize bit-exactly")
-    strong = kkt_doc.get("strong", {})
-    if strong.get("certificate"):
-        cert = kkt.certificate_from_json(strong["certificate"])
-        issues += kkt.certificate_issues(p, cp, cert)
-        if kkt.certificate_to_json(cert) != strong["certificate"]:
-            issues.append("strong certificate does not re-serialize bit-exactly")
-    perturbed = kkt_doc.get("perturbed")
-    if perturbed:
-        report = kkt.perturbed_from_json(perturbed)
-        for cert in report.axis_certificates:
-            issues += kkt.certificate_issues(p, cp, cert)
-        if kkt.perturbed_to_json(report) != perturbed:
-            issues.append("perturbed report does not re-serialize bit-exactly")
-    gap_doc = parsed.get("gap", {})
-    for mode in ("weak", "strong"):
-        entry = gap_doc.get(mode)
-        if entry and entry.get("witness"):
-            witness = gap_mod.witness_from_json(entry["witness"])
-            issues += gap_mod.witness_issues(p, cp, witness)
-            if gap_mod.witness_to_json(witness) != entry["witness"]:
-                issues.append(f"gap {mode} witness does not re-serialize bit-exactly")
+    weak_sep = bool(weak) and weak["kind"] == "separator"
+    entries = [
+        ("weak separator" if weak_sep else "weak certificate", weak, _SEPARATOR if weak_sep else _CERTIFICATE),
+        ("strong certificate", strong.get("certificate"), _CERTIFICATE),
+        ("strong separator", strong.get("separator"), _SEPARATOR),
+        ("perturbed report", kkt_doc.get("perturbed"), _PERTURBED),
+        *((f"gap {m} witness", (gap_doc.get(m) or {}).get("witness"), _GAP_WITNESS) for m in ("weak", "strong")),
+    ]
+    issues = []
+    for label, entry, (parse, verify, serialise) in entries:
+        if entry:
+            witness = parse(entry)
+            issues += [f"{label}: {issue}" for issue in verify(p, cp, witness)]
+            if serialise(witness) != entry:
+                issues.append(f"{label} does not re-serialize bit-exactly")
     if issues:
-        raise InternalInconsistencyError(
-            "re-verification failed: " + "; ".join(issues)
-        )
+        raise InternalInconsistencyError("re-verification failed: " + "; ".join(issues))
 
 
 def run(config: RunConfig) -> tuple:

@@ -5,21 +5,18 @@ interior tests.
 Every question of the form "is the target a convex combination of these
 points plus a conic combination of these generators" is one call to
 `decompose`, the package's only decomposition LP: the pruning of the
-constructors, `contains`, `cone_member`, `subspace_escape`, the first LP of
-`membership` (whose one caller, `gap.gap_eval`, checks each subgradient
-selection against the points and rays of `funcs.subdiff_set`), the zero
-decomposition that refutes MFCQ and COCQ
-(`problem.CandidatePoint.zero_decomposition`), the KKT searches in `kkt`,
-the gap zero search in `gap` and the axis steps of `zero_interior`'s radius
-above dimension 3.  `hull_terms` reads its weights back per block
-of points.  When no weights exist, the Farkas vector of the infeasible LP is
-a direction (`_escape_of`): `subspace_escape` and `normal_escape` return it
-as their witness, Clarkson's algorithm steers by it, and the cone form slices
-a pointed cone with it.  Its converse, "which
-direction strictly separates 0 from conv(points) + cone(generators)", is one
-call to `min_max_direction`, the only separation LP: `membership` shifts the
-points by the target, MFCQ, PMFCQ and COCQ read their directions off it, and
-weak and strong KKT decide 0 in F* + G* with it.
+constructors, `contains`, `cone_member`, `subspace_escape`, `membership`
+(whose one caller is `gap.gap_eval`), the zero questions of the checkers and
+of KKT (`problem.CandidatePoint.zero_decomposition`), the KKT searches, the
+gap zero search and the axis steps of `zero_interior`'s radius above
+dimension 3.  `hull_terms` reads its weights back per block of points.
+When no weights exist, the Farkas vector of the infeasible LP is a
+direction (`_escape_of`): `subspace_escape` and `normal_escape` return it,
+Clarkson's algorithm steers by it, and the cone form slices a pointed cone
+with it.  Over conv(points) + cone(generators) it strictly separates the
+target (Farkas, Motzkin; `strict_direction`), so one LP decides and
+separates: `membership`, MFCQ, PMFCQ, COCQ, WADQ and KKT read their
+separating directions so.
 
 Interior and containment ask no boxed LP.  0 is interior to conv(V) +
 cone(R) exactly when V u R positively spans n-space (Davis 1954): rank n,
@@ -123,16 +120,6 @@ def _primitive_ints(ints) -> tuple:
 
 def _unit(dim: int, j: int, scale=ONE) -> tuple:
     return tuple(scale if i == j else ZERO for i in range(dim))
-
-
-def box_rows(dim: int, extra: int = 0) -> list:
-    """-1 <= d_j <= 1 for the first `dim` of `dim + extra` variables."""
-    rows = []
-    for j in range(dim):
-        e = list(_unit(dim + extra, j))
-        rows.append((e, lp.LE, ONE))
-        rows.append((list(e), lp.GE, -ONE))
-    return rows
 
 
 def _extreme_points(points) -> list:
@@ -265,9 +252,9 @@ def decompose(target, hulls, cones=(), margin=False):
     """Nonnegative weights writing `target` as a combination of the columns
     of `hulls` and `cones` (each a sequence of blocks of vectors) whose hull
     weights sum to 1.  This is the one decomposition LP of the package:
-    pruning, membership, the zero decomposition of MFCQ and COCQ, the KKT
-    searches, the gap zero search and the axis steps of the interior radius
-    all call it.
+    pruning, membership, the zero questions of the checkers and of KKT, the
+    KKT searches, the gap zero search and the axis steps of the interior
+    radius all call it.
 
     Rows, in this order: one equality per coordinate, columns in block order
     with the hull blocks first; the simplex row over every hull column (only
@@ -615,8 +602,8 @@ class NotMember:
 
 def membership(p, points, gens):
     """Exact decomposition of p over conv(points) + cone(gens), or a verified
-    separating functional: `min_max_direction` over the shifted points
-    v - p, whose value is < 0 exactly when p is outside."""
+    separating functional: one `decompose`, whose Farkas vector, when p is
+    outside, gives `strict_direction` over the shifted points v - p."""
     p = vec_q(p)
     if not points:
         return NotMember(separator=tuple(ZERO for _ in p), gap=ZERO)
@@ -625,30 +612,22 @@ def membership(p, points, gens):
         nv = len(points)
         return Member(alpha=tuple(res[:nv]), mu=tuple(res[nv:]))
     shifted = [tuple(c - q for c, q in zip(v, p)) for v in points]
-    value, h = min_max_direction(shifted, gens, len(p))
-    if not value < 0:
-        raise InternalInconsistencyError("the min-max LP must certify exclusion")
+    value, h = strict_direction(shifted, res, len(p))
     return NotMember(separator=h, gap=-value)
 
 
-def min_max_direction(points, gens, dim: int) -> tuple:
-    """min over d in the unit box of max_v v'd subject to r'd <= 0 for the
-    generators r: the package's one separation LP.  Returns (value, d).  The
-    value is <= 0 (d = 0 is feasible), and it is < 0 exactly when d strictly
-    separates 0 from conv(points) + cone(gens) (positive homogeneity makes
-    the box harmless)."""
-    if not points:
-        raise ValueError("min-max over an empty point set")
-    rows = [(list(v) + [-ONE], lp.LE, ZERO) for v in points]
-    rows += [(list(r) + [ZERO], lp.LE, ZERO) for r in gens]
-    rows += box_rows(dim, 1)
-    obj = [ZERO] * dim + [-ONE]
-    res = lp.solve(lp.LinearProgram(dim + 1, obj, rows))
-    if not isinstance(res, lp.Optimal):
-        raise InternalInconsistencyError(
-            "the min-max LP has no optimum although d = 0 is feasible and the box bounds it"
-        )
-    return -res.value, tuple(res.primal[:dim])
+def strict_direction(points, res, dim: int) -> tuple:
+    """(max_v v'd, d) for the direction d of `res`, an infeasible `decompose`
+    of t over conv(P) + cone(R) in dim-space, with `points` the shifted points
+    v - t of P: `_escape_of` less its simplex entry, so v'd < 0 on the points
+    and r'd <= 0 on R, scaled into the unit box, max_j |d_j| = 1.  Raises
+    `InternalInconsistencyError` unless the value is < 0."""
+    d = _escape_of(res, dim + 1)[:dim]
+    value = max((qdot(v, d) for v in points), default=ZERO)
+    if not value < 0:
+        raise InternalInconsistencyError("the Farkas direction must be strictly negative on the points")
+    top = max(abs(c) for c in d)
+    return value / top, tuple(c / top for c in d)
 
 
 def cone_member(p, c: FGCone) -> Optional[list]:

@@ -6,12 +6,12 @@ sum_i alpha_i xi_i + sum_t beta_t zeta_t with xi_i in the i-th objective
 subdifferential and zeta_t in the subdifferential of the t-th active
 constraint.  Weak and strong take w = 0, perturbed decomposes the scaled
 axis points of a certified ball inside F*(x) + G*(x).  Weak and strong share
-one decision of 0 in F* + G*, the point's min-max LP over the canonical F*
-vertices and G* generators (`CandidatePoint.min_max`): a strictly separating
-direction is the separator.  When there is none, both read one grouped
-decomposition of 0 that maximises the least alpha_i, tau
-(`CandidatePoint.margin_zero`): its weights are a weak certificate, and a
-strong one when tau > 0.  Weak drops tau, so its certificate is strong's
+one decision of 0 in F* + G*, the point's `decompose` of 0 over the
+canonical F* vertices and G* generators (`CandidatePoint.zero_decomposition`,
+which WADQ shares): with no weights, its Farkas direction is the separator.
+Only when 0 is inside do both read one grouped decomposition of 0 that
+maximises the least alpha_i, tau (`CandidatePoint.margin_zero`): its
+weights are a weak certificate, and a strong one when tau > 0.  Weak drops tau, so its certificate is strong's
 whenever one exists, and `weak_kkt` alone still asks one grouped LP.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .cones import decompose, hull_terms
+from .cones import decompose, hull_terms, strict_direction
 from .errors import InternalInconsistencyError, ParseError
 from .funcs import subdiff, subdiff_set
 from .problem import (
@@ -30,7 +30,7 @@ from .problem import (
     g_data_provenance,
 )
 from .quals import DEFAULT_EPS_GRID, HOLDS, QualReport
-from .rationals import ONE, ZERO, Q, as_q, json_int, jsonify, lincomb, q_from_pair
+from .rationals import ONE, ZERO, Q, as_q, json_int, jsonify, lincomb, q_from_pair, qdot
 
 WEAK = "Weak"
 STRONG = "Strong"
@@ -186,11 +186,15 @@ def _conic_point(coeffs, vertices, ray_coeffs, rays, n) -> tuple:
 
 
 def _separator(cp: CandidatePoint) -> Optional[KktSeparator]:
-    """The separator of 0 from F* + G*, or None when 0 is in it: the point's
-    min-max LP over the canonical F* vertices and G* generators, which weak
-    and strong KKT share."""
-    value, d = cp.min_max(cp.F_star.vertices, cp.G_star.generators)
-    return KktSeparator(direction=d, gap=-value) if value < 0 else None
+    """The separator of 0 from F* + G*, or None when 0 is in it: the
+    direction of the point's `zero_decomposition` over the canonical F*
+    vertices and G* generators, which weak and strong KKT share."""
+    verts = cp.F_star.vertices
+    res = cp.zero_decomposition(verts, cp.G_star.generators)
+    if isinstance(res, list):
+        return None
+    value, d = strict_direction(verts, res, cp.problem.dimension)
+    return KktSeparator(direction=d, gap=-value)
 
 
 def _zero_terms(p: MosipProblem, cp: CandidatePoint) -> tuple:
@@ -201,10 +205,7 @@ def _zero_terms(p: MosipProblem, cp: CandidatePoint) -> tuple:
     obj_tables, active_tables, cones = _tables(p, cp)
     res = cp.margin_zero(obj_tables, cones)
     if not isinstance(res, list):
-        raise InternalInconsistencyError(
-            "no direction separates 0 from the canonical F* + G*, yet the "
-            "grouped tables do not decompose it"
-        )
+        raise InternalInconsistencyError("the grouped tables miss a 0 that F* + G* holds")
     # read tau without mutating `res`, which the point keeps
     return (*_group_terms(res[:-1], obj_tables, active_tables, p.dimension), res[-1])
 
@@ -450,6 +451,27 @@ def certificate_issues(p: MosipProblem, cp: CandidatePoint, cert: KktCertificate
     return issues
 
 
+def separator_issues(p: MosipProblem, cp: CandidatePoint, sep: KktSeparator) -> list:
+    """Every defect of `sep` as a witness that 0 is outside F* + G*, by
+    substitution into tables recomputed from the problem at cp.x, not read
+    from the store: gap > 0, h'v <= -gap on every objective vertex, and
+    h'w <= 0 on every active constraint's vertices and rays."""
+    h, n = sep.direction, p.dimension
+    if len(h) != n:
+        return [f"separator has {len(h)} coordinates, problem has {n}"]
+    issues = []
+    if not sep.gap > 0:
+        issues.append(f"separator gap {sep.gap} is not positive")
+    for i, f in enumerate(p.objectives):
+        if any(qdot(h, v) > -sep.gap for v in subdiff(f, cp.x)):
+            issues.append(f"objective {i}: a vertex has h'v > -gap")
+    for t in cp.T:
+        points, rays = subdiff_set(p.constraint(t), cp.x)
+        if any(qdot(h, w) > 0 for w in points + rays):
+            issues.append(f"constraint {t}: a vertex or ray has h'w > 0")
+    return issues
+
+
 # ---------------------------------------------------------------------------
 # Serialization ([num, den] rationals throughout)
 
@@ -515,6 +537,17 @@ def certificate_from_json(doc: dict) -> KktCertificate:
         return KktCertificate(kind, tuple(map(q_from_pair, doc["target"])), oterms, cterms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate document: {exc}") from exc
+
+
+def separator_to_json(sep: KktSeparator) -> dict:
+    return jsonify({"kind": "separator", "direction": list(sep.direction), "gap": sep.gap})
+
+
+def separator_from_json(doc: dict) -> KktSeparator:
+    try:
+        return KktSeparator(tuple(map(q_from_pair, doc["direction"])), q_from_pair(doc["gap"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed separator document: {exc}") from exc
 
 
 def perturbed_to_json(report: PerturbedKktReport) -> dict:

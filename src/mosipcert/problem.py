@@ -35,7 +35,6 @@ from .cones import (
     _pruned_rays,
     contains,
     decompose,
-    min_max_direction,
     normal_escape,
     polar,
     subspace_escape,
@@ -473,21 +472,19 @@ class CandidatePoint:
       entry per index set, which `build` reads for G (over T) and
       ``psi_subdiff()`` for the max rule (over the argmax set, T when
       max g = 0);
-    * ``union_min_max(eps)``, `min_max` over that union, kept per
-      eps-active set too, so a long eps grid hashes index tuples, not
-      rational points (PMFCQ);
-    * ``min_max(points, gens)``, the one separation LP, keyed by its input:
-      it decides 0 in conv(points) + cone(gens) and gives the separating
-      direction when 0 is outside (MFCQ and PMFCQ over their subgradient
-      unions, and COCQ over MFCQ's when psi has no override and T is not
-      empty, since psi's argmax set is then T; weak and strong KKT over the
-      canonical F* vertices and G* generators, which WADQ shares unless the
-      G-polar has a closed form);
-    * ``zero_decomposition(points, gens)``, beside it under the same input:
-      the weights writing 0 over conv(points) + cone(gens) when `min_max`
-      finds 0 inside (the Fails witness of MFCQ and COCQ, which share one
-      input when psi's subdifferential is MFCQ's union, and WADQ's vacuous
-      Holds witness);
+    * ``zero_decomposition(points, gens)``, keyed by its input: `decompose`
+      of 0 over conv(points) + cone(gens), the one LP that decides and
+      separates: the weights (the Fails witness of MFCQ and COCQ, WADQ's
+      vacuous Holds witness), or the `lp.Infeasible` whose direction
+      (`cones.strict_direction`) separates (the Holds direction of MFCQ,
+      PMFCQ and COCQ, WADQ's strict direction, the KKT separator).  It is
+      asked over MFCQ's and PMFCQ's subgradient unions, which COCQ reads
+      when psi has no override and T is not empty (psi's argmax set is then
+      T), and over the canonical F* vertices and G* generators, which weak
+      and strong KKT share, and WADQ unless the G-polar has a closed form;
+    * ``union_zero(eps)``, `zero_decomposition` over `subgradient_union(eps)`,
+      kept per eps-active set too, so a long eps grid hashes index tuples,
+      not rational points (PMFCQ);
     * ``margin_zero(hulls, cones)``, keyed by its input too: the
       maximised-margin `decompose` of 0 over hull and cone blocks, the one
       answer to a weak and a strong zero question (weak and strong KKT over
@@ -657,19 +654,11 @@ class CandidatePoint:
             lambda: zero_interior(self.problem.dimension, self.F_star.vertices, gens, escape),
         )
 
-    def min_max(self, points, gens) -> tuple:
-        """`min_max_direction` over the points and generators, (value, d),
-        kept under its input: value < 0 exactly when d strictly separates 0
-        from conv(points) + cone(gens)."""
-        return self._kept(
-            ("min_max", tuple(points), tuple(gens)),
-            lambda: min_max_direction(points, gens, self.problem.dimension),
-        )
-
     def zero_decomposition(self, points, gens):
-        """`decompose` of 0 over conv(points) + cone(gens), kept beside
-        `min_max` under the same input: a basic solution, so at most n + 1
-        weights are positive (Caratheodory), or the LP's `lp.Infeasible`."""
+        """`decompose` of 0 over conv(points) + cone(gens), kept under its
+        input: a basic solution, so at most n + 1 weights are positive
+        (Caratheodory), or the LP's `lp.Infeasible`, whose Farkas vector
+        gives the direction of `cones.strict_direction`."""
         return self._kept(
             ("zero_decomposition", tuple(points), tuple(gens)),
             lambda: decompose((ZERO,) * self.problem.dimension, [points], [gens]),
@@ -705,11 +694,12 @@ class CandidatePoint:
         subgradient inequality here)."""
         return _kept_union(self.derived, tuple(self.active(eps)), self.constraint_subdiff)
 
-    def union_min_max(self, eps) -> tuple:
-        """`min_max` over `subgradient_union(eps)`, kept per eps-active set."""
+    def union_zero(self, eps):
+        """`zero_decomposition` over `subgradient_union(eps)`, kept per
+        eps-active set."""
         return self._kept(
-            ("union_min_max", tuple(self.active(eps))),
-            lambda: self.min_max(*self.subgradient_union(eps)),
+            ("union_zero", tuple(self.active(eps))),
+            lambda: self.zero_decomposition(*self.subgradient_union(eps)),
         )
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import HCone, cone_member, contains, span_rank
+from .cones import HCone, cone_member, contains, span_rank, strict_direction
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -101,16 +101,11 @@ class QualReport:
 # shared machinery
 
 
-def _zero_decomposition(cp, points, gens) -> dict:
+def _zero_decomposition(points, gens, weights) -> dict:
     """0 as a convex combination of the points plus a conic one of the
-    generators, where `cp.min_max` found no strictly negative direction: the
-    support of the point's `zero_decomposition`, at most n + 1 entries in
-    input order.  It persists under any extension of the point set."""
-    weights = cp.zero_decomposition(points, gens)
-    if not isinstance(weights, list):
-        raise InternalInconsistencyError(
-            "no strictly negative direction exists, yet 0 is not in the hull"
-        )
+    generators: the support of the point's `zero_decomposition` weights, at
+    most n + 1 entries in input order.  It persists under any extension of
+    the point set."""
     alpha, mu = weights[: len(points)], weights[len(points) :]
     return {
         "kind": "zero_decomposition",
@@ -301,14 +296,15 @@ def _check_mfcq(p, cp):
             "the active subgradient union is empty; the definition's fallback clause applies",
         )
     base, rec = cp.subgradient_union(ZERO)
-    value, d = cp.min_max(base, rec)
-    if value < 0:
+    res = cp.zero_decomposition(base, rec)
+    if not isinstance(res, list):
+        value, d = strict_direction(base, res, p.dimension)
         witness = {"kind": "direction", "direction": d, "max_inner": value}
         note = "strictly negative direction against every active subgradient"
         if prov != EXACT:
             note += "; union taken over the truncated data"
         return QualReport("MFCQ", HOLDS, prov, witness, note)
-    witness = _zero_decomposition(cp, base, rec)
+    witness = _zero_decomposition(base, rec, res)
     return QualReport(
         "MFCQ",
         FAILS,
@@ -322,7 +318,7 @@ def _check_pmfcq(p, cp, eps_grid):
     prov = g_data_provenance(p, cp.x)
     finite = not p.truncated
     grid = (ZERO,) if finite else tuple(eps_grid)
-    values = []
+    asked = []
     for eps in grid:
         base, rec = cp.subgradient_union(eps)
         if not base and not rec:
@@ -334,17 +330,18 @@ def _check_pmfcq(p, cp, eps_grid):
                 witness,
                 "the eps-active subgradient union is empty, so its supremum is -infinity",
             )
-        value, d = cp.union_min_max(eps)
-        values.append((eps, value))
-        if value < 0:
+        res = cp.union_zero(eps)
+        if not isinstance(res, list):
+            value, d = strict_direction(base, res, p.dimension)
             witness = {"kind": "grid_certificate", "eps": eps, "direction": d, "value": value}
             note = "supremum over the eps-active subgradient union is strictly negative"
             if prov != EXACT:
                 note += " (truncated union)"
             return QualReport("PMFCQ", HOLDS, prov, witness, note)
+        asked.append(eps)
+    # 0 decomposed at every eps asked, so each min-max value is exactly 0
     if finite:
-        eps, value = values[-1]
-        witness = {"kind": "stabilized_value", "value": value}
+        witness = {"kind": "stabilized_value", "value": ZERO}
         return QualReport(
             "PMFCQ",
             FAILS,
@@ -356,7 +353,7 @@ def _check_pmfcq(p, cp, eps_grid):
         "PMFCQ",
         UNDECIDABLE,
         prov,
-        {"kind": "grid_values", "values": [[e, v] for e, v in values]},
+        {"kind": "grid_values", "values": [[eps, ZERO] for eps in asked]},
         "every grid epsilon gave a nonnegative value; the infimum over eps cannot be exhausted",
     )
 
@@ -400,11 +397,12 @@ def _check_cocq(p, cp):
             # the argmax set is T, so the max rule's set is MFCQ's union:
             # ask MFCQ's question over its own input
             points, rays = cp.subgradient_union(ZERO)
-        value, d = cp.min_max(points, rays)
-        if value < 0:
+        res = cp.zero_decomposition(points, rays)
+        if not isinstance(res, list):
+            value, d = strict_direction(points, res, p.dimension)
             witness = {"kind": "direction", "direction": d, "derivative_bound": value}
             return QualReport("COCQ", HOLDS, prov, witness, "direction with strictly negative envelope derivative")
-        witness = _zero_decomposition(cp, points, rays)
+        witness = _zero_decomposition(points, rays, res)
         return QualReport("COCQ", FAILS, prov, witness, "0 lies in the envelope subdifferential, so no descent direction exists")
     # empty subdifferential: only the one-variable NegSqrtParabola1D override
     # has one (at its domain boundary), so probe its closed-form directional
@@ -524,10 +522,11 @@ def _check_wadq(p, cp):
     if escape is None:
         witness = {"kind": "containment", "lhs_normals": rows, "rhs_normals": cp.C.normals}
         return QualReport("WADQ", HOLDS, prov, witness, f"every direction of the polar intersection is a feasible direction ({source})")
-    value, strict = cp.min_max(cp.F_star.vertices, g0.normals)
-    if value >= 0:
-        witness = _zero_decomposition(cp, cp.F_star.vertices, g0.normals)
+    res = cp.zero_decomposition(cp.F_star.vertices, g0.normals)
+    if isinstance(res, list):
+        witness = _zero_decomposition(cp.F_star.vertices, g0.normals, res)
         return QualReport("WADQ", HOLDS, prov, witness, f"no direction of the G-polar strictly decreases every objective; the containment is vacuous ({source})")
+    _, strict = strict_direction(cp.F_star.vertices, res, p.dimension)
     # strict + lam * d stays strict and in G0, and t'(strict + lam * d) >= t'd > 0
     t, d = escape
     lam = ONE + max(ZERO, -qdot(t, strict)) / qdot(t, d)

@@ -22,7 +22,11 @@ Gauss-Jordan elimination that the integer elimination of `cones` replaced;
 `reference_dd_convert` reads its lineality basis with it.
 `greedy_vertices` runs the greedy loop that Clarkson's algorithm replaced
 in `Polytope`.  `reference_separate` is the separation LP that
-`cones.min_max_direction` replaced in `membership`.  `boxed_max` is the
+`membership` ran before its first LP separated too, and `reference_min_max`
+the boxed min-max LP that decided and separated 0 from conv(points) +
+cone(generators) for MFCQ, PMFCQ, COCQ, WADQ, KKT and `membership` before
+`cones.strict_direction` read each direction off `decompose`'s Farkas
+vector; `box_rows` is the unit box both ask.  `boxed_max` is the
 boxed H-cone LP that `zero_interior` and the H-cone branch of
 `cones.contains` ran before positive spanning and Farkas multipliers took
 its place: `reference_nontrivial_direction` and `reference_hcone_contains`
@@ -47,7 +51,6 @@ from mosipcert.cones import (
     ZeroInterior,
     _primitive_ints,
     _unit,
-    box_rows,
     contains,
     dd_convert,
 )
@@ -93,6 +96,16 @@ def reference_row_reduce(rows, ncols: int) -> list:
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
         pivots.append(col)
     return pivots
+
+
+def box_rows(dim: int, extra: int = 0) -> list:
+    """-1 <= d_j <= 1 for the first `dim` of `dim + extra` variables."""
+    rows = []
+    for j in range(dim):
+        e = list(_unit(dim + extra, j))
+        rows.append((e, lp.LE, ONE))
+        rows.append((list(e), lp.GE, -ONE))
+    return rows
 
 
 def _prune(kept: list, redundant) -> list:
@@ -229,7 +242,7 @@ def _minus_projection(g, ortho) -> tuple:
 def reference_separate(p, verts, gens):
     """The separating functional of a point p from the nonempty set
     conv(verts) + cone(gens), or None when p is in it: the separation LP
-    `membership` ran before `cones.min_max_direction` took its place.
+    `membership` ran before `reference_min_max` took its place.
 
     LP: max t with h'p - h'v >= t for all vertices, h'r <= 0 for all
     generators, |h|_inf <= 1.  The optimum is positive exactly when p is
@@ -247,6 +260,22 @@ def reference_separate(p, verts, gens):
     h = tuple(out.primal[:dim])
     sup = max(qdot(h, v) for v in verts)
     return NotMember(separator=h, gap=qdot(h, p) - sup)
+
+
+def reference_min_max(points, gens, dim: int) -> tuple:
+    """min over d in the unit box of max_v v'd subject to r'd <= 0 for the
+    generators r: (value, d).  The value is <= 0 (d = 0 is feasible), and it
+    is < 0 exactly when d strictly separates 0 from conv(points) +
+    cone(gens) (positive homogeneity makes the box harmless)."""
+    if not points:
+        raise ValueError("min-max over an empty point set")
+    rows = [(list(v) + [-ONE], lp.LE, ZERO) for v in points]
+    rows += [(list(r) + [ZERO], lp.LE, ZERO) for r in gens]
+    rows += box_rows(dim, 1)
+    res = lp.solve(lp.LinearProgram(dim + 1, [ZERO] * dim + [-ONE], rows))
+    if not isinstance(res, lp.Optimal):
+        raise AssertionError("d = 0 is feasible and the box bounds the min-max LP")
+    return -res.value, tuple(res.primal[:dim])
 
 
 def contains_across(a, b) -> ContainsResult:

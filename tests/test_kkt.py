@@ -15,6 +15,7 @@ from mosipcert.cones import (
     NotMember,
     Polytope,
     membership,
+    strict_direction,
     subspace_escape,
 )
 from mosipcert.errors import InternalInconsistencyError, ParseError
@@ -22,7 +23,7 @@ from mosipcert.funcs import Affine, HPoly, MaxAffine
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
 from mosipcert.rationals import ONE, ZERO, Q, qdot
 
-from helpers_cones import boxed_max
+from helpers_cones import boxed_max, reference_min_max
 from helpers_instances import random_polyhedral_problem
 
 
@@ -303,9 +304,10 @@ class TestRelativeInteriorZero:
 
 class TestOneMembershipDecision:
     """weak_kkt and strong_kkt share one decision of 0 in F* + G*, the
-    candidate point's min-max LP over the canonical F* vertices and G*
-    generators, run once per point: its direction is the separator when 0 is
-    outside, and the grouped LP runs only when 0 is inside."""
+    candidate point's `zero_decomposition` over the canonical F* vertices and
+    G* generators, asked once per point: it answers the min-max question, and
+    the direction read off its Farkas vector is the separator when 0 is
+    outside; the grouped LP runs only when 0 is inside."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -363,22 +365,25 @@ class TestOneMembershipDecision:
         assert counts["solve"] == 3
 
     def test_octagon_weak_and_strong_never_build_the_grouped_lp(self, ex2, monkeypatch):
-        # the min-max LP has one column per coordinate plus one, while the
-        # grouped tables have 50 columns
+        # the decision LP has one column per canonical F* vertex and G*
+        # generator, while the grouped tables have 50 columns
         p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
         weak = kkt.weak_kkt(p, cp)
         assert counts["solve"] == 1
         strong = kkt.strong_kkt(p, cp)
         assert counts["solve"] == 1  # the decision is not asked again
-        assert counts["columns"] == [p.dimension + 1]
+        verts, gens = cp.F_star.vertices, cp.G_star.generators
+        obj_tables, _, cones = kkt._tables(p, cp)
+        grouped = sum(map(len, obj_tables)) + sum(map(len, cones))
+        assert counts["columns"] == [len(verts) + len(gens)] and grouped == 50
         assert strong.separator == weak
-        key = ("min_max", cp.F_star.vertices, cp.G_star.generators)
-        assert cp.derived[key] is cp.min_max(cp.F_star.vertices, cp.G_star.generators)
+        key = ("zero_decomposition", verts, gens)
+        assert cp.derived[key] is cp.zero_decomposition(verts, gens)
 
     @pytest.mark.parametrize("weak_first", [True, False])
     def test_weak_and_strong_share_the_separator(self, ex2, monkeypatch, weak_first):
-        # whichever asks first runs the min-max LP; the other reads it off
+        # whichever asks first runs the decision LP; the other reads it off
         # the point
         p, cp = self._fresh(ex2)
         counts = self._count_solves(monkeypatch)
@@ -388,7 +393,9 @@ class TestOneMembershipDecision:
         assert counts["solve"] == 1
         assert second(p, cp) == separator
         assert counts["solve"] == 1
-        value, d = cp.min_max(cp.F_star.vertices, cp.G_star.generators)
+        verts = cp.F_star.vertices
+        res = cp.zero_decomposition(verts, cp.G_star.generators)
+        value, d = strict_direction(verts, res, p.dimension)
         assert separator == kkt.KktSeparator(direction=d, gap=-value)
 
     def test_weak_and_strong_share_the_decision(self, ex1, monkeypatch):
@@ -433,7 +440,8 @@ class TestOneMembershipDecision:
             assert isinstance(kkt._decompose(p, cp, zero), tuple) == member
             obj_tables, _, cones = kkt._tables(p, cp)
             assert isinstance(cp.margin_zero(obj_tables, cones), list) == member
-            value, _ = cp.min_max(verts, gens)
+            assert isinstance(cp.zero_decomposition(verts, gens), list) == member
+            value, _ = reference_min_max(verts, gens, p.dimension)
             assert (value < 0) != member
             ri = member and support_cone_is_subspace_by_boxed_lps(verts, gens)
             assert kkt.strong_kkt(p, cp).ri_zero == ri
@@ -659,6 +667,95 @@ class TestSerialization:
 
 # ---------------------------------------------------------------------------
 # claims
+
+
+class TestSeparatorVerification:
+    """`separator_issues` re-checks a weak or strong `KktSeparator` by
+    substitution alone, against tables recomputed from the problem."""
+
+    @staticmethod
+    def _separated(count):
+        """(p, cp, separator) of seeded random draws whose weak KKT fails."""
+        rng = random.Random("separator-verification")
+        out = []
+        while len(out) < count:
+            p, x = random_polyhedral_problem(rng, max_dim=rng.choice((2, 3, 5)))
+            cp = CandidatePoint.build(p, x)
+            separator = kkt.weak_kkt(p, cp)
+            if isinstance(separator, kkt.KktSeparator):
+                out.append((p, cp, separator))
+        return out
+
+    def test_emitted_separators_pass_with_no_lp(self, monkeypatch):
+        from mosipcert import lp
+
+        draws = self._separated(30)
+        monkeypatch.setattr(lp, "solve", lambda prog: pytest.fail("the check ran an LP"))
+        for p, cp, separator in draws:
+            assert kkt.separator_issues(p, cp, separator) == []
+            assert kkt.strong_kkt(p, cp).separator == separator
+
+    def test_corrupted_gap_or_direction_entry_is_rejected(self):
+        mutated = 0
+        for p, cp, sep in self._separated(30):
+            # the gap is tight at some F* vertex: a larger gap, and a gap that
+            # is not positive, are rejected
+            for gap in (sep.gap + Q(1, 1000), 2 * sep.gap, ZERO, -sep.gap):
+                assert kkt.separator_issues(p, cp, dataclasses.replace(sep, gap=gap))
+            # an entry moved toward the sign of a tight vertex's coordinate
+            # lifts h'v above -gap there
+            for v in cp.F_star.vertices:
+                if qdot(sep.direction, v) != -sep.gap:
+                    continue
+                for j, c in enumerate(v):
+                    if c != 0:
+                        d = list(sep.direction)
+                        d[j] += Q(1, 1000) if c > 0 else Q(-1, 1000)
+                        bad = dataclasses.replace(sep, direction=tuple(d))
+                        assert kkt.separator_issues(p, cp, bad)
+                        mutated += 1
+        assert mutated >= 30
+
+    def test_tables_are_recomputed_not_read_from_the_store(self, ex2):
+        # doubled objective tables in the store would vouch for twice the
+        # gap; the problem's own tables do not
+        p, cp = ex2
+        sep = kkt.weak_kkt(p, cp)
+        drifted = CandidatePoint.build(p, cp.x)
+        for i in range(p.num_objectives):
+            table = tuple(tuple(2 * c for c in v) for v in drifted.objective_subdiff(i))
+            drifted.derived[("objective", i)] = table
+            assert all(qdot(sep.direction, v) <= -2 * sep.gap for v in table)
+        assert kkt.separator_issues(p, drifted, dataclasses.replace(sep, gap=2 * sep.gap))
+        assert kkt.separator_issues(p, drifted, sep) == []
+
+    def test_wrong_length_is_rejected(self, ex2):
+        p, cp = ex2
+        sep = kkt.weak_kkt(p, cp)
+        bad = dataclasses.replace(sep, direction=sep.direction[:1])
+        assert kkt.separator_issues(p, cp, bad) == ["separator has 1 coordinates, problem has 2"]
+
+    @pytest.mark.parametrize("mode", ["weak", "strong"])
+    @pytest.mark.parametrize("subcommand", ["certify", "report"])
+    def test_verify_rejects_a_corrupted_separator(self, monkeypatch, capsys, mode, subcommand):
+        from mosipcert import cli
+
+        argv = [subcommand, "octagon-support", "--point=0,0", "--format", "json", "--verify"]
+        real = {"weak": kkt.weak_kkt, "strong": kkt.strong_kkt}[mode]
+
+        def corrupted(p, cp):
+            out = real(p, cp)
+            if mode == "weak":
+                return dataclasses.replace(out, gap=out.gap + 1)
+            bad = dataclasses.replace(out.separator, gap=out.separator.gap + 1)
+            return dataclasses.replace(out, separator=bad)
+
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(kkt, f"{mode}_kkt", corrupted)
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert "re-verification failed" in err and f"{mode} separator: objective 0" in err
 
 
 class TestClaims:

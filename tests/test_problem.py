@@ -17,7 +17,7 @@ from mosipcert.cones import (
     HCone,
     HPoly,
     Polytope,
-    min_max_direction,
+    decompose,
     subspace_escape,
     zero_interior,
 )
@@ -471,7 +471,8 @@ def _assert_derived_match_fresh(p, x) -> None:
     g_polar = _fresh_g_polar(p, cp)
     assert cp.g_polar() == g_polar
     verts, gens = cp.F_star.vertices, cp.G_star.generators
-    assert cp.min_max(verts, gens) == min_max_direction(verts, gens, p.dimension)
+    zero = (Q(0),) * p.dimension
+    assert cp.zero_decomposition(verts, gens) == decompose(zero, [verts], [gens])
     # the kept rays are those the public constructors find
     G, rec = cp.subgradient_union(0)
     assert cp.G_star == FGCone(p.dimension, G + rec)
@@ -485,7 +486,7 @@ def _assert_derived_match_fresh(p, x) -> None:
     assert cp.zero_interior() == zero_interior(p.dimension, verts, gens)
     for entry in (
         cp.g_polar,
-        lambda: cp.min_max(verts, gens),
+        lambda: cp.zero_decomposition(verts, gens),
         cp.support_escape,
         cp.zero_interior,
     ):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_cones import cone_contains, primitive
+from helpers_cones import cone_contains, primitive, reference_min_max
 from helpers_instances import random_polyhedral_problem
 from helpers_sublevel import polar_intersection_generators, reference_eadq, reference_wadq
 from mosipcert import cones
-from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, min_max_direction, span_rank
+from mosipcert.cones import FGCone, HCone, HPoly, dd_convert, span_rank, strict_direction
 from mosipcert.funcs import Affine, MaxAffine, evaluate, subdiff_set
 from mosipcert.instances import FIXTURE_BUILDERS, load_fixture
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem, load_problem
@@ -113,13 +113,21 @@ def test_missing_feasible_set_degrades_to_undecidable():
 
 
 def test_pmfcq_grid_values_monotone_on_linear_fixture():
+    # the replaced min-max LP's values fall along the grid; at each eps the
+    # point's one zero question gives its verdict, and its Farkas direction
+    # is strictly negative on the union
     p = load_fixture("alternating-affine")
     cp = _candidate(p)
     values = []
     for eps in DEFAULT_EPS_GRID:
         base, rec = cp.subgradient_union(eps)
-        value, _ = min_max_direction(base, rec, 1)
+        value, _ = reference_min_max(base, rec, 1)
         values.append(value)
+        res = cp.union_zero(eps)
+        assert not isinstance(res, list)  # the verdict: 0 is outside
+        strict, d = strict_direction(base, res, 1)
+        assert max(qdot(v, d) for v in base) == strict < 0
+        assert all(qdot(g, d) <= 0 for g in rec)
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert values[0] == -1 and values[-1] == -2
 
@@ -133,18 +141,20 @@ def test_active_set_eps_pattern_matches_subgradients():
 
 
 def test_pmfcq_solves_one_min_max_lp_per_distinct_active_set(monkeypatch):
+    # the min-max question, 0 outside the union's hull plus cone, is one
+    # `decompose` per distinct eps-active set
     from mosipcert import problem
 
     p = load_fixture("octagon-support")
     grid = DEFAULT_EPS_GRID
     calls, unions = [], []
-    real, union = problem.min_max_direction, problem._union
+    real, union = problem.decompose, problem._union
 
-    def counted(points, gens, dim):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real(points, gens, dim)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(problem, "min_max_direction", counted)
+    monkeypatch.setattr(problem, "decompose", counted)
     # each grid entry reads its union off the point, built once per active
     # set, that of T when the point is built
     monkeypatch.setattr(problem, "_union", lambda sets: unions.append(1) or union(sets))
@@ -168,7 +178,8 @@ class _TruncatedFamily(FiniteFamily):
 def test_pmfcq_solves_one_min_max_lp_per_active_set_across_several(monkeypatch):
     # +-x1 are active at 0 and +-k x2 - 1/2^k join as eps grows, so the grid
     # crosses four eps-active sets with four different subgradient unions,
-    # while +-x1 keep every min-max value at 0
+    # while +-x1 keep 0 in each, so every min-max value is 0: one
+    # `decompose` per set
     from mosipcert import problem
 
     members = [Affine([1, 0], 0), Affine([-1, 0], 0)]
@@ -176,8 +187,8 @@ def test_pmfcq_solves_one_min_max_lp_per_active_set_across_several(monkeypatch):
         members += [Affine([0, k], -Q(1, 2**k)), Affine([0, -k], -Q(1, 2**k))]
     p = MosipProblem(2, [Affine([1, 1], 0)], _TruncatedFamily(members))
     calls, unions = [], []
-    real, union = problem.min_max_direction, problem._union
-    monkeypatch.setattr(problem, "min_max_direction", lambda *args: calls.append(1) or real(*args))
+    real, union = problem.decompose, problem._union
+    monkeypatch.setattr(problem, "decompose", lambda *args: calls.append(1) or real(*args))
     monkeypatch.setattr(problem, "_union", lambda subdiffs: unions.append(1) or union(subdiffs))
     cp = _candidate(p)
     sets = {tuple(cp.active(eps)) for eps in DEFAULT_EPS_GRID}
@@ -189,8 +200,8 @@ def test_pmfcq_solves_one_min_max_lp_per_active_set_across_several(monkeypatch):
 
 
 def test_pmfcq_long_grid_asks_once_per_distinct_active_set(monkeypatch, capsys):
-    # each grid entry looks its (value, d) up by the eps-active index set, so
-    # the point's min-max store, keyed by rational points, is asked once per
+    # each grid entry looks its zero decomposition up by the eps-active index
+    # set, so the point's store, keyed by rational points, is asked once per
     # set, not once per entry; the output is what a fresh LP per entry gives
     from mosipcert import cli, problem
 
@@ -198,12 +209,14 @@ def test_pmfcq_long_grid_asks_once_per_distinct_active_set(monkeypatch, capsys):
     argv = ["quals", "octagon-support", "--point=0,0", "--format", "json",
             "--eps-grid=" + ",".join(str(eps) for eps in grid)]
     asked, solved = [], []
-    real_ask, real_solve = CandidatePoint.min_max, problem.min_max_direction
+    real_ask, real_solve = CandidatePoint.zero_decomposition, problem.decompose
     monkeypatch.setattr(
-        CandidatePoint, "min_max", lambda self, *args: asked.append(1) or real_ask(self, *args)
+        CandidatePoint,
+        "zero_decomposition",
+        lambda self, *args: asked.append(1) or real_ask(self, *args),
     )
     monkeypatch.setattr(
-        problem, "min_max_direction", lambda *args: solved.append(1) or real_solve(*args)
+        problem, "decompose", lambda *args: solved.append(1) or real_solve(*args)
     )
     assert cli.main(argv) == 0
     kept = capsys.readouterr().out
@@ -212,11 +225,11 @@ def test_pmfcq_long_grid_asks_once_per_distinct_active_set(monkeypatch, capsys):
     assert len(asked) == len(grid_sets) + 2  # MFCQ and COCQ ask once each
     # MFCQ's union, at eps = 0, is solved once with PMFCQ's when they agree
     assert len(solved) == len(grid_sets | {tuple(cp.active(0))}) + 1
-    monkeypatch.setattr(
-        CandidatePoint,
-        "union_min_max",
-        lambda self, eps: real_solve(*self.subgradient_union(eps), self.problem.dimension),
-    )
+    def fresh(self, eps):
+        base, rec = self.subgradient_union(eps)
+        return real_solve((Q(0),) * self.problem.dimension, [base], [rec])
+
+    monkeypatch.setattr(CandidatePoint, "union_zero", fresh)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == kept
     assert len(json.loads(kept)["quals"][3]["witness"]["values"]) == len(grid)
@@ -597,13 +610,13 @@ def _verify_witness(p, cp, r) -> None:
 
 def test_zero_decompositions_are_supported_on_the_decided_input(monkeypatch):
     # MFCQ's and COCQ's Fails witness is the support of one basic solution
-    # over the very points and generators `min_max` found no strictly
-    # negative direction for, in their input order
+    # over the very points and generators of the point's one zero question,
+    # in their input order
     decided = []
-    real = CandidatePoint.min_max
+    real = CandidatePoint.zero_decomposition
     monkeypatch.setattr(
         CandidatePoint,
-        "min_max",
+        "zero_decomposition",
         lambda self, points, gens: decided.append((tuple(points), tuple(gens)))
         or real(self, points, gens),
     )
@@ -634,8 +647,8 @@ def test_zero_decompositions_are_supported_on_the_decided_input(monkeypatch):
 
 def test_cocq_reads_mfcqs_answer_when_psi_is_the_max_over_t(monkeypatch):
     # with no override and T nonempty, psi's argmax set is T, so the max
-    # rule's set is MFCQ's union: COCQ asks MFCQ's min_max and zero
-    # decomposition over MFCQ's own input and runs no LP of its own
+    # rule's set is MFCQ's union: COCQ asks MFCQ's zero decomposition over
+    # MFCQ's own input and runs no LP of its own
     from mosipcert import lp
 
     rng = random.Random("cocq-reads-mfcq")
@@ -661,6 +674,66 @@ def test_cocq_reads_mfcqs_answer_when_psi_is_the_max_over_t(monkeypatch):
             assert cocq.witness["derivative_bound"] == mfcq.witness["max_inner"]
         seen.add(cocq.status)
     assert seen == {HOLDS, FAILS}
+
+
+def _strict(points, gens, d, value=None) -> None:
+    """d is strictly negative on the points, with max value when given, and
+    nonpositive on the generators: substitution alone."""
+    top = max(qdot(v, d) for v in points)
+    assert top < 0 and all(qdot(g, d) <= 0 for g in gens)
+    assert value is None or top == value
+
+
+def test_farkas_directions_are_strict_and_decide_as_the_min_max_lp():
+    # every direction read off a Farkas vector is strict by substitution, and
+    # each zero question's verdict is the replaced min-max LP's
+    from mosipcert import kkt
+    from mosipcert.cones import NotMember, membership
+
+    rng = random.Random("farkas-directions")
+    seen = {}
+
+    def decided(name, points, gens, outside, d=None, value=None):
+        assert (reference_min_max(points, gens, len(points[0]))[0] < 0) == outside, name
+        if outside:
+            _strict(points, gens, d, value)
+        seen[name, outside] = seen.get((name, outside), 0) + 1
+
+    for k in range(80):
+        p, x = random_polyhedral_problem(rng, max_dim=5 if k % 4 == 0 else 3)
+        cp = _candidate(p)
+        n = p.dimension
+        by = {r.qual: r for r in check_all(p, cp)}
+        if not cp.G_is_empty:
+            base, rec = cp.subgradient_union(0)
+            for qual, key in (("MFCQ", "max_inner"), ("PMFCQ", "value")):
+                w = by[qual].witness
+                decided(qual, base, rec, by[qual].status == HOLDS, w.get("direction"), w.get(key))
+        points, rays = cp.psi_subdiff()
+        if cp.T:
+            points, rays = cp.subgradient_union(0)  # COCQ asks MFCQ's union
+        w = by["COCQ"].witness
+        decided("COCQ", points, rays, by["COCQ"].status == HOLDS, w.get("direction"), w.get("derivative_bound"))
+        verts, gens = cp.F_star.vertices, cp.G_star.generators
+        weak = kkt.weak_kkt(p, cp)
+        outside = isinstance(weak, kkt.KktSeparator)
+        decided("KKT", verts, gens, outside, *((weak.direction, -weak.gap) if outside else ()))
+        if outside:
+            assert kkt.separator_issues(p, cp, weak) == []
+        if not cp.G_is_empty and cp.C is not None:
+            normals = cp.g_polar()[0].normals
+            res = cp.zero_decomposition(verts, normals)
+            outside = not isinstance(res, list)
+            decided("WADQ", verts, normals, outside, *(strict_direction(verts, res, n)[::-1] if outside else ()))
+            if by["WADQ"].witness["kind"] == "escaping_direction":
+                _strict(verts, normals, by["WADQ"].witness["direction"])
+        target = tuple(Q(rng.randint(-2, 2)) for _ in range(n))
+        shifted = [tuple(a - b for a, b in zip(v, target)) for v in verts]
+        res = membership(target, verts, gens)
+        outside = isinstance(res, NotMember)
+        decided("NotMember", shifted, gens, outside, *((res.separator, -res.gap) if outside else ()))
+    names = ("MFCQ", "PMFCQ", "COCQ", "KKT", "WADQ", "NotMember")
+    assert all(seen.get((name, side), 0) >= 10 for name in names for side in (True, False)), seen
 
 
 @settings(max_examples=60, deadline=None)

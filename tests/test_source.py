@@ -263,13 +263,13 @@ def _lp_builders(path: Path) -> set:
 
 def test_every_lp_builder_is_listed():
     # one LP per question: `decompose` writes a target over points and
-    # generators, and so also prunes, `min_max_direction` separates 0 from
-    # them, and each other builder asks a question of its own; a second
-    # decomposition or separation LP must not come back unnoticed
+    # generators, and so also prunes, and its Farkas vector separates the
+    # target from them (`cones.strict_direction`); each other builder asks a
+    # question of its own, and a second decomposition or separation LP must
+    # not come back unnoticed
     builders = {site for path in sorted(SRC.glob("*.py")) for site in _lp_builders(path)}
     assert builders == {
         ("cones", "decompose"),  # with a margin; without one via lp.feasible_point
-        ("cones", "min_max_direction"),  # the one separation LP
         ("gap", "_sup_lp"),  # sup of a linear function over S
         ("lp", "feasible_point"),  # a point of the rows, for decompose
         ("quals", "_slater_lp"),  # min of the envelope over its domains
