@@ -322,7 +322,7 @@ def _render(doc: dict, lines: list, fmt: str) -> str:
 
 
 def _axis_issues(p, cp, report) -> list:
-    return [issue for cert in report.axis_certificates for issue in kkt.certificate_issues(p, cp, cert)]
+    return [i for cert in report.axis_certificates for i in kkt.certificate_issues(p, cp, cert)]
 
 
 # (parse, verify, serialise) of each kind of emitted witness
@@ -340,13 +340,15 @@ def _verify_certificates(p, cp, doc: dict) -> None:
     kkt_doc = parsed.get("kkt", parsed)
     strong, gap_doc = kkt_doc.get("strong", {}), parsed.get("gap", {})
     weak = kkt_doc.get("weak")
-    weak_sep = bool(weak) and weak["kind"] == "separator"
+    weak_kind = "separator" if weak and weak["kind"] == "separator" else "certificate"
     entries = [
-        ("weak separator" if weak_sep else "weak certificate", weak, _SEPARATOR if weak_sep else _CERTIFICATE),
+        (f"weak {weak_kind}", weak, _SEPARATOR if weak_kind == "separator" else _CERTIFICATE),
         ("strong certificate", strong.get("certificate"), _CERTIFICATE),
         ("strong separator", strong.get("separator"), _SEPARATOR),
         ("perturbed report", kkt_doc.get("perturbed"), _PERTURBED),
-        *((f"gap {m} witness", (gap_doc.get(m) or {}).get("witness"), _GAP_WITNESS) for m in ("weak", "strong")),
+    ] + [
+        (f"gap {mode} witness", (gap_doc.get(mode) or {}).get("witness"), _GAP_WITNESS)
+        for mode in ("weak", "strong")
     ]
     issues = []
     for label, entry, (parse, verify, serialise) in entries:

@@ -625,7 +625,7 @@ def strict_direction(points, res, dim: int) -> tuple:
     d = _escape_of(res, dim + 1)[:dim]
     value = max((qdot(v, d) for v in points), default=ZERO)
     if not value < 0:
-        raise InternalInconsistencyError("the Farkas direction must be strictly negative on the points")
+        raise InternalInconsistencyError("the Farkas direction is not strictly negative")
     top = max(abs(c) for c in d)
     return value / top, tuple(c / top for c in d)
 

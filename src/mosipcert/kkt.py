@@ -11,8 +11,9 @@ canonical F* vertices and G* generators (`CandidatePoint.zero_decomposition`,
 which WADQ shares): with no weights, its Farkas direction is the separator.
 Only when 0 is inside do both read one grouped decomposition of 0 that
 maximises the least alpha_i, tau (`CandidatePoint.margin_zero`): its
-weights are a weak certificate, and a strong one when tau > 0.  Weak drops tau, so its certificate is strong's
-whenever one exists, and `weak_kkt` alone still asks one grouped LP.
+weights are a weak certificate, and a strong one when tau > 0.  Weak drops
+tau, so its certificate is strong's whenever one exists, and `weak_kkt`
+alone still asks one grouped LP.
 """
 
 from __future__ import annotations

@@ -729,6 +729,19 @@ class TestSeparatorVerification:
         assert kkt.separator_issues(p, drifted, dataclasses.replace(sep, gap=2 * sep.gap))
         assert kkt.separator_issues(p, drifted, sep) == []
 
+    def test_a_ray_above_zero_is_rejected(self):
+        # g = x1 + x2 on the domain x1 - x2 <= 0 has the vertex (1, 1) and the
+        # ray (1, -1) at 0, and f = x2 keeps 0 outside F* + G*; the direction
+        # (-1, -3/2) meets every objective vertex and the constraint vertex
+        # but rises along the ray
+        domain = HPoly(2, [([1, -1], 0)])
+        p = MosipProblem(2, [Affine([0, 1], 0)], FiniteFamily([Affine([1, 1], 0, domain)]))
+        cp = CandidatePoint.build(p, [0, 0])
+        sep = kkt.weak_kkt(p, cp)
+        assert isinstance(sep, kkt.KktSeparator) and kkt.separator_issues(p, cp, sep) == []
+        bad = kkt.KktSeparator((Q(-1), Q(-3, 2)), ONE)
+        assert kkt.separator_issues(p, cp, bad) == ["constraint 0: a vertex or ray has h'w > 0"]
+
     def test_wrong_length_is_rejected(self, ex2):
         p, cp = ex2
         sep = kkt.weak_kkt(p, cp)
