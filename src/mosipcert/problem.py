@@ -5,8 +5,10 @@ sets, and the derived sets F, F*, G, G*, C(S, x), N(S, x) at a candidate point.
 
 Everything derived at one candidate point lives in that point's one store,
 `CandidatePoint.derived`: the constraint values, the subdifferentials of the
-objectives, of any constraint and of psi, and the cones built from them.
-Each entry is computed at most once; a refused computation is not stored.
+objectives, of any constraint and of psi, the cones built from them, and the
+answers to its zero questions, one `decompose` each, whose weights or Farkas
+direction answer both sides.  Each entry is computed at most once; a refused
+computation is not stored.
 
 Truncation is a first-class, user-visible parameter: every value that depends
 on a truncated family carries a "truncated" provenance marker, because no

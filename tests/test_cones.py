@@ -1094,9 +1094,9 @@ def test_unexpected_lp_outcome_is_an_internal_inconsistency(monkeypatch, call) -
 
 
 def test_strict_direction_rejects_a_farkas_vector_that_does_not_separate() -> None:
-    # d = -(first dim + 1 Farkas entries) minus its simplex entry: (1, 0) is
-    # strictly negative on (-1, 0) and (-2, 1), scaled to the unit box;
-    # (0, 1) is only weakly negative on (-1, 0), and 0 on neither
+    # d is minus the first dim Farkas entries, the simplex entry dropped:
+    # (3, 0) is strictly negative on (-1, 0) and (-2, 1) and scales to
+    # (1, 0); (0, 1) is only weakly negative on (-1, 0), and 0 on neither
     points = [(Q(-1), Q(0)), (Q(-2), Q(1))]
     assert strict_direction(points, lp.Infeasible([Q(-3), Q(0), Q(-1)]), 2) == (
         Q(-1),
