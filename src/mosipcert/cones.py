@@ -662,6 +662,9 @@ class ZeroInterior:
     note: str = ""
     # when not inside: a nonzero direction with support <= 0 (exact counter-witness)
     witness_direction: Optional[tuple] = None
+    # when inside in dimension <= 3: the facet rows (a, b) of the set
+    # {x : a'x <= b}, which perturbed KKT reads its axis certificates off
+    facets: Optional[tuple] = None
 
 
 def zero_interior(dim: int, points, gens, escape=None) -> ZeroInterior:
@@ -707,10 +710,10 @@ def _facets(dim: int, points, gens) -> list:
 
 
 def _radius_by_facets(dim: int, points, gens) -> ZeroInterior:
-    facets = _facets(dim, points, gens)
+    facets = tuple(_facets(dim, points, gens))
     if not facets:
         return ZeroInterior(
-            True, ONE, False, "set is all of space; any radius certifies"
+            True, ONE, False, "set is all of space; any radius certifies", facets=facets
         )
     best, best_exact = None, True
     for a, b in facets:
@@ -721,7 +724,7 @@ def _radius_by_facets(dim: int, points, gens) -> ZeroInterior:
         dist = exact if exact is not None else sqrt_lower_bound(ratio)
         if best is None or dist < best:
             best, best_exact = dist, exact is not None
-    return ZeroInterior(True, best, best_exact)
+    return ZeroInterior(True, best, best_exact, facets=facets)
 
 
 def _radius_by_axis_points(dim: int, verts, gens) -> ZeroInterior:

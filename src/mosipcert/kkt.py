@@ -178,6 +178,47 @@ def _group_terms(values, obj_tables, active_tables, n):
     return oterms, tuple(cterms)
 
 
+def _axis_weights(facets, u, nu, zero, hulls, cones) -> list:
+    """Weights over the grouped columns, hull blocks then cone blocks,
+    writing nu*u, read off the facets {x : a'x <= b} of F* + G* and the
+    weights `zero` writing 0.  Where some facet has a'u > 0, the set ends at
+    t*u, t the least b/(a'u), and a decomposition of t*u may use only the
+    columns tight on the facets attaining it (a'v = b on a hull column,
+    a'c = 0 on a cone column): one `decompose` over those, mixed with `zero`
+    by lambda = nu/t <= 1.  Else u is a recession direction, and nu times
+    conic weights writing u are added to `zero`: 1/s on the first cone
+    column s*u with s > 0, or one `decompose` of u over the cone columns
+    tight on every facet with a'u = 0."""
+    hull_cols = [v for block in hulls for v in block]
+    cone_cols = [c for block in cones for c in block]
+    steps = [(b / qdot(a, u), a, b) for a, b in facets if qdot(a, u) > 0]
+    if steps:
+        t = min(s for s, _, _ in steps)
+        tight = [(a, b) for s, a, b in steps if s == t]
+        hull_ix = [i for i, v in enumerate(hull_cols) if all(qdot(a, v) == b for a, b in tight)]
+        cone_ix = [i for i, c in enumerate(cone_cols) if all(qdot(a, c) == 0 for a, _ in tight)]
+        res = decompose(
+            tuple(t * c for c in u),
+            [[hull_cols[i] for i in hull_ix]],
+            [[cone_cols[i] for i in cone_ix]],
+        )
+        scale, weights = nu / t, [(ONE - nu / t) * w for w in zero]
+    else:
+        hull_ix, scale, weights = [], nu, list(zero)
+        along = [i for i, c in enumerate(cone_cols) if qdot(c, u) > 0 and c == tuple(qdot(c, u) * x for x in u)]
+        if along:
+            cone_ix, res = along[:1], [ONE / qdot(cone_cols[along[0]], u)]
+        else:
+            flat = [a for a, _ in facets if qdot(a, u) == 0]
+            cone_ix = [i for i, c in enumerate(cone_cols) if all(qdot(a, c) == 0 for a in flat)]
+            res = decompose(u, (), [[cone_cols[i] for i in cone_ix]])
+    if not isinstance(res, list):
+        raise InternalInconsistencyError("the facets of F* + G* miss an axis point")
+    for i, w in zip(hull_ix + [len(hull_cols) + i for i in cone_ix], res):
+        weights[i] += scale * w
+    return weights
+
+
 def _conic_point(coeffs, vertices, ray_coeffs, rays, n) -> tuple:
     """sum_j coeffs_j * vertices_j + sum_k ray_coeffs_k * rays_k."""
     return tuple(
@@ -198,15 +239,20 @@ def _separator(cp: CandidatePoint) -> Optional[KktSeparator]:
     return KktSeparator(direction=d, gap=-value)
 
 
-def _zero_terms(p: MosipProblem, cp: CandidatePoint) -> tuple:
-    """(objective terms, constraint terms, tau) of the point's
-    `margin_zero` over the grouped tables, which weak and strong KKT share,
-    asked once `_separator` has found 0 in F* + G*: the grouped tables span
-    the same set, so the weights exist."""
-    obj_tables, active_tables, cones = _tables(p, cp)
+def _margin_zero(cp: CandidatePoint, obj_tables, cones) -> list:
+    """The point's `margin_zero` over the grouped tables, tau last, which
+    weak, strong and perturbed KKT share, asked once 0 is known to lie in
+    F* + G*: the grouped tables span the same set, so the weights exist."""
     res = cp.margin_zero(obj_tables, cones)
     if not isinstance(res, list):
         raise InternalInconsistencyError("the grouped tables miss a 0 that F* + G* holds")
+    return res
+
+
+def _zero_terms(p: MosipProblem, cp: CandidatePoint) -> tuple:
+    """(objective terms, constraint terms, tau) of `_margin_zero`."""
+    obj_tables, active_tables, cones = _tables(p, cp)
+    res = _margin_zero(cp, obj_tables, cones)
     # read tau without mutating `res`, which the point keeps
     return (*_group_terms(res[:-1], obj_tables, active_tables, p.dimension), res[-1])
 
@@ -299,20 +345,26 @@ def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
             witness_direction=zi.witness_direction,
             note=zi.note,
         )
-    nu = zi.radius_lower_bound
+    nu, n = zi.radius_lower_bound, p.dimension
+    obj_tables, active_tables, cones = _tables(p, cp)
+    if zi.facets is not None:
+        zero = _margin_zero(cp, obj_tables, cones)[:-1]
     axes = []
-    for j in range(p.dimension):
+    for j in range(n):
         for sign in (ONE, -ONE):
-            target = [ZERO] * p.dimension
-            target[j] = sign * nu
-            out = _decompose(p, cp, tuple(target))
+            u = tuple(sign if k == j else ZERO for k in range(n))
+            target = tuple(nu * c for c in u)
+            if zi.facets is not None:
+                weights = _axis_weights(zi.facets, u, nu, zero, obj_tables, cones)
+                out = _group_terms(weights, obj_tables, active_tables, n)
+            else:
+                out = _decompose(p, cp, target)
             if not isinstance(out, tuple):
                 raise InternalInconsistencyError(
                     "zero_interior certified the ball but the grouped decomposition "
                     "of an axis point has no solution"
                 )
-            oterms, cterms = out
-            axes.append(KktCertificate(PERTURBED, tuple(target), oterms, cterms))
+            axes.append(KktCertificate(PERTURBED, target, *out))
     return PerturbedKktReport(
         holds=True,
         nu_lb=nu,

@@ -14,6 +14,7 @@ from mosipcert.cones import (
     Member,
     NotMember,
     Polytope,
+    _radius_by_axis_points,
     membership,
     strict_direction,
     subspace_escape,
@@ -25,6 +26,7 @@ from mosipcert.rationals import ONE, ZERO, Q, qdot
 
 from helpers_cones import boxed_max, reference_min_max
 from helpers_instances import random_polyhedral_problem
+from helpers_kkt import reference_perturbed_kkt
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +519,80 @@ class TestPerturbed:
         assert report.holds and report.exact
         assert report.nu_lb == ONE
         assert len(report.axis_certificates) == 4
+        for cert in report.axis_certificates:
+            assert kkt.certificate_issues(p, cp, cert) == []
+
+    def test_facet_certificates_match_the_per_axis_lps(self):
+        # in dimension <= 3 each axis certificate is read off the facets of
+        # F* + G*: a decomposition over the columns tight where the axis
+        # leaves the set, mixed with the zero weights, or the zero weights
+        # plus a recession direction; the verdict, radius, exactness and
+        # targets are those of one grouped LP per axis point
+        rng = random.Random("perturbed-axes")
+        kinds = {"bounded": 0, "along": 0, "recession": 0}
+        for _ in range(90):
+            p, x = random_polyhedral_problem(rng)
+            cp = CandidatePoint.build(p, x)
+            report, ref = kkt.perturbed_kkt(p, cp), reference_perturbed_kkt(p, cp)
+            assert (report.holds, report.nu_lb, report.exact) == (ref.holds, ref.nu_lb, ref.exact)
+            assert [c.target for c in report.axis_certificates] == [
+                c.target for c in ref.axis_certificates
+            ]
+            for cert in report.axis_certificates:
+                assert kkt.certificate_issues(p, cp, cert) == []
+            if not report.holds:
+                continue
+            facets = cp.zero_interior().facets
+            gens = [c for block in kkt._tables(p, cp)[2] for c in block]
+            for cert in report.axis_certificates:
+                u = tuple(c / report.nu_lb for c in cert.target)
+                if any(qdot(a, u) > 0 for a, _ in facets):
+                    kinds["bounded"] += 1
+                elif any(qdot(g, u) > 0 and g == tuple(qdot(g, u) * c for c in u) for g in gens):
+                    kinds["along"] += 1
+                else:
+                    kinds["recession"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_axis_certificates_after_strong_kkt_run_no_lp(self, monkeypatch):
+        # alternating-affine: zero_interior, the zero weights and the one
+        # bounded axis point are all settled before or without an LP
+        from mosipcert import lp
+
+        p = instances.load_fixture("alternating-affine")
+        cp = CandidatePoint.build(p, [0])
+        assert kkt.strong_kkt(p, cp).certificate is not None
+        monkeypatch.setattr(lp, "solve", lambda prog: pytest.fail("perturbed KKT ran an LP"))
+        report = kkt.perturbed_kkt(p, cp)
+        assert report.holds and len(report.axis_certificates) == 2
+        for cert in report.axis_certificates:
+            assert kkt.certificate_issues(p, cp, cert) == []
+
+    def test_axis_points_above_dimension_three_take_one_decomposition_each(
+        self, monkeypatch
+    ):
+        # the cross-polytope conv(+-e_j) in 4-space: no facets are computed,
+        # so each of the 8 axis points is one grouped decomposition, and the
+        # radius is the least axis step 1 scaled by 1/sqrt(4)
+        calls = []
+        real = kkt._decompose
+        monkeypatch.setattr(kkt, "_decompose", lambda *args: calls.append(1) or real(*args))
+        n = 4
+        units = [tuple(Q(s) if k == j else ZERO for k in range(n)) for j in range(n) for s in (1, -1)]
+        p = MosipProblem(
+            dimension=n,
+            objectives=[MaxAffine([(u, 0) for u in units])],
+            constraints=FiniteFamily([Affine([0] * n, -1)]),
+            feasible_set=HPoly(n, []),
+            annotations={"name": "cross-polytope"},
+        )
+        cp = CandidatePoint.build(p, [0] * n)
+        zi = cp.zero_interior()
+        assert zi.inside and zi.facets is None
+        report = kkt.perturbed_kkt(p, cp)
+        axis = _radius_by_axis_points(n, cp.F_star.vertices, cp.G_star.generators)
+        assert report.holds and report.nu_lb == axis.radius_lower_bound == Q(1, 2)
+        assert len(report.axis_certificates) == len(calls) == 2 * n
         for cert in report.axis_certificates:
             assert kkt.certificate_issues(p, cp, cert) == []
 

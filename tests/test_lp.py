@@ -324,6 +324,7 @@ def _count_pivots(monkeypatch) -> list:
             ["gap", "alternating-affine", "--point", "0", "--nu", "2"],
             ["certify", "alternating-affine", "--point", "0", "--verify"],
             ["quals", "alternating-affine", "--point", "0"],
+            ["report", "alternating-affine", "--point", "-1", "--verify"],
         ],
         [
             ["quals", "octagon-support", "--point", "0,0"],
