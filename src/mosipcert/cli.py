@@ -341,10 +341,12 @@ def _verify_certificates(p, cp, doc: dict) -> None:
     strong, gap_doc = kkt_doc.get("strong", {}), parsed.get("gap", {})
     weak = kkt_doc.get("weak")
     weak_kind = "separator" if weak and weak["kind"] == "separator" else "certificate"
+    # whenever weak KKT fails, strong prints the same separator: checked once
+    strong_separator = strong.get("separator")
     entries = [
         (f"weak {weak_kind}", weak, _SEPARATOR if weak_kind == "separator" else _CERTIFICATE),
         ("strong certificate", strong.get("certificate"), _CERTIFICATE),
-        ("strong separator", strong.get("separator"), _SEPARATOR),
+        ("strong separator", None if strong_separator == weak else strong_separator, _SEPARATOR),
         ("perturbed report", kkt_doc.get("perturbed"), _PERTURBED),
     ] + [
         (f"gap {mode} witness", (gap_doc.get(mode) or {}).get("witness"), _GAP_WITNESS)

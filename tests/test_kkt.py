@@ -846,6 +846,23 @@ class TestSeparatorVerification:
         err = capsys.readouterr().err
         assert "re-verification failed" in err and f"{mode} separator: objective 0" in err
 
+    @pytest.mark.parametrize("subcommand", ["certify", "report"])
+    def test_verify_checks_a_shared_separator_once(self, monkeypatch, capsys, subcommand):
+        # weak KKT fails on the octagon, so strong prints the weak separator
+        from mosipcert import cli
+
+        parse, verify, serialise = cli._SEPARATOR
+        calls = []
+        monkeypatch.setattr(
+            cli, "_SEPARATOR", (parse, lambda *args: calls.append(1) or verify(*args), serialise)
+        )
+        argv = [subcommand, "octagon-support", "--point=0,0", "--format", "json", "--verify"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        kkt_doc = doc.get("kkt", doc)
+        assert kkt_doc["strong"]["separator"] == kkt_doc["weak"]
+        assert len(calls) == 1
+
 
 class TestClaims:
     def test_linear_tail_all_three_levels(self, ex1):
