@@ -14,6 +14,16 @@ maximises the least alpha_i, tau (`CandidatePoint.margin_zero`): its
 weights are a weak certificate, and a strong one when tau > 0.  Weak drops
 tau, so its certificate is strong's whenever one exists, and `weak_kkt`
 alone still asks one grouped LP.
+
+Perturbed reads its 2n axis certificates off two decompositions in
+dimension <= 3, where `zero_interior` keeps the facets {x : a'x <= b} of
+F* + G*.  Along u = +-e_j the set ends at t*u on the facets with the least
+b/(a'u) > 0, and a decomposition of t*u may use only the columns tight on
+them (Davis 1954, the face argument): one `decompose` over those columns,
+mostly forced with no LP, mixed with the zero weights by nu_lb/t.  Where no
+facet bounds u, it is a recession direction, and nu_lb times conic weights
+writing u are added to the zero weights.  Above dimension 3 no facets are
+computed, and each axis point is one grouped `decompose`.
 """
 
 from __future__ import annotations
@@ -205,9 +215,10 @@ def _axis_weights(facets, u, nu, zero, hulls, cones) -> list:
         scale, weights = nu / t, [(ONE - nu / t) * w for w in zero]
     else:
         hull_ix, scale, weights = [], nu, list(zero)
-        along = [i for i, c in enumerate(cone_cols) if qdot(c, u) > 0 and c == tuple(qdot(c, u) * x for x in u)]
+        along = [(i, qdot(c, u)) for i, c in enumerate(cone_cols)]
+        along = [(i, s) for i, s in along if s > 0 and cone_cols[i] == tuple(s * x for x in u)]
         if along:
-            cone_ix, res = along[:1], [ONE / qdot(cone_cols[along[0]], u)]
+            cone_ix, res = [along[0][0]], [ONE / along[0][1]]
         else:
             flat = [a for a, _ in facets if qdot(a, u) == 0]
             cone_ix = [i for i, c in enumerate(cone_cols) if all(qdot(a, c) == 0 for a in flat)]
@@ -327,14 +338,21 @@ class PerturbedKktReport:
     holds: bool
     nu_lb: Q
     exact: bool  # is nu_lb the exact interior radius
-    axis_certificates: tuple  # decompositions of the 2n points nu_lb * (+-e_j)
+    # decompositions of the 2n points nu_lb * (+-e_j): read off the facets of
+    # F* + G* in dimension <= 3 (`_axis_weights`), one grouped LP each above
+    axis_certificates: tuple
     witness_direction: Optional[tuple] = None  # support direction <= 0 when it fails
     note: str = ""
 
 
 def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
-    """0 in int(F*(x) + G*(x)) with a certified ball radius; each scaled axis
-    point gets its own exact multiplier decomposition."""
+    """0 in int(F*(x) + G*(x)) with a certified ball radius nu_lb, and one
+    exact multiplier decomposition of each scaled axis point +-nu_lb * e_j.
+    In dimension <= 3 each is read off the facets that `zero_interior`
+    keeps and the zero weights weak and strong KKT share (`_axis_weights`),
+    with one `decompose` over the columns tight where the axis leaves the
+    set, none when the weights are forced or the axis is a recession
+    direction along a column; above that, each is one grouped `decompose`."""
     zi = cp.zero_interior()
     if not zi.inside:
         return PerturbedKktReport(
@@ -359,11 +377,11 @@ def perturbed_kkt(p: MosipProblem, cp: CandidatePoint) -> PerturbedKktReport:
                 out = _group_terms(weights, obj_tables, active_tables, n)
             else:
                 out = _decompose(p, cp, target)
-            if not isinstance(out, tuple):
-                raise InternalInconsistencyError(
-                    "zero_interior certified the ball but the grouped decomposition "
-                    "of an axis point has no solution"
-                )
+                if not isinstance(out, tuple):
+                    raise InternalInconsistencyError(
+                        "zero_interior certified the ball but the grouped decomposition "
+                        "of an axis point has no solution"
+                    )
             axes.append(KktCertificate(PERTURBED, target, *out))
     return PerturbedKktReport(
         holds=True,
