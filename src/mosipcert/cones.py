@@ -9,7 +9,10 @@ constructors, `contains`, `cone_member`, `subspace_escape`, `membership`
 (whose one caller is `gap.gap_eval`), the zero questions of the checkers and
 of KKT (`problem.CandidatePoint.zero_decomposition`), the KKT searches, the
 gap zero search and the axis steps of `zero_interior`'s radius above
-dimension 3.  `hull_terms` reads its weights back per block of points.
+dimension 3.  Perturbed KKT asks it per axis point only over the columns
+tight on the facets where the axis leaves the set, or over the cone columns
+of a recession axis, in dimension <= 3, and over the grouped tables above.
+`hull_terms` reads its weights back per block of points.
 When no weights exist, the Farkas vector of the infeasible LP is a
 direction (`_escape_of`): `subspace_escape` and `normal_escape` return it,
 Clarkson's algorithm steers by it, and the cone form slices a pointed cone
@@ -59,7 +62,10 @@ set alone.  Rows that are only read by another LP need no canonical form:
 lists a domain's active normals for `funcs.subdiff_set` unpruned.
 
 `dd_convert` is one double description with no LP (only `_facets` calls
-it, in dimension 4 at most), and its generators depend only on the cone.  A
+it, in dimension 4 at most), and its generators depend only on the cone.
+`_facets` has one caller, `_radius_by_facets`, which reads the interior
+radius off the facet rows and keeps them in `ZeroInterior.facets`, where
+perturbed KKT reads its axis certificates.  A
 cone C with lineality space L is L plus its pointed part C n L^perp, so its
 form is the basis of L in reduced row echelon form, each vector a +- pair of
 primitive rays, and the extreme rays of the pointed part.  `_extreme_rays`
@@ -679,8 +685,9 @@ def zero_interior(dim: int, points, gens, escape=None) -> ZeroInterior:
     rank n, `subspace_escape` of the vertices then generators decides with
     one LP and gives one; `escape`, when given, returns that answer (a point
     keeps it).  The radius is exact (min facet distance) in dimension <= 3
-    via a lifted double description; above that, certified axis-point
-    stepping scaled by 1/sqrt(n).
+    via a lifted double description, and the facet rows are kept
+    (`facets`); above that, certified axis-point stepping scaled by
+    1/sqrt(n), with no facets.
     """
     if not points:
         return ZeroInterior(False, ZERO, True, "empty set")

@@ -490,7 +490,8 @@ class CandidatePoint:
     * ``margin_zero(hulls, cones)``, keyed by its input too: the
       maximised-margin `decompose` of 0 over hull and cone blocks, the one
       answer to a weak and a strong zero question (weak and strong KKT over
-      the grouped tables; the untilted weak and strong gap searches over the
+      the grouped tables, whose weights perturbed KKT mixes into its axis
+      certificates; the untilted weak and strong gap searches over the
       objective tables and N);
     * ``normal_escape(rows, normals)``, keyed by its input: whether
       {d : a'd <= 0 over the rows} lies in the H-cone of the normals (WADQ
