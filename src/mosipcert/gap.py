@@ -3,23 +3,23 @@
 A zero of the gap at a feasible candidate certifies weak efficiency for
 lambda >= 0 and efficiency for lambda > 0.  The search does not scan lambda:
 it solves one exact LP placing -sum_i lambda_i xi_i inside the normal cone
-N(S, x), which is equivalent to a zero value.  That LP is `cones.decompose`,
-the engine the KKT searches use: one hull block per objective vertex table
-(the block weights are lambda) and the normal-cone generators as one cone
-block, maximising the smallest lambda_i, tau.  Any weights give a weak zero,
-and weights with tau > 0 a strong one, so both modes read one LP, kept at
-the point (`CandidatePoint.margin_zero`); when it is infeasible, both print
-its Farkas vector over the plain rows.  The perturbed check runs the same
-search on tilted objective subdifferentials (each shifted by -w), asking
-`decompose` with margin directly, for w ranging over axis points and
-deterministic near-sphere samples of a nu-ball.
+N(S, x), which is equivalent to a zero value.  For the polyhedron S that cone
+is generated by the rows a_m'x = b_m active at x, so the LP is
+`cones.decompose`, the engine the KKT searches use: one hull block per
+objective vertex table (the block weights are lambda) and the active rows as
+they are written as one cone block, maximising the smallest lambda_i, tau.
+Any weights give a weak zero, and weights with tau > 0 a strong one, so both
+modes read one LP, kept at the point (`CandidatePoint.margin_zero`); when it
+is infeasible, both print its Farkas vector over the plain rows.  The
+perturbed check runs the same search on tilted objective subdifferentials
+(each shifted by -w), asking `decompose` with margin directly, for w ranging
+over axis points and deterministic near-sphere samples of a nu-ball.
 
-Every emitted zero is proved by active-row multipliers, with no LP
-(`_row_multipliers`): the cone weights over N's generators become eta >= 0
-over rows a_m'x = b_m of S with sum_m eta_m a_m = -c exactly, so
-c'(x - y) = sum_m eta_m (a_m'y - b_m) <= 0 on S, with equality at x.  Only
-weights on a generator that no active row is a positive multiple of (a
-+- lineality vector of N) leave the proof to the direct sup-LP `_sup_lp`.
+The cone weights are the witness's eta, one per row of S: eta >= 0, positive
+only on active rows, with sum_m eta_m a_m = -c for c = sum_i lambda_i xi_i.
+Then c'(x - y) = sum_m eta_m (a_m'y - b_m) <= 0 on S, with equality at x, so
+the gap is exactly zero.  `witness_issues` re-checks this by substitution
+alone, with no LP; the sup LP over S (`_sup_lp`) serves `gap_eval` only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp
-from .cones import HPoly, NotMember, _forced_weights, decompose, hull_terms, membership
+from .cones import HPoly, NotMember, decompose, hull_terms, membership
 from .errors import (
     InternalInconsistencyError,
     ModelError,
@@ -79,15 +79,20 @@ class SubgradientPreconditionError(ModelError):
 # Evaluation
 
 
-def _sup_lp(p: MosipProblem, x, c):
-    """sup_{y in S} c'(x - y), exactly, over the halfspace rows of S."""
+def _needs_rows(p: MosipProblem) -> HPoly:
+    """The halfspace rows of S, or UnsupportedOperationError without them."""
     if p.feasible_set is None:
         raise UnsupportedOperationError(
             "the gap function needs a halfspace representation of the "
             "feasible set"
         )
-    n = p.dimension
-    res = lp.solve(lp.LinearProgram(n, [-ck for ck in c], p.feasible_set.lp_rows()))
+    return p.feasible_set
+
+
+def _sup_lp(p: MosipProblem, x, c):
+    """sup_{y in S} c'(x - y), exactly, over the halfspace rows of S."""
+    S = _needs_rows(p)
+    res = lp.solve(lp.LinearProgram(p.dimension, [-ck for ck in c], S.lp_rows()))
     if isinstance(res, lp.Unbounded):
         return POS_INF
     if isinstance(res, lp.Infeasible):
@@ -117,41 +122,19 @@ def gap_eval(p: MosipProblem, x, xi, lam):
     return _sup_lp(p, x, lincomb(lam, selections, p.dimension))
 
 
-def _row_multipliers(S: HPoly, x, c, gens, weights) -> Optional[tuple]:
-    """eta >= 0 per row of S, positive only on rows active at x, with
-    sum_m eta_m a_m = -c exactly; None when the weights over the normal-cone
-    generators do not give it.  Each generator g of positive weight w takes
-    the first active row a = s g, s > 0, and adds w / s to its eta.  Then
-    c'(x - y) = sum_m eta_m (a_m'y - b_m) <= 0 for every y in S, with
-    equality at y = x, so the gap at a feasible x is exactly zero."""
-    active = [(m, S.rows[m][0]) for m in S.active_rows(x)]
-    eta = [ZERO] * len(S.rows)
-    for g, w in zip(gens, weights):
-        if w < 0:
-            return None
-        if w == 0:
-            continue
-        j = next(j for j, gj in enumerate(g) if gj)
-        for m, a in active:
-            s = a[j] / g[j]
-            if s > 0 and all(ak == s * gk for ak, gk in zip(a, g)):
-                eta[m] += w / s
-                break
-        else:
-            return None
+def _eta_issues(S: HPoly, x, c, eta) -> list:
+    """Defects of eta as a proof that sup_{y in S} c'(x - y) = 0, found by
+    substitution alone: eta >= 0, positive only on rows of S active at x, and
+    sum_m eta_m a_m = -c exactly."""
+    issues = []
+    if any(e < 0 for e in eta):
+        issues.append("negative eta component")
+    inactive = [m for m, (e, (a, b)) in enumerate(zip(eta, S.rows)) if e > 0 and qdot(a, x) != b]
+    if inactive:
+        issues.append(f"eta is positive on rows {inactive}, inactive at x")
     if lincomb(eta, [a for a, _ in S.rows], len(c)) != tuple(-ck for ck in c):
-        return None
-    return tuple(eta)
-
-
-def _proved_value(p: MosipProblem, cp: CandidatePoint, c, weights) -> Q:
-    """The gap value sup_{y in S} c'(cp.x - y): ZERO when the cone weights
-    over cp.N's generators give active-row multipliers, else `_sup_lp`'s."""
-    if weights is not None and _row_multipliers(
-        p.feasible_set, cp.x, c, cp.N.generators, weights
-    ) is not None:
-        return ZERO
-    return _sup_lp(p, cp.x, c)
+        issues.append("eta does not write -sum_i lambda_i xi_i over the rows of S")
+    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +148,8 @@ class GapWitness:
     xi: tuple  # per-objective subgradient selections
     xi_coeffs: tuple  # per-objective convex coefficients over the vertex tables
     xi_vertices: tuple  # per-objective subdifferential vertex tables
-    value: object  # gap value, ZERO on every emitted witness: proved by
-    # active-row multipliers, or by `_sup_lp` for weights on lineality vectors
+    eta: tuple  # per row of S, in row order: the multipliers proving the zero
+    value: object  # gap value, ZERO on every emitted witness
 
 
 @dataclass(frozen=True)
@@ -177,29 +160,26 @@ class GapRefusal:
 
 
 def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
-    """Joint LP over per-objective coefficients mu_ij and normal-cone weights:
-    sum_ij mu_ij (v_ij - tilt) + sum_g w_g g = 0 with sum mu = 1, maximising
-    the least lambda_i = sum_j mu_ij; the strong mode needs it positive.
+    """Joint LP over per-objective coefficients mu_ij and weights eta_m on the
+    rows of S active at cp.x: sum_ij mu_ij (v_ij - tilt) + sum_m eta_m a_m = 0
+    with sum mu = 1, maximising the least lambda_i = sum_j mu_ij; the strong
+    mode needs it positive.
 
     The reduction: the gap vanishes at cp.x iff -sum_i lambda_i xi_i lies in
-    N(S, cp.x).  The weights w_g prove the zero as active-row multipliers
-    (`_row_multipliers`), with no LP; `_sup_lp` confirms it only when some
-    weight sits on a lineality vector of N that no active row matches."""
+    N(S, cp.x), the cone of the active rows, and the weights eta prove the
+    zero (`_eta_issues`, no LP)."""
     if mode not in (WEAK_MODE, STRONG_MODE):
         raise ModelError(f"unknown gap search mode {mode!r}")
-    if cp.N is None:
-        raise UnsupportedOperationError(
-            "the zero search needs the normal cone of the represented "
-            "feasible set"
-        )
+    S = _needs_rows(p)
     n = p.dimension
     tables = [cp.objective_subdiff(i) for i in range(p.num_objectives)]
+    normals = [S.rows[m][0] for m in cp.active_rows]
     zero = (ZERO,) * n
     if tilt is None:
-        res = cp.margin_zero(tables, [cp.N.generators])
+        res = cp.margin_zero(tables, [normals])
     else:
         shifted = [[tuple(a - b for a, b in zip(v, tilt)) for v in verts] for verts in tables]
-        res = decompose(zero, shifted, [cp.N.generators], margin=True)
+        res = decompose(zero, shifted, [normals], margin=True)
     if not isinstance(res, list):
         return GapRefusal(
             mode,
@@ -213,15 +193,14 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
             "every zero of the gap drives some lambda component to zero",
         )
     lam, coeff_rows, selections = zip(*hull_terms(res, tables))
+    eta = [ZERO] * len(S.rows)
+    for m, weight in zip(cp.active_rows, res[sum(map(len, tables)) :]):
+        eta[m] = weight
     tilt_vec = zero if tilt is None else tuple(tilt)
     tilted = [tuple(s - t for s, t in zip(sel, tilt_vec)) for sel in selections]
-    hull_width = sum(len(t) for t in tables)
-    cone_weights = res[hull_width : hull_width + len(cp.N.generators)]
-    value = _proved_value(p, cp, lincomb(lam, tilted, n), cone_weights)
-    if value != 0:
+    if _eta_issues(S, cp.x, lincomb(lam, tilted, n), eta):
         raise InternalInconsistencyError(
-            "the normal-cone reduction produced multipliers whose gap value "
-            f"is {value}, not zero"
+            "the weights on the active rows do not prove the gap zero"
         )
     return GapWitness(
         mode=mode,
@@ -229,22 +208,22 @@ def _zero_search(p: MosipProblem, cp: CandidatePoint, mode: str, tilt=None):
         xi=selections,
         xi_coeffs=coeff_rows,
         xi_vertices=tuple(tuple(t) for t in tables),
-        value=value,
+        eta=tuple(eta),
+        value=ZERO,
     )
 
 
 def gap_zero_search(p: MosipProblem, cp: CandidatePoint, mode: str = WEAK_MODE):
-    """GapWitness with an exactly-zero recomputed value, or a GapRefusal."""
+    """GapWitness whose eta proves the zero, or a GapRefusal."""
     return _zero_search(p, cp, mode, tilt=None)
 
 
 def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
-    """Exactness defects of a (possibly deserialized) witness, against vertex
-    tables recomputed from the problem's objectives (not read from the
-    point's store).  The zero is proved by active-row multipliers from the
-    weights over N's generators that one elimination forces
-    (`cones._forced_weights`, no LP); when it forces none, or they give no
-    multipliers, `_sup_lp` recomputes the value."""
+    """Exactness defects of a (possibly deserialized) witness, found by
+    substitution alone, with no LP: the selections against vertex tables
+    recomputed from the problem's objectives (not read from the point's
+    store), then eta against the rows of S (`_eta_issues`)."""
+    S = _needs_rows(p)
     m = p.num_objectives
     issues = [
         f"{len(entries)} {name} entries for {m} objectives"
@@ -254,6 +233,8 @@ def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
         )
         if len(entries) != m
     ]
+    if len(w.eta) != len(S.rows):
+        issues.append(f"{len(w.eta)} eta entries for {len(S.rows)} rows of S")
     if issues:
         return issues
     if any(l < 0 for l in w.lam):
@@ -267,19 +248,9 @@ def witness_issues(p: MosipProblem, cp: CandidatePoint, w: GapWitness) -> list:
             p, cp.x, i, w.xi_vertices[i], w.xi_coeffs[i], w.xi[i]
         )
     if not issues:
-        # by here each xi is an exact combination of its recomputed vertex
-        # table, so the membership LPs of gap_eval would only ask again
-        c = lincomb(w.lam, w.xi, p.dimension)
-        weights = None
-        if cp.N is not None:
-            gens = cp.N.generators
-            rows = [([g[i] for g in gens], lp.EQ, -ci) for i, ci in enumerate(c)]
-            weights = _forced_weights(len(gens), rows)
-        value = _proved_value(p, cp, c, weights)
-        if value != w.value:
-            issues.append(f"recorded value {w.value} but recomputed {value}")
-        if value != 0:
-            issues.append(f"gap value is {value}, not zero")
+        if w.value != 0:
+            issues.append(f"recorded value {w.value}, not zero")
+        issues += _eta_issues(S, cp.x, lincomb(w.lam, w.xi, p.dimension), w.eta)
     return issues
 
 
@@ -419,6 +390,7 @@ def witness_to_json(w: GapWitness) -> dict:
             "xi": [list(s) for s in w.xi],
             "xi_coeffs": [list(c) for c in w.xi_coeffs],
             "xi_vertices": [[list(v) for v in t] for t in w.xi_vertices],
+            "eta": list(w.eta),
             "value": w.value,
         }
     )
@@ -429,6 +401,9 @@ def witness_from_json(doc: dict) -> GapWitness:
         mode = doc["mode"]
         if mode not in (WEAK_MODE, STRONG_MODE):
             raise ParseError(f"unknown gap witness mode {mode!r}")
+        eta = doc["eta"]
+        if not isinstance(eta, list):
+            raise ParseError(f"eta must be a list of [num, den] pairs, got {eta!r}")
         return GapWitness(
             mode=mode,
             lam=tuple(q_from_pair(l) for l in doc["lambda"]),
@@ -437,6 +412,7 @@ def witness_from_json(doc: dict) -> GapWitness:
             xi_vertices=tuple(
                 tuple(tuple(q_from_pair(c) for c in v) for v in t) for t in doc["xi_vertices"]
             ),
+            eta=tuple(q_from_pair(e) for e in eta),
             value=q_from_pair(doc["value"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

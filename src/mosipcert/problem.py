@@ -442,6 +442,8 @@ def psi_data_provenance(p: MosipProblem) -> str:
 @dataclass(frozen=True)
 class CandidatePoint:
     """A feasible point with its derived sets, computed when it is built.
+    Among them, `active_rows` lists the rows of S active at x (none without
+    S): their normals, as written, cut out C and are the gap's cone block.
 
     Every other quantity at x lives in the one store `derived`, each entry
     computed at most once, on first request, and then kept:
@@ -492,7 +494,7 @@ class CandidatePoint:
       answer to a weak and a strong zero question (weak and strong KKT over
       the grouped tables, whose weights perturbed KKT mixes into its axis
       certificates; the untilted weak and strong gap searches over the
-      objective tables and N);
+      objective tables and the active rows of S);
     * ``normal_escape(rows, normals)``, keyed by its input: whether
       {d : a'd <= 0 over the rows} lies in the H-cone of the normals (WADQ
       and EADQ over F plus the G-polar's normals against C).
@@ -515,6 +517,7 @@ class CandidatePoint:
     G_star: FGCone
     C: Optional[HCone]
     N: Optional[FGCone]
+    active_rows: tuple  # indices of the rows of S active at x, in row order
     derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -537,11 +540,13 @@ class CandidatePoint:
         G, rec = _kept_union(derived, T, lambda k: derived[("constraint", k)])
         G_star = _kept_cone(derived, FGCone, p.dimension, G + rec)
         C = N = None
+        active_rows: tuple = ()
         if p.feasible_set is not None:
             # x satisfies every row of S: the feasibility pass checked it;
             # C is cut out by the active rows
             S = p.feasible_set
-            C = _kept_cone(derived, HCone, p.dimension, S.normal_rays(x))
+            active_rows = tuple(S.active_rows(x))
+            C = _kept_cone(derived, HCone, p.dimension, [S.rows[m][0] for m in active_rows])
             N = polar(C)
             if not contains(G_star, N).holds:
                 # an active subgradient g has g'(y - x) <= g_t(y) <= 0 on the
@@ -561,6 +566,7 @@ class CandidatePoint:
             G_star=G_star,
             C=C,
             N=N,
+            active_rows=active_rows,
             derived=derived,
         )
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mosipcert import gap, instances
 from mosipcert.errors import ModelError, ParseError, UnsupportedOperationError
 from mosipcert.funcs import Affine, HPoly, MaxAffine, subdiff
-from mosipcert.rationals import ONE, POS_INF, ZERO, Q, qdot
+from mosipcert.rationals import ONE, POS_INF, ZERO, Q, lincomb
 from mosipcert.problem import CandidatePoint, FiniteFamily, MosipProblem
 
 from helpers_cones import decompose_rows
@@ -236,10 +236,15 @@ class TestWitnessChecks:
         doc = gap.witness_to_json(gap.gap_zero_search(p, cp))
         with pytest.raises(ParseError):
             gap.witness_from_json({**doc, "mode": "weakest"})
-        broken = json.loads(json.dumps(doc))
-        del broken["lambda"]
-        with pytest.raises(ParseError):
-            gap.witness_from_json(broken)
+        for key in ("lambda", "eta"):
+            broken = json.loads(json.dumps(doc))
+            del broken[key]
+            with pytest.raises(ParseError):
+                gap.witness_from_json(broken)
+        # eta is a list of [num, den] pairs, one per row of S
+        for eta in ({}, {"0": [3, 2]}, "3/2", 3, [[3]], [[3, 0]], [["x", 2]], [3.0]):
+            with pytest.raises(ParseError):
+                gap.witness_from_json({**doc, "eta": eta})
 
     def test_issues_flag_tampered_weights(self, ex1):
         p, cp = ex1
@@ -259,6 +264,7 @@ class TestWitnessChecks:
             xi=((Q(-2),), (Q(-1),)),
             xi_coeffs=((ONE,), (ONE,)),
             xi_vertices=tuple(tuple(cp.objective_subdiff(i)) for i in range(2)),
+            eta=(Q(2),),
             value=ZERO,
         )
         assert gap.witness_issues(p, cp, w) == []
@@ -267,21 +273,24 @@ class TestWitnessChecks:
         relabeled = gap.witness_from_json(doc)
         assert any("positive" in m for m in gap.witness_issues(p, cp, relabeled))
 
-    @pytest.mark.parametrize("field", ["xi_vertices", "xi_coeffs", "xi", "lam"])
+    @pytest.mark.parametrize("field", ["xi_vertices", "xi_coeffs", "xi", "lam", "eta"])
     def test_issues_flag_short_fields(self, ex1, field):
-        # a witness cut short is listed as a defect, never indexed past its end
+        # a witness cut short is listed as a defect, never indexed past its
+        # end: two objectives, and S has one row
         p, cp = ex1
         w = gap.gap_zero_search(p, cp)
-        short = dataclasses.replace(w, **{field: getattr(w, field)[:1]})
-        name = "lambda" if field == "lam" else field
-        assert gap.witness_issues(p, cp, short) == [f"1 {name} entries for 2 objectives"]
+        short = dataclasses.replace(w, **{field: getattr(w, field)[:-1]})
+        expected = {"lam": "1 lambda entries for 2 objectives", "eta": "0 eta entries for 1 rows of S"}
+        assert gap.witness_issues(p, cp, short) == [
+            expected.get(field, f"1 {field} entries for 2 objectives")
+        ]
 
     def test_a_valid_witness_costs_no_lp(self, monkeypatch):
         # min (x, -x) over [0, 1] at 0: the selections are matched exactly
-        # against the recomputed vertex tables, and the weight over N that
-        # the elimination forces proves the zero by active-row multipliers,
-        # so no LP runs; lam = (0, 1) passes the simplex checks, forces a
-        # negative weight, and only the sup LP over S finds its gap
+        # against the recomputed vertex tables and eta is substituted into
+        # the rows of S, so no LP runs, on a valid witness or a corrupted
+        # one; lam = (0, 1) passes the simplex checks, and eta = (0, 0) does
+        # not write -(0 * 1 + 1 * -1) = 1 over the rows
         from mosipcert import lp
 
         p = MosipProblem(
@@ -292,7 +301,7 @@ class TestWitnessChecks:
         )
         cp = CandidatePoint.build(p, [0])
         w = gap.gap_zero_search(p, cp)
-        assert w.lam == (Q(1, 2), Q(1, 2))
+        assert w.lam == (Q(1, 2), Q(1, 2)) and w.eta == (ZERO, ZERO)
         solves = []
         solve = lp.solve
         monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or solve(prog))
@@ -301,6 +310,8 @@ class TestWitnessChecks:
             "xi": dataclasses.replace(w, xi=((Q(2),), w.xi[1])),
             "xi_coeffs": dataclasses.replace(w, xi_coeffs=((Q(2),), w.xi_coeffs[1])),
             "lam": dataclasses.replace(w, lam=(ZERO, ONE)),
+            "eta": dataclasses.replace(w, eta=(ONE, ZERO)),
+            "value": dataclasses.replace(w, value=ONE),
         }
         assert {name: gap.witness_issues(p, cp, bad) for name, bad in corrupted.items()} == {
             "xi": ["objective 0: xi does not match its coefficients"],
@@ -308,9 +319,14 @@ class TestWitnessChecks:
                 "objective 0: coefficients do not sum to 1",
                 "objective 0: xi does not match its coefficients",
             ],
-            "lam": ["recorded value 0 but recomputed 1", "gap value is 1, not zero"],
+            "lam": ["eta does not write -sum_i lambda_i xi_i over the rows of S"],
+            "eta": [
+                "eta is positive on rows [0], inactive at x",
+                "eta does not write -sum_i lambda_i xi_i over the rows of S",
+            ],
+            "value": ["recorded value 1, not zero"],
         }
-        assert len(solves) == 1  # the sup LP of lam = (0, 1)
+        assert len(solves) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,88 +341,84 @@ def _row_proof_cases():
     return [(p, [Q(0)] * p.dimension) for p in problems]
 
 
-def _parallel_rows(S, g) -> set:
-    """The rows of S whose normal is a positive multiple of g."""
-    j = next(j for j, gj in enumerate(g) if gj)
-    return {
-        m for m, (a, _) in enumerate(S.rows)
-        if a[j] * g[j] > 0 and all(ak * g[j] == a[j] * gk for ak, gk in zip(a, g))
-    }
-
-
 class TestRowMultipliers:
     @pytest.fixture(scope="class")
     def recorded(self):
-        # the weak, strong and tilted searches and the witness checks, on the
-        # fixtures and random instances: every call of the row proof, with
-        # its problem
-        out, calls = [], []
-        real = gap._row_multipliers
-
-        def recording(S, x, c, gens, weights):
-            eta = real(S, x, c, gens, weights)
-            calls.append((S, x, c, tuple(gens), tuple(weights), eta))
-            return eta
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gap, "_row_multipliers", recording)
-            for p, x in _row_proof_cases():
-                cp = CandidatePoint.build(p, x)
-                start = len(calls)
-                for mode in (gap.WEAK_MODE, gap.STRONG_MODE):
-                    w = gap.gap_zero_search(p, cp, mode)
-                    if isinstance(w, gap.GapWitness):
-                        assert gap.witness_issues(p, cp, w) == []
-                gap.perturbed_gap_check(p, cp, Q(1, 2), sample_count=4)
-                out += [(p, call) for call in calls[start:]]
+        # every witness of the weak, strong and tilted searches on the
+        # fixtures and random instances, with its problem, its point and
+        # c = sum_i lambda_i (xi_i - w) for its tilt w (0 untilted)
+        out = []
+        for p, x in _row_proof_cases():
+            cp = CandidatePoint.build(p, x)
+            found = [(gap.gap_zero_search(p, cp, mode), None) for mode in (gap.WEAK_MODE, gap.STRONG_MODE)]
+            found += [(t.witness, t.w) for t in gap.perturbed_gap_check(p, cp, Q(1, 2), sample_count=4).per_w]
+            for w, tilt in found:
+                if isinstance(w, gap.GapWitness):
+                    shift = tilt or (ZERO,) * p.dimension
+                    tilted = [tuple(s - t for s, t in zip(sel, shift)) for sel in w.xi]
+                    out.append((p, cp, w, tilt, lincomb(w.lam, tilted, p.dimension)))
         return out
 
     def test_every_accepted_proof_has_sup_exactly_zero(self, recorded):
-        accepted = [(p, call) for p, call in recorded if call[-1] is not None]
-        for p, (S, x, c, gens, weights, eta) in accepted:
-            assert gap._sup_lp(p, x, c) == 0
-            assert all(e >= 0 for e in eta)
-            assert all(e == 0 or qdot(a, x) == b for e, (a, b) in zip(eta, S.rows))
-        # both outcomes are reached, and the proof settles most calls
-        assert len(accepted) > 3 * (len(recorded) - len(accepted)) > 0
+        # eta is the reference-free proof; the sup LP over S confirms it
+        tilted = 0
+        for p, cp, w, tilt, c in recorded:
+            S = p.feasible_set
+            assert gap._sup_lp(p, cp.x, c) == 0
+            assert len(w.eta) == len(S.rows) and all(e >= 0 for e in w.eta)
+            assert all(e == 0 or m in cp.active_rows for m, e in enumerate(w.eta))
+            assert lincomb(w.eta, [a for a, _ in S.rows], p.dimension) == tuple(-ck for ck in c)
+            if tilt is None:
+                assert gap.witness_issues(p, cp, w) == []
+            tilted += tilt is not None
+        assert tilted > 100 and len(recorded) - tilted > 40
 
-    def test_a_scaled_weight_or_a_removed_row_is_refused(self, recorded):
+    def test_a_scaled_moved_or_negative_eta_is_refused(self, recorded):
         mutated = 0
-        for _, (S, x, c, gens, weights, eta) in recorded:
-            if eta is None:
-                continue
-            for k, (g, w) in enumerate(zip(gens, weights)):
-                if w <= 0:
+        for p, cp, w, tilt, c in recorded:
+            S = p.feasible_set
+            inactive = [m for m in range(len(S.rows)) if m not in cp.active_rows]
+            for k, e in enumerate(w.eta):
+                if e <= 0:
                     continue
-                scaled = [*weights[:k], 2 * w, *weights[k + 1 :]]
-                assert gap._row_multipliers(S, x, c, gens, scaled) is None
-                drop = _parallel_rows(S, g)
-                stripped = HPoly(S.dim, [row for m, row in enumerate(S.rows) if m not in drop])
-                assert gap._row_multipliers(stripped, x, c, gens, weights) is None
-                mutated += 1
-        assert mutated > 20
+                bad = [[*w.eta[:k], 2 * e, *w.eta[k + 1 :]], [*w.eta[:k], -e, *w.eta[k + 1 :]]]
+                if inactive:
+                    moved = [*w.eta[:k], ZERO, *w.eta[k + 1 :]]
+                    moved[inactive[0]] = e
+                    bad.append(moved)
+                for eta in bad:
+                    assert gap._eta_issues(S, cp.x, c, eta) != []
+                    if tilt is None:
+                        assert gap.witness_issues(p, cp, dataclasses.replace(w, eta=tuple(eta))) != []
+                mutated += len(bad)
+        assert mutated > 100
 
     def test_a_forged_objective_is_refused(self):
-        # -c = (1, 2) over the rows x1 <= 0 and x2 <= 0, both active at 0
+        # -c = (1, 2) over the rows x1 <= 0 and 2 x2 <= 0, both active at 0;
+        # eta is read against the rows as they are written
         S = HPoly(2, [([1, 0], 0), ([0, 2], 0), ([1, 1], 1)])
-        gens, weights, x = [(ONE, ZERO), (ZERO, ONE)], [ONE, Q(2)], (ZERO, ZERO)
-        assert gap._row_multipliers(S, x, (-ONE, Q(-2)), gens, weights) == (ONE, ONE, ZERO)
-        assert gap._row_multipliers(S, x, (-ONE, Q(-3)), gens, weights) is None
-        assert gap._row_multipliers(S, x, (-ONE, Q(-2)), gens, [ONE, -ONE]) is None
+        x = (ZERO, ZERO)
+        assert gap._eta_issues(S, x, (-ONE, Q(-2)), (ONE, ONE, ZERO)) == []
+        assert gap._eta_issues(S, x, (-ONE, Q(-3)), (ONE, ONE, ZERO)) == [
+            "eta does not write -sum_i lambda_i xi_i over the rows of S"
+        ]
+        assert gap._eta_issues(S, x, (-ONE, Q(2)), (ONE, -ONE, ZERO)) == ["negative eta component"]
         # the third row is inactive at 0, so it never takes a multiplier
-        assert gap._row_multipliers(S, x, (-ONE, -ONE), [(ONE, ONE)], [ONE]) is None
+        assert gap._eta_issues(S, x, (-ONE, -ONE), (ZERO, ZERO, ONE)) == [
+            "eta is positive on rows [2], inactive at x"
+        ]
 
     @pytest.mark.parametrize(
-        "rows, objective, sup_lps",
+        "rows, objective",
         [
             # N is the line x2 = 0; its +-e1 generators are the rows themselves
-            ([([1, 0], 0), ([-1, 0], 0)], [1, 0], 0),
-            # S = {0} and N is the plane: -e2 matches no row, so the sup LP
-            # confirms the zero
-            ([([1, 1], 0), ([1, -1], 0), ([-1, 0], 0)], [0, 1], 1),
+            ([([1, 0], 0), ([-1, 0], 0)], [1, 0]),
+            # S = {0} and N is the plane, whose generator -e2 is no row: the
+            # zero is still written over the rows
+            ([([1, 1], 0), ([1, -1], 0), ([-1, 0], 0)], [0, 1]),
         ],
     )
-    def test_lineality_falls_back_to_one_sup_lp(self, monkeypatch, rows, objective, sup_lps):
+    def test_lineality_needs_no_sup_lp(self, monkeypatch, rows, objective):
         p = MosipProblem(
             dimension=2,
             objectives=[Affine(objective, 0)],
@@ -420,7 +432,8 @@ class TestRowMultipliers:
         monkeypatch.setattr(gap, "_sup_lp", lambda *args: calls.append(1) or sup(*args))
         w = gap.gap_zero_search(p, cp)
         assert isinstance(w, gap.GapWitness) and w.value == 0
-        assert len(calls) == sup_lps
+        assert gap.witness_issues(p, cp, w) == []
+        assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +561,9 @@ def test_refusals_carry_the_weak_lps_farkas_vector():
         assert isinstance(strong, gap.GapRefusal)
         assert strong.farkas == weak.farkas
         tables = [subdiff(f, cp.x) for f in p.objectives]
-        _, rows = decompose_rows((ZERO,) * p.dimension, tables, [cp.N.generators])
+        S = p.feasible_set
+        normals = [S.rows[m][0] for m in S.active_rows(cp.x)]
+        _, rows = decompose_rows((ZERO,) * p.dimension, tables, [normals])
         assert verify_farkas(rows, weak.farkas)
         refused += 1
     assert refused > 20

@@ -193,11 +193,43 @@ def test_the_checkers_and_the_point_run_no_double_description():
 
 
 def test_the_gap_row_proof_makes_no_lp():
-    # the zero of the gap is proved by substitution of active-row
-    # multipliers, a check much simpler than the LPs that found them; an LP,
-    # a decomposition or the sup LP inside it would make it a second solver
+    # the zero of the gap is proved by substituting the witness's active-row
+    # multipliers eta into the rows of S, a check much simpler than the LP
+    # that found them; an LP, a decomposition, the sup LP or an elimination
+    # inside it would make it a second solver
     funcs = _functions(SRC / "gap.py")
-    assert _kind_names(funcs["_row_multipliers"]) & {"lp", "decompose", "_sup_lp"} == set()
+    found = {
+        name: _kind_names(funcs[name]) & {"lp", "decompose", "_sup_lp", "_forced_weights"}
+        for name in ("witness_issues", "_eta_issues")
+    }
+    assert found == {"witness_issues": set(), "_eta_issues": set()}
+    assert "_forced_weights" not in _imports_of(SRC / "gap.py", "cones")
+
+
+def _name_sites(path: Path, name: str) -> list:
+    """(module, enclosing function) of each place a module names `name`,
+    as a name or an attribute."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            sites.append((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_the_sup_lp_serves_gap_eval_only():
+    # the search and the witness check prove a zero by active-row
+    # multipliers; the sup LP over S is left to the evaluation of the gap
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in _name_sites(path, "_sup_lp")]
+    assert sites == [("gap", "gap_eval")]
 
 
 INTEGER_KERNELS = {
